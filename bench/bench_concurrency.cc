@@ -141,22 +141,17 @@ BENCHMARK(BM_ConcurrentCommit)
     ->UseRealTime();
 
 /// The first-write cost pin: one session inserts ONE tuple into a
-/// relation of `tuples` rows and commits. With overlay_sessions the
-/// session's first write layers an O(1) overlay over the shared
-/// snapshot; without it, it pays the legacy O(|R|) copy-on-write clone —
-/// so the clone series scales with the relation while the overlay series
-/// stays flat. The cloned_tuples_per_txn counter (from CowStats) shows
-/// the copies directly.
+/// relation of `tuples` rows and commits. The session's first write
+/// layers an O(1) overlay level over the shared snapshot, so the series
+/// stays flat as the relation grows; overlays_per_txn (from CowStats)
+/// counts the levels.
 void BM_SessionFirstWrite(benchmark::State& state) {
   const int tuples = static_cast<int>(state.range(0));
-  const bool overlay = state.range(1) != 0;
   Database db = MakeKeyFkDatabase(kKeys, tuples);
   core::IntegritySubsystem ics(&db);
   TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("domain", DomainConstraint()));
   TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("refint", RefIntConstraint()));
-  txn::TxnManagerOptions options;
-  options.overlay_sessions = overlay;
-  auto created = txn::TxnManager::Create(&ics, options);
+  auto created = txn::TxnManager::Create(&ics);
   TXMOD_BENCH_CHECK_OK(created.status());
   auto manager = std::move(*created);
 
@@ -180,18 +175,14 @@ void BM_SessionFirstWrite(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(committed));
   const double iters =
       state.iterations() > 0 ? static_cast<double>(state.iterations()) : 1.0;
-  state.counters["cloned_tuples_per_txn"] =
-      static_cast<double>(CowStats::cloned_tuples.load()) / iters;
   state.counters["overlays_per_txn"] =
       static_cast<double>(CowStats::overlays_created.load()) / iters;
 }
 
 BENCHMARK(BM_SessionFirstWrite)
-    ->ArgNames({"tuples", "overlay"})
-    ->Args({10'000, 0})
-    ->Args({10'000, 1})
-    ->Args({100'000, 0})
-    ->Args({100'000, 1})
+    ->ArgNames({"tuples"})
+    ->Arg(10'000)
+    ->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_GroupCommitFsync(benchmark::State& state) {

@@ -291,7 +291,6 @@ class Repl {
               << "degraded             " << (s.degraded ? "yes" : "no");
     if (s.degraded) std::cout << " (" << s.degraded_cause << ")";
     std::cout << "\n"
-              << "cow relation clones  " << s.cow_relation_clones << "\n"
               << "cow overlays         " << s.cow_overlays_created << "\n"
               << "cow overlay merges   " << s.cow_overlay_merges << "\n"
               << "cow overlay collapses " << s.cow_overlay_collapses << "\n";

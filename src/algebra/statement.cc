@@ -56,6 +56,20 @@ Statement Statement::Update(std::string relation, ScalarExpr predicate,
   return s;
 }
 
+Result<Tuple> Statement::UpdatedTuple(const Tuple& old_tuple) const {
+  Tuple out = old_tuple;
+  for (const UpdateSet& u : sets) {
+    TXMOD_ASSIGN_OR_RETURN(Value v, u.expr.EvalValue(&old_tuple, nullptr));
+    if (u.attr < 0 || u.attr >= static_cast<int>(out.arity())) {
+      return Status::InvalidArgument(StrCat("update of ", target,
+                                            ": attribute #", u.attr,
+                                            " out of range"));
+    }
+    out.at(static_cast<std::size_t>(u.attr)) = std::move(v);
+  }
+  return out;
+}
+
 Statement Statement::Alarm(RelExprPtr e, std::string message) {
   Statement s;
   s.kind = StatementKind::kAlarm;

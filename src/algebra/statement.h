@@ -55,6 +55,10 @@ struct Statement {
            kind == StatementKind::kUpdate;
   }
 
+  /// kUpdate: `old_tuple` with every assignment applied (expressions
+  /// over `old_tuple`); InvalidArgument for an out-of-range attribute.
+  Result<Tuple> UpdatedTuple(const Tuple& old_tuple) const;
+
   std::string ToString() const;
 };
 

@@ -213,12 +213,7 @@ class ParallelExecutor::Impl {
       }
       local[node] += target->fragments[node].size();
       for (const Tuple& old_tuple : selected) {
-        Tuple new_tuple = old_tuple;
-        for (const algebra::UpdateSet& u : stmt.sets) {
-          TXMOD_ASSIGN_OR_RETURN(Value v,
-                                 u.expr.EvalValue(&old_tuple, nullptr));
-          new_tuple.at(U(u.attr)) = std::move(v);
-        }
+        TXMOD_ASSIGN_OR_RETURN(Tuple new_tuple, stmt.UpdatedTuple(old_tuple));
         TXMOD_RETURN_IF_ERROR(schema.CheckTuple(new_tuple));
         new_tuple = schema.CoerceTuple(std::move(new_tuple));
         ApplyDelete(stmt.target, target, node, old_tuple);

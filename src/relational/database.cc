@@ -1,5 +1,7 @@
 #include "src/relational/database.h"
 
+#include <utility>
+
 #include "src/common/str_util.h"
 
 namespace txmod {
@@ -7,8 +9,7 @@ namespace txmod {
 Database::Database(const Database& other)
     : schema_(other.schema_),
       relations_(other.relations_),
-      logical_time_(other.logical_time_),
-      overlay_enabled_(other.overlay_enabled_) {
+      logical_time_(other.logical_time_) {
   // Every state is now shared: neither side may mutate one in place.
   other.owned_.clear();
 }
@@ -18,7 +19,6 @@ Database& Database::operator=(const Database& other) {
     schema_ = other.schema_;
     relations_ = other.relations_;
     logical_time_ = other.logical_time_;
-    overlay_enabled_ = other.overlay_enabled_;
     owned_.clear();
     other.owned_.clear();
   }
@@ -43,43 +43,43 @@ Result<const Relation*> Database::Find(const std::string& name) const {
 }
 
 Result<Relation*> Database::FindMutable(const std::string& name) {
+  if (owned_.count(name) > 0) return relations_.at(name).get();
+  // This state is (or once was) shared with a snapshot — shared states
+  // are immutable, so un-share before handing out mutable access.
+  TXMOD_ASSIGN_OR_RETURN(Level level, PushLevel(name));
+  return level.top;
+}
+
+Result<Database::Level> Database::PushLevel(const std::string& name) {
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     return Status::NotFound(StrCat("relation ", name, " does not exist"));
   }
-  std::shared_ptr<Relation>& slot = it->second;
-  if (owned_.find(name) == owned_.end()) {
-    // This state is (or once was) shared with a snapshot — shared states
-    // are immutable, so un-share before handing out mutable access.
-    if (overlay_enabled_) {
-      // O(1) in the relation size: layer a private overlay over the
-      // shared base. Declared indexes are mirrored (empty) so compiled
-      // checks keep probing via FindIndexView.
-      auto owned = std::make_shared<Relation>(
-          Relation::MakeOverlay(std::shared_ptr<const Relation>(slot)));
-      slot = std::move(owned);
-      ++CowStats::overlays_created;
-      // Depth backstop for writers that never run the commit-path
-      // compaction (e.g. the serial engine mutating a master that gets
-      // snapshotted repeatedly): bound read amplification.
-      if (slot->overlay_depth() > 40) slot->CollapseOverlay();
-    } else {
-      // O(|R|) copy-on-write clone, re-declaring the indexes the plain
-      // Relation copy drops — the pre-overlay baseline. A source that is
-      // itself an overlay chain is flattened so the clone is a plain
-      // self-contained state.
-      auto owned = std::make_shared<Relation>(*slot);
-      owned->CollapseOverlay();
-      for (const std::vector<int>& attrs : slot->DeclaredIndexes()) {
-        owned->IndexOn(attrs);
-      }
-      ++CowStats::relation_clones;
-      CowStats::cloned_tuples += slot->size();
-      slot = std::move(owned);
-    }
-    owned_.insert(name);
+  Level level;
+  level.pre = it->second;
+  level.pre_owned = !owned_.insert(name).second;  // the level is owned
+  // O(1) in the relation size: declared indexes are mirrored (empty) so
+  // compiled checks keep probing via FindIndexView.
+  it->second = std::make_shared<Relation>(Relation::MakeOverlay(level.pre));
+  level.top = it->second.get();
+  ++CowStats::overlays_created;
+  return level;
+}
+
+void Database::DropLevel(const std::string& name, Level level) {
+  if (!level.pre_owned) owned_.erase(name);
+  relations_[name] = std::move(level.pre);
+}
+
+void Database::FoldLevel(const std::string& name, Level level) {
+  if (owned_.count(name) == 0) return;  // shared since the push: it stays
+  std::shared_ptr<Relation>& slot = relations_[name];
+  if (level.pre_owned) {
+    // Nobody else can reach `pre`: the level was never shared.
+    level.pre->Absorb(std::move(*slot));
+    slot = std::move(level.pre);
   }
-  return slot.get();
+  slot->CompactOverlay();
 }
 
 std::shared_ptr<Relation> Database::TakeOwnedRelation(
@@ -94,10 +94,13 @@ std::shared_ptr<Relation> Database::TakeOwnedRelation(
   return out;
 }
 
-void Database::AdoptRelation(const std::string& name,
-                             std::shared_ptr<Relation> rel) {
-  relations_[name] = std::move(rel);
-  owned_.insert(name);
+Database::Level Database::AdoptRelation(const std::string& name,
+                                        std::shared_ptr<Relation> rel) {
+  Level level;
+  level.top = rel.get();
+  level.pre = std::exchange(relations_[name], std::move(rel));
+  level.pre_owned = !owned_.insert(name).second;
+  return level;
 }
 
 std::vector<std::string> Database::RelationNames() const {

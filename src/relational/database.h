@@ -21,21 +21,21 @@ namespace txmod {
 /// copying a Database — Clone(), the copy constructor, or assignment —
 /// is O(#relations) and *shares* every relation state with the source.
 /// Value semantics are preserved by FindMutable: the first mutable
-/// access to a shared relation un-shares it privately first — by default
-/// an O(1) overlay over the immutable shared base (mutations then cost
-/// O(|delta|)); with overlays disabled, an O(|R|) clone that re-declares
-/// the equi-key indexes plain Relation copies drop. This is what gives
-/// concurrent sessions a stable committed snapshot D^t to read while
-/// writers build differentials: a snapshot is just a Clone() of the
-/// committed database, and neither side's mutations are ever visible to
-/// the other.
+/// access to a shared relation un-shares it privately first, with an
+/// O(1) overlay over the immutable shared base (mutations then cost
+/// O(|delta|)). This is what gives concurrent sessions a stable
+/// committed snapshot D^t to read while writers build differentials: a
+/// snapshot is just a Clone() of the committed database, and neither
+/// side's mutations are ever visible to the other. A transaction layers
+/// a level even over an exclusively owned state (PushLevel): the level
+/// is its differential, and the state underneath stays its old(R).
 ///
 /// Ownership discipline (the race-freedom argument): every Database
 /// instance tracks which relation states it exclusively owns — those it
-/// created or cloned itself and has never shared out. Copying a Database
+/// created or layered itself and has never shared out. Copying a Database
 /// marks every state shared on BOTH sides, and a shared state is
-/// immutable forever after: FindMutable never mutates one, it clones
-/// first. Deliberately NOT shared_ptr::use_count() — observing a
+/// immutable forever after: FindMutable never mutates one, it layers an
+/// overlay first. Deliberately NOT shared_ptr::use_count() — observing a
 /// refcount drop to 1 via its relaxed load would not establish a
 /// happens-before edge with the releasing thread's prior reads, so
 /// mutating "because the count says we are alone" is a data race
@@ -52,7 +52,7 @@ class Database {
  public:
   Database() = default;
   /// Copying shares every relation state and renders them immutable on
-  /// both sides (each side clones on its next write).
+  /// both sides (each side layers an overlay on its next write).
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&&) = default;
@@ -63,23 +63,40 @@ class Database {
 
   Result<const Relation*> Find(const std::string& name) const;
 
-  /// Mutable access that never leaks mutation into other holders. While
-  /// the relation state is shared with another Database (an outstanding
-  /// snapshot), the first mutable access un-shares it:
-  ///
-  ///   * overlay mode (default): an O(1) overlay state is layered over
-  ///     the shared base (Relation::MakeOverlay) — mutation cost becomes
-  ///     O(|delta|), with declared indexes mirrored so compiled checks
-  ///     stay on their probe paths via FindIndexView;
-  ///   * clone mode (set_overlay_enabled(false)): the state is cloned
-  ///     O(|R|) — including re-declaring its indexes — the pre-overlay
-  ///     behavior, kept as the oracle baseline.
+  /// Mutable access that never leaks mutation into other holders: an
+  /// exclusively owned state as is, a shared one (an outstanding
+  /// snapshot holds it) behind a fresh overlay level (PushLevel).
   Result<Relation*> FindMutable(const std::string& name);
 
-  /// Chooses between overlay and clone un-sharing in FindMutable. The
-  /// flag is copied by Clone()/copies, so snapshots inherit the mode.
-  void set_overlay_enabled(bool enabled) { overlay_enabled_ = enabled; }
-  bool overlay_enabled() const { return overlay_enabled_; }
+  /// A state installed over the one it displaced (PushLevel,
+  /// AdoptRelation); DropLevel and FoldLevel end it. Either must end the
+  /// newest level on its name, with no PushLevel or AdoptRelation on that
+  /// name since: ownership is tracked per name, so a later install's
+  /// would pass for the level's.
+  struct Level {
+    Relation* top = nullptr;        // the installed state
+    std::shared_ptr<Relation> pre;  // the state it displaced
+    bool pre_owned = false;         // this database owned `pre` exclusively
+  };
+
+  /// Installs a fresh, exclusively owned overlay level over `name`'s
+  /// current state S, shared or owned, in O(#declared indexes); declared
+  /// indexes are mirrored, so compiled checks keep probing via
+  /// FindIndexView. S is never mutated while the level is installed.
+  Result<Level> PushLevel(const std::string& name);
+
+  /// Re-installs `level.pre` in place of the level, O(1) — a rollback.
+  /// `pre` is owned again only if it was before and the level was never
+  /// shared since (a copy of the level still reads `pre` through it):
+  /// under the contract above, `name` is still in the owned set exactly
+  /// when the level was not shared.
+  void DropLevel(const std::string& name, Level level);
+
+  /// A serial commit: under DropLevel's ownership condition, folds the
+  /// level into `pre` (Relation::Absorb, O(|delta|)) and re-installs it,
+  /// so serial masters stay flat; otherwise the level stays installed.
+  /// An owned result is compacted, which bounds overlay depth.
+  void FoldLevel(const std::string& name, Level level);
 
   bool Contains(const std::string& name) const {
     return relations_.find(name) != relations_.end();
@@ -108,16 +125,17 @@ class Database {
   /// the ownership discipline above), removing the entry — this database
   /// no longer resolves `name` afterwards. Returns null when the state
   /// is shared or unknown. Together with AdoptRelation this is the
-  /// transaction manager's swap-in commit fast path: a session that
-  /// cloned a relation privately and ran against the current committed
-  /// version hands its post-state over by pointer, not by copy.
+  /// transaction manager's swap-in commit fast path: a session that ran
+  /// against the current committed version hands its overlay level —
+  /// the snapshot state plus its delta — over by pointer, not by copy.
   std::shared_ptr<Relation> TakeOwnedRelation(const std::string& name);
 
   /// Installs `rel` as `name`'s state and takes exclusive ownership. The
   /// caller must guarantee no other Database still shares `rel` (pairs
   /// with TakeOwnedRelation, whose owned-set proof supplies exactly
-  /// that). The relation must exist in the schema already.
-  void AdoptRelation(const std::string& name, std::shared_ptr<Relation> rel);
+  /// that). The relation must exist in the schema already. Returns the
+  /// install as a Level, so DropLevel can undo it in O(1).
+  Level AdoptRelation(const std::string& name, std::shared_ptr<Relation> rel);
 
   /// True when both databases hold the same relations with the same
   /// tuples. Logical time is deliberately NOT part of the default
@@ -133,13 +151,12 @@ class Database {
   DatabaseSchema schema_;
   // Shared relation states: the copy-on-write substrate.
   std::map<std::string, std::shared_ptr<Relation>> relations_;
-  // Names whose state this instance exclusively owns (created or cloned
-  // here, never shared out). Mutable: copying a const source must strip
-  // the source's ownership too, or it would keep mutating state the copy
-  // now reads.
+  // Names whose state this instance exclusively owns (created or layered
+  // here, never shared out), all keys of relations_. Mutable: copying a
+  // const source must strip the source's ownership too, or it would keep
+  // mutating state the copy now reads.
   mutable std::set<std::string> owned_;
   uint64_t logical_time_ = 0;
-  bool overlay_enabled_ = true;
 };
 
 }  // namespace txmod

@@ -273,8 +273,8 @@ Result<Database> LoadDatabase(std::istream& in) {
   // The relation under construction. Built as a locally-owned state and
   // adopted wholesale at "end": the loader is logically a bulk writer of
   // fresh states and must never reach for Database::FindMutable — the
-  // un-sharing path (overlay or clone) exists for mutating *shared*
-  // states, which a loader has no business triggering.
+  // un-sharing overlay exists for mutating *shared* states, which a
+  // loader has no business triggering.
   std::shared_ptr<Relation> current;
   std::string current_name;
   int line_number = 1;

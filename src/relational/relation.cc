@@ -6,15 +6,11 @@
 
 namespace txmod {
 
-std::atomic<uint64_t> CowStats::relation_clones{0};
-std::atomic<uint64_t> CowStats::cloned_tuples{0};
 std::atomic<uint64_t> CowStats::overlays_created{0};
 std::atomic<uint64_t> CowStats::overlay_merges{0};
 std::atomic<uint64_t> CowStats::overlay_collapses{0};
 
 void CowStats::Reset() {
-  relation_clones.store(0);
-  cloned_tuples.store(0);
   overlays_created.store(0);
   overlay_merges.store(0);
   overlay_collapses.store(0);
@@ -96,22 +92,20 @@ Relation Relation::MakeOverlay(std::shared_ptr<const Relation> base) {
     overlay.indexes_.push_back(
         std::make_unique<RelationIndex>(std::move(attrs)));
   }
+  overlay.plus_ = std::make_unique<Relation>(base->schema_ptr());
+  overlay.minus_ = std::make_unique<Relation>(base->schema_ptr());
   overlay.base_ = std::move(base);
   return overlay;
 }
 
 bool Relation::Insert(Tuple t) {
   if (base_ != nullptr) {
-    if (tuples_.count(t) > 0) return false;  // visible via a local insert
-    auto mit = minus_.find(t);
-    if (mit != minus_.end()) {
-      // Resurrect a base tuple this level deleted: un-shadow it.
-      minus_.erase(mit);
-      return true;
-    }
+    if (plus_->Contains(t)) return false;  // visible via a local insert
+    // Resurrect a base tuple this level deleted: un-shadow it.
+    if (minus_->Erase(t)) return true;
     if (base_->Contains(t)) return false;  // visible through the base
   }
-  auto [it, inserted] = tuples_.insert(std::move(t));
+  auto [it, inserted] = own_tuples().insert(std::move(t));
   if (inserted) {
     for (const auto& index : indexes_) index->Add(&*it);
   }
@@ -119,29 +113,52 @@ bool Relation::Insert(Tuple t) {
 }
 
 bool Relation::Erase(const Tuple& t) {
-  auto it = tuples_.find(t);
-  if (it != tuples_.end()) {
+  TupleSet& own = own_tuples();
+  auto it = own.find(t);
+  const bool local = it != own.end();
+  if (local) {
     for (const auto& index : indexes_) index->Remove(&*it);
-    tuples_.erase(it);
-    if (base_ != nullptr && minus_.count(t) == 0 && base_->Contains(t)) {
-      // Merged levels may hold a tuple both locally and in the base
-      // chain; keep it invisible after the local removal.
-      minus_.insert(t);
-    }
+    own.erase(it);
+  }
+  // A visible base tuple gets shadowed. (Merged levels may hold a tuple
+  // both locally and in the base chain; it stays invisible after the
+  // local removal, too.)
+  if (base_ != nullptr && !minus_->Contains(t) && base_->Contains(t)) {
+    minus_->Insert(t);
     return true;
   }
-  if (base_ != nullptr && minus_.count(t) == 0 && base_->Contains(t)) {
-    minus_.insert(t);
-    return true;
-  }
-  return false;
+  return local;
 }
 
 void Relation::Clear() {
   tuples_.clear();
-  minus_.clear();
   base_.reset();
+  plus_.reset();
+  minus_.reset();
   for (const auto& index : indexes_) index->map_.clear();
+}
+
+void Relation::Absorb(Relation&& level) {
+  for (const Tuple& t : *level.minus_) Erase(t);
+  if (base_ == nullptr) {
+    // Relink the level's tuple and index nodes, where Insert would
+    // allocate both anew: every serial commit pays that. The level's
+    // inserts are disjoint from this flat state, so every node moves.
+    tuples_.merge(level.plus_->tuples_);
+    for (const auto& index : indexes_) {
+      for (const auto& mirror : level.indexes_) {
+        if (mirror->attrs() != index->attrs()) continue;
+        // Node by node: a multimap merge reserves first, which can
+        // rehash the whole index.
+        RelationIndex::Map& from = mirror->map_;
+        while (!from.empty()) index->map_.insert(from.extract(from.begin()));
+      }
+    }
+    return;
+  }
+  level.indexes_.clear();  // they point at the nodes extracted below
+  TupleSet& plus = level.plus_->tuples_;
+  while (!plus.empty()) Insert(std::move(plus.extract(plus.begin()).value()));
 }
 
 const RelationIndex* Relation::IndexOn(std::vector<int> attrs) {
@@ -153,7 +170,7 @@ const RelationIndex* Relation::IndexOn(std::vector<int> attrs) {
   // overlay index covers only local inserts); flatten first so the build
   // below sees every tuple. Definition-time only — FindIndex/FindIndexView
   // never reach here.
-  if (base_ != nullptr) CollapseOverlay();
+  CollapseOverlay();
   if (const RelationIndex* existing = FindLocalIndex(attrs)) return existing;
   auto index = std::make_unique<RelationIndex>(std::move(attrs));
   index->Rebuild(tuples_);
@@ -184,10 +201,11 @@ RelationIndexView Relation::FindIndexView(
   for (const Relation* level = this; level != nullptr;
        level = level->base_.get()) {
     const RelationIndex* index = level->FindLocalIndex(attrs);
-    if (index == nullptr && !level->tuples_.empty()) {
+    if (index == nullptr && !level->own_tuples().empty()) {
       return RelationIndexView();  // a populated level lacks the index
     }
-    view.levels_.push_back(RelationIndexView::Level{index, &level->minus_});
+    view.levels_.push_back(RelationIndexView::Level{
+        index, level->minus_ == nullptr ? nullptr : &level->minus_->tuples_});
     if (index != nullptr && view.attrs_ == nullptr) {
       view.attrs_ = &index->attrs();
     }
@@ -227,12 +245,13 @@ std::size_t Relation::flat_size() const {
 
 void Relation::CollapseOverlay() {
   if (base_ == nullptr) return;
-  std::unordered_set<Tuple, TupleHasher> flat;
+  TupleSet flat;
   flat.reserve(size());
   for (const Tuple& t : *this) flat.insert(t);
   tuples_ = std::move(flat);
-  minus_.clear();
   base_.reset();
+  plus_.reset();
+  minus_.reset();
   for (const auto& index : indexes_) index->Rebuild(tuples_);
   ++CowStats::overlay_collapses;
 }
@@ -243,21 +262,21 @@ bool Relation::MergeOverlayLevel() {
   // Combined level over b's base:  plus = (b.plus ∖ minus) ∪ plus,
   // minus' = b.minus ∪ (minus ∖ b.plus).  b itself is only read — it may
   // still be pinned by outstanding snapshots.
-  std::unordered_set<Tuple, TupleHasher> plus;
-  plus.reserve(b.tuples_.size() + tuples_.size());
-  for (const Tuple& t : b.tuples_) {
-    if (minus_.count(t) == 0) plus.insert(t);
+  TupleSet plus;
+  plus.reserve(b.plus_->size() + plus_->size());
+  for (const Tuple& t : *b.plus_) {
+    if (!minus_->Contains(t)) plus.insert(t);
   }
-  for (const Tuple& t : tuples_) plus.insert(t);
-  std::unordered_set<Tuple, TupleHasher> minus = b.minus_;
-  for (const Tuple& t : minus_) {
-    if (b.tuples_.count(t) == 0) minus.insert(t);
+  for (const Tuple& t : *plus_) plus.insert(t);
+  TupleSet minus = b.minus_->tuples_;
+  for (const Tuple& t : *minus_) {
+    if (!b.plus_->Contains(t)) minus.insert(t);
   }
   std::shared_ptr<const Relation> next = b.base_;
-  tuples_ = std::move(plus);
-  minus_ = std::move(minus);
+  plus_->tuples_ = std::move(plus);
+  minus_->tuples_ = std::move(minus);
   base_ = std::move(next);  // drops the reference to b last
-  for (const auto& index : indexes_) index->Rebuild(tuples_);
+  for (const auto& index : indexes_) index->Rebuild(plus_->tuples_);
   ++CowStats::overlay_merges;
   return true;
 }
@@ -275,8 +294,7 @@ void Relation::CompactOverlay() {
   // Large-delta case: once the accumulated overlay rivals the flat base,
   // a collapse costs O(|R|) against ≥ |R|/2 delta work already paid —
   // amortized constant — and restores flat-state read speed. The depth
-  // bound is a backstop for non-geometric chains (e.g. serial engines
-  // that never commit through the manager).
+  // bound is a backstop for non-geometric chains.
   constexpr std::size_t kCollapseMinWeight = 64;
   constexpr std::size_t kMaxOverlayDepth = 40;
   const std::size_t threshold =
@@ -288,9 +306,9 @@ void Relation::CompactOverlay() {
 
 void Relation::ConstIterator::Settle() {
   while (level_ != nullptr) {
-    if (it_ == level_->tuples_.end()) {
+    if (it_ == level_->own_tuples().end()) {
       level_ = level_->base_.get();
-      if (level_ != nullptr) it_ = level_->tuples_.begin();
+      if (level_ != nullptr) it_ = level_->own_tuples().begin();
       continue;
     }
     if (level_ == top_ || !ShadowedAboveCurrent()) return;
@@ -300,7 +318,7 @@ void Relation::ConstIterator::Settle() {
 
 bool Relation::ConstIterator::ShadowedAboveCurrent() const {
   for (const Relation* r = top_; r != level_; r = r->base_.get()) {
-    if (!r->minus_.empty() && r->minus_.count(*it_) > 0) return true;
+    if (!r->minus_->empty() && r->minus_->Contains(*it_)) return true;
   }
   return false;
 }

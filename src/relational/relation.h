@@ -24,12 +24,8 @@ class Relation;
 /// relation", "a session's first write did not scan the base" — instead of
 /// timing them.
 struct CowStats {
-  /// O(|R|) relation clones performed by Database::FindMutable when
-  /// overlay execution is disabled (or a caller copies explicitly through
-  /// the clone path), and the tuples those clones copied.
-  static std::atomic<uint64_t> relation_clones;
-  static std::atomic<uint64_t> cloned_tuples;
-  /// O(1) overlay layerings handed out by Database::FindMutable.
+  /// O(1) overlay layerings installed by Database::FindMutable and
+  /// Database::PushLevel.
   static std::atomic<uint64_t> overlays_created;
   /// Overlay maintenance: level merges (amortized-geometric) and
   /// collapses to a flat state (the large-delta case).
@@ -127,7 +123,7 @@ class RelationIndexView {
 
   struct Level {
     const RelationIndex* index;  // null only when the level has no tuples
-    const std::unordered_set<Tuple, TupleHasher>* minus;
+    const std::unordered_set<Tuple, TupleHasher>* minus;  // null when flat
   };
 
   /// True when a level *outside* `level` (index < level; outermost first)
@@ -146,22 +142,24 @@ class RelationIndexView {
 /// on. Iteration order is unspecified; use SortedTuples() for deterministic
 /// output.
 ///
-/// Overlay states: a Relation may layer local inserts (`tuples_`, the plus
-/// set) and deletes (`minus_`) over an immutable shared base state
-/// (MakeOverlay) — the visible contents are base ∪ plus ∖ minus, and every
-/// read (Contains, size, iteration, index views) sees exactly that without
-/// materializing. This is what makes a transaction session's first write
-/// to a relation O(1) instead of an O(|R|) copy-on-write clone: mutation
-/// cost is O(|delta|), the transaction-modification bound the paper's
-/// integrity checking is built around. Invariants maintained by
-/// Insert/Erase (and restored by level merges): minus ⊆ visible(base), and
-/// plus is disjoint from visible(base) ∖ minus. Overlay levels are
+/// Overlay states: a Relation may layer local inserts (`plus_`) and
+/// deletes (`minus_`) over an immutable shared base state (MakeOverlay) —
+/// the visible contents are base ∪ plus ∖ minus, and every read
+/// (Contains, size, iteration, index views) sees exactly that without
+/// materializing. This is what makes a transaction's first write to a
+/// relation O(1) instead of an O(|R|) copy: mutation cost is O(|delta|),
+/// the transaction-modification bound the paper's integrity checking is
+/// built around. Invariants maintained by Insert/Erase (and restored by
+/// level merges): minus ⊆ visible(base), and plus is disjoint from
+/// visible(base) ∖ minus — so on a fresh level over a state S, plus and
+/// minus are exactly the net differential against S. Overlay levels are
 /// immutable once shared (the Database ownership discipline); only the
 /// outermost level of an exclusively-owned state is ever mutated, so
 /// concurrent readers of shared inner levels are safe.
 ///
 /// Index semantics: declared indexes (IndexOn) hold pointers into the
-/// level-local tuple set, so *copies drop them* — a copy has no indexes
+/// level's own tuple set (the whole contents of a flat state, the plus
+/// set of an overlay level), so *copies drop them* — a copy has no indexes
 /// until IndexOn is called on it again (the IntegritySubsystem re-declares
 /// on every Recompile; FindIndex never builds). Moves keep indexes:
 /// unordered_set nodes keep their addresses across a move. An overlay
@@ -176,17 +174,15 @@ class Relation {
   explicit Relation(std::shared_ptr<const RelationSchema> schema)
       : schema_(std::move(schema)) {}
 
-  Relation(const Relation& other)
-      : schema_(other.schema_),
-        tuples_(other.tuples_),
-        minus_(other.minus_),
-        base_(other.base_) {}
+  Relation(const Relation& other) { *this = other; }
   Relation& operator=(const Relation& other) {
     if (this != &other) {
       schema_ = other.schema_;
       tuples_ = other.tuples_;
-      minus_ = other.minus_;
       base_ = other.base_;
+      plus_ = other.plus_ ? std::make_unique<Relation>(*other.plus_) : nullptr;
+      minus_ =
+          other.minus_ ? std::make_unique<Relation>(*other.minus_) : nullptr;
       indexes_.clear();
     }
     return *this;
@@ -209,15 +205,16 @@ class Relation {
     // Invariants make the arithmetic exact: every minus entry shadows a
     // distinct visible base tuple, every plus entry is otherwise unseen.
     if (base_ == nullptr) return tuples_.size();
-    return base_->size() + tuples_.size() - minus_.size();
+    return base_->size() + plus_->tuples_.size() - minus_->tuples_.size();
   }
   bool empty() const {
     return base_ == nullptr ? tuples_.empty() : size() == 0;
   }
 
   bool Contains(const Tuple& t) const {
-    if (tuples_.count(t) > 0) return true;
-    return base_ != nullptr && minus_.count(t) == 0 && base_->Contains(t);
+    if (own_tuples().count(t) > 0) return true;
+    return base_ != nullptr && minus_->tuples_.count(t) == 0 &&
+           base_->Contains(t);
   }
 
   /// The stored node equal to `t`, or nullptr when not visible. The
@@ -226,10 +223,10 @@ class Relation {
   /// addresses even across container moves, which is what lets the
   /// transaction manager key its validation index by tuple node.
   const Tuple* FindTuple(const Tuple& t) const {
-    auto it = tuples_.find(t);
-    if (it != tuples_.end()) return &*it;
-    if (base_ != nullptr && minus_.count(t) == 0) return base_->FindTuple(t);
-    return nullptr;
+    auto it = own_tuples().find(t);
+    if (it != own_tuples().end()) return &*it;
+    if (base_ == nullptr || minus_->tuples_.count(t) > 0) return nullptr;
+    return base_->FindTuple(t);
   }
 
   /// Inserts `t`; returns true when the tuple was not visible before.
@@ -266,8 +263,8 @@ class Relation {
   std::size_t index_count() const { return indexes_.size(); }
 
   /// Attribute lists of every declared index, in declaration order. This
-  /// is what lets a copy-on-write clone or overlay (Database::FindMutable)
-  /// re-declare the indexes that the plain copy constructor drops.
+  /// is what lets an overlay (MakeOverlay) mirror the declarations of the
+  /// base it layers over.
   std::vector<std::vector<int>> DeclaredIndexes() const;
 
   // -------------------------------------------------------------------
@@ -278,11 +275,26 @@ class Relation {
 
   bool is_overlay() const { return base_ != nullptr; }
 
+  /// This overlay level's own inserts and deletes (requires is_overlay()),
+  /// at addresses stable for the level's lifetime: on a transaction's
+  /// level, the paper's dplus(R) and dminus(R), read without a copy.
+  const Relation& local_inserts() const { return *plus_; }
+  const Relation& local_deletes() const { return *minus_; }
+
+  /// Applies and consumes `level`, an overlay level over this very state:
+  /// O(|delta|), inserted tuples are moved, not copied; a flat state
+  /// relinks the level's nodes (the serial commit's fold,
+  /// Database::FoldLevel).
+  void Absorb(Relation&& level);
+
   /// Number of overlay levels above the flat base (0 for a flat state).
   std::size_t overlay_depth() const;
 
-  /// This level's local delta size: |plus| + |minus|.
-  std::size_t delta_weight() const { return tuples_.size() + minus_.size(); }
+  /// This level's own tuple count: |plus| + |minus| on an overlay level,
+  /// |R| on a flat state.
+  std::size_t delta_weight() const {
+    return own_tuples().size() + (base_ == nullptr ? 0 : minus_->size());
+  }
 
   /// Cumulative delta weight across every overlay level of the chain.
   std::size_t overlay_weight() const;
@@ -355,7 +367,7 @@ class Relation {
   };
 
   ConstIterator begin() const {
-    return ConstIterator(this, this, tuples_.begin());
+    return ConstIterator(this, this, own_tuples().begin());
   }
   ConstIterator end() const { return ConstIterator(); }
 
@@ -369,17 +381,25 @@ class Relation {
   std::string ToString(std::size_t max_tuples = 16) const;
 
  private:
+  using TupleSet = std::unordered_set<Tuple, TupleHasher>;
+
+  /// The tuple set this level's declared indexes cover.
+  const TupleSet& own_tuples() const {
+    return base_ == nullptr ? tuples_ : plus_->tuples_;
+  }
+  TupleSet& own_tuples() { return base_ == nullptr ? tuples_ : plus_->tuples_; }
+
   /// This level's own declared index on `attrs` (ignores the chain).
   const RelationIndex* FindLocalIndex(const std::vector<int>& attrs) const;
 
   std::shared_ptr<const RelationSchema> schema_;
-  // The level-local tuple set: the whole contents of a flat state, the
-  // plus (insert) set of an overlay level.
-  std::unordered_set<Tuple, TupleHasher> tuples_;
-  // Overlay state. minus_ holds base tuples this level deleted; base_ is
-  // the immutable shared state underneath (null == flat).
-  std::unordered_set<Tuple, TupleHasher> minus_;
+  // The whole contents of a flat state (empty on an overlay level).
+  TupleSet tuples_;
+  // Overlay state (all null == flat): the immutable shared state underneath
+  // and this level's local inserts and deletes, as flat index-free states.
   std::shared_ptr<const Relation> base_;
+  std::unique_ptr<Relation> plus_;
+  std::unique_ptr<Relation> minus_;
   std::vector<std::unique_ptr<RelationIndex>> indexes_;
 };
 

@@ -1,6 +1,5 @@
 #include "src/txn/executor.h"
 
-#include <mutex>
 #include <set>
 
 #include "src/algebra/evaluator.h"
@@ -80,16 +79,7 @@ Status ExecuteUpdate(const Statement& stmt, TxnContext* ctx,
   }
   result->stats.tuples_scanned += rel->size();
   for (const Tuple& old_tuple : selected) {
-    Tuple new_tuple = old_tuple;
-    for (const algebra::UpdateSet& u : stmt.sets) {
-      TXMOD_ASSIGN_OR_RETURN(Value v, u.expr.EvalValue(&old_tuple, nullptr));
-      if (u.attr < 0 || u.attr >= static_cast<int>(new_tuple.arity())) {
-        return Status::InvalidArgument(
-            StrCat("update of ", stmt.target, ": attribute #", u.attr,
-                   " out of range"));
-      }
-      new_tuple.at(u.attr) = std::move(v);
-    }
+    TXMOD_ASSIGN_OR_RETURN(Tuple new_tuple, stmt.UpdatedTuple(old_tuple));
     TXMOD_ASSIGN_OR_RETURN(bool deleted,
                            ctx->DeleteTuple(stmt.target, old_tuple));
     if (deleted) ++result->tuples_deleted;
@@ -121,29 +111,25 @@ Status ExecuteAlarm(const Statement& stmt, TxnContext* ctx,
 // back), so a modified transaction ends in a run of consecutive alarm
 // statements — independent, read-only checks over the same intermediate
 // state. When the context carries a check pool, such runs evaluate
-// concurrently, one task per alarm, against a locked proxy context; the
-// results fold back serially in statement order so the abort decision,
-// abort message, statement counters, and optimistic read set are
-// byte-identical to serial execution.
+// concurrently, one task per alarm, each through its own proxy context;
+// the results fold back serially in statement order so the abort
+// decision, abort message, statement counters, and optimistic read set
+// are byte-identical to serial execution.
 // ---------------------------------------------------------------------------
 
-/// EvalContext proxy for one concurrent check task. All resolution is
-/// funneled through one shared mutex: TxnContext's const Resolve fills
-/// mutable caches (old() views, empty differentials) and is therefore
-/// only thread-compatible. Relation reads themselves happen lock-free on
-/// the evaluator side — the lock covers resolution only, so concurrency
-/// is lost solely on the (cached, cheap) name→relation step. Base reads
-/// are recorded per task and merged later in statement order, keeping the
-/// optimistic footprint identical to serial execution.
-class LockedCheckContext : public algebra::EvalContext {
+/// EvalContext proxy for one concurrent check task. Resolution goes
+/// straight to the parent context, which only looks state up (old(R),
+/// dplus(R) and dminus(R) are the written relations' overlay levels), so
+/// tasks resolve concurrently without a lock. Base reads are recorded per
+/// task and merged later in statement order, keeping the optimistic
+/// footprint identical to serial execution.
+class CheckTaskContext : public algebra::EvalContext {
  public:
-  LockedCheckContext(const TxnContext* parent, std::mutex* mu,
-                     std::set<std::string>* reads)
-      : parent_(parent), mu_(mu), reads_(reads) {}
+  CheckTaskContext(const TxnContext* parent, std::set<std::string>* reads)
+      : parent_(parent), reads_(reads) {}
 
   Result<const Relation*> Resolve(algebra::RelRefKind kind,
                                   const std::string& name) const override {
-    std::lock_guard<std::mutex> lock(*mu_);
     if (kind == algebra::RelRefKind::kBase ||
         kind == algebra::RelRefKind::kOld) {
       reads_->insert(name);
@@ -153,13 +139,11 @@ class LockedCheckContext : public algebra::EvalContext {
 
   Result<const Relation*> ResolveSchemaOnly(
       algebra::RelRefKind kind, const std::string& name) const override {
-    std::lock_guard<std::mutex> lock(*mu_);
     return parent_->ResolveSchemaOnly(kind, name);
   }
 
  private:
   const TxnContext* parent_;
-  std::mutex* mu_;
   std::set<std::string>* reads_;
 };
 
@@ -206,9 +190,6 @@ Status EvalAlarmTask(const Statement& stmt, algebra::PlanCache* cache,
 void RunChecksParallel(const std::vector<Statement>& stmts,
                        std::size_t begin, std::size_t end, TxnContext* ctx,
                        std::vector<CheckOutcome>* outcomes) {
-  std::mutex resolve_mu;
-  // Pre-resolve nothing: first access materializes old() views under the
-  // shared lock, later accesses hit the context's caches.
   parallel::PhasePlan plan;
   plan.queues.resize(end - begin);
   for (std::size_t k = 0; k < end - begin; ++k) {
@@ -216,8 +197,8 @@ void RunChecksParallel(const std::vector<Statement>& stmts,
     CheckOutcome* out = &(*outcomes)[k];
     algebra::PlanCache* cache = ctx->plan_cache();
     const TxnContext* parent = ctx;
-    plan.queues[k].push_back([stmt, out, cache, parent, &resolve_mu] {
-      LockedCheckContext eval_ctx(parent, &resolve_mu, &out->reads);
+    plan.queues[k].push_back([stmt, out, cache, parent] {
+      CheckTaskContext eval_ctx(parent, &out->reads);
       out->status = EvalAlarmTask(*stmt, cache, eval_ctx, &out->stats);
     });
   }

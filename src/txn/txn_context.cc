@@ -6,32 +6,32 @@ namespace txmod::txn {
 
 using algebra::RelRefKind;
 
+TxnContext::TxnContext(Database* db) : db_(db) {
+  for (const RelationSchema& schema : db->schema().relations()) {
+    unwritten_deltas_.emplace(
+        schema.name(), Relation((*db->Find(schema.name()))->schema_ptr()));
+  }
+}
+
 Result<const Relation*> TxnContext::Resolve(RelRefKind kind,
                                             const std::string& name) const {
   if (track_conflicts_ &&
       (kind == RelRefKind::kBase || kind == RelRefKind::kOld)) {
     base_reads_.insert(name);
   }
-  return ResolveData(kind, name);
+  return ResolveUnrecorded(kind, name);
 }
 
 Result<const Relation*> TxnContext::ResolveSchemaOnly(
     RelRefKind kind, const std::string& name) const {
-  if (kind == RelRefKind::kOld) {
-    // old(R) has exactly R's schema; a schema-only access must not pay
-    // for materializing the old view of a possibly huge relation.
-    return db_->Find(name);
-  }
-  return ResolveData(kind, name);
+  return ResolveUnrecorded(kind, name);
 }
 
-Result<const Relation*> TxnContext::ResolveData(
+Result<const Relation*> TxnContext::ResolveUnrecorded(
     RelRefKind kind, const std::string& name) const {
   switch (kind) {
-    case RelRefKind::kBase: {
-      TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
-      return rel;
-    }
+    case RelRefKind::kBase:
+      return db_->Find(name);
     case RelRefKind::kTemp: {
       auto it = temps_.find(name);
       if (it == temps_.end()) {
@@ -40,36 +40,25 @@ Result<const Relation*> TxnContext::ResolveData(
       return &it->second;
     }
     case RelRefKind::kOld: {
-      auto cached = old_cache_.find(name);
-      if (cached != old_cache_.end()) return &cached->second;
-      TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
-      // R_pre = (R \ plus) ∪ minus; invariant of Differential.
-      Relation old_view(rel->schema_ptr());
-      auto dit = diffs_.find(name);
-      const Differential* diff = dit != diffs_.end() ? &dit->second : nullptr;
-      for (const Tuple& t : *rel) {
-        if (diff == nullptr || !diff->plus.Contains(t)) old_view.Insert(t);
-      }
-      if (diff != nullptr) {
-        for (const Tuple& t : diff->minus) old_view.Insert(t);
-      }
-      auto [it, inserted] = old_cache_.emplace(name, std::move(old_view));
-      return &it->second;
+      // The level's base is the pre-transaction state; an unwritten
+      // relation still is its own pre-state.
+      auto it = levels_.find(name);
+      if (it != levels_.end()) return it->second.pre.get();
+      return db_->Find(name);
     }
     case RelRefKind::kDeltaPlus:
     case RelRefKind::kDeltaMinus: {
-      auto dit = diffs_.find(name);
-      if (dit != diffs_.end()) {
-        return kind == RelRefKind::kDeltaPlus ? &dit->second.plus
-                                              : &dit->second.minus;
+      auto it = levels_.find(name);
+      if (it != levels_.end()) {
+        const Relation& level = *it->second.top;
+        return kind == RelRefKind::kDeltaPlus ? &level.local_inserts()
+                                              : &level.local_deletes();
       }
-      // Untouched relation: an empty relation with the base schema.
-      auto eit = empty_diffs_.find(name);
-      if (eit == empty_diffs_.end()) {
-        TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
-        eit = empty_diffs_.emplace(name, Relation(rel->schema_ptr())).first;
+      auto empty = unwritten_deltas_.find(name);
+      if (empty == unwritten_deltas_.end()) {
+        return Status::NotFound(StrCat("relation ", name, " does not exist"));
       }
-      return &eit->second;
+      return &empty->second;
     }
   }
   return Status::Internal("unknown RelRefKind");
@@ -79,16 +68,16 @@ void TxnContext::SetTemp(const std::string& name, Relation value) {
   temps_.insert_or_assign(name, std::move(value));
 }
 
-Differential& TxnContext::MutableDiff(const std::string& rel) {
-  auto it = diffs_.find(rel);
-  if (it == diffs_.end()) {
-    const Relation* base = *db_->Find(rel);
-    Differential d;
-    d.plus = Relation(base->schema_ptr());
-    d.minus = Relation(base->schema_ptr());
-    it = diffs_.emplace(rel, std::move(d)).first;
-  }
-  return it->second;
+Result<Relation*> TxnContext::LevelForWrite(const std::string& rel,
+                                            const Relation& current,
+                                            const Tuple& t,
+                                            bool noop_when_present) {
+  auto it = levels_.find(rel);
+  if (it != levels_.end()) return it->second.top;
+  // The first write installs the level — unless it is a no-op.
+  if (current.Contains(t) == noop_when_present) return nullptr;
+  TXMOD_ASSIGN_OR_RETURN(Database::Level level, db_->PushLevel(rel));
+  return levels_.emplace(rel, std::move(level)).first->second.top;
 }
 
 void TxnContext::RecordFootprint(const std::string& rel,
@@ -105,73 +94,53 @@ void TxnContext::RecordFootprint(const std::string& rel,
 }
 
 Result<bool> TxnContext::InsertTuple(const std::string& rel, Tuple tuple) {
-  // Probe the const view first: a no-op insert (tuple already present)
-  // must not trigger a copy-on-write clone of the whole relation. Under
-  // conflict tracking the footprint is recorded either way — whether it
-  // WAS a no-op is a tuple-granularity read of the committed state.
+  // Under conflict tracking the footprint is recorded either way —
+  // whether the insert WAS a no-op is a tuple-granularity read of the
+  // committed state.
   TXMOD_ASSIGN_OR_RETURN(const Relation* current, db_->Find(rel));
   TXMOD_RETURN_IF_ERROR(current->schema().CheckTuple(tuple));
   Tuple coerced = current->schema().CoerceTuple(std::move(tuple));
-  if (track_conflicts_) {
-    RecordFootprint(rel, *current, coerced);
-    if (current->Contains(coerced)) return false;  // already present
-  }
-  TXMOD_ASSIGN_OR_RETURN(Relation * target, db_->FindMutable(rel));
-  if (!target->Insert(coerced)) return false;  // already present: no-op
-  Differential& d = MutableDiff(rel);
-  // Re-inserting a tuple the transaction deleted nets out to "unchanged".
-  if (!d.minus.Erase(coerced)) d.plus.Insert(std::move(coerced));
-  return true;
+  if (track_conflicts_) RecordFootprint(rel, *current, coerced);
+  TXMOD_ASSIGN_OR_RETURN(Relation * level,
+                         LevelForWrite(rel, *current, coerced, true));
+  // Re-inserting a tuple the transaction deleted shrinks the level's
+  // deletes instead: the delta stays net.
+  return level != nullptr && level->Insert(std::move(coerced));
 }
 
 Result<bool> TxnContext::DeleteTuple(const std::string& rel,
                                      const Tuple& tuple) {
   TXMOD_ASSIGN_OR_RETURN(const Relation* current, db_->Find(rel));
   const Tuple coerced = current->schema().CoerceTuple(tuple);
-  if (track_conflicts_) {
-    RecordFootprint(rel, *current, coerced);
-    if (!current->Contains(coerced)) return false;  // absent: no-op
-  }
-  TXMOD_ASSIGN_OR_RETURN(Relation * target, db_->FindMutable(rel));
-  if (!target->Erase(coerced)) return false;  // absent: no-op
-  Differential& d = MutableDiff(rel);
-  // Deleting a tuple the transaction inserted nets out to "unchanged".
-  if (!d.plus.Erase(coerced)) d.minus.Insert(coerced);
-  return true;
-}
-
-const Differential& TxnContext::diff(const std::string& rel) const {
-  static const Differential kEmpty;
-  auto it = diffs_.find(rel);
-  return it != diffs_.end() ? it->second : kEmpty;
+  if (track_conflicts_) RecordFootprint(rel, *current, coerced);
+  TXMOD_ASSIGN_OR_RETURN(Relation * level,
+                         LevelForWrite(rel, *current, coerced, false));
+  // Deleting a tuple the transaction inserted shrinks the level's
+  // inserts instead.
+  return level != nullptr && level->Erase(coerced);
 }
 
 std::vector<std::string> TxnContext::TouchedRelations() const {
   std::vector<std::string> out;
-  out.reserve(diffs_.size());
-  for (const auto& [name, diff] : diffs_) {
-    if (!diff.plus.empty() || !diff.minus.empty()) out.push_back(name);
+  for (const auto& [name, level] : levels_) {
+    if (!level.top->local_inserts().empty() ||
+        !level.top->local_deletes().empty()) {
+      out.push_back(name);
+    }
   }
   return out;
 }
 
 void TxnContext::Rollback() {
-  for (auto& [name, diff] : diffs_) {
-    Relation* rel = *db_->FindMutable(name);
-    for (const Tuple& t : diff.plus) rel->Erase(t);
-    for (const Tuple& t : diff.minus) rel->Insert(t);
-  }
-  diffs_.clear();
+  for (auto& [name, level] : levels_) db_->DropLevel(name, std::move(level));
+  levels_.clear();
   temps_.clear();
-  old_cache_.clear();
-  empty_diffs_.clear();
 }
 
 void TxnContext::Commit() {
-  diffs_.clear();
+  for (auto& [name, level] : levels_) db_->FoldLevel(name, std::move(level));
+  levels_.clear();
   temps_.clear();
-  old_cache_.clear();
-  empty_diffs_.clear();
   base_reads_.clear();
   footprint_.clear();
   db_->AdvanceTime();

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/algebra/eval_context.h"
 #include "src/algebra/physical_plan.h"
@@ -17,47 +18,41 @@ class ThreadPool;
 
 namespace txmod::txn {
 
-/// Net changes of one transaction to one relation, maintained with the
-/// invariant  R_pre = (R \ plus) ∪ minus  and  plus ∩ minus = ∅.
-///
-/// These sets serve three purposes at once:
-///  1. they are the *undo log* that implements atomicity (Section 2.2:
-///     T(D) = [D^{t,n}] or T(D) = D);
-///  2. they are the paper's *auxiliary relations* dplus(R) / dminus(R)
-///     available to integrity programs (Section 4.1);
-///  3. they drive the differential optimization of rule conditions
-///     (Section 5.2.1, references [18, 5, 7]).
-struct Differential {
-  Relation plus;   // tuples in R now but not in the pre-transaction state
-  Relation minus;  // tuples in the pre-transaction state but not in R now
-};
-
 /// Transaction-local execution state over a Database: the intermediate
-/// states D^{t,i} of Definition 2.6. Statements mutate the database in
-/// place while the context records differentials for rollback, exposes the
-/// temporaries created by assignments, and materializes the pre-transaction
-/// views old(R) on demand.
+/// states D^{t,i} of Definition 2.6. The first write to a relation R
+/// installs a fresh overlay level over R's pre-transaction state
+/// (Database::PushLevel), and every later write goes to that level. The
+/// level is the transaction's one differential:
+///  1. its local inserts and deletes are the paper's *auxiliary
+///     relations* dplus(R) / dminus(R) (Section 4.1), read zero-copy;
+///  2. they drive the differential optimization of rule conditions
+///     (Section 5.2.1, references [18, 5, 7]);
+///  3. its base is old(R), O(1);
+///  4. it is the *undo log* that implements atomicity (Section 2.2:
+///     T(D) = [D^{t,n}] or T(D) = D): rollback re-installs the
+///     pre-transaction state pointer, O(1).
+/// The context also holds the temporaries created by assignments. The
+/// Database must not be copied while a transaction is in flight (a copy
+/// would share the levels the transaction still writes).
 class TxnContext : public algebra::EvalContext {
  public:
-  explicit TxnContext(Database* db) : db_(db) {}
+  explicit TxnContext(Database* db);
 
   /// EvalContext: resolves base relations against the current intermediate
   /// state, kTemp against the transaction-local environment, kOld /
-  /// kDeltaPlus / kDeltaMinus against the differential bookkeeping.
-  /// Under conflict tracking, resolving kBase or kOld records the
-  /// relation in BaseReads (the optimistic read set); ResolveSchemaOnly
-  /// resolves the same relation but records nothing and never
-  /// materializes old() views — the evaluator uses it where only the
-  /// result shape is needed (e.g. the base side of a join whose
-  /// differential side is empty), keeping the read set free of false
-  /// conflicts.
+  /// kDeltaPlus / kDeltaMinus against the relation's overlay level (its
+  /// base and its local inserts/deletes; the current state and empty
+  /// relations when the transaction has not written it). Every kind
+  /// resolves in O(1), without copying. Under conflict tracking,
+  /// resolving kBase or kOld records the relation in BaseReads (the
+  /// optimistic read set); ResolveSchemaOnly resolves the same relation
+  /// but records nothing — the evaluator uses it where only the result
+  /// shape is needed (e.g. the base side of a join whose differential
+  /// side is empty), keeping the read set free of false conflicts.
   Result<const Relation*> Resolve(algebra::RelRefKind kind,
                                   const std::string& name) const override;
   Result<const Relation*> ResolveSchemaOnly(
       algebra::RelRefKind kind, const std::string& name) const override;
-
-  Database* database() { return db_; }
-  const Database& database() const { return *db_; }
 
   /// Optional per-subsystem plan cache. Statement execution consults its
   /// pinned (identity) side first — integrity-check expressions are
@@ -81,14 +76,11 @@ class TxnContext : public algebra::EvalContext {
   /// Resolve without touching the conflict read set — the data access of
   /// a concurrent check task, whose reads are recorded separately (in
   /// statement order, only up to an aborting alarm) via RecordBaseRead so
-  /// the optimistic footprint stays identical to serial execution.
-  /// Thread-compatible, NOT thread-safe: kOld and kDeltaPlus/kDeltaMinus
-  /// fill mutable caches — concurrent callers must serialize (the
-  /// executor's LockedCheckContext holds one mutex across all tasks).
+  /// the optimistic footprint stays identical to serial execution. Safe
+  /// to call from many threads while no statement writes: resolution
+  /// only looks up state, it never fills anything.
   Result<const Relation*> ResolveUnrecorded(algebra::RelRefKind kind,
-                                            const std::string& name) const {
-    return ResolveData(kind, name);
-  }
+                                            const std::string& name) const;
 
   /// Records one base-relation read into the optimistic read set, as if
   /// Resolve(kBase/kOld, name) had run under conflict tracking.
@@ -99,22 +91,15 @@ class TxnContext : public algebra::EvalContext {
   /// Stores (replaces) a temporary relation.
   void SetTemp(const std::string& name, Relation value);
 
-  /// Inserts one schema-checked, coerced tuple into base relation `rel`,
-  /// maintaining differentials. Returns true when the tuple was new.
+  /// Inserts one schema-checked, coerced tuple into base relation `rel`
+  /// (through its overlay level). Returns true when the tuple was new.
   Result<bool> InsertTuple(const std::string& rel, Tuple tuple);
 
   /// Deletes one tuple; returns true when the tuple was present.
   Result<bool> DeleteTuple(const std::string& rel, const Tuple& tuple);
 
-  /// The differential of `rel` (empty differentials for untouched ones).
-  const Differential& diff(const std::string& rel) const;
-
-  /// Every differential, keyed by relation (the commit-time write set).
-  const std::map<std::string, Differential>& AllDiffs() const {
-    return diffs_;
-  }
-
-  /// Names of relations touched by the transaction so far.
+  /// Names of relations whose net differential is non-empty so far (the
+  /// commit-time write set; changes that netted out are not listed).
   std::vector<std::string> TouchedRelations() const;
 
   // -------------------------------------------------------------------
@@ -129,7 +114,6 @@ class TxnContext : public algebra::EvalContext {
 
   /// Turns on BaseReads/WriteFootprint recording for this context.
   void EnableConflictTracking() { track_conflicts_ = true; }
-  bool conflict_tracking() const { return track_conflicts_; }
 
   /// Base relations resolved during evaluation (kBase and kOld
   /// references): the relation-granularity read set. A rule check
@@ -148,38 +132,46 @@ class TxnContext : public algebra::EvalContext {
     return footprint_;
   }
 
-  /// Undoes every recorded change; the database returns to its
-  /// pre-transaction state. Temporaries are dropped. BaseReads and
-  /// WriteFootprint survive: an aborted transaction's outcome (the
-  /// abort) was still decided by what it read, and the transaction
-  /// manager validates that against concurrent commits too.
+  /// Undoes every change in O(#written relations): each written
+  /// relation's pre-transaction state is re-installed in place of its
+  /// level. Temporaries are dropped. BaseReads and WriteFootprint
+  /// survive: an aborted transaction's outcome (the abort) was still
+  /// decided by what it read, and the transaction manager validates that
+  /// against concurrent commits too.
   void Rollback();
 
-  /// Drops transaction-local state and advances the database's logical
-  /// time: D^{t+1} is installed (Definition 2.6's end bracket).
+  /// Installs D^{t+1} and advances the database's logical time
+  /// (Definition 2.6's end bracket): each level is folded back into its
+  /// pre-transaction state when the database owned that state
+  /// exclusively (O(|delta|); serial masters stay flat), and otherwise
+  /// stays installed. Drops transaction-local state.
   void Commit();
 
  private:
-  Differential& MutableDiff(const std::string& rel);
+  /// The overlay level a write of `t` to `rel` goes to, installed on the
+  /// first write; null for a no-op write before any level exists (an
+  /// insert of a present `t`, a delete of an absent one).
+  Result<Relation*> LevelForWrite(const std::string& rel,
+                                  const Relation& current, const Tuple& t,
+                                  bool noop_when_present);
   void RecordFootprint(const std::string& rel, const Relation& target,
                        const Tuple& t);
-  Result<const Relation*> ResolveData(algebra::RelRefKind kind,
-                                      const std::string& name) const;
 
   Database* db_;
   algebra::PlanCache* plan_cache_ = nullptr;
   parallel::ThreadPool* check_pool_ = nullptr;
   std::map<std::string, Relation> temps_;
-  std::map<std::string, Differential> diffs_;
+  // One overlay level per written relation.
+  std::map<std::string, Database::Level> levels_;
+  // dplus(R)/dminus(R) of a relation the transaction has not written: an
+  // empty relation of R's schema, built up front so that resolution
+  // never fills anything.
+  std::map<std::string, Relation> unwritten_deltas_;
   // Conflict footprint (see BaseReads/WriteFootprint). base_reads_ is
   // mutable because reads are recorded from const Resolve.
   bool track_conflicts_ = false;
   mutable std::set<std::string> base_reads_;
   std::map<std::string, Relation> footprint_;
-  // old(R) views are immutable once the transaction starts, so the cache
-  // never needs invalidation. Mutable: filled lazily from const Resolve.
-  mutable std::map<std::string, Relation> old_cache_;
-  mutable std::map<std::string, Relation> empty_diffs_;
 };
 
 }  // namespace txmod::txn

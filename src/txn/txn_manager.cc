@@ -100,8 +100,6 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
         opts.parallel_check_workers);
   }
   Vfs* vfs = manager->vfs_;
-  // Session snapshots inherit the mode from the master via Clone().
-  manager->db_->set_overlay_enabled(opts.overlay_sessions);
   if (!opts.wal_path.empty()) {
     if (!opts.checkpoint_path.empty() &&
         ::access(opts.checkpoint_path.c_str(), F_OK) != 0) {
@@ -455,23 +453,26 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
   // -- Stage A: collect (no lock) --------------------------------------
   // Net-delta collection and record assembly read only session-private
-  // state, so they run before the critical section. Relations whose
-  // changes netted out publish nothing — serially equivalent and keeps
-  // the WAL dense.
-  WalRecord wal_record;  // outlives stage B: the durability-failure
-                         // unwind reverse-applies its deltas
+  // state (dplus/dminus are the session's overlay levels), so they run
+  // before the critical section. Relations whose changes netted out
+  // publish nothing — serially equivalent and keeps the WAL dense.
+  WalRecord wal_record;
   CommitRecord commit_record;
   if (!aborted) {
-    for (const auto& [name, diff] : session->ctx_.AllDiffs()) {
-      if (diff.plus.empty() && diff.minus.empty()) continue;
+    const TxnContext& ctx = session->ctx_;
+    for (const std::string& name : ctx.TouchedRelations()) {
+      const Relation* plus =
+          *ctx.ResolveUnrecorded(algebra::RelRefKind::kDeltaPlus, name);
+      const Relation* minus =
+          *ctx.ResolveUnrecorded(algebra::RelRefKind::kDeltaMinus, name);
       WalDelta delta;
       delta.relation = name;
-      Relation touched(diff.plus.schema_ptr());
-      for (const Tuple& t : diff.plus) {
+      Relation touched(plus->schema_ptr());
+      for (const Tuple& t : *plus) {
         delta.plus.push_back(t);
         touched.Insert(t);
       }
-      for (const Tuple& t : diff.minus) {
+      for (const Tuple& t : *minus) {
         delta.minus.push_back(t);
         touched.Insert(t);
       }
@@ -482,6 +483,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
   // -- Stage B: validate, reserve, install, publish (commit_mu_) -------
   uint64_t version = 0;
+  Installs installs;  // what the durability-failure unwind re-installs
   bool need_sync = false;
   std::shared_ptr<ShardedWal> wal;  // handle pinned under the lock; a
                                     // concurrent TryReopenWal swap never
@@ -533,43 +535,38 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     wal_record.version = version;
     commit_record.version = version;
 
-    // Install into the committed master. Fast path: when nothing
-    // committed since this session's snapshot, the session's private
-    // copy-on-write clone of a written relation IS the exact post-commit
-    // state (snapshot plus this transaction's changes, indexes
-    // re-declared) — adopt it by pointer swap instead of re-copying the
-    // whole relation. The ownership discipline proves sole ownership:
-    // TakeOwnedRelation succeeds only for states the session cloned
-    // itself and never shared out. Otherwise (interleaved commits, or a
-    // shared state), FindMutable's copy-on-write applies the delta while
-    // every outstanding snapshot keeps reading its pinned state.
+    // Install into the committed master as an overlay level over the
+    // master's current state, which stays intact for the unwind. Fast
+    // path: when nothing committed since this session's snapshot, the
+    // session's level IS that level — adopt it by pointer swap (the
+    // ownership discipline proves sole ownership: TakeOwnedRelation
+    // succeeds only for states the session created and never shared
+    // out). Otherwise a fresh level over the master's state takes the
+    // delta, while outstanding snapshots keep reading their pinned state.
     const bool snapshot_is_current =
         session->snapshot_version_ == db_->logical_time();
     for (const WalDelta& delta : wal_record.deltas) {
-      Relation* installed = nullptr;
-      if (snapshot_is_current) {
-        std::shared_ptr<Relation> adopted =
-            session->snapshot_db_.TakeOwnedRelation(delta.relation);
-        if (adopted != nullptr) {
-          installed = adopted.get();
-          db_->AdoptRelation(delta.relation, std::move(adopted));
-        }
-      }
-      if (installed == nullptr) {
-        TXMOD_ASSIGN_OR_RETURN(Relation * rel,
-                               db_->FindMutable(delta.relation));
-        for (const Tuple& t : delta.minus) rel->Erase(t);
-        for (const Tuple& t : delta.plus) rel->Insert(t);
-        installed = rel;
+      std::shared_ptr<Relation> adopted =
+          snapshot_is_current
+              ? session->snapshot_db_.TakeOwnedRelation(delta.relation)
+              : nullptr;
+      Database::Level level;
+      if (adopted != nullptr) {
+        level = db_->AdoptRelation(delta.relation, std::move(adopted));
+      } else {
+        TXMOD_ASSIGN_OR_RETURN(level, db_->PushLevel(delta.relation));
+        for (const Tuple& t : delta.minus) level.top->Erase(t);
+        for (const Tuple& t : delta.plus) level.top->Insert(t);
       }
       // Overlay maintenance, still exclusively owned and under the
       // commit lock (i.e. before any new snapshot can share the state):
-      // geometrically merge the freshly adopted level into the chain
+      // geometrically merge the freshly installed level into the chain
       // (small-delta case) or collapse the chain flat once the
       // accumulated deltas rival the base (large-delta case). Amortized
       // O(log) merge work per changed tuple; outstanding snapshots keep
       // reading their pinned levels untouched.
-      installed->CompactOverlay();
+      level.top->CompactOverlay();
+      installs.emplace_back(delta.relation, std::move(level));
     }
     db_->AdvanceTime();
 
@@ -599,14 +596,14 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     Result<std::vector<ShardedWal::Position>> appended =
         wal->AppendCommit(wal_record);
     if (!appended.ok()) {
-      return HandleLogFailure(version, wal_record, appended.status(),
+      return HandleLogFailure(version, &installs, appended.status(),
                               &result);
     }
     stats_.wal_appends.fetch_add(1);
     if (need_sync) {
       const Status synced = wal->SyncPositions(*appended);
       if (!synced.ok()) {
-        return HandleLogFailure(version, wal_record, synced, &result);
+        return HandleLogFailure(version, &installs, synced, &result);
       }
     }
   }
@@ -618,37 +615,28 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   return result;
 }
 
-Status TxnManager::HandleLogFailure(uint64_t version,
-                                    const WalRecord& wal_record,
+Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
                                     const Status& cause, TxnResult* result) {
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     EnterDegradedLocked(cause.message());
     // The record may not be durable: never acknowledge. The commit is
     // already installed in memory, though — un-install it when it is
-    // still the newest one (reverse-apply the deltas), so an unacked
-    // commit does not linger visible. With concurrent commits stacked on
-    // top the unwind is impossible; that commit's outcome is "unknown"
-    // (classic in-doubt), and recovery decides. A commit at or below the
-    // durable checkpoint is never unwound: the checkpoint already made
-    // it durable, so the failed log record is irrelevant to its fate.
+    // still the newest one (re-install the master states it displaced,
+    // O(1) each), so an unacked commit does not linger visible. With
+    // concurrent commits stacked on top the unwind is impossible; that
+    // commit's outcome is "unknown" (classic in-doubt), and recovery
+    // decides. A commit at or below the durable checkpoint is never
+    // unwound: the checkpoint already made it durable, so the failed log
+    // record is irrelevant to its fate.
     if (db_->logical_time() == version && version > checkpoint_time_) {
-      bool unwound = true;
-      for (const WalDelta& delta : wal_record.deltas) {
-        Result<Relation*> rel = db_->FindMutable(delta.relation);
-        if (!rel.ok()) {
-          unwound = false;  // unreachable in practice; stay installed
-          break;
-        }
-        for (const Tuple& t : delta.plus) (*rel)->Erase(t);
-        for (const Tuple& t : delta.minus) (*rel)->Insert(t);
+      for (auto& [name, level] : *installs) {
+        db_->DropLevel(name, std::move(level));
       }
-      if (unwound) {
-        UnpublishNewestLocked();
-        db_->RewindTime();
-        stats_.commits.fetch_sub(1);
-        result->installed = false;
-      }
+      UnpublishNewestLocked();
+      db_->RewindTime();
+      stats_.commits.fetch_sub(1);
+      result->installed = false;
     }
   }
   // Wake committers stacked above this version: their records cannot be
@@ -816,7 +804,6 @@ TxnManagerStats TxnManager::stats() const {
     std::lock_guard<std::mutex> lock(degraded_cause_mu_);
     out.degraded_cause = degraded_cause_;
   }
-  out.cow_relation_clones = CowStats::relation_clones.load();
   out.cow_overlays_created = CowStats::overlays_created.load();
   out.cow_overlay_merges = CowStats::overlay_merges.load();
   out.cow_overlay_collapses = CowStats::overlay_collapses.load();

@@ -12,6 +12,8 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/vfs.h"
 #include "src/core/subsystem.h"
@@ -52,13 +54,6 @@ struct TxnManagerOptions {
   /// snapshot). Must comfortably exceed the number of commits that can
   /// land during one session's lifetime.
   std::size_t validation_window = 1024;
-
-  /// When true (default), a session's first write to a relation layers an
-  /// O(1) overlay over the shared snapshot state and commits merge or
-  /// collapse the overlay (mutation cost O(|delta|)). When false, first
-  /// writes pay the legacy O(|R|) copy-on-write clone — kept as the
-  /// baseline the overlay-vs-clone oracle compares against.
-  bool overlay_sessions = true;
 
   /// Storage-and-clock environment every WAL/checkpoint byte and every
   /// backoff clock read goes through. nullptr = the real POSIX
@@ -128,8 +123,7 @@ struct TxnManagerStats {
   bool degraded = false;
   std::string degraded_cause;
 
-  /// Copy-on-write / overlay instrumentation (process-wide CowStats).
-  uint64_t cow_relation_clones = 0;
+  /// Overlay instrumentation (process-wide CowStats).
   uint64_t cow_overlays_created = 0;
   uint64_t cow_overlay_merges = 0;
   uint64_t cow_overlay_collapses = 0;
@@ -477,10 +471,14 @@ class TxnManager {
   /// the durable checkpoint; pending failures are obsolete.
   void ResetDurabilityHorizon(uint64_t floor);
 
-  /// Stage-C failure path: degrades the manager, unwinds the commit
-  /// when it is still the newest one and not already covered by a
-  /// checkpoint, and marks the version failed for later waiters.
-  Status HandleLogFailure(uint64_t version, const WalRecord& wal_record,
+  /// A commit's install per written relation (over the displaced state).
+  using Installs = std::vector<std::pair<std::string, Database::Level>>;
+
+  /// Stage-C failure path: degrades the manager, unwinds the commit (by
+  /// re-installing the displaced states) when it is still the newest one
+  /// and not already covered by a checkpoint, and marks the version
+  /// failed for later waiters.
+  Status HandleLogFailure(uint64_t version, Installs* installs,
                           const Status& cause, TxnResult* result);
 
   /// Releases one active-session slot (TxnSession::Finish).

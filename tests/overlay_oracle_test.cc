@@ -1,33 +1,38 @@
-// Overlay-vs-clone oracle: overlay execution (a session's first write
-// layers an O(1) overlay over the shared snapshot) is a pure cost
-// optimization — it must be observationally IDENTICAL to the legacy
-// O(|R|) copy-on-write clone path. Two pins:
+// Overlay-session oracle: a session's writes live in one overlay level
+// per relation over its pinned snapshot, and that level is its whole
+// differential — dplus/dminus, old() and the undo log. The oracle checks
+// the manager against a reference that never goes through a snapshot:
 //
 //  1. a deterministic randomized session script (interleaved sessions,
 //     conflicts, integrity aborts, multi-execute sessions, explicit
-//     aborts) driven step-for-step against two managers that differ
-//     only in TxnManagerOptions::overlay_sessions — every Execute and
-//     Commit outcome, every commit version, and the final state must
-//     agree exactly;
+//     aborts) whose every Execute outcome, Commit outcome and commit
+//     version, and the master state after each commit, must equal a
+//     serial replay on flat databases rebuilt tuple by tuple at each
+//     session's snapshot version (first-committer-wins validation
+//     re-derived from the replay's read sets, write footprints and net
+//     deltas). After every commit the master must also satisfy every
+//     constraint, evaluated in full by PostHocChecker;
 //
 //  2. a multi-threaded workload with a scheduling-independent final
 //     state (disjoint inserts plus per-thread contended keys, retried
-//     through Run) executed once per mode — both modes must converge to
-//     the same state and version, with commit compaction and shared
-//     overlay levels exercised under real concurrency (this test runs
-//     in the TSan CI job).
+//     through Run) must converge to the state and version of its serial
+//     replay, with commit compaction and shared overlay levels exercised
+//     under real concurrency (this test runs in the TSan CI job).
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "bench/workload.h"
+#include "src/baseline/posthoc_checker.h"
 #include "src/common/str_util.h"
 #include "src/core/subsystem.h"
 #include "src/txn/txn_manager.h"
@@ -53,7 +58,7 @@ void DefineConstraints(core::IntegritySubsystem* ics) {
 }
 
 // ---------------------------------------------------------------------------
-// Pin 1: deterministic session script, replayed against both modes.
+// Pin 1: deterministic session script against the snapshot-free reference.
 // ---------------------------------------------------------------------------
 
 struct ScriptStep {
@@ -65,7 +70,8 @@ struct ScriptStep {
 
 /// A randomized but fully pre-generated script over `slots` concurrently
 /// open sessions: the interleaving (and thus which commits conflict) is
-/// part of the script, so both modes see the exact same history.
+/// part of the script, so the manager and the reference see the exact
+/// same history.
 std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
   std::mt19937 rng(seed);
   auto pick = [&](int n) {
@@ -144,105 +150,237 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
   return script;
 }
 
-/// One mode's full run: applies the script and records every observable
-/// outcome in order.
-struct ModeRun {
-  Database db;
-  std::unique_ptr<core::IntegritySubsystem> ics;
-  std::unique_ptr<TxnManager> manager;
-  std::vector<std::string> outcomes;
+/// A copy of `src` that shares nothing with it: every relation rebuilt
+/// flat, tuple by tuple, with the same declared indexes and logical time.
+Database Rebuild(const Database& src) {
+  Database out;
+  for (const std::string& name : src.RelationNames()) {
+    const Relation& rel = **src.Find(name);
+    EXPECT_TRUE(out.CreateRelation(rel.schema()).ok());
+    Relation* copy = *out.FindMutable(name);
+    for (const Tuple& t : rel.SortedTuples()) copy->Insert(t);
+    for (const std::vector<int>& attrs : rel.DeclaredIndexes()) {
+      copy->IndexOn(attrs);
+    }
+  }
+  while (out.logical_time() < src.logical_time()) out.AdvanceTime();
+  return out;
+}
 
-  explicit ModeRun(bool overlay) {
-    db = MakeInitialDatabase();
-    ics = std::make_unique<core::IntegritySubsystem>(&db);
-    DefineConstraints(ics.get());
-    TxnManagerOptions options;
-    options.overlay_sessions = overlay;
-    auto created = TxnManager::Create(ics.get(), options);
-    EXPECT_TRUE(created.ok()) << created.status().ToString();
-    manager = std::move(*created);
+/// PostHocChecker over a rebuilt copy of `db`, every constraint in full:
+/// the empty string when `db` satisfies them all, else the violation.
+std::string FullCheckViolation(const Database& db) {
+  Database copy = Rebuild(db);
+  core::IntegritySubsystem ics(&copy);
+  DefineConstraints(&ics);
+  baseline::PostHocOptions options;
+  options.use_triggers = false;
+  baseline::PostHocChecker checker(&ics, options);
+  auto result = checker.Execute(Transaction{});
+  if (!result.ok()) return result.status().ToString();
+  return result->committed ? "" : result->abort_reason;
+}
+
+/// One reference session: the transactions run serially, modified and
+/// checked by a subsystem with the manager's constraints, against a flat
+/// database rebuilt from the reference master at Begin. Its context
+/// records the read set and write footprint validation needs.
+struct RefSession {
+  uint64_t snapshot_version = 0;
+  Database start;  // the snapshot's contents, for the net delta
+  Database db;     // start plus this session's writes
+  std::unique_ptr<TxnContext> ctx;
+  bool integrity_aborted = false;
+};
+
+/// The snapshot-free reference: a flat master, the serial replay of each
+/// session, and every commit's write set for first-committer-wins.
+class Reference {
+ public:
+  Reference() : master_(MakeInitialDatabase()), ics_(&master_) {
+    DefineConstraints(&ics_);
   }
 
-  void Apply(const std::vector<ScriptStep>& script, int slots) {
-    std::vector<std::unique_ptr<TxnSession>> sessions(
-        static_cast<std::size_t>(slots));
-    for (const ScriptStep& step : script) {
+  const Database& master() const { return master_; }
+
+  std::unique_ptr<RefSession> Begin() {
+    auto session = std::make_unique<RefSession>();
+    session->snapshot_version = master_.logical_time();
+    session->start = Rebuild(master_);
+    session->db = Rebuild(master_);
+    session->ctx = std::make_unique<TxnContext>(&session->db);
+    session->ctx->set_plan_cache(ics_.shared_plan_cache());
+    session->ctx->EnableConflictTracking();
+    return session;
+  }
+
+  /// The predicted outcome of TxnSession::Execute.
+  std::string Execute(RefSession* session, const Transaction& txn) {
+    if (session->integrity_aborted) return "error:FailedPrecondition";
+    auto modified = ics_.Modify(txn);
+    if (!modified.ok()) return "error:modify";
+    auto r = ExecuteProgram(*modified, session->ctx.get());
+    if (!r.ok()) return StrCat("error:", r.status().ToString());
+    if (!r->committed) session->integrity_aborted = true;
+    return r->committed ? "clean" : "aborted";
+  }
+
+  /// The predicted outcome of TxnSession::Commit; installs on success.
+  std::string Commit(const RefSession& session) {
+    if (Conflicts(session)) return Outcome(false, true, false, 0);
+    if (session.integrity_aborted) return Outcome(false, false, false, 0);
+    // The net delta: the session's post-state against its snapshot.
+    std::map<std::string, TupleSet> writes;
+    for (const std::string& name : master_.RelationNames()) {
+      const Relation& before = **session.start.Find(name);
+      const Relation& after = **session.db.Find(name);
+      TupleSet changed;
+      for (const Tuple& t : after) {
+        if (!before.Contains(t)) changed.insert(t);
+      }
+      for (const Tuple& t : before) {
+        if (!after.Contains(t)) changed.insert(t);
+      }
+      if (!changed.empty()) writes.emplace(name, std::move(changed));
+    }
+    if (writes.empty()) {
+      return Outcome(true, false, false, master_.logical_time());
+    }
+    for (const auto& [name, changed] : writes) {
+      const Relation& after = **session.db.Find(name);
+      Relation* rel = *master_.FindMutable(name);
+      for (const Tuple& t : changed) {
+        if (after.Contains(t)) {
+          rel->Insert(t);
+        } else {
+          rel->Erase(t);
+        }
+      }
+    }
+    master_.AdvanceTime();
+    commits_.push_back(Committed{master_.logical_time(), std::move(writes)});
+    return Outcome(true, false, true, master_.logical_time());
+  }
+
+  static std::string Outcome(bool committed, bool conflict, bool installed,
+                             uint64_t version) {
+    return StrCat(committed ? "committed" : "lost", ":",
+                  conflict ? "conflict" : "-", ":installed=",
+                  installed ? "1" : "0", ":v=", version);
+  }
+
+ private:
+  using TupleSet = std::set<Tuple, testing::TupleLess>;
+  struct Committed {
+    uint64_t version;
+    std::map<std::string, TupleSet> writes;
+  };
+
+  /// First-committer-wins: a commit after the snapshot wrote a relation
+  /// the session read, or a tuple the session tried to write.
+  bool Conflicts(const RefSession& session) const {
+    for (const Committed& c : commits_) {
+      if (c.version <= session.snapshot_version) continue;
+      for (const auto& [name, changed] : c.writes) {
+        if (session.ctx->BaseReads().count(name) > 0) return true;
+        auto fp = session.ctx->WriteFootprint().find(name);
+        if (fp == session.ctx->WriteFootprint().end()) continue;
+        for (const Tuple& t : fp->second) {
+          if (changed.count(t) > 0) return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  Database master_;
+  core::IntegritySubsystem ics_;
+  std::vector<Committed> commits_;
+};
+
+std::string ExecuteOutcome(const Result<TxnResult>& r) {
+  if (!r.ok()) {
+    return r.status().code() == StatusCode::kFailedPrecondition
+               ? "error:FailedPrecondition"
+               : StrCat("error:", r.status().ToString());
+  }
+  return r->committed ? "clean" : "aborted";
+}
+
+std::string CommitOutcome(const Result<TxnResult>& r) {
+  if (!r.ok()) return StrCat("error:", r.status().ToString());
+  return Reference::Outcome(r->committed, r->conflict, r->installed,
+                            r->commit_version);
+}
+
+TEST(OverlayOracleTest, SessionScriptMatchesSnapshotFreeReference) {
+  constexpr int kSlots = 3;
+  uint64_t conflicts = 0, integrity_aborts = 0;
+  for (unsigned seed : {11u, 29u, 47u, 83u}) {
+    const std::vector<ScriptStep> script = MakeScript(seed, 400, kSlots);
+    Database db = MakeInitialDatabase();
+    core::IntegritySubsystem ics(&db);
+    DefineConstraints(&ics);
+    TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
+    Reference ref;
+
+    std::vector<std::unique_ptr<TxnSession>> sessions(kSlots);
+    std::vector<std::unique_ptr<RefSession>> ref_sessions(kSlots);
+    uint64_t commits = 0;
+    for (std::size_t i = 0; i < script.size(); ++i) {
+      const ScriptStep& step = script[i];
+      SCOPED_TRACE(StrCat("seed ", seed, ", step ", i, " (", step.trace,
+                          ")"));
       auto& session = sessions[static_cast<std::size_t>(step.slot)];
+      auto& ref_session = ref_sessions[static_cast<std::size_t>(step.slot)];
+      const bool open = session != nullptr && !session->finished();
+      ASSERT_EQ(open, ref_session != nullptr);
       switch (step.kind) {
         case ScriptStep::Kind::kBegin:
           // (Re-)opening a slot drops any session already in it — the
           // destructor release path is part of what the oracle covers.
           session = manager->Begin();
-          outcomes.push_back("begin");
+          ref_session = ref.Begin();
+          ASSERT_EQ(session->snapshot_version(),
+                    ref_session->snapshot_version);
           break;
-        case ScriptStep::Kind::kExecute: {
-          if (session == nullptr || session->finished()) {
-            outcomes.push_back("execute:no-session");
-            break;
-          }
-          auto r = session->Execute(step.txn);
-          // Errors (e.g. executing on an integrity-aborted session) are
-          // outcomes too: both modes must produce the same ones.
-          outcomes.push_back(
-              r.ok() ? StrCat("execute:", step.trace, ":",
-                              r->committed ? "clean" : "aborted")
-                     : StrCat("execute:", step.trace, ":",
-                              r.status().ToString()));
+        case ScriptStep::Kind::kExecute:
+          if (!open) break;
+          ASSERT_EQ(ExecuteOutcome(session->Execute(step.txn)),
+                    ref.Execute(ref_session.get(), step.txn));
           break;
-        }
         case ScriptStep::Kind::kCommit: {
-          if (session == nullptr || session->finished()) {
-            outcomes.push_back("commit:no-session");
-            break;
-          }
-          auto r = session->Commit();
-          outcomes.push_back(
-              r.ok() ? StrCat("commit:", r->committed ? "committed" : "lost",
-                              ":", r->conflict ? "conflict" : "-",
-                              ":installed=", r->installed ? "1" : "0",
-                              ":v=", r->commit_version)
-                     : StrCat("commit:", r.status().ToString()));
+          if (!open) break;
+          const std::string actual = CommitOutcome(session->Commit());
+          const std::string expected = ref.Commit(*ref_session);
+          ref_session = nullptr;
+          ASSERT_EQ(actual, expected);
+          ++commits;
+          ASSERT_TRUE(db.SameState(ref.master()))
+              << "master diverges from the reference after a commit";
+          ASSERT_EQ(manager->committed_version(),
+                    ref.master().logical_time());
+          ASSERT_EQ(FullCheckViolation(db), "");
           break;
         }
         case ScriptStep::Kind::kAbort:
           if (session != nullptr) session->Abort();
-          outcomes.push_back("abort");
+          ref_session = nullptr;
           break;
       }
     }
+    EXPECT_GT(commits, 0u) << "seed " << seed;
+    conflicts += manager->stats().conflicts;
+    integrity_aborts += manager->stats().integrity_aborts;
   }
-};
-
-TEST(OverlayOracleTest, SessionScriptIsModeInvariant) {
-  constexpr int kSlots = 3;
-  for (unsigned seed : {11u, 29u, 47u, 83u}) {
-    const std::vector<ScriptStep> script = MakeScript(seed, 400, kSlots);
-    ModeRun overlay(/*overlay=*/true);
-    ModeRun clone(/*overlay=*/false);
-    overlay.Apply(script, kSlots);
-    clone.Apply(script, kSlots);
-
-    ASSERT_EQ(overlay.outcomes.size(), clone.outcomes.size());
-    for (std::size_t i = 0; i < overlay.outcomes.size(); ++i) {
-      ASSERT_EQ(overlay.outcomes[i], clone.outcomes[i])
-          << "seed " << seed << ", step " << i << " ("
-          << script[i].trace << ") diverges between overlay and clone";
-    }
-    EXPECT_EQ(overlay.manager->committed_version(),
-              clone.manager->committed_version())
-        << "seed " << seed;
-    EXPECT_TRUE(overlay.db.SameState(clone.db))
-        << "seed " << seed << ": final states diverge";
-    EXPECT_EQ(overlay.manager->stats().commits,
-              clone.manager->stats().commits);
-    EXPECT_EQ(overlay.manager->stats().conflicts,
-              clone.manager->stats().conflicts);
-  }
+  // The script exercises both kinds of lost commit.
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_GT(integrity_aborts, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Pin 2: threaded convergence, once per mode (TSan coverage of shared
-// overlay levels and commit compaction).
+// Pin 2: threaded convergence (TSan coverage of shared overlay levels and
+// commit compaction).
 // ---------------------------------------------------------------------------
 
 int OracleThreads() {
@@ -253,78 +391,78 @@ int OracleThreads() {
   return 4;
 }
 
-/// Runs the deterministic-final-state workload in one mode. Each thread
-/// interleaves disjoint fk inserts with delete / re-insert rounds of its
+/// The per-thread transactions of the threaded workload: disjoint fk
+/// inserts interleaved with delete / re-insert rounds of the thread's
 /// OWN key (real write-write and read-write contention, but a
 /// scheduling-independent net effect once Run's retries drain).
-Database RunThreadedWorkload(bool overlay, int num_threads,
-                             uint64_t* final_version) {
+std::vector<Transaction> ThreadTransactions(int t) {
+  std::vector<Transaction> txns;
+  int next_id = 3'000'000 + t * 100'000;
+  for (int round = 0; round < 20; ++round) {
+    {  // disjoint valid insert
+      Transaction txn;
+      txn.program.statements.push_back(algebra::Statement::Insert(
+          "fk_rel",
+          algebra::RelExpr::Literal(
+              {Tuple({Value::Int(next_id++),
+                      Value::String(StrCat("k", round % kKeys)),
+                      Value::Double(2.0)})},
+              3)));
+      txns.push_back(std::move(txn));
+    }
+    {  // contended: delete own key (round even), re-insert (odd)
+      Transaction txn;
+      auto literal = algebra::RelExpr::Literal(
+          {Tuple({Value::String(StrCat("x", t)), Value::String("payload")})},
+          2);
+      txn.program.statements.push_back(
+          round % 2 == 0
+              ? algebra::Statement::Delete("key_rel", std::move(literal))
+              : algebra::Statement::Insert("key_rel", std::move(literal)));
+      txns.push_back(std::move(txn));
+    }
+  }
+  return txns;
+}
+
+TEST(OverlayOracleTest, ThreadedWorkloadConvergesToSerialReplay) {
+  const int num_threads = OracleThreads();
   Database db = MakeInitialDatabase();
   core::IntegritySubsystem ics(&db);
   DefineConstraints(&ics);
   TxnManagerOptions options;
-  options.overlay_sessions = overlay;
   options.max_attempts = 64;  // retries must drain under full contention
-  auto created = TxnManager::Create(&ics, options);
-  EXPECT_TRUE(created.ok()) << created.status().ToString();
-  auto manager = std::move(*created);
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(num_threads));
   for (int t = 0; t < num_threads; ++t) {
     threads.emplace_back([&, t]() {
-      int next_id = 3'000'000 + t * 100'000;
-      for (int round = 0; round < 20; ++round) {
-        std::vector<Transaction> txns;
-        {  // disjoint valid insert
-          Transaction txn;
-          txn.program.statements.push_back(algebra::Statement::Insert(
-              "fk_rel",
-              algebra::RelExpr::Literal(
-                  {Tuple({Value::Int(next_id++),
-                          Value::String(StrCat("k", round % kKeys)),
-                          Value::Double(2.0)})},
-                  3)));
-          txns.push_back(std::move(txn));
-        }
-        {  // contended: delete own key (round even), re-insert (odd)
-          Transaction txn;
-          auto literal = algebra::RelExpr::Literal(
-              {Tuple({Value::String(StrCat("x", t)),
-                      Value::String("payload")})},
-              2);
-          txn.program.statements.push_back(
-              round % 2 == 0
-                  ? algebra::Statement::Delete("key_rel", std::move(literal))
-                  : algebra::Statement::Insert("key_rel",
-                                               std::move(literal)));
-          txns.push_back(std::move(txn));
-        }
-        for (Transaction& txn : txns) {
-          auto result = manager->Run(txn);
-          if (!result.ok() || !result->committed) ++failures;
-        }
+      for (const Transaction& txn : ThreadTransactions(t)) {
+        auto result = manager->Run(txn);
+        if (!result.ok() || !result->committed) ++failures;
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0)
       << "a transaction failed to commit despite retries";
-  *final_version = manager->committed_version();
-  return db.Clone();
-}
 
-TEST(OverlayOracleTest, ThreadedWorkloadConvergesIdenticallyPerMode) {
-  const int num_threads = OracleThreads();
-  uint64_t overlay_version = 0, clone_version = 0;
-  Database overlay_db =
-      RunThreadedWorkload(/*overlay=*/true, num_threads, &overlay_version);
-  Database clone_db =
-      RunThreadedWorkload(/*overlay=*/false, num_threads, &clone_version);
-  EXPECT_TRUE(overlay_db.SameState(clone_db))
-      << "overlay and clone modes converge to different states";
-  EXPECT_EQ(overlay_version, clone_version);
+  // The serial replay, thread after thread, on a flat database.
+  Database replay = MakeInitialDatabase();
+  core::IntegritySubsystem replay_ics(&replay);
+  DefineConstraints(&replay_ics);
+  for (int t = 0; t < num_threads; ++t) {
+    for (const Transaction& txn : ThreadTransactions(t)) {
+      TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r, replay_ics.Execute(txn));
+      ASSERT_TRUE(r.committed) << r.abort_reason;
+    }
+  }
+  EXPECT_TRUE(db.SameState(replay))
+      << "the threaded run converges to a different state than its replay";
+  EXPECT_EQ(manager->committed_version(), replay.logical_time());
+  EXPECT_EQ(FullCheckViolation(db), "");
 }
 
 }  // namespace

@@ -174,6 +174,36 @@ TEST_P(ParallelTest, ThreadedExecutionMatchesSerial) {
                               /*use_threads=*/true);
 }
 
+TEST_P(ParallelTest, OutOfRangeUpdateAttributeIsRejectedByBothEngines) {
+  // A hand-built update whose assignment names no attribute of beer —
+  // the default attr -1, or one past the arity — with a predicate that
+  // matches a tuple: both engines must refuse it with InvalidArgument and
+  // leave the database unchanged.
+  for (const int attr : {-1, 4}) {
+    SCOPED_TRACE(StrCat("attr #", attr));
+    Transaction txn =
+        ParseTxn("update(beer, name = \"beer0\", alcohol := alcohol + 1);");
+    ASSERT_EQ(txn.program.statements.size(), 1u);
+    txn.program.statements[0].sets.at(0).attr = attr;
+
+    Database serial_db = db_.Clone();
+    auto serial = txn::ExecuteTransaction(txn, &serial_db);
+    ASSERT_FALSE(serial.ok());
+    EXPECT_EQ(serial.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(serial_db.SameState(db_));
+
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        ParallelDatabase pdb,
+        ParallelDatabase::Partition(db_, BeerSchemes(), GetParam()));
+    ParallelExecutor exec(&pdb);
+    auto parallel = exec.Execute(txn);
+    ASSERT_FALSE(parallel.ok());
+    EXPECT_EQ(parallel.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parallel.status().message(), serial.status().message());
+    EXPECT_TRUE(pdb.Merge().SameState(db_));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(NodeCounts, ParallelTest,
                          ::testing::Values(1, 2, 4, 8));
 

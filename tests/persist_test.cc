@@ -97,8 +97,8 @@ TEST(PersistTest, SaveAndLoadNeverCopyOrUnshareRelationStates) {
   // Checkpointing is logically read-only and loading builds fresh owned
   // states: neither may go through Database::FindMutable's un-sharing
   // machinery. The pin: with every relation SHARED (an outstanding
-  // snapshot holds the other reference), a save/load cycle performs zero
-  // clones, copies zero tuples, and creates zero overlays.
+  // snapshot holds the other reference), a save/load cycle creates zero
+  // overlays and flattens nothing.
   Database db = MakeBeerDatabase();
   AddBrewery(&db, "heineken", "amsterdam", "nl");
   for (int i = 0; i < 500; ++i) {
@@ -111,9 +111,8 @@ TEST(PersistTest, SaveAndLoadNeverCopyOrUnshareRelationStates) {
   TXMOD_ASSERT_OK(SaveDatabase(db, out));
   std::istringstream in(out.str());
   TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabase(in));
-  EXPECT_EQ(CowStats::relation_clones.load(), 0u);
-  EXPECT_EQ(CowStats::cloned_tuples.load(), 0u);
   EXPECT_EQ(CowStats::overlays_created.load(), 0u);
+  EXPECT_EQ(CowStats::overlay_collapses.load(), 0u);
   EXPECT_TRUE(loaded.SameState(db));
 
   // Saving an overlay state works too (SortedTuples iterates the visible

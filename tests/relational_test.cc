@@ -1,10 +1,14 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/str_util.h"
 #include "src/relational/database.h"
 #include "tests/test_util.h"
 
@@ -434,19 +438,6 @@ TEST(DatabaseSnapshotTest, CopyOnWriteRedeclaresIndexes) {
   Relation* snap = *snapshot.FindMutable("beer");
   EXPECT_EQ(snap->index_count(), 1u);
   EXPECT_EQ(snap->size(), 1u);
-
-  // With overlays disabled the legacy O(|R|) clone path re-declares the
-  // index as a directly probeable flat index.
-  Database clone_mode = MakeBeerDatabase();
-  testing::AddBeer(&clone_mode, "pils", "lager", "heineken", 5.0);
-  clone_mode.set_overlay_enabled(false);
-  (*clone_mode.FindMutable("beer"))->IndexOn({2});
-  Database clone_snapshot = clone_mode.Clone();
-  clone_snapshot.set_overlay_enabled(false);
-  Relation* cloned = *clone_mode.FindMutable("beer");
-  EXPECT_FALSE(cloned->is_overlay());
-  EXPECT_EQ(ProbeCount(*cloned, {2}, Tuple({Value::String("heineken")})),
-            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,9 +589,9 @@ TEST(OverlayTest, CollapseAndMergePreserveContentsAndIndexes) {
 }
 
 TEST(OverlayTest, FirstWriteDoesNotScanTheBase) {
-  // THE cost pin of this change: un-sharing a 10^4-tuple relation for a
-  // one-tuple write must clone nothing — CowStats counts every cloned
-  // tuple, so "zero cloned tuples" is "never scanned the base".
+  // The cost pin of overlay un-sharing: a one-tuple write to a shared
+  // 10^4-tuple relation layers one level and never merges or flattens
+  // the base — the level holds exactly the one changed tuple.
   Database db = MakeBeerDatabase();
   for (int i = 0; i < 10000; ++i) {
     testing::AddBeer(&db, "beer" + std::to_string(i), "lager", "x", 4.0);
@@ -610,22 +601,13 @@ TEST(OverlayTest, FirstWriteDoesNotScanTheBase) {
   CowStats::Reset();
   Relation* rel = *db.FindMutable("beer");
   rel->Insert(BeerTuple("one-more", "ale", "y", 6.0));
-  EXPECT_EQ(CowStats::relation_clones.load(), 0u);
-  EXPECT_EQ(CowStats::cloned_tuples.load(), 0u);
   EXPECT_EQ(CowStats::overlays_created.load(), 1u);
+  EXPECT_EQ(CowStats::overlay_merges.load(), 0u);
+  EXPECT_EQ(CowStats::overlay_collapses.load(), 0u);
   EXPECT_EQ(rel->delta_weight(), 1u);
+  EXPECT_EQ(rel->local_inserts().size(), 1u);
   EXPECT_EQ(rel->size(), 10001u);
   EXPECT_EQ((*snapshot.Find("beer"))->size(), 10000u);
-
-  // The clone baseline pays the O(|R|) bill — the comparison the
-  // overlay-vs-clone oracle and BM_SessionFirstWrite are built on.
-  Database clone_db = snapshot.Clone();
-  clone_db.set_overlay_enabled(false);
-  CowStats::Reset();
-  (*clone_db.FindMutable("beer"))->Insert(BeerTuple("x", "ale", "y", 1.0));
-  EXPECT_EQ(CowStats::relation_clones.load(), 1u);
-  EXPECT_EQ(CowStats::cloned_tuples.load(), 10000u);
-  EXPECT_EQ(CowStats::overlays_created.load(), 0u);
 }
 
 TEST(OverlayTest, CompactOverlayMergesSmallDeltasAndCollapsesLargeOnes) {
@@ -657,6 +639,149 @@ TEST(OverlayTest, CompactOverlayMergesSmallDeltasAndCollapsesLargeOnes) {
   EXPECT_FALSE(rel->is_overlay());
   EXPECT_GE(CowStats::overlay_collapses.load(), 1u);
   EXPECT_EQ(rel->size(), 512u + 12u + 400u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference model for overlay chains: random writes through snapshots,
+// FindMutable levels and pushed transaction levels, interleaved with
+// merges, compactions and collapses, must keep every live database equal
+// to a plain std::set model — membership, size, sorted contents and the
+// index view's candidates per key.
+// ---------------------------------------------------------------------------
+
+using TupleModel = std::set<Tuple, testing::TupleLess>;
+
+constexpr int kModelKeys = 4;
+constexpr int kModelValues = 8;
+
+Tuple ModelTuple(int key, int value) {
+  return Tuple({Value::Int(key), Value::Int(value)});
+}
+
+/// A live database with the model of what it must contain.
+struct ModelDb {
+  Database db;
+  TupleModel model;
+};
+
+void ExpectMatchesModel(const ModelDb& m, const std::string& where) {
+  SCOPED_TRACE(where);
+  const Relation& rel = **m.db.Find("r");
+  ASSERT_EQ(rel.size(), m.model.size());
+  for (int k = 0; k < kModelKeys; ++k) {
+    for (int v = 0; v < kModelValues; ++v) {
+      const Tuple t = ModelTuple(k, v);
+      ASSERT_EQ(rel.Contains(t), m.model.count(t) > 0) << t.ToString();
+    }
+  }
+  ASSERT_EQ(rel.SortedTuples(),
+            std::vector<Tuple>(m.model.begin(), m.model.end()));
+  const RelationIndexView view = rel.FindIndexView({0});
+  ASSERT_TRUE(view.valid());
+  for (int k = 0; k < kModelKeys; ++k) {
+    // Candidates are a hash bucket: every one must be visible and
+    // distinct, and those with key k must be exactly the model's.
+    TupleModel seen, with_key;
+    auto cand = view.Probe(EquiKeyHash(Tuple({Value::Int(k)}), {0}));
+    for (const Tuple* t = cand.Next(); t != nullptr; t = cand.Next()) {
+      ASSERT_EQ(m.model.count(*t), 1u) << t->ToString();
+      ASSERT_TRUE(seen.insert(*t).second) << "duplicate " << t->ToString();
+      if (t->at(0) == Value::Int(k)) with_key.insert(*t);
+    }
+    TupleModel expected;
+    for (const Tuple& t : m.model) {
+      if (t.at(0) == Value::Int(k)) expected.insert(t);
+    }
+    ASSERT_EQ(with_key, expected) << "key " << k;
+  }
+}
+
+/// One random write to `rel`, mirrored into `model`: an insert from the
+/// domain, or mostly the erase of a visible tuple — so deletes reach
+/// tuples that inner levels inserted.
+void RandomWrite(std::mt19937* rng, Relation* rel, TupleModel* model) {
+  Tuple t = ModelTuple(static_cast<int>((*rng)() % kModelKeys),
+                       static_cast<int>((*rng)() % kModelValues));
+  if ((*rng)() % 2 == 0) {
+    EXPECT_EQ(rel->Insert(t), model->insert(t).second);
+    return;
+  }
+  if (!model->empty() && (*rng)() % 4 != 0) {
+    t = *std::next(model->begin(),
+                   static_cast<long>((*rng)() % model->size()));
+  }
+  EXPECT_EQ(rel->Erase(t), model->erase(t) > 0);
+}
+
+TEST(OverlayTest, ChainsMatchAReferenceModel) {
+  for (unsigned seed : {3u, 17u, 101u}) {
+    std::mt19937 rng(seed);
+    std::vector<ModelDb> live(1);  // live[0] is the master
+    TXMOD_ASSERT_OK(live[0].db.CreateRelation(RelationSchema(
+        "r", {Attribute{"k", AttrType::kInt}, Attribute{"v", AttrType::kInt}})));
+    ASSERT_NE((*live[0].db.FindMutable("r"))->IndexOn({0}), nullptr);
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t target = rng() % live.size();
+      ModelDb& m = live[target];
+      std::string op;
+      switch (rng() % 12) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          op = "write";
+          RandomWrite(&rng, *m.db.FindMutable("r"), &m.model);
+          break;
+        case 4:
+        case 5:
+          op = "clone";
+          if (live.size() < 6) live.push_back(ModelDb{m.db.Clone(), m.model});
+          break;
+        case 6:
+          op = "drop snapshot";
+          if (target != 0) live.erase(live.begin() + target);
+          break;
+        case 7:
+        case 8:
+          op = "merge";
+          (*m.db.FindMutable("r"))->MergeOverlayLevel();
+          break;
+        case 9:
+          op = "compact";
+          (*m.db.FindMutable("r"))->CompactOverlay();
+          break;
+        case 10:
+          op = "collapse";
+          (*m.db.FindMutable("r"))->CollapseOverlay();
+          break;
+        default: {
+          // A transaction's level: writes, maybe a snapshot of the level,
+          // then rollback (drop) or serial commit (fold).
+          op = "level";
+          TXMOD_ASSERT_OK_AND_ASSIGN(Database::Level level,
+                                     m.db.PushLevel("r"));
+          TupleModel post = m.model;
+          for (int w = 0; w < 4; ++w) RandomWrite(&rng, level.top, &post);
+          if (rng() % 4 == 0 && live.size() < 6) {
+            live.push_back(ModelDb{m.db.Clone(), post});
+          }
+          ModelDb& owner = live[target];  // push_back may have moved it
+          if (rng() % 2 == 0) {
+            owner.db.DropLevel("r", std::move(level));
+          } else {
+            owner.db.FoldLevel("r", std::move(level));
+            owner.model = std::move(post);
+          }
+          break;
+        }
+      }
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        ExpectMatchesModel(live[i], StrCat("seed ", seed, " step ", step, " (",
+                                           op, " on db ", target, "), db ", i));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace

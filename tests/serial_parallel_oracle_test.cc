@@ -223,6 +223,9 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
 // (runs of consecutive alarms evaluated concurrently) must agree with
 // serial-check sessions transaction by transaction — outcome, abort
 // attribution, statement counters, evaluation work, and final state.
+// A transition constraint makes concurrent check tasks resolve old(R)
+// next to dplus/dminus — all of them the session's overlay levels, read
+// without a lock.
 // ---------------------------------------------------------------------------
 
 TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
@@ -243,6 +246,11 @@ TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
         "refint",
         "forall x (x in beer implies exists y (y in brewery and "
         "x.brewery = y.name))"));
+    // Transition constraint: no brewery disappears.
+    TXMOD_ASSERT_OK(ics->DefineConstraint(
+        "keep_breweries",
+        "forall x (x in old(brewery) implies exists y (y in brewery and "
+        "x = y))"));
   }
 
   txn::TxnManagerOptions serial_opts;  // parallel_check_workers = 0
@@ -264,6 +272,13 @@ TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
       // Violates both constraints: abort attribution (which alarm fires
       // first) must match serial statement order, not completion order.
       "insert(beer, {(\"dual\", \"ale\", \"nowhere\", -3.0)});",
+      // Fires the dminus-driven refint check (which holds: no beer
+      // references plzen) together with the old(brewery) transition
+      // check (which fails).
+      "delete(brewery, select[name = \"plzen\"](brewery));",
+      // The same delete netted out by a re-insert: both checks pass.
+      "delete(brewery, select[name = \"plzen\"](brewery));"
+      "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});",
   };
   algebra::AlgebraParser parser(&serial_db.schema());
   for (std::size_t i = 0; i < workload.size(); ++i) {
@@ -285,6 +300,15 @@ TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
     EXPECT_EQ(a.operators, b.operators);
     EXPECT_EQ(a.index_probes, b.index_probes);
     EXPECT_TRUE(serial_db.SameState(pooled_db));
+    if (i + 2 == workload.size()) {  // the plzen delete
+      EXPECT_FALSE(pooled->committed);
+      EXPECT_NE(pooled->abort_reason.find("keep_breweries"),
+                std::string::npos)
+          << pooled->abort_reason;
+    }
+    if (i + 1 == workload.size()) {  // the netted-out delete
+      EXPECT_TRUE(pooled->committed);
+    }
   }
 }
 

@@ -34,6 +34,13 @@ namespace txmod::testing {
 #define TXMOD_TEST_CONCAT_(a, b) TXMOD_TEST_CONCAT_IMPL_(a, b)
 #define TXMOD_TEST_CONCAT_IMPL_(a, b) a##b
 
+/// Deterministic tuple order for std::set models of relation contents.
+struct TupleLess {
+  bool operator()(const Tuple& a, const Tuple& b) const {
+    return Tuple::Less(a, b);
+  }
+};
+
 /// The running example of the paper (Example 4.1): a beer database with
 ///   beer(name, type, brewery, alcohol)
 ///   brewery(name, city, country)

@@ -136,6 +136,12 @@ TEST_F(TxnTest, MalformedProgramErrorsAndRollsBack) {
 
 class DifferentialTest : public TxnTest {};
 
+/// dplus(rel) / dminus(rel) as the transaction's checks resolve them.
+const Relation& Delta(const TxnContext& ctx, RelRefKind kind,
+                      const std::string& rel) {
+  return **ctx.Resolve(kind, rel);
+}
+
 TEST_F(DifferentialTest, InsertPopulatesDeltaPlus) {
   TxnContext ctx(&db_);
   TXMOD_ASSERT_OK_AND_ASSIGN(
@@ -143,8 +149,8 @@ TEST_F(DifferentialTest, InsertPopulatesDeltaPlus) {
       ctx.InsertTuple("brewery", Tuple({Value::String("new"), Value::Null(),
                                         Value::Null()})));
   EXPECT_TRUE(inserted);
-  EXPECT_EQ(ctx.diff("brewery").plus.size(), 1u);
-  EXPECT_EQ(ctx.diff("brewery").minus.size(), 0u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaPlus, "brewery").size(), 1u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaMinus, "brewery").size(), 0u);
 }
 
 TEST_F(DifferentialTest, DeleteThenReinsertNetsOut) {
@@ -154,13 +160,13 @@ TEST_F(DifferentialTest, DeleteThenReinsertNetsOut) {
   TXMOD_ASSERT_OK_AND_ASSIGN(bool deleted,
                              ctx.DeleteTuple("brewery", heineken));
   EXPECT_TRUE(deleted);
-  EXPECT_EQ(ctx.diff("brewery").minus.size(), 1u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaMinus, "brewery").size(), 1u);
   TXMOD_ASSERT_OK_AND_ASSIGN(bool inserted,
                              ctx.InsertTuple("brewery", heineken));
   EXPECT_TRUE(inserted);
   // Net change is zero: R_pre = (R \ plus) ∪ minus must hold.
-  EXPECT_EQ(ctx.diff("brewery").plus.size(), 0u);
-  EXPECT_EQ(ctx.diff("brewery").minus.size(), 0u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaPlus, "brewery").size(), 0u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaMinus, "brewery").size(), 0u);
   EXPECT_TRUE(ctx.TouchedRelations().empty());
 }
 
@@ -188,8 +194,8 @@ TEST_F(DifferentialTest, InsertThenDeleteNetsOut) {
   const Tuple t({Value::String("x"), Value::Null(), Value::Null()});
   TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", t).status());
   TXMOD_ASSERT_OK(ctx.DeleteTuple("brewery", t).status());
-  EXPECT_EQ(ctx.diff("brewery").plus.size(), 0u);
-  EXPECT_EQ(ctx.diff("brewery").minus.size(), 0u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaPlus, "brewery").size(), 0u);
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaMinus, "brewery").size(), 0u);
 }
 
 TEST_F(DifferentialTest, OldViewIsPreTransactionState) {
@@ -251,6 +257,75 @@ TEST_F(DifferentialTest, RollbackRestoresState) {
           .status());
   ctx.Rollback();
   EXPECT_TRUE(db_.SameState(before));
+}
+
+TEST_F(DifferentialTest, OverlayLevelIsTheDifferentialWithoutCopies) {
+  // The transaction's one differential is its overlay level: old(R) is
+  // the pre-transaction state object itself, dplus/dminus are the
+  // level's own insert and delete relations, and nothing is copied or
+  // collapsed to get them.
+  for (int i = 0; i < 10000; ++i) {
+    AddBeer(&db_, "beer" + std::to_string(i), "lager", "heineken", 4.0);
+  }
+  const Relation* pre = *db_.Find("beer");
+  const uint64_t collapses = CowStats::overlay_collapses.load();
+  TxnContext ctx(&db_);
+  TXMOD_ASSERT_OK(ctx.InsertTuple("beer",
+                                  Tuple({Value::String("one-more"),
+                                         Value::String("ale"),
+                                         Value::String("heineken"),
+                                         Value::Double(6.0)}))
+                      .status());
+  const Relation* level = *db_.Find("beer");
+  ASSERT_TRUE(level->is_overlay());
+
+  TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* old_view,
+                             ctx.Resolve(RelRefKind::kOld, "beer"));
+  EXPECT_EQ(old_view, pre);
+  EXPECT_EQ(old_view->size(), 10001u);  // pils from SetUp + 10^4
+  TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* plus,
+                             ctx.Resolve(RelRefKind::kDeltaPlus, "beer"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* minus,
+                             ctx.Resolve(RelRefKind::kDeltaMinus, "beer"));
+  EXPECT_EQ(plus, &level->local_inserts());
+  EXPECT_EQ(minus, &level->local_deletes());
+  EXPECT_EQ(plus->size(), 1u);
+  EXPECT_EQ(minus->size(), 0u);
+
+  // Stable addresses: further writes go to the same level.
+  TXMOD_ASSERT_OK(ctx.InsertTuple("beer",
+                                  Tuple({Value::String("two-more"),
+                                         Value::String("ale"),
+                                         Value::String("heineken"),
+                                         Value::Double(6.0)}))
+                      .status());
+  EXPECT_EQ(*ctx.Resolve(RelRefKind::kDeltaPlus, "beer"), plus);
+  EXPECT_EQ(*ctx.Resolve(RelRefKind::kDeltaMinus, "beer"), minus);
+  EXPECT_EQ(plus->size(), 2u);
+  EXPECT_EQ(CowStats::overlay_collapses.load(), collapses);
+
+  // Rollback re-installs the pre-state object itself.
+  ctx.Rollback();
+  EXPECT_EQ(*db_.Find("beer"), pre);
+  EXPECT_EQ(pre->size(), 10001u);
+}
+
+TEST_F(DifferentialTest, SerialCommitFoldsTheLevelIntoTheOwnedMaster) {
+  const Relation* pre = *db_.Find("brewery");
+  ASSERT_FALSE(pre->is_overlay());
+  TxnContext ctx(&db_);
+  const Tuple heineken({Value::String("heineken"), Value::String("amsterdam"),
+                        Value::String("nl")});
+  const Tuple fresh({Value::String("fresh"), Value::Null(), Value::Null()});
+  TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", fresh).status());
+  TXMOD_ASSERT_OK(ctx.DeleteTuple("brewery", heineken).status());
+  ctx.Commit();
+  // The same flat state object, now holding the post-state.
+  EXPECT_EQ(*db_.Find("brewery"), pre);
+  EXPECT_FALSE(pre->is_overlay());
+  EXPECT_TRUE(pre->Contains(fresh));
+  EXPECT_FALSE(pre->Contains(heineken));
+  EXPECT_EQ(pre->size(), 1u);
 }
 
 }  // namespace
