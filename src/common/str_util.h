@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace txmod {
@@ -17,6 +18,11 @@ std::string StrCat(const Args&... args) {
   std::ostringstream os;
   (os << ... << args);
   return os.str();
+}
+
+/// True when `text` begins with `prefix`.
+inline bool StartsWith(std::string_view text, std::string_view prefix) {
+  return text.substr(0, prefix.size()) == prefix;
 }
 
 /// True when `s` consists only of ASCII letters, digits, and underscores and

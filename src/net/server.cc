@@ -399,7 +399,7 @@ Response Server::HandleShow(const std::string& relation_name) {
   for (const Tuple& tuple : (*relation)->SortedTuples()) {
     for (std::size_t i = 0; i < tuple.arity(); ++i) {
       if (i > 0) body += ' ';
-      body += EncodeValueText(tuple.at(i));
+      AppendValueText(tuple.at(i), &body);
     }
     body += '\n';
   }

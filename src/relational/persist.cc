@@ -5,10 +5,11 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -21,67 +22,144 @@ namespace {
 constexpr char kMagic[] = "txmod-checkpoint";
 constexpr int kVersion = 1;
 
+/// Copies a number payload into `buf` with the terminator strtoll and
+/// strtod need: a view has none, and the bytes after it may even extend
+/// the number. False when the payload does not fit.
+template <std::size_t N>
+bool TerminatedCopy(std::string_view payload, char (&buf)[N]) {
+  if (payload.size() >= N) return false;
+  std::memcpy(buf, payload.data(), payload.size());
+  buf[payload.size()] = '\0';
+  return true;
+}
+
+/// Splits the first word off `*rest` the way istream extraction reads
+/// it: leading whitespace skipped, the word ends at the next whitespace.
+std::string_view NextWord(std::string_view* rest) {
+  auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  std::size_t begin = 0;
+  while (begin < rest->size() && space((*rest)[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest->size() && !space((*rest)[end])) ++end;
+  const std::string_view word = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return word;
+}
+
+/// Splits the next encoding off the front of `*rest`: skips spaces, then
+/// takes bytes up to the next space outside a quoted string (inside one,
+/// a backslash escapes the byte after it). Empty at the end of the line.
+std::string_view NextEncoding(std::string_view* rest) {
+  std::size_t i = 0;
+  while (i < rest->size() && (*rest)[i] == ' ') ++i;
+  const std::size_t begin = i;
+  bool in_string = false;
+  bool escaped = false;
+  for (; i < rest->size(); ++i) {
+    const char c = (*rest)[i];
+    if (escaped) {
+      escaped = false;
+    } else if (in_string) {
+      escaped = c == '\\';
+      in_string = c != '"';
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == ' ') {
+      break;
+    }
+  }
+  const std::string_view token = rest->substr(begin, i - begin);
+  rest->remove_prefix(i);
+  return token;
+}
+
 }  // namespace
 
-std::string EncodeValueText(const Value& v) {
+void AppendValueText(const Value& v, std::string* out) {
   switch (v.type()) {
     case ValueType::kNull:
-      return "null";
-    case ValueType::kInt:
-      return StrCat("i:", v.as_int());
+      out->append("null");
+      return;
+    case ValueType::kInt: {
+      char buf[24];
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), v.as_int());
+      out->append("i:");
+      out->append(buf, r.ptr);
+      return;
+    }
     case ValueType::kDouble: {
       // Hex float representation: lossless round trip.
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "d:%a", v.as_double());
-      return buf;
+      const int n = std::snprintf(buf, sizeof(buf), "d:%a", v.as_double());
+      out->append(buf, static_cast<std::size_t>(n));
+      return;
     }
     case ValueType::kString: {
-      std::string out = "s:\"";
-      for (char c : v.as_string()) {
-        switch (c) {
+      const std::string& s = v.as_string();
+      out->append("s:\"");
+      std::size_t run = 0;  // first byte not yet appended
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        const char* escape;
+        switch (s[i]) {
           case '"':
-            out += "\\\"";
+            escape = "\\\"";
             break;
           case '\\':
-            out += "\\\\";
+            escape = "\\\\";
             break;
           case '\n':
-            out += "\\n";
+            escape = "\\n";
             break;
           case '\t':
-            out += "\\t";
+            escape = "\\t";
             break;
           default:
-            out += c;
+            continue;
         }
+        out->append(s, run, i - run);
+        out->append(escape);
+        run = i + 1;
       }
-      out += '"';
-      return out;
+      out->append(s, run, std::string::npos);
+      out->push_back('"');
+      return;
     }
   }
-  return "null";
 }
 
-Result<Value> DecodeValueText(const std::string& text) {
+std::string EncodeValueText(const Value& v) {
+  std::string out;
+  AppendValueText(v, &out);
+  return out;
+}
+
+Result<Value> DecodeValueText(std::string_view text) {
   if (text == "null") return Value::Null();
   // The i:/d: paths must be strict: a checksum passes on the whole line,
   // so a corrupted-but-plausible payload ("i:12junk", an out-of-range
   // digit string) would otherwise decode to a *wrong value* instead of
   // an error — silent corruption past a passing checksum. strtoll/strtod
   // report overflow only via errno (the return saturates), and trailing
-  // bytes only via the end pointer; both are checked.
-  if (text.rfind("i:", 0) == 0) {
-    const char* payload = text.c_str() + 2;
-    // strtoll/strtod skip leading whitespace; the encoder never emits
-    // any, so "i: 1" is corruption too.
-    if (std::isspace(static_cast<unsigned char>(payload[0]))) {
+  // bytes only via the end pointer, which must reach the payload's end
+  // (not merely a NUL: "i:12\0junk" is corruption too); both are checked.
+  // strtoll/strtod also skip leading whitespace, which the encoder never
+  // emits, so "i: 1" is rejected as well.
+  char buf[64];
+  if (StartsWith(text, "i:")) {
+    const std::string_view payload = text.substr(2);
+    if (payload.empty() ||
+        std::isspace(static_cast<unsigned char>(payload[0])) ||
+        !TerminatedCopy(payload, buf)) {
       return Status::InvalidArgument(
           StrCat("malformed int encoding: ", text));
     }
     char* end = nullptr;
     errno = 0;
-    const long long v = std::strtoll(payload, &end, 10);
-    if (end == payload || *end != '\0') {
+    const long long v = std::strtoll(buf, &end, 10);
+    if (end != buf + payload.size()) {
       return Status::InvalidArgument(
           StrCat("malformed int encoding: ", text));
     }
@@ -91,16 +169,18 @@ Result<Value> DecodeValueText(const std::string& text) {
     }
     return Value::Int(v);
   }
-  if (text.rfind("d:", 0) == 0) {
-    const char* payload = text.c_str() + 2;
-    if (std::isspace(static_cast<unsigned char>(payload[0]))) {
+  if (StartsWith(text, "d:")) {
+    const std::string_view payload = text.substr(2);
+    if (payload.empty() ||
+        std::isspace(static_cast<unsigned char>(payload[0])) ||
+        !TerminatedCopy(payload, buf)) {
       return Status::InvalidArgument(
           StrCat("malformed double encoding: ", text));
     }
     char* end = nullptr;
     errno = 0;
-    const double v = std::strtod(payload, &end);
-    if (end == payload || *end != '\0') {
+    const double v = std::strtod(buf, &end);
+    if (end != buf + payload.size()) {
       return Status::InvalidArgument(
           StrCat("malformed double encoding: ", text));
     }
@@ -114,63 +194,41 @@ Result<Value> DecodeValueText(const std::string& text) {
     }
     return Value::Double(v);
   }
-  if (text.rfind("s:\"", 0) == 0 && text.size() >= 4 && text.back() == '"') {
+  if (StartsWith(text, "s:\"") && text.size() >= 4 && text.back() == '"') {
+    // A backslash escapes the byte after it; one right before the
+    // closing quote has none and stays literal.
+    const std::string_view body = text.substr(3, text.size() - 4);
     std::string out;
-    for (std::size_t i = 3; i + 1 < text.size(); ++i) {
-      if (text[i] == '\\' && i + 2 < text.size()) {
-        ++i;
-        switch (text[i]) {
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          default:
-            out += text[i];
-        }
-      } else {
-        out += text[i];
+    out.reserve(body.size());
+    std::size_t i = 0;
+    while (i < body.size()) {
+      const std::size_t slash = body.find('\\', i);
+      if (slash == std::string_view::npos || slash + 1 == body.size()) {
+        out.append(body.substr(i));
+        break;
       }
+      out.append(body.substr(i, slash - i));
+      const char c = body[slash + 1];
+      out.push_back(c == 'n' ? '\n' : c == 't' ? '\t' : c);
+      i = slash + 2;
     }
     return Value::String(std::move(out));
   }
   return Status::InvalidArgument(StrCat("bad value encoding: ", text));
 }
 
-/// Spaces inside quoted strings are part of the value; a simple state
-/// machine tracks quoting.
-std::vector<std::string> SplitEncodedValues(const std::string& line) {
-  std::vector<std::string> out;
-  std::string current;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : line) {
-    if (in_string) {
-      current += c;
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-      current += c;
-      continue;
-    }
-    if (c == ' ') {
-      if (!current.empty()) out.push_back(std::move(current));
-      current.clear();
-      continue;
-    }
-    current += c;
+Result<Tuple> DecodeTupleText(std::string_view line) {
+  // Count first, so the tuple's vector is allocated once at its size.
+  std::size_t arity = 0;
+  for (std::string_view scan = line; !NextEncoding(&scan).empty();) ++arity;
+  std::vector<Value> values;
+  values.reserve(arity);
+  for (std::string_view token = NextEncoding(&line); !token.empty();
+       token = NextEncoding(&line)) {
+    TXMOD_ASSIGN_OR_RETURN(Value v, DecodeValueText(token));
+    values.push_back(std::move(v));
   }
-  if (!current.empty()) out.push_back(std::move(current));
-  return out;
+  return Tuple(std::move(values));
 }
 
 namespace {
@@ -182,26 +240,36 @@ Result<AttrType> DecodeAttrType(const std::string& name) {
   return Status::InvalidArgument(StrCat("unknown attribute type ", name));
 }
 
-}  // namespace
-
-Status SaveDatabase(const Database& db, std::ostream& out) {
-  out << kMagic << " " << kVersion << "\n";
-  out << "time " << db.logical_time() << "\n";
+/// The whole checkpoint of `db`, rendered in one buffer.
+std::string CheckpointText(const Database& db) {
+  std::string out = StrCat(kMagic, " ", kVersion, "\ntime ",
+                           db.logical_time(), "\n");
   for (const std::string& name : db.RelationNames()) {
     const Relation* rel = *db.Find(name);
     const RelationSchema& schema = rel->schema();
-    out << "relation " << name << " " << schema.arity() << "\n";
+    out += StrCat("relation ", name, " ", schema.arity(), "\n");
     for (const Attribute& attr : schema.attributes()) {
-      out << "attr " << attr.name << " " << AttrTypeToString(attr.type)
-          << "\n";
+      out += StrCat("attr ", attr.name, " ", AttrTypeToString(attr.type),
+                    "\n");
     }
     for (const Tuple& t : rel->SortedTuples()) {
-      out << "tuple";
-      for (const Value& v : t.values()) out << " " << EncodeValueText(v);
-      out << "\n";
+      out += "tuple";
+      for (const Value& v : t.values()) {
+        out += ' ';
+        AppendValueText(v, &out);
+      }
+      out += '\n';
     }
-    out << "end\n";
+    out += "end\n";
   }
+  return out;
+}
+
+}  // namespace
+
+Status SaveDatabase(const Database& db, std::ostream& out) {
+  const std::string text = CheckpointText(db);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!out.good()) return Status::Internal("write failed");
   return Status::OK();
 }
@@ -219,15 +287,31 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
                                 Vfs* vfs) {
   if (vfs == nullptr) vfs = Vfs::Default();
   const std::string tmp = StrCat(path, ".tmp");
-  std::ostringstream buffer;
-  TXMOD_RETURN_IF_ERROR(SaveDatabase(db, buffer));
+  // A temp file that outlived an earlier attempt (a crash, or a removal
+  // that failed below) is never written again: it goes first.
+  if (::access(tmp.c_str(), F_OK) == 0) {
+    TXMOD_RETURN_IF_ERROR(vfs->Remove(tmp));
+  }
+  const std::string text = CheckpointText(db);
   TXMOD_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs->OpenTrunc(tmp));
-  TXMOD_RETURN_IF_ERROR(WriteFullyTo(file.get(), buffer.str(), "checkpoint"));
+  Status written = WriteFullyTo(file.get(), text, "checkpoint");
   // Flush the temp file's bytes to stable storage before the rename makes
   // it visible under the checkpoint name: rename-before-durable could
   // expose a checkpoint whose content a crash then loses.
-  TXMOD_RETURN_IF_ERROR(file->Sync());
+  if (written.ok()) written = file->Sync();
   file.reset();
+  if (!written.ok()) {
+    // After a failed write or fsync the kernel may have dropped the
+    // file's dirty pages while a later fsync of it reports success
+    // (fsyncgate): a retry must start from a new file, never this one.
+    const Status removed = vfs->Remove(tmp);
+    if (!removed.ok()) {
+      return Status(written.code(),
+                    StrCat(written.message(), "; removing ", tmp,
+                           " failed too: ", removed.message()));
+    }
+    return written;
+  }
   TXMOD_RETURN_IF_ERROR(vfs->Rename(tmp, path));
   // The rename only becomes durable with the directory entry; without
   // this, a later durable WAL truncation could outlive a lost rename and
@@ -281,9 +365,19 @@ Result<Database> LoadDatabase(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string keyword;
-    fields >> keyword;
+    std::string_view rest = line;
+    const std::string_view keyword = NextWord(&rest);
+    if (keyword == "tuple") {
+      if (current == nullptr) {
+        return Status::InvalidArgument(
+            StrCat("tuple outside a relation at line ", line_number));
+      }
+      TXMOD_ASSIGN_OR_RETURN(Tuple tuple, DecodeTupleText(rest));
+      TXMOD_RETURN_IF_ERROR(current->schema().CheckTuple(tuple));
+      current->Insert(current->schema().CoerceTuple(std::move(tuple)));
+      continue;
+    }
+    std::istringstream fields{std::string(rest)};
     if (keyword == "time") {
       fields >> logical_time;
     } else if (keyword == "relation") {
@@ -312,21 +406,6 @@ Result<Database> LoadDatabase(std::istream& in) {
       TXMOD_ASSIGN_OR_RETURN(const Relation* created, db.Find(name));
       current = std::make_shared<Relation>(created->schema_ptr());
       current_name = name;
-    } else if (keyword == "tuple") {
-      if (current == nullptr) {
-        return Status::InvalidArgument(
-            StrCat("tuple outside a relation at line ", line_number));
-      }
-      std::string rest;
-      std::getline(fields, rest);
-      std::vector<Value> values;
-      for (const std::string& enc : SplitEncodedValues(rest)) {
-        TXMOD_ASSIGN_OR_RETURN(Value v, DecodeValueText(enc));
-        values.push_back(std::move(v));
-      }
-      Tuple tuple(std::move(values));
-      TXMOD_RETURN_IF_ERROR(current->schema().CheckTuple(tuple));
-      current->Insert(current->schema().CoerceTuple(std::move(tuple)));
     } else if (keyword == "end") {
       if (current != nullptr) {
         db.AdoptRelation(current_name, std::move(current));

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "src/common/result.h"
 #include "src/common/vfs.h"
@@ -22,11 +23,10 @@ namespace txmod {
 ///   end
 ///   ...
 ///
-/// Values are rendered as: `null`, `i:<digits>`, `d:<repr>` (hex float,
-/// lossless round trip), `s:<quoted>` (C-style escapes). The format is a
-/// checkpoint of committed state — transaction-local structures
-/// (differentials, temporaries) are never persisted, matching the model:
-/// only pre-/post-transaction states exist outside a transaction.
+/// Values use the text codec below. The format is a checkpoint of
+/// committed state — transaction-local structures (differentials,
+/// temporaries) are never persisted, matching the model: only
+/// pre-/post-transaction states exist outside a transaction.
 Status SaveDatabase(const Database& db, std::ostream& out);
 Status SaveDatabaseToFile(const Database& db, const std::string& path);
 
@@ -36,8 +36,12 @@ Status SaveDatabaseToFile(const Database& db, const std::string& path);
 /// leaves either the old checkpoint or the new one, never a torn file —
 /// the property the WAL recovery path (wal.h) builds on (in particular,
 /// checkpoint-then-truncate-WAL must never observe the truncation
-/// durable while the rename is not). All writes/fsyncs/renames go
-/// through `vfs` (nullptr = the real POSIX environment).
+/// durable while the rename is not). A temp file whose write or fsync
+/// failed is removed, and one left by an earlier attempt is removed
+/// before writing: after a failed fsync, a later fsync of the same file
+/// may report success without persisting anything. All
+/// writes/fsyncs/renames go through `vfs` (nullptr = the real POSIX
+/// environment).
 Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
                                 Vfs* vfs = nullptr);
 
@@ -45,18 +49,46 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
 /// durable). Exposed for the WAL's own rename-based repair.
 Status FsyncParentDirectory(const std::string& path);
 
-/// Restores a checkpoint into a fresh Database (schema included).
+/// Restores a checkpoint into a fresh Database (schema included). Reads
+/// one line at a time, so loading never holds the whole file.
 Result<Database> LoadDatabase(std::istream& in);
 Result<Database> LoadDatabaseFromFile(const std::string& path);
 
 /// The value codec behind the checkpoint format, shared with the
-/// write-ahead log (wal.h): `null`, `i:<digits>`, `d:<hex-float>`
-/// (lossless), `s:"<escaped>"`. SplitEncodedValues tokenizes one
-/// space-separated line of encodings (spaces inside quoted strings are
-/// preserved).
+/// write-ahead log (wal.h) and the server's `show` response. There is one
+/// encoder and one decoder, and the text format is the one checkpoint
+/// version 1 and WAL versions 1 and 2 have always used:
+///
+///   null          the null value
+///   i:<digits>    int64, decimal, optional sign
+///   d:<hex>       double as printf's %a (lossless; inf, -inf, nan);
+///                 the decoder also takes strtod's decimal forms
+///   s:"<chars>"   string; `"`, `\`, newline and tab are written as
+///                 \", \\, \n and \t, every other byte (NUL included) raw
+///
+/// A line holds encodings separated by single spaces; a space inside a
+/// quoted string belongs to the string. `tests/format_golden_test.cc`
+/// pins the bytes.
+///
+/// AppendValueText writes into the caller's buffer, so rendering a
+/// tuple line allocates nothing beyond the buffer's own growth.
+void AppendValueText(const Value& v, std::string* out);
+/// The same bytes as a fresh string.
 std::string EncodeValueText(const Value& v);
-Result<Value> DecodeValueText(const std::string& text);
-std::vector<std::string> SplitEncodedValues(const std::string& line);
+
+/// Decodes exactly one encoding. Strict: the whole of `text` must be
+/// consumed, so trailing bytes (an embedded NUL included), leading
+/// whitespace in a number, an int64 overflow and a double overflow are
+/// errors, never a different value. Double underflow is accepted (%a
+/// round-trips denormals), and a number payload longer than 63 bytes
+/// is rejected (the encoder's longest, a negative %a double, is 24).
+Result<Value> DecodeValueText(std::string_view text);
+
+/// Decodes a line of space-separated encodings (the values of a
+/// checkpoint `tuple` line or a WAL `+`/`-` line) into a tuple. Runs of
+/// spaces between encodings are skipped; the tokenizer works on views
+/// of `line`, so the only allocations are the tuple's own.
+Result<Tuple> DecodeTupleText(std::string_view line);
 
 }  // namespace txmod
 

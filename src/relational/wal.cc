@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
+#include <string_view>
 
 #include "src/common/str_util.h"
 #include "src/relational/persist.h"
@@ -30,15 +32,22 @@ std::string ShardHeaderLine(uint32_t shard, uint32_t shard_count) {
   return StrCat(kWalShardHeaderStem, shard, "/", shard_count);
 }
 
+/// Parses a whole view as a decimal uint64 (no sign, no spaces).
+bool ParseU64(std::string_view text, uint64_t* v) {
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, *v);
+  return !text.empty() && r.ec == std::errc() && r.ptr == end;
+}
+
 /// Parses a WAL header line: v1, or v2 with a shard identity.
-bool ParseWalHeader(const std::string& line, WalShardInfo* info) {
+bool ParseWalHeader(std::string_view line, WalShardInfo* info) {
   if (line == kWalHeader) {
     *info = WalShardInfo{};
     return true;
   }
-  const std::string stem(kWalShardHeaderStem);
-  if (line.rfind(stem, 0) != 0) return false;
-  const std::string rest = line.substr(stem.size());
+  const std::string_view stem(kWalShardHeaderStem);
+  if (!StartsWith(line, stem)) return false;
+  const std::string rest(line.substr(stem.size()));
   const std::size_t slash = rest.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= rest.size()) {
     return false;
@@ -64,12 +73,11 @@ bool ParseWalHeader(const std::string& line, WalShardInfo* info) {
 
 /// True when `line` is a strict prefix of some header the writer could
 /// have been writing when the crash hit — the torn-header heuristic.
-bool PlausibleTornHeader(const std::string& line) {
-  const std::string v1(kWalHeader);
-  if (v1.rfind(line, 0) == 0) return true;  // prefix of the v1 header
-  const std::string stem(kWalShardHeaderStem);
-  if (stem.rfind(line, 0) == 0) return true;  // prefix of the v2 stem
-  if (line.rfind(stem, 0) != 0) return false;
+bool PlausibleTornHeader(std::string_view line) {
+  if (StartsWith(kWalHeader, line)) return true;  // prefix of the v1 header
+  const std::string_view stem(kWalShardHeaderStem);
+  if (StartsWith(stem, line)) return true;  // prefix of the v2 stem
+  if (!StartsWith(line, stem)) return false;
   // Stem plus a partial "<k>/<n>": digits with at most one slash.
   bool slash = false;
   for (std::size_t i = stem.size(); i < line.size(); ++i) {
@@ -84,7 +92,7 @@ bool PlausibleTornHeader(const std::string& line) {
   return true;
 }
 
-uint64_t Fnv1a(const std::string& s) {
+uint64_t Fnv1a(std::string_view s) {
   uint64_t h = UINT64_C(14695981039346656037);
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
@@ -93,43 +101,129 @@ uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
-std::string HexU64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+/// Appends "commit <version> <checksum as 16 hex digits>\n".
+void AppendCommitLine(uint64_t version, uint64_t checksum, std::string* out) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof(buf), "commit %llu %016llx\n",
+                              static_cast<unsigned long long>(version),
+                              static_cast<unsigned long long>(checksum));
+  out->append(buf, static_cast<std::size_t>(n));
 }
 
-/// Serializes the record body (everything the checksum covers). The
-/// "parts" suffix is written only for multi-shard fan-outs, so
-/// single-part records stay byte-identical to the v1 format.
-std::string EncodeRecordBody(const WalRecord& rec) {
-  std::string out =
-      rec.parts > 1 ? StrCat("txn ", rec.version, " parts ", rec.parts, "\n")
-                    : StrCat("txn ", rec.version, "\n");
+/// An upper bound on the encoded size of `rec` and its commit line, so
+/// that encoding allocates once.
+std::size_t EncodedSizeBound(const WalRecord& rec) {
+  std::size_t n = 96;  // the txn and commit lines
   for (const WalDelta& delta : rec.deltas) {
-    out += StrCat("rel ", delta.relation, "\n");
-    for (const Tuple& t : delta.plus) {
-      out += "+";
-      for (const Value& v : t.values()) out += StrCat(" ", EncodeValueText(v));
-      out += "\n";
+    n += delta.relation.size() + 5;
+    for (const std::vector<Tuple>* tuples : {&delta.plus, &delta.minus}) {
+      for (const Tuple& t : *tuples) {
+        n += 2;  // the "+" or "-" and the newline
+        for (const Value& v : t.values()) {
+          // A space, then at most "i:" and 20 digits, "d:" and 24 bytes
+          // of %a, or "s:" and quotes around a string escaped throughout.
+          n += 1 + (v.is_string() ? 4 + 2 * v.as_string().size() : 26);
+        }
+      }
     }
-    for (const Tuple& t : delta.minus) {
-      out += "-";
-      for (const Value& v : t.values()) out += StrCat(" ", EncodeValueText(v));
-      out += "\n";
+  }
+  return n;
+}
+
+/// Serializes the record body (everything the checksum covers) into a
+/// buffer with room for the commit line. The "parts" suffix is written
+/// only for multi-shard fan-outs, so single-part records stay
+/// byte-identical to the v1 format.
+std::string EncodeRecordBody(const WalRecord& rec) {
+  std::string out;
+  out.reserve(EncodedSizeBound(rec));
+  out += "txn ";
+  out += std::to_string(rec.version);
+  if (rec.parts > 1) {
+    out += " parts ";
+    out += std::to_string(rec.parts);
+  }
+  out += '\n';
+  auto append_tuples = [&out](char sign, const std::vector<Tuple>& tuples) {
+    for (const Tuple& t : tuples) {
+      out += sign;
+      for (const Value& v : t.values()) {
+        out += ' ';
+        AppendValueText(v, &out);
+      }
+      out += '\n';
     }
+  };
+  for (const WalDelta& delta : rec.deltas) {
+    out += "rel ";
+    out += delta.relation;
+    out += '\n';
+    append_tuples('+', delta.plus);
+    append_tuples('-', delta.minus);
   }
   return out;
 }
 
-Result<Tuple> DecodeTupleLine(const std::string& rest) {
-  std::vector<Value> values;
-  for (const std::string& enc : SplitEncodedValues(rest)) {
-    TXMOD_ASSIGN_OR_RETURN(Value v, DecodeValueText(enc));
-    values.push_back(std::move(v));
+/// Whether `line`, which starts with "commit ", is the commit line of a
+/// record of `version` whose body hashes to `checksum`. The checksum does
+/// not cover this line, and it is read as the log has always read it
+/// (istream extraction): whitespace runs separate the fields, the
+/// version is the digits its field starts with (after an optional '+'),
+/// and anything after the checksum is ignored.
+bool CommitLineMatches(std::string_view line, uint64_t version,
+                       uint64_t checksum) {
+  auto skip_space = [&line] {
+    while (!line.empty() &&
+           std::isspace(static_cast<unsigned char>(line.front()))) {
+      line.remove_prefix(1);
+    }
+  };
+  line.remove_prefix(std::strlen("commit"));
+  skip_space();
+  if (StartsWith(line, "+")) line.remove_prefix(1);
+  uint64_t written = 0;
+  const std::from_chars_result r =
+      std::from_chars(line.data(), line.data() + line.size(), written);
+  if (r.ec != std::errc() || written != version) return false;
+  line.remove_prefix(static_cast<std::size_t>(r.ptr - line.data()));
+  skip_space();
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(checksum));
+  const std::string_view expected(hex);
+  return StartsWith(line, expected) &&
+         (line.size() == expected.size() ||
+          std::isspace(static_cast<unsigned char>(line[expected.size()])));
+}
+
+/// The whole of `in`, in one read; the reader parses views into it.
+std::string ReadAll(std::ifstream& in) {
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  std::string data(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  in.seekg(0);
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  data.resize(static_cast<std::size_t>(in.gcount()));
+  return data;
+}
+
+/// Parses "txn <version>" or, for a fan-out part, "txn <version> parts
+/// <m>" with m >= 2.
+bool ParseTxnLine(std::string_view line, WalRecord* rec) {
+  if (!StartsWith(line, "txn ")) return false;
+  line.remove_prefix(4);
+  const std::string_view version = line.substr(0, line.find(' '));
+  line.remove_prefix(version.size());
+  *rec = WalRecord{};
+  if (!ParseU64(version, &rec->version)) return false;
+  if (line.empty()) return true;
+  uint64_t m = 0;
+  if (!StartsWith(line, " parts ") || !ParseU64(line.substr(7), &m) ||
+      m < 2 || m > UINT32_MAX) {
+    return false;
   }
-  return Tuple(std::move(values));
+  rec->parts = static_cast<uint32_t>(m);
+  return true;
 }
 
 }  // namespace
@@ -229,9 +323,8 @@ bool WriteAheadLog::broken(std::string* cause) const {
 }
 
 Result<uint64_t> WriteAheadLog::Append(const WalRecord& rec) {
-  const std::string body = EncodeRecordBody(rec);
-  const std::string full =
-      StrCat(body, "commit ", rec.version, " ", HexU64(Fnv1a(body)), "\n");
+  std::string full = EncodeRecordBody(rec);
+  AppendCommitLine(rec.version, Fnv1a(full), &full);
   std::lock_guard<std::mutex> lock(append_mu_);
   if (broken_.load()) {
     std::lock_guard<std::mutex> sync_lock(*sync_mu_);
@@ -334,8 +427,21 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
                                        WalReplayStats* stats,
                                        WalShardInfo* info) {
   std::vector<WalRecord> out;
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return out;  // no WAL: empty log
+  const std::string data = ReadAll(in);
+
+  // The line at `pos` without its newline; an unterminated last line is
+  // still a line, as with std::getline. False at the end of the data.
+  std::size_t pos = 0;
+  std::string_view line;
+  auto next_line = [&data, &pos, &line] {
+    if (pos >= data.size()) return false;
+    const std::size_t newline = std::min(data.find('\n', pos), data.size());
+    line = std::string_view(data).substr(pos, newline - pos);
+    pos = newline + 1;
+    return true;
+  };
 
   auto drop_tail = [&](const std::string& why) {
     if (stats != nullptr) {
@@ -344,8 +450,7 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
     }
   };
 
-  std::string line;
-  if (!std::getline(in, line)) return out;  // zero bytes: empty log
+  if (!next_line()) return out;  // zero bytes: empty log
   WalShardInfo header_info;
   if (ParseWalHeader(line, &header_info)) {
     if (info != nullptr) *info = header_info;
@@ -353,54 +458,44 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
     // A crash can tear even the header write. A strict prefix of a
     // possible header with nothing after it is such a torn tail — an
     // empty log; anything else is genuinely not a WAL.
-    std::string rest;
-    if (PlausibleTornHeader(line) && !std::getline(in, rest)) {
+    if (PlausibleTornHeader(line) && !next_line()) {
       drop_tail("truncated WAL header");
       return out;
     }
     return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
   }
 
-  // Scan records. `body` accumulates the exact bytes the checksum covers;
-  // any structural surprise, checksum mismatch, or EOF mid-record drops
-  // the tail (a torn append) and returns the valid prefix.
+  // Scan records. The checksum covers the record's bytes from its txn
+  // line up to its commit line, one contiguous span of `data`; any
+  // structural surprise, checksum mismatch, or EOF mid-record drops the
+  // tail (a torn append) and returns the valid prefix.
   WalRecord current;
   WalDelta* delta = nullptr;
-  std::string body;
+  std::size_t record_begin = 0;  // offset of the current txn line
   bool in_record = false;
-  while (std::getline(in, line)) {
+  while (next_line()) {
+    const std::size_t line_begin =
+        static_cast<std::size_t>(line.data() - data.data());
     if (!in_record) {
       if (line.empty()) continue;
-      if (line.rfind("txn ", 0) != 0) {
+      if (!StartsWith(line, "txn ")) {
         drop_tail(StrCat("expected 'txn', found '", line, "'"));
         return out;
       }
-      current = WalRecord{};
-      delta = nullptr;
-      {
-        // "txn <version>" or "txn <version> parts <m>" (fan-out part).
-        std::istringstream fields(line);
-        std::string kw, parts_kw;
-        fields >> kw >> current.version;
-        if (fields >> parts_kw) {
-          uint64_t m = 0;
-          if (parts_kw != "parts" || !(fields >> m) || m < 2) {
-            drop_tail(StrCat("bad txn line '", line, "'"));
-            return out;
-          }
-          current.parts = static_cast<uint32_t>(m);
-        }
+      if (!ParseTxnLine(line, &current)) {
+        drop_tail(StrCat("bad txn line '", line, "'"));
+        return out;
       }
-      body = StrCat(line, "\n");
+      delta = nullptr;
+      record_begin = line_begin;
       in_record = true;
       continue;
     }
-    if (line.rfind("commit ", 0) == 0) {
-      std::istringstream fields(line);
-      std::string kw, checksum;
-      uint64_t version = 0;
-      fields >> kw >> version >> checksum;
-      if (version != current.version || checksum != HexU64(Fnv1a(body))) {
+    if (StartsWith(line, "commit ")) {
+      const std::string_view body =
+          std::string_view(data).substr(record_begin,
+                                        line_begin - record_begin);
+      if (!CommitLineMatches(line, current.version, Fnv1a(body))) {
         drop_tail(StrCat("bad commit line for version ", current.version));
         return out;
       }
@@ -409,25 +504,22 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
       in_record = false;
       continue;
     }
-    if (line.rfind("rel ", 0) == 0) {
-      current.deltas.push_back(WalDelta{line.substr(4), {}, {}});
+    if (StartsWith(line, "rel ")) {
+      current.deltas.push_back(WalDelta{std::string(line.substr(4)), {}, {}});
       delta = &current.deltas.back();
-    } else if ((line.rfind("+ ", 0) == 0 || line == "+" ||
-                line.rfind("- ", 0) == 0 || line == "-") &&
-               delta != nullptr) {
-      const bool plus = line[0] == '+';
-      Result<Tuple> tuple =
-          DecodeTupleLine(line.size() > 1 ? line.substr(2) : "");
+    } else if (!line.empty() && (line[0] == '+' || line[0] == '-') &&
+               (line.size() == 1 || line[1] == ' ') && delta != nullptr) {
+      Result<Tuple> tuple = DecodeTupleText(line.substr(1));
       if (!tuple.ok()) {
         drop_tail(StrCat("bad tuple line: ", tuple.status().message()));
         return out;
       }
-      (plus ? delta->plus : delta->minus).push_back(std::move(*tuple));
+      (line[0] == '+' ? delta->plus : delta->minus)
+          .push_back(std::move(*tuple));
     } else {
       drop_tail(StrCat("unexpected line '", line, "'"));
       return out;
     }
-    body += StrCat(line, "\n");
   }
   if (in_record) drop_tail("record truncated at end of file");
   return out;

@@ -76,6 +76,19 @@ int FaultIterations(int fallback) {
   return parsed > 0 ? parsed : fallback;
 }
 
+/// The schedule as text, so a failing campaign can be rerun from its
+/// log line alone: "fsync fsync-gate nth=4 sticky=0 path='.shard0'; ...".
+std::string DescribeSchedule(const std::vector<FaultSpec>& schedule) {
+  std::string out;
+  for (const FaultSpec& spec : schedule) {
+    if (!out.empty()) out += "; ";
+    out += StrCat(VfsOpName(spec.op), " ", FaultKindName(spec.kind),
+                  " nth=", spec.nth, " sticky=", spec.sticky ? 1 : 0,
+                  " path='", spec.path_substring, "'");
+  }
+  return out;
+}
+
 /// One full campaign run: build a WAL-backed manager over `vfs`, arm
 /// `schedule`, run a seeded random workload (inserts, deletes, aborting
 /// transactions, read-only queries, checkpoints, reopen attempts),
@@ -85,7 +98,8 @@ int FaultIterations(int fallback) {
 void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
                  const std::vector<FaultSpec>& schedule, bool lying_fsync,
                  const std::string& label, uint32_t wal_shards = 1) {
-  SCOPED_TRACE(StrCat(label, " seed=", seed, " shards=", wal_shards));
+  SCOPED_TRACE(StrCat(label, " seed=", seed, " shards=", wal_shards,
+                      " schedule: ", DescribeSchedule(schedule)));
   FaultInjectingVfs vfs;
   // Every campaign is an independent universe: reusing a path would make
   // Create adopt the previous campaign's crashed WAL/checkpoint as a live

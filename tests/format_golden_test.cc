@@ -1,0 +1,243 @@
+// The on-disk bytes of the write-ahead log and the checkpoint, pinned.
+// One WAL record (two relations, inserted and deleted tuples) and one
+// checkpoint (an empty relation and a relation of seven tuples) between
+// them hold every value form the text codec writes: null, the int64
+// extremes, the doubles 0, -0.0, the deepest denormal, the largest
+// finite value, both infinities and NaN, and strings holding a quote, a
+// backslash, a newline, a tab, spaces and a NUL byte.
+//
+// The expected bytes below are the format that checkpoint version 1 and
+// WAL version 1 define: the writers must produce them byte for byte, and
+// the readers must read them back to bit-identical values. A change
+// here is a change of the on-disk format.
+
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "gtest/gtest.h"
+#include "src/common/str_util.h"
+#include "src/relational/persist.h"
+#include "src/relational/wal.h"
+#include "tests/test_util.h"
+
+namespace txmod {
+namespace {
+
+constexpr int64_t kMinInt = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxInt = std::numeric_limits<int64_t>::max();
+constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+const Value kQuoteAndBackslash = Value::String("quote\" backslash\\");
+const Value kNewlineTabSpace = Value::String("newline\ntab\tspace ");
+const Value kNul = Value::String(std::string("nul\0byte", 8));
+
+// Adjacent literals, one per line of the file; `sizeof - 1` keeps the
+// NUL byte inside the string value.
+constexpr char kWalBytes[] =
+    "txmod-wal 1\n"
+    "txn 42\n"
+    "rel t\n"
+    "+ i:-9223372036854775808 d:0x0p+0 s:\"quote\\\" backslash\\\\\"\n"
+    "+ i:9223372036854775807 d:-0x0p+0 s:\"newline\\ntab\\tspace \"\n"
+    "- null d:0x0.0000000000001p-1022 s:\"nul\0byte\"\n"
+    "rel u\n"
+    "+ d:0x1.fffffffffffffp+1023 d:inf d:-inf\n"
+    "- d:nan null s:\"\"\n"
+    "commit 42 f18e17f69be1c71f\n";
+
+constexpr char kCheckpointBytes[] =
+    "txmod-checkpoint 1\n"
+    "time 7\n"
+    "relation e 1\n"
+    "attr x int\n"
+    "end\n"
+    "relation t 4\n"
+    "attr k int\n"
+    "attr i int\n"
+    "attr d double\n"
+    "attr s string\n"
+    "tuple i:1 i:-9223372036854775808 d:0x0p+0 s:\"quote\\\" backslash\\\\\"\n"
+    "tuple i:2 i:9223372036854775807 d:-0x0p+0 s:\"newline\\ntab\\tspace \"\n"
+    "tuple i:3 null d:0x0.0000000000001p-1022 s:\"nul\0byte\"\n"
+    "tuple i:4 i:0 d:0x1.fffffffffffffp+1023 s:\"\"\n"
+    "tuple i:5 i:-1 d:inf null\n"
+    "tuple i:6 i:1 d:-inf s:\" \"\n"
+    "tuple i:7 i:2 d:nan s:\"x\"\n"
+    "end\n";
+
+std::string Bytes(const char* literal, std::size_t size_with_terminator) {
+  return std::string(literal, size_with_terminator - 1);
+}
+
+/// Bit-exact identity. Value::operator== holds -0.0 equal to 0.0 and
+/// NaN unequal to itself; the pins need the stored bits.
+bool Identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a == b;
+  const double x = a.as_double();
+  const double y = b.as_double();
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+bool Identical(const Tuple& a, const Tuple& b) {
+  if (a.arity() != b.arity()) return false;
+  for (std::size_t i = 0; i < a.arity(); ++i) {
+    if (!Identical(a.at(i), b.at(i))) return false;
+  }
+  return true;
+}
+
+void ExpectIdentical(const std::vector<Tuple>& actual,
+                     const std::vector<Tuple>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_TRUE(Identical(actual[i], expected[i]))
+        << actual[i].ToString() << " vs " << expected[i].ToString();
+  }
+}
+
+WalRecord GoldenRecord() {
+  WalRecord rec;
+  rec.version = 42;
+  rec.deltas.push_back(WalDelta{
+      "t",
+      {Tuple({Value::Int(kMinInt), Value::Double(0.0), kQuoteAndBackslash}),
+       Tuple({Value::Int(kMaxInt), Value::Double(-0.0), kNewlineTabSpace})},
+      {Tuple({Value::Null(), Value::Double(kDenormMin), kNul})}});
+  rec.deltas.push_back(WalDelta{
+      "u",
+      {Tuple({Value::Double(kMaxDouble), Value::Double(kInf),
+              Value::Double(-kInf)})},
+      {Tuple({Value::Double(kNaN), Value::Null(), Value::String("")})}});
+  return rec;
+}
+
+/// The checkpointed relation's tuples, in the key order SaveDatabase
+/// writes them.
+std::vector<Tuple> GoldenTuples() {
+  return {
+      Tuple({Value::Int(1), Value::Int(kMinInt), Value::Double(0.0),
+             kQuoteAndBackslash}),
+      Tuple({Value::Int(2), Value::Int(kMaxInt), Value::Double(-0.0),
+             kNewlineTabSpace}),
+      Tuple({Value::Int(3), Value::Null(), Value::Double(kDenormMin), kNul}),
+      Tuple({Value::Int(4), Value::Int(0), Value::Double(kMaxDouble),
+             Value::String("")}),
+      Tuple({Value::Int(5), Value::Int(-1), Value::Double(kInf),
+             Value::Null()}),
+      Tuple({Value::Int(6), Value::Int(1), Value::Double(-kInf),
+             Value::String(" ")}),
+      Tuple({Value::Int(7), Value::Int(2), Value::Double(kNaN),
+             Value::String("x")}),
+  };
+}
+
+Database GoldenDatabase() {
+  Database db;
+  EXPECT_TRUE(
+      db.CreateRelation(RelationSchema("e", {Attribute{"x", AttrType::kInt}}))
+          .ok());
+  EXPECT_TRUE(db.CreateRelation(
+                    RelationSchema("t", {Attribute{"k", AttrType::kInt},
+                                         Attribute{"i", AttrType::kInt},
+                                         Attribute{"d", AttrType::kDouble},
+                                         Attribute{"s", AttrType::kString}}))
+                  .ok());
+  Relation* t = *db.FindMutable("t");
+  for (const Tuple& tuple : GoldenTuples()) t->Insert(tuple);
+  for (int i = 0; i < 7; ++i) db.AdvanceTime();
+  return db;
+}
+
+class FormatGoldenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           StrCat("txmod_golden_", ::testing::UnitTest::GetInstance()
+                                       ->current_test_info()
+                                       ->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string Path(const char* name) const { return (dir_ / name).string(); }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  static void WriteFile(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(FormatGoldenTest, WalRecordIsWrittenByteForByte) {
+  const std::string path = Path("wal");
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log, WriteAheadLog::Open(path));
+    TXMOD_ASSERT_OK(log.Append(GoldenRecord()).status());
+  }
+  EXPECT_EQ(ReadFile(path), Bytes(kWalBytes, sizeof(kWalBytes)));
+}
+
+TEST_F(FormatGoldenTest, WalRecordIsReadBackBitExact) {
+  const std::string path = Path("wal");
+  WriteFile(path, Bytes(kWalBytes, sizeof(kWalBytes)));
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                             ReadWal(path, &stats));
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+  ASSERT_EQ(records.size(), 1u);
+  const WalRecord expected = GoldenRecord();
+  EXPECT_EQ(records[0].version, expected.version);
+  EXPECT_EQ(records[0].parts, expected.parts);
+  ASSERT_EQ(records[0].deltas.size(), expected.deltas.size());
+  for (std::size_t d = 0; d < expected.deltas.size(); ++d) {
+    SCOPED_TRACE(expected.deltas[d].relation);
+    EXPECT_EQ(records[0].deltas[d].relation, expected.deltas[d].relation);
+    ExpectIdentical(records[0].deltas[d].plus, expected.deltas[d].plus);
+    ExpectIdentical(records[0].deltas[d].minus, expected.deltas[d].minus);
+  }
+}
+
+TEST_F(FormatGoldenTest, CheckpointIsWrittenByteForByte) {
+  const Database db = GoldenDatabase();
+  std::ostringstream out;
+  TXMOD_ASSERT_OK(SaveDatabase(db, out));
+  EXPECT_EQ(out.str(), Bytes(kCheckpointBytes, sizeof(kCheckpointBytes)));
+  // The crash-safe path renders the same bytes.
+  const std::string path = Path("checkpoint");
+  TXMOD_ASSERT_OK(CheckpointDatabaseToFile(db, path));
+  EXPECT_EQ(ReadFile(path), Bytes(kCheckpointBytes, sizeof(kCheckpointBytes)));
+}
+
+TEST_F(FormatGoldenTest, CheckpointIsReadBackBitExact) {
+  const std::string path = Path("checkpoint");
+  WriteFile(path, Bytes(kCheckpointBytes, sizeof(kCheckpointBytes)));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabaseFromFile(path));
+  EXPECT_EQ(loaded.logical_time(), 7u);
+  EXPECT_EQ(loaded.RelationNames(), (std::vector<std::string>{"e", "t"}));
+  EXPECT_TRUE((*loaded.Find("e"))->empty());
+  const Relation* t = *loaded.Find("t");
+  ASSERT_EQ(t->schema().arity(), 4u);
+  EXPECT_EQ(t->schema().attribute(2).type, AttrType::kDouble);
+  ExpectIdentical(t->SortedTuples(), GoldenTuples());
+}
+
+}  // namespace
+}  // namespace txmod

@@ -1,6 +1,8 @@
+#include <filesystem>
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "src/common/vfs.h"
 #include "src/relational/persist.h"
 #include "tests/test_util.h"
 
@@ -127,6 +129,30 @@ TEST(PersistTest, SaveAndLoadNeverCopyOrUnshareRelationStates) {
   TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded2, LoadDatabase(in2));
   EXPECT_TRUE(loaded2.SameState(db));
   EXPECT_EQ((*loaded2.Find("beer"))->size(), 501u);
+}
+
+TEST(PersistTest, CheckpointRetryAfterFailedFsyncStartsFromANewFile) {
+  // fsyncgate on the temp file: its first fsync fails and drops the
+  // dirty pages, and every later fsync of that file reports success
+  // without persisting anything. A retry that rewrote the same temp file
+  // would rename an empty durable file into place.
+  const std::string dir = ::testing::TempDir() + "/txmod_checkpoint_retry";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/checkpoint";
+  Database db = MakeBeerDatabase();
+  AddBrewery(&db, "heineken", "amsterdam", "nl");
+  AddBeer(&db, "pils", "lager", "heineken", 5.0);
+
+  FaultInjectingVfs vfs;
+  vfs.InjectFault(FaultSpec{VfsOp::kFsync, FaultKind::kFsyncGate, 1, "",
+                            /*sticky=*/false});
+  EXPECT_FALSE(CheckpointDatabaseToFile(db, path, &vfs).ok());
+  TXMOD_ASSERT_OK(CheckpointDatabaseToFile(db, path, &vfs));
+  vfs.SimulateCrash();
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabaseFromFile(path));
+  EXPECT_TRUE(loaded.SameState(db));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PersistTest, TupleTypeMismatchRejected) {

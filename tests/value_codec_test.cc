@@ -1,5 +1,5 @@
-// The text value codec (EncodeValueText / DecodeValueText /
-// SplitEncodedValues) under exhaustive round-trip pressure and hostile
+// The text value codec (AppendValueText / DecodeValueText /
+// DecodeTupleText) under exhaustive round-trip pressure and hostile
 // input: randomized strings with quotes/backslashes/escape-at-the-end,
 // extreme int64 and double values, and the corruption pins for the
 // silent-acceptance bugs (trailing garbage after `i:`/`d:` payloads,
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/str_util.h"
 #include "src/relational/persist.h"
 #include "src/relational/value.h"
 #include "tests/test_util.h"
@@ -32,10 +33,14 @@ void ExpectRoundTrip(const Value& v) {
   } else {
     EXPECT_EQ(decoded, v) << encoded;
   }
-  // The encoding must also survive the line tokenizer intact.
-  const std::vector<std::string> split = SplitEncodedValues(encoded);
-  ASSERT_EQ(split.size(), 1u) << encoded;
-  EXPECT_EQ(split[0], encoded);
+  // The encoding must also survive the line tokenizer intact, alone and
+  // between neighbours.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      const Tuple line, DecodeTupleText(StrCat("i:1 ", encoded, "  null")));
+  ASSERT_EQ(line.arity(), 3u) << encoded;
+  EXPECT_EQ(line.at(0), Value::Int(1));
+  EXPECT_EQ(EncodeValueText(line.at(1)), encoded);
+  EXPECT_TRUE(line.at(2).is_null());
 }
 
 TEST(ValueCodecTest, ExtremeIntsRoundTrip) {
@@ -122,11 +127,28 @@ TEST(ValueCodecTest, TrailingGarbageIsRejected) {
        {std::string("i:12junk"), std::string("i:1 "), std::string("i: 1"),
         std::string("i:"), std::string("i:+"), std::string("i:0x10"),
         std::string("d:1.5junk"), std::string("d:1.5 "), std::string("d:"),
-        std::string("d:.")}) {
+        std::string("d:."),
+        // strtoll/strtod stop at an embedded NUL; the payload's end must
+        // be reached all the same.
+        std::string("i:12\0junk", 9), std::string("d:1.5\0x", 7)}) {
     auto decoded = DecodeValueText(text);
     ASSERT_FALSE(decoded.ok()) << text << " decoded as a value";
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << text;
   }
+  // Inside a string a NUL is data.
+  TXMOD_ASSERT_OK_AND_ASSIGN(const Value nul,
+                             DecodeValueText(std::string("s:\"a\0b\"", 7)));
+  EXPECT_EQ(nul, Value::String(std::string("a\0b", 3)));
+}
+
+// Number payloads are parsed from a 64-byte stack copy; the encoder's
+// longest is 24 bytes, so anything that does not fit is corruption.
+TEST(ValueCodecTest, OverlongNumberPayloadsAreRejected) {
+  const std::string zeros(63, '0');
+  TXMOD_ASSERT_OK_AND_ASSIGN(const Value fits, DecodeValueText("i:" + zeros));
+  EXPECT_EQ(fits, Value::Int(0));
+  EXPECT_FALSE(DecodeValueText("i:0" + zeros).ok());
+  EXPECT_FALSE(DecodeValueText("d:0" + zeros).ok());
 }
 
 TEST(ValueCodecTest, OutOfRangeIntsAreRejectedNotSaturated) {
@@ -174,7 +196,7 @@ TEST(ValueCodecTest, RandomBytesNeverCrashTheDecoder) {
     }
     // Either a value or a clean error; never a crash or a hang.
     (void)DecodeValueText(text);
-    (void)SplitEncodedValues(text);
+    (void)DecodeTupleText(text);
   }
 }
 
