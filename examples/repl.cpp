@@ -288,6 +288,8 @@ class Repl {
               << "wal failures         " << s.wal_failures << "\n"
               << "wal reopens          " << s.wal_reopens << "\n"
               << "writer rejections    " << s.unavailable_rejections << "\n"
+              << "validation records   " << s.validation_records << "\n"
+              << "validation tuples    " << s.validation_tuples << "\n"
               << "degraded             " << (s.degraded ? "yes" : "no");
     if (s.degraded) std::cout << " (" << s.degraded_cause << ")";
     std::cout << "\n"

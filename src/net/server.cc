@@ -465,6 +465,8 @@ Response Server::HandleStats() {
   kv["txn.wal_fsyncs"] = StrCat(txn_stats.wal_fsyncs);
   kv["txn.wal_failures"] = StrCat(txn_stats.wal_failures);
   kv["txn.unavailable_rejections"] = StrCat(txn_stats.unavailable_rejections);
+  kv["txn.validation_records"] = StrCat(txn_stats.validation_records);
+  kv["txn.validation_tuples"] = StrCat(txn_stats.validation_tuples);
   kv["txn.degraded"] = txn_stats.degraded ? "1" : "0";
   kv["server.connections_accepted"] = StrCat(server_stats.connections_accepted);
   kv["server.connections_closed"] = StrCat(server_stats.connections_closed);

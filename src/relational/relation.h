@@ -217,18 +217,6 @@ class Relation {
            base_->Contains(t);
   }
 
-  /// The stored node equal to `t`, or nullptr when not visible. The
-  /// returned pointer is stable while the relation (and its overlay
-  /// chain) lives and is not mutated — unordered_set nodes keep their
-  /// addresses even across container moves, which is what lets the
-  /// transaction manager key its validation index by tuple node.
-  const Tuple* FindTuple(const Tuple& t) const {
-    auto it = own_tuples().find(t);
-    if (it != own_tuples().end()) return &*it;
-    if (base_ == nullptr || minus_->tuples_.count(t) > 0) return nullptr;
-    return base_->FindTuple(t);
-  }
-
   /// Inserts `t`; returns true when the tuple was not visible before.
   /// The tuple must already be schema-checked / coerced by the caller.
   bool Insert(Tuple t);

@@ -82,7 +82,7 @@ TxnSession::~TxnSession() { Finish(); }
 void TxnSession::Finish() {
   if (state_ == State::kFinished) return;
   state_ = State::kFinished;
-  manager_->ReleaseSession();
+  manager_->ReleaseSession(this);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,11 +130,38 @@ std::unique_ptr<TxnSession> TxnManager::Begin() {
   Database snapshot = db_->Clone();
   const uint64_t version = db_->logical_time();
   active_sessions_.fetch_add(1);  // released by TxnSession::Finish
+  ++live_snapshots_[version];     // released by stage B or Finish
   return std::unique_ptr<TxnSession>(
       new TxnSession(this, std::move(snapshot), version));
 }
 
-void TxnManager::ReleaseSession() { active_sessions_.fetch_sub(1); }
+void TxnManager::ReleaseSession(TxnSession* session) {
+  if (session->snapshot_registered_) {
+    // Ended without reaching stage B (Abort, destruction, a failed
+    // Execute).
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    ReleaseSnapshotLocked(session);
+  }
+  active_sessions_.fetch_sub(1);
+}
+
+void TxnManager::ReleaseSnapshotLocked(TxnSession* session) {
+  session->snapshot_registered_ = false;
+  const auto it = live_snapshots_.find(session->snapshot_version_);
+  if (--it->second == 0) live_snapshots_.erase(it);
+  // A record convicts only a session whose snapshot predates it, and
+  // every later session begins at or above the committed version: the
+  // records at or below the oldest live snapshot (all of them when none
+  // is live) can convict nobody.
+  const uint64_t oldest = live_snapshots_.empty()
+                              ? ~uint64_t{0}
+                              : live_snapshots_.begin()->first;
+  const std::size_t before = recent_.size();
+  while (!recent_.empty() && recent_.front().version() <= oldest) {
+    EvictOldestLocked();
+  }
+  if (recent_.size() != before) StoreWindowGaugesLocked();
+}
 
 uint64_t TxnManager::active_sessions() const {
   return active_sessions_.load();
@@ -275,7 +302,7 @@ bool TxnManager::HasConflictLocked(const TxnSession& session,
                                    std::string* reason) {
   const uint64_t snap = session.snapshot_version_;
   if (db_->logical_time() == snap) return false;  // nothing committed since
-  if (recent_.empty() || recent_.front().version > snap + 1) {
+  if (recent_.empty() || recent_.front().version() > snap + 1) {
     // The records needed to validate this snapshot were evicted from the
     // rolling window; fail conservatively (the retry re-executes on a
     // fresh snapshot).
@@ -327,71 +354,105 @@ bool TxnManager::HasConflictLocked(const TxnSession& session,
   return true;
 }
 
-void TxnManager::PublishCommitLocked(const CommitRecord& record) {
-  for (const auto& [rel, writes] : record.writes) {
-    RelWriteIndex& index = write_index_[rel];
-    index.versions.push_back(record.version);
-    for (const Tuple& t : writes) {
-      // Re-key onto THIS record's node: the entry must always name the
+namespace {
+
+std::size_t TupleCount(const WalRecord& record) {
+  std::size_t n = 0;
+  for (const WalDelta& delta : record.deltas) {
+    n += delta.plus.size() + delta.minus.size();
+  }
+  return n;
+}
+
+}  // namespace
+
+void TxnManager::IndexWriters(const WalDelta& delta, uint64_t version,
+                              RelWriteIndex* index) {
+  for (const std::vector<Tuple>* tuples : {&delta.plus, &delta.minus}) {
+    for (const Tuple& t : *tuples) {
+      // Re-key onto THIS record's tuple: the entry must always name the
       // newest writer, and its key must live at least as long as the
       // value's record (eviction erases only entries it still owns).
-      const auto it = index.writers.find(&t);
-      if (it != index.writers.end()) index.writers.erase(it);
-      index.writers.emplace(&t, record.version);
+      const auto it = index->writers.find(&t);
+      if (it != index->writers.end()) index->writers.erase(it);
+      index->writers.emplace(&t, version);
     }
   }
 }
 
-void TxnManager::EvictFromIndexLocked(const CommitRecord& record) {
-  for (const auto& [rel, writes] : record.writes) {
-    const auto found = write_index_.find(rel);
+void TxnManager::PublishCommitLocked(std::shared_ptr<const WalRecord> record) {
+  for (const WalDelta& delta : record->deltas) {
+    RelWriteIndex& index = write_index_[delta.relation];
+    index.versions.push_back(record->version);
+    IndexWriters(delta, record->version, &index);
+  }
+  window_tuples_ += TupleCount(*record);
+  recent_.push_back(CommitRecord{std::move(record)});
+  while (recent_.size() > options_.validation_window) EvictOldestLocked();
+  StoreWindowGaugesLocked();
+}
+
+void TxnManager::EvictOldestLocked() {
+  const CommitRecord& record = recent_.front();
+  for (const WalDelta& delta : record.wal->deltas) {
+    const auto found = write_index_.find(delta.relation);
     if (found == write_index_.end()) continue;
     RelWriteIndex& index = found->second;
-    if (!index.versions.empty() && index.versions.front() == record.version) {
+    if (!index.versions.empty() &&
+        index.versions.front() == record.version()) {
       index.versions.pop_front();
     }
-    for (const Tuple& t : writes) {
-      const auto it = index.writers.find(&t);
-      // A newer record re-keyed entries for tuples it re-wrote; erase
-      // only the ones this record still owns.
-      if (it != index.writers.end() && it->second == record.version) {
-        index.writers.erase(it);
-      }
-    }
-    if (index.versions.empty()) write_index_.erase(found);
-  }
-}
-
-void TxnManager::UnpublishNewestLocked() {
-  const CommitRecord& record = recent_.back();
-  for (const auto& [rel, writes] : record.writes) {
-    const auto found = write_index_.find(rel);
-    if (found == write_index_.end()) continue;
-    RelWriteIndex& index = found->second;
-    if (!index.versions.empty() && index.versions.back() == record.version) {
-      index.versions.pop_back();
-    }
-    for (const Tuple& t : writes) {
-      const auto it = index.writers.find(&t);
-      if (it == index.writers.end() || it->second != record.version) continue;
-      index.writers.erase(it);
-      // Publishing this record re-keyed away any older writer of the
-      // same tuple; restore the most recent one still in the window so
-      // its conflicts are not forgotten.
-      for (auto older = recent_.rbegin() + 1; older != recent_.rend();
-           ++older) {
-        const auto w = older->writes.find(rel);
-        if (w == older->writes.end()) continue;
-        const Tuple* node = w->second.FindTuple(t);
-        if (node != nullptr) {
-          index.writers.emplace(node, older->version);
-          break;
+    for (const std::vector<Tuple>* tuples : {&delta.plus, &delta.minus}) {
+      for (const Tuple& t : *tuples) {
+        const auto it = index.writers.find(&t);
+        // A newer record re-keyed entries for tuples it re-wrote; erase
+        // only the ones this record still owns.
+        if (it != index.writers.end() && it->second == record.version()) {
+          index.writers.erase(it);
         }
       }
     }
     if (index.versions.empty()) write_index_.erase(found);
   }
+  window_tuples_ -= TupleCount(*record.wal);
+  recent_.pop_front();
+}
+
+void TxnManager::UnpublishNewestLocked(uint64_t version) {
+  if (recent_.empty() || recent_.back().version() != version) return;
+  const std::shared_ptr<const WalRecord> record =
+      std::move(recent_.back().wal);
   recent_.pop_back();
+  window_tuples_ -= TupleCount(*record);
+  for (const WalDelta& delta : record->deltas) {
+    const auto found = write_index_.find(delta.relation);
+    if (found == write_index_.end()) continue;
+    RelWriteIndex& index = found->second;
+    if (!index.versions.empty() && index.versions.back() == version) {
+      index.versions.pop_back();
+    }
+    if (index.versions.empty()) {
+      write_index_.erase(found);
+      continue;
+    }
+    // Publishing the record re-keyed away the older writers of its
+    // tuples; rebuild the relation's writers from the records left, so
+    // their conflicts are not forgotten.
+    index.writers.clear();
+    for (const CommitRecord& older : recent_) {
+      for (const WalDelta& written : older.wal->deltas) {
+        if (written.relation == delta.relation) {
+          IndexWriters(written, older.version(), &index);
+        }
+      }
+    }
+  }
+  StoreWindowGaugesLocked();
+}
+
+void TxnManager::StoreWindowGaugesLocked() {
+  stats_.validation_records.store(recent_.size(), std::memory_order_relaxed);
+  stats_.validation_tuples.store(window_tuples_, std::memory_order_relaxed);
 }
 
 void TxnManager::EnterDegradedLocked(const std::string& cause) {
@@ -452,12 +513,12 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   const bool aborted = session->state_ == TxnSession::State::kAborted;
 
   // -- Stage A: collect (no lock) --------------------------------------
-  // Net-delta collection and record assembly read only session-private
-  // state (dplus/dminus are the session's overlay levels), so they run
-  // before the critical section. Relations whose changes netted out
-  // publish nothing — serially equivalent and keeps the WAL dense.
-  WalRecord wal_record;
-  CommitRecord commit_record;
+  // Net-delta collection reads only session-private state (dplus/dminus
+  // are the session's overlay levels), so it runs before the critical
+  // section. Relations whose changes netted out publish nothing —
+  // serially equivalent and keeps the WAL dense. The WAL record is the
+  // write set's only copy: stage B publishes it, stage C encodes it.
+  const auto wal_record = std::make_shared<WalRecord>();
   if (!aborted) {
     const TxnContext& ctx = session->ctx_;
     for (const std::string& name : ctx.TouchedRelations()) {
@@ -465,19 +526,12 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
           *ctx.ResolveUnrecorded(algebra::RelRefKind::kDeltaPlus, name);
       const Relation* minus =
           *ctx.ResolveUnrecorded(algebra::RelRefKind::kDeltaMinus, name);
-      WalDelta delta;
+      WalDelta& delta = wal_record->deltas.emplace_back();
       delta.relation = name;
-      Relation touched(plus->schema_ptr());
-      for (const Tuple& t : *plus) {
-        delta.plus.push_back(t);
-        touched.Insert(t);
-      }
-      for (const Tuple& t : *minus) {
-        delta.minus.push_back(t);
-        touched.Insert(t);
-      }
-      wal_record.deltas.push_back(std::move(delta));
-      commit_record.writes.emplace(name, std::move(touched));
+      delta.plus.reserve(plus->size());
+      for (const Tuple& t : *plus) delta.plus.push_back(t);
+      delta.minus.reserve(minus->size());
+      for (const Tuple& t : *minus) delta.minus.push_back(t);
     }
   }
 
@@ -491,7 +545,11 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     std::string reason;
-    if (HasConflictLocked(*session, &reason)) {
+    const bool conflict = HasConflictLocked(*session, &reason);
+    // Validated: whatever the outcome, the window need not keep records
+    // for this snapshot any more.
+    ReleaseSnapshotLocked(session);
+    if (conflict) {
       stats_.conflicts.fetch_add(1);
       result.committed = false;
       result.conflict = true;
@@ -506,7 +564,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
       return result;
     }
 
-    if (wal_record.deltas.empty()) {
+    if (wal_record->deltas.empty()) {
       // Read-only (or fully netted-out) transaction: nothing to install,
       // no version consumed, no log record — but the reads were
       // validated above, so the outcome is serially consistent.
@@ -532,8 +590,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     }
 
     version = db_->logical_time() + 1;
-    wal_record.version = version;
-    commit_record.version = version;
+    wal_record->version = version;
 
     // Install into the committed master as an overlay level over the
     // master's current state, which stays intact for the unwind. Fast
@@ -545,7 +602,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     // delta, while outstanding snapshots keep reading their pinned state.
     const bool snapshot_is_current =
         session->snapshot_version_ == db_->logical_time();
-    for (const WalDelta& delta : wal_record.deltas) {
+    for (const WalDelta& delta : wal_record->deltas) {
       std::shared_ptr<Relation> adopted =
           snapshot_is_current
               ? session->snapshot_db_.TakeOwnedRelation(delta.relation)
@@ -570,12 +627,9 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     }
     db_->AdvanceTime();
 
-    recent_.push_back(std::move(commit_record));
-    PublishCommitLocked(recent_.back());
-    while (recent_.size() > options_.validation_window) {
-      EvictFromIndexLocked(recent_.front());
-      recent_.pop_front();
-    }
+    // Only a session whose snapshot predates this commit can conflict
+    // with it, and only the live ones registered before it do.
+    if (!live_snapshots_.empty()) PublishCommitLocked(wal_record);
     stats_.commits.fetch_add(1);
     result.committed = true;
     result.commit_version = version;
@@ -594,7 +648,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // per shard.
   if (wal != nullptr) {
     Result<std::vector<ShardedWal::Position>> appended =
-        wal->AppendCommit(wal_record);
+        wal->AppendCommit(*wal_record);
     if (!appended.ok()) {
       return HandleLogFailure(version, &installs, appended.status(),
                               &result);
@@ -633,7 +687,7 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
       for (auto& [name, level] : *installs) {
         db_->DropLevel(name, std::move(level));
       }
-      UnpublishNewestLocked();
+      UnpublishNewestLocked(version);
       db_->RewindTime();
       stats_.commits.fetch_sub(1);
       result->installed = false;
@@ -797,6 +851,8 @@ TxnManagerStats TxnManager::stats() const {
   out.wal_failures = stats_.wal_failures.load();
   out.wal_reopens = stats_.wal_reopens.load();
   out.unavailable_rejections = stats_.unavailable_rejections.load();
+  out.validation_records = stats_.validation_records.load();
+  out.validation_tuples = stats_.validation_tuples.load();
   const std::shared_ptr<const ShardedWal> log = wal();
   if (log != nullptr) out.wal_fsyncs = log->fsync_count();
   out.degraded = degraded_.load(std::memory_order_acquire);

@@ -48,11 +48,14 @@ struct TxnManagerOptions {
   /// consistent committed prefix).
   bool sync_commits = true;
 
-  /// Committed-transaction write records retained for conflict
-  /// validation. A session whose snapshot predates the window is
-  /// conservatively treated as conflicted (it re-executes on a fresh
-  /// snapshot). Must comfortably exceed the number of commits that can
-  /// land during one session's lifetime.
+  /// Cap on the committed-transaction write records retained for
+  /// conflict validation. A record can only convict a session whose
+  /// snapshot predates it, so the window holds the records newer than
+  /// the oldest live snapshot — none while no session overlaps a commit
+  /// — and at most this many. A session whose snapshot predates the
+  /// window is conservatively treated as conflicted (it re-executes on a
+  /// fresh snapshot). Must comfortably exceed the number of commits that
+  /// can land during one session's lifetime.
   std::size_t validation_window = 1024;
 
   /// Storage-and-clock environment every WAL/checkpoint byte and every
@@ -102,8 +105,9 @@ struct TxnManagerOptions {
   std::size_t parallel_check_workers = 0;
 };
 
-/// A snapshot of the manager's life so far: monotonic counters plus the
-/// current degraded-mode state and the process-wide CowStats counters.
+/// A snapshot of the manager's life so far: monotonic counters plus
+/// gauges of the current validation window and degraded-mode state, and
+/// the process-wide CowStats counters.
 struct TxnManagerStats {
   uint64_t commits = 0;            // write-ful + read-only commits
   uint64_t readonly_commits = 0;   // commits that installed nothing
@@ -118,6 +122,11 @@ struct TxnManagerStats {
   uint64_t wal_failures = 0;       // storage faults that degraded the manager
   uint64_t wal_reopens = 0;        // successful TryReopenWal recoveries
   uint64_t unavailable_rejections = 0;  // writers refused while degraded
+
+  /// Current state, not counters: the commit records the validation
+  /// window holds, and the tuples they wrote.
+  uint64_t validation_records = 0;
+  uint64_t validation_tuples = 0;
 
   /// Current state, not counters: read-only degraded mode and why.
   bool degraded = false;
@@ -213,12 +222,16 @@ class TxnSession {
              uint64_t snapshot_version);
 
   /// Idempotent transition to kFinished; releases the manager's
-  /// active-session slot exactly once.
+  /// active-session slot exactly once, and the snapshot registration
+  /// when stage B did not already.
   void Finish();
 
   TxnManager* manager_;
   Database snapshot_db_;
   uint64_t snapshot_version_;
+  /// Begin registered snapshot_version_ with the manager; cleared when
+  /// the registration is released (commit_mu_).
+  bool snapshot_registered_ = true;
   TxnContext ctx_;
   State state_ = State::kActive;
   TxnResult accumulated_;  // stats/counters across Execute calls
@@ -251,13 +264,15 @@ class TxnSession {
 ///
 /// Commit pipeline (three stages; only stage B holds the commit lock):
 ///
-///   A. collect — the session's net differentials and validation
-///      footprint are gathered into the WAL record and commit record
-///      with no lock held (session state is private to its thread);
+///   A. collect — the session's net differentials are copied into the
+///      WAL record with no lock held (session state is private to its
+///      thread); that record is the write set's only copy;
 ///   B. validate → reserve → publish — under commit_mu_: hash-indexed
-///      conflict validation against the rolling window, version
-///      assignment, in-memory install (pointer-swap fast path), and
-///      publication of the write set into the validation index;
+///      conflict validation against the rolling window, release of the
+///      session's snapshot registration, version assignment, in-memory
+///      install (pointer-swap fast path), and — only while another
+///      session is live, the only kind a record can convict — shared
+///      publication of the WAL record into the validation index;
 ///   C. log + ack — outside the lock: the record fans out to the
 ///      sharded WAL, group-commit fsyncs run per shard, and the commit
 ///      is acknowledged only once every version up to its own is
@@ -387,18 +402,19 @@ class TxnManager {
  private:
   friend class TxnSession;
 
-  /// A committed transaction's published write set, kept for validation.
+  /// A published write-ful commit, kept for validation: its WAL record,
+  /// shared with stage C, which encodes it. The record is the write
+  /// set's only copy; validation asks of it only "did version v touch
+  /// tuple t of R?", which its plus and minus tuples answer together.
   struct CommitRecord {
-    uint64_t version = 0;
-    // Net changes per relation (dplus ∪ dminus as one membership set:
-    // validation only asks "did version v touch tuple t of R?").
-    std::map<std::string, Relation> writes;
+    std::shared_ptr<const WalRecord> wal;
+    uint64_t version() const { return wal->version; }
   };
 
   /// Hash/equality over the pointed-to tuple VALUE, so the validation
   /// index can be probed with any tuple's address while its keys are
-  /// nodes inside the window records' Relations (unordered_set nodes
-  /// keep their addresses across container moves and deque growth).
+  /// tuples inside the window records' WalDelta vectors (a shared
+  /// record is immutable, so its tuples never move).
   struct TupleNodeHash {
     std::size_t operator()(const Tuple* t) const { return TupleHasher{}(*t); }
   };
@@ -416,8 +432,8 @@ class TxnManager {
     /// validation asks for the first entry > snapshot (binary search).
     std::deque<uint64_t> versions;
     /// Newest window writer per tuple. Keys point into the OWNING
-    /// CommitRecord's writes Relation — re-keyed onto the newest record
-    /// on publish so an evicted record never leaves a dangling key.
+    /// CommitRecord's WalRecord — re-keyed onto the newest record on
+    /// publish so an evicted record never leaves a dangling key.
     std::unordered_map<const Tuple*, uint64_t, TupleNodeHash, TupleNodeEq>
         writers;
   };
@@ -437,6 +453,9 @@ class TxnManager {
     std::atomic<uint64_t> wal_failures{0};
     std::atomic<uint64_t> wal_reopens{0};
     std::atomic<uint64_t> unavailable_rejections{0};
+    // Gauges of the validation window, stored under commit_mu_.
+    std::atomic<uint64_t> validation_records{0};
+    std::atomic<uint64_t> validation_tuples{0};
   };
 
   TxnManager(core::IntegritySubsystem* subsystem, TxnManagerOptions options)
@@ -452,13 +471,25 @@ class TxnManager {
   /// `reason`.
   bool HasConflictLocked(const TxnSession& session, std::string* reason);
 
-  /// Validation-index maintenance. All require commit_mu_.
-  void PublishCommitLocked(const CommitRecord& record);
-  void EvictFromIndexLocked(const CommitRecord& record);
-  /// Unwinds the newest record (recent_.back()) out of the index —
-  /// re-pointing each tuple entry at the most recent older writer still
-  /// in the window — and pops it from recent_. The WAL-failure unwind.
-  void UnpublishNewestLocked();
+  /// Validation-window maintenance. All require commit_mu_.
+  /// Appends `record` to the window and the index, evicting the oldest
+  /// records beyond options_.validation_window.
+  void PublishCommitLocked(std::shared_ptr<const WalRecord> record);
+  /// Drops recent_.front() from the index and the window.
+  void EvictOldestLocked();
+  /// The WAL-failure unwind of commit `version`: when it is the newest
+  /// published record, pops it and rebuilds the writer maps of the
+  /// relations it wrote from the records left; a commit that was never
+  /// published (or already dropped) leaves nothing to unwind.
+  void UnpublishNewestLocked(uint64_t version);
+  /// Indexes `delta`'s tuples as written by `version`, re-keying older
+  /// writers' entries onto them.
+  static void IndexWriters(const WalDelta& delta, uint64_t version,
+                           RelWriteIndex* index);
+  /// Releases `session`'s snapshot registration and drops the records
+  /// no live snapshot predates any more.
+  void ReleaseSnapshotLocked(TxnSession* session);
+  void StoreWindowGaugesLocked();
 
   /// Contiguous durability horizon: a commit is acknowledged only when
   /// every version up to its own is durable, so out-of-order per-shard
@@ -481,8 +512,9 @@ class TxnManager {
   Status HandleLogFailure(uint64_t version, Installs* installs,
                           const Status& cause, TxnResult* result);
 
-  /// Releases one active-session slot (TxnSession::Finish).
-  void ReleaseSession();
+  /// Releases one active-session slot, and the session's snapshot
+  /// registration when it still holds one (TxnSession::Finish).
+  void ReleaseSession(TxnSession* session);
 
   /// The quiesce guard shared by the rule-definition entry points.
   /// Returns FailedPrecondition while sessions are live; otherwise runs
@@ -519,7 +551,15 @@ class TxnManager {
   /// serialization order). Execution never holds it; stage A and C of
   /// the commit pipeline don't either.
   mutable std::mutex commit_mu_;
-  std::deque<CommitRecord> recent_;  // rolling validation window
+  /// Snapshot version -> live sessions pinned to it: Begin registers, a
+  /// session's stage B or Finish releases. A counted multiset rather
+  /// than an append-only queue: many sessions share a version, and after
+  /// RewindTime a later Begin can pin a lower one. Guarded by commit_mu_.
+  std::map<uint64_t, uint32_t> live_snapshots_;
+  /// The validation window, oldest first: the published records newer
+  /// than the oldest live snapshot, at most options_.validation_window.
+  std::deque<CommitRecord> recent_;
+  uint64_t window_tuples_ = 0;  // tuples recent_'s records wrote
   std::unordered_map<std::string, RelWriteIndex> write_index_;  // commit_mu_
   /// Logical time covered by the latest durable checkpoint; a commit at
   /// or below it must never be unwound (it is durable regardless of its

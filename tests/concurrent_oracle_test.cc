@@ -4,15 +4,19 @@
 // order (the manager's serialization order) — the linearizability-style
 // check for first-committer-wins validation over snapshots. Runs with a
 // live WAL so group commit is exercised under the same concurrency, and
-// verifies the recovered state matches too. The thread counts can be
-// extended via TXMOD_ORACLE_THREADS (the CI stress job sets it high).
+// verifies the recovered state matches too. A straggler variant holds
+// sessions open across other threads' commits, so validation runs against
+// a window that grows behind it. The thread counts can be extended via
+// TXMOD_ORACLE_THREADS (the CI stress job sets it high).
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -266,6 +270,181 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ConcurrentOracleTest,
                          ::testing::ValuesIn(ThreadCounts()),
+                         [](const ::testing::TestParamInfo<int>& param) {
+                           return StrCat(param.param, "threads");
+                         });
+
+// ---------------------------------------------------------------------------
+// Straggler oracle: while the other threads commit through Run, one
+// thread holds each of its sessions open (Begin, Execute, then wait until
+// kStragglerLag more commits have landed, then Commit; a conflict loser
+// retries with a fresh session). The validation window must keep every
+// commit that lands behind a held session and be empty once every session
+// has finished; the straggler's commits join the serial replay.
+// ---------------------------------------------------------------------------
+
+constexpr int kStragglerTxns = 6;
+constexpr uint64_t kStragglerLag = 4;
+constexpr int kStragglerAttempts = 8;
+
+/// Straggler runs take the total thread count: the straggler plus at
+/// least one committer.
+std::vector<int> StragglerThreadCounts() {
+  std::vector<int> counts;
+  for (int n : ThreadCounts()) {
+    if (n >= 2) counts.push_back(n);
+  }
+  return counts;
+}
+
+class StragglerOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(StragglerOracleTest, HeldSessionsKeepTheWindowAndMatchSerialReplay) {
+  const int num_threads = GetParam();
+  const int straggler = num_threads - 1;  // the others are committers
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      StrCat("txmod_straggler_", ::getpid(), "_", num_threads);
+  std::filesystem::create_directories(dir);
+  TxnManagerOptions options;
+  options.wal_path = (dir / "wal.log").string();
+  options.checkpoint_path = (dir / "checkpoint.db").string();
+
+  Database db = MakeInitialDatabase();
+  Database initial = db.Clone();
+  core::IntegritySubsystem ics(&db);
+  DefineConstraints(&ics);
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
+                             TxnManager::Create(&ics, options));
+
+  std::vector<std::vector<WorkItem>> workloads;
+  for (int t = 0; t < num_threads; ++t) {
+    workloads.push_back(MakeThreadWorkload(
+        t, 6007u * static_cast<unsigned>(t + 1) +
+               static_cast<unsigned>(num_threads)));
+  }
+
+  std::vector<std::vector<CommittedTxn>> committed_per_thread(
+      static_cast<std::size_t>(num_threads));
+  std::atomic<int> failures{0};
+  std::atomic<bool> straggler_started{false};
+  std::atomic<int> committers_running{straggler};
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(num_threads));
+  for (int t = 0; t < straggler; ++t) {
+    threads.emplace_back([&, t]() {
+      // Start once the straggler's first session is open, so commits
+      // land behind it.
+      while (!straggler_started.load()) std::this_thread::yield();
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        auto result = manager->Run(workloads[static_cast<std::size_t>(t)]
+                                       [static_cast<std::size_t>(i)]
+                                           .txn);
+        if (!result.ok()) {
+          ++failures;
+          break;
+        }
+        if (result->committed) {
+          committed_per_thread[static_cast<std::size_t>(t)].push_back(
+              CommittedTxn{result->commit_version, result->installed, t, i});
+        }
+      }
+      --committers_running;
+    });
+  }
+
+  uint64_t max_landed = 0;   // commits landed behind one held session
+  int window_shortfalls = 0;  // held sessions whose window missed one
+  threads.emplace_back([&]() {
+    for (int i = 0; i < kStragglerTxns; ++i) {
+      const Transaction& txn =
+          workloads[static_cast<std::size_t>(straggler)]
+                   [static_cast<std::size_t>(i)]
+                       .txn;
+      for (int attempt = 1; attempt <= kStragglerAttempts; ++attempt) {
+        std::unique_ptr<TxnSession> session = manager->Begin();
+        if (!session->Execute(txn).ok()) {
+          ++failures;
+          straggler_started = true;
+          return;
+        }
+        straggler_started = true;
+        const uint64_t snap = session->snapshot_version();
+        while (manager->committed_version() < snap + kStragglerLag &&
+               committers_running.load() > 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        // Every commit since the snapshot stays in the window while the
+        // session is live (the default cap exceeds the whole run).
+        const uint64_t landed = manager->committed_version() - snap;
+        if (manager->stats().validation_records < landed) ++window_shortfalls;
+        max_landed = std::max(max_landed, landed);
+        auto result = session->Commit();
+        if (!result.ok()) {
+          ++failures;
+          return;
+        }
+        if (result->committed) {
+          committed_per_thread[static_cast<std::size_t>(straggler)].push_back(
+              CommittedTxn{result->commit_version, result->installed,
+                           straggler, i});
+        }
+        if (!result->conflict) break;
+      }
+    }
+  });
+  for (std::thread& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0) << "a Run() or Commit() returned an error";
+  EXPECT_EQ(window_shortfalls, 0)
+      << "a commit behind a held session left the validation window";
+  EXPECT_GE(max_landed, 1u) << "no commit landed behind a held session";
+  EXPECT_EQ(manager->stats().validation_records, 0u)
+      << "no session is live, so no record can convict anyone";
+  EXPECT_EQ(manager->stats().validation_tuples, 0u);
+
+  std::vector<CommittedTxn> order;
+  for (const auto& per_thread : committed_per_thread) {
+    order.insert(order.end(), per_thread.begin(), per_thread.end());
+  }
+  std::sort(order.begin(), order.end(),
+            [](const CommittedTxn& a, const CommittedTxn& b) {
+              if (a.commit_version != b.commit_version) {
+                return a.commit_version < b.commit_version;
+              }
+              return a.installed && !b.installed;
+            });
+
+  Database replay_db = initial.Clone();
+  core::IntegritySubsystem replay_ics(&replay_db);
+  DefineConstraints(&replay_ics);
+  for (const CommittedTxn& c : order) {
+    const WorkItem& item = workloads[static_cast<std::size_t>(c.thread_id)]
+                                    [static_cast<std::size_t>(c.txn_index)];
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult replayed,
+                               replay_ics.Execute(item.txn));
+    ASSERT_TRUE(replayed.committed)
+        << "transaction committed concurrently at version "
+        << c.commit_version << " but aborts in serial replay: "
+        << replayed.abort_reason << " (" << item.trace << ", thread "
+        << c.thread_id << ")";
+  }
+  EXPECT_TRUE(db.SameState(replay_db))
+      << "concurrent final state differs from serial replay in commit "
+         "order";
+
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options));
+  EXPECT_TRUE(recovered.SameState(db))
+      << "checkpoint+WAL recovery diverges from the live state";
+  EXPECT_EQ(recovered.logical_time(), db.logical_time());
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, StragglerOracleTest,
+                         ::testing::ValuesIn(StragglerThreadCounts()),
                          [](const ::testing::TestParamInfo<int>& param) {
                            return StrCat(param.param, "threads");
                          });

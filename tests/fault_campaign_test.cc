@@ -547,6 +547,81 @@ TEST_F(FaultCampaignTest, WalFsyncFailureDegradesAndTryReopenWalRecovers) {
   EXPECT_TRUE(recovered.SameState(db, /*compare_time=*/false));
 }
 
+// The WAL-failure unwind with the validation window. A commit is
+// published only while an older session is live; unwinding a published
+// commit must restore the older writers its tuples displaced, and
+// unwinding an unpublished one must leave the window alone.
+TEST_F(FaultCampaignTest, WalFailureUnwindRestoresTheOlderWriter) {
+  FaultInjectingVfs vfs;
+  TxnManagerOptions options;
+  options.wal_path = (dir_ / "wal.log").string();
+  options.checkpoint_path = (dir_ / "ckpt.db").string();
+  options.vfs = &vfs;
+
+  Database db = bench::MakeKeyFkDatabase(8, 20);
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
+  const std::string tuple = "{(600001, \"k1\", 2.0)}";
+
+  auto held = manager->Begin();
+  TXMOD_ASSERT_OK(
+      held->ExecuteText(StrCat("insert(fk_rel, ", tuple, ");")).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult v1, manager->RunText(StrCat("insert(fk_rel, ", tuple, ");")));
+  ASSERT_TRUE(v1.installed);
+  EXPECT_EQ(manager->stats().validation_records, 1u);
+
+  // v2 rewrites the tuple, is published over v1, then fails its fsync.
+  vfs.InjectFault(Spec(VfsOp::kFsync, FaultKind::kEIO, 1, /*sticky=*/true,
+                       "wal"));
+  auto v2 = manager->RunText(StrCat("delete(fk_rel, ", tuple, ");"));
+  ASSERT_FALSE(v2.ok());
+  EXPECT_EQ(v2.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(manager->committed_version(), v1.commit_version)
+      << "the unacknowledged commit must be unwound";
+  EXPECT_EQ(manager->stats().validation_records, 1u);
+  EXPECT_EQ(manager->stats().validation_tuples, 1u);
+
+  // The unwind restored v1 as the tuple's writer.
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_EQ(lost.abort_reason,
+            StrCat("write-write conflict on fk_rel with transaction ",
+                   v1.commit_version));
+  EXPECT_EQ(manager->stats().validation_records, 0u);
+}
+
+TEST_F(FaultCampaignTest, WalFailureUnwindOfAnUnpublishedCommitPopsNothing) {
+  FaultInjectingVfs vfs;
+  TxnManagerOptions options;
+  options.wal_path = (dir_ / "wal.log").string();
+  options.checkpoint_path = (dir_ / "ckpt.db").string();
+  options.vfs = &vfs;
+
+  Database db = bench::MakeKeyFkDatabase(8, 20);
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
+  TXMOD_ASSERT_OK(
+      manager->RunText("insert(fk_rel, {(600001, \"k1\", 2.0)});").status());
+  const Database before_fault = db.Clone();
+  EXPECT_EQ(manager->stats().validation_records, 0u);
+
+  // No other session is live: the failing commit is never published.
+  vfs.InjectFault(Spec(VfsOp::kFsync, FaultKind::kEIO, 1, /*sticky=*/true,
+                       "wal"));
+  auto failing =
+      manager->RunText("delete(fk_rel, {(600001, \"k1\", 2.0)});");
+  ASSERT_FALSE(failing.ok());
+  EXPECT_EQ(failing.status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(db.SameState(before_fault, /*compare_time=*/true))
+      << "the unacknowledged commit must be unwound from memory";
+  EXPECT_EQ(manager->stats().validation_records, 0u);
+  EXPECT_EQ(manager->stats().validation_tuples, 0u);
+}
+
 TEST_F(FaultCampaignTest, AppendFaultDegradesWithoutInstalling) {
   FaultInjectingVfs vfs;
   TxnManagerOptions options;

@@ -2,8 +2,8 @@
 // trips, session-state misuse, the >= 4 concurrent-client oracle (every
 // acked commit survives server shutdown + WAL recovery), deterministic
 // admission-control backpressure via the run-probe seam, oversized-frame
-// rejection, and degraded-mode surfacing. Registered as a threaded test
-// (TSan covers it in CI).
+// rejection, degraded-mode surfacing, and the validation-window gauges
+// in `stats`. Registered as a threaded test (TSan covers it in CI).
 
 #include <unistd.h>
 
@@ -130,6 +130,27 @@ TEST(NetServerTest, FullProtocolRoundTrip) {
   EXPECT_EQ(stats.at("server.commits_acked"), "1");
   EXPECT_EQ(stats.at("txn.degraded"), "0");
   ASSERT_TRUE(stats.count("server.requests"));
+}
+
+TEST(NetServerTest, StatsReportTheValidationWindow) {
+  ServerFixture f;
+  Client holder = f.MustConnect();
+  Client writer = f.MustConnect();
+  TXMOD_ASSERT_OK(writer.Run(InsertFkText(920001, 1, "2.0")).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(const auto quiet, writer.Stats());
+  EXPECT_EQ(quiet.at("txn.validation_records"), "0");
+  EXPECT_EQ(quiet.at("txn.validation_tuples"), "0");
+
+  // A session held open on another connection keeps the commits behind
+  // it, until it ends.
+  TXMOD_ASSERT_OK(holder.Begin().status());
+  TXMOD_ASSERT_OK(writer.Run(InsertFkText(920002, 2, "2.0")).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(const auto held, writer.Stats());
+  EXPECT_EQ(held.at("txn.validation_records"), "1");
+  EXPECT_EQ(held.at("txn.validation_tuples"), "1");
+  TXMOD_ASSERT_OK(holder.Abort());
+  TXMOD_ASSERT_OK_AND_ASSIGN(const auto released, writer.Stats());
+  EXPECT_EQ(released.at("txn.validation_records"), "0");
 }
 
 TEST(NetServerTest, SessionStateMisuseIsFailedPrecondition) {

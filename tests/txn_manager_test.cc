@@ -2,9 +2,9 @@
 // isolation (sessions read the pinned D^t), first-committer-wins
 // validation at both granularities (tuple-level write footprint,
 // relation-level read set), integrity-abort validation, read-only
-// commits, the validation-window fallback, and equivalence with the
-// serial ExecuteTransaction path. The randomized multi-threaded oracle
-// lives in tests/concurrent_oracle_test.cc.
+// commits, the validation-window fallback and retention, and equivalence
+// with the serial ExecuteTransaction path. The randomized multi-threaded
+// oracle lives in tests/concurrent_oracle_test.cc.
 
 #include <algorithm>
 #include <cstdint>
@@ -64,7 +64,7 @@ Database MakeFixtureState() {
   return db;
 }
 
-std::string InsertBeerText(const char* name) {
+std::string InsertBeerText(const std::string& name) {
   return StrCat("insert(beer, {(\"", name, "\", \"ale\", \"guinness\", "
                 "6.0)});");
 }
@@ -360,6 +360,124 @@ TEST(TxnManagerTest, KeyFkWorkloadThroughManagerKeepsIntegrity) {
   TXMOD_ASSERT_OK_AND_ASSIGN(
       TxnResult del, manager->Run(bench::MakeKeyDeleteBatch(3)));
   EXPECT_TRUE(del.committed);
+}
+
+// ---------------------------------------------------------------------------
+// The validation window holds a commit's record only while a session
+// whose snapshot predates it is live, and at most validation_window of
+// them: the validation_records/validation_tuples gauges show it.
+// ---------------------------------------------------------------------------
+
+TEST(TxnManagerWindowTest, SerialCommitsKeepNoRecords) {
+  Fixture f;
+  for (int i = 0; i < 5; ++i) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult r, f.manager->RunText(InsertBeerText(StrCat("s", i))));
+    ASSERT_TRUE(r.committed);
+    const TxnManagerStats stats = f.manager->stats();
+    EXPECT_EQ(stats.validation_records, 0u) << "after commit " << i;
+    EXPECT_EQ(stats.validation_tuples, 0u) << "after commit " << i;
+  }
+}
+
+TEST(TxnManagerWindowTest, HeldSessionKeepsEveryCommitSinceItsSnapshot) {
+  Fixture f;
+  auto held = f.manager->Begin();
+  TXMOD_ASSERT_OK(held->ExecuteText(InsertBeerText("w0")).status());
+  uint64_t first = 0;
+  for (int i = 0; i < 5; ++i) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult r, f.manager->RunText(InsertBeerText(StrCat("w", i))));
+    ASSERT_TRUE(r.committed);
+    if (i == 0) first = r.commit_version;
+    const TxnManagerStats stats = f.manager->stats();
+    EXPECT_EQ(stats.validation_records, static_cast<uint64_t>(i + 1));
+    EXPECT_EQ(stats.validation_tuples, static_cast<uint64_t>(i + 1));
+  }
+  // The first of the held commits wrote the held session's tuple.
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_EQ(lost.abort_reason,
+            StrCat("write-write conflict on beer with transaction ", first));
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult next,
+                             f.manager->RunText(InsertBeerText("after")));
+  ASSERT_TRUE(next.committed);
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+  EXPECT_EQ(f.manager->stats().validation_tuples, 0u);
+}
+
+TEST(TxnManagerWindowTest, HeldSessionWindowStopsAtTheCap) {
+  TxnManagerOptions options;
+  options.validation_window = 3;
+  Fixture f(options);
+  auto held = f.manager->Begin();
+  TXMOD_ASSERT_OK(held->ExecuteText(InsertBeerText("w0")).status());
+  for (int i = 0; i < 5; ++i) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult r, f.manager->RunText(InsertBeerText(StrCat("w", i))));
+    ASSERT_TRUE(r.committed);
+    EXPECT_EQ(f.manager->stats().validation_records,
+              std::min<uint64_t>(static_cast<uint64_t>(i + 1), 3));
+  }
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_NE(lost.abort_reason.find("validation window"), std::string::npos)
+      << lost.abort_reason;
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+}
+
+TEST(TxnManagerWindowTest, OlderSessionEndingDropsRecordsTheYoungerPostdates) {
+  Fixture f;
+  auto older = f.manager->Begin();
+  TXMOD_ASSERT_OK(older->ExecuteText(InsertBeerText("o")).status());
+  for (const char* name : {"c1", "c2"}) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r,
+                               f.manager->RunText(InsertBeerText(name)));
+    ASSERT_TRUE(r.committed);
+  }
+  auto younger = f.manager->Begin();
+  TXMOD_ASSERT_OK(younger->ExecuteText(InsertBeerText("y")).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult c3,
+                             f.manager->RunText(InsertBeerText("c3")));
+  ASSERT_TRUE(c3.committed);
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult c4,
+                             f.manager->RunText(InsertBeerText("y")));
+  ASSERT_TRUE(c4.committed);
+  EXPECT_EQ(f.manager->stats().validation_records, 4u);
+
+  // Only the younger snapshot is live now: c1 and c2 are at or below it.
+  older->Abort();
+  EXPECT_EQ(f.manager->stats().validation_records, 2u);
+  EXPECT_EQ(f.manager->stats().validation_tuples, 2u);
+
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, younger->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_EQ(lost.abort_reason,
+            StrCat("write-write conflict on beer with transaction ",
+                   c4.commit_version));
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+}
+
+TEST(TxnManagerWindowTest, SessionEndedBeforeStageBReleasesItsSnapshot) {
+  Fixture f;
+  auto aborted = f.manager->Begin();
+  TXMOD_ASSERT_OK(aborted->ExecuteText(InsertBeerText("a")).status());
+  TXMOD_ASSERT_OK(f.manager->RunText(InsertBeerText("c1")).status());
+  EXPECT_EQ(f.manager->stats().validation_records, 1u);
+  aborted->Abort();
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+  TXMOD_ASSERT_OK(f.manager->RunText(InsertBeerText("c2")).status());
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+
+  auto dropped = f.manager->Begin();
+  TXMOD_ASSERT_OK(f.manager->RunText(InsertBeerText("c3")).status());
+  EXPECT_EQ(f.manager->stats().validation_records, 1u);
+  dropped.reset();
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+  TXMOD_ASSERT_OK(f.manager->RunText(InsertBeerText("c4")).status());
+  EXPECT_EQ(f.manager->stats().validation_records, 0u);
+  EXPECT_EQ(f.manager->stats().validation_tuples, 0u);
 }
 
 // ---------------------------------------------------------------------------
