@@ -10,8 +10,9 @@
 //  * domain constraint: near-ideal speedup (fragment-local);
 //  * referential constraint with key/foreign-key fragmentation:
 //    node-local checks, speedup close to domain;
-//  * referential with round-robin fragmentation: sub-linear (pays
-//    redistribution), the gap growing with node count.
+//  * referential with round-robin fragmentation: sub-linear (its probes
+//    of key_rel's fragments are charged as a broadcast of the probe
+//    side), the gap growing with node count.
 //
 // BM_ParallelThreadedWallVsSim is the measured counterpart: the same
 // refint workload on the real worker pool, sweeping partitions ×
@@ -101,12 +102,11 @@ void RunParallel(benchmark::State& state, Constraint constraint,
 }
 
 // Join-heavy enforcement: deleting keys triggers the DEL(key_rel) check,
-// whose core is semijoin[l.ref = r.key](fk_rel, dminus(key_rel)) — a real
-// per-fragment join of the 50k-tuple fk side against the deleted-key
-// delta. Unlike the insert-path checks (projection differences answered
-// by set membership), this workload lives or dies by the per-fragment
-// join algorithm, so its *wall-clock* time is the series that records
-// the hash-join-vs-nested-loop difference.
+// whose core is semijoin[l.ref = r.key](fk_rel, dminus(key_rel)) — the
+// 50k-tuple fk side against the deleted-key delta. Each node streams the
+// delta it receives through its own fk fragment's index, so the fk side
+// is never scanned; this series records what that per-fragment join
+// costs.
 void BM_ParallelJoinHeavyDelete(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   const int keys = 5000, fks = 50000, batch = 500;
@@ -152,10 +152,9 @@ void BM_ParallelJoinHeavyDelete(benchmark::State& state) {
 // ParallelStats::measured_us) and total_sim_ms (the POOMA-model
 // makespan for the identical plan) — so the report reads as a direct
 // wall-vs-simulated comparison per configuration. Round-robin placement
-// on purpose: the checks must redistribute, so the wall column includes
-// real traffic through the bounded exchange queues (exchange_batches
-// counts the batches that actually crossed them; key/fk placement
-// would leave it at 0).
+// on purpose: the insert check probes every key_rel fragment in place,
+// so morsels on one node read other nodes' fragment indexes (nothing
+// crosses the exchange queues: exchange_batches stays 0).
 void BM_ParallelThreadedWallVsSim(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));

@@ -573,16 +573,20 @@ class UnionCursor : public TupleCursor {
 /// and is what turns their cost from O(|K|) into O(|dplus(F)|).
 /// Membership is type-exact (set semantics), verified on each candidate;
 /// KeyHash never separates identical values, so no member is missed.
+///
+/// `views` holds R's index view: one for a whole relation, or one per
+/// fragment of a fragmented one that can hold a member, all on the same
+/// attributes. A tuple is a member when some view holds it.
 class IndexedSetOpCursor : public TupleCursor {
  public:
-  IndexedSetOpCursor(Stream left, RelationIndexView view, bool want_in,
-                     EvalStats* stats)
+  IndexedSetOpCursor(Stream left, std::vector<RelationIndexView> views,
+                     bool want_in, EvalStats* stats)
       : left_(std::move(left)),
-        view_(std::move(view)),
+        views_(std::move(views)),
         want_in_(want_in),
         stats_(stats) {
-    probe_attrs_.reserve(view_.attrs().size());
-    for (std::size_t i = 0; i < view_.attrs().size(); ++i) {
+    probe_attrs_.reserve(views_[0].attrs().size());
+    for (std::size_t i = 0; i < views_[0].attrs().size(); ++i) {
       probe_attrs_.push_back(static_cast<int>(i));
     }
   }
@@ -592,23 +596,10 @@ class IndexedSetOpCursor : public TupleCursor {
       TXMOD_ASSIGN_OR_RETURN(const Tuple* t, left_.cursor->Next());
       if (t == nullptr) return t;
       CountScan(stats_, 1);
-      CountProbe(stats_, 1);
       const std::size_t h = EquiKeyHash(*t, probe_attrs_);
       bool found = false;
-      RelationIndexView::Candidates cand = view_.Probe(h);
-      while (const Tuple* c = cand.Next()) {
-        bool equal = true;
-        for (std::size_t i = 0; i < view_.attrs().size(); ++i) {
-          const std::size_t a = static_cast<std::size_t>(view_.attrs()[i]);
-          if (!(c->at(a) == t->at(i))) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) {
-          found = true;
-          break;
-        }
+      for (std::size_t i = 0; i < views_.size() && !found; ++i) {
+        found = Member(views_[i], h, *t);
       }
       if (found == want_in_) {
         CountEmit(stats_, 1);
@@ -618,8 +609,25 @@ class IndexedSetOpCursor : public TupleCursor {
   }
 
  private:
+  bool Member(const RelationIndexView& view, std::size_t h, const Tuple& t) {
+    CountProbe(stats_, 1);
+    RelationIndexView::Candidates cand = view.Probe(h);
+    while (const Tuple* c = cand.Next()) {
+      bool equal = true;
+      for (std::size_t i = 0; i < view.attrs().size(); ++i) {
+        const std::size_t a = static_cast<std::size_t>(view.attrs()[i]);
+        if (!(c->at(a) == t.at(i))) {
+          equal = false;
+          break;
+        }
+      }
+      if (equal) return true;
+    }
+    return false;
+  }
+
   Stream left_;
-  RelationIndexView view_;
+  std::vector<RelationIndexView> views_;
   bool want_in_;
   EvalStats* stats_;
   std::vector<int> probe_attrs_;
@@ -1098,8 +1106,10 @@ class PlanExecutor {
         Stream s;
         s.schema = l.schema;
         s.unique = l.unique;
+        std::vector<RelationIndexView> views;
+        views.push_back(std::move(view));
         s.cursor = std::make_unique<IndexedSetOpCursor>(
-            std::move(l), std::move(view), want_in, stats_);
+            std::move(l), std::move(views), want_in, stats_);
         return s;
       }
       // No declared index after all: generic membership over the
@@ -1561,122 +1571,43 @@ Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats,
   return out;
 }
 
-Result<Relation> ExecuteNodeLocal(const PhysicalNode& n, const Relation& left,
+Result<Relation> ExecuteNodeLocal(const PhysicalNode& n,
+                                  const Relation& input,
                                   const Relation* right, EvalStats* stats,
-                                  const std::vector<Value>* params) {
-  const RelExpr& e = *n.logical;
-  auto scan = [](const Relation& rel) {
-    Stream s;
-    s.schema = rel.schema_ptr();
-    s.unique = true;
-    s.cursor = std::make_unique<ScanCursor>(RelHandle::Borrowed(&rel));
-    return s;
-  };
-  Stream s;
-  switch (n.op) {
-    case PhysOpKind::kSelect: {
-      s.schema = left.schema_ptr();
-      s.cursor = std::make_unique<SelectCursor>(scan(left), &e.predicate(),
-                                                stats, params);
-      break;
-    }
-    case PhysOpKind::kProject: {
-      const std::vector<ProjectionItem>& items = e.projections();
-      std::vector<Attribute> attrs;
-      attrs.reserve(items.size());
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        attrs.push_back(Attribute{ProjectionItemName(items[i], left.schema(), i),
-                                  InferScalarType(items[i].expr,
-                                                  left.schema(), params)});
-      }
-      s.schema = MakeSchema(std::move(attrs));
-      s.cursor = std::make_unique<ProjectCursor>(scan(left), &items, stats,
-                                                 params);
-      break;
-    }
-    case PhysOpKind::kProduct: {
-      if (right == nullptr) return Status::Internal("product needs a right");
-      s.schema = MakeSchema(ConcatAttrs(left.schema(), right->schema()));
-      CountScan(stats, right->size());
-      s.cursor = std::make_unique<ProductCursor>(
-          scan(left), RelHandle::Borrowed(right), left.arity(),
-          right->arity(), stats);
-      break;
-    }
-    case PhysOpKind::kHashJoin:
-    case PhysOpKind::kIndexLookupJoin:
-    case PhysOpKind::kNestedLoopJoin: {
-      if (right == nullptr) return Status::Internal("join needs a right");
-      // Fragment-local inputs carry no declared indexes, so the hash
-      // variant (transient build over the — small — right fragment) is the
-      // local form of both kHashJoin and kIndexLookupJoin.
-      const bool is_join = e.kind() == RelExprKind::kJoin;
-      s.schema = is_join
-                     ? MakeSchema(ConcatAttrs(left.schema(), right->schema()))
-                     : left.schema_ptr();
-      const std::size_t out_arity = s.schema->arity();
-      CountScan(stats, right->size());
-      if (!n.right_keys.empty()) {
-        s.cursor = std::make_unique<HashJoinCursor>(
-            e.kind(), &e.predicate(), scan(left), RelHandle::Borrowed(right),
-            /*view=*/RelationIndexView(), n.left_keys, n.right_keys,
-            out_arity, stats, params);
-      } else {
-        s.cursor = std::make_unique<NestedJoinCursor>(
-            e.kind(), &e.predicate(), scan(left), RelHandle::Borrowed(right),
-            out_arity, stats, params);
-      }
-      break;
-    }
-    case PhysOpKind::kUnion: {
-      if (right == nullptr) return Status::Internal("union needs a right");
-      if (left.arity() != right->arity()) {
-        return Status::InvalidArgument(
-            "set operation over different arities");
-      }
-      s.schema = left.schema_ptr();
-      s.cursor = std::make_unique<UnionCursor>(scan(left), scan(*right),
-                                               stats);
-      break;
-    }
-    case PhysOpKind::kHashSetOp:
-    case PhysOpKind::kIndexSetOp: {
-      if (right == nullptr) return Status::Internal("set op needs a right");
-      if (left.arity() != right->arity()) {
-        return Status::InvalidArgument(
-            "set operation over different arities");
-      }
-      s.schema = left.schema_ptr();
-      CountScan(stats, right->size());
-      s.cursor = std::make_unique<FilterSetOpCursor>(
-          scan(left), RelHandle::Borrowed(right),
-          /*want_in=*/e.kind() == RelExprKind::kIntersect, stats);
-      break;
-    }
-    case PhysOpKind::kScan:
-    case PhysOpKind::kLiteral:
-    case PhysOpKind::kAggregate:
-      return Status::Internal(
-          StrCat(PhysOpKindToString(n.op),
-                 " is not a fragment-local operator"));
+                                  const std::vector<Value>* params,
+                                  const FragmentProbe* probe) {
+  TXMOD_ASSIGN_OR_RETURN(
+      NodeLocalKernel kernel,
+      NodeLocalKernel::Prepare(n, input.schema_ptr(), right, stats, params,
+                               probe));
+  std::vector<const Tuple*> tuples;
+  tuples.reserve(input.size());
+  for (const Tuple& t : input) tuples.push_back(&t);
+  if (n.op == PhysOpKind::kUnion) {
+    for (const Tuple& t : *right) tuples.push_back(&t);
   }
-  return Drain(&s);
+  std::vector<Tuple> rows;
+  TXMOD_RETURN_IF_ERROR(
+      kernel.RunMorsel(tuples.data(), tuples.size(), &rows, stats));
+  Relation out(kernel.output_schema());
+  for (Tuple& t : rows) out.Insert(std::move(t));
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Morsel-granular kernels (NodeLocalKernel): the per-fragment prepared
-// state plus a per-morsel cursor run. The cursor choices mirror
-// ExecuteNodeLocal exactly; only the left stream (a pointer slice instead
-// of a fragment scan) and the hash-join build (shared across morsels
-// instead of per call) differ.
+// state plus a per-morsel cursor run over a pointer slice of the streamed
+// side.
 // ---------------------------------------------------------------------------
 
 struct NodeLocalKernel::State {
   const PhysicalNode* node = nullptr;
-  std::shared_ptr<const RelationSchema> left_schema;
+  std::shared_ptr<const RelationSchema> input_schema;
   std::shared_ptr<const RelationSchema> out_schema;
   const Relation* right = nullptr;
   const std::vector<Value>* params = nullptr;
+  /// Index forms with a probe target: the fragment views they probe.
+  const FragmentProbe* probe = nullptr;
   /// Equality joins: the build-side table, built once in Prepare and
   /// probed read-only by every morsel's cursor.
   RelationIndex::Map table;
@@ -1697,17 +1628,36 @@ const std::shared_ptr<const RelationSchema>& NodeLocalKernel::output_schema()
 
 Result<NodeLocalKernel> NodeLocalKernel::Prepare(
     const PhysicalNode& node,
-    std::shared_ptr<const RelationSchema> left_schema, const Relation* right,
-    EvalStats* stats, const std::vector<Value>* params) {
+    std::shared_ptr<const RelationSchema> input_schema, const Relation* right,
+    EvalStats* stats, const std::vector<Value>* params,
+    const FragmentProbe* probe) {
   auto st = std::make_unique<State>();
   st->node = &node;
-  st->left_schema = std::move(left_schema);
+  st->input_schema = std::move(input_schema);
   st->right = right;
   st->params = params;
   const RelExpr& e = *node.logical;
+  if (probe != nullptr && node.op == PhysOpKind::kIndexLookupJoin) {
+    // The streamed side is the shipped delta; the base side is probed in
+    // place, so nothing is built or scanned up front.
+    st->probe = probe;
+    st->out_schema =
+        e.kind() == RelExprKind::kJoin
+            ? MakeSchema(ConcatAttrs(*probe->schema, *st->input_schema))
+            : probe->schema;
+    return NodeLocalKernel(std::move(st));
+  }
+  if (probe != nullptr && node.op == PhysOpKind::kIndexSetOp) {
+    if (st->input_schema->arity() != node.setop_attrs.size()) {
+      return Status::InvalidArgument("set operation over different arities");
+    }
+    st->probe = probe;
+    st->out_schema = st->input_schema;
+    return NodeLocalKernel(std::move(st));
+  }
   switch (node.op) {
     case PhysOpKind::kSelect:
-      st->out_schema = st->left_schema;
+      st->out_schema = st->input_schema;
       break;
     case PhysOpKind::kProject: {
       const std::vector<ProjectionItem>& items = e.projections();
@@ -1715,8 +1665,8 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
       attrs.reserve(items.size());
       for (std::size_t i = 0; i < items.size(); ++i) {
         attrs.push_back(
-            Attribute{ProjectionItemName(items[i], *st->left_schema, i),
-                      InferScalarType(items[i].expr, *st->left_schema,
+            Attribute{ProjectionItemName(items[i], *st->input_schema, i),
+                      InferScalarType(items[i].expr, *st->input_schema,
                                       params)});
       }
       st->out_schema = MakeSchema(std::move(attrs));
@@ -1725,11 +1675,14 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
     case PhysOpKind::kHashJoin:
     case PhysOpKind::kIndexLookupJoin:
     case PhysOpKind::kNestedLoopJoin: {
+      // Without a probe target, the hash variant (transient build over the
+      // — small — right fragment) is the local form of both kHashJoin and
+      // kIndexLookupJoin.
       if (right == nullptr) return Status::Internal("join needs a right");
       st->out_schema =
           e.kind() == RelExprKind::kJoin
-              ? MakeSchema(ConcatAttrs(*st->left_schema, right->schema()))
-              : st->left_schema;
+              ? MakeSchema(ConcatAttrs(*st->input_schema, right->schema()))
+              : st->input_schema;
       CountScan(stats, right->size());
       if (!node.right_keys.empty()) {
         st->hash_join = true;
@@ -1742,21 +1695,21 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
     }
     case PhysOpKind::kUnion: {
       if (right == nullptr) return Status::Internal("union needs a right");
-      if (st->left_schema->arity() != right->arity()) {
+      if (st->input_schema->arity() != right->arity()) {
         return Status::InvalidArgument(
             "set operation over different arities");
       }
-      st->out_schema = st->left_schema;
+      st->out_schema = st->input_schema;
       break;
     }
     case PhysOpKind::kHashSetOp:
     case PhysOpKind::kIndexSetOp: {
       if (right == nullptr) return Status::Internal("set op needs a right");
-      if (st->left_schema->arity() != right->arity()) {
+      if (st->input_schema->arity() != right->arity()) {
         return Status::InvalidArgument(
             "set operation over different arities");
       }
-      st->out_schema = st->left_schema;
+      st->out_schema = st->input_schema;
       CountScan(stats, right->size());
       break;
     }
@@ -1766,7 +1719,7 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
     case PhysOpKind::kAggregate:
       return Status::Internal(
           StrCat(PhysOpKindToString(node.op),
-                 " has no morsel-granular form"));
+                 " is not a fragment-local operator"));
   }
   return NodeLocalKernel(std::move(st));
 }
@@ -1777,34 +1730,43 @@ Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
   const State& st = *state_;
   const PhysicalNode& n = *st.node;
   const RelExpr& e = *n.logical;
-  Stream left;
-  left.schema = st.left_schema;
-  left.cursor = std::make_unique<VectorScanCursor>(tuples, count);
+  Stream in;
+  in.schema = st.input_schema;
+  in.cursor = std::make_unique<VectorScanCursor>(tuples, count);
+  const bool want_in = e.kind() == RelExprKind::kIntersect;
   Stream s;
   s.schema = st.out_schema;
   switch (n.op) {
     case PhysOpKind::kSelect:
-      s.cursor = std::make_unique<SelectCursor>(std::move(left),
+      s.cursor = std::make_unique<SelectCursor>(std::move(in),
                                                 &e.predicate(), stats,
                                                 st.params);
       break;
     case PhysOpKind::kProject:
-      s.cursor = std::make_unique<ProjectCursor>(std::move(left),
+      s.cursor = std::make_unique<ProjectCursor>(std::move(in),
                                                  &e.projections(), stats,
                                                  st.params);
       break;
-    case PhysOpKind::kHashJoin:
     case PhysOpKind::kIndexLookupJoin:
+      if (st.probe != nullptr) {
+        s.cursor = std::make_unique<IndexLookupJoinCursor>(
+            e.kind(), &e.predicate(), st.probe->views[0], std::move(in),
+            n.right_keys, st.probe->schema->arity(), st.out_schema->arity(),
+            stats, st.params);
+        break;
+      }
+      [[fallthrough]];
+    case PhysOpKind::kHashJoin:
     case PhysOpKind::kNestedLoopJoin:
       if (st.hash_join) {
         s.cursor = std::make_unique<HashJoinCursor>(
-            e.kind(), &e.predicate(), std::move(left),
+            e.kind(), &e.predicate(), std::move(in),
             RelHandle::Borrowed(st.right), /*view=*/RelationIndexView(),
             n.left_keys, n.right_keys, st.out_schema->arity(), stats,
             st.params, &st.table);
       } else {
         s.cursor = std::make_unique<NestedJoinCursor>(
-            e.kind(), &e.predicate(), std::move(left),
+            e.kind(), &e.predicate(), std::move(in),
             RelHandle::Borrowed(st.right), st.out_schema->arity(), stats,
             st.params);
       }
@@ -1815,15 +1777,20 @@ Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
       Stream none;
       none.schema = st.out_schema;
       none.cursor = std::make_unique<EmptyCursor>();
-      s.cursor = std::make_unique<UnionCursor>(std::move(left),
+      s.cursor = std::make_unique<UnionCursor>(std::move(in),
                                                std::move(none), stats);
       break;
     }
-    case PhysOpKind::kHashSetOp:
     case PhysOpKind::kIndexSetOp:
+      if (st.probe != nullptr) {
+        s.cursor = std::make_unique<IndexedSetOpCursor>(
+            std::move(in), st.probe->views, want_in, stats);
+        break;
+      }
+      [[fallthrough]];
+    case PhysOpKind::kHashSetOp:
       s.cursor = std::make_unique<FilterSetOpCursor>(
-          std::move(left), RelHandle::Borrowed(st.right),
-          /*want_in=*/e.kind() == RelExprKind::kIntersect, stats);
+          std::move(in), RelHandle::Borrowed(st.right), want_in, stats);
       break;
     case PhysOpKind::kScan:
     case PhysOpKind::kLiteral:
@@ -1831,7 +1798,7 @@ Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
     case PhysOpKind::kAggregate:
       return Status::Internal(
           StrCat(PhysOpKindToString(n.op),
-                 " has no morsel-granular form"));
+                 " is not a fragment-local operator"));
   }
   for (;;) {
     TXMOD_ASSIGN_OR_RETURN(const Tuple* t, s.cursor->Next());

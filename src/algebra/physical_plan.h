@@ -129,49 +129,80 @@ class PhysicalPlan {
   int num_params_ = 0;
 };
 
+/// The fragment indexes an index form probes where they lie, in place of
+/// a hash table built over a shipped operand — the parallel engine's
+/// fragments declare the indexes the check plans request.
+///
+///  * kIndexLookupJoin: `views` holds one view, on the join's left keys,
+///    of the node's own fragment of the base side (its overlay level when
+///    the transaction wrote it). The kernel streams the delta side — the
+///    plan's right child, shipped to the node — through the serial
+///    engine's IndexLookupJoinCursor, so the base side is never scanned.
+///  * kIndexSetOp: `views` holds a view, on the projected attributes, of
+///    each fragment of the membership relation that can hold a member of
+///    the node's left tuples — its own, or every one. The kernel streams
+///    the left side through the serial engine's IndexedSetOpCursor, which
+///    counts a tuple as a member when some view holds it; the membership
+///    side never moves.
+///
+/// Views are read concurrently by every morsel of a phase (a morsel on one
+/// node may probe other nodes' fragments); nothing may write the fragments
+/// while the phase runs.
+struct FragmentProbe {
+  std::vector<RelationIndexView> views;
+  /// The probed relation's schema: a lookup join's output starts with it.
+  std::shared_ptr<const RelationSchema> schema;
+};
+
 /// Executes the single operator `node` over already-materialized inputs —
-/// the fragment-local kernel of the parallel engine. Children of `node`
-/// are NOT executed; the caller supplies their (per-fragment) results as
-/// `left` and `right` (`right` is null for unary operators). Runs the
-/// same cursor implementations as serial execution; join-like nodes build
-/// a transient hash table over `right` (fragments carry no declared
-/// indexes, so index variants fall back to their hash equivalents).
+/// the fragment-local kernel of the parallel engine: NodeLocalKernel run
+/// as one morsel over all of `input` (and, for a union, `right`).
+/// Children of `node` are NOT executed; the caller supplies their
+/// (per-fragment) results. `input` is the streamed side: the left operand,
+/// or for a kIndexLookupJoin with `probe` its (shipped) right operand.
+/// `right` is the materialized right operand of the hash forms (null for
+/// unary operators and for index forms with `probe`). Without `probe`,
+/// the index forms run as their hash equivalents over `right`.
 /// `params` binds parameter slots of canonical (shape-cached) plans.
-/// Thread-safe for concurrent calls on disjoint outputs: inputs and
-/// params are only read.
+/// Thread-safe for concurrent calls on disjoint outputs: inputs, probe
+/// views and params are only read.
 Result<Relation> ExecuteNodeLocal(const PhysicalNode& node,
-                                  const Relation& left,
+                                  const Relation& input,
                                   const Relation* right,
                                   EvalStats* stats = nullptr,
-                                  const std::vector<Value>* params = nullptr);
+                                  const std::vector<Value>* params = nullptr,
+                                  const FragmentProbe* probe = nullptr);
 
 /// Morsel-granular form of ExecuteNodeLocal for the parallel runtime's
 /// work-stealing phases. Prepare does the once-per-fragment work — output
 /// schema resolution, build-side scan counting, and the transient hash
-/// table over `right` for equality joins — and the returned kernel then
-/// executes fixed-size runs ("morsels") of input-tuple pointers through
-/// the same cursor implementations serial execution runs, so operator
-/// semantics cannot diverge between morsel and whole-fragment execution.
+/// table over `right` for equality joins without a probe target — and the
+/// returned kernel then executes fixed-size runs ("morsels") of
+/// input-tuple pointers through the same cursor implementations serial
+/// execution runs, so operator semantics cannot diverge between morsel and
+/// whole-fragment execution.
 ///
 /// RunMorsel is const and thread-safe for concurrent calls: morsels only
 /// read the prepared state, and each call owns its output buffer and
 /// EvalStats (per-worker counters — no shared counter to contend on or
 /// false-share). Union nodes treat left- and right-side tuples
 /// identically, so callers feed both sides' tuples as morsels; every
-/// other operator morselizes the left (probe) side only, with `right`
-/// borrowed for the whole phase. `node`, `right`, and `params` must
-/// outlive the kernel; the tuples behind the pointers must stay alive and
-/// unmodified until the phase ends.
+/// other operator morselizes its streamed side only (see
+/// ExecuteNodeLocal), with `right` borrowed for the whole phase. `node`,
+/// `right`, `probe` and `params` must outlive the kernel; the tuples
+/// behind the pointers must stay alive and unmodified until the phase
+/// ends.
 class NodeLocalKernel {
  public:
-  /// `left_schema` is the schema of the fragments whose tuples the
+  /// `input_schema` is the schema of the fragments whose tuples the
   /// morsels slice; build-side charges land in `stats` here, exactly
-  /// once per fragment, matching ExecuteNodeLocal's accounting.
+  /// once per fragment.
   static Result<NodeLocalKernel> Prepare(
       const PhysicalNode& node,
-      std::shared_ptr<const RelationSchema> left_schema,
+      std::shared_ptr<const RelationSchema> input_schema,
       const Relation* right, EvalStats* stats,
-      const std::vector<Value>* params = nullptr);
+      const std::vector<Value>* params = nullptr,
+      const FragmentProbe* probe = nullptr);
 
   NodeLocalKernel(NodeLocalKernel&&) noexcept;
   NodeLocalKernel& operator=(NodeLocalKernel&&) noexcept;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/algebra/physical_plan.h"
+#include "src/algebra/schema_infer.h"
 #include "src/common/str_util.h"
 
 namespace txmod::parallel {
@@ -34,13 +35,46 @@ enum class Alignment {
   kCoordinator,  // all tuples on node 0 (literals, aggregate results)
 };
 
-/// A fragmented intermediate result.
+/// A fragmented intermediate result. Its fragments are borrowed where the
+/// data already lies — base fragments, the transaction's overlay levels
+/// and their dplus/dminus, temporaries — and owned only where this result
+/// computed them. Move-only: `frags` may point into `owned`, whose
+/// elements keep their addresses when the vector moves, not when it is
+/// copied.
 struct FragRel {
-  std::vector<Relation> frags;
+  FragRel() = default;
+  FragRel(FragRel&&) = default;
+  FragRel& operator=(FragRel&&) = default;
+  FragRel(const FragRel&) = delete;
+  FragRel& operator=(const FragRel&) = delete;
+
+  /// A result made of `computed`, one fragment per node.
+  static FragRel Owning(std::vector<Relation> computed) {
+    FragRel out;
+    out.owned = std::move(computed);
+    out.frags.reserve(out.owned.size());
+    for (const Relation& f : out.owned) out.frags.push_back(&f);
+    return out;
+  }
+
+  const Relation& frag(std::size_t node) const { return *frags[node]; }
+
+  std::size_t TotalSize() const {
+    std::size_t n = 0;
+    for (const Relation* f : frags) n += f->size();
+    return n;
+  }
+
+  std::vector<const Relation*> frags;  // one per node
+  std::vector<Relation> owned;         // what `frags` computed points into
   Alignment alignment = Alignment::kNone;
   int attr = -1;  // kAttr only
   /// False when tuples are globally duplicate-free under set semantics.
   bool maybe_duplicated = false;
+  /// True when `frags` borrows state a later statement of the transaction
+  /// can change — an overlay level, its dplus/dminus, a temporary — so a
+  /// temporary must not keep it without a copy.
+  bool borrows_mutable = false;
 };
 
 std::shared_ptr<const RelationSchema> MakeSchema(
@@ -101,7 +135,10 @@ class ParallelExecutor::Impl {
     for (const Statement& stmt : txn.program.statements) {
       const Status st = ExecuteStatement(stmt);
       if (st.ok()) continue;
-      Rollback();
+      // The fragments were never written: dropping the levels is the
+      // whole rollback.
+      temps_.clear();
+      levels_.clear();
       if (st.code() == StatusCode::kAborted) {
         result_.committed = false;
         result_.abort_reason = st.message();
@@ -109,31 +146,35 @@ class ParallelExecutor::Impl {
       }
       return st;
     }
+    Commit();
     result_.committed = true;
     return result_;
   }
 
  private:
+  /// A written relation's overlay levels, one slot per node; null where
+  /// the transaction has not written that fragment.
+  using Levels = std::vector<std::unique_ptr<Relation>>;
+
   // --- statement execution -------------------------------------------------
 
   Status ExecuteStatement(const Statement& stmt) {
     switch (stmt.kind) {
       case StatementKind::kAssign: {
         TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
+        if (value.borrows_mutable) value = Materialized(value);
         temps_.insert_or_assign(stmt.target, std::move(value));
         return Status::OK();
       }
       case StatementKind::kInsert:
-        return ExecuteInsert(stmt);
+        return ExecuteWrite(stmt, /*insert=*/true);
       case StatementKind::kDelete:
-        return ExecuteDelete(stmt);
+        return ExecuteWrite(stmt, /*insert=*/false);
       case StatementKind::kUpdate:
         return ExecuteUpdate(stmt);
       case StatementKind::kAlarm: {
         TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
-        std::size_t total = 0;
-        for (const Relation& f : value.frags) total += f.size();
-        if (total == 0) return Status::OK();
+        if (value.TotalSize() == 0) return Status::OK();
         return Status::Aborted(stmt.message.empty()
                                    ? StrCat("alarm raised: ",
                                             stmt.expr->ToString())
@@ -146,81 +187,79 @@ class ParallelExecutor::Impl {
     return Status::Internal("unknown statement kind");
   }
 
-  Status ExecuteInsert(const Statement& stmt) {
+  /// insert/delete: routes every tuple of the value to the fragment that
+  /// owns it (a tuple produced on a different node is a transfer), then
+  /// writes it through that fragment's level. The whole value is routed
+  /// before the first write, since it may borrow the very level written.
+  /// Mutation stays on the coordinator, in statement order, so each
+  /// level's plus/minus stay the net differential of its fragment.
+  Status ExecuteWrite(const Statement& stmt, bool insert) {
     TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
-    TXMOD_ASSIGN_OR_RETURN(FragmentedRelation * target,
-                           db_->FindMutable(stmt.target));
+    TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* target,
+                           db_->Find(stmt.target));
     const RelationSchema& schema = target->fragments[0].schema();
-    // Route every produced tuple to its owning fragment; a tuple produced
-    // on a different node is a transfer. Mutation stays on the
-    // coordinator: the differential bookkeeping below is the transaction's
-    // undo log and must observe one total order of changes.
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
+    std::vector<std::pair<std::size_t, Tuple>> routed;
+    routed.reserve(value.TotalSize());
     for (std::size_t src = 0; src < width_; ++src) {
-      for (const Tuple& raw : value.frags[src]) {
-        TXMOD_RETURN_IF_ERROR(schema.CheckTuple(raw));
+      for (const Tuple& raw : value.frag(src)) {
+        if (insert) TXMOD_RETURN_IF_ERROR(schema.CheckTuple(raw));
         Tuple t = schema.CoerceTuple(raw);
         const std::size_t dst = U(FragmentOf(t, target->scheme, nodes_));
         if (dst != src) ++transferred;
         ++local[src];
-        ApplyInsert(stmt.target, target, dst, std::move(t));
+        routed.emplace_back(dst, std::move(t));
       }
     }
-    result_.stats.AddPhaseTimed("insert", local, transferred,
-                                transferred > 0 ? 1 : 0,
-                                options_.cost_model, Wall(timer));
-    return Status::OK();
-  }
-
-  Status ExecuteDelete(const Statement& stmt) {
-    TXMOD_ASSIGN_OR_RETURN(FragRel value, EvalExpr(*stmt.expr));
-    TXMOD_ASSIGN_OR_RETURN(FragmentedRelation * target,
-                           db_->FindMutable(stmt.target));
-    const RelationSchema& schema = target->fragments[0].schema();
-    const PhaseTimer timer;
-    uint64_t transferred = 0;
-    std::vector<uint64_t> local(width_, 0);
-    for (std::size_t src = 0; src < width_; ++src) {
-      for (const Tuple& raw : value.frags[src]) {
-        const Tuple t = schema.CoerceTuple(raw);
-        const std::size_t dst = U(FragmentOf(t, target->scheme, nodes_));
-        if (dst != src) ++transferred;
-        ++local[src];
-        ApplyDelete(stmt.target, target, dst, t);
+    Levels& levels = LevelsFor(stmt.target);
+    for (auto& [dst, t] : routed) {
+      Relation* level = LevelOn(&levels, *target, dst);
+      if (insert) {
+        level->Insert(std::move(t));
+      } else {
+        level->Erase(t);
       }
     }
-    result_.stats.AddPhaseTimed("delete", local, transferred,
-                                transferred > 0 ? 1 : 0,
+    result_.stats.AddPhaseTimed(insert ? "insert" : "delete", local,
+                                transferred, transferred > 0 ? 1 : 0,
                                 options_.cost_model, Wall(timer));
     return Status::OK();
   }
 
   Status ExecuteUpdate(const Statement& stmt) {
-    TXMOD_ASSIGN_OR_RETURN(FragmentedRelation * target,
-                           db_->FindMutable(stmt.target));
+    TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* target,
+                           db_->Find(stmt.target));
     const RelationSchema& schema = target->fragments[0].schema();
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
+    // Delete-plus-insert semantics, as in the serial engine: select on
+    // every node first, then apply both halves — an updated tuple routed
+    // to another node is not selected a second time there.
+    const std::vector<const Relation*> current =
+        Fragments(RelRefKind::kBase, stmt.target, *target);
+    std::vector<std::vector<Tuple>> selected(width_);
     for (std::size_t node = 0; node < width_; ++node) {
-      std::vector<Tuple> selected;
-      for (const Tuple& t : target->fragments[node]) {
+      for (const Tuple& t : *current[node]) {
         TXMOD_ASSIGN_OR_RETURN(bool match,
                                stmt.predicate.EvalPredicate(&t, nullptr));
-        if (match) selected.push_back(t);
+        if (match) selected[node].push_back(t);
       }
-      local[node] += target->fragments[node].size();
-      for (const Tuple& old_tuple : selected) {
+      local[node] += current[node]->size();
+    }
+    Levels& levels = LevelsFor(stmt.target);
+    for (std::size_t node = 0; node < width_; ++node) {
+      for (const Tuple& old_tuple : selected[node]) {
         TXMOD_ASSIGN_OR_RETURN(Tuple new_tuple, stmt.UpdatedTuple(old_tuple));
         TXMOD_RETURN_IF_ERROR(schema.CheckTuple(new_tuple));
         new_tuple = schema.CoerceTuple(std::move(new_tuple));
-        ApplyDelete(stmt.target, target, node, old_tuple);
+        LevelOn(&levels, *target, node)->Erase(old_tuple);
         const std::size_t dst =
             U(FragmentOf(new_tuple, target->scheme, nodes_));
         if (dst != node) ++transferred;
-        ApplyInsert(stmt.target, target, dst, std::move(new_tuple));
+        LevelOn(&levels, *target, dst)->Insert(std::move(new_tuple));
       }
     }
     result_.stats.AddPhaseTimed("update", local, transferred,
@@ -229,50 +268,89 @@ class ParallelExecutor::Impl {
     return Status::OK();
   }
 
-  // --- differential bookkeeping + rollback ----------------------------------
+  // --- overlay levels: the transaction's differential and undo log ----------
 
-  struct NodeDiff {
-    std::vector<Relation> plus;
-    std::vector<Relation> minus;
-  };
+  Levels& LevelsFor(const std::string& name) {
+    Levels& levels = levels_[name];
+    if (levels.empty()) levels.resize(width_);
+    return levels;
+  }
 
-  NodeDiff& DiffFor(const std::string& rel, const FragmentedRelation& f) {
-    auto it = diffs_.find(rel);
-    if (it == diffs_.end()) {
-      NodeDiff d;
-      for (std::size_t i = 0; i < width_; ++i) {
-        d.plus.emplace_back(f.fragments[0].schema_ptr());
-        d.minus.emplace_back(f.fragments[0].schema_ptr());
+  /// The level the transaction writes `target`'s fragment on `node`
+  /// through, installed over the fragment on first use in O(#declared
+  /// indexes) (Relation::MakeOverlay mirrors them). The fragment stays
+  /// the pre-transaction state, old(R), until Commit absorbs the level.
+  Relation* LevelOn(Levels* levels, const FragmentedRelation& target,
+                    std::size_t node) {
+    std::unique_ptr<Relation>& level = (*levels)[node];
+    if (level == nullptr) {
+      // A non-owning pointer: the fragment outlives the transaction and
+      // nothing writes it while the level is installed.
+      std::shared_ptr<const Relation> fragment(
+          std::shared_ptr<const Relation>(), &target.fragments[node]);
+      level = std::make_unique<Relation>(
+          Relation::MakeOverlay(std::move(fragment)));
+    }
+    return level.get();
+  }
+
+  /// Where the fragments a reference of `kind` reads lie: a written
+  /// fragment's level (kBase) or its own inserts/deletes (dplus/dminus),
+  /// the fragment itself otherwise (and always for old(R)).
+  std::vector<const Relation*> Fragments(RelRefKind kind,
+                                         const std::string& name,
+                                         const FragmentedRelation& base) {
+    auto it = levels_.find(name);
+    const Levels* levels = it != levels_.end() ? &it->second : nullptr;
+    std::vector<const Relation*> out(width_);
+    for (std::size_t i = 0; i < width_; ++i) {
+      const Relation* level = levels != nullptr ? (*levels)[i].get() : nullptr;
+      const Relation* fragment = &base.fragments[i];
+      switch (kind) {
+        case RelRefKind::kBase:
+          out[i] = level != nullptr ? level : fragment;
+          break;
+        case RelRefKind::kOld:
+        case RelRefKind::kTemp:  // temporaries never reach here (EvalRef)
+          out[i] = fragment;
+          break;
+        case RelRefKind::kDeltaPlus:
+          out[i] = level != nullptr ? &level->local_inserts()
+                                    : &EmptyOf(name, base);
+          break;
+        case RelRefKind::kDeltaMinus:
+          out[i] = level != nullptr ? &level->local_deletes()
+                                    : &EmptyOf(name, base);
+          break;
       }
-      it = diffs_.emplace(rel, std::move(d)).first;
+    }
+    return out;
+  }
+
+  /// The differential of a fragment the transaction has not written.
+  const Relation& EmptyOf(const std::string& name,
+                          const FragmentedRelation& base) {
+    auto it = empty_.find(name);
+    if (it == empty_.end()) {
+      it = empty_.emplace(name, Relation(base.fragments[0].schema_ptr()))
+               .first;
     }
     return it->second;
   }
 
-  void ApplyInsert(const std::string& name, FragmentedRelation* rel,
-                   std::size_t node, Tuple t) {
-    if (!rel->fragments[node].Insert(t)) return;
-    NodeDiff& d = DiffFor(name, *rel);
-    if (!d.minus[node].Erase(t)) d.plus[node].Insert(std::move(t));
-  }
-
-  void ApplyDelete(const std::string& name, FragmentedRelation* rel,
-                   std::size_t node, const Tuple& t) {
-    if (!rel->fragments[node].Erase(t)) return;
-    NodeDiff& d = DiffFor(name, *rel);
-    if (!d.plus[node].Erase(t)) d.minus[node].Insert(t);
-  }
-
-  void Rollback() {
-    for (auto& [name, diff] : diffs_) {
-      FragmentedRelation* rel = *db_->FindMutable(name);
+  /// Makes the writes the fragments' state: each fragment absorbs its
+  /// level, O(|delta|), its indexes taking the level's index nodes.
+  void Commit() {
+    temps_.clear();
+    for (auto& [name, levels] : levels_) {
+      FragmentedRelation* target = *db_->FindMutable(name);
       for (std::size_t i = 0; i < width_; ++i) {
-        for (const Tuple& t : diff.plus[i]) rel->fragments[i].Erase(t);
-        for (const Tuple& t : diff.minus[i]) rel->fragments[i].Insert(t);
+        if (levels[i] != nullptr) {
+          target->fragments[i].Absorb(std::move(*levels[i]));
+        }
       }
     }
-    diffs_.clear();
-    temps_.clear();
+    levels_.clear();
   }
 
   // --- expression evaluation -------------------------------------------------
@@ -284,8 +362,8 @@ class ParallelExecutor::Impl {
   /// (alignment, redistribution, broadcast — charged to the cost model),
   /// and the shared fragment-local kernels (algebra::ExecuteNodeLocal /
   /// algebra::NodeLocalKernel) decide *how* a fragment's tuples are
-  /// joined, filtered, and projected. The distribution decisions ride
-  /// with the cached tree: redistribution keys and the
+  /// joined, filtered, probed and projected. The distribution decisions
+  /// ride with the cached tree: redistribution keys and the
   /// partition-vs-broadcast choice are read off the plan nodes'
   /// equality-key metadata, so a cache hit skips re-deriving them as
   /// well.
@@ -348,70 +426,93 @@ class ParallelExecutor::Impl {
     return Alignment::kNone;
   }
 
+  /// A reference borrows the fragments it names; nothing is copied.
   Result<FragRel> EvalRef(const RelExpr& e) {
+    FragRel out;
     if (e.ref_kind() == RelRefKind::kTemp) {
       auto it = temps_.find(e.rel_name());
       if (it == temps_.end()) {
         return Status::NotFound(StrCat("unknown temporary ", e.rel_name()));
       }
-      return it->second;
+      const FragRel& temp = it->second;
+      out.frags = temp.frags;
+      out.alignment = temp.alignment;
+      out.attr = temp.attr;
+      out.maybe_duplicated = temp.maybe_duplicated;
+      out.borrows_mutable = true;  // the temporary may be reassigned
+      return out;
     }
     TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* base,
                            db_->Find(e.rel_name()));
-    FragRel out;
-    switch (e.ref_kind()) {
-      case RelRefKind::kBase:
-        out.frags = base->fragments;  // copy; mutation safety
-        break;
-      case RelRefKind::kTemp:
-        return Status::Internal("temp handled above");
-      case RelRefKind::kDeltaPlus:
-      case RelRefKind::kDeltaMinus: {
-        auto it = diffs_.find(e.rel_name());
-        if (it == diffs_.end()) {
-          for (std::size_t i = 0; i < width_; ++i) {
-            out.frags.emplace_back(base->fragments[0].schema_ptr());
-          }
-        } else {
-          out.frags = e.ref_kind() == RelRefKind::kDeltaPlus
-                          ? it->second.plus
-                          : it->second.minus;
-        }
-        break;
-      }
-      case RelRefKind::kOld: {
-        // (R \ plus) ∪ minus, node-local (diffs are routed to owners).
-        auto it = diffs_.find(e.rel_name());
-        for (std::size_t i = 0; i < width_; ++i) {
-          Relation old_view(base->fragments[0].schema_ptr());
-          for (const Tuple& t : base->fragments[i]) {
-            if (it == diffs_.end() || !it->second.plus[i].Contains(t)) {
-              old_view.Insert(t);
-            }
-          }
-          if (it != diffs_.end()) {
-            for (const Tuple& t : it->second.minus[i]) old_view.Insert(t);
-          }
-          out.frags.push_back(std::move(old_view));
-        }
-        break;
-      }
-    }
+    out.frags = Fragments(e.ref_kind(), e.rel_name(), *base);
     out.alignment = BaseAlignment(*base, &out.attr);
     out.maybe_duplicated = false;
+    out.borrows_mutable = e.ref_kind() != RelRefKind::kOld &&
+                          levels_.count(e.rel_name()) > 0;
     return out;
+  }
+
+  /// `in` with every fragment copied into storage of its own.
+  FragRel Materialized(const FragRel& in) const {
+    std::vector<Relation> copies;
+    copies.reserve(width_);
+    for (const Relation* f : in.frags) {
+      Relation& copy = copies.emplace_back(f->schema_ptr());
+      copy.Reserve(f->size());
+      for (const Tuple& t : *f) copy.Insert(t);
+    }
+    FragRel out = FragRel::Owning(std::move(copies));
+    out.alignment = in.alignment;
+    out.attr = in.attr;
+    out.maybe_duplicated = in.maybe_duplicated;
+    return out;
+  }
+
+  FragRel Empty(const std::shared_ptr<const RelationSchema>& schema) const {
+    return FragRel::Owning(std::vector<Relation>(width_, Relation(schema)));
   }
 
   Result<FragRel> EvalLiteral(const RelExpr& e) {
     TXMOD_ASSIGN_OR_RETURN(
         Relation lit,
         algebra::MaterializeLiteral(e, &result_.eval_stats, cur_params_));
-    FragRel out;
-    for (std::size_t i = 0; i < width_; ++i) {
-      out.frags.emplace_back(lit.schema_ptr());
-    }
-    out.frags[0] = std::move(lit);
+    std::vector<Relation> frags(width_, Relation(lit.schema_ptr()));
+    frags[0] = std::move(lit);
+    FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = Alignment::kCoordinator;
+    return out;
+  }
+
+  /// An empty result with `n`'s schema, resolved without evaluating `n`,
+  /// as the serial engine does: the logical tree's inferred schema, or a
+  /// reference's own (borrowing one reads no tuple). A tree inference
+  /// cannot type is evaluated, as in the serial engine.
+  Result<FragRel> EmptyLike(const PhysicalNode& n) {
+    if (n.op != PhysOpKind::kScan) {
+      Result<RelationSchema> inferred = algebra::InferSchema(
+          *n.logical,
+          [this](RelRefKind kind,
+                 const std::string& name) -> Result<RelationSchema> {
+            if (kind == RelRefKind::kTemp) {
+              auto it = temps_.find(name);
+              if (it == temps_.end()) {
+                return Status::NotFound(StrCat("unknown temporary ", name));
+              }
+              return it->second.frag(0).schema();
+            }
+            TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* base,
+                                   db_->Find(name));
+            return base->fragments[0].schema();
+          });
+      if (inferred.ok()) {
+        return Empty(
+            std::make_shared<const RelationSchema>(*std::move(inferred)));
+      }
+    }
+    TXMOD_ASSIGN_OR_RETURN(FragRel in, Eval(n));
+    FragRel out = Empty(in.frag(0).schema_ptr());
+    out.alignment = in.alignment;
+    out.attr = in.attr;
     return out;
   }
 
@@ -430,6 +531,9 @@ class ParallelExecutor::Impl {
   }
 
   /// One fragment-local operator phase through the shared kernels.
+  /// `in` is the streamed side on every node; `r` the hash forms' right
+  /// side; `probes` (one per node) the fragment indexes the index forms
+  /// probe where they lie.
   ///
   /// Simulate mode runs whole fragments inline (ExecuteNodeLocal).
   /// Threaded mode morselizes: each shard's input tuples are sliced into
@@ -437,46 +541,48 @@ class ParallelExecutor::Impl {
   /// executes them with work stealing, each morsel writing its own output
   /// buffer and EvalStats (merged afterward in deterministic shard/morsel
   /// order). Union nodes feed both sides' tuples as morsels; the other
-  /// operators morselize the left side with the right fragment borrowed
-  /// (hash-join builds happen once per shard in a preparation step).
-  /// Because fragment results are set-semantics Relations, morsel
+  /// operators morselize the streamed side with the right fragment
+  /// borrowed (hash-join builds happen once per shard in a preparation
+  /// step). Because fragment results are set-semantics Relations, morsel
   /// boundaries, worker count, and steal order cannot change the merged
   /// outcome — final states are identical across modes.
-  Result<FragRel> RunKernelPhase(const char* label, const PhysicalNode& n,
-                                 const FragRel& l, const FragRel* r,
-                                 Alignment align, int attr,
-                                 bool maybe_dup) {
-    FragRel out;
-    out.alignment = align;
-    out.attr = attr;
-    out.maybe_duplicated = maybe_dup;
-    out.frags.resize(width_);
+  Result<FragRel> RunKernelPhase(
+      const char* label, const PhysicalNode& n, const FragRel& in,
+      const FragRel* r, const std::vector<algebra::FragmentProbe>* probes,
+      Alignment align, int attr, bool maybe_dup) {
     std::vector<uint64_t> scanned(width_);
     for (std::size_t i = 0; i < width_; ++i) {
-      scanned[i] =
-          l.frags[i].size() + (r != nullptr ? r->frags[i].size() : 0);
+      scanned[i] = in.frag(i).size() + (r != nullptr ? r->frag(i).size() : 0);
     }
+    std::vector<Relation> frags(width_);
     const PhaseTimer timer;
     if (pool_ == nullptr) {
       std::vector<algebra::EvalStats> node_stats(width_);
       for (std::size_t i = 0; i < width_; ++i) {
         TXMOD_ASSIGN_OR_RETURN(
-            out.frags[i],
-            algebra::ExecuteNodeLocal(n, l.frags[i],
-                                      r != nullptr ? &r->frags[i] : nullptr,
-                                      &node_stats[i], cur_params_));
+            frags[i],
+            algebra::ExecuteNodeLocal(
+                n, in.frag(i), r != nullptr ? &r->frag(i) : nullptr,
+                &node_stats[i], cur_params_,
+                probes != nullptr ? &(*probes)[i] : nullptr));
       }
       MergeNodeStats(node_stats);
     } else {
-      TXMOD_RETURN_IF_ERROR(MorselPhase(n, l, r, &out));
+      TXMOD_RETURN_IF_ERROR(MorselPhase(n, in, r, probes, &frags));
     }
     result_.stats.AddPhaseTimed(label, scanned, 0, 0, options_.cost_model,
                                 Wall(timer));
+    FragRel out = FragRel::Owning(std::move(frags));
+    out.alignment = align;
+    out.attr = attr;
+    out.maybe_duplicated = maybe_dup;
     return out;
   }
 
   Status MorselPhase(const PhysicalNode& n, const FragRel& l,
-                     const FragRel* r, FragRel* out) {
+                     const FragRel* r,
+                     const std::vector<algebra::FragmentProbe>* probes,
+                     std::vector<Relation>* out) {
     const std::size_t msize =
         options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
     const bool union_op = n.op == PhysOpKind::kUnion;
@@ -493,11 +599,11 @@ class ParallelExecutor::Impl {
     std::vector<Shard> shards(width_);
     for (std::size_t i = 0; i < width_; ++i) {
       Shard& sh = shards[i];
-      sh.input.reserve(l.frags[i].size() +
-                       (union_op && r != nullptr ? r->frags[i].size() : 0));
-      for (const Tuple& t : l.frags[i]) sh.input.push_back(&t);
+      sh.input.reserve(l.frag(i).size() +
+                       (union_op && r != nullptr ? r->frag(i).size() : 0));
+      for (const Tuple& t : l.frag(i)) sh.input.push_back(&t);
       if (union_op && r != nullptr) {
-        for (const Tuple& t : r->frags[i]) sh.input.push_back(&t);
+        for (const Tuple& t : r->frag(i)) sh.input.push_back(&t);
       }
       sh.morsels = (sh.input.size() + msize - 1) / msize;
       sh.morsel_out.resize(sh.morsels);
@@ -512,13 +618,16 @@ class ParallelExecutor::Impl {
       plan.queues.resize(width_);
       for (std::size_t i = 0; i < width_; ++i) {
         Shard& sh = shards[i];
-        const Relation& left = l.frags[i];
-        const Relation* right = r != nullptr ? &r->frags[i] : nullptr;
+        const Relation& left = l.frag(i);
+        const Relation* right = r != nullptr ? &r->frag(i) : nullptr;
+        const algebra::FragmentProbe* probe =
+            probes != nullptr ? &(*probes)[i] : nullptr;
         const std::vector<Value>* params = cur_params_;
-        plan.queues[i].push_back([&n, &sh, &left, right, params] {
+        plan.queues[i].push_back([&n, &sh, &left, right, probe, params] {
           Result<algebra::NodeLocalKernel> k =
               algebra::NodeLocalKernel::Prepare(n, left.schema_ptr(), right,
-                                                &sh.prep_stats, params);
+                                                &sh.prep_stats, params,
+                                                probe);
           if (k.ok()) {
             sh.kernel.emplace(std::move(k).value());
           } else {
@@ -566,7 +675,7 @@ class ParallelExecutor::Impl {
       plan.queues.resize(width_);
       for (std::size_t i = 0; i < width_; ++i) {
         Shard& sh = shards[i];
-        Relation* dst = &out->frags[i];
+        Relation* dst = &(*out)[i];
         plan.queues[i].push_back([&sh, dst] {
           *dst = Relation(sh.kernel->output_schema());
           for (std::vector<Tuple>& mo : sh.morsel_out) {
@@ -591,26 +700,22 @@ class ParallelExecutor::Impl {
   FragRel ExchangePhase(const char* label, const FragRel& in, RouteFn route,
                         Alignment align, int attr, bool maybe_dup,
                         bool per_pair_messages) {
-    FragRel out;
-    out.frags.assign(width_, Relation(in.frags[0].schema_ptr()));
-    out.alignment = align;
-    out.attr = attr;
-    out.maybe_duplicated = maybe_dup;
+    std::vector<Relation> frags(width_, Relation(in.frag(0).schema_ptr()));
     std::vector<uint64_t> scanned(width_, 0);
-    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frags[i].size();
+    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frag(i).size();
     uint64_t transferred = 0;
     std::vector<std::vector<bool>> pair_used(
         width_, std::vector<bool>(width_, false));
     const PhaseTimer timer;
     if (pool_ == nullptr) {
       for (std::size_t src = 0; src < width_; ++src) {
-        for (const Tuple& t : in.frags[src]) {
+        for (const Tuple& t : in.frag(src)) {
           const std::size_t dst = route(t);
           if (dst != src) {
             ++transferred;
             pair_used[src][dst] = true;
           }
-          out.frags[dst].Insert(t);
+          frags[dst].Insert(t);
         }
       }
     } else {
@@ -628,8 +733,8 @@ class ParallelExecutor::Impl {
       std::vector<std::vector<const Tuple*>> inputs(width_);
       std::vector<Producer> producers;
       for (std::size_t src = 0; src < width_; ++src) {
-        inputs[src].reserve(in.frags[src].size());
-        for (const Tuple& t : in.frags[src]) inputs[src].push_back(&t);
+        inputs[src].reserve(in.frag(src).size());
+        for (const Tuple& t : in.frag(src)) inputs[src].push_back(&t);
         for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
           Producer p;
           p.src = src;
@@ -669,7 +774,7 @@ class ParallelExecutor::Impl {
         });
       }
       for (std::size_t dst = 0; dst < width_; ++dst) {
-        Relation* target = &out.frags[dst];
+        Relation* target = &frags[dst];
         ExchangeQueue* q = queues[dst].get();
         plan.followers.push_back([target, q] {
           std::vector<Tuple> b;
@@ -702,6 +807,10 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed(label, scanned, transferred, messages,
                                 options_.cost_model, Wall(timer));
+    FragRel out = FragRel::Owning(std::move(frags));
+    out.alignment = align;
+    out.attr = attr;
+    out.maybe_duplicated = maybe_dup;
     return out;
   }
 
@@ -732,14 +841,12 @@ class ParallelExecutor::Impl {
   /// without equality conjuncts). Threaded mode pushes each producer
   /// batch into every destination's ExchangeQueue.
   FragRel BroadcastAll(const FragRel& r, std::size_t right_total) {
-    FragRel bc;
-    bc.frags.assign(width_, Relation(r.frags[0].schema_ptr()));
-    bc.alignment = Alignment::kNone;
+    std::vector<Relation> frags(width_, Relation(r.frag(0).schema_ptr()));
     const PhaseTimer timer;
     if (pool_ == nullptr) {
       for (std::size_t i = 0; i < width_; ++i) {
         for (std::size_t src = 0; src < width_; ++src) {
-          for (const Tuple& t : r.frags[src]) bc.frags[i].Insert(t);
+          for (const Tuple& t : r.frag(src)) frags[i].Insert(t);
         }
       }
     } else {
@@ -753,8 +860,8 @@ class ParallelExecutor::Impl {
       std::vector<Producer> producers;
       std::vector<std::size_t> producer_src;
       for (std::size_t src = 0; src < width_; ++src) {
-        inputs[src].reserve(r.frags[src].size());
-        for (const Tuple& t : r.frags[src]) inputs[src].push_back(&t);
+        inputs[src].reserve(r.frag(src).size());
+        for (const Tuple& t : r.frag(src)) inputs[src].push_back(&t);
         for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
           producers.push_back(
               Producer{inputs[src].data() + off,
@@ -786,7 +893,7 @@ class ParallelExecutor::Impl {
         });
       }
       for (std::size_t dst = 0; dst < width_; ++dst) {
-        Relation* target = &bc.frags[dst];
+        Relation* target = &frags[dst];
         ExchangeQueue* q = queues[dst].get();
         plan.followers.push_back([target, q] {
           std::vector<Tuple> b;
@@ -804,7 +911,7 @@ class ParallelExecutor::Impl {
         "broadcast", std::vector<uint64_t>(width_, 0),
         static_cast<uint64_t>(right_total) * (width_ - 1),
         width_ > 1 ? width_ - 1 : 0, options_.cost_model, Wall(timer));
-    return bc;
+    return FragRel::Owning(std::move(frags));
   }
 
   /// Selections and projections run fragment-local through the shared
@@ -842,7 +949,7 @@ class ParallelExecutor::Impl {
       }
     }
     return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, in, nullptr,
-                          align, attr, maybe_dup);
+                          nullptr, align, attr, maybe_dup);
   }
 
   bool SetOpAligned(const FragRel& a, const FragRel& b) const {
@@ -867,8 +974,25 @@ class ParallelExecutor::Impl {
 
   Result<FragRel> EvalSetOp(const PhysicalNode& n) {
     TXMOD_ASSIGN_OR_RETURN(FragRel l, Eval(n.child(0)));
+    if (n.op == PhysOpKind::kIndexSetOp) {
+      if (l.frag(0).arity() != n.setop_attrs.size()) {
+        return Status::InvalidArgument("set operation over different arities");
+      }
+      // As in the serial engine, an empty left side (an untouched
+      // differential) is the result: the membership side is not read.
+      if (l.TotalSize() == 0) return l;
+      if (n.setop_ref_kind != RelRefKind::kTemp) {
+        TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* member,
+                               db_->Find(n.setop_rel));
+        std::vector<RelationIndexView> views;
+        if (IndexViews(Fragments(n.setop_ref_kind, n.setop_rel, *member),
+                       n.setop_attrs, &views)) {
+          return ProbeSetOp(n, std::move(l), *member, views);
+        }
+      }
+    }
     TXMOD_ASSIGN_OR_RETURN(FragRel r, Eval(n.child(1)));
-    if (l.frags[0].arity() != r.frags[0].arity()) {
+    if (l.frag(0).arity() != r.frag(0).arity()) {
       return Status::InvalidArgument("set operation over different arities");
     }
     if (!SetOpAligned(l, r)) {
@@ -876,29 +1000,87 @@ class ParallelExecutor::Impl {
       r = RedistributeWholeTuple(r);
     }
     return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, l, &r,
-                          l.alignment, l.attr, /*maybe_dup=*/false);
+                          nullptr, l.alignment, l.attr, /*maybe_dup=*/false);
+  }
+
+  /// The views of `frags` on the declared index on `attrs`; false when a
+  /// fragment lacks it (dplus/dminus, copies), and the caller falls back
+  /// to shipping operands.
+  static bool IndexViews(const std::vector<const Relation*>& frags,
+                         const std::vector<int>& attrs,
+                         std::vector<RelationIndexView>* views) {
+    for (const Relation* f : frags) {
+      views->push_back(f->FindIndexView(attrs));
+      if (!views->back().valid()) return false;
+    }
+    return true;
+  }
+
+  /// The position in `attrs` of the attribute `f` is hash-partitioned on,
+  /// or -1: under that placement, a tuple matching a probe key can only
+  /// lie on the fragment the key's value at that position hashes to.
+  static int HashedPosition(const FragmentedRelation& f,
+                            const std::vector<int>& attrs) {
+    if (f.scheme.kind != FragmentationKind::kHash) return -1;
+    for (std::size_t i = 0; i < attrs.size(); ++i) {
+      if (attrs[i] == f.scheme.attr) return static_cast<int>(i);
+    }
+    return -1;
+  }
+
+  /// kIndexSetOp where the membership side lies: it never moves, and each
+  /// left tuple probes the fragment indexes in place. Under hash placement
+  /// on a projected attribute, the left side is partitioned on it (if it
+  /// is not already) and each node probes its own fragment; otherwise
+  /// every node probes every fragment, which the cost model charges as
+  /// the broadcast of the left side it stands for.
+  Result<FragRel> ProbeSetOp(const PhysicalNode& n, FragRel l,
+                             const FragmentedRelation& member,
+                             const std::vector<RelationIndexView>& views) {
+    const int owner_pos = HashedPosition(member, n.setop_attrs);
+    std::vector<algebra::FragmentProbe> probes(width_);
+    for (std::size_t i = 0; i < width_; ++i) {
+      probes[i].views = owner_pos >= 0 ? std::vector{views[i]} : views;
+    }
+    if (width_ > 1 && owner_pos < 0) {
+      result_.stats.AddPhaseTimed(
+          "probe-broadcast", std::vector<uint64_t>(width_, 0),
+          static_cast<uint64_t>(l.TotalSize()) * (width_ - 1), width_ - 1,
+          options_.cost_model, 0);
+    } else if (width_ > 1 &&
+               (l.alignment != Alignment::kAttr || l.attr != owner_pos)) {
+      l = RedistributeOnAttr(l, owner_pos);
+    }
+    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, l, nullptr,
+                          &probes, l.alignment, l.attr, l.maybe_duplicated);
   }
 
   Result<FragRel> EvalJoinLike(const PhysicalNode& n) {
     const RelExpr& e = *n.logical;
     TXMOD_ASSIGN_OR_RETURN(FragRel r, Eval(n.child(1)));
-    // Empty right operand: joins and semijoins are empty, an antijoin is
-    // the left side — without scanning it (differential fast path).
-    std::size_t right_total = 0;
-    for (const Relation& f : r.frags) right_total += f.size();
+    // Empty right operand: an antijoin is its left side; a join or
+    // semijoin is empty, with the left side's schema taken without
+    // evaluating it (the differential fast path).
+    const std::size_t right_total = r.TotalSize();
     if (right_total == 0) {
       if (e.kind() == RelExprKind::kAntiJoin) return Eval(n.child(0));
-      TXMOD_ASSIGN_OR_RETURN(FragRel l, Eval(n.child(0)));
-      FragRel out;
-      std::shared_ptr<const RelationSchema> schema =
-          e.kind() == RelExprKind::kJoin
-              ? MakeSchema(
-                    ConcatAttrs(l.frags[0].schema(), r.frags[0].schema()))
-              : l.frags[0].schema_ptr();
-      out.frags.assign(width_, Relation(schema));
+      TXMOD_ASSIGN_OR_RETURN(FragRel l, EmptyLike(n.child(0)));
+      if (e.kind() != RelExprKind::kJoin) return l;
+      FragRel out = Empty(MakeSchema(
+          ConcatAttrs(l.frag(0).schema(), r.frag(0).schema())));
       out.alignment = l.alignment;
       out.attr = l.attr;
       return out;
+    }
+    if (n.op == PhysOpKind::kIndexLookupJoin) {
+      const RelExpr& ref = *e.left();
+      TXMOD_ASSIGN_OR_RETURN(const FragmentedRelation* base,
+                             db_->Find(ref.rel_name()));
+      std::vector<RelationIndexView> views;
+      if (IndexViews(Fragments(ref.ref_kind(), ref.rel_name(), *base),
+                     n.left_keys, &views)) {
+        return LookupJoin(n, *base, std::move(r), views);
+      }
     }
     TXMOD_ASSIGN_OR_RETURN(FragRel l, Eval(n.child(0)));
     if (!n.left_keys.empty()) {
@@ -920,7 +1102,36 @@ class ParallelExecutor::Impl {
     // join (build over the smaller right fragment, probe the left) for
     // equality predicates, nested loops otherwise.
     return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, l, &r,
-                          l.alignment, l.attr, l.maybe_duplicated);
+                          nullptr, l.alignment, l.attr, l.maybe_duplicated);
+  }
+
+  /// kIndexLookupJoin where the base side lies: only the delta side `r`
+  /// moves — to the owner of its key under hash placement on a join key,
+  /// to every node otherwise — and each node streams what it received
+  /// through its own fragment's index (`views`, one per node). The base
+  /// side is never scanned.
+  Result<FragRel> LookupJoin(const PhysicalNode& n,
+                             const FragmentedRelation& base, FragRel r,
+                             const std::vector<RelationIndexView>& views) {
+    const int k = HashedPosition(base, n.left_keys);
+    if (width_ > 1 && k < 0) {
+      r = BroadcastAll(r, r.TotalSize());
+    } else if (width_ > 1 && (r.alignment != Alignment::kAttr ||
+                              r.attr != n.right_keys[U(k)])) {
+      r = RedistributeOnAttr(r, n.right_keys[U(k)]);
+    }
+    std::vector<algebra::FragmentProbe> probes(width_);
+    for (std::size_t i = 0; i < width_; ++i) {
+      probes[i].views.push_back(views[i]);
+      probes[i].schema = base.fragments[0].schema_ptr();
+    }
+    // Each output tuple extends a base tuple of the node's own fragment:
+    // the result keeps the base side's placement and cannot repeat across
+    // nodes.
+    int attr = -1;
+    const Alignment align = BaseAlignment(base, &attr);
+    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, r, nullptr,
+                          &probes, align, attr, /*maybe_dup=*/false);
   }
 
   Result<FragRel> EvalAggregate(const PhysicalNode& n) {
@@ -942,14 +1153,14 @@ class ParallelExecutor::Impl {
     // floating-point sums cannot differ between modes or steal orders.
     std::vector<AggPartial> partials(width_);
     std::vector<uint64_t> scanned(width_);
-    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frags[i].size();
+    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frag(i).size();
     std::vector<algebra::EvalStats> node_stats(width_);
     std::vector<Status> statuses(width_, Status::OK());
     const PhaseTimer timer;
     if (pool_ == nullptr) {
       for (std::size_t i = 0; i < width_; ++i) {
         Result<AggPartial> p =
-            algebra::AggregateLocal(n, in.frags[i], &node_stats[i]);
+            algebra::AggregateLocal(n, in.frag(i), &node_stats[i]);
         if (p.ok()) {
           partials[i] = std::move(p).value();
         } else {
@@ -961,7 +1172,7 @@ class ParallelExecutor::Impl {
       plan.steal_seed = PhaseSeed();
       plan.queues.resize(width_);
       for (std::size_t i = 0; i < width_; ++i) {
-        const Relation* frag = &in.frags[i];
+        const Relation* frag = &in.frag(i);
         AggPartial* partial = &partials[i];
         algebra::EvalStats* stats = &node_stats[i];
         Status* status = &statuses[i];
@@ -996,9 +1207,9 @@ class ParallelExecutor::Impl {
     auto schema = MakeSchema(
         {Attribute{AggFuncToString(e.agg_func()),
                    result.is_double() ? AttrType::kDouble : AttrType::kInt}});
-    FragRel out;
-    out.frags.assign(width_, Relation(schema));
-    out.frags[0].Insert(Tuple({std::move(result)}));
+    std::vector<Relation> frags(width_, Relation(schema));
+    frags[0].Insert(Tuple({std::move(result)}));
+    FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = Alignment::kCoordinator;
     return out;
   }
@@ -1025,7 +1236,12 @@ class ParallelExecutor::Impl {
   /// reference mode); read-only during threaded phases.
   const std::vector<Value>* cur_params_ = nullptr;
   std::map<std::string, FragRel> temps_;
-  std::map<std::string, NodeDiff> diffs_;
+  /// The transaction's writes: per written relation, one overlay level
+  /// per written fragment — dplus/dminus are a level's own inserts and
+  /// deletes, old(R) the fragment underneath.
+  std::map<std::string, Levels> levels_;
+  /// dplus/dminus of relations the transaction has not written.
+  std::map<std::string, Relation> empty_;
 };
 
 ParallelExecutor::ParallelExecutor(ParallelDatabase* db,

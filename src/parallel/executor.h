@@ -77,21 +77,40 @@ struct ParallelTxnResult {
 /// charging — while each fragment's tuples run through the shared
 /// fragment-local operator kernels (algebra::ExecuteNodeLocal and its
 /// morsel-granular form algebra::NodeLocalKernel), so operator semantics
-/// cannot diverge between the two engines:
+/// cannot diverge between the two engines. Data is read where it lies:
+/// intermediate results borrow base fragments, overlay levels, dplus/
+/// dminus and temporaries instead of copying them.
 ///
 ///  * selections/projections run fragment-local;
-///  * equality joins, semijoins, antijoins run fragment-local as *hash
-///    joins* when operand partitioning already co-locates matching tuples
-///    (the paper's fragmentation on key / foreign-key attributes), and
-///    redistribute operands otherwise, with transfers charged to the cost
-///    model; predicates without equality conjuncts broadcast the right
-///    operand and fall back to nested loops;
-///  * set operations run fragment-local by hashed membership after
+///  * the index forms probe the indexes every fragment declares
+///    (ParallelDatabase::Partition): an index-lookup join ships only its
+///    delta side — to the owner of its key under hash placement on a join
+///    key, to every node otherwise — and each node probes its own base
+///    fragment; an indexed set operation never moves its membership side
+///    — each left tuple probes the owning fragment (the left side
+///    partitioned there first if need be) or every fragment, charged to
+///    the cost model as the broadcast it stands for;
+///  * other equality joins, semijoins, antijoins run fragment-local as
+///    *hash joins* when operand partitioning already co-locates matching
+///    tuples (the paper's fragmentation on key / foreign-key attributes),
+///    and redistribute operands otherwise, with transfers charged to the
+///    cost model; predicates without equality conjuncts broadcast the
+///    right operand and fall back to nested loops; a join whose right
+///    (delta) side is empty is empty, its schema taken without evaluating
+///    the other side;
+///  * other set operations run fragment-local by hashed membership after
 ///    whole-tuple alignment;
 ///  * aggregates compute node-local partials (algebra::AggPartial)
 ///    merged at a coordinator;
-///  * updates are routed to the owning fragment; alarm statements abort
+///  * writes are routed to the owning fragment; alarm statements abort
 ///    the whole transaction if any node reports violations.
+///
+/// Atomicity by overlay levels: a transaction writes each fragment
+/// through one overlay level over it (Relation::MakeOverlay), so
+/// dplus/dminus are the level's own inserts and deletes and old(R) is the
+/// fragment underneath, untouched until commit. Commit absorbs each level
+/// into its fragment (Relation::Absorb, O(|delta|), index nodes moved);
+/// abort, or any error, drops the levels.
 ///
 /// In threaded mode (the default on multi-core hosts) each fragment-local
 /// phase is morselized: shard inputs are sliced into fixed-size runs of
@@ -124,7 +143,7 @@ class ParallelExecutor {
   ParallelExecutor(ParallelDatabase* db, ParallelOptions options = {});
 
   /// Runs the transaction with atomicity across fragments: on alarm/abort
-  /// every fragment is restored. The result carries the work statistics:
+  /// no fragment has changed. The result carries the work statistics:
   /// the simulated POOMA makespan plus measured per-phase wall clock.
   Result<ParallelTxnResult> Execute(const algebra::Transaction& txn);
 

@@ -26,12 +26,22 @@ Result<ParallelDatabase> ParallelDatabase::Partition(
                  " out of range for ", rs.name()));
     }
     TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db.Find(rs.name()));
-    frag.fragments.reserve(num_nodes);
-    for (int i = 0; i < num_nodes; ++i) {
-      frag.fragments.emplace_back(rel->schema_ptr());
-    }
+    // Route first, so each fragment is sized exactly before it is filled:
+    // its indexes are declared while it is empty and then grow with it,
+    // without a rehash and without a second pass over the tuples.
+    std::vector<std::vector<const Tuple*>> routed(
+        static_cast<std::size_t>(num_nodes));
     for (const Tuple& t : *rel) {
-      frag.fragments[FragmentOf(t, frag.scheme, num_nodes)].Insert(t);
+      routed[static_cast<std::size_t>(FragmentOf(t, frag.scheme, num_nodes))]
+          .push_back(&t);
+    }
+    const std::vector<std::vector<int>> indexes = rel->DeclaredIndexes();
+    frag.fragments.reserve(routed.size());
+    for (const std::vector<const Tuple*>& tuples : routed) {
+      Relation& f = frag.fragments.emplace_back(rel->schema_ptr());
+      for (const std::vector<int>& attrs : indexes) f.IndexOn(attrs);
+      f.Reserve(tuples.size());
+      for (const Tuple* t : tuples) f.Insert(*t);
     }
     out.relations_.emplace(rs.name(), std::move(frag));
   }

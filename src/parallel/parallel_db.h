@@ -26,10 +26,22 @@ struct FragmentedRelation {
 /// partitioned over `num_nodes` nodes ([7]). Built by partitioning a
 /// serial Database; Merge() reconstructs one for verification against
 /// serial execution.
+///
+/// Move-only: copying a Relation drops its declared indexes, so a copied
+/// ParallelDatabase would silently put every parallel check back on
+/// scans.
 class ParallelDatabase {
  public:
+  ParallelDatabase() = default;
+  ParallelDatabase(const ParallelDatabase&) = delete;
+  ParallelDatabase& operator=(const ParallelDatabase&) = delete;
+  ParallelDatabase(ParallelDatabase&&) = default;
+  ParallelDatabase& operator=(ParallelDatabase&&) = default;
+
   /// Partitions `db`. Relations without an entry in `schemes` default to
-  /// round-robin.
+  /// round-robin. Every fragment declares the indexes its source
+  /// relation declares (the integrity subsystem's check plans request
+  /// them), so the parallel checks probe fragments where they lie.
   static Result<ParallelDatabase> Partition(
       const Database& db,
       const std::map<std::string, FragmentationScheme>& schemes,

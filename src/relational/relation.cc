@@ -214,6 +214,11 @@ RelationIndexView Relation::FindIndexView(
   return view;
 }
 
+void Relation::Reserve(std::size_t n) {
+  own_tuples().reserve(n);
+  for (const auto& index : indexes_) index->map_.reserve(n);
+}
+
 std::vector<std::vector<int>> Relation::DeclaredIndexes() const {
   std::vector<std::vector<int>> out;
   out.reserve(indexes_.size());

@@ -250,6 +250,10 @@ class Relation {
 
   std::size_t index_count() const { return indexes_.size(); }
 
+  /// Pre-sizes a flat state's tuple set and every declared index for `n`
+  /// tuples, so filling it does not rehash them as it grows.
+  void Reserve(std::size_t n);
+
   /// Attribute lists of every declared index, in declaration order. This
   /// is what lets an overlay (MakeOverlay) mirror the declarations of the
   /// base it layers over.

@@ -1,4 +1,5 @@
 #include "gtest/gtest.h"
+#include "bench/workload.h"
 #include "src/common/str_util.h"
 #include "src/algebra/parser.h"
 #include "src/core/subsystem.h"
@@ -274,6 +275,193 @@ TEST(ParallelCostTest, SimulatedMakespanShrinksWithNodes) {
         << nodes << " nodes not faster";
     previous = r.stats.simulated_us();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Work counts: the checks probe indexed fragments where they lie, and a
+// transaction writes through overlay levels that an abort drops.
+// ---------------------------------------------------------------------------
+
+/// The benchmark's key/fk state under both constraints, partitioned
+/// round-robin (no scheme) on `nodes` nodes like parallel_enforce.
+struct KeyFkSetup {
+  KeyFkSetup(int keys, int fks, int unreferenced)
+      : db(bench::MakeKeyFkDatabase(keys, fks)), ics(&db) {
+    bench::AddUnreferencedKeys(&db, unreferenced);
+    EXPECT_TRUE(ics.DefineConstraint("domain", bench::DomainConstraint()).ok());
+    EXPECT_TRUE(ics.DefineConstraint("refint", bench::RefIntConstraint()).ok());
+  }
+
+  Result<ParallelTxnResult> Run(const std::string& text, int nodes) {
+    algebra::AlgebraParser parser(&db.schema());
+    TXMOD_ASSIGN_OR_RETURN(Transaction txn, parser.ParseTransaction(text));
+    TXMOD_ASSIGN_OR_RETURN(Transaction modified, ics.Modify(txn));
+    TXMOD_ASSIGN_OR_RETURN(ParallelDatabase pdb,
+                           ParallelDatabase::Partition(db, {}, nodes));
+    ParallelExecutor exec(&pdb);
+    return exec.Execute(modified);
+  }
+
+  Database db;
+  core::IntegritySubsystem ics;
+};
+
+TEST(ParallelWorkTest, FkInsertProbesAndScansIndependentlyOfFkSize) {
+  // The INS(fk_rel) check probes key_rel's fragment indexes, and its
+  // empty DEL(key_rel) branch reads no fk_rel tuple: the scan count is
+  // the same for a 40x larger fk_rel.
+  std::vector<uint64_t> scanned;
+  for (const int fks : {100, 4000}) {
+    SCOPED_TRACE(StrCat(fks, " fk rows"));
+    KeyFkSetup setup(/*keys=*/50, fks, /*unreferenced=*/0);
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        ParallelTxnResult r,
+        setup.Run("insert(fk_rel, {(9000000, \"k7\", 1.5)});", 4));
+    EXPECT_TRUE(r.committed) << r.abort_reason;
+    EXPECT_GT(r.eval_stats.index_probes, 0u);
+    scanned.push_back(r.eval_stats.tuples_scanned);
+  }
+  EXPECT_EQ(scanned[0], scanned[1]);
+}
+
+TEST(ParallelWorkTest, EmptyDeltaJoinTakesItsSchemaWithoutEvaluating) {
+  // The DEL(brewery) branch of this check joins a selection of beer with
+  // dminus(brewery); on a beer insert dminus is empty, and the selection
+  // must not run over beer (its schema is inferred, as the serial engine
+  // does).
+  std::vector<uint64_t> scanned;
+  for (const int beers : {10, 400}) {
+    SCOPED_TRACE(StrCat(beers, " beers"));
+    Database db = MakeBeerDatabase();
+    AddBrewery(&db, "heineken", "amsterdam", "nl");
+    for (int i = 0; i < beers; ++i) {
+      AddBeer(&db, StrCat("b", i), "lager", "heineken", 4.0 + i % 5);
+    }
+    core::IntegritySubsystem ics(&db);
+    TXMOD_ASSERT_OK(ics.DefineConstraint(
+        "strong",
+        "forall x ((x in beer and x.alcohol > 5) implies exists y "
+        "(y in brewery and x.brewery = y.name))"));
+    algebra::AlgebraParser parser(&db.schema());
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        Transaction txn,
+        parser.ParseTransaction(
+            "insert(beer, {(\"new\", \"ale\", \"heineken\", 6.0)});"));
+    TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
+    TXMOD_ASSERT_OK_AND_ASSIGN(ParallelDatabase pdb,
+                               ParallelDatabase::Partition(db, {}, 4));
+    ParallelExecutor exec(&pdb);
+    TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult r, exec.Execute(modified));
+    EXPECT_TRUE(r.committed) << r.abort_reason;
+    scanned.push_back(r.eval_stats.tuples_scanned);
+  }
+  EXPECT_EQ(scanned[0], scanned[1]);
+}
+
+TEST(ParallelWorkTest, UnreferencedKeyDeleteShipsOnlyTheDelta) {
+  // The deleted keys are selected where they lie, so the only tuples
+  // that move are dminus(key_rel), broadcast to the round-robin fk_rel
+  // fragments for the index lookup; no fk_rel tuple moves.
+  const int nodes = 4;
+  const int deleted = 10;
+  KeyFkSetup setup(/*keys=*/50, /*fks=*/2000, /*unreferenced=*/deleted);
+  std::vector<std::string> keys;
+  for (int i = 0; i < deleted; ++i) {
+    keys.push_back(StrCat("key = \"x", i, "\""));
+  }
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      ParallelTxnResult r,
+      setup.Run(StrCat("delete(key_rel, select[", Join(keys, " or "),
+                       "](key_rel));"),
+                nodes));
+  EXPECT_TRUE(r.committed) << r.abort_reason;
+  EXPECT_GT(r.eval_stats.index_probes, 0u);
+  EXPECT_LE(r.stats.tuples_transferred(),
+            static_cast<uint64_t>(deleted * (nodes - 1)));
+}
+
+/// Every fragment's tuples and declared indexes, for before/after checks.
+struct FragmentSnapshot {
+  std::vector<std::vector<Tuple>> tuples;
+  std::vector<std::vector<std::vector<int>>> indexes;
+  bool operator==(const FragmentSnapshot& o) const {
+    return tuples == o.tuples && indexes == o.indexes;
+  }
+};
+
+FragmentSnapshot Snapshot(const FragmentedRelation& rel) {
+  FragmentSnapshot out;
+  for (const Relation& f : rel.fragments) {
+    out.tuples.push_back(f.SortedTuples());
+    out.indexes.push_back(f.DeclaredIndexes());
+  }
+  return out;
+}
+
+/// Every declared index of every fragment covers exactly its tuples.
+void ExpectIndexesCoherent(const FragmentedRelation& rel) {
+  for (const Relation& f : rel.fragments) {
+    for (const std::vector<int>& attrs : f.DeclaredIndexes()) {
+      const RelationIndex* index = f.FindIndex(attrs);
+      ASSERT_NE(index, nullptr);
+      EXPECT_EQ(index->size(), f.size());
+    }
+  }
+}
+
+TEST_P(ParallelTest, AbortLeavesFragmentsAndIndexesAsTheyWere) {
+  core::IntegritySubsystem ics(&db_);
+  TXMOD_ASSERT_OK(ics.DefineConstraint(
+      "refint",
+      "forall x (x in beer implies exists y (y in brewery and "
+      "x.brewery = y.name))"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(ParallelDatabase pdb,
+                             ParallelDatabase::Partition(db_, {}, GetParam()));
+  std::map<std::string, FragmentSnapshot> before;
+  for (const char* name : {"beer", "brewery"}) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(const FragmentedRelation* rel, pdb.Find(name));
+    TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* source, db_.Find(name));
+    ASSERT_FALSE(source->DeclaredIndexes().empty()) << name;
+    for (const Relation& f : rel->fragments) {
+      EXPECT_EQ(f.DeclaredIndexes(), source->DeclaredIndexes()) << name;
+    }
+    before.emplace(name, Snapshot(*rel));
+  }
+
+  // Writes to both relations, then a dangling reference: refint aborts.
+  ParallelExecutor exec(&pdb);
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Transaction aborting,
+      ics.Modify(ParseTxn(
+          "delete(beer, select[alcohol > 6](beer)); "
+          "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")}); "
+          "insert(beer, {(\"bad\", \"ale\", \"nowhere\", 6.0)});")));
+  TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult aborted,
+                             exec.Execute(aborting));
+  EXPECT_FALSE(aborted.committed);
+  for (const auto& [name, snapshot] : before) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(const FragmentedRelation* rel, pdb.Find(name));
+    EXPECT_TRUE(Snapshot(*rel) == snapshot) << name;
+    ExpectIndexesCoherent(*rel);
+  }
+
+  // A commit absorbs the levels, index nodes included.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Transaction committing,
+      ics.Modify(ParseTxn(
+          "delete(beer, select[alcohol > 6](beer)); "
+          "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")}); "
+          "insert(beer, {(\"pils\", \"lager\", \"plzen\", 4.4)});")));
+  TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult committed,
+                             exec.Execute(committing));
+  EXPECT_TRUE(committed.committed) << committed.abort_reason;
+  for (const auto& [name, snapshot] : before) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(const FragmentedRelation* rel, pdb.Find(name));
+    ExpectIndexesCoherent(*rel);
+  }
+  Database serial = db_.Clone();
+  TXMOD_ASSERT_OK(txn::ExecuteTransaction(committing, &serial).status());
+  EXPECT_TRUE(pdb.Merge().SameState(serial));
 }
 
 }  // namespace

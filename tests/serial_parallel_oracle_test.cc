@@ -1,11 +1,14 @@
 // Differential oracle: the serial transaction executor and the parallel
 // enforcement substrate run the *same* physical operators since the
 // shared-plan refactor, so they must agree — exactly — on commit/abort
-// outcomes and final database states, for every workload, node count, and
-// threading mode. This test drives both engines through the paper's
-// beer/brewery example and through randomized key/fk transactions
+// outcomes and final database states, for every workload, node count,
+// placement and threading mode. This test drives both engines through the
+// paper's beer/brewery example (with a transition constraint on
+// old(brewery)) and through randomized key/fk transactions
 // (bench/workload.h's schema) and asserts equivalence after every
-// transaction.
+// transaction. Under key/foreign-key placement the checks are node-local;
+// under round-robin placement, the benchmark's, index probes cross
+// fragments and lookup joins broadcast their delta side.
 
 #include <random>
 #include <string>
@@ -31,6 +34,9 @@ using txmod::testing::MakeBeerDatabase;
 struct OracleParam {
   int nodes;
   bool use_threads;
+  /// Round-robin placement for every relation instead of hashing on the
+  /// key / foreign-key attributes.
+  bool round_robin = false;
   /// Threaded-mode knobs (ignored when use_threads is false): pool width
   /// (0 = shared pool), steal-order perturbation, and morsel size — tiny
   /// morsels force many work-stealing decisions per phase, so sweeping
@@ -85,11 +91,18 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
       "refint",
       "forall x (x in beer implies exists y (y in brewery and "
       "x.brewery = y.name))"));
+  // Transition constraint: no brewery disappears. Its check reads
+  // old(brewery), the fragments under the transaction's levels.
+  TXMOD_ASSERT_OK(ics.DefineConstraint(
+      "keep_breweries",
+      "forall x (x in old(brewery) implies exists y (y in brewery and "
+      "x = y))"));
 
-  const std::map<std::string, FragmentationScheme> schemes = {
-      {"beer", FragmentationScheme{FragmentationKind::kHash, 2}},
-      {"brewery", FragmentationScheme{FragmentationKind::kHash, 0}},
-  };
+  std::map<std::string, FragmentationScheme> schemes;
+  if (!GetParam().round_robin) {
+    schemes = {{"beer", FragmentationScheme{FragmentationKind::kHash, 2}},
+               {"brewery", FragmentationScheme{FragmentationKind::kHash, 0}}};
+  }
   TXMOD_ASSERT_OK_AND_ASSIGN(
       ParallelDatabase pdb,
       ParallelDatabase::Partition(db, schemes, GetParam().nodes));
@@ -112,6 +125,22 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
       "insert(beer, {(\"norse\", \"ale\", \"newbrew\", 5.5)});",
       // Multi-statement with a temporary.
       "tmp := select[alcohol > 7](beer); delete(beer, tmp);",
+      // An unreferenced brewery: inserting it commits, deleting it
+      // aborts on keep_breweries only, deleting and re-inserting commits.
+      "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});",
+      "delete(brewery, select[name = \"plzen\"](brewery));",
+      "delete(brewery, select[name = \"plzen\"](brewery)); "
+      "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});",
+      // Set membership in a temporary, which declares no index.
+      "t := select[country = \"nl\"](brewery); "
+      "dead := diff(project[brewery](beer), project[name](t)); "
+      "delete(beer, semijoin[l.brewery = r.0](beer, dead));",
+      // A temporary holding a written relation's state, then more writes
+      // to that relation: the temporary keeps its value.
+      "insert(beer, {(\"stout1\", \"stout\", \"guinness\", 7.5)}); "
+      "tmp := beer; delete(beer, select[type = \"stout\"](beer)); "
+      "insert(beer, project[name, type, brewery, alcohol - 1]("
+      "select[alcohol > 7](tmp)));",
   };
   algebra::AlgebraParser parser(&db.schema());
   for (std::size_t i = 0; i < workload.size(); ++i) {
@@ -136,9 +165,11 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
   TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
   TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
 
-  const std::map<std::string, FragmentationScheme> schemes = {
-      {"fk_rel", FragmentationScheme{FragmentationKind::kHash, 1}},
-      {"key_rel", FragmentationScheme{FragmentationKind::kHash, 0}}};
+  std::map<std::string, FragmentationScheme> schemes;
+  if (!GetParam().round_robin) {
+    schemes = {{"fk_rel", FragmentationScheme{FragmentationKind::kHash, 1}},
+               {"key_rel", FragmentationScheme{FragmentationKind::kHash, 0}}};
+  }
   TXMOD_ASSERT_OK_AND_ASSIGN(
       ParallelDatabase pdb,
       ParallelDatabase::Partition(db, schemes, GetParam().nodes));
@@ -323,19 +354,35 @@ INSTANTIATE_TEST_SUITE_P(
                     param_info.param.use_threads ? "threads" : "sequential");
     });
 
+// The placement parallel_enforce runs: round-robin, where probes cross
+// fragments and lookup joins broadcast their delta side.
+INSTANTIATE_TEST_SUITE_P(
+    RoundRobin, OracleTest,
+    ::testing::Values(OracleParam{1, false, true}, OracleParam{2, false, true},
+                      OracleParam{4, false, true}, OracleParam{8, false, true},
+                      OracleParam{2, true, true}, OracleParam{4, true, true},
+                      OracleParam{8, true, true},
+                      OracleParam{4, true, true, 4, 7, 3}),
+    [](const ::testing::TestParamInfo<OracleParam>& param_info) {
+      const OracleParam& p = param_info.param;
+      return StrCat(p.nodes, "nodes_", p.use_threads ? "threads" : "sequential",
+                    p.morsel_tuples < 1024 ? StrCat("_m", p.morsel_tuples)
+                                           : std::string());
+    });
+
 // Threaded determinism sweep: 1/2/4/8 workers × perturbed steal seeds,
 // with tiny morsels so every phase schedules many stealable tasks. Final
 // states must match the serial engine (and hence simulate mode, covered
 // above) for every combination.
 INSTANTIATE_TEST_SUITE_P(
     WorkerAndStealSweep, OracleTest,
-    ::testing::Values(OracleParam{4, true, 1, 1, 3},
-                      OracleParam{4, true, 2, 7, 3},
-                      OracleParam{4, true, 2, 1234567, 3},
-                      OracleParam{4, true, 4, 7, 3},
-                      OracleParam{4, true, 4, 99991, 1},
-                      OracleParam{8, true, 8, 7, 3},
-                      OracleParam{8, true, 8, 424243, 2}),
+    ::testing::Values(OracleParam{4, true, false, 1, 1, 3},
+                      OracleParam{4, true, false, 2, 7, 3},
+                      OracleParam{4, true, false, 2, 1234567, 3},
+                      OracleParam{4, true, false, 4, 7, 3},
+                      OracleParam{4, true, false, 4, 99991, 1},
+                      OracleParam{8, true, false, 8, 7, 3},
+                      OracleParam{8, true, false, 8, 424243, 2}),
     [](const ::testing::TestParamInfo<OracleParam>& param_info) {
       return StrCat(param_info.param.nodes, "nodes_w",
                     param_info.param.workers, "_seed",

@@ -207,24 +207,27 @@ TEST(ExchangeQueueTest, BoundIsSoftUntilConsumerIsLive) {
 // NodeLocalKernel: morselized execution == whole-fragment execution.
 // ---------------------------------------------------------------------------
 
-/// Runs `node` over `left` (and `right`) once via ExecuteNodeLocal and
-/// once morselized through NodeLocalKernel with the given morsel size;
-/// both result sets must be identical.
-void ExpectMorselsMatchWholeFragment(const algebra::PhysicalNode& node,
-                                     const Relation& left,
-                                     const Relation* right,
-                                     std::size_t morsel_tuples) {
+/// Runs `node` over `left` (and `right`, or the fragment indexes of
+/// `probe`) once via ExecuteNodeLocal and once morselized through
+/// NodeLocalKernel with the given morsel size; both result sets must be
+/// identical.
+void ExpectMorselsMatchWholeFragment(
+    const algebra::PhysicalNode& node, const Relation& left,
+    const Relation* right, std::size_t morsel_tuples,
+    const algebra::FragmentProbe* probe = nullptr) {
   SCOPED_TRACE(StrCat("morsel_tuples=", morsel_tuples));
   algebra::EvalStats whole_stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(
       Relation whole,
-      algebra::ExecuteNodeLocal(node, left, right, &whole_stats));
+      algebra::ExecuteNodeLocal(node, left, right, &whole_stats,
+                                /*params=*/nullptr, probe));
 
   algebra::EvalStats kernel_stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(
       algebra::NodeLocalKernel kernel,
       algebra::NodeLocalKernel::Prepare(node, left.schema_ptr(), right,
-                                        &kernel_stats));
+                                        &kernel_stats, /*params=*/nullptr,
+                                        probe));
   std::vector<const Tuple*> input;
   for (const Tuple& t : left) input.push_back(&t);
   Relation merged(kernel.output_schema());
@@ -239,6 +242,20 @@ void ExpectMorselsMatchWholeFragment(const algebra::PhysicalNode& node,
   for (const Tuple& t : whole) {
     EXPECT_TRUE(merged.Contains(t)) << "missing from morselized result";
   }
+  EXPECT_EQ(kernel_stats.index_probes, whole_stats.index_probes);
+}
+
+/// `rel` dealt round-robin into `n` fragments, each indexed on `attrs`.
+std::vector<Relation> IndexedFragments(const Relation& rel, std::size_t n,
+                                       const std::vector<int>& attrs) {
+  std::vector<Relation> frags;
+  frags.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    frags.emplace_back(rel.schema_ptr()).IndexOn(attrs);
+  }
+  std::size_t i = 0;
+  for (const Tuple& t : rel) frags[i++ % n].Insert(t);
+  return frags;
 }
 
 class NodeLocalKernelTest : public ::testing::Test {
@@ -300,6 +317,80 @@ TEST_F(NodeLocalKernelTest, HashJoinBuildsOncePerFragment) {
   ASSERT_NE(n, nullptr);
   ASSERT_FALSE(n->right_keys.empty()) << "expected an equality join";
   ExpectMorselsMatchWholeFragment(*n, Rel("beer"), &Rel("brewery"), 5);
+}
+
+TEST_F(NodeLocalKernelTest, IndexedSetOpProbesEveryFragmentInPlace) {
+  const algebra::PhysicalNode* n =
+      Root("diff(project[brewery](beer), project[name](brewery))");
+  ASSERT_NE(n, nullptr);
+  ASSERT_EQ(n->op, algebra::PhysOpKind::kIndexSetOp);
+  AddBrewery(&db_, "plzen", "pilsen", "cz");  // unreferenced
+  AddBeer(&db_, "stray", "ale", "nowhere", 5.0);  // dangling
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation left, algebra::ExecuteNodeLocal(n->child(0), Rel("beer"),
+                                               nullptr));
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation members,
+      algebra::ExecuteNodeLocal(n->child(1), Rel("brewery"), nullptr));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation expected,
+                             algebra::ExecuteNodeLocal(*n, left, &members));
+  ASSERT_EQ(expected.size(), 1u);  // nowhere
+
+  const std::vector<Relation> frags =
+      IndexedFragments(Rel("brewery"), 3, n->setop_attrs);
+  algebra::FragmentProbe probe;
+  for (const Relation& f : frags) {
+    probe.views.push_back(f.FindIndexView(n->setop_attrs));
+  }
+  probe.schema = Rel("brewery").schema_ptr();
+  algebra::EvalStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation probed,
+      algebra::ExecuteNodeLocal(*n, left, nullptr, &stats, nullptr, &probe));
+  EXPECT_TRUE(probed.SameTuples(expected));
+  EXPECT_EQ(stats.tuples_scanned, left.size());  // brewery is not scanned
+  EXPECT_GE(stats.index_probes, left.size());
+  for (std::size_t m : {1u, 2u, 100u}) {
+    ExpectMorselsMatchWholeFragment(*n, left, nullptr, m, &probe);
+  }
+}
+
+TEST_F(NodeLocalKernelTest, IndexLookupJoinStreamsTheDeltaThroughAFragment) {
+  const algebra::PhysicalNode* n = Root(
+      "semijoin[l.brewery = r.0](beer, {(\"heineken\"), (\"nowhere\")})");
+  ASSERT_NE(n, nullptr);
+  ASSERT_EQ(n->op, algebra::PhysOpKind::kIndexLookupJoin);
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation delta,
+                             algebra::MaterializeLiteral(*n->child(1).logical));
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation expected, algebra::ExecuteNodeLocal(*n, Rel("beer"), &delta));
+  ASSERT_FALSE(expected.empty());
+
+  // Each fragment streams the (broadcast) delta through its own index;
+  // together they find every match, and no beer tuple is scanned.
+  const std::vector<Relation> frags =
+      IndexedFragments(Rel("beer"), 3, n->left_keys);
+  Relation found(expected.schema_ptr());
+  for (const Relation& f : frags) {
+    algebra::FragmentProbe probe;
+    probe.views.push_back(f.FindIndexView(n->left_keys));
+    probe.schema = f.schema_ptr();
+    algebra::EvalStats stats;
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        Relation part,
+        algebra::ExecuteNodeLocal(*n, delta, nullptr, &stats, nullptr,
+                                  &probe));
+    EXPECT_EQ(stats.tuples_scanned, delta.size());
+    EXPECT_EQ(stats.index_probes, delta.size());
+    for (const Tuple& t : part) {
+      EXPECT_TRUE(f.Contains(t));
+      found.Insert(t);
+    }
+    for (std::size_t m : {1u, 5u}) {
+      ExpectMorselsMatchWholeFragment(*n, delta, nullptr, m, &probe);
+    }
+  }
+  EXPECT_TRUE(found.SameTuples(expected));
 }
 
 }  // namespace
