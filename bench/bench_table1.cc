@@ -88,23 +88,18 @@ BENCHMARK(BM_Table1Enforce)
     ->ArgsProduct({benchmark::CreateDenseRange(0, 6, 1), {100, 1000}})
     ->Unit(benchmark::kMicrosecond);
 
-// E8 — shape-keyed plan caching for repeated ad-hoc statements.
+// E8 — repeated ad-hoc statements.
 //
 // The paper pays all rule analysis at definition time so enforcement pays
-// none; the shaped plan cache extends the same split to ad-hoc
-// statements: statements that repeat a *shape* (same tree modulo literal
-// constants) compile once and execute under per-statement bindings. This
+// none: the integrity checks run on the plans pinned when their rules were
+// defined, while the user's own statements compile when they run. This
 // bench cycles through pre-built transactions of one shape with rotating
-// constants and compares the subsystem's default cache against a
-// fresh-compile-every-statement subsystem (adhoc_plan_capacity = 0,
-// which also exercises the canonicalization cost it saves nothing on).
-// The reported cache_hit/cache_miss counters make the reuse visible.
-void RunAdHocRepeatedShape(benchmark::State& state, std::size_t capacity) {
+// constants, so it times an ad-hoc transaction end to end, the compilation
+// of its three statements included.
+void BM_AdHocRepeatedShape(benchmark::State& state) {
   const int keys = 200, fks = 1000;
   Database db = MakeKeyFkDatabase(keys, fks);
-  core::SubsystemOptions options;
-  options.adhoc_plan_capacity = capacity;
-  core::IntegritySubsystem ics(&db, options);
+  core::IntegritySubsystem ics(&db);
   TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("domain", DomainConstraint()));
   TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("refint", RefIntConstraint()));
 
@@ -152,20 +147,8 @@ void RunAdHocRepeatedShape(benchmark::State& state, std::size_t capacity) {
       return;
     }
   }
-  state.counters["cache_hits"] =
-      static_cast<double>(ics.plan_cache().shape_hits());
-  state.counters["cache_misses"] =
-      static_cast<double>(ics.plan_cache().shape_misses());
-}
-
-void BM_AdHocRepeatedShape(benchmark::State& state) {
-  RunAdHocRepeatedShape(state, algebra::PlanCache::kDefaultShapeCapacity);
-}
-void BM_AdHocRepeatedShapeFreshCompile(benchmark::State& state) {
-  RunAdHocRepeatedShape(state, 0);
 }
 BENCHMARK(BM_AdHocRepeatedShape)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_AdHocRepeatedShapeFreshCompile)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace txmod::bench

@@ -16,9 +16,9 @@
 #                                     BENCH_server.json at the repo
 #                                     root from this machine's run
 #
-# The checked-in BENCH_table1.json (Table 1 workloads, plus the
-# BM_AdHocRepeatedShape shaped-plan-cache series: cached vs
-# fresh-compile-every-statement), BENCH_parallel.json (E5 scaling +
+# The checked-in BENCH_table1.json (Table 1 workloads, plus E8's
+# BM_AdHocRepeatedShape: an ad-hoc transaction that compiles its
+# statements when it runs), BENCH_parallel.json (E5 scaling +
 # the join-heavy enforcement series) and BENCH_concurrency.json
 # (BM_ConcurrentCommit thread/conflict sweeps, BM_GroupCommitFsync
 # sharded group-commit batching factors) and BENCH_server.json (the

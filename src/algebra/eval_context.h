@@ -45,16 +45,11 @@ struct EvalStats {
   uint64_t operators = 0;        // operator nodes evaluated
   uint64_t index_probes = 0;     // probes of declared relation indexes
 
-  // Shape-keyed plan-cache traffic (PlanCache::GetOrCompileShaped): a hit
-  // reuses a compiled plan under a fresh parameter binding, a miss
-  // fingerprints + compiles, an eviction drops the least recently used
-  // shape to the cache's capacity bound. Evaluation-work counters above
-  // are independent of these — a cached and a fresh-compiled execution of
-  // the same statement scan/emit/probe identically (pinned by
-  // tests/plan_cache_test.cc).
+  // How each statement got its plan: a hit ran on a check plan pinned in
+  // the PlanCache at rule-definition time, a miss compiled the statement's
+  // own tree when it ran. The work counters above do not depend on which.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_evictions = 0;
 
   void Add(const EvalStats& other) {
     tuples_scanned += other.tuples_scanned;
@@ -63,7 +58,6 @@ struct EvalStats {
     index_probes += other.index_probes;
     plan_cache_hits += other.plan_cache_hits;
     plan_cache_misses += other.plan_cache_misses;
-    plan_cache_evictions += other.plan_cache_evictions;
   }
 
   /// This stats record with the plan-cache counters zeroed: what the
@@ -72,7 +66,6 @@ struct EvalStats {
     EvalStats out = *this;
     out.plan_cache_hits = 0;
     out.plan_cache_misses = 0;
-    out.plan_cache_evictions = 0;
     return out;
   }
 };

@@ -6,9 +6,8 @@ namespace txmod::algebra {
 
 Result<Relation> EvaluateRelExpr(const RelExpr& expr, const EvalContext& ctx,
                                  EvalStats* stats) {
-  // One-shot path: compile, execute, discard. Callers that evaluate the
-  // same expression repeatedly (the transaction executor running compiled
-  // integrity checks) hold compiled plans in a PlanCache instead.
+  // One-shot path: compile, execute, discard. Integrity checks run on the
+  // plans the PlanCache pinned at rule-definition time instead.
   TXMOD_ASSIGN_OR_RETURN(PhysicalPlan plan, PhysicalPlan::Compile(expr));
   return plan.Execute(ctx, stats);
 }

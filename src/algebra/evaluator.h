@@ -16,8 +16,9 @@ namespace txmod::algebra {
 /// breakers materialize (hash-join build sides, product and
 /// difference/intersect right sides, aggregate inputs that may carry
 /// duplicates, and the final result). `stats` (optional) accumulates work
-/// counters. Repeated evaluations of the same expression should compile
-/// once via PhysicalPlan / PlanCache instead of calling this per use.
+/// counters. This is how every statement without a pinned check plan
+/// (PlanCache) runs: compiling is one walk over the tree, which copies no
+/// tuple, so an ad-hoc statement compiles when it runs.
 ///
 /// Implementation notes:
 ///  * joins/semijoins/antijoins hash on the equality conjuncts of the

@@ -191,18 +191,15 @@ class PrependCursor : public TupleCursor {
 
 class SelectCursor : public TupleCursor {
  public:
-  SelectCursor(Stream child, const ScalarExpr* pred, EvalStats* stats,
-               const std::vector<Value>* params)
-      : child_(std::move(child)), pred_(pred), stats_(stats),
-        params_(params) {}
+  SelectCursor(Stream child, const ScalarExpr* pred, EvalStats* stats)
+      : child_(std::move(child)), pred_(pred), stats_(stats) {}
 
   Result<const Tuple*> Next() override {
     for (;;) {
       TXMOD_ASSIGN_OR_RETURN(const Tuple* t, child_.cursor->Next());
       if (t == nullptr) return t;
       CountScan(stats_, 1);
-      TXMOD_ASSIGN_OR_RETURN(bool keep,
-                             pred_->EvalPredicate(t, nullptr, params_));
+      TXMOD_ASSIGN_OR_RETURN(bool keep, pred_->EvalPredicate(t, nullptr));
       if (keep) {
         CountEmit(stats_, 1);
         return t;
@@ -214,17 +211,15 @@ class SelectCursor : public TupleCursor {
   Stream child_;
   const ScalarExpr* pred_;
   EvalStats* stats_;
-  const std::vector<Value>* params_;
 };
 
 class ProjectCursor : public TupleCursor {
  public:
   ProjectCursor(Stream child, const std::vector<ProjectionItem>* items,
-                EvalStats* stats, const std::vector<Value>* params)
+                EvalStats* stats)
       : child_(std::move(child)),
         items_(items),
         stats_(stats),
-        params_(params),
         scratch_(std::vector<Value>(items->size())) {}
 
   Result<const Tuple*> Next() override {
@@ -232,8 +227,7 @@ class ProjectCursor : public TupleCursor {
     if (t == nullptr) return t;
     CountScan(stats_, 1);
     for (std::size_t i = 0; i < items_->size(); ++i) {
-      TXMOD_ASSIGN_OR_RETURN(
-          Value v, (*items_)[i].expr.EvalValue(t, nullptr, params_));
+      TXMOD_ASSIGN_OR_RETURN(Value v, (*items_)[i].expr.EvalValue(t, nullptr));
       scratch_.at(i) = std::move(v);
     }
     CountEmit(stats_, 1);
@@ -244,7 +238,6 @@ class ProjectCursor : public TupleCursor {
   Stream child_;
   const std::vector<ProjectionItem>* items_;
   EvalStats* stats_;
-  const std::vector<Value>* params_;
   Tuple scratch_;
 };
 
@@ -312,7 +305,6 @@ class HashJoinCursor : public TupleCursor {
                  RelHandle right, RelationIndexView view,
                  std::vector<int> lattrs, std::vector<int> rattrs,
                  std::size_t out_arity, EvalStats* stats,
-                 const std::vector<Value>* params,
                  const RelationIndex::Map* shared_table = nullptr)
       : kind_(kind),
         pred_(pred),
@@ -321,7 +313,6 @@ class HashJoinCursor : public TupleCursor {
         view_(std::move(view)),
         lattrs_(std::move(lattrs)),
         stats_(stats),
-        params_(params),
         scratch_(std::vector<Value>(out_arity)) {
     if (shared_table != nullptr) {
       table_ = shared_table;
@@ -339,7 +330,7 @@ class HashJoinCursor : public TupleCursor {
       if (kind_ == RelExprKind::kJoin && lt_ != nullptr) {
         while (const Tuple* rt = NextCandidate()) {
           TXMOD_ASSIGN_OR_RETURN(bool match,
-                                 pred_->EvalPredicate(lt_, rt, params_));
+                                 pred_->EvalPredicate(lt_, rt));
           if (match) {
             FillScratch(&scratch_, *rt, lt_->arity());
             CountEmit(stats_, 1);
@@ -366,7 +357,7 @@ class HashJoinCursor : public TupleCursor {
       bool matched = false;
       while (const Tuple* rt = NextCandidate()) {
         TXMOD_ASSIGN_OR_RETURN(bool match,
-                               pred_->EvalPredicate(lt_, rt, params_));
+                               pred_->EvalPredicate(lt_, rt));
         if (match) {
           matched = true;
           break;
@@ -395,7 +386,6 @@ class HashJoinCursor : public TupleCursor {
   RelationIndexView view_;
   std::vector<int> lattrs_;
   EvalStats* stats_;
-  const std::vector<Value>* params_;
   RelationIndex::Map own_table_;
   const RelationIndex::Map* table_ = nullptr;  // own_table_ or shared
   Tuple scratch_;
@@ -418,8 +408,7 @@ class IndexLookupJoinCursor : public TupleCursor {
   IndexLookupJoinCursor(RelExprKind kind, const ScalarExpr* pred,
                         RelationIndexView view, Stream right,
                         std::vector<int> rattrs, std::size_t left_arity,
-                        std::size_t out_arity, EvalStats* stats,
-                        const std::vector<Value>* params)
+                        std::size_t out_arity, EvalStats* stats)
       : kind_(kind),
         pred_(pred),
         view_(std::move(view)),
@@ -427,14 +416,13 @@ class IndexLookupJoinCursor : public TupleCursor {
         rattrs_(std::move(rattrs)),
         left_arity_(left_arity),
         stats_(stats),
-        params_(params),
         scratch_(std::vector<Value>(out_arity)) {}
 
   Result<const Tuple*> Next() override {
     for (;;) {
       while (const Tuple* lt = cand_.Next()) {
         TXMOD_ASSIGN_OR_RETURN(bool match,
-                               pred_->EvalPredicate(lt, rt_, params_));
+                               pred_->EvalPredicate(lt, rt_));
         if (!match) continue;
         CountEmit(stats_, 1);
         if (kind_ == RelExprKind::kSemiJoin) return lt;
@@ -462,7 +450,6 @@ class IndexLookupJoinCursor : public TupleCursor {
   std::vector<int> rattrs_;
   std::size_t left_arity_;
   EvalStats* stats_;
-  const std::vector<Value>* params_;
   Tuple scratch_;
   const Tuple* rt_ = nullptr;
   RelationIndexView::Candidates cand_;
@@ -473,14 +460,12 @@ class IndexLookupJoinCursor : public TupleCursor {
 class NestedJoinCursor : public TupleCursor {
  public:
   NestedJoinCursor(RelExprKind kind, const ScalarExpr* pred, Stream left,
-                   RelHandle right, std::size_t out_arity, EvalStats* stats,
-                   const std::vector<Value>* params)
+                   RelHandle right, std::size_t out_arity, EvalStats* stats)
       : kind_(kind),
         pred_(pred),
         left_(std::move(left)),
         right_(std::move(right)),
         stats_(stats),
-        params_(params),
         scratch_(std::vector<Value>(out_arity)) {}
 
   Result<const Tuple*> Next() override {
@@ -490,7 +475,7 @@ class NestedJoinCursor : public TupleCursor {
           const Tuple* rt = &*rit_;
           ++rit_;
           TXMOD_ASSIGN_OR_RETURN(bool match,
-                                 pred_->EvalPredicate(lt_, rt, params_));
+                                 pred_->EvalPredicate(lt_, rt));
           if (match) {
             FillScratch(&scratch_, *rt, lt_->arity());
             CountEmit(stats_, 1);
@@ -509,7 +494,7 @@ class NestedJoinCursor : public TupleCursor {
       bool matched = false;
       for (const Tuple& rt : right_.get()) {
         TXMOD_ASSIGN_OR_RETURN(bool match,
-                               pred_->EvalPredicate(lt_, &rt, params_));
+                               pred_->EvalPredicate(lt_, &rt));
         if (match) {
           matched = true;
           break;
@@ -528,7 +513,6 @@ class NestedJoinCursor : public TupleCursor {
   Stream left_;
   RelHandle right_;
   EvalStats* stats_;
-  const std::vector<Value>* params_;
   Tuple scratch_;
   const Tuple* lt_ = nullptr;
   Relation::ConstIterator rit_;
@@ -794,9 +778,8 @@ std::unique_ptr<PhysicalNode> CompileNode(const RelExpr& e) {
 
 class PlanExecutor {
  public:
-  PlanExecutor(const EvalContext& ctx, EvalStats* stats,
-               const std::vector<Value>* params)
-      : ctx_(ctx), stats_(stats), params_(params) {}
+  PlanExecutor(const EvalContext& ctx, EvalStats* stats)
+      : ctx_(ctx), stats_(stats) {}
 
   Result<Relation> Evaluate(const PhysicalNode& n) {
     // Nodes that are whole relations already (references) or inherently
@@ -830,8 +813,8 @@ class PlanExecutor {
       }
       case PhysOpKind::kLiteral: {
         CountOperator(stats_);
-        TXMOD_ASSIGN_OR_RETURN(
-            Relation out, MaterializeLiteral(*n.logical, stats_, params_));
+        TXMOD_ASSIGN_OR_RETURN(Relation out,
+                               MaterializeLiteral(*n.logical, stats_));
         return RelHandle::Owned(std::move(out));
       }
       case PhysOpKind::kAggregate: {
@@ -885,7 +868,7 @@ class PlanExecutor {
     s.schema = in.schema;
     s.unique = in.unique;
     s.cursor = std::make_unique<SelectCursor>(
-        std::move(in), &n.logical->predicate(), stats_, params_);
+        std::move(in), &n.logical->predicate(), stats_);
     return s;
   }
 
@@ -898,13 +881,12 @@ class PlanExecutor {
     for (std::size_t i = 0; i < items.size(); ++i) {
       attrs.push_back(
           Attribute{ProjectionItemName(items[i], *in.schema, i),
-                    InferScalarType(items[i].expr, *in.schema, params_)});
+                    InferScalarType(items[i].expr, *in.schema)});
     }
     Stream s;
     s.schema = MakeSchema(std::move(attrs));
     s.unique = false;  // distinct inputs may project to the same output
-    s.cursor = std::make_unique<ProjectCursor>(std::move(in), &items, stats_,
-                                               params_);
+    s.cursor = std::make_unique<ProjectCursor>(std::move(in), &items, stats_);
     return s;
   }
 
@@ -984,12 +966,12 @@ class PlanExecutor {
       if (!view.valid()) CountScan(stats_, r.size());
       s.cursor = std::make_unique<HashJoinCursor>(
           e.kind(), &e.predicate(), std::move(l), std::move(right), view,
-          n.left_keys, n.right_keys, out_arity, stats_, params_);
+          n.left_keys, n.right_keys, out_arity, stats_);
     } else {
       CountScan(stats_, r.size());
       s.cursor = std::make_unique<NestedJoinCursor>(
           e.kind(), &e.predicate(), std::move(l), std::move(right),
-          out_arity, stats_, params_);
+          out_arity, stats_);
     }
     return s;
   }
@@ -1046,7 +1028,7 @@ class PlanExecutor {
     const std::size_t left_arity = base->arity();
     s.cursor = std::make_unique<IndexLookupJoinCursor>(
         e.kind(), &e.predicate(), std::move(view), std::move(r),
-        n.right_keys, left_arity, out_arity, stats_, params_);
+        n.right_keys, left_arity, out_arity, stats_);
     return s;
   }
 
@@ -1279,7 +1261,6 @@ class PlanExecutor {
 
   const EvalContext& ctx_;
   EvalStats* stats_;
-  const std::vector<Value>* params_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1324,20 +1305,7 @@ void ExplainNode(const PhysicalNode& n, int depth, std::string* out) {
                          e.rel_name(), "]"));
       break;
     case PhysOpKind::kLiteral:
-      if (e.literal_param_base() >= 0 && !e.literal_tuples().empty()) {
-        // Parameter-slot annotation: a canonical literal names the slot
-        // range its values bind from, so Explain() shows what varies
-        // between same-shape statements. (A zero-tuple literal binds no
-        // slots — no range to print.)
-        const int n_slots =
-            static_cast<int>(e.literal_tuples().size()) * e.literal_arity();
-        out->append(StrCat("literal[", e.literal_tuples().size(),
-                           " tuples, params ?", e.literal_param_base(), "..?",
-                           e.literal_param_base() + n_slots - 1, "]"));
-      } else {
-        out->append(StrCat("literal[", e.literal_tuples().size(),
-                           " tuples]"));
-      }
+      out->append(StrCat("literal[", e.literal_tuples().size(), " tuples]"));
       break;
     case PhysOpKind::kSelect:
       out->append(StrCat("select[", e.predicate().ToString(), "]"));
@@ -1471,29 +1439,14 @@ Result<PhysicalPlan> PhysicalPlan::Compile(RelExprPtr expr) {
   return plan;
 }
 
-Result<PhysicalPlan> PhysicalPlan::Compile(RelExprPtr expr, int num_params) {
-  TXMOD_ASSIGN_OR_RETURN(PhysicalPlan plan, Compile(std::move(expr)));
-  plan.num_params_ = num_params;
-  return plan;
-}
-
 Result<Relation> PhysicalPlan::Execute(const EvalContext& ctx,
-                                       EvalStats* stats,
-                                       const std::vector<Value>* params) const {
-  if (num_params_ > 0 &&
-      (params == nullptr ||
-       params->size() < static_cast<std::size_t>(num_params_))) {
-    return Status::Internal(
-        StrCat("plan expects ", num_params_, " parameter(s), ",
-               params == nullptr ? 0 : params->size(), " bound"));
-  }
-  PlanExecutor exec(ctx, stats, params);
+                                       EvalStats* stats) const {
+  PlanExecutor exec(ctx, stats);
   return exec.Evaluate(*root_);
 }
 
 std::string PhysicalPlan::Explain() const {
   std::string out;
-  if (num_params_ > 0) out.append(StrCat("params: ", num_params_, "\n"));
   ExplainNode(*root_, 0, &out);
   return out;
 }
@@ -1508,39 +1461,8 @@ std::vector<PhysicalPlan::IndexRequest> PhysicalPlan::IndexRequests() const {
 // Shared eager kernels: literals and fragment-local operator execution.
 // ---------------------------------------------------------------------------
 
-Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats,
-                                    const std::vector<Value>* params) {
-  // A canonical literal reads its values out of the binding vector
-  // (row-major from literal_param_base) instead of its placeholder
-  // tuples, so one cached plan materializes every same-shape statement's
-  // tuples. Types are inferred from the *bound* values, exactly as a
-  // fresh compile of the statement would infer them from its constants.
-  std::vector<Tuple> bound;
-  if (e.literal_param_base() >= 0) {
-    if (params == nullptr) {
-      return Status::Internal(
-          "parameterized literal evaluated without a binding");
-    }
-    const std::size_t arity = static_cast<std::size_t>(e.literal_arity());
-    const std::size_t base = static_cast<std::size_t>(e.literal_param_base());
-    const std::size_t needed = e.literal_tuples().size() * arity;
-    if (params->size() < base + needed) {
-      return Status::Internal(
-          StrCat("parameterized literal needs slots ?", base, "..?",
-                 base + needed - 1, ", ", params->size(), " bound"));
-    }
-    bound.reserve(e.literal_tuples().size());
-    for (std::size_t i = 0; i < e.literal_tuples().size(); ++i) {
-      std::vector<Value> row(params->begin() +
-                                 static_cast<std::ptrdiff_t>(base + i * arity),
-                             params->begin() +
-                                 static_cast<std::ptrdiff_t>(base +
-                                                             (i + 1) * arity));
-      bound.push_back(Tuple(std::move(row)));
-    }
-  }
-  const std::vector<Tuple>& tuples =
-      e.literal_param_base() >= 0 ? bound : e.literal_tuples();
+Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats) {
+  const std::vector<Tuple>& tuples = e.literal_tuples();
   // Every tuple's arity is validated before the schema-inference loop
   // below reads attribute i of arbitrary tuples: a short tuple used to
   // be an out-of-bounds read.
@@ -1574,12 +1496,10 @@ Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats,
 Result<Relation> ExecuteNodeLocal(const PhysicalNode& n,
                                   const Relation& input,
                                   const Relation* right, EvalStats* stats,
-                                  const std::vector<Value>* params,
                                   const FragmentProbe* probe) {
   TXMOD_ASSIGN_OR_RETURN(
       NodeLocalKernel kernel,
-      NodeLocalKernel::Prepare(n, input.schema_ptr(), right, stats, params,
-                               probe));
+      NodeLocalKernel::Prepare(n, input.schema_ptr(), right, stats, probe));
   std::vector<const Tuple*> tuples;
   tuples.reserve(input.size());
   for (const Tuple& t : input) tuples.push_back(&t);
@@ -1605,7 +1525,6 @@ struct NodeLocalKernel::State {
   std::shared_ptr<const RelationSchema> input_schema;
   std::shared_ptr<const RelationSchema> out_schema;
   const Relation* right = nullptr;
-  const std::vector<Value>* params = nullptr;
   /// Index forms with a probe target: the fragment views they probe.
   const FragmentProbe* probe = nullptr;
   /// Equality joins: the build-side table, built once in Prepare and
@@ -1629,13 +1548,11 @@ const std::shared_ptr<const RelationSchema>& NodeLocalKernel::output_schema()
 Result<NodeLocalKernel> NodeLocalKernel::Prepare(
     const PhysicalNode& node,
     std::shared_ptr<const RelationSchema> input_schema, const Relation* right,
-    EvalStats* stats, const std::vector<Value>* params,
-    const FragmentProbe* probe) {
+    EvalStats* stats, const FragmentProbe* probe) {
   auto st = std::make_unique<State>();
   st->node = &node;
   st->input_schema = std::move(input_schema);
   st->right = right;
-  st->params = params;
   const RelExpr& e = *node.logical;
   if (probe != nullptr && node.op == PhysOpKind::kIndexLookupJoin) {
     // The streamed side is the shipped delta; the base side is probed in
@@ -1666,8 +1583,7 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
       for (std::size_t i = 0; i < items.size(); ++i) {
         attrs.push_back(
             Attribute{ProjectionItemName(items[i], *st->input_schema, i),
-                      InferScalarType(items[i].expr, *st->input_schema,
-                                      params)});
+                      InferScalarType(items[i].expr, *st->input_schema)});
       }
       st->out_schema = MakeSchema(std::move(attrs));
       break;
@@ -1739,20 +1655,18 @@ Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
   switch (n.op) {
     case PhysOpKind::kSelect:
       s.cursor = std::make_unique<SelectCursor>(std::move(in),
-                                                &e.predicate(), stats,
-                                                st.params);
+                                                &e.predicate(), stats);
       break;
     case PhysOpKind::kProject:
       s.cursor = std::make_unique<ProjectCursor>(std::move(in),
-                                                 &e.projections(), stats,
-                                                 st.params);
+                                                 &e.projections(), stats);
       break;
     case PhysOpKind::kIndexLookupJoin:
       if (st.probe != nullptr) {
         s.cursor = std::make_unique<IndexLookupJoinCursor>(
             e.kind(), &e.predicate(), st.probe->views[0], std::move(in),
             n.right_keys, st.probe->schema->arity(), st.out_schema->arity(),
-            stats, st.params);
+            stats);
         break;
       }
       [[fallthrough]];
@@ -1763,12 +1677,11 @@ Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
             e.kind(), &e.predicate(), std::move(in),
             RelHandle::Borrowed(st.right), /*view=*/RelationIndexView(),
             n.left_keys, n.right_keys, st.out_schema->arity(), stats,
-            st.params, &st.table);
+            &st.table);
       } else {
         s.cursor = std::make_unique<NestedJoinCursor>(
             e.kind(), &e.predicate(), std::move(in),
-            RelHandle::Borrowed(st.right), st.out_schema->arity(), stats,
-            st.params);
+            RelHandle::Borrowed(st.right), st.out_schema->arity(), stats);
       }
       break;
     case PhysOpKind::kUnion: {
@@ -1925,134 +1838,6 @@ Result<const PhysicalPlan*> PlanCache::GetOrCompile(const RelExprPtr& expr) {
 const PhysicalPlan* PlanCache::Lookup(const RelExpr* expr) const {
   auto it = plans_.find(expr);
   return it != plans_.end() ? it->second.get() : nullptr;
-}
-
-Result<BoundPlan> PlanCache::GetOrCompileShaped(const RelExpr& expr,
-                                                EvalStats* stats) {
-  ExprFingerprint fp = FingerprintExpr(expr);
-  BoundPlan out;
-  out.params = std::move(fp.params);
-
-  {
-    std::lock_guard<std::mutex> lock(*shape_mu_);
-    auto it = shaped_.find(fp.shape);
-    if (it != shaped_.end()) {
-      ++shape_hits_;
-      if (stats != nullptr) ++stats->plan_cache_hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      out.owned = it->second.plan;  // survives concurrent eviction
-      out.plan = out.owned.get();
-      out.cache_hit = true;
-      return out;
-    }
-    ++shape_misses_;
-    if (stats != nullptr) ++stats->plan_cache_misses;
-  }
-
-  // Miss: canonicalize and compile once for this shape, outside the lock
-  // (compilation is the expensive part; a duplicate concurrent compile of
-  // the same shape is rare and harmless — the first inserter's entry is
-  // kept, later compiles of the same shape just execute their own copy).
-  // The canonical tree's own params are discarded — `out.params` (this
-  // statement's constants) is the binding every execution supplies.
-  ParameterizedExpr canonical = ParameterizeExpr(expr);
-  TXMOD_ASSIGN_OR_RETURN(
-      PhysicalPlan plan,
-      PhysicalPlan::Compile(std::move(canonical.expr),
-                            static_cast<int>(canonical.params.size())));
-  out.owned = std::make_shared<const PhysicalPlan>(std::move(plan));
-  out.plan = out.owned.get();
-
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  if (shape_capacity_ == 0) {
-    return out;  // not retained; out.owned keeps it alive for this use
-  }
-  auto it = shaped_.find(fp.shape);
-  if (it != shaped_.end()) {
-    // A concurrent miss on the same shape inserted first; keep that entry
-    // and just refresh its recency. Our compile still executes correctly.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return out;
-  }
-  lru_.push_front(fp.shape);
-  ShapedEntry entry;
-  entry.plan = out.owned;
-  entry.lru_pos = lru_.begin();
-  shaped_.emplace(std::move(fp.shape), std::move(entry));
-  EvictOverCapacityLocked(stats);
-  return out;
-}
-
-void PlanCache::EvictOverCapacityLocked(EvalStats* stats) {
-  while (shaped_.size() > shape_capacity_ && !lru_.empty()) {
-    // The newly inserted entry is at the LRU front and is never the one
-    // evicted (capacity >= 1 here); evicted plans stay alive for any
-    // execution still holding their BoundPlan::owned reference.
-    shaped_.erase(lru_.back());
-    lru_.pop_back();
-    ++shape_evictions_;
-    if (stats != nullptr) ++stats->plan_cache_evictions;
-  }
-}
-
-void PlanCache::InvalidateShapes() {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  shaped_.clear();
-  lru_.clear();
-}
-
-void PlanCache::set_shape_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  shape_capacity_ = capacity;
-  EvictOverCapacityLocked(nullptr);
-}
-
-std::size_t PlanCache::shape_size() const {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  return shaped_.size();
-}
-
-std::size_t PlanCache::shape_capacity() const {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  return shape_capacity_;
-}
-
-uint64_t PlanCache::shape_hits() const {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  return shape_hits_;
-}
-
-uint64_t PlanCache::shape_misses() const {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  return shape_misses_;
-}
-
-uint64_t PlanCache::shape_evictions() const {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  return shape_evictions_;
-}
-
-void PlanCache::CountBypassedMiss(EvalStats* stats) {
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  ++shape_misses_;
-  if (stats != nullptr) ++stats->plan_cache_misses;
-}
-
-void PlanCache::Clear() {
-  plans_.clear();
-  std::lock_guard<std::mutex> lock(*shape_mu_);
-  shaped_.clear();
-  lru_.clear();
-  shape_hits_ = shape_misses_ = shape_evictions_ = 0;
-}
-
-std::vector<const PhysicalPlan*> PlanCache::Plans() const {
-  std::vector<const PhysicalPlan*> out;
-  out.reserve(plans_.size());
-  for (const auto& [key, plan] : plans_) {
-    out.push_back(plan.get());
-  }
-  return out;
 }
 
 }  // namespace txmod::algebra

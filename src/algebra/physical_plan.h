@@ -2,16 +2,13 @@
 #define TXMOD_ALGEBRA_PHYSICAL_PLAN_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/algebra/eval_context.h"
-#include "src/algebra/fingerprint.h"
 #include "src/algebra/rel_expr.h"
 #include "src/common/result.h"
 #include "src/relational/relation.h"
@@ -80,29 +77,20 @@ class PhysicalPlan {
   static Result<PhysicalPlan> Compile(const RelExpr& expr);
   /// Owning compile: the plan keeps the expression tree alive.
   static Result<PhysicalPlan> Compile(RelExprPtr expr);
-  /// Owning compile of a canonical (parameterized) tree expecting
-  /// `num_params` binding slots; Execute then requires a binding of at
-  /// least that size.
-  static Result<PhysicalPlan> Compile(RelExprPtr expr, int num_params);
 
   PhysicalPlan(PhysicalPlan&&) = default;
   PhysicalPlan& operator=(PhysicalPlan&&) = default;
 
   const PhysicalNode& root() const { return *root_; }
 
-  /// Parameter slots the plan's canonical expression expects; 0 for plans
-  /// compiled from plain trees.
-  int num_params() const { return num_params_; }
-
   /// Serial execution: runs the plan as a pull-based cursor pipeline
   /// against the relations supplied by `ctx`, materializing only at
   /// pipeline breakers and the final result. See EvaluateRelExpr
-  /// (evaluator.h) for the operator and stats contracts. `params` binds
-  /// the plan's parameter slots; required (and length-checked) when
-  /// num_params() > 0.
+  /// (evaluator.h) for the operator and stats contracts. Indexes are
+  /// resolved here, not at compile time: a plan probes an index declared
+  /// after it was compiled.
   Result<Relation> Execute(const EvalContext& ctx,
-                           EvalStats* stats = nullptr,
-                           const std::vector<Value>* params = nullptr) const;
+                           EvalStats* stats = nullptr) const;
 
   /// Human-readable operator-tree dump, one node per line, children
   /// indented. Tests pin plan choices against this.
@@ -126,7 +114,6 @@ class PhysicalPlan {
 
   RelExprPtr owned_;  // null for borrowing compiles
   std::unique_ptr<PhysicalNode> root_;
-  int num_params_ = 0;
 };
 
 /// The fragment indexes an index form probes where they lie, in place of
@@ -163,14 +150,12 @@ struct FragmentProbe {
 /// `right` is the materialized right operand of the hash forms (null for
 /// unary operators and for index forms with `probe`). Without `probe`,
 /// the index forms run as their hash equivalents over `right`.
-/// `params` binds parameter slots of canonical (shape-cached) plans.
-/// Thread-safe for concurrent calls on disjoint outputs: inputs, probe
-/// views and params are only read.
+/// Thread-safe for concurrent calls on disjoint outputs: inputs and probe
+/// views are only read.
 Result<Relation> ExecuteNodeLocal(const PhysicalNode& node,
                                   const Relation& input,
                                   const Relation* right,
                                   EvalStats* stats = nullptr,
-                                  const std::vector<Value>* params = nullptr,
                                   const FragmentProbe* probe = nullptr);
 
 /// Morsel-granular form of ExecuteNodeLocal for the parallel runtime's
@@ -189,9 +174,8 @@ Result<Relation> ExecuteNodeLocal(const PhysicalNode& node,
 /// identically, so callers feed both sides' tuples as morsels; every
 /// other operator morselizes its streamed side only (see
 /// ExecuteNodeLocal), with `right` borrowed for the whole phase. `node`,
-/// `right`, `probe` and `params` must outlive the kernel; the tuples
-/// behind the pointers must stay alive and unmodified until the phase
-/// ends.
+/// `right` and `probe` must outlive the kernel; the tuples behind the
+/// pointers must stay alive and unmodified until the phase ends.
 class NodeLocalKernel {
  public:
   /// `input_schema` is the schema of the fragments whose tuples the
@@ -201,7 +185,6 @@ class NodeLocalKernel {
       const PhysicalNode& node,
       std::shared_ptr<const RelationSchema> input_schema,
       const Relation* right, EvalStats* stats,
-      const std::vector<Value>* params = nullptr,
       const FragmentProbe* probe = nullptr);
 
   NodeLocalKernel(NodeLocalKernel&&) noexcept;
@@ -224,12 +207,9 @@ class NodeLocalKernel {
 };
 
 /// Materializes a literal node (validates per-tuple arity, infers column
-/// types). Shared by both engines. A canonical literal
-/// (literal_param_base() >= 0) materializes from `params` instead of its
-/// placeholder tuples; `params` must then cover its slots.
+/// types). Shared by both engines.
 Result<Relation> MaterializeLiteral(const RelExpr& e,
-                                    EvalStats* stats = nullptr,
-                                    const std::vector<Value>* params = nullptr);
+                                    EvalStats* stats = nullptr);
 
 /// Partial state of a scalar aggregate, mergeable across fragments: each
 /// node accumulates locally, the coordinator merges and finalizes.
@@ -256,118 +236,36 @@ Result<AggPartial> AggregateLocal(const PhysicalNode& node,
                                   const Relation& input,
                                   EvalStats* stats = nullptr);
 
-/// A compiled plan bound to one statement's constants: the result of a
-/// shaped cache lookup. `owned` always shares ownership of the plan, so
-/// the plan stays alive for this execution even if a concurrent lookup
-/// evicts it from the cache (or the cache chose not to retain it at all,
-/// capacity 0). `params` is this statement's binding vector for the
-/// plan's parameter slots.
-struct BoundPlan {
-  const PhysicalPlan* plan = nullptr;
-  std::vector<Value> params;
-  bool cache_hit = false;
-  std::shared_ptr<const PhysicalPlan> owned;  // keeps `plan` alive
-};
-
 /// Finalizes a (merged) partial into the aggregate's result value.
 Result<Value> FinalizeAggregate(const AggPartial& acc, AggFunc func);
 
-/// The per-subsystem plan cache, with two keying disciplines:
+/// The integrity checks' definition-time plans (the paper's Section 6.2:
+/// rule analysis is paid once, when a rule is defined). Keyed by the check
+/// expression's pointer and filled once per rule-set recompile; entries
+/// own their expression trees (RelExprPtr), so a key can never dangle or
+/// be reused while cached. The modifier appends check statements that
+/// share these trees, so ExecuteTransaction finds their plans by
+/// identity and integrity checks never recompile. Every other statement
+/// compiles its own tree when it runs: one CompileNode walk, which copies
+/// no tuple, is cheaper than keying a cache on the statement's constants.
 ///
-///  * an *identity* side for definition-time integrity-check plans:
-///    keyed by expression pointer, pinned (never evicted), populated once
-///    per rule-set recompile. Entries own their expression trees
-///    (RelExprPtr), so keys can never dangle or be reused while cached.
-///    ExecuteTransaction consults it first, so integrity checks never
-///    recompile — or even fingerprint — per transaction.
-///
-///  * a *shaped* side for ad-hoc statements: keyed by the structural
-///    fingerprint (fingerprint.h), which canonicalizes constants into
-///    parameter slots, so two statements differing only in literals hit
-///    the same compiled plan under different binding vectors. Bounded by
-///    `shape_capacity` with least-recently-used eviction, so millions of
-///    distinct ad-hoc shapes cannot grow it without bound.
-///
-/// Concurrency: the shaped side is safe for concurrent lookup — an
-/// internal mutex serializes its compile-on-miss, LRU bookkeeping, and
-/// counters, and every BoundPlan shares ownership of its plan so eviction
-/// by one session can never dangle another session's in-flight execution.
-/// The pinned side is lock-free by construction: it is populated at
-/// rule-definition time (single-threaded, before sessions run) and then
-/// only read; Lookup() takes no lock. Rule definition/drop — which
-/// rebuilds and moves the whole cache — must therefore be quiesced
-/// against concurrent execution, the same contract the transaction
-/// manager documents.
+/// Concurrency: filled at rule-definition time (single-threaded, before
+/// sessions run) and then only read, so Lookup() takes no lock. Rule
+/// definition/drop — which rebuilds and moves the whole cache — must
+/// therefore be quiesced against concurrent execution, the same contract
+/// the transaction manager documents.
 class PlanCache {
  public:
-  /// The pinned (identity-side) plan for `expr`, compiling and inserting
-  /// on first use.
+  /// The pinned plan for `expr`, compiling and inserting on first use.
   Result<const PhysicalPlan*> GetOrCompile(const RelExprPtr& expr);
 
   /// The pinned plan for `expr`, or nullptr (never compiles).
   const PhysicalPlan* Lookup(const RelExpr* expr) const;
 
-  /// The shaped-side plan for `expr`'s structural fingerprint, bound to
-  /// `expr`'s constants: fingerprints, then reuses the cached canonical
-  /// plan (hit) or parameterizes + compiles + inserts (miss), evicting the
-  /// least recently used shape beyond capacity. `stats` (optional)
-  /// receives the hit/miss/eviction counts of this lookup.
-  Result<BoundPlan> GetOrCompileShaped(const RelExpr& expr,
-                                       EvalStats* stats = nullptr);
-
-  /// Every pinned plan (index-request collection).
-  std::vector<const PhysicalPlan*> Plans() const;
-
   std::size_t size() const { return plans_.size(); }
-  std::size_t shape_size() const;
-  void Clear();
-
-  /// Drops every shaped entry (rule-set or physical-design change).
-  void InvalidateShapes();
-
-  /// Caps the shaped side; lowering below the current size evicts
-  /// immediately. Capacity 0 disables shaped caching (every lookup
-  /// compiles fresh and nothing is retained) — the oracle tests' fresh-
-  /// compile-every-statement mode.
-  void set_shape_capacity(std::size_t capacity);
-  std::size_t shape_capacity() const;
-
-  /// Cumulative shaped-side traffic since construction/Clear.
-  uint64_t shape_hits() const;
-  uint64_t shape_misses() const;
-  uint64_t shape_evictions() const;
-
-  /// Records a statement that compiled fresh without consulting the
-  /// shaped side (a caller-implemented bypass of a disabled cache). Keeps
-  /// shape_misses() an honest "statements that had to compile" total
-  /// across engines whether they bypass or route capacity-0 lookups
-  /// through GetOrCompileShaped.
-  void CountBypassedMiss(EvalStats* stats);
 
  private:
-  struct ShapedEntry {
-    // Shared so a BoundPlan can outlive eviction (concurrent sessions).
-    std::shared_ptr<const PhysicalPlan> plan;
-    std::list<std::string>::iterator lru_pos;
-  };
-
-  void EvictOverCapacityLocked(EvalStats* stats);
-
   std::unordered_map<const RelExpr*, std::unique_ptr<PhysicalPlan>> plans_;
-
-  // Guards every shaped_/lru_/counter access. Behind a unique_ptr so the
-  // cache stays movable (the subsystem move-assigns a freshly built cache
-  // on every rule recompile, which is quiesced against execution).
-  std::unique_ptr<std::mutex> shape_mu_ = std::make_unique<std::mutex>();
-  std::unordered_map<std::string, ShapedEntry> shaped_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::size_t shape_capacity_ = kDefaultShapeCapacity;
-  uint64_t shape_hits_ = 0;
-  uint64_t shape_misses_ = 0;
-  uint64_t shape_evictions_ = 0;
-
- public:
-  static constexpr std::size_t kDefaultShapeCapacity = 1024;
 };
 
 }  // namespace txmod::algebra

@@ -56,25 +56,6 @@ RelExprPtr RelExpr::Literal(std::vector<Tuple> tuples, int arity) {
   return n;
 }
 
-RelExprPtr RelExpr::ParamLiteral(int tuple_count, int arity, int param_base) {
-  std::vector<Tuple> placeholders;
-  placeholders.reserve(static_cast<std::size_t>(tuple_count));
-  for (int i = 0; i < tuple_count; ++i) {
-    placeholders.push_back(
-        Tuple(std::vector<Value>(static_cast<std::size_t>(arity))));
-  }
-  // A set would collapse the identical placeholder tuples; keep the count
-  // explicit instead of relying on the vector (Relation dedup happens at
-  // materialization, from the *bound* values).
-  struct Node : RelExpr {};
-  auto n = std::make_shared<Node>();
-  n->kind_ = RelExprKind::kLiteral;
-  n->literal_tuples_ = std::move(placeholders);
-  n->literal_arity_ = arity;
-  n->literal_param_base_ = param_base;
-  return n;
-}
-
 RelExprPtr RelExpr::Select(ScalarExpr predicate, RelExprPtr input) {
   struct Node : RelExpr {};
   auto n = std::make_shared<Node>();
@@ -175,7 +156,6 @@ bool RelExpr::Equals(const RelExpr& other) const {
       break;
     case RelExprKind::kLiteral:
       if (literal_arity_ != other.literal_arity_ ||
-          literal_param_base_ != other.literal_param_base_ ||
           literal_tuples_ != other.literal_tuples_) {
         return false;
       }
@@ -228,19 +208,7 @@ std::string RelExpr::ToString() const {
     case RelExprKind::kLiteral: {
       std::vector<std::string> parts;
       parts.reserve(literal_tuples_.size());
-      if (literal_param_base_ >= 0) {
-        int slot = literal_param_base_;
-        for (const Tuple& t : literal_tuples_) {
-          std::vector<std::string> slots;
-          slots.reserve(t.arity());
-          for (std::size_t i = 0; i < t.arity(); ++i) {
-            slots.push_back(StrCat("?", slot++));
-          }
-          parts.push_back(StrCat("(", txmod::Join(slots, ", "), ")"));
-        }
-      } else {
-        for (const Tuple& t : literal_tuples_) parts.push_back(t.ToString());
-      }
+      for (const Tuple& t : literal_tuples_) parts.push_back(t.ToString());
       return StrCat("{", txmod::Join(parts, ", "), "}");
     }
     case RelExprKind::kSelect:

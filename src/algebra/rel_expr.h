@@ -81,11 +81,6 @@ class RelExpr {
     return Ref(RelRefKind::kDeltaMinus, std::move(name));
   }
   static RelExprPtr Literal(std::vector<Tuple> tuples, int arity);
-  /// A canonicalized literal of `tuple_count` x `arity` parameter slots:
-  /// value (i, j) binds to params[param_base + i*arity + j] at evaluation
-  /// time. Produced by ParameterizeExpr (fingerprint.h); the placeholder
-  /// tuples it carries are all-null and must never be read as values.
-  static RelExprPtr ParamLiteral(int tuple_count, int arity, int param_base);
   static RelExprPtr Select(ScalarExpr predicate, RelExprPtr input);
   static RelExprPtr Project(std::vector<ProjectionItem> items,
                             RelExprPtr input);
@@ -113,8 +108,6 @@ class RelExpr {
   const std::string& rel_name() const { return rel_name_; }
   const std::vector<Tuple>& literal_tuples() const { return literal_tuples_; }
   int literal_arity() const { return literal_arity_; }
-  /// First parameter slot of a canonicalized literal, -1 for plain ones.
-  int literal_param_base() const { return literal_param_base_; }
   const ScalarExpr& predicate() const { return predicate_; }
   const std::vector<ProjectionItem>& projections() const {
     return projections_;
@@ -146,7 +139,6 @@ class RelExpr {
   std::string rel_name_;
   std::vector<Tuple> literal_tuples_;
   int literal_arity_ = 0;
-  int literal_param_base_ = -1;
   ScalarExpr predicate_;
   std::vector<ProjectionItem> projections_;
   AggFunc agg_func_ = AggFunc::kCnt;

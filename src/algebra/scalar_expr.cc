@@ -10,8 +10,6 @@ const char* ScalarOpToString(ScalarOp op) {
       return "const";
     case ScalarOp::kAttrRef:
       return "attr";
-    case ScalarOp::kParam:
-      return "param";
     case ScalarOp::kAdd:
       return "+";
     case ScalarOp::kSub:
@@ -46,13 +44,6 @@ ScalarExpr ScalarExpr::Const(Value v) {
   ScalarExpr e;
   e.op_ = ScalarOp::kConst;
   e.constant_ = std::move(v);
-  return e;
-}
-
-ScalarExpr ScalarExpr::Param(int slot) {
-  ScalarExpr e;
-  e.op_ = ScalarOp::kParam;
-  e.param_slot_ = slot;
   return e;
 }
 
@@ -188,19 +179,11 @@ bool IsConnective(ScalarOp op) {
 
 }  // namespace
 
-Result<Value> ScalarExpr::EvalValue(const Tuple* left, const Tuple* right,
-                                    const std::vector<Value>* params) const {
+Result<Value> ScalarExpr::EvalValue(const Tuple* left,
+                                    const Tuple* right) const {
   switch (op_) {
     case ScalarOp::kConst:
       return constant_;
-    case ScalarOp::kParam:
-      if (params == nullptr ||
-          param_slot_ < 0 || param_slot_ >= static_cast<int>(params->size())) {
-        return Status::Internal(
-            StrCat("parameter slot ?", param_slot_, " has no binding (",
-                   params == nullptr ? 0 : params->size(), " bound)"));
-      }
-      return (*params)[static_cast<std::size_t>(param_slot_)];
     case ScalarOp::kAttrRef: {
       const Tuple* t = side_ == 0 ? left : right;
       if (t == nullptr) {
@@ -218,45 +201,39 @@ Result<Value> ScalarExpr::EvalValue(const Tuple* left, const Tuple* right,
     case ScalarOp::kSub:
     case ScalarOp::kMul:
     case ScalarOp::kDiv: {
-      TXMOD_ASSIGN_OR_RETURN(Value a,
-                             children_[0].EvalValue(left, right, params));
-      TXMOD_ASSIGN_OR_RETURN(Value b,
-                             children_[1].EvalValue(left, right, params));
+      TXMOD_ASSIGN_OR_RETURN(Value a, children_[0].EvalValue(left, right));
+      TXMOD_ASSIGN_OR_RETURN(Value b, children_[1].EvalValue(left, right));
       return EvalArith(op_, a, b);
     }
     default: {
       // A predicate in value position (e.g. a projection of a condition)
       // materializes as 1/0.
-      TXMOD_ASSIGN_OR_RETURN(bool b, EvalPredicate(left, right, params));
+      TXMOD_ASSIGN_OR_RETURN(bool b, EvalPredicate(left, right));
       return Value::Int(b ? 1 : 0);
     }
   }
 }
 
-Result<bool> ScalarExpr::EvalPredicate(const Tuple* left, const Tuple* right,
-                                       const std::vector<Value>* params) const {
+Result<bool> ScalarExpr::EvalPredicate(const Tuple* left,
+                                       const Tuple* right) const {
   if (IsComparison(op_)) {
-    TXMOD_ASSIGN_OR_RETURN(Value a,
-                           children_[0].EvalValue(left, right, params));
-    TXMOD_ASSIGN_OR_RETURN(Value b,
-                           children_[1].EvalValue(left, right, params));
+    TXMOD_ASSIGN_OR_RETURN(Value a, children_[0].EvalValue(left, right));
+    TXMOD_ASSIGN_OR_RETURN(Value b, children_[1].EvalValue(left, right));
     return EvalComparison(op_, a, b);
   }
   if (IsConnective(op_)) {
     if (op_ == ScalarOp::kNot) {
-      TXMOD_ASSIGN_OR_RETURN(bool v,
-                             children_[0].EvalPredicate(left, right, params));
+      TXMOD_ASSIGN_OR_RETURN(bool v, children_[0].EvalPredicate(left, right));
       return !v;
     }
-    TXMOD_ASSIGN_OR_RETURN(bool a,
-                           children_[0].EvalPredicate(left, right, params));
+    TXMOD_ASSIGN_OR_RETURN(bool a, children_[0].EvalPredicate(left, right));
     if (op_ == ScalarOp::kAnd && !a) return false;
     if (op_ == ScalarOp::kOr && a) return true;
-    return children_[1].EvalPredicate(left, right, params);
+    return children_[1].EvalPredicate(left, right);
   }
   // Value in predicate position: nonzero integers are true (used for the
   // constant true/false predicates).
-  TXMOD_ASSIGN_OR_RETURN(Value v, EvalValue(left, right, params));
+  TXMOD_ASSIGN_OR_RETURN(Value v, EvalValue(left, right));
   if (v.is_null()) return false;
   if (v.is_int()) return v.as_int() != 0;
   if (v.is_double()) return v.as_double() != 0.0;
@@ -299,9 +276,6 @@ bool ScalarExpr::Equals(const ScalarExpr& other) const {
       if (side_ != other.side_ || attr_index_ != other.attr_index_) {
         return false;
       }
-      break;
-    case ScalarOp::kParam:
-      if (param_slot_ != other.param_slot_) return false;
       break;
     default:
       break;
@@ -350,8 +324,6 @@ std::string ScalarExpr::ToStringPrec(int parent_prec,
   switch (op_) {
     case ScalarOp::kConst:
       return constant_.ToString();
-    case ScalarOp::kParam:
-      return StrCat("?", param_slot_);
     case ScalarOp::kAttrRef: {
       if (qualify_sides) {
         const char* prefix = side_ == 0 ? "l." : "r.";

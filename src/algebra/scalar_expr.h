@@ -18,7 +18,6 @@ enum class ScalarOp {
   // Leaves.
   kConst,
   kAttrRef,
-  kParam,  // parameter slot ?i of a canonicalized (shape-cached) expression
   // Arithmetic (FV = {+, -, *, /}).
   kAdd,
   kSub,
@@ -54,11 +53,6 @@ class ScalarExpr {
   ScalarExpr() : op_(ScalarOp::kConst), constant_(Value::Null()) {}
 
   static ScalarExpr Const(Value v);
-  /// Parameter slot `slot`: evaluates to params[slot] of the binding
-  /// vector supplied at evaluation time. Produced by ParameterizeExpr
-  /// (fingerprint.h) when canonicalizing constants out of cached plans;
-  /// never written by the parsers.
-  static ScalarExpr Param(int slot);
   static ScalarExpr Attr(int side, int index, std::string name = "");
   static ScalarExpr Binary(ScalarOp op, ScalarExpr lhs, ScalarExpr rhs);
   static ScalarExpr Not(ScalarExpr operand);
@@ -71,7 +65,6 @@ class ScalarExpr {
   ScalarOp op() const { return op_; }
   const Value& constant() const { return constant_; }
   int side() const { return side_; }
-  int param_slot() const { return param_slot_; }
   int attr_index() const { return attr_index_; }
   const std::string& attr_name() const { return attr_name_; }
   const std::vector<ScalarExpr>& children() const { return children_; }
@@ -86,16 +79,11 @@ class ScalarExpr {
   std::vector<ScalarExpr>& mutable_children() { return children_; }
 
   /// Evaluates a value-producing expression. `left` must be non-null;
-  /// `right` may be null when no side-1 references occur. `params` binds
-  /// kParam slots (canonicalized expressions); evaluating a kParam without
-  /// a binding — or with a short one — is an error, so a cached plan can
-  /// never silently read a stale constant.
-  Result<Value> EvalValue(const Tuple* left, const Tuple* right,
-                          const std::vector<Value>* params = nullptr) const;
+  /// `right` may be null when no side-1 references occur.
+  Result<Value> EvalValue(const Tuple* left, const Tuple* right) const;
 
   /// Evaluates a predicate; comparison/connective semantics above.
-  Result<bool> EvalPredicate(const Tuple* left, const Tuple* right,
-                             const std::vector<Value>* params = nullptr) const;
+  Result<bool> EvalPredicate(const Tuple* left, const Tuple* right) const;
 
   /// Collects every attribute reference (side, index) in the tree.
   void CollectAttrRefs(std::vector<std::pair<int, int>>* refs) const;
@@ -118,7 +106,6 @@ class ScalarExpr {
   ScalarOp op_;
   Value constant_;
   int side_ = 0;
-  int param_slot_ = -1;
   int attr_index_ = -1;
   std::string attr_name_;
   std::vector<ScalarExpr> children_;

@@ -29,19 +29,10 @@ std::vector<Attribute> ConcatAttrs(const RelationSchema& a,
 
 }  // namespace
 
-AttrType InferScalarType(const ScalarExpr& e, const RelationSchema& input,
-                         const std::vector<Value>* params) {
+AttrType InferScalarType(const ScalarExpr& e, const RelationSchema& input) {
   switch (e.op()) {
     case ScalarOp::kConst:
       return ValueAttrType(e.constant());
-    case ScalarOp::kParam: {
-      const int slot = e.param_slot();
-      if (params != nullptr && slot >= 0 &&
-          slot < static_cast<int>(params->size())) {
-        return ValueAttrType((*params)[static_cast<std::size_t>(slot)]);
-      }
-      return AttrType::kInt;
-    }
     case ScalarOp::kAttrRef: {
       const int i = e.attr_index();
       if (e.side() == 0 && i >= 0 && i < static_cast<int>(input.arity())) {
@@ -53,8 +44,8 @@ AttrType InferScalarType(const ScalarExpr& e, const RelationSchema& input,
     case ScalarOp::kSub:
     case ScalarOp::kMul:
     case ScalarOp::kDiv: {
-      const AttrType a = InferScalarType(e.children()[0], input, params);
-      const AttrType b = InferScalarType(e.children()[1], input, params);
+      const AttrType a = InferScalarType(e.children()[0], input);
+      const AttrType b = InferScalarType(e.children()[1], input);
       return (a == AttrType::kDouble || b == AttrType::kDouble)
                  ? AttrType::kDouble
                  : AttrType::kInt;

@@ -24,11 +24,8 @@ Result<RelationSchema> InferSchema(const RelExpr& expr,
                                    const SchemaResolver& resolver);
 
 /// Best-effort static type of scalar expression `e` whose side-0 attribute
-/// references target `input` (predicates type as int 0/1). `params` types
-/// kParam slots from their bound values (cached-plan execution); without a
-/// binding they type as int.
-AttrType InferScalarType(const ScalarExpr& e, const RelationSchema& input,
-                         const std::vector<Value>* params = nullptr);
+/// references target `input` (predicates type as int 0/1).
+AttrType InferScalarType(const ScalarExpr& e, const RelationSchema& input);
 
 /// Output attribute name for projection item `item` at position `i`:
 /// the explicit name, the referenced input attribute's name, or "c<i>".

@@ -29,9 +29,7 @@ void DeclarePlanIndexes(const algebra::PhysicalPlan& plan, Database* db) {
 }  // namespace
 
 IntegritySubsystem::IntegritySubsystem(Database* db, SubsystemOptions options)
-    : db_(db), options_(std::move(options)) {
-  plan_cache_.set_shape_capacity(options_.adhoc_plan_capacity);
-}
+    : db_(db), options_(std::move(options)) {}
 
 Status IntegritySubsystem::DefineConstraint(const std::string& name,
                                             const std::string& cl_text) {
@@ -116,13 +114,8 @@ Status IntegritySubsystem::Recompile() {
   // Compile every check expression to a physical plan now — enforcement
   // reuses these via the plan cache — and declare whatever indexes the
   // chosen operators want. Operator and index choice both live in the
-  // plan layer; this loop only carries decisions out. Building a fresh
-  // cache (rather than patching the old one) is also the shaped-side
-  // invalidation hook: any ad-hoc plan cached before this rule change is
-  // dropped, so no statement can execute against a plan whose environment
-  // (rule set, index declarations) has moved underneath it.
+  // plan layer; this loop only carries decisions out.
   algebra::PlanCache cache;
-  cache.set_shape_capacity(options_.adhoc_plan_capacity);
   for (const IntegrityProgram& program : compiled.programs()) {
     for (const algebra::Statement& stmt : program.program.statements) {
       if (stmt.expr == nullptr) continue;

@@ -34,11 +34,6 @@ struct SubsystemOptions {
   /// (Section 6.1). Cycles cut by NONTRIGGERING actions are fine. With
   /// this off, the modifier's depth cap is the only protection.
   bool reject_cyclic_rule_sets = true;
-  /// Bound on the shaped (ad-hoc statement) side of the plan cache:
-  /// distinct statement shapes retained before least-recently-used
-  /// eviction. 0 disables ad-hoc plan caching entirely (every statement
-  /// compiles fresh — the oracle tests' reference mode).
-  std::size_t adhoc_plan_capacity = algebra::PlanCache::kDefaultShapeCapacity;
 };
 
 /// The transaction modification subsystem: the public facade tying
@@ -86,25 +81,15 @@ class IntegritySubsystem {
   const CompiledRuleSet& compiled() const { return compiled_; }
   const TriggeringGraph& graph() const { return graph_; }
 
-  /// The per-subsystem plan cache. Its pinned side holds the physical
-  /// plans of every compiled integrity-check expression, compiled once at
-  /// rule-definition time; its shaped side caches ad-hoc statement plans
-  /// by structural fingerprint (two statements differing only in literal
-  /// constants share one plan under different parameter bindings).
-  /// Execute() runs transactions against this cache, so enforcement never
-  /// recompiles plans and repeated ad-hoc shapes compile once; index
-  /// declarations (Relation::IndexOn) are derived from the pinned plans'
-  /// IndexRequests — operator choice and index choice live in the plan
-  /// layer, not here. Defining or dropping a rule rebuilds the cache,
-  /// which also invalidates every shaped entry.
+  /// The physical plans of every compiled integrity-check expression,
+  /// compiled once at rule-definition time. Execute() and the transaction
+  /// manager's sessions run transactions against this cache, so
+  /// enforcement never recompiles a check; the user's own statements
+  /// compile when they run. Index declarations (Relation::IndexOn) are
+  /// derived from the plans' IndexRequests — operator choice and index
+  /// choice live in the plan layer, not here. Defining or dropping a rule
+  /// rebuilds the cache: quiesce concurrent sessions first.
   const algebra::PlanCache& plan_cache() const { return plan_cache_; }
-
-  /// Mutable cache access for the transaction manager: concurrent
-  /// sessions share one cache (the shaped side is internally
-  /// synchronized; the pinned side is read-only during execution).
-  /// Defining or dropping rules while sessions execute is NOT supported —
-  /// quiesce traffic first.
-  algebra::PlanCache* shared_plan_cache() { return &plan_cache_; }
 
   /// Explain() dumps of every compiled check plan, keyed by the check
   /// statement's textual form. Diagnostics; tests pin plan choices on it.

@@ -120,11 +120,9 @@ bool DefaultUseThreads() {
 
 class ParallelExecutor::Impl {
  public:
-  Impl(ParallelDatabase* db, const ParallelOptions& options,
-       algebra::PlanCache* plan_cache, ThreadPool* pool)
+  Impl(ParallelDatabase* db, const ParallelOptions& options, ThreadPool* pool)
       : db_(db),
         options_(options),
-        plan_cache_(plan_cache),
         pool_(pool),
         nodes_(db->num_nodes()),
         width_(U(db->num_nodes())),
@@ -235,9 +233,12 @@ class ParallelExecutor::Impl {
     const PhaseTimer timer;
     uint64_t transferred = 0;
     std::vector<uint64_t> local(width_, 0);
-    // Delete-plus-insert semantics, as in the serial engine: select on
-    // every node first, then apply both halves — an updated tuple routed
-    // to another node is not selected a second time there.
+    // Delete-plus-insert semantics, as in the serial engine:
+    // R' = (R − σθ(R)) ∪ f(σθ(R)). Select on every node and compute every
+    // new tuple before writing anything, so an evaluation error writes
+    // nothing; then erase every selected tuple before inserting any new
+    // one, so a new tuple equal to a selected one stays, wherever either
+    // lies.
     const std::vector<const Relation*> current =
         Fragments(RelRefKind::kBase, stmt.target, *target);
     std::vector<std::vector<Tuple>> selected(width_);
@@ -249,18 +250,26 @@ class ParallelExecutor::Impl {
       }
       local[node] += current[node]->size();
     }
-    Levels& levels = LevelsFor(stmt.target);
+    std::vector<std::pair<std::size_t, Tuple>> routed;
     for (std::size_t node = 0; node < width_; ++node) {
       for (const Tuple& old_tuple : selected[node]) {
         TXMOD_ASSIGN_OR_RETURN(Tuple new_tuple, stmt.UpdatedTuple(old_tuple));
         TXMOD_RETURN_IF_ERROR(schema.CheckTuple(new_tuple));
         new_tuple = schema.CoerceTuple(std::move(new_tuple));
-        LevelOn(&levels, *target, node)->Erase(old_tuple);
         const std::size_t dst =
             U(FragmentOf(new_tuple, target->scheme, nodes_));
         if (dst != node) ++transferred;
-        LevelOn(&levels, *target, dst)->Insert(std::move(new_tuple));
+        routed.emplace_back(dst, std::move(new_tuple));
       }
+    }
+    Levels& levels = LevelsFor(stmt.target);
+    for (std::size_t node = 0; node < width_; ++node) {
+      for (const Tuple& old_tuple : selected[node]) {
+        LevelOn(&levels, *target, node)->Erase(old_tuple);
+      }
+    }
+    for (auto& [dst, t] : routed) {
+      LevelOn(&levels, *target, dst)->Insert(std::move(t));
     }
     result_.stats.AddPhaseTimed("update", local, transferred,
                                 transferred > 0 ? 1 : 0,
@@ -355,39 +364,19 @@ class ParallelExecutor::Impl {
 
   // --- expression evaluation -------------------------------------------------
 
-  /// Evaluates `e` through the executor's shape-keyed plan cache: the
-  /// same physical plan the serial engine runs, compiled once per
-  /// statement *shape* and reused under this statement's constant binding
-  /// — this executor decides *where* each operator's work happens
-  /// (alignment, redistribution, broadcast — charged to the cost model),
-  /// and the shared fragment-local kernels (algebra::ExecuteNodeLocal /
-  /// algebra::NodeLocalKernel) decide *how* a fragment's tuples are
-  /// joined, filtered, probed and projected. The distribution decisions
-  /// ride with the cached tree: redistribution keys and the
-  /// partition-vs-broadcast choice are read off the plan nodes'
-  /// equality-key metadata, so a cache hit skips re-deriving them as
-  /// well.
+  /// Evaluates `e` on the physical plan the serial engine would run,
+  /// compiled from the statement's own tree now (a plan-cache miss in
+  /// EvalStats' terms) — this executor decides *where* each operator's
+  /// work happens (alignment, redistribution, broadcast — charged to the
+  /// cost model), and the shared fragment-local kernels
+  /// (algebra::ExecuteNodeLocal / algebra::NodeLocalKernel) decide *how*
+  /// a fragment's tuples are joined, filtered, probed and projected.
+  /// Redistribution keys and the partition-vs-broadcast choice are read
+  /// off the plan nodes' equality-key metadata.
   Result<FragRel> EvalExpr(const RelExpr& e) {
-    if (plan_cache_ == nullptr || plan_cache_->shape_capacity() == 0) {
-      // Reference mode: one-shot compile of the statement's own tree
-      // (not even canonicalized — the oracle tests diff the cached
-      // engine against this as an independent implementation).
-      if (plan_cache_ != nullptr) {
-        plan_cache_->CountBypassedMiss(&result_.eval_stats);
-      } else {
-        ++result_.eval_stats.plan_cache_misses;
-      }
-      TXMOD_ASSIGN_OR_RETURN(PhysicalPlan plan, PhysicalPlan::Compile(e));
-      cur_params_ = nullptr;
-      return Eval(plan.root());
-    }
-    TXMOD_ASSIGN_OR_RETURN(
-        algebra::BoundPlan bound,
-        plan_cache_->GetOrCompileShaped(e, &result_.eval_stats));
-    cur_params_ = &bound.params;
-    Result<FragRel> out = Eval(bound.plan->root());
-    cur_params_ = nullptr;
-    return out;
+    ++result_.eval_stats.plan_cache_misses;
+    TXMOD_ASSIGN_OR_RETURN(PhysicalPlan plan, PhysicalPlan::Compile(e));
+    return Eval(plan.root());
   }
 
   Result<FragRel> Eval(const PhysicalNode& n) {
@@ -473,9 +462,8 @@ class ParallelExecutor::Impl {
   }
 
   Result<FragRel> EvalLiteral(const RelExpr& e) {
-    TXMOD_ASSIGN_OR_RETURN(
-        Relation lit,
-        algebra::MaterializeLiteral(e, &result_.eval_stats, cur_params_));
+    TXMOD_ASSIGN_OR_RETURN(Relation lit,
+                           algebra::MaterializeLiteral(e, &result_.eval_stats));
     std::vector<Relation> frags(width_, Relation(lit.schema_ptr()));
     frags[0] = std::move(lit);
     FragRel out = FragRel::Owning(std::move(frags));
@@ -563,7 +551,7 @@ class ParallelExecutor::Impl {
             frags[i],
             algebra::ExecuteNodeLocal(
                 n, in.frag(i), r != nullptr ? &r->frag(i) : nullptr,
-                &node_stats[i], cur_params_,
+                &node_stats[i],
                 probes != nullptr ? &(*probes)[i] : nullptr));
       }
       MergeNodeStats(node_stats);
@@ -622,12 +610,10 @@ class ParallelExecutor::Impl {
         const Relation* right = r != nullptr ? &r->frag(i) : nullptr;
         const algebra::FragmentProbe* probe =
             probes != nullptr ? &(*probes)[i] : nullptr;
-        const std::vector<Value>* params = cur_params_;
-        plan.queues[i].push_back([&n, &sh, &left, right, probe, params] {
+        plan.queues[i].push_back([&n, &sh, &left, right, probe] {
           Result<algebra::NodeLocalKernel> k =
               algebra::NodeLocalKernel::Prepare(n, left.schema_ptr(), right,
-                                                &sh.prep_stats, params,
-                                                probe);
+                                                &sh.prep_stats, probe);
           if (k.ok()) {
             sh.kernel.emplace(std::move(k).value());
           } else {
@@ -1226,15 +1212,11 @@ class ParallelExecutor::Impl {
 
   ParallelDatabase* db_;
   const ParallelOptions& options_;
-  algebra::PlanCache* plan_cache_;
   ThreadPool* pool_;         // null = simulate mode (inline phases)
   const int nodes_;          // node count for the fragmentation API
   const std::size_t width_;  // the same count, as a container extent
   ParallelTxnResult result_;
   uint64_t phase_ordinal_ = 0;  // feeds PhaseSeed
-  /// Binding vector of the statement currently being evaluated (null in
-  /// reference mode); read-only during threaded phases.
-  const std::vector<Value>* cur_params_ = nullptr;
   std::map<std::string, FragRel> temps_;
   /// The transaction's writes: per written relation, one overlay level
   /// per written fragment — dplus/dminus are a level's own inserts and
@@ -1247,7 +1229,6 @@ class ParallelExecutor::Impl {
 ParallelExecutor::ParallelExecutor(ParallelDatabase* db,
                                    ParallelOptions options)
     : db_(db), options_(std::move(options)) {
-  plan_cache_.set_shape_capacity(options_.plan_cache_capacity);
   if (options_.use_threads) {
     if (options_.pool != nullptr) {
       pool_ = options_.pool;
@@ -1262,7 +1243,7 @@ ParallelExecutor::ParallelExecutor(ParallelDatabase* db,
 
 Result<ParallelTxnResult> ParallelExecutor::Execute(
     const algebra::Transaction& txn) {
-  Impl impl(db_, options_, &plan_cache_, pool_);
+  Impl impl(db_, options_, pool_);
   return impl.Run(txn);
 }
 

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "src/algebra/physical_plan.h"
+#include "src/algebra/eval_context.h"
 #include "src/algebra/statement.h"
 #include "src/parallel/cost_model.h"
 #include "src/parallel/parallel_db.h"
@@ -48,21 +48,14 @@ struct ParallelOptions {
   /// Perturbs each phase's steal order; the determinism tests sweep it
   /// to pin that steal interleaving cannot change final states.
   uint64_t steal_seed = 0;
-  /// Bound on the executor's shape-keyed plan cache: statement shapes
-  /// retained before LRU eviction. Statements compile once per *shape*
-  /// per executor, not once per execution — reuse the executor across
-  /// transactions to benefit. 0 disables caching (every statement
-  /// compiles its own tree one-shot — the oracle tests' reference mode).
-  std::size_t plan_cache_capacity =
-      algebra::PlanCache::kDefaultShapeCapacity;
 };
 
 struct ParallelTxnResult {
   bool committed = false;
   std::string abort_reason;
   ParallelStats stats{1};
-  /// Operator-kernel work counters, merged across nodes, plus this
-  /// execution's plan-cache traffic. Comparable (minus the cache
+  /// Operator-kernel work counters, merged across nodes, plus one
+  /// plan-cache miss per statement compiled. Comparable (minus the cache
   /// counters) with the serial engine's TxnResult::stats.
   algebra::EvalStats eval_stats;
 };
@@ -126,13 +119,11 @@ struct ParallelTxnResult {
 /// timings next to the simulated numbers in both modes (wall ≈ 0 when
 /// inline).
 ///
-/// Statement expressions are compiled through a per-executor shape-keyed
-/// plan cache (algebra::PlanCache): repeated statement shapes — the same
-/// tree modulo literal constants — reuse one compiled plan under fresh
-/// parameter bindings instead of recompiling per execution. Because the
+/// Each statement compiles its own expression tree when it runs
+/// (PhysicalPlan::Compile), one walk that copies no tuple; the
 /// distribution decisions (which key attributes to redistribute on,
-/// partition vs broadcast) are derived from the cached plan's join-key
-/// metadata, caching the operator tree caches them too.
+/// partition vs broadcast) are read off the compiled plan's join-key
+/// metadata.
 ///
 /// Scope note (DESIGN.md §3): this is the enforcement substrate for the
 /// E5 experiment, not a distributed transaction manager — commit is
@@ -147,9 +138,6 @@ class ParallelExecutor {
   /// the simulated POOMA makespan plus measured per-phase wall clock.
   Result<ParallelTxnResult> Execute(const algebra::Transaction& txn);
 
-  /// This executor's plan cache (diagnostics: hit/miss/eviction totals).
-  const algebra::PlanCache& plan_cache() const { return plan_cache_; }
-
   /// The pool threaded phases run on; null in simulate mode.
   ThreadPool* pool() const { return pool_; }
 
@@ -157,7 +145,6 @@ class ParallelExecutor {
   class Impl;
   ParallelDatabase* db_;
   ParallelOptions options_;
-  algebra::PlanCache plan_cache_;
   std::unique_ptr<ThreadPool> owned_pool_;  // when num_workers > 0
   ThreadPool* pool_ = nullptr;              // null = simulate mode
 };

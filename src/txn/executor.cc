@@ -14,23 +14,27 @@ using algebra::StatementKind;
 
 namespace {
 
-/// Evaluates a statement's expression through the context's plan cache:
-/// the pinned side by pointer identity (integrity checks, pre-compiled at
-/// rule definition time), then the shaped side by structural fingerprint
-/// (ad-hoc statements — repeated shapes reuse one compiled plan under
-/// this statement's constant binding). Without a cache, compiles one-shot.
+/// Evaluates a statement's expression against `eval_ctx`: an integrity
+/// check runs on the plan `cache` pinned for it at rule-definition time
+/// (a plan-cache hit); any other statement compiles its own tree now (a
+/// miss).
+Result<Relation> EvalStatementExpr(const Statement& stmt,
+                                   const algebra::PlanCache* cache,
+                                   const algebra::EvalContext& eval_ctx,
+                                   algebra::EvalStats* stats) {
+  if (cache != nullptr) {
+    if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
+      ++stats->plan_cache_hits;
+      return plan->Execute(eval_ctx, stats);
+    }
+  }
+  ++stats->plan_cache_misses;
+  return EvaluateRelExpr(*stmt.expr, eval_ctx, stats);
+}
+
 Result<Relation> EvalStatementExpr(const Statement& stmt, TxnContext* ctx,
                                    TxnResult* result) {
-  if (algebra::PlanCache* cache = ctx->plan_cache()) {
-    if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
-      return plan->Execute(*ctx, &result->stats);
-    }
-    TXMOD_ASSIGN_OR_RETURN(
-        algebra::BoundPlan bound,
-        cache->GetOrCompileShaped(*stmt.expr, &result->stats));
-    return bound.plan->Execute(*ctx, &result->stats, &bound.params);
-  }
-  return EvaluateRelExpr(*stmt.expr, *ctx, &result->stats);
+  return EvalStatementExpr(stmt, ctx->plan_cache(), *ctx, &result->stats);
 }
 
 Status ExecuteAssign(const Statement& stmt, TxnContext* ctx,
@@ -65,9 +69,11 @@ Status ExecuteDelete(const Statement& stmt, TxnContext* ctx,
 
 Status ExecuteUpdate(const Statement& stmt, TxnContext* ctx,
                      TxnResult* result) {
-  // update(R, θ, f) has delete-plus-insert semantics (Definition 4.5 maps
-  // an update to {INS(R), DEL(R)}); evaluate the selection against the
-  // current state first, then apply both halves.
+  // update(R, θ, f) is delete-plus-insert (Definition 4.5 maps it to
+  // {INS(R), DEL(R)}): R' = (R − σθ(R)) ∪ f(σθ(R)). Every new tuple is
+  // computed before anything is written, so an evaluation error writes
+  // nothing; every selected tuple is deleted before any new one is
+  // inserted, so a new tuple equal to a selected one stays.
   TXMOD_ASSIGN_OR_RETURN(const Relation* rel,
                          ctx->Resolve(algebra::RelRefKind::kBase,
                                       stmt.target));
@@ -78,13 +84,20 @@ Status ExecuteUpdate(const Statement& stmt, TxnContext* ctx,
     if (match) selected.push_back(t);
   }
   result->stats.tuples_scanned += rel->size();
+  std::vector<Tuple> updated;
+  updated.reserve(selected.size());
   for (const Tuple& old_tuple : selected) {
     TXMOD_ASSIGN_OR_RETURN(Tuple new_tuple, stmt.UpdatedTuple(old_tuple));
+    updated.push_back(std::move(new_tuple));
+  }
+  for (const Tuple& old_tuple : selected) {
     TXMOD_ASSIGN_OR_RETURN(bool deleted,
                            ctx->DeleteTuple(stmt.target, old_tuple));
     if (deleted) ++result->tuples_deleted;
+  }
+  for (Tuple& new_tuple : updated) {
     TXMOD_ASSIGN_OR_RETURN(bool inserted,
-                           ctx->InsertTuple(stmt.target, new_tuple));
+                           ctx->InsertTuple(stmt.target, std::move(new_tuple)));
     if (inserted) ++result->tuples_inserted;
   }
   return Status::OK();
@@ -155,24 +168,13 @@ struct CheckOutcome {
   std::set<std::string> reads;
 };
 
-/// Evaluates one alarm statement against `eval_ctx` (same plan-cache
-/// discipline as EvalStatementExpr; same abort message as ExecuteAlarm).
-/// PlanCache is safe here: the pinned side is read-only after rule
-/// definition and the shaped side serializes internally.
-Status EvalAlarmTask(const Statement& stmt, algebra::PlanCache* cache,
+/// Evaluates one alarm statement against `eval_ctx` (same abort message
+/// as ExecuteAlarm). The PlanCache is only read after rule definition, so
+/// tasks share it without a lock.
+Status EvalAlarmTask(const Statement& stmt, const algebra::PlanCache* cache,
                      const algebra::EvalContext& eval_ctx,
                      algebra::EvalStats* stats) {
-  Result<Relation> value = [&]() -> Result<Relation> {
-    if (cache != nullptr) {
-      if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
-        return plan->Execute(eval_ctx, stats);
-      }
-      TXMOD_ASSIGN_OR_RETURN(algebra::BoundPlan bound,
-                             cache->GetOrCompileShaped(*stmt.expr, stats));
-      return bound.plan->Execute(eval_ctx, stats, &bound.params);
-    }
-    return EvaluateRelExpr(*stmt.expr, eval_ctx, stats);
-  }();
+  Result<Relation> value = EvalStatementExpr(stmt, cache, eval_ctx, stats);
   if (!value.ok()) return value.status();
   if (value->empty()) return Status::OK();  // Definition 5.1: no effect
   std::string reason = stmt.message.empty()
@@ -195,7 +197,7 @@ void RunChecksParallel(const std::vector<Statement>& stmts,
   for (std::size_t k = 0; k < end - begin; ++k) {
     const Statement* stmt = &stmts[begin + k];
     CheckOutcome* out = &(*outcomes)[k];
-    algebra::PlanCache* cache = ctx->plan_cache();
+    const algebra::PlanCache* cache = ctx->plan_cache();
     const TxnContext* parent = ctx;
     plan.queues[k].push_back([stmt, out, cache, parent] {
       CheckTaskContext eval_ctx(parent, &out->reads);
@@ -295,7 +297,7 @@ Result<TxnResult> ExecuteProgram(const algebra::Transaction& txn,
 
 Result<TxnResult> ExecuteTransaction(const algebra::Transaction& txn,
                                      Database* db,
-                                     algebra::PlanCache* plan_cache) {
+                                     const algebra::PlanCache* plan_cache) {
   // The single-session fast path: execute and commit in one step. A
   // TxnManager session runs the same ExecuteProgram against a snapshot
   // and defers the commit decision to first-committer-wins validation.

@@ -67,16 +67,14 @@ Result<TxnResult> ExecuteProgram(const algebra::Transaction& txn,
 /// errors, schema violations) also restore D^t but surface as error
 /// Statuses rather than TxnResults.
 ///
-/// `plan_cache` (optional) is the per-subsystem plan cache: expressions
-/// pre-compiled at rule-definition time (its pinned side) skip
-/// per-execution compilation outright, and every other statement
-/// expression is looked up by structural fingerprint on its shaped side,
-/// so repeated ad-hoc shapes reuse one compiled plan under fresh
-/// parameter bindings (cache traffic lands in TxnResult::stats). Without
-/// a cache every expression is compiled one-shot.
-Result<TxnResult> ExecuteTransaction(const algebra::Transaction& txn,
-                                     Database* db,
-                                     algebra::PlanCache* plan_cache = nullptr);
+/// `plan_cache` (optional) holds the integrity checks' plans, compiled at
+/// rule-definition time: a check statement runs on its pinned plan and
+/// never recompiles. Every other statement — and every statement without
+/// a cache — compiles its own tree when it runs. TxnResult::stats counts
+/// the former as plan-cache hits and the latter as misses.
+Result<TxnResult> ExecuteTransaction(
+    const algebra::Transaction& txn, Database* db,
+    const algebra::PlanCache* plan_cache = nullptr);
 
 }  // namespace txmod::txn
 

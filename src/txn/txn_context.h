@@ -54,15 +54,11 @@ class TxnContext : public algebra::EvalContext {
   Result<const Relation*> ResolveSchemaOnly(
       algebra::RelRefKind kind, const std::string& name) const override;
 
-  /// Optional per-subsystem plan cache. Statement execution consults its
-  /// pinned (identity) side first — integrity-check expressions are
-  /// pre-compiled there at rule-definition time — then its shaped side,
-  /// which caches ad-hoc statement plans by structural fingerprint so
-  /// repeated statement shapes (same tree modulo literal constants) skip
-  /// recompilation. Non-const: shaped lookups compile-on-miss and touch
-  /// LRU state.
-  void set_plan_cache(algebra::PlanCache* cache) { plan_cache_ = cache; }
-  algebra::PlanCache* plan_cache() const { return plan_cache_; }
+  /// Optional per-subsystem plan cache: the integrity checks' plans,
+  /// compiled at rule-definition time. A check statement runs on its
+  /// pinned plan; every other statement compiles when it runs.
+  void set_plan_cache(const algebra::PlanCache* cache) { plan_cache_ = cache; }
+  const algebra::PlanCache* plan_cache() const { return plan_cache_; }
 
   /// Optional worker pool for integrity-check evaluation: when set, the
   /// statement executor evaluates runs of consecutive alarm statements
@@ -158,7 +154,7 @@ class TxnContext : public algebra::EvalContext {
                        const Tuple& t);
 
   Database* db_;
-  algebra::PlanCache* plan_cache_ = nullptr;
+  const algebra::PlanCache* plan_cache_ = nullptr;
   parallel::ThreadPool* check_pool_ = nullptr;
   std::map<std::string, Relation> temps_;
   // One overlay level per written relation.

@@ -23,7 +23,7 @@ TxnSession::TxnSession(TxnManager* manager, Database snapshot,
       snapshot_db_(std::move(snapshot)),
       snapshot_version_(snapshot_version),
       ctx_(&snapshot_db_) {
-  ctx_.set_plan_cache(manager_->subsystem_->shared_plan_cache());
+  ctx_.set_plan_cache(&manager_->subsystem_->plan_cache());
   ctx_.EnableConflictTracking();  // commit validation consumes the sets
   ctx_.set_check_pool(manager_->check_pool_.get());
 }

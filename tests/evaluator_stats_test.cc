@@ -11,7 +11,7 @@
 #include "gtest/gtest.h"
 #include "src/algebra/evaluator.h"
 #include "src/algebra/parser.h"
-#include "src/algebra/physical_plan.h"
+#include "src/core/subsystem.h"
 #include "tests/test_util.h"
 
 namespace txmod::algebra {
@@ -274,95 +274,30 @@ TEST_F(EvaluatorStatsTest, JoinKeysAbove2Pow53StayExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-cache counters: the exact hit/miss/eviction accounting of
-// PlanCache::GetOrCompileShaped, and their EvalStats plumbing. Pinned
-// here next to the other counter contracts so future cache work cannot
-// silently change what a lookup reports.
+// Plan-cache counters: a hit is a statement that ran on a check plan
+// pinned at rule-definition time, a miss a statement that compiled its own
+// tree when it ran. Pinned here next to the other counter contracts.
 // ---------------------------------------------------------------------------
 
-TEST_F(EvaluatorStatsTest, ShapedLookupCountsMissesThenHits) {
+TEST_F(EvaluatorStatsTest, ChecksHitPinnedPlansUserStatementsCompile) {
+  core::IntegritySubsystem ics(&db_);
+  TXMOD_ASSERT_OK(
+      ics.DefineConstraint("domain", testing::BeerDomainConstraint()));
+  TXMOD_ASSERT_OK(
+      ics.DefineConstraint("refint", testing::BeerRefIntConstraint()));
   AlgebraParser parser(&db_.schema());
   TXMOD_ASSERT_OK_AND_ASSIGN(
-      RelExprPtr e1, parser.ParseExpression("select[alcohol >= 4](beer)"));
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      RelExprPtr e2, parser.ParseExpression("select[alcohol >= 5](beer)"));
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      RelExprPtr e3, parser.ParseExpression("select[name = \"x\"](beer)"));
+      Transaction txn,
+      parser.ParseTransaction(
+          "insert(beer, {(\"bock\", \"lager\", \"plzen\", 6.5)});"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
+  const uint64_t checks = modified.program.statements.size() - 1;
+  ASSERT_GE(checks, 2u);  // INS(beer) triggers both rules
 
-  PlanCache cache;
-  EvalStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(BoundPlan b1,
-                             cache.GetOrCompileShaped(*e1, &stats));
-  EXPECT_FALSE(b1.cache_hit);
-  EXPECT_EQ(stats.plan_cache_misses, 1u);
-  EXPECT_EQ(stats.plan_cache_hits, 0u);
-
-  // A literal-only rewrite of the same shape hits, under its own binding.
-  TXMOD_ASSERT_OK_AND_ASSIGN(BoundPlan b2,
-                             cache.GetOrCompileShaped(*e2, &stats));
-  EXPECT_TRUE(b2.cache_hit);
-  EXPECT_EQ(b2.plan, b1.plan);
-  EXPECT_EQ(stats.plan_cache_hits, 1u);
-  ASSERT_EQ(b2.params.size(), 1u);
-  EXPECT_EQ(b2.params[0], Value::Int(5));
-
-  // A structurally different statement misses.
-  TXMOD_ASSERT_OK_AND_ASSIGN(BoundPlan b3,
-                             cache.GetOrCompileShaped(*e3, &stats));
-  EXPECT_FALSE(b3.cache_hit);
-  EXPECT_EQ(stats.plan_cache_misses, 2u);
-  EXPECT_EQ(cache.shape_size(), 2u);
-  EXPECT_EQ(cache.shape_hits(), 1u);
-  EXPECT_EQ(cache.shape_misses(), 2u);
-  EXPECT_EQ(cache.shape_evictions(), 0u);
-}
-
-TEST_F(EvaluatorStatsTest, ShapedCacheEvictsLeastRecentlyUsed) {
-  AlgebraParser parser(&db_.schema());
-  auto parse = [&](const std::string& text) {
-    auto e = parser.ParseExpression(text);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    return *e;
-  };
-  RelExprPtr a = parse("select[alcohol >= 1](beer)");
-  RelExprPtr b = parse("select[name = \"x\"](beer)");
-  RelExprPtr c = parse("select[type != \"y\"](beer)");
-
-  PlanCache cache;
-  cache.set_shape_capacity(2);
-  EvalStats stats;
-  TXMOD_ASSERT_OK(cache.GetOrCompileShaped(*a, &stats).status());
-  TXMOD_ASSERT_OK(cache.GetOrCompileShaped(*b, &stats).status());
-  // Touch `a` so `b` is the least recently used...
-  TXMOD_ASSERT_OK(cache.GetOrCompileShaped(*a, &stats).status());
-  // ...then a third shape evicts `b`, not `a`.
-  TXMOD_ASSERT_OK(cache.GetOrCompileShaped(*c, &stats).status());
-  EXPECT_EQ(stats.plan_cache_evictions, 1u);
-  EXPECT_EQ(cache.shape_size(), 2u);
-  TXMOD_ASSERT_OK_AND_ASSIGN(BoundPlan again_a,
-                             cache.GetOrCompileShaped(*a, &stats));
-  EXPECT_TRUE(again_a.cache_hit);
-  TXMOD_ASSERT_OK_AND_ASSIGN(BoundPlan again_b,
-                             cache.GetOrCompileShaped(*b, &stats));
-  EXPECT_FALSE(again_b.cache_hit);  // was evicted
-}
-
-TEST_F(EvaluatorStatsTest, CapacityZeroRetainsNothingButStaysExecutable) {
-  AlgebraParser parser(&db_.schema());
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      RelExprPtr e, parser.ParseExpression("select[alcohol >= 4](beer)"));
-  PlanCache cache;
-  cache.set_shape_capacity(0);
-  EvalStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(BoundPlan bound,
-                             cache.GetOrCompileShaped(*e, &stats));
-  EXPECT_FALSE(bound.cache_hit);
-  EXPECT_NE(bound.owned, nullptr);  // caller-owned, not cache-resident
-  EXPECT_EQ(cache.shape_size(), 0u);
-  DbContext ctx(&db_);
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      Relation r, bound.plan->Execute(ctx, &stats, &bound.params));
-  EXPECT_EQ(r.size(), 2u);  // pils 5.0, stout 4.2
+  TXMOD_ASSERT_OK_AND_ASSIGN(txn::TxnResult result, ics.Execute(txn));
+  ASSERT_TRUE(result.committed) << result.abort_reason;
+  EXPECT_EQ(result.stats.plan_cache_hits, checks);
+  EXPECT_EQ(result.stats.plan_cache_misses, 1u);
 }
 
 TEST_F(EvaluatorStatsTest, CacheCountersAggregateAndStripCleanly) {
@@ -370,18 +305,15 @@ TEST_F(EvaluatorStatsTest, CacheCountersAggregateAndStripCleanly) {
   a.tuples_scanned = 3;
   a.plan_cache_hits = 2;
   a.plan_cache_misses = 1;
-  a.plan_cache_evictions = 4;
   EvalStats b;
   b.plan_cache_hits = 5;
   b.index_probes = 7;
   a.Add(b);
   EXPECT_EQ(a.plan_cache_hits, 7u);
   EXPECT_EQ(a.plan_cache_misses, 1u);
-  EXPECT_EQ(a.plan_cache_evictions, 4u);
   const EvalStats stripped = a.WithoutCacheCounters();
   EXPECT_EQ(stripped.plan_cache_hits, 0u);
   EXPECT_EQ(stripped.plan_cache_misses, 0u);
-  EXPECT_EQ(stripped.plan_cache_evictions, 0u);
   EXPECT_EQ(stripped.tuples_scanned, 3u);
   EXPECT_EQ(stripped.index_probes, 7u);
 }

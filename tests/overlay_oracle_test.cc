@@ -32,7 +32,6 @@
 
 #include "gtest/gtest.h"
 #include "bench/workload.h"
-#include "src/baseline/posthoc_checker.h"
 #include "src/common/str_util.h"
 #include "src/core/subsystem.h"
 #include "src/txn/txn_manager.h"
@@ -52,9 +51,14 @@ Database MakeInitialDatabase() {
   return db;
 }
 
+const std::vector<testing::NamedConstraint> kConstraints = {
+    {"domain", bench::DomainConstraint()},
+    {"refint", bench::RefIntConstraint()}};
+
 void DefineConstraints(core::IntegritySubsystem* ics) {
-  TXMOD_ASSERT_OK(ics->DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics->DefineConstraint("refint", bench::RefIntConstraint()));
+  for (const testing::NamedConstraint& c : kConstraints) {
+    TXMOD_ASSERT_OK(ics->DefineConstraint(c.name, c.cl_text));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -150,37 +154,6 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
   return script;
 }
 
-/// A copy of `src` that shares nothing with it: every relation rebuilt
-/// flat, tuple by tuple, with the same declared indexes and logical time.
-Database Rebuild(const Database& src) {
-  Database out;
-  for (const std::string& name : src.RelationNames()) {
-    const Relation& rel = **src.Find(name);
-    EXPECT_TRUE(out.CreateRelation(rel.schema()).ok());
-    Relation* copy = *out.FindMutable(name);
-    for (const Tuple& t : rel.SortedTuples()) copy->Insert(t);
-    for (const std::vector<int>& attrs : rel.DeclaredIndexes()) {
-      copy->IndexOn(attrs);
-    }
-  }
-  while (out.logical_time() < src.logical_time()) out.AdvanceTime();
-  return out;
-}
-
-/// PostHocChecker over a rebuilt copy of `db`, every constraint in full:
-/// the empty string when `db` satisfies them all, else the violation.
-std::string FullCheckViolation(const Database& db) {
-  Database copy = Rebuild(db);
-  core::IntegritySubsystem ics(&copy);
-  DefineConstraints(&ics);
-  baseline::PostHocOptions options;
-  options.use_triggers = false;
-  baseline::PostHocChecker checker(&ics, options);
-  auto result = checker.Execute(Transaction{});
-  if (!result.ok()) return result.status().ToString();
-  return result->committed ? "" : result->abort_reason;
-}
-
 /// One reference session: the transactions run serially, modified and
 /// checked by a subsystem with the manager's constraints, against a flat
 /// database rebuilt from the reference master at Begin. Its context
@@ -206,10 +179,10 @@ class Reference {
   std::unique_ptr<RefSession> Begin() {
     auto session = std::make_unique<RefSession>();
     session->snapshot_version = master_.logical_time();
-    session->start = Rebuild(master_);
-    session->db = Rebuild(master_);
+    session->start = testing::Rebuild(master_);
+    session->db = testing::Rebuild(master_);
     session->ctx = std::make_unique<TxnContext>(&session->db);
-    session->ctx->set_plan_cache(ics_.shared_plan_cache());
+    session->ctx->set_plan_cache(&ics_.plan_cache());
     session->ctx->EnableConflictTracking();
     return session;
   }
@@ -360,7 +333,9 @@ TEST(OverlayOracleTest, SessionScriptMatchesSnapshotFreeReference) {
               << "master diverges from the reference after a commit";
           ASSERT_EQ(manager->committed_version(),
                     ref.master().logical_time());
-          ASSERT_EQ(FullCheckViolation(db), "");
+          ASSERT_EQ(
+              testing::FullCheckViolation(testing::Rebuild(db), kConstraints),
+              "");
           break;
         }
         case ScriptStep::Kind::kAbort:
@@ -462,7 +437,8 @@ TEST(OverlayOracleTest, ThreadedWorkloadConvergesToSerialReplay) {
   EXPECT_TRUE(db.SameState(replay))
       << "the threaded run converges to a different state than its replay";
   EXPECT_EQ(manager->committed_version(), replay.logical_time());
-  EXPECT_EQ(FullCheckViolation(db), "");
+  EXPECT_EQ(
+      testing::FullCheckViolation(testing::Rebuild(db), kConstraints), "");
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "gtest/gtest.h"
 #include "bench/workload.h"
-#include "src/algebra/fingerprint.h"
 #include "src/algebra/parser.h"
 #include "src/algebra/physical_plan.h"
 #include "src/core/subsystem.h"
@@ -255,6 +254,51 @@ TEST(PhysicalPlanTest, SubsystemCachesCheckPlansAtDefinitionTime) {
   EXPECT_EQ(ics.plan_cache().Lookup(other.get()), nullptr);
 }
 
+TEST(PhysicalPlanTest, PinnedCheckPlanProbesIndexDeclaredAfterDefinition) {
+  // Plans resolve indexes when they execute, not when they compile, so
+  // index declaration needs no invalidation hook: a check plan pinned at
+  // rule definition probes an index declared afterwards, unrecompiled.
+  Database defined_on = bench::MakeKeyFkDatabase(500, 10);
+  core::IntegritySubsystem ics(&defined_on);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  const std::size_t pinned = ics.plan_cache().size();
+
+  // The same state without the indexes the definition declared.
+  Database db = bench::MakeKeyFkDatabase(500, 10);
+  ASSERT_EQ((*db.Find("key_rel"))->FindIndex({0}), nullptr);
+  AlgebraParser parser(&db.schema());
+
+  // The INS(fk_rel) check, diff(project[ref](dplus(fk_rel)),
+  // project[key](key_rel)), has no index to probe yet: it scans key_rel.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Transaction first,
+      parser.ParseTransaction("insert(fk_rel, {(4000001, \"k1\", 2.0)});"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Transaction first_mod, ics.Modify(first));
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      txn::TxnResult r1,
+      txn::ExecuteTransaction(first_mod, &db, &ics.plan_cache()));
+  ASSERT_TRUE(r1.committed) << r1.abort_reason;
+  EXPECT_GE(r1.stats.plan_cache_hits, 1u);
+  EXPECT_EQ(r1.stats.index_probes, 0u);
+  EXPECT_GE(r1.stats.tuples_scanned, 500u);
+
+  ASSERT_NE((*db.FindMutable("key_rel"))->IndexOn({0}), nullptr);
+
+  // The same pinned plan now probes the index instead of scanning.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Transaction second,
+      parser.ParseTransaction("insert(fk_rel, {(4000002, \"k2\", 3.0)});"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Transaction second_mod, ics.Modify(second));
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      txn::TxnResult r2,
+      txn::ExecuteTransaction(second_mod, &db, &ics.plan_cache()));
+  ASSERT_TRUE(r2.committed) << r2.abort_reason;
+  EXPECT_EQ(r2.stats.plan_cache_hits, r1.stats.plan_cache_hits);
+  EXPECT_GT(r2.stats.index_probes, 0u);
+  EXPECT_LT(r2.stats.tuples_scanned, 100u);
+  EXPECT_EQ(ics.plan_cache().size(), pinned);
+}
+
 // ---------------------------------------------------------------------------
 // Fragment-local kernel: one operator over materialized inputs agrees
 // with serial execution of the same plan node.
@@ -296,86 +340,14 @@ TEST(PhysicalPlanTest, FragmentLocalKernelMatchesSerialJoin) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter slots in Explain(): canonical (shape-cached) plans announce
-// their slot count and print constants as ?N, so a dump shows exactly
-// what varies between the statements sharing the plan. Plain plans are
-// unchanged (no header, constants verbatim).
+// Plain plans print their constants verbatim.
 // ---------------------------------------------------------------------------
-
-std::string ExplainCanonical(const Database& db, const std::string& text) {
-  auto e = Parse(db, text);
-  EXPECT_TRUE(e.ok()) << e.status().ToString();
-  ParameterizedExpr pe = ParameterizeExpr(**e);
-  auto plan = PhysicalPlan::Compile(pe.expr,
-                                    static_cast<int>(pe.params.size()));
-  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  return plan->Explain();
-}
-
-TEST(PhysicalPlanExplainTest, CanonicalSelectAnnotatesParameterSlots) {
-  Database db = MakeBeerDatabase();
-  EXPECT_EQ(ExplainCanonical(db, "select[alcohol >= 4.5](beer)"),
-            "params: 1\n"
-            "select[alcohol >= ?0]\n"
-            "  scan[base beer]\n");
-  EXPECT_EQ(ExplainCanonical(
-                db, "select[alcohol >= 4.5 and type = \"lager\"](beer)"),
-            "params: 2\n"
-            "select[alcohol >= ?0 and type = ?1]\n"
-            "  scan[base beer]\n");
-}
-
-TEST(PhysicalPlanExplainTest, CanonicalLiteralAnnotatesSlotRange) {
-  Database db = MakeBeerDatabase();
-  // Two tuples of arity 3: slots ?0..?5, row-major.
-  EXPECT_EQ(
-      ExplainCanonical(
-          db, "union({(\"a\", \"b\", \"c\"), (\"d\", \"e\", \"f\")}, brewery)"),
-      "params: 6\n"
-      "union\n"
-      "  literal[2 tuples, params ?0..?5]\n"
-      "  scan[base brewery]\n");
-}
 
 TEST(PhysicalPlanExplainTest, PlainPlansKeepConstantsVerbatim) {
   Database db = MakeBeerDatabase();
   EXPECT_EQ(ExplainText(db, "select[alcohol >= 4.5](beer)"),
             "select[alcohol >= 4.5]\n"
             "  scan[base beer]\n");
-}
-
-TEST(PhysicalPlanTest, CanonicalPlanKeepsOperatorAndIndexChoices) {
-  Database db = MakeBeerDatabase();
-  // Canonicalization must not disturb plan choice: the differential
-  // referential-check shape still compiles to an index-lookup join and
-  // requests the same probe-side index.
-  const char* text = "semijoin[l.brewery = r.name](beer, dminus(brewery))";
-  TXMOD_ASSERT_OK_AND_ASSIGN(RelExprPtr e, Parse(db, text));
-  TXMOD_ASSERT_OK_AND_ASSIGN(PhysicalPlan plain, PhysicalPlan::Compile(e));
-  ParameterizedExpr pe = ParameterizeExpr(*e);
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      PhysicalPlan canon,
-      PhysicalPlan::Compile(pe.expr, static_cast<int>(pe.params.size())));
-  EXPECT_EQ(canon.Explain(), plain.Explain());  // no constants in this shape
-  ASSERT_EQ(canon.IndexRequests().size(), plain.IndexRequests().size());
-  ASSERT_EQ(canon.IndexRequests().size(), 1u);
-  EXPECT_EQ(canon.IndexRequests()[0].relation, "beer");
-  EXPECT_EQ(canon.IndexRequests()[0].attrs, std::vector<int>{2});
-}
-
-TEST(PhysicalPlanTest, ExecuteRejectsMissingOrShortBindings) {
-  Database db = MakeBeerDatabase();
-  TXMOD_ASSERT_OK_AND_ASSIGN(RelExprPtr e,
-                             Parse(db, "select[alcohol >= 4.5](beer)"));
-  ParameterizedExpr pe = ParameterizeExpr(*e);
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      PhysicalPlan plan,
-      PhysicalPlan::Compile(pe.expr, static_cast<int>(pe.params.size())));
-  DbContext ctx(&db);
-  EXPECT_FALSE(plan.Execute(ctx).ok());  // no binding
-  const std::vector<Value> empty;
-  EXPECT_FALSE(plan.Execute(ctx, nullptr, &empty).ok());  // short binding
-  EXPECT_TRUE(plan.Execute(ctx, nullptr, &pe.params).ok());
 }
 
 }  // namespace

@@ -8,8 +8,13 @@
 // (bench/workload.h's schema) and asserts equivalence after every
 // transaction. Under key/foreign-key placement the checks are node-local;
 // under round-robin placement, the benchmark's, index probes cross
-// fragments and lookup joins broadcast their delta side.
+// fragments and lookup joins broadcast their delta side. Both engines
+// compile the user's statements through the same plan layer, so after
+// every step the merged parallel state must also pass PostHocChecker:
+// every constraint evaluated in full, sharing none of that code.
 
+#include <algorithm>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -30,6 +35,22 @@ using algebra::Transaction;
 using txmod::testing::AddBeer;
 using txmod::testing::AddBrewery;
 using txmod::testing::MakeBeerDatabase;
+using txmod::testing::NamedConstraint;
+
+const std::vector<NamedConstraint> kBeerConstraints = {
+    {"domain", "forall x (x in beer implies x.alcohol >= 0)"},
+    {"refint",
+     "forall x (x in beer implies exists y (y in brewery and "
+     "x.brewery = y.name))"},
+    // Transition constraint: no brewery disappears. Its check reads
+    // old(brewery), the fragments under the transaction's levels.
+    {"keep_breweries",
+     "forall x (x in old(brewery) implies exists y (y in brewery and "
+     "x = y))"}};
+
+const std::vector<NamedConstraint> kKeyFkConstraints = {
+    {"domain", bench::DomainConstraint()},
+    {"refint", bench::RefIntConstraint()}};
 
 struct OracleParam {
   int nodes;
@@ -47,11 +68,13 @@ struct OracleParam {
 };
 
 /// Both engines execute the same modified transaction against their own
-/// copy of the same starting state; outcomes and final states must match.
-/// `serial_db` and `pdb` evolve statefully across calls so multi-
+/// copy of the same starting state; outcomes and final states must match,
+/// and the parallel state must satisfy every one of `constraints` in
+/// full. `serial_db` and `pdb` evolve statefully across calls so multi-
 /// transaction histories stay comparable.
 void StepBothEngines(const Transaction& modified, Database* serial_db,
                      ParallelDatabase* pdb, const OracleParam& param,
+                     const std::vector<NamedConstraint>& constraints,
                      const std::string& trace) {
   SCOPED_TRACE(trace);
   auto serial = txn::ExecuteTransaction(modified, serial_db);
@@ -67,7 +90,9 @@ void StepBothEngines(const Transaction& modified, Database* serial_db,
                              exec.Execute(modified));
 
   EXPECT_EQ(serial->committed, parallel.committed);
-  EXPECT_TRUE(pdb->Merge().SameState(*serial_db));
+  Database merged = pdb->Merge();
+  EXPECT_TRUE(merged.SameState(*serial_db));
+  EXPECT_EQ(testing::FullCheckViolation(std::move(merged), constraints), "");
 }
 
 class OracleTest : public ::testing::TestWithParam<OracleParam> {};
@@ -85,18 +110,9 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
             i % 2 == 0 ? "heineken" : "guinness", 4.0 + (i % 5));
   }
   core::IntegritySubsystem ics(&db);
-  TXMOD_ASSERT_OK(ics.DefineConstraint(
-      "domain", "forall x (x in beer implies x.alcohol >= 0)"));
-  TXMOD_ASSERT_OK(ics.DefineConstraint(
-      "refint",
-      "forall x (x in beer implies exists y (y in brewery and "
-      "x.brewery = y.name))"));
-  // Transition constraint: no brewery disappears. Its check reads
-  // old(brewery), the fragments under the transaction's levels.
-  TXMOD_ASSERT_OK(ics.DefineConstraint(
-      "keep_breweries",
-      "forall x (x in old(brewery) implies exists y (y in brewery and "
-      "x = y))"));
+  for (const NamedConstraint& c : kBeerConstraints) {
+    TXMOD_ASSERT_OK(ics.DefineConstraint(c.name, c.cl_text));
+  }
 
   std::map<std::string, FragmentationScheme> schemes;
   if (!GetParam().round_robin) {
@@ -147,7 +163,7 @@ TEST_P(OracleTest, BeerBreweryWorkloadAgrees) {
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
                                parser.ParseTransaction(workload[i]));
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
-    StepBothEngines(modified, &serial_db, &pdb, GetParam(),
+    StepBothEngines(modified, &serial_db, &pdb, GetParam(), kBeerConstraints,
                     StrCat("beer workload #", i, ": ", workload[i]));
   }
 }
@@ -162,8 +178,9 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
   Database db = bench::MakeKeyFkDatabase(keys, fks);
   bench::AddUnreferencedKeys(&db, 20);
   core::IntegritySubsystem ics(&db);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  for (const NamedConstraint& c : kKeyFkConstraints) {
+    TXMOD_ASSERT_OK(ics.DefineConstraint(c.name, c.cl_text));
+  }
 
   std::map<std::string, FragmentationScheme> schemes;
   if (!GetParam().round_robin) {
@@ -244,7 +261,7 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
       }
     }
     TXMOD_ASSERT_OK_AND_ASSIGN(Transaction modified, ics.Modify(txn));
-    StepBothEngines(modified, &serial_db, &pdb, GetParam(),
+    StepBothEngines(modified, &serial_db, &pdb, GetParam(), kKeyFkConstraints,
                     StrCat("random step ", step, ": ", trace));
   }
 }
@@ -342,6 +359,107 @@ TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// update(R, θ, f) is delete-plus-insert (Definition 4.5):
+// R' = (R − σθ(R)) ∪ f(σθ(R)). Shifting every amount of
+// r = {("x",1) … ("x",6)} by one maps selected tuples onto one another, so
+// an engine that erases and inserts one tuple at a time erases new tuples
+// that equal a selected tuple it reaches later.
+// ---------------------------------------------------------------------------
+
+struct Shift {
+  const char* statement;
+  std::vector<int64_t> amounts;  // of R', sorted
+};
+
+const Shift kShifts[] = {
+    {"update(r, amount >= 1, amount := amount - 1);", {0, 1, 2, 3, 4, 5}},
+    {"update(r, amount >= 1, amount := amount + 1);", {2, 3, 4, 5, 6, 7}},
+};
+
+Database MakeShiftDatabase() {
+  Database db;
+  TXMOD_EXPECT_OK(db.CreateRelation(
+      RelationSchema("r", {Attribute{"name", AttrType::kString},
+                           Attribute{"amount", AttrType::kInt}})));
+  Relation* r = *db.FindMutable("r");
+  for (int i = 1; i <= 6; ++i) {
+    r->Insert(Tuple({Value::String("x"), Value::Int(i)}));
+  }
+  return db;
+}
+
+std::vector<int64_t> Amounts(const Database& db) {
+  std::vector<int64_t> out;
+  for (const Tuple& t : **db.Find("r")) out.push_back(t.at(1).as_int());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(UpdateSemanticsTest, SerialEngineAndSessionsApplyTheWholeUpdate) {
+  for (const Shift& shift : kShifts) {
+    SCOPED_TRACE(shift.statement);
+    Database db = MakeShiftDatabase();
+    algebra::AlgebraParser parser(&db.schema());
+    TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
+                               parser.ParseTransaction(shift.statement));
+    TXMOD_ASSERT_OK_AND_ASSIGN(txn::TxnResult direct,
+                               txn::ExecuteTransaction(txn, &db));
+    EXPECT_TRUE(direct.committed);
+    EXPECT_EQ(Amounts(db), shift.amounts);
+
+    Database session_db = MakeShiftDatabase();
+    core::IntegritySubsystem ics(&session_db);
+    TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, txn::TxnManager::Create(&ics));
+    std::unique_ptr<txn::TxnSession> session = manager->Begin();
+    TXMOD_ASSERT_OK_AND_ASSIGN(txn::TxnResult executed,
+                               session->Execute(txn));
+    EXPECT_TRUE(executed.committed);
+    EXPECT_EQ(Amounts(session->snapshot()), shift.amounts);
+    TXMOD_ASSERT_OK_AND_ASSIGN(txn::TxnResult committed, session->Commit());
+    EXPECT_TRUE(committed.committed);
+    EXPECT_EQ(Amounts(session_db), shift.amounts);
+  }
+}
+
+struct UpdateParam {
+  int nodes;
+  bool round_robin;  // else hashed on amount, so updated tuples move
+};
+
+class ParallelUpdateTest : public ::testing::TestWithParam<UpdateParam> {};
+
+TEST_P(ParallelUpdateTest, AppliesTheWholeUpdate) {
+  for (const Shift& shift : kShifts) {
+    SCOPED_TRACE(shift.statement);
+    const Database db = MakeShiftDatabase();
+    std::map<std::string, FragmentationScheme> schemes;
+    if (!GetParam().round_robin) {
+      schemes = {{"r", FragmentationScheme{FragmentationKind::kHash, 1}}};
+    }
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        ParallelDatabase pdb,
+        ParallelDatabase::Partition(db, schemes, GetParam().nodes));
+    algebra::AlgebraParser parser(&db.schema());
+    TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
+                               parser.ParseTransaction(shift.statement));
+    ParallelExecutor exec(&pdb);
+    TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult result, exec.Execute(txn));
+    EXPECT_TRUE(result.committed);
+    EXPECT_EQ(Amounts(pdb.Merge()), shift.amounts);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NodesAndPlacements, ParallelUpdateTest,
+    ::testing::Values(UpdateParam{1, false}, UpdateParam{2, false},
+                      UpdateParam{4, false}, UpdateParam{1, true},
+                      UpdateParam{2, true}, UpdateParam{4, true}),
+    [](const ::testing::TestParamInfo<UpdateParam>& param_info) {
+      return StrCat(param_info.param.nodes, "nodes_",
+                    param_info.param.round_robin ? "round_robin" : "hash");
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     NodeCountsAndThreading, OracleTest,

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/baseline/posthoc_checker.h"
+#include "src/core/subsystem.h"
 #include "src/relational/database.h"
 
 namespace txmod::testing {
@@ -85,6 +87,50 @@ inline const char* BeerRefIntConstraint() {
 
 inline const char* BeerDomainConstraint() {
   return "forall x (x in beer implies x.alcohol >= 0 and x.alcohol <= 100)";
+}
+
+/// A constraint as IntegritySubsystem::DefineConstraint takes it.
+struct NamedConstraint {
+  std::string name;
+  std::string cl_text;
+};
+
+/// A copy of `src` that shares nothing with it: every relation rebuilt
+/// flat, tuple by tuple, with the same declared indexes and logical time.
+inline Database Rebuild(const Database& src) {
+  Database out;
+  for (const std::string& name : src.RelationNames()) {
+    const Relation& rel = **src.Find(name);
+    EXPECT_TRUE(out.CreateRelation(rel.schema()).ok());
+    Relation* copy = *out.FindMutable(name);
+    for (const Tuple& t : rel.SortedTuples()) copy->Insert(t);
+    for (const std::vector<int>& attrs : rel.DeclaredIndexes()) {
+      copy->IndexOn(attrs);
+    }
+  }
+  while (out.logical_time() < src.logical_time()) out.AdvanceTime();
+  return out;
+}
+
+/// PostHocChecker over `db`, every one of `constraints` evaluated in full
+/// (no trigger selection, no differential): the empty string when `db`
+/// satisfies them all, else the violation or error. It shares no plan
+/// with the compiled checks it vouches for. Takes `db` by value because
+/// defining the constraints declares indexes on it: pass a copy that
+/// shares nothing with the state under test, such as Rebuild's.
+inline std::string FullCheckViolation(
+    Database db, const std::vector<NamedConstraint>& constraints) {
+  core::IntegritySubsystem ics(&db);
+  for (const NamedConstraint& c : constraints) {
+    const Status st = ics.DefineConstraint(c.name, c.cl_text);
+    if (!st.ok()) return st.ToString();
+  }
+  baseline::PostHocOptions options;
+  options.use_triggers = false;
+  baseline::PostHocChecker checker(&ics, options);
+  auto result = checker.Execute(algebra::Transaction{});
+  if (!result.ok()) return result.status().ToString();
+  return result->committed ? "" : result->abort_reason;
 }
 
 }  // namespace txmod::testing

@@ -219,15 +219,13 @@ void ExpectMorselsMatchWholeFragment(
   algebra::EvalStats whole_stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(
       Relation whole,
-      algebra::ExecuteNodeLocal(node, left, right, &whole_stats,
-                                /*params=*/nullptr, probe));
+      algebra::ExecuteNodeLocal(node, left, right, &whole_stats, probe));
 
   algebra::EvalStats kernel_stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(
       algebra::NodeLocalKernel kernel,
       algebra::NodeLocalKernel::Prepare(node, left.schema_ptr(), right,
-                                        &kernel_stats, /*params=*/nullptr,
-                                        probe));
+                                        &kernel_stats, probe));
   std::vector<const Tuple*> input;
   for (const Tuple& t : left) input.push_back(&t);
   Relation merged(kernel.output_schema());
@@ -346,7 +344,7 @@ TEST_F(NodeLocalKernelTest, IndexedSetOpProbesEveryFragmentInPlace) {
   algebra::EvalStats stats;
   TXMOD_ASSERT_OK_AND_ASSIGN(
       Relation probed,
-      algebra::ExecuteNodeLocal(*n, left, nullptr, &stats, nullptr, &probe));
+      algebra::ExecuteNodeLocal(*n, left, nullptr, &stats, &probe));
   EXPECT_TRUE(probed.SameTuples(expected));
   EXPECT_EQ(stats.tuples_scanned, left.size());  // brewery is not scanned
   EXPECT_GE(stats.index_probes, left.size());
@@ -378,8 +376,7 @@ TEST_F(NodeLocalKernelTest, IndexLookupJoinStreamsTheDeltaThroughAFragment) {
     algebra::EvalStats stats;
     TXMOD_ASSERT_OK_AND_ASSIGN(
         Relation part,
-        algebra::ExecuteNodeLocal(*n, delta, nullptr, &stats, nullptr,
-                                  &probe));
+        algebra::ExecuteNodeLocal(*n, delta, nullptr, &stats, &probe));
     EXPECT_EQ(stats.tuples_scanned, delta.size());
     EXPECT_EQ(stats.index_probes, delta.size());
     for (const Tuple& t : part) {
