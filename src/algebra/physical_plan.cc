@@ -1461,18 +1461,23 @@ std::vector<PhysicalPlan::IndexRequest> PhysicalPlan::IndexRequests() const {
 // Shared eager kernels: literals and fragment-local operator execution.
 // ---------------------------------------------------------------------------
 
-Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats) {
-  const std::vector<Tuple>& tuples = e.literal_tuples();
-  // Every tuple's arity is validated before the schema-inference loop
-  // below reads attribute i of arbitrary tuples: a short tuple used to
-  // be an out-of-bounds read.
-  for (const Tuple& t : tuples) {
+Status CheckLiteralArity(const RelExpr& e) {
+  for (const Tuple& t : e.literal_tuples()) {
     if (static_cast<int>(t.arity()) != e.literal_arity()) {
       return Status::InvalidArgument(
           StrCat("literal tuple ", t.ToString(), " has arity ", t.arity(),
                  ", expected ", e.literal_arity()));
     }
   }
+  return Status::OK();
+}
+
+Result<Relation> MaterializeLiteral(const RelExpr& e, EvalStats* stats) {
+  const std::vector<Tuple>& tuples = e.literal_tuples();
+  // Every tuple's arity is validated before the schema-inference loop
+  // below reads attribute i of arbitrary tuples: a short tuple used to
+  // be an out-of-bounds read.
+  TXMOD_RETURN_IF_ERROR(CheckLiteralArity(e));
   std::vector<Attribute> attrs;
   for (int i = 0; i < e.literal_arity(); ++i) {
     const std::size_t col = static_cast<std::size_t>(i);

@@ -211,6 +211,10 @@ class NodeLocalKernel {
 Result<Relation> MaterializeLiteral(const RelExpr& e,
                                     EvalStats* stats = nullptr);
 
+/// InvalidArgument naming the first tuple of literal `e` whose arity is
+/// not the literal's.
+Status CheckLiteralArity(const RelExpr& e);
+
 /// Partial state of a scalar aggregate, mergeable across fragments: each
 /// node accumulates locally, the coordinator merges and finalizes.
 struct AggPartial {

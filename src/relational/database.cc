@@ -66,9 +66,10 @@ Result<Database::Level> Database::PushLevel(const std::string& name) {
   return level;
 }
 
-void Database::DropLevel(const std::string& name, Level level) {
+std::shared_ptr<Relation> Database::DropLevel(const std::string& name,
+                                             Level level) {
   if (!level.pre_owned) owned_.erase(name);
-  relations_[name] = std::move(level.pre);
+  return std::exchange(relations_[name], std::move(level.pre));
 }
 
 void Database::FoldLevel(const std::string& name, Level level) {

@@ -89,8 +89,9 @@ class Database {
   /// `pre` is owned again only if it was before and the level was never
   /// shared since (a copy of the level still reads `pre` through it):
   /// under the contract above, `name` is still in the owned set exactly
-  /// when the level was not shared.
-  void DropLevel(const std::string& name, Level level);
+  /// when the level was not shared. Returns the level's state, which
+  /// this database no longer holds.
+  std::shared_ptr<Relation> DropLevel(const std::string& name, Level level);
 
   /// A serial commit: under DropLevel's ownership condition, folds the
   /// level into `pre` (Relation::Absorb, O(|delta|)) and re-installs it,

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -91,10 +90,19 @@ void AppendValueText(const Value& v, std::string* out) {
       return;
     }
     case ValueType::kDouble: {
-      // Hex float representation: lossless round trip.
-      char buf[64];
-      const int n = std::snprintf(buf, sizeof(buf), "d:%a", v.as_double());
-      out->append(buf, static_cast<std::size_t>(n));
+      // Hex float representation: lossless round trip. The bytes are
+      // printf's "%a": a sign, "0x" before a finite magnitude, then the
+      // shortest hex digits, which std::to_chars writes without a format
+      // string to parse.
+      const double d = v.as_double();
+      out->append("d:");
+      if (std::signbit(d)) out->push_back('-');
+      if (std::isfinite(d)) out->append("0x");
+      char buf[32];
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), std::fabs(d),
+                        std::chars_format::hex);
+      out->append(buf, r.ptr);
       return;
     }
     case ValueType::kString: {

@@ -98,19 +98,24 @@ Relation Relation::MakeOverlay(std::shared_ptr<const Relation> base) {
   return overlay;
 }
 
-bool Relation::Insert(Tuple t) {
+template <typename T>
+bool Relation::InsertValue(T&& t) {
   if (base_ != nullptr) {
     if (plus_->Contains(t)) return false;  // visible via a local insert
     // Resurrect a base tuple this level deleted: un-shadow it.
     if (minus_->Erase(t)) return true;
     if (base_->Contains(t)) return false;  // visible through the base
   }
-  auto [it, inserted] = own_tuples().insert(std::move(t));
+  auto [it, inserted] = own_tuples().insert(std::forward<T>(t));
   if (inserted) {
     for (const auto& index : indexes_) index->Add(&*it);
   }
   return inserted;
 }
+
+bool Relation::Insert(const Tuple& t) { return InsertValue(t); }
+
+bool Relation::Insert(Tuple&& t) { return InsertValue(std::move(t)); }
 
 bool Relation::Erase(const Tuple& t) {
   TupleSet& own = own_tuples();
@@ -264,6 +269,14 @@ void Relation::CollapseOverlay() {
 bool Relation::MergeOverlayLevel() {
   if (base_ == nullptr || base_->base_ == nullptr) return false;
   const Relation& b = *base_;
+  if (b.delta_weight() == 0) {
+    // An empty level (an earlier merge netted its inserts and deletes
+    // out) changes nothing: re-point past it.
+    std::shared_ptr<const Relation> next = b.base_;
+    base_ = std::move(next);  // drops the reference to b last
+    ++CowStats::overlay_merges;
+    return true;
+  }
   // Combined level over b's base:  plus = (b.plus ∖ minus) ∪ plus,
   // minus' = b.minus ∪ (minus ∖ b.plus).  b itself is only read — it may
   // still be pinned by outstanding snapshots.

@@ -219,10 +219,20 @@ class Relation {
 
   /// Inserts `t`; returns true when the tuple was not visible before.
   /// The tuple must already be schema-checked / coerced by the caller.
-  bool Insert(Tuple t);
+  /// On an overlay level, `t` is copied (or moved from) only when it
+  /// lands in the level's own inserts: a no-op, or a re-insert that
+  /// un-shadows a base tuple, leaves it untouched.
+  bool Insert(const Tuple& t);
+  bool Insert(Tuple&& t);
 
   /// Removes `t` from the visible contents; returns true when present.
   bool Erase(const Tuple& t);
+
+  // On an overlay level, the set a write landed in shows in O(1) in the
+  // sizes of local_inserts() and local_deletes(): an Insert that grew the
+  // inserts, or an Erase that grew the deletes, is shown by them. Any
+  // other write (a no-op, a re-insert that shrank the deletes, a delete
+  // that shrank the inserts) leaves no trace in the level.
 
   void Clear();
 
@@ -301,7 +311,9 @@ class Relation {
 
   /// Merges this level with its immediate base *level* (not the flat
   /// base): O(delta weights of the two levels), the base level itself is
-  /// only read. Returns false when there is no overlay base level.
+  /// only read. A base level that holds no tuples is skipped in O(1):
+  /// this level's sets, and so its tuple and index nodes, stay as they
+  /// are. Returns false when there is no overlay base level.
   bool MergeOverlayLevel();
 
   /// Post-commit compaction policy: geometrically merge overlay levels
@@ -374,6 +386,9 @@ class Relation {
 
  private:
   using TupleSet = std::unordered_set<Tuple, TupleHasher>;
+
+  template <typename T>
+  bool InsertValue(T&& t);
 
   /// The tuple set this level's declared indexes cover.
   const TupleSet& own_tuples() const {

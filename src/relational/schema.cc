@@ -68,6 +68,15 @@ Tuple RelationSchema::CoerceTuple(Tuple tuple) const {
   return tuple;
 }
 
+bool RelationSchema::NeedsCoercion(const Tuple& tuple) const {
+  for (std::size_t i = 0; i < arity() && i < tuple.arity(); ++i) {
+    if (attributes_[i].type == AttrType::kDouble && tuple.at(i).is_int()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string RelationSchema::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(attributes_.size());

@@ -54,6 +54,9 @@ class RelationSchema {
   /// Coerces kInt values in kDouble positions; assumes CheckTuple passed.
   Tuple CoerceTuple(Tuple tuple) const;
 
+  /// True when CoerceTuple would change `tuple`.
+  bool NeedsCoercion(const Tuple& tuple) const;
+
   bool operator==(const RelationSchema& other) const {
     return name_ == other.name_ && attributes_ == other.attributes_;
   }

@@ -45,26 +45,50 @@ Status ExecuteAssign(const Statement& stmt, TxnContext* ctx,
   return Status::OK();
 }
 
-Status ExecuteInsert(const Statement& stmt, TxnContext* ctx,
-                     TxnResult* result) {
+/// Calls `write` on each row of an insert's or delete's source. A
+/// literal without a pinned plan hands over its own rows, with no
+/// temporary relation between them and the level; it counts as the
+/// compiled literal would: a plan-cache miss, one operator, its rows
+/// emitted.
+template <typename Write>
+Status ForEachSourceRow(const Statement& stmt, TxnContext* ctx,
+                        TxnResult* result, Write&& write) {
+  const algebra::RelExpr& e = *stmt.expr;
+  const algebra::PlanCache* cache = ctx->plan_cache();
+  if (e.kind() == algebra::RelExprKind::kLiteral &&
+      (cache == nullptr || cache->Lookup(&e) == nullptr)) {
+    TXMOD_RETURN_IF_ERROR(algebra::CheckLiteralArity(e));
+    ++result->stats.plan_cache_misses;
+    ++result->stats.operators;
+    result->stats.tuples_emitted += e.literal_tuples().size();
+    for (const Tuple& t : e.literal_tuples()) {
+      TXMOD_RETURN_IF_ERROR(write(t));
+    }
+    return Status::OK();
+  }
   TXMOD_ASSIGN_OR_RETURN(Relation value,
                          EvalStatementExpr(stmt, ctx, result));
-  for (const Tuple& t : value) {
+  for (const Tuple& t : value) TXMOD_RETURN_IF_ERROR(write(t));
+  return Status::OK();
+}
+
+Status ExecuteInsert(const Statement& stmt, TxnContext* ctx,
+                     TxnResult* result) {
+  return ForEachSourceRow(stmt, ctx, result, [&](const Tuple& t) -> Status {
+    // The row's one copy, which the level keeps.
     TXMOD_ASSIGN_OR_RETURN(bool inserted, ctx->InsertTuple(stmt.target, t));
     if (inserted) ++result->tuples_inserted;
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status ExecuteDelete(const Statement& stmt, TxnContext* ctx,
                      TxnResult* result) {
-  TXMOD_ASSIGN_OR_RETURN(Relation value,
-                         EvalStatementExpr(stmt, ctx, result));
-  for (const Tuple& t : value) {
+  return ForEachSourceRow(stmt, ctx, result, [&](const Tuple& t) -> Status {
     TXMOD_ASSIGN_OR_RETURN(bool deleted, ctx->DeleteTuple(stmt.target, t));
     if (deleted) ++result->tuples_deleted;
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status ExecuteUpdate(const Statement& stmt, TxnContext* ctx,

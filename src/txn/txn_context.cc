@@ -1,5 +1,7 @@
 #include "src/txn/txn_context.h"
 
+#include <algorithm>
+
 #include "src/common/str_util.h"
 
 namespace txmod::txn {
@@ -80,44 +82,61 @@ Result<Relation*> TxnContext::LevelForWrite(const std::string& rel,
   return levels_.emplace(rel, std::move(level)).first->second.top;
 }
 
-void TxnContext::RecordFootprint(const std::string& rel,
-                                 const Relation& target, const Tuple& t) {
-  auto it = footprint_.find(rel);
-  if (it == footprint_.end()) {
-    it = footprint_.emplace(rel, Relation(target.schema_ptr())).first;
+TxnContext::Unshown& TxnContext::UnshownOf(const std::string& rel,
+                                            const Relation& of) {
+  auto it = unshown_.find(rel);
+  if (it == unshown_.end()) {
+    it = unshown_.emplace(rel, Unshown{Relation(of.schema_ptr()), {}}).first;
   }
-  // Dedupe before inserting: the footprint has set semantics anyway, but
-  // Insert's by-value parameter deep-copies the tuple per attempt — a
-  // large idempotent batch re-touching the same tuples would pay an
-  // O(attempts) allocation bill for an unchanged set.
-  if (!it->second.Contains(t)) it->second.Insert(t);
+  return it->second;
 }
 
 Result<bool> TxnContext::InsertTuple(const std::string& rel, Tuple tuple) {
-  // Under conflict tracking the footprint is recorded either way —
-  // whether the insert WAS a no-op is a tuple-granularity read of the
-  // committed state.
   TXMOD_ASSIGN_OR_RETURN(const Relation* current, db_->Find(rel));
   TXMOD_RETURN_IF_ERROR(current->schema().CheckTuple(tuple));
   Tuple coerced = current->schema().CoerceTuple(std::move(tuple));
-  if (track_conflicts_) RecordFootprint(rel, *current, coerced);
   TXMOD_ASSIGN_OR_RETURN(Relation * level,
                          LevelForWrite(rel, *current, coerced, true));
+  if (level == nullptr) {
+    // A no-op is a tuple-granularity read of the committed state.
+    if (track_conflicts_) {
+      UnshownOf(rel, *current).side.Insert(std::move(coerced));
+    }
+    return false;
+  }
+  const std::size_t inserts = level->local_inserts().size();
   // Re-inserting a tuple the transaction deleted shrinks the level's
-  // deletes instead: the delta stays net.
-  return level != nullptr && level->Insert(std::move(coerced));
+  // deletes instead: the delta stays net. Insert moves `coerced` into
+  // the level only when the level's inserts grow; otherwise the level
+  // does not show the attempt, and `coerced` goes to the side set.
+  const bool inserted = level->Insert(std::move(coerced));
+  if (track_conflicts_ && level->local_inserts().size() == inserts) {
+    UnshownOf(rel, *level).side.Insert(std::move(coerced));
+  }
+  return inserted;
 }
 
 Result<bool> TxnContext::DeleteTuple(const std::string& rel,
                                      const Tuple& tuple) {
   TXMOD_ASSIGN_OR_RETURN(const Relation* current, db_->Find(rel));
-  const Tuple coerced = current->schema().CoerceTuple(tuple);
-  if (track_conflicts_) RecordFootprint(rel, *current, coerced);
+  Tuple coerced;
+  const Tuple& t = current->schema().NeedsCoercion(tuple)
+                       ? (coerced = current->schema().CoerceTuple(tuple))
+                       : tuple;
   TXMOD_ASSIGN_OR_RETURN(Relation * level,
-                         LevelForWrite(rel, *current, coerced, false));
+                         LevelForWrite(rel, *current, t, false));
+  if (level == nullptr) {
+    if (track_conflicts_) UnshownOf(rel, *current).side.Insert(t);
+    return false;
+  }
+  const std::size_t deletes = level->local_deletes().size();
   // Deleting a tuple the transaction inserted shrinks the level's
   // inserts instead.
-  return level != nullptr && level->Erase(coerced);
+  const bool deleted = level->Erase(t);
+  if (track_conflicts_ && level->local_deletes().size() == deletes) {
+    UnshownOf(rel, *level).side.Insert(t);
+  }
+  return deleted;
 }
 
 std::vector<std::string> TxnContext::TouchedRelations() const {
@@ -131,8 +150,61 @@ std::vector<std::string> TxnContext::TouchedRelations() const {
   return out;
 }
 
+std::vector<std::string> TxnContext::FootprintRelations() const {
+  std::vector<std::string> out;
+  out.reserve(levels_.size() + unshown_.size());
+  for (const auto& [name, level] : levels_) out.push_back(name);
+  for (const auto& [name, unshown] : unshown_) out.push_back(name);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TxnContext::Footprint TxnContext::WriteFootprint(
+    const std::string& rel) const {
+  Footprint out;
+  if (auto it = levels_.find(rel); it != levels_.end()) {
+    out.parts_.push_back(&it->second.top->local_inserts());
+    out.parts_.push_back(&it->second.top->local_deletes());
+  }
+  if (auto it = unshown_.find(rel); it != unshown_.end()) {
+    out.parts_.push_back(&it->second.side);
+    for (const auto& level : it->second.dropped) {
+      out.parts_.push_back(&level->local_inserts());
+      out.parts_.push_back(&level->local_deletes());
+    }
+  }
+  return out;
+}
+
+std::size_t TxnContext::Footprint::size() const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
+    for (const Tuple& t : *parts_[i]) {
+      bool seen = false;
+      for (std::size_t j = 0; j < i && !seen; ++j) {
+        seen = parts_[j]->Contains(t);
+      }
+      if (!seen) ++n;
+    }
+  }
+  return n;
+}
+
+bool TxnContext::Footprint::Contains(const Tuple& t) const {
+  for (const Relation* part : parts_) {
+    if (part->Contains(t)) return true;
+  }
+  return false;
+}
+
 void TxnContext::Rollback() {
-  for (auto& [name, level] : levels_) db_->DropLevel(name, std::move(level));
+  for (auto& [name, level] : levels_) {
+    std::shared_ptr<Relation> dropped = db_->DropLevel(name, std::move(level));
+    if (track_conflicts_) {
+      UnshownOf(name, *dropped).dropped.push_back(std::move(dropped));
+    }
+  }
   levels_.clear();
   temps_.clear();
 }
@@ -142,7 +214,7 @@ void TxnContext::Commit() {
   levels_.clear();
   temps_.clear();
   base_reads_.clear();
-  footprint_.clear();
+  unshown_.clear();
   db_->AdvanceTime();
 }
 

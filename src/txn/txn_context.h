@@ -30,8 +30,13 @@ namespace txmod::txn {
 ///  3. its base is old(R), O(1);
 ///  4. it is the *undo log* that implements atomicity (Section 2.2:
 ///     T(D) = [D^{t,n}] or T(D) = D): rollback re-installs the
-///     pre-transaction state pointer, O(1).
-/// The context also holds the temporaries created by assignments. The
+///     pre-transaction state pointer, O(1);
+///  5. under conflict tracking, it is the *write footprint* that commit
+///     validation probes: its inserts and deletes hold every write that
+///     took effect, so the context records beside it only the attempts
+///     the level does not show (see WriteFootprint).
+/// An inserted tuple is therefore copied once, into the level. The
+/// context also holds the temporaries created by assignments. The
 /// Database must not be copied while a transaction is in flight (a copy
 /// would share the levels the transaction still writes).
 class TxnContext : public algebra::EvalContext {
@@ -88,10 +93,12 @@ class TxnContext : public algebra::EvalContext {
   void SetTemp(const std::string& name, Relation value);
 
   /// Inserts one schema-checked, coerced tuple into base relation `rel`
-  /// (through its overlay level). Returns true when the tuple was new.
+  /// (through its overlay level), moving `tuple` into the level. Returns
+  /// true when the tuple was new.
   Result<bool> InsertTuple(const std::string& rel, Tuple tuple);
 
-  /// Deletes one tuple; returns true when the tuple was present.
+  /// Deletes one tuple; returns true when the tuple was present. A
+  /// deleted base tuple is copied once, into the level's deletes.
   Result<bool> DeleteTuple(const std::string& rel, const Tuple& tuple);
 
   /// Names of relations whose net differential is non-empty so far (the
@@ -117,23 +124,59 @@ class TxnContext : public algebra::EvalContext {
   /// are transaction-local and never recorded.
   const std::set<std::string>& BaseReads() const { return base_reads_; }
 
-  /// Every tuple this transaction attempted to insert or delete, per
-  /// relation — *including* no-ops (inserting a present tuple, deleting
-  /// an absent one). No-ops are reads of the committed state at tuple
-  /// granularity: whether they were no-ops depends on it, so commit
-  /// validation must see them even though they leave no differential.
-  /// Identical attempts are deduped on record: a batch re-touching the
-  /// same tuple N times costs one entry and no repeated tuple copies.
-  const std::map<std::string, Relation>& WriteFootprint() const {
-    return footprint_;
-  }
+  /// One relation's write footprint: every tuple this transaction
+  /// attempted to insert into or delete from it, *including* no-ops
+  /// (inserting a present tuple, deleting an absent one). No-ops are
+  /// reads of the committed state at tuple granularity: whether they
+  /// were no-ops depends on it, so commit validation must see them even
+  /// though they leave no differential.
+  ///
+  /// Nothing is copied to keep it. The footprint reads the relation's
+  /// level, whose inserts and deletes hold every write that took effect,
+  /// the levels Rollback dropped, and a side set of the attempts that
+  /// did not grow the level's inserts (an insert) or deletes (a delete):
+  ///  * no-ops;
+  ///  * writes that netted out: deleting a tuple the transaction
+  ///    inserted, or re-inserting a base tuple it deleted.
+  /// A tuple may sit in more than one of these parts.
+  class Footprint {
+   public:
+    /// Distinct tuples attempted.
+    std::size_t size() const;
+    bool Contains(const Tuple& t) const;
+
+    /// Calls `fn` on each attempted tuple until it returns true, and
+    /// returns whether it did. A tuple held by two parts comes up twice.
+    template <typename Fn>
+    bool Any(Fn&& fn) const {
+      for (const Relation* part : parts_) {
+        for (const Tuple& t : *part) {
+          if (fn(t)) return true;
+        }
+      }
+      return false;
+    }
+
+   private:
+    friend class TxnContext;
+    std::vector<const Relation*> parts_;  // flat sets
+  };
+
+  /// The relations with a write footprint, in name order: every relation
+  /// this transaction attempted to write, since it began or since the
+  /// last Commit.
+  std::vector<std::string> FootprintRelations() const;
+
+  /// `rel`'s write footprint; empty when the transaction never wrote it.
+  Footprint WriteFootprint(const std::string& rel) const;
 
   /// Undoes every change in O(#written relations): each written
   /// relation's pre-transaction state is re-installed in place of its
-  /// level. Temporaries are dropped. BaseReads and WriteFootprint
-  /// survive: an aborted transaction's outcome (the abort) was still
-  /// decided by what it read, and the transaction manager validates that
-  /// against concurrent commits too.
+  /// level. Temporaries are dropped. BaseReads and the write footprint
+  /// survive — under conflict tracking the dropped levels are kept, not
+  /// freed: an aborted transaction's outcome (the abort) was still
+  /// decided by what it read and attempted, and the transaction manager
+  /// validates that against concurrent commits too.
   void Rollback();
 
   /// Installs D^{t+1} and advances the database's logical time
@@ -150,8 +193,14 @@ class TxnContext : public algebra::EvalContext {
   Result<Relation*> LevelForWrite(const std::string& rel,
                                   const Relation& current, const Tuple& t,
                                   bool noop_when_present);
-  void RecordFootprint(const std::string& rel, const Relation& target,
-                       const Tuple& t);
+
+  /// The parts of `rel`'s write footprint that no installed level holds.
+  struct Unshown {
+    Relation side;  // the side set (see Footprint)
+    std::vector<std::shared_ptr<const Relation>> dropped;  // by Rollback
+  };
+  /// `rel`'s entry, made with `of`'s schema on first use.
+  Unshown& UnshownOf(const std::string& rel, const Relation& of);
 
   Database* db_;
   const algebra::PlanCache* plan_cache_ = nullptr;
@@ -164,10 +213,11 @@ class TxnContext : public algebra::EvalContext {
   // never fills anything.
   std::map<std::string, Relation> unwritten_deltas_;
   // Conflict footprint (see BaseReads/WriteFootprint). base_reads_ is
-  // mutable because reads are recorded from const Resolve.
+  // mutable because reads are recorded from const Resolve. unshown_ is
+  // touched only by writes the level does not show, and by Rollback.
   bool track_conflicts_ = false;
   mutable std::set<std::string> base_reads_;
-  std::map<std::string, Relation> footprint_;
+  std::map<std::string, Unshown> unshown_;
 };
 
 }  // namespace txmod::txn

@@ -334,18 +334,24 @@ bool TxnManager::HasConflictLocked(const TxnSession& session,
     const auto pos = std::upper_bound(versions.begin(), versions.end(), snap);
     if (pos != versions.end()) consider(*pos, rel, /*is_read=*/true);
   }
-  for (const auto& [rel, footprint] : session.ctx_.WriteFootprint()) {
+  // The footprint is read where it lies: the session's levels (live,
+  // or dropped by an integrity abort) and its side set of attempts they
+  // do not show.
+  for (const std::string& rel : session.ctx_.FootprintRelations()) {
     const auto it = write_index_.find(rel);
     if (it == write_index_.end()) continue;
     const RelWriteIndex& index = it->second;
     if (index.versions.empty() || index.versions.back() <= snap) continue;
-    for (const Tuple& t : footprint) {
+    // One overlapping tuple convicts the relation.
+    session.ctx_.WriteFootprint(rel).Any([&](const Tuple& t) {
       const auto writer = index.writers.find(&t);
-      if (writer != index.writers.end() && writer->second > snap) {
-        consider(writer->second, rel, /*is_read=*/false);
-        break;  // one overlapping tuple convicts the relation
+      if (writer == index.writers.end() || writer->second <= snap) {
+        return false;
       }
-    }
+      // The index's key outlives this loop; `rel` does not.
+      consider(writer->second, it->first, /*is_read=*/false);
+      return true;
+    });
   }
   if (best_rel == nullptr) return false;
   *reason = StrCat(best_is_read ? "read-write" : "write-write",

@@ -251,7 +251,11 @@ class TxnSession {
 ///
 ///   * tuple-granularity: its write footprint (every tuple it inserted
 ///     or deleted, *including* no-ops) overlaps no committed
-///     differential since the snapshot;
+///     differential since the snapshot. The footprint is read where it
+///     lies, with no copy: the inserts and deletes of the session's
+///     overlay levels (kept when an integrity abort rolled them back),
+///     plus a side set of the attempts no level shows — no-ops and
+///     writes that netted out (TxnContext::WriteFootprint);
 ///   * relation-granularity: no relation it read during evaluation
 ///     (rule-check probes included) was written since the snapshot.
 ///

@@ -4,10 +4,13 @@
 // order (the manager's serialization order) — the linearizability-style
 // check for first-committer-wins validation over snapshots. Runs with a
 // live WAL so group commit is exercised under the same concurrency, and
-// verifies the recovered state matches too. A straggler variant holds
-// sessions open across other threads' commits, so validation runs against
-// a window that grows behind it. The thread counts can be extended via
-// TXMOD_ORACLE_THREADS (the CI stress job sets it high).
+// verifies the recovered state matches too. Every state of the serial
+// replay must also satisfy every constraint evaluated in full by
+// PostHocChecker, which shares no plan with the compiled checks. A
+// straggler variant holds sessions open across other threads' commits,
+// so validation runs against a window that grows behind it. The thread
+// counts can be extended via TXMOD_ORACLE_THREADS (the CI stress job
+// sets it high).
 
 #include <unistd.h>
 
@@ -45,11 +48,14 @@ Database MakeInitialDatabase() {
   return db;
 }
 
+const std::vector<testing::NamedConstraint> kConstraints = {
+    {"domain", bench::DomainConstraint()},
+    {"refint", bench::RefIntConstraint()}};
+
 void DefineConstraints(core::IntegritySubsystem* ics) {
-  TXMOD_ASSERT_OK(
-      ics->DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(
-      ics->DefineConstraint("refint", bench::RefIntConstraint()));
+  for (const testing::NamedConstraint& c : kConstraints) {
+    TXMOD_ASSERT_OK(ics->DefineConstraint(c.name, c.cl_text));
+  }
 }
 
 /// One pre-generated transaction: deterministic, so the serial replay
@@ -61,7 +67,9 @@ struct WorkItem {
 
 /// A mix of valid inserts (thread-disjoint ids), violating inserts
 /// (domain + referential), contended key deletes/re-inserts (the
-/// conflict knob), and fk deletes.
+/// conflict knob), and transactions that insert and delete the same
+/// contended key, whose writes net out or are no-ops (the attempts an
+/// overlay level does not show, which validation must still see).
 std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
   std::mt19937 rng(seed);
   auto pick = [&](int n) {
@@ -72,7 +80,7 @@ std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
   for (int i = 0; i < kTxnsPerThread; ++i) {
     Transaction txn;
     std::string trace;
-    switch (pick(6)) {
+    switch (pick(7)) {
       case 0:
       case 1: {  // valid fk insert batch (ids disjoint across threads)
         std::vector<Tuple> tuples;
@@ -118,6 +126,20 @@ std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
         trace = "shared key insert";
         break;
       }
+      case 5: {  // contended: insert and delete one shared key, either order
+        const Tuple key({Value::String(StrCat("x", pick(kSharedKeys))),
+                         Value::String("payload")});
+        auto insert = algebra::Statement::Insert(
+            "key_rel", algebra::RelExpr::Literal({key}, 2));
+        auto erase = algebra::Statement::Delete(
+            "key_rel", algebra::RelExpr::Literal({key}, 2));
+        const bool insert_first = pick(2) == 0;
+        txn.program.statements.push_back(insert_first ? insert : erase);
+        txn.program.statements.push_back(insert_first ? erase : insert);
+        trace = insert_first ? "shared key insert+delete"
+                             : "shared key delete+insert";
+        break;
+      }
       default: {  // negative amount: domain abort
         txn.program.statements.push_back(algebra::Statement::Insert(
             "fk_rel",
@@ -133,6 +155,13 @@ std::vector<WorkItem> MakeThreadWorkload(int thread_id, unsigned seed) {
     items.push_back(WorkItem{std::move(txn), std::move(trace)});
   }
   return items;
+}
+
+/// Every constraint evaluated in full over a copy of `db` that shares
+/// nothing with it (PostHocChecker, no compiled check): the empty string
+/// when `db` satisfies them all.
+std::string FullCheck(const Database& db) {
+  return testing::FullCheckViolation(testing::Rebuild(db), kConstraints);
 }
 
 struct CommittedTxn {
@@ -244,6 +273,8 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
                     [static_cast<std::size_t>(c.txn_index)]
                         .trace
         << ")";
+    ASSERT_EQ(FullCheck(replay_db), "")
+        << "after the commit at version " << c.commit_version;
   }
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
@@ -428,6 +459,8 @@ TEST_P(StragglerOracleTest, HeldSessionsKeepTheWindowAndMatchSerialReplay) {
         << c.commit_version << " but aborts in serial replay: "
         << replayed.abort_reason << " (" << item.trace << ", thread "
         << c.thread_id << ")";
+    ASSERT_EQ(FullCheck(replay_db), "")
+        << "after the commit at version " << c.commit_version;
   }
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "

@@ -9,9 +9,11 @@
 //     version, and the master state after each commit, must equal a
 //     serial replay on flat databases rebuilt tuple by tuple at each
 //     session's snapshot version (first-committer-wins validation
-//     re-derived from the replay's read sets, write footprints and net
-//     deltas). After every commit the master must also satisfy every
-//     constraint, evaluated in full by PostHocChecker;
+//     re-derived from the replay's read sets and net deltas, and from
+//     write footprints read off the script's literals rather than from
+//     the overlay levels the manager validates). After every commit the
+//     master must also satisfy every constraint, evaluated in full by
+//     PostHocChecker;
 //
 //  2. a multi-threaded workload with a scheduling-independent final
 //     state (disjoint inserts plus per-thread contended keys, retried
@@ -44,6 +46,13 @@ using algebra::Transaction;
 
 constexpr int kKeys = 20;
 constexpr int kSharedKeys = 8;
+constexpr int kSharedRows = 6;  // fk_rel rows that scripts delete and restore
+
+/// Row `id` of MakeKeyFkDatabase's fk_rel.
+Tuple FkRow(int id) {
+  return Tuple({Value::Int(id), Value::String(StrCat("k", id % kKeys)),
+                Value::Double(1.0 + id % 10)});
+}
 
 Database MakeInitialDatabase() {
   Database db = bench::MakeKeyFkDatabase(kKeys, 200);
@@ -101,7 +110,7 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
         break;
       default: {
         step.kind = ScriptStep::Kind::kExecute;
-        switch (pick(5)) {
+        switch (pick(7)) {
           case 0:
           case 1: {  // valid fk insert
             step.txn.program.statements.push_back(algebra::Statement::Insert(
@@ -134,6 +143,34 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
             step.trace = "shared key insert";
             break;
           }
+          case 4: {  // contended fk row: delete it or restore it
+            // The checks these writes trigger never read fk_rel, so a
+            // concurrent commit of the row convicts the session through
+            // its write footprint, no-ops included.
+            auto row =
+                algebra::RelExpr::Literal({FkRow(pick(kSharedRows))}, 3);
+            const bool restore = pick(2) == 0;
+            step.txn.program.statements.push_back(
+                restore ? algebra::Statement::Insert("fk_rel", std::move(row))
+                        : algebra::Statement::Delete("fk_rel", std::move(row)));
+            step.trace = restore ? "shared row restore" : "shared row delete";
+            break;
+          }
+          case 5: {  // contended fk row, written twice: nets out or no-op
+            const Tuple row = FkRow(pick(kSharedRows));
+            auto insert = algebra::Statement::Insert(
+                "fk_rel", algebra::RelExpr::Literal({row}, 3));
+            auto erase = algebra::Statement::Delete(
+                "fk_rel", algebra::RelExpr::Literal({row}, 3));
+            const bool insert_first = pick(2) == 0;
+            step.txn.program.statements.push_back(insert_first ? insert
+                                                               : erase);
+            step.txn.program.statements.push_back(insert_first ? erase
+                                                               : insert);
+            step.trace = insert_first ? "shared row insert+delete"
+                                      : "shared row delete+insert";
+            break;
+          }
           default: {  // dangling ref: integrity abort
             step.txn.program.statements.push_back(algebra::Statement::Insert(
                 "fk_rel",
@@ -154,15 +191,21 @@ std::vector<ScriptStep> MakeScript(unsigned seed, int steps, int slots) {
   return script;
 }
 
+using TupleSet = std::set<Tuple, testing::TupleLess>;
+
 /// One reference session: the transactions run serially, modified and
 /// checked by a subsystem with the manager's constraints, against a flat
 /// database rebuilt from the reference master at Begin. Its context
-/// records the read set and write footprint validation needs.
+/// records the read set validation needs. The write footprint comes from
+/// the script instead, not from the context the manager's validation
+/// reads: every tuple an executed insert or delete named, no-ops and
+/// writes an integrity abort rolled back included.
 struct RefSession {
   uint64_t snapshot_version = 0;
   Database start;  // the snapshot's contents, for the net delta
   Database db;     // start plus this session's writes
   std::unique_ptr<TxnContext> ctx;
+  std::map<std::string, TupleSet> attempted;  // the write footprint
   bool integrity_aborted = false;
 };
 
@@ -192,6 +235,15 @@ class Reference {
     if (session->integrity_aborted) return "error:FailedPrecondition";
     auto modified = ics_.Modify(txn);
     if (!modified.ok()) return "error:modify";
+    // The constraints only raise alarms, so the script's statements are
+    // the transaction's only writes.
+    for (const algebra::Statement& stmt : txn.program.statements) {
+      const RelationSchema& schema =
+          (*session->db.Find(stmt.target))->schema();
+      for (const Tuple& t : stmt.expr->literal_tuples()) {
+        session->attempted[stmt.target].insert(schema.CoerceTuple(t));
+      }
+    }
     auto r = ExecuteProgram(*modified, session->ctx.get());
     if (!r.ok()) return StrCat("error:", r.status().ToString());
     if (!r->committed) session->integrity_aborted = true;
@@ -243,7 +295,6 @@ class Reference {
   }
 
  private:
-  using TupleSet = std::set<Tuple, testing::TupleLess>;
   struct Committed {
     uint64_t version;
     std::map<std::string, TupleSet> writes;
@@ -256,8 +307,8 @@ class Reference {
       if (c.version <= session.snapshot_version) continue;
       for (const auto& [name, changed] : c.writes) {
         if (session.ctx->BaseReads().count(name) > 0) return true;
-        auto fp = session.ctx->WriteFootprint().find(name);
-        if (fp == session.ctx->WriteFootprint().end()) continue;
+        auto fp = session.attempted.find(name);
+        if (fp == session.attempted.end()) continue;
         for (const Tuple& t : fp->second) {
           if (changed.count(t) > 0) return true;
         }
@@ -318,7 +369,12 @@ TEST(OverlayOracleTest, SessionScriptMatchesSnapshotFreeReference) {
                     ref_session->snapshot_version);
           break;
         case ScriptStep::Kind::kExecute:
-          if (!open) break;
+          if (!open) {  // a closed slot begins a session first
+            session = manager->Begin();
+            ref_session = ref.Begin();
+            ASSERT_EQ(session->snapshot_version(),
+                      ref_session->snapshot_version);
+          }
           ASSERT_EQ(ExecuteOutcome(session->Execute(step.txn)),
                     ref.Execute(ref_session.get(), step.txn));
           break;

@@ -641,6 +641,46 @@ TEST(OverlayTest, CompactOverlayMergesSmallDeltasAndCollapsesLargeOnes) {
   EXPECT_EQ(rel->size(), 512u + 12u + 400u);
 }
 
+TEST(OverlayTest, MergeOverAnEmptyLevelKeepsTheTopLevelInPlace) {
+  // A base level that holds no tuples (its inserts and deletes netted
+  // out) is skipped in O(1): the top level's sets, and so its tuple and
+  // index nodes, are neither copied nor rebuilt.
+  auto base = std::make_shared<Relation>(MakeBeerDatabase().Find("beer")
+                                             .value()
+                                             ->schema_ptr());
+  for (int i = 0; i < 16; ++i) {
+    base->Insert(BeerTuple("b" + std::to_string(i), "lager", "x", 4.0));
+  }
+  base->IndexOn({2});
+  Relation netted = Relation::MakeOverlay(base);
+  netted.Insert(BeerTuple("gone", "ale", "y", 6.0));
+  netted.Erase(BeerTuple("gone", "ale", "y", 6.0));
+  netted.Erase(BeerTuple("b0", "lager", "x", 4.0));
+  netted.Insert(BeerTuple("b0", "lager", "x", 4.0));
+  ASSERT_EQ(netted.delta_weight(), 0u);
+
+  Relation top =
+      Relation::MakeOverlay(std::make_shared<Relation>(std::move(netted)));
+  top.Insert(BeerTuple("n1", "ale", "y", 6.0));
+  top.Insert(BeerTuple("n2", "ale", "y", 6.0));
+  top.Erase(BeerTuple("b3", "lager", "x", 4.0));
+  std::set<const Tuple*> nodes;
+  for (const Tuple& t : top.local_inserts()) nodes.insert(&t);
+  const std::vector<Tuple> expected = top.SortedTuples();
+
+  CowStats::Reset();
+  top.CompactOverlay();
+  EXPECT_EQ(CowStats::overlay_merges.load(), 1u);
+  EXPECT_EQ(CowStats::overlay_collapses.load(), 0u);
+  EXPECT_EQ(top.overlay_depth(), 1u);
+  std::set<const Tuple*> after;
+  for (const Tuple& t : top.local_inserts()) after.insert(&t);
+  EXPECT_EQ(after, nodes) << "the merge copied the top level's inserts";
+  EXPECT_EQ(top.SortedTuples(), expected);
+  EXPECT_EQ(ViewProbeCount(top, {2}, Tuple({Value::String("y")})), 2u);
+  EXPECT_EQ(ViewProbeCount(top, {2}, Tuple({Value::String("x")})), 15u);
+}
+
 // ---------------------------------------------------------------------------
 // Reference model for overlay chains: random writes through snapshots,
 // FindMutable levels and pushed transaction levels, interleaved with

@@ -193,6 +193,70 @@ TEST(TxnManagerTest, NoOpInsertIsATupleGranularityRead) {
   EXPECT_TRUE(result.conflict) << result.abort_reason;
 }
 
+// The level shows every write that took effect; the attempts it does not
+// show are still tuple-granularity reads. In each case below the session
+// leaves no differential for the tuple, a concurrent commit writes it
+// first, and the session must lose write-write.
+
+/// Runs `session_text` in a session, commits `concurrent_text` through
+/// Run while the session is live, and expects the session's commit to
+/// lose write-write on beer.
+void ExpectWriteWriteLoss(Fixture* f, const std::string& session_text,
+                          const std::string& concurrent_text) {
+  auto session = f->manager->Begin();
+  TXMOD_ASSERT_OK(session->ExecuteText(session_text).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult concurrent,
+                             f->manager->RunText(concurrent_text));
+  ASSERT_TRUE(concurrent.committed);
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult result, session->Commit());
+  EXPECT_FALSE(result.committed);
+  EXPECT_TRUE(result.conflict);
+  EXPECT_NE(result.abort_reason.find("write-write conflict on beer"),
+            std::string::npos)
+      << result.abort_reason;
+}
+
+TEST(TxnManagerTest, NoOpDeleteIsATupleGranularityRead) {
+  Fixture f;
+  // Serially (the insert first) the delete would remove the beer.
+  ExpectWriteWriteLoss(
+      &f, "delete(beer, {(\"ghost\", \"ale\", \"guinness\", 6.0)});",
+      InsertBeerText("ghost"));
+}
+
+TEST(TxnManagerTest, InsertThenDeleteOfANewTupleIsATupleGranularityRead) {
+  Fixture f;
+  // Serially the insert would be a no-op and the delete would remove the
+  // concurrently inserted beer.
+  ExpectWriteWriteLoss(
+      &f,
+      StrCat(InsertBeerText("ghost"),
+             "delete(beer, {(\"ghost\", \"ale\", \"guinness\", 6.0)});"),
+      InsertBeerText("ghost"));
+}
+
+TEST(TxnManagerTest, DeleteThenReinsertOfABaseTupleIsATupleGranularityRead) {
+  Fixture f;
+  // Serially the delete would be a no-op and the re-insert would bring
+  // back the concurrently deleted beer.
+  const std::string lager0 = "{(\"lager0\", \"lager\", \"heineken\", 5.0)}";
+  ExpectWriteWriteLoss(
+      &f, StrCat("delete(beer, ", lager0, "); insert(beer, ", lager0, ");"),
+      StrCat("delete(beer, ", lager0, ");"));
+}
+
+TEST(TxnManagerTest, WriteRolledBackByAnIntegrityAbortIsATupleGranularityRead) {
+  Fixture f;
+  // The domain check aborts the batch, which rolls back the valid
+  // beer's insert too; the abort decision still rests on that attempt.
+  ExpectWriteWriteLoss(
+      &f,
+      "insert(beer, {(\"ghost\", \"ale\", \"guinness\", 6.0), "
+      "(\"strong\", \"ale\", \"guinness\", 150.0)});",
+      InsertBeerText("ghost"));
+  EXPECT_EQ(f.manager->stats().integrity_aborts, 0u);
+}
+
 TEST(TxnManagerTest, IntegrityAbortSurvivesValidationWhenReadsAreStable) {
   Fixture f;
   auto session = f.manager->Begin();

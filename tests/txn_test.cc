@@ -59,6 +59,36 @@ TEST_F(TxnTest, DeleteRemovesMatchingTuples) {
   EXPECT_EQ(r.tuples_deleted, 1u);
 }
 
+TEST_F(TxnTest, DeleteOfALiteralWidensIntsIntoDoubleColumns) {
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult r,
+      Run("delete(beer, {(\"pils\", \"lager\", \"heineken\", 5)});"));
+  EXPECT_TRUE(r.committed);
+  EXPECT_EQ(r.tuples_deleted, 1u);
+  EXPECT_EQ((*db_.Find("beer"))->size(), 0u);
+}
+
+TEST_F(TxnTest, LiteralWithAShortRowIsAnArityErrorBeforeAnyWrite) {
+  // A literal's rows go straight to the written relation, so every row's
+  // arity is checked before the first one is written.
+  Database before = db_.Clone();
+  Transaction txn;
+  txn.program.statements.push_back(algebra::Statement::Insert(
+      "beer", algebra::RelExpr::Literal(
+                  {Tuple({Value::String("a"), Value::String("b"),
+                          Value::String("c"), Value::Double(1.0)}),
+                   Tuple({Value::String("short"), Value::String("b"),
+                          Value::String("c")})},
+                  4)));
+  Result<TxnResult> r = ExecuteTransaction(txn, &db_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("has arity 3, expected 4"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_TRUE(db_.SameState(before));
+}
+
 TEST_F(TxnTest, UpdateHasDeleteInsertSemantics) {
   TXMOD_ASSERT_OK_AND_ASSIGN(
       TxnResult r,
@@ -183,10 +213,39 @@ TEST_F(DifferentialTest, WriteFootprintDedupesRepeatedAttempts) {
   }
   TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", t).status());
   TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", t).status());  // no-op repeat
-  auto it = ctx.WriteFootprint().find("brewery");
-  ASSERT_NE(it, ctx.WriteFootprint().end());
-  EXPECT_EQ(it->second.size(), 1u);
-  EXPECT_TRUE(it->second.Contains(t));
+  EXPECT_EQ(ctx.FootprintRelations(), std::vector<std::string>{"brewery"});
+  const TxnContext::Footprint footprint = ctx.WriteFootprint("brewery");
+  EXPECT_EQ(footprint.size(), 1u);
+  EXPECT_TRUE(footprint.Contains(t));
+}
+
+TEST_F(DifferentialTest, WriteFootprintHoldsWhatTheLevelDoesNotShow) {
+  // The level shows every write that took effect; the footprint adds
+  // the attempts it does not show, and keeps what Rollback undid.
+  TxnContext ctx(&db_);
+  ctx.EnableConflictTracking();
+  const Tuple heineken({Value::String("heineken"), Value::String("amsterdam"),
+                        Value::String("nl")});
+  const Tuple absent({Value::String("absent"), Value::Null(), Value::Null()});
+  const Tuple fresh({Value::String("fresh"), Value::Null(), Value::Null()});
+  const Tuple netted({Value::String("netted"), Value::Null(), Value::Null()});
+  TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", heineken).status());  // no-op
+  TXMOD_ASSERT_OK(ctx.DeleteTuple("brewery", absent).status());    // no-op
+  TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", fresh).status());
+  TXMOD_ASSERT_OK(ctx.InsertTuple("brewery", netted).status());
+  TXMOD_ASSERT_OK(ctx.DeleteTuple("brewery", netted).status());
+  EXPECT_EQ(Delta(ctx, RelRefKind::kDeltaPlus, "brewery").size(), 1u);
+  EXPECT_TRUE(Delta(ctx, RelRefKind::kDeltaMinus, "brewery").empty());
+  for (const Tuple& t : {heineken, absent, fresh, netted}) {
+    EXPECT_TRUE(ctx.WriteFootprint("brewery").Contains(t)) << t.ToString();
+  }
+  EXPECT_EQ(ctx.WriteFootprint("brewery").size(), 4u);
+  EXPECT_EQ(ctx.WriteFootprint("beer").size(), 0u);
+
+  ctx.Rollback();
+  EXPECT_EQ((*db_.Find("brewery"))->size(), 1u);
+  EXPECT_EQ(ctx.WriteFootprint("brewery").size(), 4u);
+  EXPECT_TRUE(ctx.WriteFootprint("brewery").Contains(fresh));
 }
 
 TEST_F(DifferentialTest, InsertThenDeleteNetsOut) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -66,6 +67,53 @@ TEST(ValueCodecTest, ExtremeDoublesRoundTrip) {
         std::numeric_limits<double>::quiet_NaN()}) {
     ExpectRoundTrip(Value::Double(v));
   }
+}
+
+/// The "%a" bytes every log and checkpoint on disk was written with.
+std::string PrintfHexDouble(double d) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof(buf), "d:%a", d);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  static_assert(sizeof(d) == sizeof(bits));
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// The encoder formats doubles with std::to_chars, not printf; the bytes
+// must not change. A differential over seeded bit patterns, a quarter of
+// them with the exponent forced to all zeros (zeros and denormals) and a
+// quarter to all ones (infinities and NaN payloads), both signs.
+TEST(ValueCodecTest, DoubleEncodingIsPrintfHexByteForByte) {
+  using Limits = std::numeric_limits<double>;
+  for (const double d :
+       {0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 5.0, 1e300, -1e-300, Limits::max(),
+        Limits::lowest(), Limits::min(), -Limits::min(), Limits::denorm_min(),
+        -Limits::denorm_min(), Limits::min() - Limits::denorm_min(),
+        Limits::epsilon(), Limits::infinity(), -Limits::infinity(),
+        Limits::quiet_NaN(), -Limits::quiet_NaN(), Limits::signaling_NaN(),
+        FromBits(0x7FF0000000000001ull), FromBits(0xFFFFFFFFFFFFFFFFull)}) {
+    EXPECT_EQ(EncodeValueText(Value::Double(d)), PrintfHexDouble(d));
+  }
+  constexpr uint64_t kExponent = 0x7FFull << 52;
+  std::mt19937_64 rng(0xD0B1E);
+  uint64_t mismatches = 0;
+  std::string first_mismatch;
+  for (int i = 0; i < (1 << 20); ++i) {
+    uint64_t bits = rng();
+    if (i % 4 == 1) bits &= ~kExponent;
+    if (i % 4 == 2) bits |= kExponent;
+    const double d = FromBits(bits);
+    const std::string encoded = EncodeValueText(Value::Double(d));
+    const std::string expected = PrintfHexDouble(d);
+    if (encoded != expected && mismatches++ == 0) {
+      first_mismatch = StrCat(encoded, " != ", expected);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 }
 
 TEST(ValueCodecTest, HostileStringsRoundTrip) {
