@@ -4,7 +4,9 @@
 #
 #   --faults   additionally run the deep fault-injection campaign
 #              (randomized storage-fault schedules + crash/recovery
-#              oracle) at CI-stress depth. Slow; off by default.
+#              oracle) at CI-stress depth, with the suites of the
+#              checkpoint loader and the value decoder that recovery
+#              reads through. Slow; off by default.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,7 +37,7 @@ if [[ "$run_faults" -eq 1 ]]; then
   echo "== Fault-injection campaign (deep sweep) =="
   TXMOD_FAULT_ITERATIONS="${TXMOD_FAULT_ITERATIONS:-200}" \
     ctest --test-dir build --output-on-failure \
-          -R "fault_campaign_test|vfs_test|recovery_test"
+          -R "fault_campaign_test|vfs_test|recovery_test|persist_test|value_codec_test"
 fi
 
 echo "All checks passed."

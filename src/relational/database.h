@@ -110,6 +110,9 @@ class Database {
 
   uint64_t logical_time() const { return logical_time_; }
   void AdvanceTime() { ++logical_time_; }
+  /// Sets the time of a restored state to the time it was saved at (the
+  /// checkpoint loader).
+  void RestoreTime(uint64_t time) { logical_time_ = time; }
   /// Steps time back one transition — only for un-installing the newest
   /// commit when its log record turned out not to be durable (the
   /// transaction manager's WAL-failure unwind).

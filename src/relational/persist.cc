@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -10,7 +11,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <istream>
+#include <optional>
 
 #include "src/common/str_util.h"
 
@@ -20,6 +22,17 @@ namespace {
 
 constexpr char kMagic[] = "txmod-checkpoint";
 constexpr int kVersion = 1;
+// The strict decoder parses a number from a stack copy of this many
+// bytes, terminator included, so a payload must be shorter.
+constexpr std::size_t kNumberBuffer = 64;
+// The values reserved for a tuple line whose arity nobody expects.
+constexpr std::size_t kDefaultArity = 4;
+// A loaded relation is sized for this many times its tuples. A hash set
+// that grows by doubling ends between half full and full; sized for
+// exactly its tuples it would sit full, at the longest bucket chains it
+// allows, and every transaction that probes the relation would pay for
+// them.
+constexpr std::size_t kLoadHeadroom = 2;
 
 /// Copies a number payload into `buf` with the terminator strtoll and
 /// strtod need: a view has none, and the bytes after it may even extend
@@ -144,7 +157,12 @@ std::string EncodeValueText(const Value& v) {
   return out;
 }
 
-Result<Value> DecodeValueText(std::string_view text) {
+namespace {
+
+/// The strict decoder: one whole encoding, numbers through strtoll and
+/// strtod on a terminated copy. It decides every input the encoder does
+/// not write, and produces every decoding error.
+Result<Value> DecodeValueStrict(std::string_view text) {
   if (text == "null") return Value::Null();
   // The i:/d: paths must be strict: a checksum passes on the whole line,
   // so a corrupted-but-plausible payload ("i:12junk", an out-of-range
@@ -155,7 +173,7 @@ Result<Value> DecodeValueText(std::string_view text) {
   // (not merely a NUL: "i:12\0junk" is corruption too); both are checked.
   // strtoll/strtod also skip leading whitespace, which the encoder never
   // emits, so "i: 1" is rejected as well.
-  char buf[64];
+  char buf[kNumberBuffer];
   if (StartsWith(text, "i:")) {
     const std::string_view payload = text.substr(2);
     if (payload.empty() ||
@@ -225,23 +243,229 @@ Result<Value> DecodeValueText(std::string_view text) {
   return Status::InvalidArgument(StrCat("bad value encoding: ", text));
 }
 
-Result<Tuple> DecodeTupleText(std::string_view line) {
-  // Count first, so the tuple's vector is allocated once at its size.
-  std::size_t arity = 0;
-  for (std::string_view scan = line; !NextEncoding(&scan).empty();) ++arity;
-  std::vector<Value> values;
-  values.reserve(arity);
-  for (std::string_view token = NextEncoding(&line); !token.empty();
-       token = NextEncoding(&line)) {
-    TXMOD_ASSIGN_OR_RETURN(Value v, DecodeValueText(token));
-    values.push_back(std::move(v));
+/// Whether an encoding that runs up to `p` ends there: at the end of the
+/// line or at a space.
+bool EndsEncoding(const char* p, const char* end) {
+  return p == end || *p == ' ';
+}
+
+bool IsDecimalDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsHexDigit(char c) {
+  const char lower = static_cast<char>(c | 0x20);
+  return IsDecimalDigit(c) || (lower >= 'a' && lower <= 'f');
+}
+
+/// Where the magnitude at `hex` ends, when it has exactly the shape
+/// std::to_chars writes in hex after the encoder's "0x": one hex digit,
+/// optionally a point and 1 to 13 more, then `p`, a sign and 1 to 4
+/// decimal digits, then the end of the encoding. nullptr for any other
+/// shape. The bounds keep the payload far below kNumberBuffer, and
+/// std::from_chars is given only this shape: it also takes malformed
+/// exponents such as "p+-9", which strtod refuses.
+const char* EndOfHexDouble(const char* hex, const char* end) {
+  // The end of a run of 1 to `most` digits at `q`; nullptr for none.
+  auto run = [end](const char* q, std::size_t most, bool (*is_digit)(char)) {
+    const char* first = q;
+    while (q != end && static_cast<std::size_t>(q - first) < most &&
+           is_digit(*q)) {
+      ++q;
+    }
+    return q == first ? nullptr : q;
+  };
+  if (end - hex < 2 || hex[0] != '0' || hex[1] != 'x') return nullptr;
+  const char* q = run(hex + 2, 1, IsHexDigit);
+  if (q != nullptr && q != end && *q == '.') q = run(q + 1, 13, IsHexDigit);
+  if (q == nullptr || q == end || *q != 'p') return nullptr;
+  ++q;
+  if (q == end || (*q != '+' && *q != '-')) return nullptr;
+  q = run(q + 1, 4, IsDecimalDigit);
+  return q != nullptr && EndsEncoding(q, end) ? q : nullptr;
+}
+
+/// The forms the encoder writes, decoded where they start: `null`, an
+/// `i:` payload that std::from_chars takes whole, a `d:[-]0x` payload of
+/// the shape EndOfHexDouble accepts, and a string whose closing quote
+/// ends the encoding. On success hands the value to `emit` (a callable
+/// taking a Value&&) and moves `*p` past the encoding. Returns false,
+/// moving nothing, for every other encoding, and for a payload of
+/// kNumberBuffer bytes or more: the strict path decides those.
+template <typename Emit>
+bool DecodeEncoderForm(const char** p, const char* end, Emit&& emit) {
+  const char* s = *p;
+  const std::size_t n = static_cast<std::size_t>(end - s);
+  if (n >= 3 && s[1] == ':') {
+    const char* payload = s + 2;
+    if (s[0] == 'i') {
+      int64_t v = 0;
+      const std::from_chars_result r = std::from_chars(payload, end, v);
+      if (r.ec != std::errc() || !EndsEncoding(r.ptr, end) ||
+          static_cast<std::size_t>(r.ptr - payload) >= kNumberBuffer) {
+        return false;
+      }
+      emit(Value::Int(v));
+      *p = r.ptr;
+      return true;
+    }
+    if (s[0] == 'd') {
+      const bool negative = *payload == '-';
+      const char* hex = negative ? payload + 1 : payload;
+      const char* stop = EndOfHexDouble(hex, end);
+      if (stop == nullptr) return false;
+      double v = 0;
+      const std::from_chars_result r =
+          std::from_chars(hex + 2, stop, v, std::chars_format::hex);
+      if (r.ec != std::errc() || r.ptr != stop) return false;
+      emit(Value::Double(negative ? -v : v));
+      *p = stop;
+      return true;
+    }
+    if (s[0] == 's' && s[2] == '"') {
+      const char* c = s + 3;
+      while (c != end && *c != '"' && *c != '\\') ++c;
+      if (c != end && *c == '"') {  // no escape: the bytes are the string
+        if (!EndsEncoding(c + 1, end)) return false;
+        emit(Value::String(std::string(s + 3, c)));
+        *p = c + 1;
+        return true;
+      }
+      std::string text(s + 3, c);
+      const char* run = c;  // first byte not yet copied
+      while (c != end) {
+        if (*c == '\\') {
+          if (c + 1 == end) return false;
+          text.append(run, static_cast<std::size_t>(c - run));
+          text.push_back(c[1] == 'n' ? '\n' : c[1] == 't' ? '\t' : c[1]);
+          c += 2;
+          run = c;
+        } else if (*c == '"') {
+          if (!EndsEncoding(c + 1, end)) return false;
+          text.append(run, static_cast<std::size_t>(c - run));
+          emit(Value::String(std::move(text)));
+          *p = c + 1;
+          return true;
+        } else {
+          ++c;
+        }
+      }
+      return false;
+    }
   }
+  if (n >= 4 && std::memcmp(s, "null", 4) == 0 && EndsEncoding(s + 4, end)) {
+    emit(Value::Null());
+    *p = s + 4;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Result<Value> DecodeValueText(std::string_view text) {
+  const char* p = text.data();
+  const char* end = p + text.size();
+  std::optional<Value> v;
+  if (DecodeEncoderForm(&p, end, [&v](Value&& x) { v = std::move(x); }) &&
+      p == end) {
+    return *std::move(v);
+  }
+  return DecodeValueStrict(text);
+}
+
+Result<Tuple> DecodeTupleText(std::string_view line, std::size_t arity_hint) {
+  std::vector<Value> values;
+  values.reserve(arity_hint > 0 ? arity_hint : kDefaultArity);
+  const char* p = line.data();
+  const char* end = p + line.size();
+  for (;;) {
+    while (p != end && *p == ' ') ++p;
+    if (p == end) break;
+    if (!DecodeEncoderForm(&p, end, [&values](Value&& v) {
+          values.push_back(std::move(v));
+        })) {
+      std::string_view rest(p, static_cast<std::size_t>(end - p));
+      const std::string_view token = NextEncoding(&rest);
+      TXMOD_ASSIGN_OR_RETURN(Value v, DecodeValueStrict(token));
+      values.push_back(std::move(v));
+      p = rest.data();
+    }
+  }
+  if (values.size() != values.capacity()) values.shrink_to_fit();
   return Tuple(std::move(values));
+}
+
+bool LineReader::Next(std::string_view* line) {
+  std::size_t scanned = begin_;  // [begin_, scanned) holds no newline
+  for (;;) {
+    const char* data = buf_.data();
+    const void* newline = std::memchr(data + scanned, '\n', end_ - scanned);
+    if (newline != nullptr) {
+      const std::size_t at =
+          static_cast<std::size_t>(static_cast<const char*>(newline) - data);
+      *line = std::string_view(data + begin_, at - begin_);
+      begin_ = at + 1;
+      return true;
+    }
+    if (!in_->good()) {
+      if (begin_ == end_) return false;
+      *line = std::string_view(data + begin_, end_ - begin_);
+      begin_ = end_;
+      return true;
+    }
+    // Move the unfinished line to the front, and read more after it.
+    const std::size_t kept = end_ - begin_;
+    std::memmove(buf_.data(), data + begin_, kept);
+    begin_ = 0;
+    scanned = end_ = kept;
+    if (buf_.size() < kept + kChunk / 2) {
+      buf_.resize(std::max(kChunk, 2 * buf_.size()));
+    }
+    in_->read(buf_.data() + end_,
+              static_cast<std::streamsize>(buf_.size() - end_));
+    end_ += static_cast<std::size_t>(in_->gcount());
+  }
 }
 
 namespace {
 
-Result<AttrType> DecodeAttrType(const std::string& name) {
+/// Parses a whole word as a decimal number of type T: digits only (a
+/// minus sign too for a signed T), nothing after them, and in range.
+template <typename T>
+bool ParseWhole(std::string_view word, T* v) {
+  const char* end = word.data() + word.size();
+  const std::from_chars_result r = std::from_chars(word.data(), end, *v);
+  return !word.empty() && r.ec == std::errc() && r.ptr == end;
+}
+
+Status MalformedLine(int line_number, std::string_view line) {
+  return Status::InvalidArgument(
+      StrCat("malformed checkpoint line ", line_number, ": '", line, "'"));
+}
+
+/// The number of `tuple` lines after each `relation` line of `in`, in
+/// file order, read in a first pass that ends by rewinding `in`. Empty
+/// when `in` cannot tell its position; the loader then sizes nothing.
+Result<std::vector<std::size_t>> CountTupleLines(std::istream& in) {
+  std::vector<std::size_t> counts;
+  const std::streampos start = in.tellg();
+  if (start == std::streampos(-1)) return counts;
+  LineReader reader(&in);
+  std::string_view line;
+  while (reader.Next(&line)) {
+    if (StartsWith(line, "tuple")) {
+      if (!counts.empty()) ++counts.back();
+    } else if (StartsWith(line, "relation")) {
+      counts.push_back(0);
+    }
+  }
+  in.clear();
+  if (!in.seekg(start)) {
+    return Status::Internal("cannot rewind the checkpoint stream");
+  }
+  return counts;
+}
+
+Result<AttrType> DecodeAttrType(std::string_view name) {
   if (name == "int") return AttrType::kInt;
   if (name == "double") return AttrType::kDouble;
   if (name == "string") return AttrType::kString;
@@ -343,22 +567,25 @@ Status FsyncParentDirectory(const std::string& path) {
 }
 
 Result<Database> LoadDatabase(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
+  TXMOD_ASSIGN_OR_RETURN(const std::vector<std::size_t> sizes,
+                         CountTupleLines(in));
+  LineReader reader(&in);
+  std::string_view line;
+  if (!reader.Next(&line)) {
     return Status::InvalidArgument("empty checkpoint");
   }
   {
-    std::istringstream header(line);
-    std::string magic;
-    int version = 0;
-    header >> magic >> version;
-    if (magic != kMagic) {
+    std::string_view fields = line;
+    if (NextWord(&fields) != kMagic) {
       return Status::InvalidArgument("not a txmod checkpoint");
     }
-    if (version != kVersion) {
+    const std::string_view version = NextWord(&fields);
+    int v = 0;
+    if (!ParseWhole(version, &v) || v != kVersion) {
       return Status::InvalidArgument(
-          StrCat("unsupported checkpoint version ", version));
+          StrCat("unsupported checkpoint version '", version, "'"));
     }
+    if (!NextWord(&fields).empty()) return MalformedLine(1, line);
   }
   Database db;
   uint64_t logical_time = 0;
@@ -369,8 +596,9 @@ Result<Database> LoadDatabase(std::istream& in) {
   // loader has no business triggering.
   std::shared_ptr<Relation> current;
   std::string current_name;
+  std::size_t relations_read = 0;
   int line_number = 1;
-  while (std::getline(in, line)) {
+  while (reader.Next(&line)) {
     ++line_number;
     if (line.empty()) continue;
     std::string_view rest = line;
@@ -380,41 +608,61 @@ Result<Database> LoadDatabase(std::istream& in) {
         return Status::InvalidArgument(
             StrCat("tuple outside a relation at line ", line_number));
       }
-      TXMOD_ASSIGN_OR_RETURN(Tuple tuple, DecodeTupleText(rest));
-      TXMOD_RETURN_IF_ERROR(current->schema().CheckTuple(tuple));
-      current->Insert(current->schema().CoerceTuple(std::move(tuple)));
+      const RelationSchema& schema = current->schema();
+      TXMOD_ASSIGN_OR_RETURN(Tuple tuple,
+                             DecodeTupleText(rest, schema.arity()));
+      TXMOD_RETURN_IF_ERROR(schema.CheckTuple(tuple));
+      current->Insert(schema.CoerceTuple(std::move(tuple)));
       continue;
     }
-    std::istringstream fields{std::string(rest)};
     if (keyword == "time") {
-      fields >> logical_time;
+      if (!ParseWhole(NextWord(&rest), &logical_time) ||
+          !NextWord(&rest).empty()) {
+        return MalformedLine(line_number, line);
+      }
     } else if (keyword == "relation") {
-      std::string name;
+      if (current != nullptr) {
+        return Status::InvalidArgument(
+            StrCat("relation at line ", line_number, " inside relation ",
+                   current_name, ", which has no end line"));
+      }
+      // The name outlives `line`, which the attribute lines reuse.
+      const std::string name(NextWord(&rest));
       int arity = 0;
-      fields >> name >> arity;
+      if (name.empty() || !ParseWhole(NextWord(&rest), &arity) ||
+          arity < 0 || !NextWord(&rest).empty()) {
+        return MalformedLine(line_number, line);
+      }
       std::vector<Attribute> attrs;
-      attrs.reserve(arity);
       for (int i = 0; i < arity; ++i) {
-        if (!std::getline(in, line)) {
+        if (!reader.Next(&line)) {
           return Status::InvalidArgument("truncated attribute list");
         }
         ++line_number;
-        std::istringstream attr_fields(line);
-        std::string attr_kw, attr_name, attr_type;
-        attr_fields >> attr_kw >> attr_name >> attr_type;
-        if (attr_kw != "attr") {
+        std::string_view fields = line;
+        if (NextWord(&fields) != "attr") {
           return Status::InvalidArgument(
               StrCat("expected attr at line ", line_number));
         }
+        const std::string_view attr_name = NextWord(&fields);
+        const std::string_view attr_type = NextWord(&fields);
+        if (attr_name.empty() || !NextWord(&fields).empty()) {
+          return MalformedLine(line_number, line);
+        }
         TXMOD_ASSIGN_OR_RETURN(AttrType type, DecodeAttrType(attr_type));
-        attrs.push_back(Attribute{attr_name, type});
+        attrs.push_back(Attribute{std::string(attr_name), type});
       }
       TXMOD_RETURN_IF_ERROR(
           db.CreateRelation(RelationSchema(name, std::move(attrs))));
       TXMOD_ASSIGN_OR_RETURN(const Relation* created, db.Find(name));
       current = std::make_shared<Relation>(created->schema_ptr());
       current_name = name;
+      if (relations_read < sizes.size()) {
+        current->Reserve(kLoadHeadroom * sizes[relations_read]);
+      }
+      ++relations_read;
     } else if (keyword == "end") {
+      if (!NextWord(&rest).empty()) return MalformedLine(line_number, line);
       if (current != nullptr) {
         db.AdoptRelation(current_name, std::move(current));
         current = nullptr;
@@ -427,7 +675,7 @@ Result<Database> LoadDatabase(std::istream& in) {
   // A truncated checkpoint may end mid-relation; adopt what was read so
   // the loaded prefix is still visible (recovery validates separately).
   if (current != nullptr) db.AdoptRelation(current_name, std::move(current));
-  while (db.logical_time() < logical_time) db.AdvanceTime();
+  db.RestoreTime(logical_time);
   return db;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TXMOD_RELATIONAL_PERSIST_H_
 #define TXMOD_RELATIONAL_PERSIST_H_
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -49,10 +50,45 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
 /// durable). Exposed for the WAL's own rename-based repair.
 Status FsyncParentDirectory(const std::string& path);
 
-/// Restores a checkpoint into a fresh Database (schema included). Reads
-/// one line at a time, so loading never holds the whole file.
+/// Restores a checkpoint into a fresh Database (schema included).
+///
+/// The stream is read through a LineReader, so loading never holds the
+/// whole file. When the stream can be rewound (a file or a string
+/// stream), a first pass counts each relation's `tuple` lines, and the
+/// relation is sized for twice as many before the first one is inserted:
+/// no rehash while loading, and the load factor that growth by doubling
+/// would have left at its lowest.
+///
+/// The loader is strict, because a checkpoint has no checksum. A keyword
+/// line must have exactly its fields, and each number must be whole,
+/// unsigned and in range: `time` a uint64, `relation`'s arity an int.
+/// Anything else is InvalidArgument naming the line. So is a `relation`
+/// line before the previous relation's `end`.
 Result<Database> LoadDatabase(std::istream& in);
 Result<Database> LoadDatabaseFromFile(const std::string& path);
+
+/// Splits a stream into lines, reading it in chunks. A line is a view
+/// into the reader's buffer and stays valid until the next call to Next.
+/// The buffer holds one chunk of kChunk bytes and grows only to fit a
+/// longer line, so a reader never holds the whole stream. The checkpoint
+/// loader and the WAL reader (wal.h) both read through it.
+class LineReader {
+ public:
+  static constexpr std::size_t kChunk = 64 * 1024;
+
+  explicit LineReader(std::istream* in) : in_(in) {}
+
+  /// The next line, without its newline. An unterminated last line is
+  /// still a line, as with std::getline. False at the end of the stream,
+  /// and when it cannot be read.
+  bool Next(std::string_view* line);
+
+ private:
+  std::istream* in_;
+  std::string buf_;
+  std::size_t begin_ = 0;  // first byte not yet handed out
+  std::size_t end_ = 0;    // end of the bytes read so far
+};
 
 /// The value codec behind the checkpoint format, shared with the
 /// write-ahead log (wal.h) and the server's `show` response. There is one
@@ -82,13 +118,25 @@ std::string EncodeValueText(const Value& v);
 /// errors, never a different value. Double underflow is accepted (%a
 /// round-trips denormals), and a number payload longer than 63 bytes
 /// is rejected (the encoder's longest, a negative %a double, is 24).
+///
+/// The forms the encoder writes are parsed in place: `null`, `i:` with
+/// std::from_chars, `d:[-]0x<hex>` with std::from_chars in hex, and a
+/// string whose closing quote ends the encoding. Every other input, and
+/// any of these that the fast path does not take whole, goes through
+/// strtoll/strtod and the string unescaper on a terminated copy, which
+/// also produce every error. The fast path takes only inputs those
+/// accept, with the same value, so the two paths decode alike.
 Result<Value> DecodeValueText(std::string_view text);
 
 /// Decodes a line of space-separated encodings (the values of a
-/// checkpoint `tuple` line or a WAL `+`/`-` line) into a tuple. Runs of
-/// spaces between encodings are skipped; the tokenizer works on views
-/// of `line`, so the only allocations are the tuple's own.
-Result<Tuple> DecodeTupleText(std::string_view line);
+/// checkpoint `tuple` line or a WAL `+`/`-` line) into a tuple, in one
+/// pass: each encoding is decoded where it starts, as DecodeValueText
+/// would decode it. Runs of spaces between encodings are skipped. The
+/// tuple's values are reserved for `arity_hint` (its expected arity;
+/// 0 when unknown) and trimmed when the line holds another count, so a
+/// decoded tuple holds no spare capacity.
+Result<Tuple> DecodeTupleText(std::string_view line,
+                              std::size_t arity_hint = 0);
 
 }  // namespace txmod
 

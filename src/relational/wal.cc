@@ -1,5 +1,7 @@
 #include "src/relational/wal.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -92,8 +94,10 @@ bool PlausibleTornHeader(std::string_view line) {
   return true;
 }
 
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = UINT64_C(14695981039346656037);
+constexpr uint64_t kFnvBasis = UINT64_C(14695981039346656037);
+
+/// FNV-1a of `s`, continued from the hash `h` of the bytes before it.
+uint64_t Fnv1a(std::string_view s, uint64_t h = kFnvBasis) {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= UINT64_C(1099511628211);
@@ -196,17 +200,6 @@ bool CommitLineMatches(std::string_view line, uint64_t version,
           std::isspace(static_cast<unsigned char>(line[expected.size()])));
 }
 
-/// The whole of `in`, in one read; the reader parses views into it.
-std::string ReadAll(std::ifstream& in) {
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  std::string data(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  in.seekg(0);
-  in.read(data.data(), static_cast<std::streamsize>(data.size()));
-  data.resize(static_cast<std::size_t>(in.gcount()));
-  return data;
-}
-
 /// Parses "txn <version>" or, for a fan-out part, "txn <version> parts
 /// <m>" with m >= 2.
 bool ParseTxnLine(std::string_view line, WalRecord* rec) {
@@ -224,6 +217,146 @@ bool ParseTxnLine(std::string_view line, WalRecord* rec) {
   }
   rec->parts = static_cast<uint32_t>(m);
   return true;
+}
+
+/// The one reader of a WAL stream. It yields the stream's records in
+/// file order, each only after its checksum matched and every tuple line
+/// in it decoded, and it ends at the first record that fails either: a
+/// torn append, a truncated tail or bit rot. The checksum is computed
+/// line by line as the record is read, so the reader holds one record
+/// and one LineReader chunk, never the stream. Not movable: its
+/// LineReader points at its file.
+class StreamReader {
+ public:
+  StreamReader() = default;
+  StreamReader(const StreamReader&) = delete;
+  StreamReader& operator=(const StreamReader&) = delete;
+
+  /// Opens `path` and reads its header; `info` (when non-null) receives
+  /// the header's shard identity. A missing file and one of zero bytes
+  /// are empty streams; a torn header is an empty stream with a dropped
+  /// tail. Any other first line is not a WAL, and an error.
+  Status Open(const std::string& path, WalShardInfo* info = nullptr);
+
+  /// Reads the next record into `*rec`. False at the end of the stream
+  /// and at its first bad record; tail_dropped() then tells which, and
+  /// tail_error() what was wrong.
+  bool Next(WalRecord* rec);
+
+  bool done() const { return done_; }
+  bool tail_dropped() const { return tail_dropped_; }
+  const std::string& tail_error() const { return tail_error_; }
+
+ private:
+  bool DropTail(std::string why) {
+    tail_dropped_ = true;
+    tail_error_ = std::move(why);
+    done_ = true;
+    return false;
+  }
+
+  std::ifstream in_;
+  LineReader lines_{&in_};
+  bool done_ = false;
+  bool tail_dropped_ = false;
+  std::string tail_error_;
+  std::size_t arity_hint_ = 0;  // the arity of the last tuple line
+};
+
+Status StreamReader::Open(const std::string& path, WalShardInfo* info) {
+  in_.open(path, std::ios::binary);
+  std::string_view line;
+  if (!in_.is_open() || !lines_.Next(&line)) {  // no WAL, or zero bytes
+    done_ = true;
+    return Status::OK();
+  }
+  WalShardInfo header;
+  if (ParseWalHeader(line, &header)) {
+    if (info != nullptr) *info = header;
+    return Status::OK();
+  }
+  // A crash can tear even the header write. A strict prefix of a possible
+  // header with nothing after it is such a torn tail — an empty log;
+  // anything else is genuinely not a WAL.
+  if (PlausibleTornHeader(line) && !lines_.Next(&line)) {
+    DropTail("truncated WAL header");
+    return Status::OK();
+  }
+  return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
+}
+
+bool StreamReader::Next(WalRecord* rec) {
+  if (done_) return false;
+  // Any structural surprise, checksum mismatch, undecodable tuple line,
+  // or end of file mid-record drops the tail.
+  std::string_view line;
+  bool in_record = false;
+  uint64_t checksum = 0;  // of the record's lines so far, newlines included
+  WalDelta* delta = nullptr;
+  while (lines_.Next(&line)) {
+    if (!in_record) {
+      if (line.empty()) continue;
+      if (!StartsWith(line, "txn ")) {
+        return DropTail(StrCat("expected 'txn', found '", line, "'"));
+      }
+      if (!ParseTxnLine(line, rec)) {
+        return DropTail(StrCat("bad txn line '", line, "'"));
+      }
+      checksum = Fnv1a("\n", Fnv1a(line));
+      in_record = true;
+      continue;
+    }
+    if (StartsWith(line, "commit ")) {
+      if (!CommitLineMatches(line, rec->version, checksum)) {
+        return DropTail(
+            StrCat("bad commit line for version ", rec->version));
+      }
+      return true;
+    }
+    checksum = Fnv1a("\n", Fnv1a(line, checksum));
+    if (StartsWith(line, "rel ")) {
+      rec->deltas.push_back(WalDelta{std::string(line.substr(4)), {}, {}});
+      delta = &rec->deltas.back();
+    } else if (!line.empty() && (line[0] == '+' || line[0] == '-') &&
+               (line.size() == 1 || line[1] == ' ') && delta != nullptr) {
+      Result<Tuple> tuple = DecodeTupleText(line.substr(1), arity_hint_);
+      if (!tuple.ok()) {
+        return DropTail(
+            StrCat("bad tuple line: ", tuple.status().message()));
+      }
+      arity_hint_ = tuple->arity();
+      (line[0] == '+' ? delta->plus : delta->minus)
+          .push_back(std::move(*tuple));
+    } else {
+      return DropTail(StrCat("unexpected line '", line, "'"));
+    }
+  }
+  if (in_record) return DropTail("record truncated at end of file");
+  done_ = true;
+  return false;
+}
+
+bool FileExists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+/// The files that hold the log rooted at `path`: the one stream at `path`
+/// itself, or every shard stream `<path>.shard<k>` that exists — never
+/// both. A file at `path` beside shard streams is refused, because
+/// neither set of records could be trusted to be the whole log.
+Result<std::vector<std::string>> StreamPaths(const std::string& path) {
+  std::vector<std::string> shards;
+  for (uint32_t k = 0; k < kMaxProbeShards; ++k) {
+    std::string shard_path = ShardedWal::ShardPath(path, k);
+    if (FileExists(shard_path)) shards.push_back(std::move(shard_path));
+  }
+  if (!FileExists(path)) return shards;
+  if (!shards.empty()) {
+    return Status::InvalidArgument(
+        StrCat("WAL ", path, " is a single stream, but shard stream ",
+               shards.front(), " lies beside it; refusing to read either"));
+  }
+  return std::vector<std::string>{path};
 }
 
 }  // namespace
@@ -426,102 +559,18 @@ uint64_t WriteAheadLog::durable_lsn() const {
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
                                        WalReplayStats* stats,
                                        WalShardInfo* info) {
+  StreamReader reader;
+  TXMOD_RETURN_IF_ERROR(reader.Open(path, info));
   std::vector<WalRecord> out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return out;  // no WAL: empty log
-  const std::string data = ReadAll(in);
-
-  // The line at `pos` without its newline; an unterminated last line is
-  // still a line, as with std::getline. False at the end of the data.
-  std::size_t pos = 0;
-  std::string_view line;
-  auto next_line = [&data, &pos, &line] {
-    if (pos >= data.size()) return false;
-    const std::size_t newline = std::min(data.find('\n', pos), data.size());
-    line = std::string_view(data).substr(pos, newline - pos);
-    pos = newline + 1;
-    return true;
-  };
-
-  auto drop_tail = [&](const std::string& why) {
-    if (stats != nullptr) {
+  WalRecord rec;
+  while (reader.Next(&rec)) out.push_back(std::move(rec));
+  if (stats != nullptr) {
+    stats->records_read += out.size();
+    if (reader.tail_dropped()) {
       stats->tail_dropped = true;
-      stats->tail_error = why;
-    }
-  };
-
-  if (!next_line()) return out;  // zero bytes: empty log
-  WalShardInfo header_info;
-  if (ParseWalHeader(line, &header_info)) {
-    if (info != nullptr) *info = header_info;
-  } else {
-    // A crash can tear even the header write. A strict prefix of a
-    // possible header with nothing after it is such a torn tail — an
-    // empty log; anything else is genuinely not a WAL.
-    if (PlausibleTornHeader(line) && !next_line()) {
-      drop_tail("truncated WAL header");
-      return out;
-    }
-    return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
-  }
-
-  // Scan records. The checksum covers the record's bytes from its txn
-  // line up to its commit line, one contiguous span of `data`; any
-  // structural surprise, checksum mismatch, or EOF mid-record drops the
-  // tail (a torn append) and returns the valid prefix.
-  WalRecord current;
-  WalDelta* delta = nullptr;
-  std::size_t record_begin = 0;  // offset of the current txn line
-  bool in_record = false;
-  while (next_line()) {
-    const std::size_t line_begin =
-        static_cast<std::size_t>(line.data() - data.data());
-    if (!in_record) {
-      if (line.empty()) continue;
-      if (!StartsWith(line, "txn ")) {
-        drop_tail(StrCat("expected 'txn', found '", line, "'"));
-        return out;
-      }
-      if (!ParseTxnLine(line, &current)) {
-        drop_tail(StrCat("bad txn line '", line, "'"));
-        return out;
-      }
-      delta = nullptr;
-      record_begin = line_begin;
-      in_record = true;
-      continue;
-    }
-    if (StartsWith(line, "commit ")) {
-      const std::string_view body =
-          std::string_view(data).substr(record_begin,
-                                        line_begin - record_begin);
-      if (!CommitLineMatches(line, current.version, Fnv1a(body))) {
-        drop_tail(StrCat("bad commit line for version ", current.version));
-        return out;
-      }
-      out.push_back(std::move(current));
-      if (stats != nullptr) ++stats->records_read;
-      in_record = false;
-      continue;
-    }
-    if (StartsWith(line, "rel ")) {
-      current.deltas.push_back(WalDelta{std::string(line.substr(4)), {}, {}});
-      delta = &current.deltas.back();
-    } else if (!line.empty() && (line[0] == '+' || line[0] == '-') &&
-               (line.size() == 1 || line[1] == ' ') && delta != nullptr) {
-      Result<Tuple> tuple = DecodeTupleText(line.substr(1));
-      if (!tuple.ok()) {
-        drop_tail(StrCat("bad tuple line: ", tuple.status().message()));
-        return out;
-      }
-      (line[0] == '+' ? delta->plus : delta->minus)
-          .push_back(std::move(*tuple));
-    } else {
-      drop_tail(StrCat("unexpected line '", line, "'"));
-      return out;
+      stats->tail_error = reader.tail_error();
     }
   }
-  if (in_record) drop_tail("record truncated at end of file");
   return out;
 }
 
@@ -532,17 +581,23 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
 namespace {
 
 /// Per-stream torn-tail repair: when `stream_path` ends in a torn or
-/// corrupt record, rewrites the valid prefix into a temp stream (opened
-/// by `open_fresh`, which supplies the right header) and renames it into
+/// corrupt record, copies its valid prefix into a temp stream (opened by
+/// `open_fresh`, which supplies the right header) and renames it into
 /// place. Appending after a tear would make every later record on the
 /// stream unreachable to recovery, which stops at the first invalid one.
+/// The first read keeps no record; only a torn stream is read again,
+/// one record at a time into the copy.
 template <typename OpenFresh>
 Status RepairStreamIfTorn(const std::string& stream_path, Vfs* vfs,
                           OpenFresh&& open_fresh) {
-  WalReplayStats replay;
-  Result<std::vector<WalRecord>> valid = ReadWal(stream_path, &replay);
-  if (!valid.ok()) return valid.status();
-  if (!replay.tail_dropped) return Status::OK();
+  {
+    StreamReader reader;
+    TXMOD_RETURN_IF_ERROR(reader.Open(stream_path));
+    WalRecord rec;
+    while (reader.Next(&rec)) {
+    }
+    if (!reader.tail_dropped()) return Status::OK();
+  }
   const std::string tmp = StrCat(stream_path, ".repair");
   // A crash during a previous repair can leave a stale (possibly itself
   // torn) .repair file; appending to it would corrupt the repaired
@@ -550,7 +605,10 @@ Status RepairStreamIfTorn(const std::string& stream_path, Vfs* vfs,
   TXMOD_RETURN_IF_ERROR(vfs->Remove(tmp));
   {
     TXMOD_ASSIGN_OR_RETURN(WriteAheadLog fresh, open_fresh(tmp));
-    for (const WalRecord& rec : *valid) {
+    StreamReader reader;
+    TXMOD_RETURN_IF_ERROR(reader.Open(stream_path));
+    WalRecord rec;
+    while (reader.Next(&rec)) {
       TXMOD_RETURN_IF_ERROR(fresh.Append(rec).status());
     }
     TXMOD_RETURN_IF_ERROR(fresh.Sync(fresh.appended_lsn()));
@@ -572,11 +630,13 @@ uint32_t ShardedWal::ShardOf(const std::string& relation,
 }
 
 Result<uint32_t> ShardedWal::DiscoverShardCount(const std::string& path) {
+  TXMOD_ASSIGN_OR_RETURN(const std::vector<std::string> streams,
+                         StreamPaths(path));
   // Only the first readable shard header is needed — every stream of one
   // log declares the same n, and streams are created in index order.
-  for (uint32_t k = 0; k < kMaxProbeShards; ++k) {
-    std::ifstream in(ShardPath(path, k));
-    if (!in.is_open()) continue;
+  for (const std::string& stream : streams) {
+    if (stream == path) return static_cast<uint32_t>(1);  // one stream
+    std::ifstream in(stream);
     std::string first;
     if (!std::getline(in, first)) continue;  // empty or torn: keep probing
     WalShardInfo declared;
@@ -584,7 +644,7 @@ Result<uint32_t> ShardedWal::DiscoverShardCount(const std::string& path) {
       return declared.shard_count;
     }
   }
-  return static_cast<uint32_t>(0);  // no sharded layout on disk
+  return static_cast<uint32_t>(0);  // no log on disk
 }
 
 Result<std::unique_ptr<ShardedWal>> ShardedWal::Open(const std::string& path,
@@ -595,13 +655,12 @@ Result<std::unique_ptr<ShardedWal>> ShardedWal::Open(const std::string& path,
   // validation all probe at most kMaxProbeShards streams, so a larger
   // layout could be written but never fully read back.
   uint32_t n = std::min(std::max<uint32_t>(1, shard_count), kMaxProbeShards);
-  // An existing sharded layout wins over the configured count: adopting
-  // a different n would scramble the routing the on-disk records were
-  // written under. (A legacy v1 file alone does not constrain n — it
-  // stays behind as the read-only prefix stream when n >= 2.)
+  // An existing log's count wins over the configured one: adopting a
+  // different n would scramble the routing the on-disk records were
+  // written under, or split one stream's records across two layouts.
   TXMOD_ASSIGN_OR_RETURN(const uint32_t on_disk, DiscoverShardCount(path));
   if (on_disk > 0) n = on_disk;
-  std::unique_ptr<ShardedWal> log(new ShardedWal(path, n, vfs));
+  std::unique_ptr<ShardedWal> log(new ShardedWal(path, n));
   if (n == 1) {
     TXMOD_RETURN_IF_ERROR(RepairStreamIfTorn(
         path, vfs, [&](const std::string& p) {
@@ -662,13 +721,6 @@ Status ShardedWal::Truncate() {
   for (WriteAheadLog& stream : shards_) {
     TXMOD_RETURN_IF_ERROR(stream.Truncate());
   }
-  if (sharded()) {
-    // A legacy pre-shard file may still linger as the prefix stream; the
-    // checkpoint covers its records now, so drop it. (Remove is
-    // idempotent — OK when it was never there.)
-    TXMOD_RETURN_IF_ERROR(vfs_->Remove(path_));
-    TXMOD_RETURN_IF_ERROR(vfs_->SyncParentDirectory(path_));
-  }
   return Status::OK();
 }
 
@@ -698,119 +750,157 @@ uint64_t ShardedWal::appended_parts() const {
   return total;
 }
 
-Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
-                                              WalReplayStats* stats,
-                                              uint64_t checkpoint_time) {
-  auto drop_tail = [&](const std::string& why) {
+namespace {
+
+/// Replays the log rooted at `path`: hands its records to `sink` (a
+/// callable taking a WalRecord&& and returning a Status) in replay order,
+/// as the streams are read. Version order is the replay order: commit
+/// order is decided under the manager's commit lock, but records are
+/// appended outside it, so even a single stream may hold versions out of
+/// file order.
+///
+/// The stream furthest behind (the one whose last record has the lowest
+/// version) is read next. A record at or below `checkpoint_time` goes to
+/// the sink at once, once per version, for skip accounting; the rest of
+/// such a version's parts are dropped. A record above it waits until
+/// every declared part of its version has arrived and every version
+/// below it has gone to the sink, and then goes as one record. A record
+/// for a version that already went cuts the log there. When every stream
+/// is read, whatever still waits sits above an incomplete fan-out or a
+/// version gap, and is cut.
+template <typename Sink>
+Status ReplayLog(const std::string& path, uint64_t checkpoint_time,
+                 WalReplayStats* stats, Sink&& sink) {
+  auto drop_tail = [stats](const std::string& why) {
     if (stats != nullptr) {
       stats->tail_dropped = true;
       if (stats->tail_error.empty()) stats->tail_error = why;
     }
   };
+  auto yield = [stats, &sink](WalRecord&& rec) {
+    if (stats != nullptr) ++stats->records_read;
+    return sink(std::move(rec));
+  };
 
-  // The legacy stream (a v1 file at `path` itself): the low prefix of a
-  // log that adopted sharding mid-life, or the whole log when unsharded.
-  WalReplayStats legacy_stats;
-  TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> out,
-                         ReadWal(path, &legacy_stats));
-  if (legacy_stats.tail_dropped) {
-    drop_tail(StrCat("legacy stream: ", legacy_stats.tail_error));
+  TXMOD_ASSIGN_OR_RETURN(const std::vector<std::string> paths,
+                         StreamPaths(path));
+  struct Stream {
+    const std::string* path;
+    StreamReader reader;
+    uint64_t last = 0;  // version of the record read last
+  };
+  std::vector<std::unique_ptr<Stream>> streams;
+  for (const std::string& stream_path : paths) {
+    streams.push_back(std::make_unique<Stream>());
+    streams.back()->path = &stream_path;
+    TXMOD_RETURN_IF_ERROR(streams.back()->reader.Open(stream_path));
   }
 
-  // Shard streams: collect per-version parts.
-  std::map<uint64_t, std::vector<WalRecord>> by_version;
-  for (uint32_t k = 0; k < kMaxProbeShards; ++k) {
-    const std::string sp = ShardedWal::ShardPath(path, k);
-    {
-      std::ifstream probe(sp);
-      if (!probe.is_open()) continue;
+  // A version above the checkpoint, gathered part by part. `whole.parts`
+  // is the count its first part declared.
+  struct Assembly {
+    WalRecord whole;
+    uint32_t arrived = 0;
+    bool consistent = true;  // every part declared the same count
+  };
+  std::map<uint64_t, Assembly> waiting;
+  std::set<uint64_t> covered;  // versions at or below the checkpoint
+  uint64_t next = checkpoint_time + 1;
+  for (;;) {
+    for (auto it = waiting.begin();
+         it != waiting.end() && it->first == next &&
+         it->second.consistent && it->second.arrived == it->second.whole.parts;
+         it = waiting.begin()) {
+      WalRecord whole = std::move(it->second.whole);
+      waiting.erase(it);
+      whole.parts = 1;
+      TXMOD_RETURN_IF_ERROR(yield(std::move(whole)));
+      ++next;
     }
-    WalReplayStats shard_stats;
-    TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                           ReadWal(sp, &shard_stats));
-    if (shard_stats.tail_dropped) {
-      drop_tail(StrCat("shard ", k, ": ", shard_stats.tail_error));
-    }
-    for (WalRecord& rec : records) {
-      by_version[rec.version].push_back(std::move(rec));
-    }
-  }
-
-  // All-or-nothing reassembly cut: the first version whose fan-out is
-  // incomplete; everything at or above it is dropped after sorting.
-  uint64_t cut = UINT64_MAX;
-  if (!by_version.empty()) {
-    std::set<uint64_t> legacy_versions;
-    for (const WalRecord& rec : out) legacy_versions.insert(rec.version);
-
-    // Reassemble each version from its fan-out parts. All-or-nothing: a
-    // version whose declared part count is not fully present (a crash
-    // between shard appends) cuts the sequence — it and everything above
-    // it are dropped, because commit acknowledgement is contiguous (no
-    // commit is acked while an earlier version is not durable).
-    for (auto& [version, parts] : by_version) {
-      if (version >= cut) break;
-      if (legacy_versions.count(version) > 0) continue;  // standalone wins
-      const uint32_t declared = parts.front().parts;
-      bool consistent = parts.size() == declared;
-      for (const WalRecord& part : parts) {
-        consistent = consistent && part.parts == declared;
+    Stream* behind = nullptr;
+    for (const std::unique_ptr<Stream>& stream : streams) {
+      if (!stream->reader.done() &&
+          (behind == nullptr || stream->last < behind->last)) {
+        behind = stream.get();
       }
-      // An incomplete fan-out at or below the checkpoint is not a cut:
-      // a partially-failed multi-stream truncate can wipe some parts of
-      // a checkpoint-covered version; replay skips it regardless.
-      if (!consistent && version > checkpoint_time) {
-        cut = version;
-        drop_tail(StrCat("incomplete fan-out for version ", version, " (",
-                         parts.size(), " of ", declared, " parts)"));
-        break;
+    }
+    if (behind == nullptr) break;
+    WalRecord rec;
+    if (!behind->reader.Next(&rec)) {
+      if (behind->reader.tail_dropped()) {
+        drop_tail(StrCat(*behind->path, ": ", behind->reader.tail_error()));
       }
-      WalRecord whole;
-      whole.version = version;
-      for (WalRecord& part : parts) {
-        for (WalDelta& delta : part.deltas) {
-          whole.deltas.push_back(std::move(delta));
-        }
+      continue;
+    }
+    behind->last = rec.version;
+    if (rec.version <= checkpoint_time) {
+      // Covered by the checkpoint (a crash or truncate fault between the
+      // checkpoint's rename and the WAL's truncation leaves such records
+      // behind, possibly on only some streams): exempt from the gap and
+      // fan-out rules.
+      if (covered.insert(rec.version).second) {
+        TXMOD_RETURN_IF_ERROR(yield(std::move(rec)));
       }
-      out.push_back(std::move(whole));
+      continue;
+    }
+    if (rec.version < next) {
+      drop_tail(StrCat("version ", rec.version, " repeated after replay"));
+      return Status::OK();
+    }
+    auto [it, first] = waiting.try_emplace(rec.version);
+    Assembly& assembly = it->second;
+    if (first) {
+      assembly.whole = std::move(rec);
+    } else {
+      assembly.consistent =
+          assembly.consistent && rec.parts == assembly.whole.parts;
+      for (WalDelta& delta : rec.deltas) {
+        assembly.whole.deltas.push_back(std::move(delta));
+      }
+    }
+    ++assembly.arrived;
+    if (assembly.arrived > assembly.whole.parts) assembly.consistent = false;
+  }
+  // Commit acknowledgement is contiguous (no commit is acked while an
+  // earlier version is not durable), so nothing above a version that is
+  // missing or incomplete was acked: it is all dropped.
+  if (!waiting.empty()) {
+    const auto& [version, assembly] = *waiting.begin();
+    if (version == next) {
+      drop_tail(StrCat("incomplete fan-out for version ", version, " (",
+                       assembly.arrived, " of ", assembly.whole.parts,
+                       " parts)"));
+    } else {
+      drop_tail(StrCat("version gap after ", next - 1));
     }
   }
-
-  // Commit order is decided under the manager's commit lock, but records
-  // are appended outside it (the pipelined commit path), so even a
-  // single stream may hold versions out of file order. Version order is
-  // the replay order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const WalRecord& a, const WalRecord& b) {
-                     return a.version < b.version;
-                   });
-  while (!out.empty() && out.back().version >= cut) {
-    out.pop_back();
-  }
-  // Contiguity above the checkpoint: a version gap means some commit's
-  // record (or whole fan-out) vanished; nothing above the gap was
-  // ackable — commit acknowledgement waits for every earlier version to
-  // be durable — so drop it. Records at or below `checkpoint_time` are
-  // exempt: the checkpoint covers them, replay skips them, and a
-  // partially-failed multi-stream truncate legitimately leaves them
-  // behind with gaps among themselves and below the live tail.
-  uint64_t prev = checkpoint_time;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i].version <= checkpoint_time) continue;
-    if (out[i].version != prev + 1) {
-      drop_tail(StrCat("version gap after ", prev));
-      out.resize(i);
-      break;
-    }
-    prev = out[i].version;
-  }
-
-  if (stats != nullptr) stats->records_read += out.size();
-  return out;
+  return Status::OK();
 }
 
-Status ApplyWalRecord(const WalRecord& rec, Database* db,
-                      WalReplayStats* stats) {
+/// Applies one delta of a record at `rec`'s version: deletes first, then
+/// inserts. A Delta of type WalDelta is taken apart: its tuples are
+/// moved into `rel`. A const one is left whole: an inserted tuple is
+/// copied, and a deleted one only when it needs widening.
+template <typename Delta>
+Status ApplyDelta(Delta& delta, Relation* rel) {
+  const RelationSchema& schema = rel->schema();
+  for (auto& t : delta.minus) {
+    TXMOD_RETURN_IF_ERROR(schema.CheckTuple(t));
+    if (schema.NeedsCoercion(t)) {
+      rel->Erase(schema.CoerceTuple(std::move(t)));
+    } else {
+      rel->Erase(t);
+    }
+  }
+  for (auto& t : delta.plus) {
+    TXMOD_RETURN_IF_ERROR(schema.CheckTuple(t));
+    rel->Insert(schema.CoerceTuple(std::move(t)));
+  }
+  return Status::OK();
+}
+
+template <typename Record>
+Status ApplyRecord(Record& rec, Database* db, WalReplayStats* stats) {
   if (rec.version <= db->logical_time()) {
     // Already covered by the checkpoint (a crash between checkpoint
     // rename and WAL truncation leaves such records behind; they are
@@ -823,19 +913,35 @@ Status ApplyWalRecord(const WalRecord& rec, Database* db,
         StrCat("WAL record version ", rec.version, " does not follow ",
                "database time ", db->logical_time()));
   }
-  for (const WalDelta& delta : rec.deltas) {
+  for (auto& delta : rec.deltas) {
     TXMOD_ASSIGN_OR_RETURN(Relation * rel, db->FindMutable(delta.relation));
-    for (const Tuple& t : delta.minus) {
-      TXMOD_RETURN_IF_ERROR(rel->schema().CheckTuple(t));
-      rel->Erase(rel->schema().CoerceTuple(t));
-    }
-    for (const Tuple& t : delta.plus) {
-      TXMOD_RETURN_IF_ERROR(rel->schema().CheckTuple(t));
-      rel->Insert(rel->schema().CoerceTuple(t));
-    }
+    TXMOD_RETURN_IF_ERROR(ApplyDelta(delta, rel));
   }
   db->AdvanceTime();
   return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
+                                              WalReplayStats* stats,
+                                              uint64_t checkpoint_time) {
+  std::vector<WalRecord> out;
+  TXMOD_RETURN_IF_ERROR(ReplayLog(path, checkpoint_time, stats,
+                                  [&out](WalRecord&& rec) {
+                                    out.push_back(std::move(rec));
+                                    return Status::OK();
+                                  }));
+  return out;
+}
+
+Status ApplyWalRecord(const WalRecord& rec, Database* db,
+                      WalReplayStats* stats) {
+  return ApplyRecord(rec, db, stats);
+}
+
+Status ApplyWalRecord(WalRecord&& rec, Database* db, WalReplayStats* stats) {
+  return ApplyRecord(rec, db, stats);
 }
 
 Result<Database> RecoverDatabase(const std::string& checkpoint_path,
@@ -843,11 +949,11 @@ Result<Database> RecoverDatabase(const std::string& checkpoint_path,
                                  WalReplayStats* stats) {
   TXMOD_ASSIGN_OR_RETURN(Database db,
                          LoadDatabaseFromFile(checkpoint_path));
-  TXMOD_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                         ReadShardedWal(wal_path, stats, db.logical_time()));
-  for (const WalRecord& rec : records) {
-    TXMOD_RETURN_IF_ERROR(ApplyWalRecord(rec, &db, stats));
-  }
+  TXMOD_RETURN_IF_ERROR(ReplayLog(wal_path, db.logical_time(), stats,
+                                  [&db, stats](WalRecord&& rec) {
+                                    return ApplyWalRecord(std::move(rec), &db,
+                                                          stats);
+                                  }));
   return db;
 }
 

@@ -33,7 +33,7 @@ struct WalDelta {
 /// reassembles a version only when all of its declared parts are
 /// present; a partial fan-out (crash between shard appends) is dropped
 /// together with everything after it. parts == 1 encodes exactly as the
-/// pre-shard v1 format.
+/// single-stream v1 format.
 struct WalRecord {
   uint64_t version = 0;
   uint32_t parts = 1;
@@ -66,11 +66,11 @@ struct WalRecord {
 /// format version is bumped; v2 readers accept v1 files unchanged.
 ///
 /// A record is valid only when its `commit` line is present, names the
-/// same version, and its checksum matches the body ("txn" line through
-/// the last delta line, inclusive). Recovery (ReadWal) applies records
-/// in order and stops at the first invalid one — a torn append, a
-/// truncated tail, or bit rot — restoring exactly the durable committed
-/// prefix.
+/// same version, its checksum matches the body ("txn" line through the
+/// last delta line, inclusive), and every tuple line in it decodes. A
+/// stream is read up to its first invalid record — a torn append, a
+/// truncated tail, or bit rot — so recovery restores exactly the durable
+/// committed prefix (see RecoverDatabase for the replay order).
 ///
 /// Durability and group commit: Append buffers nothing — the record hits
 /// the OS with one write() — but it is only *durable* after Sync(lsn)
@@ -186,16 +186,16 @@ class WriteAheadLog {
 ///
 /// On-disk layout: shard k of n lives at `<path>.shard<k>` with header
 /// "txmod-wal 2 shard <k>/<n>". shard_count == 1 is special-cased to a
-/// single v1-format file at `path` itself — byte-for-byte the pre-shard
-/// format, so existing logs reopen unchanged.
+/// single v1-format file at `path` itself. A log is one layout or the
+/// other: a file at `path` beside shard streams is refused, by Open and
+/// by recovery alike, rather than read in part.
 ///
 /// Reopen compatibility: Open adopts the shard count it finds on disk
 /// (the configured count applies only to logs that do not exist yet) —
 /// a mismatch between configuration and disk is resolved in favor of
 /// the disk, never by scrambling the routing of existing records. A
-/// pre-shard v1 log at `path` reopened under a sharded configuration is
-/// kept as a read-only prefix stream: recovery stitches it in below the
-/// shard records, and the next checkpoint (Truncate) removes it.
+/// single-stream log reopened under a sharded configuration stays one
+/// stream.
 ///
 /// Torn tails: Open repairs each stream independently (rewriting the
 /// valid prefix via temp + rename), so a tear on one shard never blocks
@@ -230,8 +230,7 @@ class ShardedWal {
   /// its own concurrent committers).
   Status SyncPositions(const std::vector<Position>& positions);
 
-  /// Empties every stream (checkpoint + truncate) and removes a legacy
-  /// pre-shard file when one is still lingering as the prefix stream.
+  /// Empties every stream (checkpoint + truncate).
   Status Truncate();
 
   /// True when any shard is poisoned; `cause` receives the first
@@ -263,19 +262,18 @@ class ShardedWal {
   /// relation's records on one stream, which is what makes a single
   /// shard's prefix self-consistent per relation.
   static uint32_t ShardOf(const std::string& relation, uint32_t shard_count);
-  /// The shard count an existing log at `path` declares: n from the
-  /// first readable shard header, 0 when no sharded layout exists on
-  /// disk (no log at all, or only a legacy v1 file — which does not
-  /// constrain the count; see the reopen-compatibility note above).
+  /// The shard count an existing log at `path` declares: 1 for a file
+  /// at `path` itself, n from the first readable shard header, and 0
+  /// when neither exists. InvalidArgument when a file at `path` lies
+  /// beside shard streams.
   static Result<uint32_t> DiscoverShardCount(const std::string& path);
 
  private:
-  ShardedWal(std::string path, uint32_t shard_count, Vfs* vfs)
-      : path_(std::move(path)), shard_count_(shard_count), vfs_(vfs) {}
+  ShardedWal(std::string path, uint32_t shard_count)
+      : path_(std::move(path)), shard_count_(shard_count) {}
 
   std::string path_;
   uint32_t shard_count_ = 1;
-  Vfs* vfs_ = nullptr;
   std::vector<WriteAheadLog> shards_;  // size 1 (at path_) when unsharded
 };
 
@@ -291,32 +289,25 @@ struct WalReplayStats {
 struct WalShardInfo {
   bool sharded = false;     // v2 shard header present
   uint32_t shard = 0;       // k of "shard k/n"
-  uint32_t shard_count = 1;  // n (1 for a legacy v1 file)
+  uint32_t shard_count = 1;  // n (1 for a single-stream v1 file)
 };
 
-/// Reads every valid record of `path`, in order, stopping cleanly at the
-/// first truncated or corrupt record (`stats->tail_dropped`). A missing
-/// file reads as an empty log. Accepts v1 and v2-shard headers; `info`
-/// (when non-null) receives the header's shard identity.
+/// Reads every valid record of the one stream at `path`, in file order,
+/// stopping cleanly at the first truncated or corrupt record
+/// (`stats->tail_dropped`). A missing file reads as an empty log.
+/// Accepts v1 and v2-shard headers; `info` (when non-null) receives the
+/// header's shard identity. Collects what the stream reader behind
+/// recovery yields; for tests and tools.
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
                                        WalReplayStats* stats = nullptr,
                                        WalShardInfo* info = nullptr);
 
-/// Reads a possibly-sharded log rooted at `path` and stitches the
-/// streams back into one commit-version-ordered sequence: a legacy v1
-/// file at `path` contributes the low prefix, shard streams contribute
-/// parts that are reassembled per version, and the sequence is cut at
-/// the first version that is missing or incomplete (partial fan-out) —
-/// everything at or above the cut is dropped (`stats->tail_dropped`),
-/// preserving the exact-durable-prefix property shard by shard.
-///
-/// `checkpoint_time` anchors the contiguity cut: records at or below it
-/// are already covered by the checkpoint (a crash or truncate fault
-/// between checkpoint rename and WAL truncation can leave them behind on
-/// a subset of streams, with gaps where other streams did truncate), so
-/// they are returned for skip accounting but exempt from the gap check;
-/// the replayable sequence above it must start at `checkpoint_time + 1`
-/// and be contiguous.
+/// Collects the records that RecoverDatabase would apply over a
+/// checkpoint of `checkpoint_time`, in the same order: the log rooted at
+/// `path` (its one stream, or its shard streams stitched back together)
+/// read by the same replay. Records at or below `checkpoint_time` are
+/// included, once per version, so that applying them counts them as
+/// skipped. For tests and tools: recovery itself never holds the log.
 Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
                                               WalReplayStats* stats = nullptr,
                                               uint64_t checkpoint_time = 0);
@@ -324,15 +315,38 @@ Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
 /// Applies one record to `db`. Records at or below the database's
 /// logical time are skipped (already covered by the checkpoint); a
 /// record more than one step ahead is a sequencing error. Advances the
-/// database's logical time on apply.
+/// database's logical time on apply. The rvalue form moves the record's
+/// tuples into the database; the const form copies each inserted tuple,
+/// and a deleted one only when it needs widening.
 Status ApplyWalRecord(const WalRecord& rec, Database* db,
+                      WalReplayStats* stats = nullptr);
+Status ApplyWalRecord(WalRecord&& rec, Database* db,
                       WalReplayStats* stats = nullptr);
 
 /// Crash recovery: loads the checkpoint at `checkpoint_path` and replays
-/// every valid WAL record on top — stitching sharded logs back into
-/// commit-version order via ReadShardedWal — restoring exactly the
-/// durable committed prefix. A missing WAL file means the checkpoint
-/// alone is the state.
+/// the log rooted at `wal_path` on top, restoring exactly the durable
+/// committed prefix. A missing log means the checkpoint alone is the
+/// state.
+///
+/// Replay is one pass with a single reader per stream. A reader checks
+/// each record's checksum, decodes all of its tuple lines, and hands the
+/// record over whole; its stream ends at its first bad record. Records
+/// are applied by move, in version order, each as soon as it and every
+/// version below it are complete:
+///   - A sharded commit is complete when every part it declares has
+///     arrived; its parts are joined into one record.
+///   - A single stream may hold versions out of file order, because
+///     commits append outside the commit lock. A record read ahead of a
+///     missing version waits for it.
+///   - Records at or below the checkpoint's time are skipped, and are
+///     exempt from the rules below: a crash between the checkpoint's
+///     rename and the log's truncation leaves them behind.
+///   - Above the checkpoint, nothing past a version gap or an
+///     incomplete fan-out is applied, and neither is anything read after
+///     a repeat of a version that was already applied.
+///   - Every cut sets `stats->tail_dropped` and `tail_error`.
+/// Memory: replay holds one read chunk and one record per stream, plus
+/// the records that arrived ahead of a missing version — never the log.
 Result<Database> RecoverDatabase(const std::string& checkpoint_path,
                                  const std::string& wal_path,
                                  WalReplayStats* stats = nullptr);

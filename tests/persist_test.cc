@@ -1,5 +1,8 @@
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/common/vfs.h"
@@ -153,6 +156,99 @@ TEST(PersistTest, CheckpointRetryAfterFailedFsyncStartsFromANewFile) {
   TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabaseFromFile(path));
   EXPECT_TRUE(loaded.SameState(db));
   std::filesystem::remove_all(dir);
+}
+
+// A checkpoint has no checksum, so the loader's parse is its only guard.
+// Each of these must be InvalidArgument: never an exception (an arity
+// must not reach an allocation unchecked), and never a load that guesses
+// what a malformed field meant.
+TEST(PersistTest, MalformedKeywordLinesAreRejected) {
+  const std::string kHead = "txmod-checkpoint 1\n";
+  const std::string kRel = "relation r 1\nattr a int\n";
+  for (const std::string& text : {
+           kHead + "relation r -1\n",
+           kHead + "relation r 3000000000\n",
+           kHead + "relation r 1x\nattr a int\nend\n",
+           kHead + "relation r\n",
+           kHead + "relation r 1 2\nattr a int\nend\n",
+           kHead + "time q7\n",
+           kHead + "time 7x\n",
+           kHead + "time -1\n",
+           kHead + "time\n",
+           kHead + "time 18446744073709551616\n",
+           kHead + "time 7 8\n",
+           kHead + kRel + "end junk\n",
+           kHead + "relation r 1\nattr a int junk\nend\n",
+           kHead + "relation r 1\nattr a\nend\n",
+           kHead + "relation r 2\nattr a int\nattr\nend\n",
+           kHead + kRel + "relation s 1\nattr b int\nend\n",
+           std::string("txmod-checkpoint 1x\n"),
+           std::string("txmod-checkpoint 1 junk\n"),
+       }) {
+    std::istringstream in(text);
+    Result<Database> loaded = Status::Internal("not run");
+    ASSERT_NO_THROW(loaded = LoadDatabase(in)) << text;
+    ASSERT_FALSE(loaded.ok()) << text << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << text << ": " << loaded.status().ToString();
+  }
+}
+
+TEST(PersistTest, ArityBeyondTheAttributeLinesIsATruncatedList) {
+  // An arity that fits an int but has no attribute lines behind it must
+  // not size anything by it.
+  std::istringstream in("txmod-checkpoint 1\nrelation r 2000000000\n"
+                        "attr a int\nend\n");
+  Result<Database> loaded = Status::Internal("not run");
+  ASSERT_NO_THROW(loaded = LoadDatabase(in));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PersistTest, LargeLogicalTimeLoadsAtOnce) {
+  std::istringstream in("txmod-checkpoint 1\ntime 18446744073709551615\n"
+                        "relation r 1\nattr a int\ntuple i:1\nend\n");
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabase(in));
+  EXPECT_EQ(loaded.logical_time(), UINT64_MAX);
+  EXPECT_EQ((*loaded.Find("r"))->size(), 1u);
+}
+
+/// A stream buffer over a string that cannot seek, like a pipe's.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ private:
+  std::string text_;
+};
+
+TEST(PersistTest, UnseekableStreamLoadsWithoutSizing) {
+  Database db = MakeBeerDatabase();
+  AddBrewery(&db, "heineken", "amsterdam", "nl");
+  AddBeer(&db, "pils", "lager", "heineken", 5.0);
+  std::ostringstream out;
+  TXMOD_ASSERT_OK(SaveDatabase(db, out));
+  UnseekableBuf buf(out.str());
+  std::istream in(&buf);
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabase(in));
+  EXPECT_TRUE(loaded.SameState(db));
+}
+
+TEST(PersistTest, LinesLongerThanAChunkRoundTrip) {
+  // A tuple line longer than the line reader's chunk, between short ones.
+  Database db;
+  TXMOD_ASSERT_OK(db.CreateRelation(RelationSchema(
+      "t", {Attribute{"s", AttrType::kString}, Attribute{"i", AttrType::kInt}})));
+  Relation* rel = *db.FindMutable("t");
+  rel->Insert(Tuple({Value::String("short"), Value::Int(1)}));
+  rel->Insert(Tuple({Value::String(std::string(3 * LineReader::kChunk, 'x')),
+                     Value::Int(2)}));
+  rel->Insert(Tuple({Value::String(std::string(LineReader::kChunk - 40, '"')),
+                     Value::Int(3)}));
+  Database loaded = RoundTrip(db);
+  EXPECT_TRUE(loaded.SameState(db));
 }
 
 TEST(PersistTest, TupleTypeMismatchRejected) {

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -427,14 +428,16 @@ TEST_F(RecoveryTest, OnDiskShardCountWinsOverConfigurationOnReopen) {
   EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true));
 }
 
-TEST_F(RecoveryTest, PreShardLegacyLogIsStitchedAsThePrefixStream) {
-  // Life begins unsharded: a v1 log at the legacy path.
+TEST_F(RecoveryTest, SingleStreamLogStaysOneStreamUnderAShardedConfiguration) {
+  // Life begins with one stream: a v1 log at wal_path.
   LiveRun run = RunWorkload(options_, DefaultWorkload());
   ASSERT_TRUE(std::filesystem::exists(options_.wal_path));
+  TXMOD_ASSERT_OK_AND_ASSIGN(uint32_t discovered,
+                             ShardedWal::DiscoverShardCount(options_.wal_path));
+  EXPECT_EQ(discovered, 1u);
 
-  // Reopen under a sharded configuration: the legacy file stays behind
-  // as the read-only prefix stream, new commits fan out to the shards,
-  // and stitched recovery reads the union in version order.
+  // Reopened under a sharded configuration, the count on disk wins: every
+  // later commit lands in the same stream, and no shard stream appears.
   options_.wal_shards = 2;
   TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
                              TxnManager::Recover(options_));
@@ -444,9 +447,7 @@ TEST_F(RecoveryTest, PreShardLegacyLogIsStitchedAsThePrefixStream) {
   TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
   TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
                              TxnManager::Create(&ics, options_));
-  ASSERT_TRUE(manager->wal()->sharded());
-  EXPECT_TRUE(std::filesystem::exists(options_.wal_path))
-      << "adopting sharding must not discard the legacy prefix stream";
+  EXPECT_EQ(manager->wal()->shard_count(), 1u);
   TXMOD_ASSERT_OK(
       manager->RunText("insert(fk_rel, {(8200, \"k4\", 3.0)});").status());
   TXMOD_ASSERT_OK(
@@ -455,16 +456,177 @@ TEST_F(RecoveryTest, PreShardLegacyLogIsStitchedAsThePrefixStream) {
               "delete(key_rel, {(\"x1\", \"payload\")}); "
               "insert(fk_rel, {(8201, \"k5\", 1.0)});")
           .status());
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database stitched, TxnManager::Recover(options_));
-  EXPECT_TRUE(stitched.SameState(recovered, /*compare_time=*/true));
+  for (uint32_t k = 0; k < 2; ++k) {
+    EXPECT_FALSE(std::filesystem::exists(
+        ShardedWal::ShardPath(options_.wal_path, k)));
+  }
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database after,
+                             TxnManager::Recover(options_, &stats));
+  EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true));
+  EXPECT_EQ(stats.records_read, run.prefix_states.size() + 1);
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+}
 
-  // The next checkpoint covers the legacy records; Truncate removes the
-  // lingering prefix stream.
-  TXMOD_ASSERT_OK(manager->Checkpoint());
-  EXPECT_FALSE(std::filesystem::exists(options_.wal_path));
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database after_ckpt,
-                             TxnManager::Recover(options_));
-  EXPECT_TRUE(after_ckpt.SameState(recovered, /*compare_time=*/true));
+TEST_F(RecoveryTest, SingleStreamBesideShardStreamsIsRefused) {
+  // A v1 log at wal_path, and a shard stream beside it: neither is the
+  // whole log, so neither is read.
+  RunWorkload(options_, DefaultWorkload());
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        WriteAheadLog shard1,
+        WriteAheadLog::OpenShard(
+            ShardedWal::ShardPath(options_.wal_path, 1), 1, 2));
+  }
+  const auto recovered = TxnManager::Recover(options_);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recovered.status().message().find("shard stream"),
+            std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_FALSE(ShardedWal::DiscoverShardCount(options_.wal_path).ok());
+  EXPECT_FALSE(ShardedWal::Open(options_.wal_path, 2).ok());
+  EXPECT_FALSE(ReadShardedWal(options_.wal_path).ok());
+}
+
+/// One record of `version` that inserts (or deletes) fk_rel row `id`.
+WalRecord FkRecord(uint64_t version, int64_t id, bool insert) {
+  WalRecord rec;
+  rec.version = version;
+  std::vector<Tuple> row = {
+      Tuple({Value::Int(id), Value::String("k1"), Value::Double(1.0)})};
+  rec.deltas.push_back(insert ? WalDelta{"fk_rel", std::move(row), {}}
+                              : WalDelta{"fk_rel", {}, std::move(row)});
+  return rec;
+}
+
+/// A checkpoint at time 0 of the fixture's initial state.
+Database WriteInitialCheckpoint(const TxnManagerOptions& options) {
+  Database db = bench::MakeKeyFkDatabase(10, 30);
+  bench::AddUnreferencedKeys(&db, 4);
+  EXPECT_TRUE(CheckpointDatabaseToFile(db, options.checkpoint_path).ok());
+  return db;
+}
+
+TEST_F(RecoveryTest, OneStreamOutOfVersionOrderReplaysInVersionOrder) {
+  // Commits append outside the commit lock, so version 2 can precede
+  // version 1 in the file. Version 1 inserts a row and version 2 deletes
+  // it: only version order leaves the row absent.
+  Database expected = WriteInitialCheckpoint(options_);
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+                               WriteAheadLog::Open(options_.wal_path));
+    TXMOD_ASSERT_OK(wal.Append(FkRecord(2, 9600, /*insert=*/false)).status());
+    TXMOD_ASSERT_OK(wal.Append(FkRecord(1, 9600, /*insert=*/true)).status());
+  }
+  expected.AdvanceTime();
+  expected.AdvanceTime();
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options_, &stats));
+  EXPECT_TRUE(recovered.SameState(expected, /*compare_time=*/true));
+  EXPECT_EQ(stats.records_read, 2u);
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+
+  // The collector returns the same order.
+  TXMOD_ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                             ReadShardedWal(options_.wal_path));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].version, 1u);
+  EXPECT_EQ(records[1].version, 2u);
+}
+
+/// FNV-1a 64, the WAL record checksum, over `s`.
+uint64_t Fnv1a64(std::string_view s) {
+  uint64_t h = UINT64_C(14695981039346656037);
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= UINT64_C(1099511628211);
+  }
+  return h;
+}
+
+TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
+  // Version 2's checksum matches its bytes, but one of its tuple lines
+  // does not decode. Its first line does: nothing of the record may be
+  // applied, and neither may version 3 after it.
+  Database expected = WriteInitialCheckpoint(options_);
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+                               WriteAheadLog::Open(options_.wal_path));
+    TXMOD_ASSERT_OK(wal.Append(FkRecord(1, 9700, /*insert=*/true)).status());
+  }
+  const std::string body =
+      "txn 2\nrel fk_rel\n+ i:9701 s:\"k1\" d:0x1p+0\n"
+      "+ i:9702junk s:\"k1\" d:0x1p+0\n";
+  char commit[64];
+  std::snprintf(commit, sizeof(commit), "commit 2 %016llx\n",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  {
+    std::ofstream out(options_.wal_path, std::ios::binary | std::ios::app);
+    out << body << commit;
+  }
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+                               WriteAheadLog::Open(options_.wal_path));
+    TXMOD_ASSERT_OK(wal.Append(FkRecord(3, 9703, /*insert=*/true)).status());
+  }
+  (*expected.FindMutable("fk_rel"))
+      ->Insert(Tuple({Value::Int(9700), Value::String("k1"),
+                      Value::Double(1.0)}));
+  expected.AdvanceTime();
+
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options_, &stats));
+  EXPECT_TRUE(recovered.SameState(expected, /*compare_time=*/true));
+  EXPECT_TRUE(stats.tail_dropped);
+  EXPECT_NE(stats.tail_error.find("bad tuple line"), std::string::npos)
+      << stats.tail_error;
+  EXPECT_EQ(stats.records_read, 1u);
+}
+
+TEST_F(RecoveryTest, ShardedKillAtEveryByteOfOneShardRestoresACommittedPrefix) {
+  // The sharded counterpart of KillAtEveryByteRestoresACommittedPrefix:
+  // cut one stream of a 3-shard log at every byte offset, the others
+  // intact. Recovery must restore a committed prefix that never shrinks
+  // as the offset grows.
+  options_.wal_shards = 3;
+  LiveRun run = RunWorkload(options_, FanOutWorkload());
+  ASSERT_GT(run.prefix_states.size(), 3u);
+  std::size_t shards_cut = 0;
+  for (uint32_t k = 0; k < 3; ++k) {
+    const std::string sp = ShardedWal::ShardPath(options_.wal_path, k);
+    const std::string intact = ReadFile(sp);
+    if (intact.find("\ntxn ") == std::string::npos) continue;  // no records
+    ++shards_cut;
+    std::size_t last_prefix = 0;
+    for (std::size_t len = 0; len <= intact.size(); ++len) {
+      WriteFile(sp, intact.substr(0, len));
+      auto recovered = TxnManager::Recover(options_);
+      ASSERT_TRUE(recovered.ok())
+          << "shard " << k << " len " << len << ": "
+          << recovered.status().ToString();
+      std::size_t matched = run.prefix_states.size();
+      for (std::size_t p = 0; p < run.prefix_states.size(); ++p) {
+        if (recovered->SameState(run.prefix_states[p],
+                                 /*compare_time=*/true)) {
+          matched = p;
+          break;
+        }
+      }
+      ASSERT_LT(matched, run.prefix_states.size())
+          << "cutting shard " << k << " at byte " << len
+          << " recovered a state that is no committed prefix";
+      ASSERT_GE(matched, last_prefix)
+          << "cutting shard " << k << " at byte " << len
+          << " lost a commit that a shorter cut kept";
+      last_prefix = matched;
+    }
+    EXPECT_EQ(last_prefix, run.prefix_states.size() - 1)
+        << "the intact shard " << k << " must restore every commit";
+  }
+  EXPECT_GE(shards_cut, 2u) << "the workload must write to several shards";
 }
 
 TEST_F(RecoveryTest, PartialFanOutIsDroppedTogetherWithEverythingAbove) {

@@ -5,11 +5,16 @@
 // silent-acceptance bugs (trailing garbage after `i:`/`d:` payloads,
 // out-of-range ints saturating instead of failing) that this suite
 // exists to keep fixed — every encoding on disk decodes to exactly the
-// value that was written, or loading fails loudly.
+// value that was written, or loading fails loudly. The one-pass decoder
+// is also checked input by input against the strtoll/strtod decoder it
+// replaced, kept below as the reference.
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -232,6 +237,309 @@ TEST(ValueCodecTest, OutOfRangeDoublesAreRejectedButDenormalsDecode) {
       const Value inf, DecodeValueText(EncodeValueText(Value::Double(
                            std::numeric_limits<double>::infinity()))));
   EXPECT_EQ(inf.as_double(), std::numeric_limits<double>::infinity());
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the one-pass decoder against the strtoll/strtod
+// decoder it replaced, kept here verbatim as the reference.
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+template <std::size_t N>
+bool TerminatedCopy(std::string_view payload, char (&buf)[N]) {
+  if (payload.size() >= N) return false;
+  std::memcpy(buf, payload.data(), payload.size());
+  buf[payload.size()] = '\0';
+  return true;
+}
+
+std::string_view NextEncoding(std::string_view* rest) {
+  std::size_t i = 0;
+  while (i < rest->size() && (*rest)[i] == ' ') ++i;
+  const std::size_t begin = i;
+  bool in_string = false;
+  bool escaped = false;
+  for (; i < rest->size(); ++i) {
+    const char c = (*rest)[i];
+    if (escaped) {
+      escaped = false;
+    } else if (in_string) {
+      escaped = c == '\\';
+      in_string = c != '"';
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == ' ') {
+      break;
+    }
+  }
+  const std::string_view token = rest->substr(begin, i - begin);
+  rest->remove_prefix(i);
+  return token;
+}
+
+Result<Value> DecodeValueText(std::string_view text) {
+  if (text == "null") return Value::Null();
+  char buf[64];
+  if (StartsWith(text, "i:")) {
+    const std::string_view payload = text.substr(2);
+    if (payload.empty() ||
+        std::isspace(static_cast<unsigned char>(payload[0])) ||
+        !TerminatedCopy(payload, buf)) {
+      return Status::InvalidArgument(
+          StrCat("malformed int encoding: ", text));
+    }
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(buf, &end, 10);
+    if (end != buf + payload.size()) {
+      return Status::InvalidArgument(
+          StrCat("malformed int encoding: ", text));
+    }
+    if (errno == ERANGE) {
+      return Status::InvalidArgument(
+          StrCat("int encoding out of range (does not fit int64): ", text));
+    }
+    return Value::Int(v);
+  }
+  if (StartsWith(text, "d:")) {
+    const std::string_view payload = text.substr(2);
+    if (payload.empty() ||
+        std::isspace(static_cast<unsigned char>(payload[0])) ||
+        !TerminatedCopy(payload, buf)) {
+      return Status::InvalidArgument(
+          StrCat("malformed double encoding: ", text));
+    }
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(buf, &end);
+    if (end != buf + payload.size()) {
+      return Status::InvalidArgument(
+          StrCat("malformed double encoding: ", text));
+    }
+    if (errno == ERANGE && std::fabs(v) == HUGE_VAL) {
+      return Status::InvalidArgument(
+          StrCat("double encoding out of range: ", text));
+    }
+    return Value::Double(v);
+  }
+  if (StartsWith(text, "s:\"") && text.size() >= 4 && text.back() == '"') {
+    const std::string_view body = text.substr(3, text.size() - 4);
+    std::string out;
+    out.reserve(body.size());
+    std::size_t i = 0;
+    while (i < body.size()) {
+      const std::size_t slash = body.find('\\', i);
+      if (slash == std::string_view::npos || slash + 1 == body.size()) {
+        out.append(body.substr(i));
+        break;
+      }
+      out.append(body.substr(i, slash - i));
+      const char c = body[slash + 1];
+      out.push_back(c == 'n' ? '\n' : c == 't' ? '\t' : c);
+      i = slash + 2;
+    }
+    return Value::String(std::move(out));
+  }
+  return Status::InvalidArgument(StrCat("bad value encoding: ", text));
+}
+
+Result<Tuple> DecodeTupleText(std::string_view line) {
+  std::size_t arity = 0;
+  for (std::string_view scan = line; !NextEncoding(&scan).empty();) ++arity;
+  std::vector<Value> values;
+  values.reserve(arity);
+  for (std::string_view token = NextEncoding(&line); !token.empty();
+       token = NextEncoding(&line)) {
+    TXMOD_ASSIGN_OR_RETURN(Value v, DecodeValueText(token));
+    values.push_back(std::move(v));
+  }
+  return Tuple(std::move(values));
+}
+
+}  // namespace reference
+
+/// Identical values: the same type and, for doubles, the same bits, except
+/// that two NaNs need only agree in sign.
+bool Identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a == b;
+  const double x = a.as_double();
+  const double y = b.as_double();
+  if (std::isnan(x) || std::isnan(y)) {
+    return std::isnan(x) && std::isnan(y) && std::signbit(x) == std::signbit(y);
+  }
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+/// Counts the inputs on which the decoders disagree: one accepts and the
+/// other refuses, or they decode different values, or refuse with
+/// different errors. Each input is decoded alone, and in a tuple line
+/// between neighbours.
+class Differential {
+ public:
+  void Check(const std::string& text) {
+    ++inputs_;
+    Compare(text, DecodeValueText(text), reference::DecodeValueText(text));
+    const std::string line = StrCat("i:7 ", text, "  s:\"n\"");
+    Compare(line, DecodeTupleText(line), reference::DecodeTupleText(line));
+    Compare(text, DecodeTupleText(text, 1), reference::DecodeTupleText(text));
+  }
+
+  uint64_t inputs() const { return inputs_; }
+  uint64_t disagreements() const { return disagreements_; }
+  const std::string& first() const { return first_; }
+
+ private:
+  static bool Same(const Value& a, const Value& b) { return Identical(a, b); }
+  static bool Same(const Tuple& a, const Tuple& b) {
+    if (a.arity() != b.arity()) return false;
+    for (std::size_t i = 0; i < a.arity(); ++i) {
+      if (!Identical(a.at(i), b.at(i))) return false;
+    }
+    return true;
+  }
+
+  template <typename T>
+  void Compare(const std::string& input, const Result<T>& got,
+               const Result<T>& want) {
+    const bool agree =
+        got.ok() == want.ok() &&
+        (got.ok() ? Same(*got, *want)
+                  : got.status().ToString() == want.status().ToString());
+    if (!agree && disagreements_++ == 0) {
+      first_ = StrCat("'", input, "': ",
+                      got.ok() ? "accepted" : got.status().ToString(),
+                      " vs reference ",
+                      want.ok() ? "accepted" : want.status().ToString());
+    }
+  }
+
+  uint64_t inputs_ = 0;
+  uint64_t disagreements_ = 0;
+  std::string first_;
+};
+
+/// The hostile inputs of the tests above, and a few more of each kind.
+std::vector<std::string> HostileInputs() {
+  std::vector<std::string> inputs = {
+      "i:12junk", "i:1 ", "i: 1", "i:", "i:+", "i:0x10", "d:1.5junk",
+      "d:1.5 ", "d:", "d:.", std::string("i:12\0junk", 9),
+      std::string("d:1.5\0x", 7), std::string("s:\"a\0b\"", 7),
+      "i:9223372036854775808", "i:-9223372036854775809",
+      "i:99999999999999999999999", "i:9223372036854775807",
+      "i:-9223372036854775808", "d:1e999", "d:-1e999", "d:1e-400",
+      "d:inf", "d:-inf", "d:nan", "d:-nan", "d:INF", "d:nan(0x7)",
+      "null", "nul", "nulll", "null ", "NULL", "s:\"", "s:\"\"", "s:\"\\\"",
+      "s:\"a\"b\"", "s:\"a\" b\"", "s:\"a\\", "s:x", "x:1", "", " ", "i",
+      "d:0x", "d:0x.8p0", "d:0x1p", "d:0x1p+", "d:0x-1p+0", "d:-0x-1p+0",
+      "d:0x+1p+0", "d:+0x1p+0", "d:0X1P+0", "d:0x1P+0", "d:0xAp+0",
+      "d:0x1.fffffffffffff8p+0", "d:0x1.00000000000008p+0",
+      "d:0x1p+-9", "d:-0x1.8p-+9", "d:0x1p--9", "d:0x1p-1075", "d:0x1p-1074", "d:0x1p+1024", "d:0x1.fffffffffffffp+1023",
+      "d:0x1p+99999999999999999999", "d:-0x1p-99999999999999999999",
+      "d:0x0p+0", "d:-0x0p+0", "d:0x1p+0 ", "d:0x1p+0\"", "i:1\"a b\"",
+      "i:00000000000000000000000000000000000000000000000000000000000000001",
+      "i:-0", "i:--1", "i:1-", "d:1", "d:-1.5e3", "d:0x1p+0x"};
+  const std::string zeros(63, '0');
+  inputs.push_back("i:" + zeros);
+  inputs.push_back("i:0" + zeros);
+  inputs.push_back("i:-" + zeros.substr(1));
+  inputs.push_back("i:-" + zeros);
+  inputs.push_back("d:0x" + zeros.substr(3) + "1");
+  inputs.push_back("d:0x" + zeros.substr(2) + "1");
+  inputs.push_back("d:-0x" + zeros.substr(4) + "1");
+  inputs.push_back("d:-0x" + zeros.substr(3) + "1");
+  for (const std::string& s :
+       {std::string("plain"), std::string("with \"quotes\""),
+        std::string("trailing backslash\\"), std::string("\n\t\r"),
+        std::string(3, '\0'), std::string("sp ace  s")}) {
+    inputs.push_back(EncodeValueText(Value::String(s)));
+  }
+  return inputs;
+}
+
+/// A seeded mutation of an encoded value: the forms the fast path must
+/// refuse or decode exactly as strtoll/strtod do.
+std::string Mutate(std::string e, std::mt19937_64& rng) {
+  const std::size_t payload = e.size() > 2 ? 2 : e.size();
+  auto at = [&](std::size_t from) {
+    return from + rng() % (e.size() - from + 1);
+  };
+  switch (rng() % 9) {
+    case 0:  // a plus sign, after the tag or anywhere in the payload
+      e.insert(rng() % 2 == 0 ? payload : at(payload), 1, '+');
+      break;
+    case 1: {  // an upper-case radix prefix
+      const std::size_t x = e.find("0x");
+      if (x != std::string::npos) e[x + 1] = 'X';
+      break;
+    }
+    case 2:  // a decimal payload that underflows or overflows
+      e = e.substr(0, payload) +
+          std::string(rng() % 2 == 0 ? "" : "-") +
+          std::string(rng() % 2 == 0 ? "1e-400" : "1e400");
+      break;
+    case 3: {  // an overlong digit string
+      const std::size_t pos = e.find_first_of("0123456789", payload);
+      if (pos != std::string::npos) {
+        e.insert(pos, std::string(40 + rng() % 30, rng() % 2 == 0 ? '0' : '7'));
+      }
+      break;
+    }
+    case 4:  // an embedded NUL
+      e.insert(at(payload), 1, '\0');
+      break;
+    case 5:  // a byte replaced by one from the number alphabet
+      if (e.size() > payload) {
+        static constexpr char kAlphabet[] = "0123456789abcdefxXpP+-. ";
+        e[at(payload) % e.size()] =
+            kAlphabet[rng() % (sizeof(kAlphabet) - 1)];
+      }
+      break;
+    case 6:  // truncated
+      e.resize(rng() % (e.size() + 1));
+      break;
+    case 7:  // a doubled sign
+      e.insert(payload, rng() % 2 == 0 ? "--" : "-+");
+      break;
+    default:  // an exponent pushed out of range
+      e += std::to_string(rng() % 100000);
+      break;
+  }
+  return e;
+}
+
+TEST(ValueCodecTest, OnePassDecoderAgreesWithTheStrtodReference) {
+  using Limits = std::numeric_limits<double>;
+  Differential diff;
+  for (const std::string& text : HostileInputs()) diff.Check(text);
+
+  std::mt19937_64 rng(0xD1FF);
+  constexpr uint64_t kExponent = 0x7FFull << 52;
+  std::vector<std::string> encoded;
+  for (const double d :
+       {0.0, -0.0, Limits::infinity(), -Limits::infinity(),
+        Limits::quiet_NaN(), -Limits::quiet_NaN(), Limits::denorm_min(),
+        -Limits::denorm_min(), Limits::min(), Limits::max(),
+        Limits::lowest()}) {
+    encoded.push_back(EncodeValueText(Value::Double(d)));
+  }
+  for (int i = 0; i < (1 << 16); ++i) {
+    uint64_t bits = rng();
+    // A quarter zeros and denormals, a quarter infinities and NaNs.
+    if (i % 4 == 1) bits &= ~kExponent;
+    if (i % 4 == 2) bits |= kExponent;
+    if (i % 64 == 3) bits &= (1ull << 63) | 0xF;  // the smallest denormals
+    encoded.push_back(EncodeValueText(Value::Double(FromBits(bits))));
+    encoded.push_back(
+        EncodeValueText(Value::Int(static_cast<int64_t>(rng()) >> (rng() % 64))));
+  }
+  for (const std::string& e : encoded) diff.Check(e);
+  for (int i = 0; i < (1 << 16); ++i) {
+    diff.Check(Mutate(encoded[rng() % encoded.size()], rng));
+  }
+  EXPECT_GE(diff.inputs(), 3u << 16);
+  EXPECT_EQ(diff.disagreements(), 0u) << "first: " << diff.first();
 }
 
 TEST(ValueCodecTest, RandomBytesNeverCrashTheDecoder) {
