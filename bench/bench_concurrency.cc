@@ -13,12 +13,19 @@
 // (group commit). Reported: commits per second and the measured
 // fsyncs-per-commit ratio (the batching factor; 1.0 means no batching,
 // lower is better).
+//
+// Every arm that commits reports readonly_commits. An arm whose
+// transactions only insert fresh ids must write on every commit; if one
+// of its commits is read-only, an id was reused and the arm timed no-ops
+// (nothing installed, logged or fsynced), so the binary exits non-zero.
 
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <iostream>
 #include <thread>
 #include <vector>
 
@@ -35,6 +42,31 @@ constexpr int kKeys = 500;
 constexpr int kFks = 5000;
 constexpr int kSharedKeys = 16;
 constexpr int kTxnsPerThreadPerIter = 50;
+// Fresh fk ids start above the fixture's kFks rows and the contended
+// range.
+constexpr int kFreshIdBase = 1'000'000;
+
+/// The first fresh id thread `t` of `threads` uses in iteration
+/// `iteration`: each (iteration, thread) pair owns its own block.
+int FreshIdBlock(int64_t iteration, int threads, int t) {
+  return kFreshIdBase +
+         static_cast<int>((iteration * threads + t) * kTxnsPerThreadPerIter);
+}
+
+/// Reports the arm's read-only commits, and stops the binary when an arm
+/// that only inserts fresh ids has any: it measured no-op commits.
+void ReportReadOnlyCommits(benchmark::State& state, const std::string& arm,
+                           const txn::TxnManagerStats& stats,
+                           bool fresh_inserts_only) {
+  state.counters["readonly_commits"] =
+      static_cast<double>(stats.readonly_commits);
+  if (fresh_inserts_only && stats.readonly_commits > 0) {
+    std::cerr << "BENCH FATAL: " << arm << " inserts only fresh ids, but "
+              << stats.readonly_commits << " of its " << stats.commits
+              << " commits were read-only\n";
+    std::exit(1);
+  }
+}
 
 struct ManagerFixture {
   Database db;
@@ -94,14 +126,14 @@ void BM_ConcurrentCommit(benchmark::State& state) {
   ManagerFixture f;
 
   uint64_t committed_total = 0;
+  int64_t iteration = 0;
   for (auto _ : state) {
     std::atomic<uint64_t> committed{0};
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t]() {
-        int next_id = 1'000'000 + t * 1'000'000 +
-                      static_cast<int>(state.iterations()) * 1000;
+        int next_id = FreshIdBlock(iteration, threads, t);
         unsigned rng = 12345u * static_cast<unsigned>(t + 1);
         for (int i = 0; i < kTxnsPerThreadPerIter; ++i) {
           auto result = f.manager->Run(
@@ -114,9 +146,14 @@ void BM_ConcurrentCommit(benchmark::State& state) {
     }
     for (std::thread& w : workers) w.join();
     committed_total += committed.load();
+    ++iteration;
   }
   const txn::TxnManagerStats stats = f.manager->stats();
   state.SetItemsProcessed(static_cast<int64_t>(committed_total));
+  ReportReadOnlyCommits(state,
+                        StrCat("BM_ConcurrentCommit/threads:", threads,
+                               "/conflict_pct:", conflict_pct),
+                        stats, conflict_pct == 0);
   state.counters["conflicts"] = static_cast<double>(stats.conflicts);
   state.counters["commits"] = static_cast<double>(stats.commits);
   state.counters["conflict_rate"] =
@@ -173,6 +210,8 @@ void BM_SessionFirstWrite(benchmark::State& state) {
     if (executed.ok() && result.ok() && result->committed) ++committed;
   }
   state.SetItemsProcessed(static_cast<int64_t>(committed));
+  ReportReadOnlyCommits(state, StrCat("BM_SessionFirstWrite/tuples:", tuples),
+                        manager->stats(), /*fresh_inserts_only=*/true);
   const double iters =
       state.iterations() > 0 ? static_cast<double>(state.iterations()) : 1.0;
   state.counters["overlays_per_txn"] =
@@ -187,27 +226,25 @@ BENCHMARK(BM_SessionFirstWrite)
 
 void BM_GroupCommitFsync(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
-      StrCat("txmod_bench_wal_", ::getpid(), "_", threads, "_", shards);
+      StrCat("txmod_bench_wal_", ::getpid(), "_", threads);
   std::filesystem::create_directories(dir);
   txn::TxnManagerOptions options;
   options.wal_path = (dir / "wal.log").string();
   options.checkpoint_path = (dir / "checkpoint.db").string();
   options.sync_commits = true;
-  options.wal_shards = static_cast<uint32_t>(shards);
   ManagerFixture f(options);
 
   uint64_t committed_total = 0;
+  int64_t iteration = 0;
   for (auto _ : state) {
     std::atomic<uint64_t> committed{0};
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t]() {
-        int next_id = 10'000'000 + t * 1'000'000 +
-                      static_cast<int>(state.iterations()) * 1000;
+        int next_id = FreshIdBlock(iteration, threads, t);
         unsigned rng = 99991u * static_cast<unsigned>(t + 1);
         for (int i = 0; i < kTxnsPerThreadPerIter; ++i) {
           auto result =
@@ -220,9 +257,12 @@ void BM_GroupCommitFsync(benchmark::State& state) {
     }
     for (std::thread& w : workers) w.join();
     committed_total += committed.load();
+    ++iteration;
   }
   const txn::TxnManagerStats stats = f.manager->stats();
   state.SetItemsProcessed(static_cast<int64_t>(committed_total));
+  ReportReadOnlyCommits(state, StrCat("BM_GroupCommitFsync/threads:", threads),
+                        stats, /*fresh_inserts_only=*/true);
   state.counters["fsyncs"] = static_cast<double>(stats.wal_fsyncs);
   state.counters["fsyncs_per_commit"] =
       stats.commits > 0 ? static_cast<double>(stats.wal_fsyncs) /
@@ -234,14 +274,12 @@ void BM_GroupCommitFsync(benchmark::State& state) {
 }
 
 BENCHMARK(BM_GroupCommitFsync)
-    ->ArgNames({"threads", "shards"})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({4, 4})
-    ->Args({8, 4})
-    ->Args({16, 4})
+    ->ArgNames({"threads"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -21,7 +21,7 @@
 # statements when it runs), BENCH_parallel.json (E5 scaling +
 # the join-heavy enforcement series) and BENCH_concurrency.json
 # (BM_ConcurrentCommit thread/conflict sweeps, BM_GroupCommitFsync
-# sharded group-commit batching factors) and BENCH_server.json (the
+# group-commit batching factors) and BENCH_server.json (the
 # bench_server network load driver: commits/sec and p50/p99 request
 # latency over loopback TCP, durability-verified) are the recorded
 # baselines;

@@ -15,8 +15,8 @@ namespace txmod {
 /// One writable file handle obtained from a Vfs. Handles are append- or
 /// truncate-opened (see Vfs); reads stay on the ordinary filesystem —
 /// the durability machinery only *writes* through the environment, and
-/// the fault injector keeps the real file in sync so readers (ReadWal,
-/// LoadDatabaseFromFile) need no parallel read API.
+/// the fault injector keeps the real file in sync so readers (the WAL's
+/// replay, LoadDatabaseFromFile) need no parallel read API.
 class VfsFile {
  public:
   virtual ~VfsFile() = default;

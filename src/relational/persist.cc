@@ -1,6 +1,5 @@
 #include "src/relational/persist.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -549,21 +548,6 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
   // this, a later durable WAL truncation could outlive a lost rename and
   // recovery would pair the OLD checkpoint with an EMPTY log.
   return vfs->SyncParentDirectory(path);
-}
-
-Status FsyncParentDirectory(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal(StrCat("cannot open directory ", dir));
-  }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) return Status::Internal(StrCat("fsync of ", dir, " failed"));
-  return Status::OK();
 }
 
 Result<Database> LoadDatabase(std::istream& in) {

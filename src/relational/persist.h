@@ -46,10 +46,6 @@ Status SaveDatabaseToFile(const Database& db, const std::string& path);
 Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
                                 Vfs* vfs = nullptr);
 
-/// Fsyncs the directory containing `path` (making a rename of `path`
-/// durable). Exposed for the WAL's own rename-based repair.
-Status FsyncParentDirectory(const std::string& path);
-
 /// Restores a checkpoint into a fresh Database (schema included).
 ///
 /// The stream is read through a LineReader, so loading never holds the

@@ -3,8 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "src/algebra/parser.h"
@@ -108,12 +106,10 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
       TXMOD_RETURN_IF_ERROR(CheckpointDatabaseToFile(
           *manager->db_, opts.checkpoint_path, vfs));
     }
-    // ShardedWal::Open repairs torn per-stream tails (rewriting each
-    // valid prefix) and adopts the on-disk shard layout when one exists.
-    TXMOD_ASSIGN_OR_RETURN(
-        std::shared_ptr<ShardedWal> wal,
-        ShardedWal::Open(opts.wal_path, opts.wal_shards, vfs));
-    manager->wal_ = std::move(wal);
+    // Open repairs a torn tail (rewriting the valid prefix).
+    TXMOD_ASSIGN_OR_RETURN(WriteAheadLog wal,
+                           WriteAheadLog::Open(opts.wal_path, vfs));
+    manager->wal_ = std::make_shared<WriteAheadLog>(std::move(wal));
   }
   // The state the manager starts from is durable (recovered checkpoint +
   // WAL, or the freshly seeded checkpoint): the durability horizon and
@@ -545,9 +541,10 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   uint64_t version = 0;
   Installs installs;  // what the durability-failure unwind re-installs
   bool need_sync = false;
-  std::shared_ptr<ShardedWal> wal;  // handle pinned under the lock; a
-                                    // concurrent TryReopenWal swap never
-                                    // strands this commit's stage C
+  std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
+                                       // concurrent TryReopenWal swap
+                                       // never strands this commit's
+                                       // stage C
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     std::string reason;
@@ -650,18 +647,15 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // is acknowledged only once it — and every commit below it — is
   // durable. Logging outside the lock lets commit N+1 validate and
   // install while commit N's record is still being encoded and fsynced;
-  // per-shard group commit batches concurrent committers into one fsync
-  // per shard.
+  // group commit batches concurrent committers into one fsync.
   if (wal != nullptr) {
-    Result<std::vector<ShardedWal::Position>> appended =
-        wal->AppendCommit(*wal_record);
-    if (!appended.ok()) {
-      return HandleLogFailure(version, &installs, appended.status(),
-                              &result);
+    const Result<uint64_t> lsn = wal->Append(*wal_record);
+    if (!lsn.ok()) {
+      return HandleLogFailure(version, &installs, lsn.status(), &result);
     }
     stats_.wal_appends.fetch_add(1);
     if (need_sync) {
-      const Status synced = wal->SyncPositions(*appended);
+      const Status synced = wal->Sync(*lsn);
       if (!synced.ok()) {
         return HandleLogFailure(version, &installs, synced, &result);
       }
@@ -792,23 +786,11 @@ Status TxnManager::TryReopenWal() {
     wal_.reset();
   }
   TXMOD_RETURN_IF_ERROR(vfs_->Remove(options_.wal_path));
-  // Discard stale shard streams too, probing cheaply first so a
-  // non-sharded reopen issues no extra vfs operations (fault-injection
-  // schedules on the main path stay stable). Probe EVERY index — a
-  // failed previous wipe can leave holes, and a stale higher shard
-  // surviving the wipe would collide with reused versions on the fresh
-  // log.
-  for (uint32_t k = 0; k < ShardedWal::kMaxProbeShards; ++k) {
-    const std::string shard_path = ShardedWal::ShardPath(options_.wal_path, k);
-    if (!std::ifstream(shard_path).good()) continue;
-    TXMOD_RETURN_IF_ERROR(vfs_->Remove(shard_path));
-  }
-  TXMOD_ASSIGN_OR_RETURN(
-      std::shared_ptr<ShardedWal> fresh,
-      ShardedWal::Open(options_.wal_path, options_.wal_shards, vfs_));
+  TXMOD_ASSIGN_OR_RETURN(WriteAheadLog fresh,
+                         WriteAheadLog::Open(options_.wal_path, vfs_));
   {
     std::lock_guard<std::mutex> wal_lock(wal_ptr_mu_);
-    wal_ = std::move(fresh);
+    wal_ = std::make_shared<WriteAheadLog>(std::move(fresh));
   }
   checkpoint_time_ = db_->logical_time();
   ResetDurabilityHorizon(db_->logical_time());
@@ -836,7 +818,7 @@ uint64_t TxnManager::committed_version() const {
   return db_->logical_time();
 }
 
-std::shared_ptr<const ShardedWal> TxnManager::wal() const {
+std::shared_ptr<const WriteAheadLog> TxnManager::wal() const {
   std::lock_guard<std::mutex> lock(wal_ptr_mu_);
   return wal_;
 }
@@ -859,7 +841,7 @@ TxnManagerStats TxnManager::stats() const {
   out.unavailable_rejections = stats_.unavailable_rejections.load();
   out.validation_records = stats_.validation_records.load();
   out.validation_tuples = stats_.validation_tuples.load();
-  const std::shared_ptr<const ShardedWal> log = wal();
+  const std::shared_ptr<const WriteAheadLog> log = wal();
   if (log != nullptr) out.wal_fsyncs = log->fsync_count();
   out.degraded = degraded_.load(std::memory_order_acquire);
   {

@@ -84,17 +84,6 @@ struct TxnManagerOptions {
   /// (integrity aborts, I/O faults, Unavailable) never retry.
   int64_t run_timeout_micros = 0;
 
-  /// Number of WAL append streams. 1 (default) keeps the single
-  /// v1-format file at wal_path — byte-for-byte the pre-shard layout.
-  /// N >= 2 shards committed deltas by relation-name hash across
-  /// `<wal_path>.shard<k>` streams with independent group-commit fsync
-  /// leaders, so commits with disjoint shard footprints never share an
-  /// append mutex or an fsync; recovery stitches the streams back into
-  /// commit-version order. An existing log's on-disk shard count always
-  /// wins over this setting (see ShardedWal::Open); TryReopenWal is the
-  /// point where a changed setting takes effect.
-  uint32_t wal_shards = 1;
-
   /// Worker threads for concurrent integrity-check evaluation inside
   /// sessions: runs of consecutive alarm statements (the shape the
   /// transaction modifier emits) evaluate in parallel on a pool owned by
@@ -277,21 +266,20 @@ class TxnSession {
 ///      install (pointer-swap fast path), and — only while another
 ///      session is live, the only kind a record can convict — shared
 ///      publication of the WAL record into the validation index;
-///   C. log + ack — outside the lock: the record fans out to the
-///      sharded WAL, group-commit fsyncs run per shard, and the commit
-///      is acknowledged only once every version up to its own is
-///      durable (the contiguous durability horizon — out-of-order
-///      shard fsync completions never ack a commit above a hole).
+///   C. log + ack — outside the lock: the record is appended to the
+///      WAL, a group-commit fsync covers it, and the commit is
+///      acknowledged only once every version up to its own is durable
+///      (the contiguous durability horizon — appends and fsyncs that
+///      complete out of version order never ack a commit above a hole).
 ///
-/// Disjoint-footprint commits therefore validate, append, and fsync in
-/// parallel; the serialized region is the short stage B.
+/// Disjoint-footprint commits therefore validate, encode, and wait for
+/// their fsync in parallel; the serialized region is the short stage B.
 ///
 /// Durability: committed differentials — the same dplus/dminus sets the
 /// paper's transaction modification computes — are appended to the WAL
 /// before the commit is reported; concurrent committers share fsyncs
-/// per shard (group commit). Recover() replays the stitched WAL over
-/// the latest checkpoint and restores exactly the durable committed
-/// prefix.
+/// (group commit). Recover() replays the WAL over the latest checkpoint
+/// and restores exactly the durable committed prefix.
 ///
 /// Failure: any WAL fault (failed append, failed fsync) flips the
 /// manager into read-only degraded mode instead of silently poisoning
@@ -399,7 +387,7 @@ class TxnManager {
   /// The live log handle (shared: TryReopenWal may swap the log under
   /// in-flight commits, which keep their own handle). Null when the
   /// manager runs volatile or while a reopen is in progress.
-  std::shared_ptr<const ShardedWal> wal() const;
+  std::shared_ptr<const WriteAheadLog> wal() const;
   core::IntegritySubsystem* subsystem() { return subsystem_; }
   Vfs* vfs() const { return vfs_; }
 
@@ -496,9 +484,9 @@ class TxnManager {
   void StoreWindowGaugesLocked();
 
   /// Contiguous durability horizon: a commit is acknowledged only when
-  /// every version up to its own is durable, so out-of-order per-shard
-  /// fsync completions can never ack a commit that recovery would have
-  /// to drop for a hole below it.
+  /// every version up to its own is durable, so appends that complete
+  /// out of version order can never ack a commit that recovery would
+  /// have to drop for a hole below it.
   void MarkDurable(uint64_t version);
   void MarkDurabilityFailed(uint64_t version);
   Status WaitDurableThrough(uint64_t version);
@@ -547,7 +535,7 @@ class TxnManager {
   /// and the old log stays alive (poisoned) until the last holder
   /// drops it. The pointer itself is guarded by wal_ptr_mu_ for
   /// lock-free-commit-path readers (stats, wal()).
-  std::shared_ptr<ShardedWal> wal_;
+  std::shared_ptr<WriteAheadLog> wal_;
   mutable std::mutex wal_ptr_mu_;
 
   /// Serializes Begin (snapshot creation) against commit application —

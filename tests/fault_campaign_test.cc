@@ -25,7 +25,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -77,7 +76,7 @@ int FaultIterations(int fallback) {
 }
 
 /// The schedule as text, so a failing campaign can be rerun from its
-/// log line alone: "fsync fsync-gate nth=4 sticky=0 path='.shard0'; ...".
+/// log line alone: "fsync fsync-gate nth=4 sticky=0 path='wal'; ...".
 std::string DescribeSchedule(const std::vector<FaultSpec>& schedule) {
   std::string out;
   for (const FaultSpec& spec : schedule) {
@@ -97,8 +96,8 @@ std::string DescribeSchedule(const std::vector<FaultSpec>& schedule) {
 /// prefix).
 void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
                  const std::vector<FaultSpec>& schedule, bool lying_fsync,
-                 const std::string& label, uint32_t wal_shards = 1) {
-  SCOPED_TRACE(StrCat(label, " seed=", seed, " shards=", wal_shards,
+                 const std::string& label) {
+  SCOPED_TRACE(StrCat(label, " seed=", seed,
                       " schedule: ", DescribeSchedule(schedule)));
   FaultInjectingVfs vfs;
   // Every campaign is an independent universe: reusing a path would make
@@ -109,14 +108,11 @@ void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
   const uint64_t run_id = campaign_counter.fetch_add(1);
   TxnManagerOptions options;
   options.wal_path =
-      (dir / StrCat("wal_", run_id, "_", seed, "_", wal_shards, ".log"))
-          .string();
+      (dir / StrCat("wal_", run_id, "_", seed, ".log")).string();
   options.checkpoint_path =
-      (dir / StrCat("ckpt_", run_id, "_", seed, "_", wal_shards, ".db"))
-          .string();
+      (dir / StrCat("ckpt_", run_id, "_", seed, ".db")).string();
   options.vfs = &vfs;
   options.sync_commits = true;
-  options.wal_shards = wal_shards;
 
   Database db = bench::MakeKeyFkDatabase(8, 20);
   bench::AddUnreferencedKeys(&db, 4);
@@ -157,9 +153,8 @@ void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
         EXPECT_FALSE(result->committed);
       }
     } else if (what == 4) {
-      // Multi-relation write: its log record fans out across shards
-      // when the WAL is sharded, so the crash can land between the
-      // shard appends of one commit.
+      // Multi-relation write: one record with two deltas, so a torn
+      // append can cut between them.
       const int id = next_id++;
       auto result = manager->RunText(
           StrCat("insert(key_rel, {(\"f", id, "\", \"payload\")}); ",
@@ -314,164 +309,6 @@ TEST_F(FaultCampaignTest, RandomizedSchedulesHoldTheInvariants) {
                 StrCat("random schedule ", i));
     if (::testing::Test::HasFatalFailure()) return;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-WAL campaign: the same two invariants must hold when the log
-// is split across per-shard append streams — fault points now include
-// torn tails on individual shards and crashes between the shard appends
-// of one commit's fan-out.
-// ---------------------------------------------------------------------------
-
-TEST_F(FaultCampaignTest, ShardedCleanRunBaselineRecoversEverything) {
-  RunCampaign(dir_, 1, {}, /*lying_fsync=*/false, "no faults",
-              /*wal_shards=*/3);
-}
-
-TEST_F(FaultCampaignTest, ShardedProgrammedFaultPointsHoldTheInvariants) {
-  struct Point {
-    const char* label;
-    FaultSpec spec;
-    bool lying;
-  };
-  const std::vector<Point> points = {
-      {"wal write EIO", Spec(VfsOp::kWrite, FaultKind::kEIO, 3, false, "wal"),
-       false},
-      // Aimed at one stream: the torn tail or lost append poisons only
-      // shard 1's file, but the invariants are log-wide.
-      {"shard1 write EIO",
-       Spec(VfsOp::kWrite, FaultKind::kEIO, 2, false, ".shard1"), false},
-      {"shard1 torn write",
-       Spec(VfsOp::kWrite, FaultKind::kTornWrite, 2, false, ".shard1"),
-       false},
-      {"shard0 fsync EIO",
-       Spec(VfsOp::kFsync, FaultKind::kEIO, 2, false, ".shard0"), false},
-      {"shard2 fsyncgate",
-       Spec(VfsOp::kFsync, FaultKind::kFsyncGate, 2, false, ".shard2"),
-       false},
-      {"fsync lie on a shard",
-       Spec(VfsOp::kFsync, FaultKind::kFsyncLie, 2, false, ".shard"), true},
-      {"checkpoint rename EIO", Spec(VfsOp::kRename, FaultKind::kEIO, 1),
-       false},
-      {"truncate EIO", Spec(VfsOp::kTruncate, FaultKind::kEIO, 1), false},
-  };
-  for (const Point& point : points) {
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-      RunCampaign(dir_, seed, {point.spec}, point.lying, point.label,
-                  /*wal_shards=*/3);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST_F(FaultCampaignTest, ShardedRandomizedSchedulesHoldTheInvariants) {
-  const int iterations = FaultIterations(12);
-  std::mt19937_64 meta(20270808u);
-  const VfsOp ops[] = {VfsOp::kOpen,     VfsOp::kWrite,  VfsOp::kFsync,
-                       VfsOp::kTruncate, VfsOp::kRename, VfsOp::kRemove,
-                       VfsOp::kDirSync};
-  const FaultKind kinds[] = {FaultKind::kEIO, FaultKind::kENOSPC,
-                             FaultKind::kShortWrite, FaultKind::kTornWrite,
-                             FaultKind::kFsyncGate, FaultKind::kFsyncLie};
-  for (int i = 0; i < iterations; ++i) {
-    const uint32_t shards = 1 + static_cast<uint32_t>(i % 4);
-    std::vector<FaultSpec> schedule;
-    bool lying = false;
-    const int count = 1 + static_cast<int>(meta() % 3);
-    for (int s = 0; s < count; ++s) {
-      FaultSpec spec;
-      spec.op = ops[meta() % (sizeof(ops) / sizeof(ops[0]))];
-      spec.kind = kinds[meta() % (sizeof(kinds) / sizeof(kinds[0]))];
-      if (spec.op != VfsOp::kWrite &&
-          (spec.kind == FaultKind::kShortWrite ||
-           spec.kind == FaultKind::kTornWrite)) {
-        spec.kind = FaultKind::kEIO;
-      }
-      if (spec.op != VfsOp::kFsync && spec.op != VfsOp::kDirSync &&
-          (spec.kind == FaultKind::kFsyncGate ||
-           spec.kind == FaultKind::kFsyncLie)) {
-        spec.kind = FaultKind::kEIO;
-      }
-      if (spec.op == VfsOp::kDirSync && spec.kind == FaultKind::kFsyncGate) {
-        spec.kind = FaultKind::kEIO;
-      }
-      spec.nth = 1 + meta() % 6;
-      spec.sticky = (meta() % 3) == 0;
-      // Half the schedules aim at one specific stream.
-      if (meta() % 2 == 0) {
-        spec.path_substring = StrCat(".shard", meta() % shards);
-      }
-      if (spec.kind == FaultKind::kFsyncLie) lying = true;
-      schedule.push_back(spec);
-    }
-    RunCampaign(dir_, 2000 + static_cast<uint64_t>(i), schedule, lying,
-                StrCat("sharded random schedule ", i), shards);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST_F(FaultCampaignTest, CrashBetweenShardAppendsDropsThePartialFanOut) {
-  // Find a shard count under which the two relations route to different
-  // shards, so one commit's record genuinely fans out into two parts.
-  uint32_t shards = 0;
-  for (uint32_t n = 2; n <= 4; ++n) {
-    if (ShardedWal::ShardOf("fk_rel", n) != ShardedWal::ShardOf("key_rel", n)) {
-      shards = n;
-      break;
-    }
-  }
-  ASSERT_GT(shards, 0u) << "no shard count separates fk_rel and key_rel";
-  const uint32_t high_shard =
-      std::max(ShardedWal::ShardOf("fk_rel", shards),
-               ShardedWal::ShardOf("key_rel", shards));
-
-  FaultInjectingVfs vfs;
-  TxnManagerOptions options;
-  options.wal_path = (dir_ / "wal.log").string();
-  options.checkpoint_path = (dir_ / "ckpt.db").string();
-  options.vfs = &vfs;
-  options.sync_commits = true;
-  options.wal_shards = shards;
-
-  Database db = bench::MakeKeyFkDatabase(8, 20);
-  bench::AddUnreferencedKeys(&db, 4);
-  core::IntegritySubsystem ics(&db);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
-  ASSERT_TRUE(manager->wal()->sharded());
-
-  TXMOD_ASSERT_OK(
-      manager->RunText("insert(fk_rel, {(800001, \"k1\", 2.0)});").status());
-  const Database before = db.Clone();
-  const uint64_t version_before = manager->committed_version();
-
-  // AppendCommit writes parts in ascending shard order; failing the next
-  // write to the HIGHER shard leaves the lower shard's part behind — the
-  // crash between the shard appends of one commit.
-  vfs.InjectFault(Spec(VfsOp::kWrite, FaultKind::kEIO, 1, /*sticky=*/false,
-                       StrCat(".shard", high_shard)));
-  auto failing = manager->RunText(
-      "insert(key_rel, {(\"f800002\", \"payload\")}); "
-      "insert(fk_rel, {(800002, \"f800002\", 2.0)});");
-  ASSERT_FALSE(failing.ok());
-  EXPECT_EQ(failing.status().code(), StatusCode::kUnavailable);
-
-  // The commit was never acknowledged; it must not linger in memory,
-  // and the manager is degraded.
-  EXPECT_TRUE(manager->degraded());
-  EXPECT_TRUE(db.SameState(before, /*compare_time=*/true));
-  EXPECT_EQ(manager->committed_version(), version_before);
-
-  // Crash and recover: the partial fan-out on the lower shard must be
-  // dropped — recovery yields exactly the acked prefix.
-  manager.reset();
-  vfs.SimulateCrash();
-  WalReplayStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options, &stats));
-  EXPECT_TRUE(recovered.SameState(before, /*compare_time=*/false))
-      << "recovery must drop the partial fan-out";
 }
 
 TEST_F(FaultCampaignTest, WalFsyncFailureDegradesAndTryReopenWalRecovers) {

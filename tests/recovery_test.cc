@@ -127,8 +127,18 @@ TEST_F(RecoveryTest, CheckpointPlusWalRoundTrip) {
 }
 
 TEST_F(RecoveryTest, KillAtEveryByteRestoresACommittedPrefix) {
-  LiveRun run = RunWorkload(options_, DefaultWorkload());
+  std::vector<std::string> texts = DefaultWorkload();
+  // Last, a transaction that writes both relations: its record holds two
+  // deltas, and a cut anywhere in it must drop both.
+  texts.push_back(
+      "insert(key_rel, {(\"fresh2\", \"payload\")}); "
+      "insert(fk_rel, {(7000, \"fresh2\", 2.5)});");
+  LiveRun run = RunWorkload(options_, texts);
   ASSERT_GT(run.prefix_states.size(), 3u);
+  const std::size_t last_txn = run.wal_bytes.rfind("\ntxn ");
+  ASSERT_NE(last_txn, std::string::npos);
+  ASSERT_NE(run.wal_bytes.find("rel key_rel", last_txn), std::string::npos);
+  ASSERT_NE(run.wal_bytes.find("rel fk_rel", last_txn), std::string::npos);
 
   // Simulate a crash at every possible write boundary: truncate the WAL
   // to each byte length, recover, and require the result to equal some
@@ -336,159 +346,6 @@ TEST_F(RecoveryTest, GroupCommitCountersAreCoherent) {
   EXPECT_EQ(ReadFile(options_.wal_path), "txmod-wal 1\n");
 }
 
-// ---------------------------------------------------------------------------
-// Poisoned-WAL contract: after any failed fsync, the log must never again
-// report durability — every later Append/Sync fails, naming the original
-// cause. ("fsyncgate": retrying fsync after a failure silently loses the
-// pages the kernel already dropped.)
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Sharded WAL: per-shard streams, commit fan-out, stitched recovery.
-// ---------------------------------------------------------------------------
-
-/// DefaultWorkload plus one transaction touching BOTH relations, so at
-/// least one commit fans out across shards whenever fk_rel and key_rel
-/// route differently.
-std::vector<std::string> FanOutWorkload() {
-  std::vector<std::string> texts = DefaultWorkload();
-  texts.push_back(
-      "insert(key_rel, {(\"fresh2\", \"payload\")}); "
-      "insert(fk_rel, {(7000, \"fresh2\", 2.5)});");
-  return texts;
-}
-
-TEST_F(RecoveryTest, ShardedWalRoundTrip) {
-  options_.wal_shards = 3;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  // The log lives in per-shard streams; nothing at the legacy path.
-  EXPECT_FALSE(std::filesystem::exists(options_.wal_path));
-  for (uint32_t k = 0; k < 3; ++k) {
-    EXPECT_TRUE(std::filesystem::exists(
-        ShardedWal::ShardPath(options_.wal_path, k)))
-        << "missing shard stream " << k;
-  }
-  WalReplayStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options_, &stats));
-  EXPECT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
-  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
-  EXPECT_EQ(stats.records_read, run.prefix_states.size() - 1);
-}
-
-TEST_F(RecoveryTest, ShardedTornTailRestoresACommittedPrefix) {
-  options_.wal_shards = 2;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  // Tear the tail of each shard stream in turn: recovery must still
-  // restore exactly some committed prefix — the contiguity cut drops
-  // every version at or above the torn one, on every stream.
-  for (uint32_t torn = 0; torn < 2; ++torn) {
-    const std::string sp = ShardedWal::ShardPath(options_.wal_path, torn);
-    const std::string intact = ReadFile(sp);
-    ASSERT_GT(intact.size(), 10u);
-    WriteFile(sp, intact.substr(0, intact.size() - 7));
-    TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                               TxnManager::Recover(options_));
-    bool is_prefix = false;
-    for (const Database& prefix : run.prefix_states) {
-      if (recovered.SameState(prefix, /*compare_time=*/true)) {
-        is_prefix = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(is_prefix)
-        << "recovery after tearing shard " << torn
-        << " is not a committed prefix";
-    WriteFile(sp, intact);  // restore for the next round
-  }
-}
-
-TEST_F(RecoveryTest, OnDiskShardCountWinsOverConfigurationOnReopen) {
-  options_.wal_shards = 3;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  TXMOD_ASSERT_OK_AND_ASSIGN(uint32_t discovered,
-                             ShardedWal::DiscoverShardCount(options_.wal_path));
-  EXPECT_EQ(discovered, 3u);
-
-  // Reopen under a mismatched configuration: the on-disk count must win
-  // (re-routing existing records would scramble the streams).
-  options_.wal_shards = 5;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options_));
-  ASSERT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
-  core::IntegritySubsystem ics(&recovered);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
-                             TxnManager::Create(&ics, options_));
-  EXPECT_EQ(manager->wal()->shard_count(), 3u);
-  TXMOD_ASSERT_OK(
-      manager->RunText("insert(fk_rel, {(8100, \"k3\", 2.0)});").status());
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database after, TxnManager::Recover(options_));
-  EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true));
-}
-
-TEST_F(RecoveryTest, SingleStreamLogStaysOneStreamUnderAShardedConfiguration) {
-  // Life begins with one stream: a v1 log at wal_path.
-  LiveRun run = RunWorkload(options_, DefaultWorkload());
-  ASSERT_TRUE(std::filesystem::exists(options_.wal_path));
-  TXMOD_ASSERT_OK_AND_ASSIGN(uint32_t discovered,
-                             ShardedWal::DiscoverShardCount(options_.wal_path));
-  EXPECT_EQ(discovered, 1u);
-
-  // Reopened under a sharded configuration, the count on disk wins: every
-  // later commit lands in the same stream, and no shard stream appears.
-  options_.wal_shards = 2;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options_));
-  ASSERT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
-  core::IntegritySubsystem ics(&recovered);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
-                             TxnManager::Create(&ics, options_));
-  EXPECT_EQ(manager->wal()->shard_count(), 1u);
-  TXMOD_ASSERT_OK(
-      manager->RunText("insert(fk_rel, {(8200, \"k4\", 3.0)});").status());
-  TXMOD_ASSERT_OK(
-      manager
-          ->RunText(
-              "delete(key_rel, {(\"x1\", \"payload\")}); "
-              "insert(fk_rel, {(8201, \"k5\", 1.0)});")
-          .status());
-  for (uint32_t k = 0; k < 2; ++k) {
-    EXPECT_FALSE(std::filesystem::exists(
-        ShardedWal::ShardPath(options_.wal_path, k)));
-  }
-  WalReplayStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database after,
-                             TxnManager::Recover(options_, &stats));
-  EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true));
-  EXPECT_EQ(stats.records_read, run.prefix_states.size() + 1);
-  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
-}
-
-TEST_F(RecoveryTest, SingleStreamBesideShardStreamsIsRefused) {
-  // A v1 log at wal_path, and a shard stream beside it: neither is the
-  // whole log, so neither is read.
-  RunWorkload(options_, DefaultWorkload());
-  {
-    TXMOD_ASSERT_OK_AND_ASSIGN(
-        WriteAheadLog shard1,
-        WriteAheadLog::OpenShard(
-            ShardedWal::ShardPath(options_.wal_path, 1), 1, 2));
-  }
-  const auto recovered = TxnManager::Recover(options_);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(recovered.status().message().find("shard stream"),
-            std::string::npos)
-      << recovered.status().ToString();
-  EXPECT_FALSE(ShardedWal::DiscoverShardCount(options_.wal_path).ok());
-  EXPECT_FALSE(ShardedWal::Open(options_.wal_path, 2).ok());
-  EXPECT_FALSE(ReadShardedWal(options_.wal_path).ok());
-}
-
 /// One record of `version` that inserts (or deletes) fk_rel row `id`.
 WalRecord FkRecord(uint64_t version, int64_t id, bool insert) {
   WalRecord rec;
@@ -552,23 +409,21 @@ TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
   // applied, and neither may version 3 after it.
   Database expected = WriteInitialCheckpoint(options_);
   {
+    // One open log throughout: reopening would repair the bad record
+    // away. Its appends land at the end of the file.
     TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
                                WriteAheadLog::Open(options_.wal_path));
     TXMOD_ASSERT_OK(wal.Append(FkRecord(1, 9700, /*insert=*/true)).status());
-  }
-  const std::string body =
-      "txn 2\nrel fk_rel\n+ i:9701 s:\"k1\" d:0x1p+0\n"
-      "+ i:9702junk s:\"k1\" d:0x1p+0\n";
-  char commit[64];
-  std::snprintf(commit, sizeof(commit), "commit 2 %016llx\n",
-                static_cast<unsigned long long>(Fnv1a64(body)));
-  {
-    std::ofstream out(options_.wal_path, std::ios::binary | std::ios::app);
-    out << body << commit;
-  }
-  {
-    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
-                               WriteAheadLog::Open(options_.wal_path));
+    const std::string body =
+        "txn 2\nrel fk_rel\n+ i:9701 s:\"k1\" d:0x1p+0\n"
+        "+ i:9702junk s:\"k1\" d:0x1p+0\n";
+    char commit[64];
+    std::snprintf(commit, sizeof(commit), "commit 2 %016llx\n",
+                  static_cast<unsigned long long>(Fnv1a64(body)));
+    {
+      std::ofstream out(options_.wal_path, std::ios::binary | std::ios::app);
+      out << body << commit;
+    }
     TXMOD_ASSERT_OK(wal.Append(FkRecord(3, 9703, /*insert=*/true)).status());
   }
   (*expected.FindMutable("fk_rel"))
@@ -586,89 +441,39 @@ TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
   EXPECT_EQ(stats.records_read, 1u);
 }
 
-TEST_F(RecoveryTest, ShardedKillAtEveryByteOfOneShardRestoresACommittedPrefix) {
-  // The sharded counterpart of KillAtEveryByteRestoresACommittedPrefix:
-  // cut one stream of a 3-shard log at every byte offset, the others
-  // intact. Recovery must restore a committed prefix that never shrinks
-  // as the offset grows.
-  options_.wal_shards = 3;
-  LiveRun run = RunWorkload(options_, FanOutWorkload());
-  ASSERT_GT(run.prefix_states.size(), 3u);
-  std::size_t shards_cut = 0;
-  for (uint32_t k = 0; k < 3; ++k) {
-    const std::string sp = ShardedWal::ShardPath(options_.wal_path, k);
-    const std::string intact = ReadFile(sp);
-    if (intact.find("\ntxn ") == std::string::npos) continue;  // no records
-    ++shards_cut;
-    std::size_t last_prefix = 0;
-    for (std::size_t len = 0; len <= intact.size(); ++len) {
-      WriteFile(sp, intact.substr(0, len));
-      auto recovered = TxnManager::Recover(options_);
-      ASSERT_TRUE(recovered.ok())
-          << "shard " << k << " len " << len << ": "
-          << recovered.status().ToString();
-      std::size_t matched = run.prefix_states.size();
-      for (std::size_t p = 0; p < run.prefix_states.size(); ++p) {
-        if (recovered->SameState(run.prefix_states[p],
-                                 /*compare_time=*/true)) {
-          matched = p;
-          break;
-        }
-      }
-      ASSERT_LT(matched, run.prefix_states.size())
-          << "cutting shard " << k << " at byte " << len
-          << " recovered a state that is no committed prefix";
-      ASSERT_GE(matched, last_prefix)
-          << "cutting shard " << k << " at byte " << len
-          << " lost a commit that a shorter cut kept";
-      last_prefix = matched;
-    }
-    EXPECT_EQ(last_prefix, run.prefix_states.size() - 1)
-        << "the intact shard " << k << " must restore every commit";
-  }
-  EXPECT_GE(shards_cut, 2u) << "the workload must write to several shards";
+/// Stream 1 of a two-way sharded log, as builds that sharded the log
+/// wrote it: a v2 header and one committed record.
+void WriteLegacyShardStream(const std::string& path) {
+  const std::string body = "txn 1\nrel fk_rel\n+ i:9400 s:\"k1\" d:0x1p+0\n";
+  char commit[64];
+  std::snprintf(commit, sizeof(commit), "commit 1 %016llx\n",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  WriteFile(path, StrCat("txmod-wal 2 shard 1/2\n", body, commit));
 }
 
-TEST_F(RecoveryTest, PartialFanOutIsDroppedTogetherWithEverythingAbove) {
-  options_.wal_shards = 2;
-  LiveRun run = RunWorkload(options_, DefaultWorkload());
+TEST_F(RecoveryTest, ShardFileFromAnOlderBuildIsRefused) {
+  // Nothing at wal_path, but a shard stream beside it: reading wal_path
+  // alone would recover the checkpoint and drop the shard's commits, and
+  // appending there would start a second log.
+  WriteInitialCheckpoint(options_);
+  const std::string shard = options_.wal_path + ".shard1";
+  WriteLegacyShardStream(shard);
 
-  // Hand-craft the crash between the shard appends of one commit: a
-  // record declaring parts=2 lands on shard 0 only. Recovery must treat
-  // the version as absent (the commit was never acknowledged) and drop
-  // it — plus a later complete record above it, which sits beyond the
-  // contiguity cut.
-  const uint64_t next_version = run.db.logical_time() + 1;
-  {
-    TXMOD_ASSERT_OK_AND_ASSIGN(
-        WriteAheadLog shard0,
-        WriteAheadLog::OpenShard(
-            ShardedWal::ShardPath(options_.wal_path, 0), 0, 2));
-    WalRecord partial;
-    partial.version = next_version;
-    partial.parts = 2;  // declares a second part that never made it
-    partial.deltas.push_back(WalDelta{
-        "fk_rel",
-        {Tuple({Value::Int(9500), Value::String("k1"), Value::Double(1.0)})},
-        {}});
-    TXMOD_ASSERT_OK_AND_ASSIGN(uint64_t lsn, shard0.Append(partial));
-    WalRecord above;
-    above.version = next_version + 1;
-    above.deltas.push_back(WalDelta{
-        "fk_rel",
-        {Tuple({Value::Int(9501), Value::String("k2"), Value::Double(1.0)})},
-        {}});
-    TXMOD_ASSERT_OK_AND_ASSIGN(lsn, shard0.Append(above));
-    TXMOD_ASSERT_OK(shard0.Sync(lsn));
-  }
-  WalReplayStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
-                             TxnManager::Recover(options_, &stats));
-  EXPECT_TRUE(recovered.SameState(run.db, /*compare_time=*/true))
-      << "a partial fan-out leaked into recovery";
-  EXPECT_TRUE(stats.tail_dropped);
-  EXPECT_NE(stats.tail_error.find("incomplete fan-out"), std::string::npos)
-      << stats.tail_error;
+  const auto recovered = TxnManager::Recover(options_);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recovered.status().message().find(shard), std::string::npos)
+      << recovered.status().ToString();
+
+  Database db = bench::MakeKeyFkDatabase(10, 30);
+  core::IntegritySubsystem ics(&db);
+  const auto created = TxnManager::Create(&ics, options_);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(created.status().message().find(shard), std::string::npos)
+      << created.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(options_.wal_path))
+      << "a refused log must not be created";
 }
 
 // ---------------------------------------------------------------------------
