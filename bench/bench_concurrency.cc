@@ -18,10 +18,15 @@
 // transactions only insert fresh ids must write on every commit; if one
 // of its commits is read-only, an id was reused and the arm timed no-ops
 // (nothing installed, logged or fsynced), so the binary exits non-zero.
+// Every such arm also reports max_commit_us, its slowest commit (a Run,
+// or a session's Begin through Commit) across all of its threads: a
+// commit stalled behind compaction or a long-held lock shows there, not
+// in the throughput.
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -67,6 +72,33 @@ void ReportReadOnlyCommits(benchmark::State& state, const std::string& arm,
     std::exit(1);
   }
 }
+
+/// The slowest commit an arm saw, across its threads.
+class SlowestCommit {
+ public:
+  /// Runs `commit` and records how long it took.
+  template <typename Fn>
+  auto Time(Fn&& commit) {
+    const auto start = std::chrono::steady_clock::now();
+    auto result = commit();
+    const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    int64_t seen = max_ns_.load(std::memory_order_relaxed);
+    while (ns > seen && !max_ns_.compare_exchange_weak(
+                            seen, ns, std::memory_order_relaxed)) {
+    }
+    return result;
+  }
+
+  void Report(benchmark::State& state) const {
+    state.counters["max_commit_us"] =
+        static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1e3;
+  }
+
+ private:
+  std::atomic<int64_t> max_ns_{0};
+};
 
 struct ManagerFixture {
   Database db;
@@ -124,6 +156,7 @@ void BM_ConcurrentCommit(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int conflict_pct = static_cast<int>(state.range(1));
   ManagerFixture f;
+  SlowestCommit slowest;
 
   uint64_t committed_total = 0;
   int64_t iteration = 0;
@@ -136,8 +169,9 @@ void BM_ConcurrentCommit(benchmark::State& state) {
         int next_id = FreshIdBlock(iteration, threads, t);
         unsigned rng = 12345u * static_cast<unsigned>(t + 1);
         for (int i = 0; i < kTxnsPerThreadPerIter; ++i) {
-          auto result = f.manager->Run(
-              MakeWorkTxn(&next_id, &rng, conflict_pct));
+          const algebra::Transaction txn =
+              MakeWorkTxn(&next_id, &rng, conflict_pct);
+          auto result = slowest.Time([&] { return f.manager->Run(txn); });
           if (result.ok() && result->committed) {
             committed.fetch_add(1, std::memory_order_relaxed);
           }
@@ -154,6 +188,7 @@ void BM_ConcurrentCommit(benchmark::State& state) {
                         StrCat("BM_ConcurrentCommit/threads:", threads,
                                "/conflict_pct:", conflict_pct),
                         stats, conflict_pct == 0);
+  slowest.Report(state);
   state.counters["conflicts"] = static_cast<double>(stats.conflicts);
   state.counters["commits"] = static_cast<double>(stats.commits);
   state.counters["conflict_rate"] =
@@ -194,9 +229,9 @@ void BM_SessionFirstWrite(benchmark::State& state) {
 
   int next_id = 100'000'000;
   CowStats::Reset();
+  SlowestCommit slowest;
   uint64_t committed = 0;
   for (auto _ : state) {
-    auto session = manager->Begin();
     algebra::Transaction txn;
     txn.program.statements.push_back(algebra::Statement::Insert(
         "fk_rel",
@@ -205,10 +240,15 @@ void BM_SessionFirstWrite(benchmark::State& state) {
                     Value::String(StrCat("k", next_id % kKeys)),
                     Value::Double(2.5)})},
             3)));
-    auto executed = session->Execute(txn);
-    auto result = session->Commit();
-    if (executed.ok() && result.ok() && result->committed) ++committed;
+    const bool ok = slowest.Time([&] {
+      auto session = manager->Begin();
+      auto executed = session->Execute(txn);
+      auto result = session->Commit();
+      return executed.ok() && result.ok() && result->committed;
+    });
+    if (ok) ++committed;
   }
+  slowest.Report(state);
   state.SetItemsProcessed(static_cast<int64_t>(committed));
   ReportReadOnlyCommits(state, StrCat("BM_SessionFirstWrite/tuples:", tuples),
                         manager->stats(), /*fresh_inserts_only=*/true);
@@ -235,6 +275,7 @@ void BM_GroupCommitFsync(benchmark::State& state) {
   options.checkpoint_path = (dir / "checkpoint.db").string();
   options.sync_commits = true;
   ManagerFixture f(options);
+  SlowestCommit slowest;
 
   uint64_t committed_total = 0;
   int64_t iteration = 0;
@@ -247,8 +288,8 @@ void BM_GroupCommitFsync(benchmark::State& state) {
         int next_id = FreshIdBlock(iteration, threads, t);
         unsigned rng = 99991u * static_cast<unsigned>(t + 1);
         for (int i = 0; i < kTxnsPerThreadPerIter; ++i) {
-          auto result =
-              f.manager->Run(MakeWorkTxn(&next_id, &rng, 0));
+          const algebra::Transaction txn = MakeWorkTxn(&next_id, &rng, 0);
+          auto result = slowest.Time([&] { return f.manager->Run(txn); });
           if (result.ok() && result->committed) {
             committed.fetch_add(1, std::memory_order_relaxed);
           }
@@ -263,6 +304,7 @@ void BM_GroupCommitFsync(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(committed_total));
   ReportReadOnlyCommits(state, StrCat("BM_GroupCommitFsync/threads:", threads),
                         stats, /*fresh_inserts_only=*/true);
+  slowest.Report(state);
   state.counters["fsyncs"] = static_cast<double>(stats.wal_fsyncs);
   state.counters["fsyncs_per_commit"] =
       stats.commits > 0 ? static_cast<double>(stats.wal_fsyncs) /

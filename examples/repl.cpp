@@ -217,6 +217,9 @@ class Repl {
         Report(loaded.status());
         return true;
       }
+      // The old manager goes first: its maintenance thread holds states
+      // of the database being replaced until it is drained and joined.
+      manager_.reset();
       db_ = *std::move(loaded);
       ics_ = txmod::core::IntegritySubsystem(&db_);
       RebuildManager();

@@ -80,7 +80,35 @@ void Database::FoldLevel(const std::string& name, Level level) {
     level.pre->Absorb(std::move(*slot));
     slot = std::move(level.pre);
   }
-  slot->CompactOverlay();
+  std::shared_ptr<const Relation> compacted = Relation::Compact(slot);
+  if (compacted == nullptr) return;
+  // A merge that netted out yields a level of the old chain, which other
+  // holders may share; a built replacement is this database's alone.
+  if (slot->ChainHolds(compacted.get())) owned_.erase(name);
+  slot = std::const_pointer_cast<Relation>(std::move(compacted));
+}
+
+std::shared_ptr<const Relation> Database::Share(const std::string& name) {
+  auto it = relations_.find(name);
+  if (it == relations_.end()) return nullptr;
+  owned_.erase(name);
+  return it->second;
+}
+
+std::shared_ptr<const Relation> Database::SwapCompacted(
+    const std::string& name, const Relation* start,
+    std::shared_ptr<const Relation> replacement) {
+  auto it = relations_.find(name);
+  if (it == relations_.end() || !it->second->ChainHolds(start)) {
+    return nullptr;
+  }
+  std::shared_ptr<const Relation> installed =
+      Relation::Reapply(*it->second, start, std::move(replacement));
+  owned_.erase(name);
+  // Never owned, so never mutated in place: the const_cast only matches
+  // the slot's type.
+  return std::exchange(it->second,
+                       std::const_pointer_cast<Relation>(std::move(installed)));
 }
 
 std::shared_ptr<Relation> Database::TakeOwnedRelation(

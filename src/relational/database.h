@@ -47,7 +47,11 @@ namespace txmod {
 /// objects sharing relation states may be used from different threads as
 /// long as snapshot creation (copying) is not concurrent with mutation
 /// of the source — the transaction manager serializes Begin() against
-/// commit application for exactly this reason.
+/// commit application for exactly this reason. A shared state may also
+/// be read by a thread that holds it and no Database at all: the
+/// transaction manager's maintenance thread compacts the states Share
+/// hands it (Relation::Compact) while the master moves on, and
+/// SwapCompacted installs the result.
 class Database {
  public:
   Database() = default;
@@ -96,8 +100,29 @@ class Database {
   /// A serial commit: under DropLevel's ownership condition, folds the
   /// level into `pre` (Relation::Absorb, O(|delta|)) and re-installs it,
   /// so serial masters stay flat; otherwise the level stays installed.
-  /// An owned result is compacted, which bounds overlay depth.
+  /// An owned overlay result is replaced by its compaction
+  /// (Relation::Compact, inline: the serial engine has no maintenance
+  /// thread), which bounds overlay depth.
   void FoldLevel(const std::string& name, Level level);
+
+  /// `name`'s current state, shared out: this database stops owning it
+  /// exclusively, so it never mutates it in place again (FindMutable
+  /// layers over it). The transaction manager hands each installed state
+  /// to its maintenance thread this way. Null when `name` is unknown.
+  std::shared_ptr<const Relation> Share(const std::string& name);
+
+  /// The compaction swap. Installs `replacement`, a compaction of the
+  /// chain whose top was `start`, as `name`'s state — provided the
+  /// current chain still holds `start`. Levels installed above `start`
+  /// since are re-applied over `replacement` as one fresh level
+  /// (Relation::Reapply: proportional to their delta weight; nothing
+  /// merges or collapses here). The installed state is never owned: it
+  /// may share levels with the chains it replaced. Returns the displaced
+  /// state, or null — nothing installed — when `start` is gone (say, a
+  /// DropLevel re-installed an older state).
+  std::shared_ptr<const Relation> SwapCompacted(
+      const std::string& name, const Relation* start,
+      std::shared_ptr<const Relation> replacement);
 
   bool Contains(const std::string& name) const {
     return relations_.find(name) != relations_.end();

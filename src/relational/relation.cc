@@ -125,9 +125,7 @@ bool Relation::Erase(const Tuple& t) {
     for (const auto& index : indexes_) index->Remove(&*it);
     own.erase(it);
   }
-  // A visible base tuple gets shadowed. (Merged levels may hold a tuple
-  // both locally and in the base chain; it stays invisible after the
-  // local removal, too.)
+  // A visible base tuple gets shadowed.
   if (base_ != nullptr && !minus_->Contains(t) && base_->Contains(t)) {
     minus_->Insert(t);
     return true;
@@ -247,79 +245,186 @@ std::size_t Relation::overlay_weight() const {
   return weight;
 }
 
-std::size_t Relation::flat_size() const {
+const Relation& Relation::flat_level() const {
   const Relation* r = this;
   while (r->base_ != nullptr) r = r->base_.get();
-  return r->tuples_.size();
+  return *r;
+}
+
+bool Relation::ChainHolds(const Relation* level) const {
+  for (const Relation* r = this; r != nullptr; r = r->base_.get()) {
+    if (r == level) return true;
+  }
+  return false;
 }
 
 void Relation::CollapseOverlay() {
   if (base_ == nullptr) return;
-  TupleSet flat;
-  flat.reserve(size());
-  for (const Tuple& t : *this) flat.insert(t);
-  tuples_ = std::move(flat);
-  base_.reset();
-  plus_.reset();
-  minus_.reset();
-  for (const auto& index : indexes_) index->Rebuild(tuples_);
+  *this = Flattened(*this, {});
   ++CowStats::overlay_collapses;
 }
 
-bool Relation::MergeOverlayLevel() {
-  if (base_ == nullptr || base_->base_ == nullptr) return false;
-  const Relation& b = *base_;
-  if (b.delta_weight() == 0) {
-    // An empty level (an earlier merge netted its inserts and deletes
-    // out) changes nothing: re-point past it.
-    std::shared_ptr<const Relation> next = b.base_;
-    base_ = std::move(next);  // drops the reference to b last
-    ++CowStats::overlay_merges;
-    return true;
+namespace {
+
+// Tuples a merge or collapse handles between two calls of its yield
+// (tens of microseconds).
+constexpr std::size_t kYieldEvery = 64;
+
+// A chain's overlay weight collapses it once it reaches half the flat
+// base, and never below this.
+constexpr std::size_t kCollapseMinWeight = 64;
+
+// Above a floor nothing collapses, so depth is bounded here instead: past
+// this many levels over the floor after geometric merging, the top
+// (smallest) levels merge until this many remain.
+constexpr std::size_t kMaxLevelsAboveFloor = 8;
+
+/// Calls `yield` (when set) once every kYieldEvery ticks.
+class YieldTicker {
+ public:
+  explicit YieldTicker(const std::function<void()>& yield) : yield_(yield) {}
+  void Tick() {
+    if (yield_ && ++n_ % kYieldEvery == 0) yield_();
   }
-  // Combined level over b's base:  plus = (b.plus ∖ minus) ∪ plus,
-  // minus' = b.minus ∪ (minus ∖ b.plus).  b itself is only read — it may
-  // still be pinned by outstanding snapshots.
-  TupleSet plus;
-  plus.reserve(b.plus_->size() + plus_->size());
-  for (const Tuple& t : *b.plus_) {
-    if (!minus_->Contains(t)) plus.insert(t);
+
+ private:
+  const std::function<void()>& yield_;
+  std::size_t n_ = 0;
+};
+
+}  // namespace
+
+Relation Relation::MergeLevels(const std::vector<const Relation*>& levels,
+                               std::shared_ptr<const Relation> onto,
+                               const std::function<void()>& yield) {
+  Relation merged = MakeOverlay(std::move(onto));
+  const auto holds = [](const Relation* set, const Tuple& t) {
+    return !set->tuples_.empty() && set->tuples_.count(t) > 0;
+  };
+  const auto mentions = [&](const Relation* level, const Tuple& t) {
+    return holds(level->plus_.get(), t) || holds(level->minus_.get(), t);
+  };
+  YieldTicker ticker(yield);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    for (const bool inserted : {true, false}) {
+      const Relation& set = inserted ? *levels[i]->plus_ : *levels[i]->minus_;
+      for (const Tuple& t : set.tuples_) {
+        ticker.Tick();
+        bool outermost = true;
+        for (std::size_t j = 0; j < i && outermost; ++j) {
+          outermost = !mentions(levels[j], t);
+        }
+        if (!outermost) continue;  // decided at its outermost mention
+        // Visible before the levels exactly when the innermost mention
+        // is a delete (a level deletes only visible tuples and inserts
+        // only invisible ones).
+        bool visible_before = !inserted;
+        for (std::size_t j = levels.size() - 1; j > i; --j) {
+          if (holds(levels[j]->plus_.get(), t)) {
+            visible_before = false;
+            break;
+          }
+          if (holds(levels[j]->minus_.get(), t)) {
+            visible_before = true;
+            break;
+          }
+        }
+        if (inserted && !visible_before) merged.plus_->tuples_.insert(t);
+        if (!inserted && visible_before) merged.minus_->tuples_.insert(t);
+      }
+    }
   }
-  for (const Tuple& t : *plus_) plus.insert(t);
-  TupleSet minus = b.minus_->tuples_;
-  for (const Tuple& t : *minus_) {
-    if (!b.plus_->Contains(t)) minus.insert(t);
+  for (const auto& index : merged.indexes_) {
+    index->map_.reserve(merged.plus_->tuples_.size());
+    for (const Tuple& t : merged.plus_->tuples_) {
+      index->Add(&t);
+      ticker.Tick();
+    }
   }
-  std::shared_ptr<const Relation> next = b.base_;
-  plus_->tuples_ = std::move(plus);
-  minus_->tuples_ = std::move(minus);
-  base_ = std::move(next);  // drops the reference to b last
-  for (const auto& index : indexes_) index->Rebuild(plus_->tuples_);
-  ++CowStats::overlay_merges;
-  return true;
+  return merged;
 }
 
-void Relation::CompactOverlay() {
-  // Geometric merging: absorb the base level while this level is at
-  // least as heavy — the binary-counter argument bounds total merge work
-  // at O(log) per changed tuple and keeps chain depth logarithmic in the
-  // delta volume since the last collapse.
-  while (base_ != nullptr && base_->base_ != nullptr &&
-         delta_weight() >= base_->delta_weight()) {
-    MergeOverlayLevel();
+Relation Relation::Flattened(const Relation& chain,
+                             const std::function<void()>& yield) {
+  Relation flat(chain.schema_);
+  flat.tuples_.reserve(chain.size());
+  YieldTicker ticker(yield);
+  for (const Tuple& t : chain) {
+    flat.tuples_.insert(t);
+    ticker.Tick();
   }
-  if (base_ == nullptr) return;
-  // Large-delta case: once the accumulated overlay rivals the flat base,
-  // a collapse costs O(|R|) against ≥ |R|/2 delta work already paid —
-  // amortized constant — and restores flat-state read speed. The depth
-  // bound is a backstop for non-geometric chains.
-  constexpr std::size_t kCollapseMinWeight = 64;
-  constexpr std::size_t kMaxOverlayDepth = 40;
-  const std::size_t threshold =
-      std::max<std::size_t>(kCollapseMinWeight, flat_size() / 2);
-  if (overlay_weight() >= threshold || overlay_depth() > kMaxOverlayDepth) {
-    CollapseOverlay();
+  for (std::vector<int>& attrs : chain.DeclaredIndexes()) {
+    auto index = std::make_unique<RelationIndex>(std::move(attrs));
+    index->map_.reserve(flat.tuples_.size());
+    for (const Tuple& t : flat.tuples_) {
+      index->Add(&t);
+      ticker.Tick();
+    }
+    flat.indexes_.push_back(std::move(index));
   }
+  return flat;
+}
+
+std::shared_ptr<const Relation> Relation::Compact(
+    const std::shared_ptr<const Relation>& chain, const Relation* floor,
+    const std::function<void()>& yield) {
+  if (chain->base_ == nullptr || chain.get() == floor) return nullptr;
+  // The overlay levels a merge may take: all of them, or those above the
+  // floor.
+  std::vector<const Relation*> levels;
+  for (const Relation* r = chain.get(); r->base_ != nullptr && r != floor;
+       r = r->base_.get()) {
+    levels.push_back(r);
+  }
+  // Geometric merging: take levels from the top while they weigh at least
+  // as much as the next one down — the binary-counter argument bounds
+  // the merge work at O(log) per changed tuple.
+  std::size_t take = 1;
+  for (std::size_t weight = chain->delta_weight();
+       take < levels.size() && weight >= levels[take]->delta_weight();
+       ++take) {
+    weight += levels[take]->delta_weight();
+  }
+  if (floor != nullptr && levels.size() - take + 1 > kMaxLevelsAboveFloor) {
+    take = levels.size() - kMaxLevelsAboveFloor + 1;
+  }
+  levels.resize(take);
+  std::shared_ptr<const Relation> result = chain;
+  if (levels.size() > 1) {
+    const std::shared_ptr<const Relation>& under = levels.back()->base_;
+    Relation merged = MergeLevels(levels, under, yield);
+    result = merged.delta_weight() == 0
+                 ? under
+                 : std::make_shared<const Relation>(std::move(merged));
+    ++CowStats::overlay_merges;
+  }
+  if (floor == nullptr && result->base_ != nullptr) {
+    // Large-delta case: once the accumulated overlay rivals the flat base,
+    // a collapse costs O(|R|) against ≥ |R|/2 delta work already paid —
+    // amortized constant — and restores flat-state read speed. The depth
+    // bound is a backstop for non-geometric chains.
+    const std::size_t threshold =
+        std::max<std::size_t>(kCollapseMinWeight, result->flat_size() / 2);
+    if (result->overlay_weight() >= threshold ||
+        result->overlay_depth() > kMaxOverlayDepth) {
+      result = std::make_shared<const Relation>(Flattened(*result, yield));
+      ++CowStats::overlay_collapses;
+    }
+  }
+  return result == chain ? nullptr : result;
+}
+
+std::shared_ptr<const Relation> Relation::Reapply(
+    const Relation& top, const Relation* start,
+    std::shared_ptr<const Relation> onto) {
+  std::vector<const Relation*> above;
+  for (const Relation* r = &top; r != start; r = r->base_.get()) {
+    above.push_back(r);
+  }
+  if (above.empty()) return onto;
+  Relation level = MergeLevels(above, onto, {});
+  if (level.delta_weight() == 0) return onto;
+  return std::make_shared<const Relation>(std::move(level));
 }
 
 void Relation::ConstIterator::Settle() {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -27,8 +28,9 @@ struct CowStats {
   /// O(1) overlay layerings installed by Database::FindMutable and
   /// Database::PushLevel.
   static std::atomic<uint64_t> overlays_created;
-  /// Overlay maintenance: level merges (amortized-geometric) and
-  /// collapses to a flat state (the large-delta case).
+  /// Overlay maintenance (Relation::Compact): replacements that merged
+  /// levels (amortized-geometric) and collapses to a flat state (the
+  /// large-delta case).
   static std::atomic<uint64_t> overlay_merges;
   static std::atomic<uint64_t> overlay_collapses;
 
@@ -149,13 +151,16 @@ class RelationIndexView {
 /// materializing. This is what makes a transaction's first write to a
 /// relation O(1) instead of an O(|R|) copy: mutation cost is O(|delta|),
 /// the transaction-modification bound the paper's integrity checking is
-/// built around. Invariants maintained by Insert/Erase (and restored by
-/// level merges): minus ⊆ visible(base), and plus is disjoint from
-/// visible(base) ∖ minus — so on a fresh level over a state S, plus and
-/// minus are exactly the net differential against S. Overlay levels are
-/// immutable once shared (the Database ownership discipline); only the
-/// outermost level of an exclusively-owned state is ever mutated, so
-/// concurrent readers of shared inner levels are safe.
+/// built around. Invariants maintained by Insert/Erase (and by every
+/// level Compact builds): minus ⊆ visible(base), plus is disjoint from
+/// visible(base), and plus and minus are disjoint — so plus and minus are
+/// exactly the level's net differential against its base. A level is
+/// immutable once installed (the Database ownership discipline): only the
+/// outermost level of an exclusively-owned state is ever mutated, and
+/// compaction never rewrites a level, it builds a replacement (Compact).
+/// Concurrent readers of installed levels are therefore safe, and a
+/// snapshot keeps reading the chain it began on while a replacement is
+/// swapped in under it.
 ///
 /// Index semantics: declared indexes (IndexOn) hold pointers into the
 /// level's own tuple set (the whole contents of a flat state, the plus
@@ -301,26 +306,56 @@ class Relation {
   /// Cumulative delta weight across every overlay level of the chain.
   std::size_t overlay_weight() const;
 
-  /// Tuple count of the innermost flat level (== size() when flat).
-  std::size_t flat_size() const;
+  /// The innermost, flat level of the chain (this state when flat).
+  const Relation& flat_level() const;
 
-  /// Flattens the chain into a single owned level (large-delta commit
-  /// case). Declared indexes are rebuilt over the flat set. No-op when
-  /// already flat.
+  /// Tuple count of the innermost flat level (== size() when flat).
+  std::size_t flat_size() const { return flat_level().tuples_.size(); }
+
+  /// True when `level` is this state or one of the levels under it.
+  bool ChainHolds(const Relation* level) const;
+
+  /// Flattens the chain into a single owned level, in place (rule
+  /// definition's IndexOn). Declared indexes are rebuilt over the flat
+  /// set. No-op when already flat.
   void CollapseOverlay();
 
-  /// Merges this level with its immediate base *level* (not the flat
-  /// base): O(delta weights of the two levels), the base level itself is
-  /// only read. A base level that holds no tuples is skipped in O(1):
-  /// this level's sets, and so its tuple and index nodes, stay as they
-  /// are. Returns false when there is no overlay base level.
-  bool MergeOverlayLevel();
+  /// A chain deeper than this collapses on its next compaction.
+  static constexpr std::size_t kMaxOverlayDepth = 40;
 
-  /// Post-commit compaction policy: geometrically merge overlay levels
-  /// (amortized O(log) merges per changed tuple), then collapse flat once
-  /// the cumulative delta reaches a fraction of the flat base — the
-  /// small-delta/large-delta split of the commit path.
-  void CompactOverlay();
+  /// The compaction policy, as a function from an immutable chain to its
+  /// replacement; `chain` and every level under it are only read, so
+  /// snapshots keep reading them while the replacement is built.
+  ///  * Geometric merging: the top levels merge into one fresh level over
+  ///    the first level that outweighs them all, which bounds the merge
+  ///    work at amortized O(log) per changed tuple and keeps the depth
+  ///    logarithmic in the delta volume. A merge nets (a tuple deleted
+  ///    below and re-inserted above is in neither set), and a merge that
+  ///    nets out entirely yields the level underneath itself.
+  ///  * Large-delta case: once the remaining overlay weight reaches half
+  ///    the flat base (or the depth passes kMaxOverlayDepth), the chain
+  ///    collapses into one fresh flat state with its declared indexes —
+  ///    O(|R|) against at least |R|/2 delta work already paid.
+  /// `floor`, when set, is a level of `chain` that stays as it is, with
+  /// everything under it: levels merge only above it, nothing collapses,
+  /// and depth is bounded instead: when more than a few levels would
+  /// remain above it, the top (smallest) ones merge until few enough do. `yield`, when set, is called every few dozen tuples of a
+  /// merge or collapse, so the caller can interleave other work with a
+  /// long build. Returns null when the policy keeps `chain` as it is.
+  static std::shared_ptr<const Relation> Compact(
+      const std::shared_ptr<const Relation>& chain,
+      const Relation* floor = nullptr,
+      const std::function<void()>& yield = {});
+
+  /// The levels of `top`'s chain above `start` (a level of it), re-applied
+  /// over `onto` — a state with `start`'s visible contents — as one fresh
+  /// level holding their net differential; `onto` itself when they net
+  /// out. O(their delta weight): nothing under `start` is read but `onto`
+  /// and nothing merges into it. This is how a compaction's swap keeps the
+  /// commits that landed while the replacement was built.
+  static std::shared_ptr<const Relation> Reapply(
+      const Relation& top, const Relation* start,
+      std::shared_ptr<const Relation> onto);
 
   /// Forward iteration over the visible contents: each level's local
   /// inserts, outermost level first, skipping tuples deleted by an outer
@@ -389,6 +424,21 @@ class Relation {
 
   template <typename T>
   bool InsertValue(T&& t);
+
+  /// The net differential of `levels` (outermost first, each layered over
+  /// the next) as one fresh level over `onto`, a state with the visible
+  /// contents of the innermost level's base. Each tuple is decided once,
+  /// at its outermost mention: visible after the levels when that mention
+  /// is an insert, visible before them when its innermost mention is a
+  /// delete. Only the tuples that survive are copied.
+  static Relation MergeLevels(const std::vector<const Relation*>& levels,
+                              std::shared_ptr<const Relation> onto,
+                              const std::function<void()>& yield);
+
+  /// A fresh flat state with `chain`'s visible contents and declared
+  /// indexes.
+  static Relation Flattened(const Relation& chain,
+                            const std::function<void()>& yield);
 
   /// The tuple set this level's declared indexes cover.
   const TupleSet& own_tuples() const {

@@ -119,14 +119,37 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
   return manager;
 }
 
+TxnManager::~TxnManager() {
+  if (!maint_thread_.joinable()) return;  // nothing ever committed
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    DrainMaintenanceLocked(/*and_released=*/true);
+  }
+  {
+    std::lock_guard<std::mutex> lock(maint_mu_);
+    maint_stop_ = true;
+  }
+  maint_cv_.notify_all();
+  maint_thread_.join();
+}
+
 std::unique_ptr<TxnSession> TxnManager::Begin() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  // Snapshot under the commit lock: copy-on-write sharing requires that
-  // nobody mutates the master while its relation pointers are copied.
-  Database snapshot = db_->Clone();
-  const uint64_t version = db_->logical_time();
-  active_sessions_.fetch_add(1);  // released by TxnSession::Finish
-  ++live_snapshots_[version];     // released by stage B or Finish
+  Database snapshot;
+  uint64_t version = 0;
+  bool swapped = false;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    // Compactions finished since the last Begin go in first, so the new
+    // snapshot reads the compacted chains.
+    swapped = InstallReadyLocked();
+    // Snapshot under the commit lock: copy-on-write sharing requires that
+    // nobody mutates the master while its relation pointers are copied.
+    snapshot = db_->Clone();
+    version = db_->logical_time();
+    active_sessions_.fetch_add(1);  // released by TxnSession::Finish
+    ++live_snapshots_[version];     // released by stage B or Finish
+  }
+  if (swapped) maint_cv_.notify_one();  // it releases what the swap displaced
   return std::unique_ptr<TxnSession>(
       new TxnSession(this, std::move(snapshot), version));
 }
@@ -178,7 +201,20 @@ Status TxnManager::WithQuiescedSessions(const char* what, Fn&& mutate) {
         StrCat(what, " requires quiesced sessions: ", live,
                " live session(s); commit, abort, or destroy them first"));
   }
-  return mutate();
+  // Re-declaring an index collapses the master in place: every job must
+  // be finished and swapped in first. The thread then stays idle — only
+  // a commit queues work, and commits wait for commit_mu_.
+  DrainMaintenanceLocked(/*and_released=*/false);
+  const Status status = mutate();
+  // The mutation may have replaced master states: forget the tops the
+  // thread knew, so no later job builds from them.
+  {
+    std::lock_guard<std::mutex> maint_lock(maint_mu_);
+    for (auto& [name, chain] : chains_) RetireLocked(std::move(chain.top));
+    chains_.clear();
+  }
+  maint_cv_.notify_one();
+  return status;
 }
 
 Status TxnManager::DefineConstraint(const std::string& name,
@@ -541,6 +577,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   uint64_t version = 0;
   Installs installs;  // what the durability-failure unwind re-installs
   bool need_sync = false;
+  bool too_deep = false;  // an installed chain passed the depth bound
   std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
                                        // concurrent TryReopenWal swap
                                        // never strands this commit's
@@ -597,19 +634,24 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
     // Install into the committed master as an overlay level over the
     // master's current state, which stays intact for the unwind. Fast
-    // path: when nothing committed since this session's snapshot, the
-    // session's level IS that level — adopt it by pointer swap (the
-    // ownership discipline proves sole ownership: TakeOwnedRelation
-    // succeeds only for states the session created and never shared
-    // out). Otherwise a fresh level over the master's state takes the
-    // delta, while outstanding snapshots keep reading their pinned state.
+    // path: when nothing committed since this session's snapshot and the
+    // session's level sits on the master's state (no compaction was
+    // swapped in under it since), the session's level IS that level —
+    // adopt it by pointer swap (the ownership discipline proves sole
+    // ownership: TakeOwnedRelation succeeds only for states the session
+    // created and never shared out). Otherwise a fresh level over the
+    // master's state takes the delta, while outstanding snapshots keep
+    // reading their pinned state.
     const bool snapshot_is_current =
         session->snapshot_version_ == db_->logical_time();
+    Database& snapshot = session->snapshot_db_;
     for (const WalDelta& delta : wal_record->deltas) {
-      std::shared_ptr<Relation> adopted =
-          snapshot_is_current
-              ? session->snapshot_db_.TakeOwnedRelation(delta.relation)
-              : nullptr;
+      std::shared_ptr<Relation> adopted;
+      if (snapshot_is_current &&
+          (*snapshot.Find(delta.relation))
+              ->ChainHolds(*db_->Find(delta.relation))) {
+        adopted = snapshot.TakeOwnedRelation(delta.relation);
+      }
       Database::Level level;
       if (adopted != nullptr) {
         level = db_->AdoptRelation(delta.relation, std::move(adopted));
@@ -618,15 +660,13 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
         for (const Tuple& t : delta.minus) level.top->Erase(t);
         for (const Tuple& t : delta.plus) level.top->Insert(t);
       }
-      // Overlay maintenance, still exclusively owned and under the
-      // commit lock (i.e. before any new snapshot can share the state):
-      // geometrically merge the freshly installed level into the chain
-      // (small-delta case) or collapse the chain flat once the
-      // accumulated deltas rival the base (large-delta case). Amortized
-      // O(log) merge work per changed tuple; outstanding snapshots keep
-      // reading their pinned levels untouched.
-      level.top->CompactOverlay();
+      too_deep = too_deep ||
+                 level.top->overlay_depth() > Relation::kMaxOverlayDepth;
       installs.emplace_back(delta.relation, std::move(level));
+      // Compaction is the maintenance thread's: it builds a replacement
+      // from the installed chain, whose levels never change, while this
+      // commit logs.
+      QueueCompactionLocked(delta.relation);
     }
     db_->AdvanceTime();
 
@@ -641,6 +681,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     wal = wal_;
     need_sync = options_.sync_commits;
   }
+  maint_cv_.notify_one();  // the jobs stage B queued
 
   // -- Stage C: log and acknowledge (no lock) --------------------------
   // The commit is visible to new snapshots (ordering is decided), but it
@@ -666,7 +707,24 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // every earlier version is durable too — otherwise a crash could
   // recover a prefix that is missing a commit below an acked one.
   TXMOD_RETURN_IF_ERROR(WaitDurableThrough(version));
+  if (too_deep) AwaitCompaction();
   return result;
+}
+
+void TxnManager::AwaitCompaction() {
+  {
+    std::unique_lock<std::mutex> lock(maint_mu_);
+    maint_idle_cv_.wait(lock, [&] {
+      return ready_pending_.load(std::memory_order_relaxed) ||
+             (!maint_busy_ && NextJobLocked() == nullptr);
+    });
+  }
+  bool swapped = false;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    swapped = InstallReadyLocked();
+  }
+  if (swapped) maint_cv_.notify_one();
 }
 
 Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
@@ -684,8 +742,14 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
     // unwound: the checkpoint already made it durable, so the failed log
     // record is irrelevant to its fate.
     if (db_->logical_time() == version && version > checkpoint_time_) {
+      std::lock_guard<std::mutex> maint_lock(maint_mu_);
       for (auto& [name, level] : *installs) {
-        db_->DropLevel(name, std::move(level));
+        RetireLocked(db_->DropLevel(name, std::move(level)));
+        // A job built from the dropped level is discarded at its swap;
+        // the re-installed state is the thread's newest top again.
+        Chain& chain = chains_[name];
+        RetireLocked(std::exchange(chain.top, db_->Share(name)));
+        chain.queued = true;
       }
       UnpublishNewestLocked(version);
       db_->RewindTime();
@@ -693,6 +757,7 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
       result->installed = false;
     }
   }
+  maint_cv_.notify_one();  // it releases what the unwind displaced
   // Wake committers stacked above this version: their records cannot be
   // acknowledged over a hole, so they fail over to the same degraded
   // outcome instead of waiting forever.
@@ -700,6 +765,178 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
   return Status::Unavailable(
       StrCat("commit ", version, " not durable: ", cause.message(),
              "; manager is now in read-only degraded mode"));
+}
+
+// ---------------------------------------------------------------------------
+// The maintenance thread: compaction off the commit path, and releases.
+// ---------------------------------------------------------------------------
+
+void TxnManager::RetireLocked(std::shared_ptr<const void> garbage) {
+  if (garbage != nullptr) retired_.push_back(std::move(garbage));
+}
+
+void TxnManager::QueueCompactionLocked(const std::string& name) {
+  // Started by the first write-ful commit: a manager that never commits
+  // (say, one that only serves rule definition) keeps its process
+  // single-threaded, and with it the allocator's single-thread paths.
+  if (!maint_thread_.joinable()) {
+    maint_thread_ = std::thread([this] { MaintenanceLoop(); });
+  }
+  std::lock_guard<std::mutex> lock(maint_mu_);
+  Chain& chain = chains_[name];
+  std::shared_ptr<const Relation> old =
+      std::exchange(chain.top, db_->Share(name));
+  // The old top is normally the installed level's base, and then this is
+  // not its last reference.
+  if (!chain.top->ChainHolds(old.get())) RetireLocked(std::move(old));
+  chain.queued = true;
+}
+
+bool TxnManager::InstallReadyLocked() {
+  if (!ready_pending_.load(std::memory_order_acquire)) return false;
+  std::lock_guard<std::mutex> lock(maint_mu_);
+  ready_pending_.store(false, std::memory_order_relaxed);
+  for (auto& [name, chain] : chains_) {
+    Ready ready = std::move(chain.ready);
+    chain.ready = Ready{};
+    if (ready.replacement == nullptr) continue;
+    std::shared_ptr<const Relation> displaced =
+        db_->SwapCompacted(name, ready.start.get(), ready.replacement);
+    if (displaced == nullptr) {
+      // Discarded: these may be the last references.
+      RetireLocked(std::move(ready.start));
+      RetireLocked(std::move(ready.replacement));
+      continue;
+    }
+    // The displaced chain holds the start (the swap checked) and, as a
+    // rule, the old top; the master holds the replacement.
+    std::shared_ptr<const Relation> old =
+        std::exchange(chain.top, db_->Share(name));
+    if (!displaced->ChainHolds(old.get())) RetireLocked(std::move(old));
+    RetireLocked(std::move(displaced));
+  }
+  // Also, a relation with queued work is runnable again.
+  return true;
+}
+
+void TxnManager::DrainMaintenanceLocked(bool and_released) {
+  for (;;) {
+    InstallReadyLocked();
+    maint_cv_.notify_one();
+    std::unique_lock<std::mutex> lock(maint_mu_);
+    maint_idle_cv_.wait(lock, [&] {
+      return ready_pending_.load(std::memory_order_relaxed) ||
+             (!maint_busy_ && NextJobLocked() == nullptr &&
+              (!and_released || retired_.empty()));
+    });
+    if (!ready_pending_.load(std::memory_order_relaxed)) return;
+  }
+}
+
+void TxnManager::WaitForMaintenance() {
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  DrainMaintenanceLocked(/*and_released=*/true);
+}
+
+void TxnManager::set_compaction_probe(
+    std::function<void(const std::string&)> probe) {
+  std::lock_guard<std::mutex> lock(maint_mu_);
+  compaction_probe_ = std::move(probe);
+}
+
+const std::string* TxnManager::NextJobLocked() const {
+  for (const auto& [name, chain] : chains_) {
+    if (chain.queued && chain.ready.replacement == nullptr) return &name;
+  }
+  return nullptr;
+}
+
+void TxnManager::MaintenanceLoop() {
+  std::unique_lock<std::mutex> lock(maint_mu_);
+  for (;;) {
+    maint_cv_.wait(lock, [&] {
+      return maint_stop_ || !retired_.empty() || NextJobLocked() != nullptr;
+    });
+    maint_busy_ = true;
+    if (!retired_.empty()) {
+      std::vector<std::shared_ptr<const void>> garbage;
+      garbage.swap(retired_);
+      lock.unlock();
+      garbage.clear();
+      lock.lock();
+    } else if (const std::string* next = NextJobLocked()) {
+      const std::string name = *next;
+      lock.unlock();
+      RunJob(name);
+      lock.lock();
+    } else {
+      // Stopping with nothing left: the tops still held are only
+      // references into the master.
+      chains_.clear();
+      return;
+    }
+    maint_busy_ = false;
+    maint_idle_cv_.notify_all();
+  }
+}
+
+void TxnManager::RunJob(const std::string& name) {
+  std::shared_ptr<const Relation> start;
+  std::function<void(const std::string&)> probe;
+  {
+    std::lock_guard<std::mutex> lock(maint_mu_);
+    Chain& chain = chains_[name];
+    chain.queued = false;
+    start = chain.top;
+    probe = compaction_probe_;
+  }
+  if (start == nullptr) return;
+  if (probe) probe(name);
+  const std::function<void()> yield = [&] { KeepUp(name, start.get()); };
+  std::shared_ptr<const Relation> replacement =
+      Relation::Compact(start, nullptr, yield);
+  Publish(name, std::move(start), std::move(replacement));
+}
+
+void TxnManager::KeepUp(const std::string& building, const Relation* floor) {
+  std::vector<std::pair<std::string, std::shared_ptr<const Relation>>> jobs;
+  std::vector<std::shared_ptr<const void>> garbage;
+  {
+    std::lock_guard<std::mutex> lock(maint_mu_);
+    for (auto& [name, chain] : chains_) {
+      if (!chain.queued || chain.ready.replacement != nullptr) continue;
+      chain.queued = false;
+      jobs.emplace_back(name, chain.top);
+    }
+    garbage.swap(retired_);
+  }
+  // Depth first, then the releases.
+  for (auto& [name, top] : jobs) {
+    // Merges only, no yield: bounded by the weight that landed since.
+    // The long build's relation never merges into its starting level.
+    const Relation* keep = name == building ? floor : &top->flat_level();
+    std::shared_ptr<const Relation> replacement =
+        Relation::Compact(top, keep);
+    Publish(name, std::move(top), std::move(replacement));
+  }
+  garbage.clear();
+}
+
+void TxnManager::Publish(const std::string& name,
+                         std::shared_ptr<const Relation> start,
+                         std::shared_ptr<const Relation> replacement) {
+  if (replacement == nullptr) return;
+  Ready displaced;
+  {
+    std::lock_guard<std::mutex> lock(maint_mu_);
+    // An older replacement still waiting is a tail merge above this
+    // job's start: the swap re-applies its levels over this one.
+    displaced = std::exchange(chains_[name].ready,
+                              Ready{std::move(start), std::move(replacement)});
+    ready_pending_.store(true, std::memory_order_release);
+    maint_idle_cv_.notify_all();  // a drain installs it
+  }
+  // Released here, on the thread, outside the lock.
 }
 
 Status TxnManager::Checkpoint() {

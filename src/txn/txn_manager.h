@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -260,12 +261,15 @@ class TxnSession {
 ///   A. collect — the session's net differentials are copied into the
 ///      WAL record with no lock held (session state is private to its
 ///      thread); that record is the write set's only copy;
-///   B. validate → reserve → publish — under commit_mu_: hash-indexed
-///      conflict validation against the rolling window, release of the
-///      session's snapshot registration, version assignment, in-memory
-///      install (pointer-swap fast path), and — only while another
-///      session is live, the only kind a record can convict — shared
-///      publication of the WAL record into the validation index;
+///   B. validate → reserve → install → publish — under commit_mu_:
+///      hash-indexed conflict validation against the rolling window,
+///      release of the session's snapshot registration, version
+///      assignment, in-memory install (pointer-swap fast path), a hand-off
+///      of each installed state to the maintenance thread, and — only
+///      while another session is live, the only kind a record can
+///      convict — shared publication of the WAL record into the
+///      validation index. Stage B installs and publishes and does nothing
+///      more: O(|delta|) at most, and no compaction;
 ///   C. log + ack — outside the lock: the record is appended to the
 ///      WAL, a group-commit fsync covers it, and the commit is
 ///      acknowledged only once every version up to its own is durable
@@ -274,6 +278,42 @@ class TxnSession {
 ///
 /// Disjoint-footprint commits therefore validate, encode, and wait for
 /// their fsync in parallel; the serialized region is the short stage B.
+///
+/// Maintenance thread (one per manager, started by the first write-ful
+/// commit, drained and joined by the destructor): compaction and the
+/// frees it causes run off the commit path, while committers log.
+///   * Compaction: for each relation a commit installed, the thread
+///     builds Relation::Compact's replacement from the installed chain,
+///     whose levels never change, with no lock held. One job per
+///     relation at a time; commits queued on a relation meanwhile fold
+///     into its next job. While a long build runs, the thread keeps
+///     merging the small levels that land above the job's starting
+///     level (never into it), so the depth a new snapshot sees stays
+///     bounded, and keeps releasing what is retired.
+///   * Swap: the next Begin swaps finished replacements in under the
+///     commit_mu_ it takes anyway (Database::SwapCompacted) — only while
+///     the chain still holds the level the job started from, re-applying
+///     the levels installed above it as one fresh level; a replacement
+///     whose start is gone (a WAL-failure unwind) is discarded. The
+///     master therefore changes only inside manager calls, and a
+///     snapshot begun before a swap keeps reading its own chain.
+///   * Release: the thread drops what leaves the master — the chain a
+///     swap replaces (with the levels a commit installed over and a
+///     merge netted away) and the level an unwind drops — so no commit
+///     frees a displaced batch-sized level on its caller's thread. A
+///     finished session still releases its own snapshot, context and
+///     record on its own thread, outside every lock: handed to the
+///     thread, the chunks it frees come back to the committer's next
+///     allocations from another core's cache, which costs the next
+///     transaction more than the frees themselves. The release queue
+///     grows only by what swaps and unwinds displace, so the thread's
+///     own pace bounds it.
+///   * Backpressure: a commit that left a chain deeper than
+///     Relation::kMaxOverlayDepth (the thread fell behind, say during a
+///     long build) waits until a shallower one is ready.
+///   * Quiesce: rule definition and WaitForMaintenance hold commit_mu_
+///     (so no commit can queue work) while the thread finishes every job
+///     and its results are swapped in.
 ///
 /// Durability: committed differentials — the same dplus/dminus sets the
 /// paper's transaction modification computes — are appended to the WAL
@@ -291,11 +331,25 @@ class TxnSession {
 /// Rule definition: DefineConstraint/DefineRule/DropRule on this manager
 /// enforce the quiesce contract — they serialize against Begin/commit
 /// and fail with FailedPrecondition while any session is live, instead
-/// of racing the recompile against executing sessions. (Calling the
-/// subsystem's definition methods directly bypasses the guard and keeps
-/// the old undefined-by-contract behavior; don't.)
+/// of racing the recompile against executing sessions. They also wait
+/// for the maintenance thread to go idle and keep it idle until they
+/// finish: re-declaring an index (Relation::IndexOn) collapses the
+/// master in place. (Calling the subsystem's definition methods directly
+/// bypasses the guard and keeps the old undefined-by-contract behavior;
+/// don't.)
+///
+/// The master database may be read directly between manager calls (its
+/// states change only inside them); a state taken from it must not be
+/// held across a Begin, which may swap a compaction in.
 class TxnManager {
  public:
+  /// Finishes every queued compaction and swaps it in, releases what
+  /// the maintenance thread still holds, and joins the thread. Every
+  /// session must have finished.
+  ~TxnManager();
+  TxnManager(const TxnManager&) = delete;
+  TxnManager& operator=(const TxnManager&) = delete;
+
   /// Creates a manager over `subsystem`'s database and rule set. With a
   /// WAL path, opens (creating) the log; with a checkpoint path and no
   /// existing checkpoint file, seeds one from the current database so
@@ -378,6 +432,18 @@ class TxnManager {
   void set_run_probe(std::function<void(int)> probe) {
     run_probe_ = std::move(probe);
   }
+
+  /// Returns once the maintenance thread is idle: every queued
+  /// compaction built and swapped in (or discarded), and everything
+  /// retired released. Holds commit_mu_ meanwhile, so no commit queues
+  /// more. Tests call it before inspecting chain depth, compaction
+  /// counters or memory.
+  void WaitForMaintenance();
+
+  /// Test seam: called on the maintenance thread with the relation's
+  /// name before each compaction job builds — lets a test hold a job
+  /// queued or building while it commits, fails or defines around it.
+  void set_compaction_probe(std::function<void(const std::string&)> probe);
 
   uint64_t committed_version() const;
   /// Counter snapshot. Lock-free on the commit path's mutex: counters
@@ -519,6 +585,60 @@ class TxnManager {
   /// cause themselves are readable without it).
   void EnterDegradedLocked(const std::string& cause);
 
+  // -- Maintenance thread (see the class comment) ----------------------
+
+  /// A compaction built and waiting for its swap.
+  struct Ready {
+    std::shared_ptr<const Relation> start;        // the top it was built from
+    std::shared_ptr<const Relation> replacement;  // null: none waiting
+  };
+  /// The thread's view of one relation of the master (maint_mu_).
+  struct Chain {
+    /// The master's state as the last install (commit, swap or unwind)
+    /// left it.
+    std::shared_ptr<const Relation> top;
+    bool queued = false;  // `top` changed since a job last took it
+    Ready ready;
+  };
+
+  void MaintenanceLoop();
+  /// A relation with a queued job and no replacement waiting for its
+  /// swap, or null. Requires maint_mu_.
+  const std::string* NextJobLocked() const;
+  /// One compaction job: builds `name`'s replacement with the full policy
+  /// and keeps the depth above it bounded while it runs.
+  void RunJob(const std::string& name);
+  /// The yield of a long build of `building` from `floor`, which keeps
+  /// the rest of the thread's work going: releases what was retired
+  /// since, and merges the levels queued since on every relation — above
+  /// `floor` on `building`, never collapsing anything.
+  void KeepUp(const std::string& building, const Relation* floor);
+  /// Stores a built replacement of `start` for the next Begin to swap in,
+  /// in place of any older one still waiting.
+  void Publish(const std::string& name, std::shared_ptr<const Relation> start,
+               std::shared_ptr<const Relation> replacement);
+  /// Hands `name`'s installed state to the thread as its newest top and
+  /// queues a job for it. Requires commit_mu_; takes maint_mu_. The
+  /// caller wakes the thread (maint_cv_) once it released commit_mu_.
+  void QueueCompactionLocked(const std::string& name);
+  /// Swaps in every replacement waiting for it (Database::SwapCompacted);
+  /// returns whether it did anything the thread must wake for. Requires
+  /// commit_mu_; takes maint_mu_.
+  bool InstallReadyLocked();
+  /// Waits, swapping replacements in as they finish, until no job is
+  /// queued or running — and, with `and_released`, until nothing retired
+  /// is left to free. Requires commit_mu_, which keeps commits (the only
+  /// source of jobs) out meanwhile.
+  void DrainMaintenanceLocked(bool and_released);
+  /// Backpressure on depth: a commit that left a chain deeper than
+  /// Relation::kMaxOverlayDepth (the thread fell behind, say during a
+  /// long build) waits, holding no lock, until the thread publishes a
+  /// replacement or goes idle, and swaps it in.
+  void AwaitCompaction();
+  /// Queues `garbage` for the thread to drop; the caller wakes it
+  /// (maint_cv_) once it released commit_mu_. Requires maint_mu_.
+  void RetireLocked(std::shared_ptr<const void> garbage);
+
   core::IntegritySubsystem* subsystem_;
   Database* db_;
   TxnManagerOptions options_;
@@ -565,6 +685,20 @@ class TxnManager {
   std::set<uint64_t> durable_above_;  // durable versions > floor
   uint64_t failed_version_ = kNoFailedVersion;
   static constexpr uint64_t kNoFailedVersion = ~uint64_t{0};
+
+  /// Maintenance-thread state (maint_mu_; lock order commit_mu_ ->
+  /// maint_mu_ — the thread itself never takes commit_mu_).
+  std::mutex maint_mu_;
+  std::condition_variable maint_cv_;       // wakes the thread
+  std::condition_variable maint_idle_cv_;  // wakes drain and depth waiters
+  std::map<std::string, Chain> chains_;
+  std::vector<std::shared_ptr<const void>> retired_;  // for the thread to drop
+  bool maint_busy_ = false;  // the thread is building or releasing
+  bool maint_stop_ = false;
+  std::function<void(const std::string&)> compaction_probe_;
+  /// A replacement waits for its swap (Begin's lock-free check).
+  std::atomic<bool> ready_pending_{false};
+  std::thread maint_thread_;  // started under commit_mu_ (stage B)
 
   Counters stats_;
   std::atomic<uint64_t> active_sessions_{0};

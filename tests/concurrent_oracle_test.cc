@@ -276,6 +276,9 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
     ASSERT_EQ(FullCheck(replay_db), "")
         << "after the commit at version " << c.commit_version;
   }
+  // Every compaction the run queued is built and swapped in first, so
+  // the comparison also covers the swapped-in chains.
+  manager->WaitForMaintenance();
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
        "order";
@@ -462,6 +465,9 @@ TEST_P(StragglerOracleTest, HeldSessionsKeepTheWindowAndMatchSerialReplay) {
     ASSERT_EQ(FullCheck(replay_db), "")
         << "after the commit at version " << c.commit_version;
   }
+  // Every compaction the run queued is built and swapped in first, so
+  // the comparison also covers the swapped-in chains.
+  manager->WaitForMaintenance();
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
          "order";
@@ -658,6 +664,9 @@ TEST(HighContentionMultiRelationTest,
                         .trace
         << ")";
   }
+  // Every compaction the run queued is built and swapped in first, so
+  // the comparison also covers the swapped-in chains.
+  manager->WaitForMaintenance();
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
        "order";

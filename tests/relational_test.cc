@@ -548,7 +548,7 @@ TEST(OverlayTest, IndexViewComposesLevelsAndFiltersDeletes) {
   EXPECT_FALSE(overlay.FindIndexView({0}).valid());
 }
 
-TEST(OverlayTest, CollapseAndMergePreserveContentsAndIndexes) {
+TEST(OverlayTest, CompactMergeAndCollapsePreserveContentsAndIndexes) {
   auto base = std::make_shared<Relation>(MakeBeerDatabase().Find("beer")
                                              .value()
                                              ->schema_ptr());
@@ -560,32 +560,62 @@ TEST(OverlayTest, CollapseAndMergePreserveContentsAndIndexes) {
   Relation a = Relation::MakeOverlay(base);
   a.Erase(BeerTuple("b0", "lager", "x", 4.0));
   a.Insert(BeerTuple("n0", "ale", "y", 6.0));
-  const std::vector<Tuple> expected = [&] {
-    auto mid = std::make_shared<Relation>(a);
-    Relation top = Relation::MakeOverlay(mid);
-    top.Erase(BeerTuple("b1", "lager", "x", 4.0));
-    top.Insert(BeerTuple("n1", "ale", "y", 6.0));
-    return top.SortedTuples();
-  }();
-
-  // Merge the two overlay levels into one; contents are unchanged and the
-  // merged level still probes through the view.
   auto mid = std::make_shared<Relation>(std::move(a));
-  Relation top = Relation::MakeOverlay(mid);
-  top.Erase(BeerTuple("b1", "lager", "x", 4.0));
-  top.Insert(BeerTuple("n1", "ale", "y", 6.0));
-  ASSERT_EQ(top.overlay_depth(), 2u);
-  EXPECT_TRUE(top.MergeOverlayLevel());
-  EXPECT_EQ(top.overlay_depth(), 1u);
-  EXPECT_EQ(top.SortedTuples(), expected);
-  EXPECT_EQ(ViewProbeCount(top, {2}, Tuple({Value::String("x")})), 14u);
+  auto top = std::make_shared<Relation>(Relation::MakeOverlay(mid));
+  top->Erase(BeerTuple("b1", "lager", "x", 4.0));
+  top->Insert(BeerTuple("n1", "ale", "y", 6.0));
+  ASSERT_EQ(top->overlay_depth(), 2u);
+  const std::vector<Tuple> expected = top->SortedTuples();
 
-  // Collapse flattens and rebuilds the declared index as a flat one.
-  top.CollapseOverlay();
-  EXPECT_FALSE(top.is_overlay());
-  EXPECT_EQ(top.SortedTuples(), expected);
-  EXPECT_EQ(ProbeCount(top, {2}, Tuple({Value::String("x")})), 14u);
-  EXPECT_EQ(ProbeCount(top, {2}, Tuple({Value::String("y")})), 2u);
+  // The two equally heavy levels merge into one fresh level over the
+  // base; the chain it was built from is only read.
+  std::shared_ptr<const Relation> merged = Relation::Compact(top);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->overlay_depth(), 1u);
+  EXPECT_EQ(merged->delta_weight(), 4u);
+  EXPECT_EQ(merged->SortedTuples(), expected);
+  EXPECT_EQ(ViewProbeCount(*merged, {2}, Tuple({Value::String("x")})), 14u);
+  EXPECT_EQ(top->overlay_depth(), 2u);
+  EXPECT_EQ(top->SortedTuples(), expected);
+  EXPECT_EQ(Relation::Compact(merged), nullptr) << "already compact";
+
+  // Collapse flattens in place and rebuilds the declared index (mirrored
+  // by the overlay) as a flat one.
+  Relation flat = Relation::MakeOverlay(merged);
+  flat.CollapseOverlay();
+  EXPECT_FALSE(flat.is_overlay());
+  EXPECT_EQ(flat.SortedTuples(), expected);
+  EXPECT_EQ(ProbeCount(flat, {2}, Tuple({Value::String("x")})), 14u);
+  EXPECT_EQ(ProbeCount(flat, {2}, Tuple({Value::String("y")})), 2u);
+}
+
+TEST(OverlayTest, DeleteThenReinsertCompactsToDeltaWeightZero) {
+  // A base tuple deleted in one level and re-inserted in the next nets
+  // out: the merge holds it in neither set (it used to keep it in both),
+  // so the pair compacts away to the base itself.
+  auto base = std::make_shared<Relation>(MakeBeerDatabase().Find("beer")
+                                             .value()
+                                             ->schema_ptr());
+  for (int i = 0; i < 16; ++i) {
+    base->Insert(BeerTuple("b" + std::to_string(i), "lager", "x", 4.0));
+  }
+  base->IndexOn({2});
+  Relation deleted = Relation::MakeOverlay(base);
+  deleted.Erase(BeerTuple("b3", "lager", "x", 4.0));
+  auto reinserted = std::make_shared<Relation>(
+      Relation::MakeOverlay(std::make_shared<Relation>(std::move(deleted))));
+  reinserted->Insert(BeerTuple("b3", "lager", "x", 4.0));
+  ASSERT_EQ(reinserted->overlay_weight(), 2u);
+
+  CowStats::Reset();
+  std::shared_ptr<const Relation> compacted = Relation::Compact(reinserted);
+  ASSERT_NE(compacted, nullptr);
+  EXPECT_EQ(compacted->overlay_weight(), 0u);
+  EXPECT_EQ(compacted.get(), base.get());
+  EXPECT_TRUE(compacted->SameTuples(*reinserted));
+  EXPECT_EQ(ViewProbeCount(*compacted, {2}, Tuple({Value::String("x")})), 16u);
+  EXPECT_EQ(CowStats::overlay_merges.load(), 1u);
+  EXPECT_EQ(CowStats::overlay_collapses.load(), 0u);
 }
 
 TEST(OverlayTest, FirstWriteDoesNotScanTheBase) {
@@ -610,7 +640,18 @@ TEST(OverlayTest, FirstWriteDoesNotScanTheBase) {
   EXPECT_EQ((*snapshot.Find("beer"))->size(), 10000u);
 }
 
-TEST(OverlayTest, CompactOverlayMergesSmallDeltasAndCollapsesLargeOnes) {
+/// Compacts `name`'s chain and swaps the result in, as the transaction
+/// manager's maintenance thread and next Begin do (with nothing landing
+/// in between).
+void CompactAndSwap(Database* db, const std::string& name) {
+  const std::shared_ptr<const Relation> top = db->Share(name);
+  if (std::shared_ptr<const Relation> replacement = Relation::Compact(top)) {
+    ASSERT_NE(db->SwapCompacted(name, top.get(), std::move(replacement)),
+              nullptr);
+  }
+}
+
+TEST(OverlayTest, CompactMergesSmallDeltasAndCollapsesLargeOnes) {
   Database db = MakeBeerDatabase();
   for (int i = 0; i < 512; ++i) {
     testing::AddBeer(&db, "b" + std::to_string(i), "lager", "x", 4.0);
@@ -623,8 +664,8 @@ TEST(OverlayTest, CompactOverlayMergesSmallDeltasAndCollapsesLargeOnes) {
     snapshots.push_back(db.Clone());  // forces un-share next write
     Relation* rel = *db.FindMutable("beer");
     rel->Insert(BeerTuple("r" + std::to_string(round), "ale", "y", 5.0));
-    rel->CompactOverlay();
-    EXPECT_LE(rel->overlay_depth(), 5u) << "round " << round;
+    CompactAndSwap(&db, "beer");
+    EXPECT_LE((*db.Find("beer"))->overlay_depth(), 5u) << "round " << round;
   }
   EXPECT_EQ((*db.Find("beer"))->size(), 512u + 12u);
 
@@ -635,16 +676,15 @@ TEST(OverlayTest, CompactOverlayMergesSmallDeltasAndCollapsesLargeOnes) {
     rel->Insert(BeerTuple("big" + std::to_string(i), "ale", "z", 5.0));
   }
   CowStats::Reset();
-  rel->CompactOverlay();
-  EXPECT_FALSE(rel->is_overlay());
+  CompactAndSwap(&db, "beer");
+  EXPECT_FALSE((*db.Find("beer"))->is_overlay());
   EXPECT_GE(CowStats::overlay_collapses.load(), 1u);
-  EXPECT_EQ(rel->size(), 512u + 12u + 400u);
+  EXPECT_EQ((*db.Find("beer"))->size(), 512u + 12u + 400u);
 }
 
-TEST(OverlayTest, MergeOverAnEmptyLevelKeepsTheTopLevelInPlace) {
+TEST(OverlayTest, MergeOverAnEmptyLevelLeavesOneLevel) {
   // A base level that holds no tuples (its inserts and deletes netted
-  // out) is skipped in O(1): the top level's sets, and so its tuple and
-  // index nodes, are neither copied nor rebuilt.
+  // out) merges away: the replacement is one level over the flat base.
   auto base = std::make_shared<Relation>(MakeBeerDatabase().Find("beer")
                                              .value()
                                              ->schema_ptr());
@@ -659,34 +699,105 @@ TEST(OverlayTest, MergeOverAnEmptyLevelKeepsTheTopLevelInPlace) {
   netted.Insert(BeerTuple("b0", "lager", "x", 4.0));
   ASSERT_EQ(netted.delta_weight(), 0u);
 
-  Relation top =
-      Relation::MakeOverlay(std::make_shared<Relation>(std::move(netted)));
-  top.Insert(BeerTuple("n1", "ale", "y", 6.0));
-  top.Insert(BeerTuple("n2", "ale", "y", 6.0));
-  top.Erase(BeerTuple("b3", "lager", "x", 4.0));
-  std::set<const Tuple*> nodes;
-  for (const Tuple& t : top.local_inserts()) nodes.insert(&t);
-  const std::vector<Tuple> expected = top.SortedTuples();
+  auto top = std::make_shared<Relation>(
+      Relation::MakeOverlay(std::make_shared<Relation>(std::move(netted))));
+  top->Insert(BeerTuple("n1", "ale", "y", 6.0));
+  top->Insert(BeerTuple("n2", "ale", "y", 6.0));
+  top->Erase(BeerTuple("b3", "lager", "x", 4.0));
+  const std::vector<Tuple> expected = top->SortedTuples();
 
   CowStats::Reset();
-  top.CompactOverlay();
+  std::shared_ptr<const Relation> compacted = Relation::Compact(top);
+  ASSERT_NE(compacted, nullptr);
   EXPECT_EQ(CowStats::overlay_merges.load(), 1u);
   EXPECT_EQ(CowStats::overlay_collapses.load(), 0u);
-  EXPECT_EQ(top.overlay_depth(), 1u);
-  std::set<const Tuple*> after;
-  for (const Tuple& t : top.local_inserts()) after.insert(&t);
-  EXPECT_EQ(after, nodes) << "the merge copied the top level's inserts";
-  EXPECT_EQ(top.SortedTuples(), expected);
-  EXPECT_EQ(ViewProbeCount(top, {2}, Tuple({Value::String("y")})), 2u);
-  EXPECT_EQ(ViewProbeCount(top, {2}, Tuple({Value::String("x")})), 15u);
+  EXPECT_EQ(compacted->overlay_depth(), 1u);
+  EXPECT_EQ(compacted->delta_weight(), 3u);
+  EXPECT_EQ(compacted->SortedTuples(), expected);
+  EXPECT_EQ(ViewProbeCount(*compacted, {2}, Tuple({Value::String("y")})), 2u);
+  EXPECT_EQ(ViewProbeCount(*compacted, {2}, Tuple({Value::String("x")})),
+            15u);
+}
+
+TEST(OverlayTest, CommitBetweenBuildAndSwapIsReapplied) {
+  // The maintenance thread builds a replacement from the chain it was
+  // handed while the master moves on; the swap must keep every commit
+  // that landed in between, and a snapshot taken before the swap keeps
+  // reading its own chain.
+  Database db = MakeBeerDatabase();
+  ASSERT_NE((*db.FindMutable("beer"))->IndexOn({2}), nullptr);
+  std::set<Tuple, testing::TupleLess> model;
+  for (const Tuple& t : (*db.Find("beer"))->SortedTuples()) model.insert(t);
+  const auto write = [&](const Tuple& t, bool insert) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(Database::Level level, db.PushLevel("beer"));
+    if (insert) {
+      level.top->Insert(t);
+      model.insert(t);
+    } else {
+      level.top->Erase(t);
+      model.erase(t);
+    }
+  };
+  for (int i = 0; i < 80; ++i) {
+    write(BeerTuple("b" + std::to_string(i), "lager", "x", 4.0), true);
+  }
+  // The job: a collapse-sized replacement, built from the shared chain.
+  const std::shared_ptr<const Relation> start = db.Share("beer");
+  CowStats::Reset();
+  std::shared_ptr<const Relation> replacement = Relation::Compact(start);
+  ASSERT_NE(replacement, nullptr);
+  ASSERT_EQ(CowStats::overlay_collapses.load(), 1u);
+  // Commits land before the swap: an insert, a delete of a tuple the
+  // replacement holds, and a delete-and-reinsert.
+  write(BeerTuple("late", "ale", "y", 6.0), true);
+  write(BeerTuple("b7", "lager", "x", 4.0), false);
+  write(BeerTuple("b9", "lager", "x", 4.0), false);
+  write(BeerTuple("b9", "lager", "x", 4.0), true);
+  const Database before_swap = db.Clone();
+  const Relation* held = *before_swap.Find("beer");
+  const std::vector<Tuple> held_contents = held->SortedTuples();
+
+  ASSERT_NE(db.SwapCompacted("beer", start.get(), replacement), nullptr);
+  const Relation& swapped = **db.Find("beer");
+  EXPECT_EQ(swapped.overlay_depth(), 1u) << "one fresh level over the flat";
+  EXPECT_EQ(swapped.delta_weight(), 2u);  // late, b7 (b9 netted out)
+  EXPECT_EQ(swapped.SortedTuples(),
+            std::vector<Tuple>(model.begin(), model.end()));
+  for (const char* brewery : {"x", "y", "heineken", "nowhere"}) {
+    std::size_t expected = 0;
+    for (const Tuple& t : model) {
+      if (t.at(2) == Value::String(brewery)) ++expected;
+    }
+    EXPECT_EQ(ViewProbeCount(swapped, {2}, Tuple({Value::String(brewery)})),
+              expected)
+        << brewery;
+  }
+  // The snapshot still reads the chain it began on.
+  EXPECT_EQ(*before_swap.Find("beer"), held);
+  EXPECT_EQ(held->SortedTuples(), held_contents);
+
+  // A replacement whose start is gone is discarded: here the newest level
+  // is dropped (a WAL-failure unwind) after its compaction was built.
+  write(BeerTuple("doomed", "ale", "y", 6.0), true);
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database::Level doomed, db.PushLevel("beer"));
+  doomed.top->Insert(BeerTuple("unwound", "ale", "y", 6.0));
+  const std::shared_ptr<const Relation> doomed_top = db.Share("beer");
+  std::shared_ptr<const Relation> stale =
+      Relation::Compact(doomed_top, &doomed_top->flat_level());
+  ASSERT_NE(stale, nullptr);
+  db.DropLevel("beer", std::move(doomed));
+  EXPECT_EQ(db.SwapCompacted("beer", doomed_top.get(), stale), nullptr);
+  EXPECT_EQ((*db.Find("beer"))->SortedTuples(),
+            std::vector<Tuple>(model.begin(), model.end()));
 }
 
 // ---------------------------------------------------------------------------
 // Reference model for overlay chains: random writes through snapshots,
 // FindMutable levels and pushed transaction levels, interleaved with
-// merges, compactions and collapses, must keep every live database equal
-// to a plain std::set model — membership, size, sorted contents and the
-// index view's candidates per key.
+// compactions built from shared chains and swapped in (some with a write
+// landing between the build and the swap) and in-place collapses, must
+// keep every live database equal to a plain std::set model — membership,
+// size, sorted contents and the index view's candidates per key.
 // ---------------------------------------------------------------------------
 
 using TupleModel = std::set<Tuple, testing::TupleLess>;
@@ -781,14 +892,32 @@ TEST(OverlayTest, ChainsMatchAReferenceModel) {
           op = "drop snapshot";
           if (target != 0) live.erase(live.begin() + target);
           break;
-        case 7:
-        case 8:
-          op = "merge";
-          (*m.db.FindMutable("r"))->MergeOverlayLevel();
+        case 7: {
+          op = "merge";  // merges only: the flat level stays
+          const std::shared_ptr<const Relation> top = m.db.Share("r");
+          if (auto merged = Relation::Compact(top, &top->flat_level())) {
+            ASSERT_NE(m.db.SwapCompacted("r", top.get(), std::move(merged)),
+                      nullptr);
+          }
           break;
+        }
+        case 8: {
+          // A commit lands between the build and the swap: the swap
+          // re-applies it over the replacement.
+          op = "compact across a write";
+          const std::shared_ptr<const Relation> top = m.db.Share("r");
+          std::shared_ptr<const Relation> replacement = Relation::Compact(top);
+          RandomWrite(&rng, *m.db.FindMutable("r"), &m.model);
+          if (replacement != nullptr) {
+            ASSERT_NE(
+                m.db.SwapCompacted("r", top.get(), std::move(replacement)),
+                nullptr);
+          }
+          break;
+        }
         case 9:
           op = "compact";
-          (*m.db.FindMutable("r"))->CompactOverlay();
+          CompactAndSwap(&m.db, "r");
           break;
         case 10:
           op = "collapse";

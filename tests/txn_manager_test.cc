@@ -6,15 +6,25 @@
 // with the serial ExecuteTransaction path. The randomized multi-threaded
 // oracle lives in tests/concurrent_oracle_test.cc.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "bench/workload.h"
 #include "src/common/str_util.h"
+#include "src/common/vfs.h"
 #include "src/core/subsystem.h"
 #include "src/txn/txn_manager.h"
 #include "tests/test_util.h"
@@ -755,6 +765,235 @@ TEST(TxnRetryTest, DefaultRetriesAreImmediateAndUncounted) {
   EXPECT_TRUE(vfs.sleep_log().empty()) << "no backoff by default";
   EXPECT_EQ(f.manager->stats().retries, 1u);
   EXPECT_EQ(f.manager->stats().backoff_sleeps, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The maintenance thread: compaction off the commit path, the swap rule,
+// the depth bound, release, quiesce and shutdown.
+// ---------------------------------------------------------------------------
+
+/// Holds the maintenance thread at the start of compaction jobs (the
+/// manager's compaction probe) until Open.
+class JobGate {
+ public:
+  /// The probe: counts the arrival, then waits until the gate opens.
+  void Hold(const std::string& relation) {
+    std::unique_lock<std::mutex> lock(mu_);
+    arrivals_.push_back(relation);
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+  void AwaitArrival() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return !arrivals_.empty(); });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::string> arrivals_;
+  bool open_ = false;
+};
+
+/// Every relation's tuples, for comparing a state with an earlier one.
+std::vector<std::vector<Tuple>> Contents(const Database& db) {
+  std::vector<std::vector<Tuple>> out;
+  for (const std::string& name : db.RelationNames()) {
+    out.push_back((*db.Find(name))->SortedTuples());
+  }
+  return out;
+}
+
+algebra::Transaction ReinsertUnreferencedKeys(int batch) {
+  algebra::Transaction txn = bench::MakeKeyDeleteBatch(batch);
+  algebra::Statement& statement = txn.program.statements.front();
+  statement = algebra::Statement::Insert("key_rel", statement.expr);
+  return txn;
+}
+
+TEST(TxnManagerMaintenanceTest, DeleteAndReinsertRoundsNeverCollapse) {
+  // Deleting keys and re-inserting them nets out in the merge, so the
+  // chain compacts back to its base instead of growing until a collapse.
+  Database db = bench::MakeKeyFkDatabase(5000, 100);
+  bench::AddUnreferencedKeys(&db, 500);
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
+  const std::vector<Tuple> keys = (*db.Find("key_rel"))->SortedTuples();
+  const uint64_t collapses = CowStats::overlay_collapses.load();
+  for (int round = 0; round < 24; ++round) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult del,
+                               manager->Run(bench::MakeKeyDeleteBatch(500)));
+    ASSERT_TRUE(del.committed) << del.abort_reason;
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult ins,
+                               manager->Run(ReinsertUnreferencedKeys(500)));
+    ASSERT_TRUE(ins.committed) << ins.abort_reason;
+  }
+  manager->WaitForMaintenance();
+  EXPECT_EQ(CowStats::overlay_collapses.load(), collapses);
+  EXPECT_EQ((*db.Find("key_rel"))->overlay_depth(), 0u)
+      << "every pair netted out to the base";
+  EXPECT_EQ((*db.Find("key_rel"))->SortedTuples(), keys);
+}
+
+TEST(TxnManagerMaintenanceTest, WalFailureUnwindsACommitWhoseJobIsPending) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      StrCat("txmod_maintenance_", ::getpid());
+  for (const bool hold_this_relation : {false, true}) {
+    SCOPED_TRACE(hold_this_relation ? "job building" : "job queued");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    FaultInjectingVfs vfs;
+    TxnManagerOptions options;
+    options.wal_path = (dir / "wal.log").string();
+    options.checkpoint_path = (dir / "checkpoint.db").string();
+    options.vfs = &vfs;
+    JobGate gate;  // outlives the manager, whose destructor runs jobs
+    Fixture f(options);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(f.manager->RunText(InsertBeerText(StrCat("ale", i))).ok());
+    }
+    f.manager->WaitForMaintenance();
+
+    // Hold the thread: at the failing commit's own job ("building", when
+    // the thread takes it before the unwind) or at an earlier job on
+    // another relation, which keeps this one queued.
+    f.manager->set_compaction_probe(
+        [&](const std::string& relation) { gate.Hold(relation); });
+    if (!hold_this_relation) {
+      ASSERT_TRUE(
+          f.manager
+              ->RunText("insert(brewery, {(\"brewdog\", \"ellon\", "
+                        "\"uk\")});")
+              .ok());
+      gate.AwaitArrival();
+    }
+    const std::vector<std::vector<Tuple>> pre_commit = Contents(f.db);
+    FaultSpec fault;
+    fault.op = VfsOp::kFsync;
+    fault.kind = FaultKind::kEIO;
+    fault.path_substring = "wal";
+    vfs.InjectFault(fault);
+    Result<TxnResult> failed = f.manager->RunText(InsertBeerText("doomed"));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(Contents(f.db), pre_commit) << "the commit was unwound";
+    if (hold_this_relation) gate.AwaitArrival();
+
+    gate.Open();
+    f.manager->WaitForMaintenance();
+    EXPECT_EQ(Contents(f.db), pre_commit)
+        << "a compaction built from the unwound level was swapped in";
+    EXPECT_FALSE(HasBeer(f.db, "doomed"));
+    f.manager.reset();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TxnManagerMaintenanceTest, DefineConstraintWaitsOutAPendingJob) {
+  JobGate gate;  // outlives the manager, whose destructor runs jobs
+  Fixture f;
+  f.manager->set_compaction_probe(
+      [&](const std::string& relation) { gate.Hold(relation); });
+  ASSERT_TRUE(f.manager->RunText(InsertBeerText("ale1")).ok());
+  gate.AwaitArrival();  // a job is building and cannot finish
+
+  std::future<Status> define = std::async(std::launch::async, [&] {
+    return f.manager->DefineConstraint(
+        "strong", "forall x (x in beer implies x.alcohol <= 7)");
+  });
+  EXPECT_EQ(define.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "the definition ran while a compaction job was building";
+  gate.Open();
+  TXMOD_ASSERT_OK(define.get());
+
+  // The constraint is live, and the master kept every commit.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult violating,
+      f.manager->RunText(
+          "insert(beer, {(\"rocket\", \"ale\", \"guinness\", 12.0)});"));
+  EXPECT_FALSE(violating.committed);
+  EXPECT_TRUE(HasBeer(f.db, "ale1"));
+  EXPECT_FALSE(HasBeer(f.db, "rocket"));
+}
+
+TEST(TxnManagerMaintenanceTest, DestroyingWithQueuedWorkReleasesEverything) {
+  // Jobs queued behind a held one, on two relations: the destructor
+  // builds and swaps them in, releases the chains the swaps displace,
+  // and joins (ASan checks nothing leaks or dangles).
+  JobGate gate;
+  Fixture f;
+  f.manager->set_compaction_probe(
+      [&](const std::string& relation) { gate.Hold(relation); });
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(f.manager->RunText(InsertBeerText(StrCat("ale", i))).ok());
+    ASSERT_TRUE(f.manager
+                    ->RunText(StrCat("insert(brewery, {(\"b", i,
+                                     "\", \"x\", \"y\")});"))
+                    .ok());
+  }
+  auto held = f.manager->Begin();
+  ASSERT_TRUE(held->ExecuteText(InsertBeerText("held")).ok());
+  held->Abort();
+  gate.AwaitArrival();
+  gate.Open();
+  f.manager.reset();
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(HasBeer(f.db, StrCat("ale", i)));
+  EXPECT_FALSE(HasBeer(f.db, "held"));
+}
+
+TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
+  // A collapse of a large relation takes a while; the one-row commits
+  // that land meanwhile must not stack up above it: every new snapshot
+  // sees a chain within the compaction depth bound.
+  constexpr int kFks = 20000;
+  Database db = bench::MakeKeyFkDatabase(1000, kFks);
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  std::atomic<bool> started{false};  // outlives the manager's probe
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
+  manager->set_compaction_probe([&](const std::string&) { started = true; });
+  const uint64_t collapses = CowStats::overlay_collapses.load();
+  // Over half the relation: its compaction collapses the whole chain.
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult big,
+                             manager->Run(bench::MakeFkInsertBatch(
+                                 kFks / 2 + 1000, 1000, /*id_base=*/kFks)));
+  ASSERT_TRUE(big.committed) << big.abort_reason;
+  while (!started.load()) std::this_thread::yield();
+
+  int during = 0;
+  std::size_t deepest = 0;
+  for (int i = 0;
+       (CowStats::overlay_collapses.load() == collapses && i < 2000) || i < 64;
+       ++i) {
+    auto session = manager->Begin();
+    const std::size_t depth =
+        (*session->snapshot().Find("fk_rel"))->overlay_depth();
+    deepest = std::max(deepest, depth);
+    ASSERT_LE(depth, Relation::kMaxOverlayDepth) << "commit " << i;
+    TXMOD_ASSERT_OK(session->Execute(bench::MakeFkInsertBatch(
+                                         1, 1000, /*id_base=*/10 * kFks + i))
+                        .status());
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r, session->Commit());
+    ASSERT_TRUE(r.committed) << r.abort_reason;
+    if (CowStats::overlay_collapses.load() == collapses) ++during;
+  }
+  EXPECT_GT(during, 0) << "no commit overlapped the collapse";
+  manager->WaitForMaintenance();
+  EXPECT_GT(CowStats::overlay_collapses.load(), collapses);
+  const Relation& fk_rel = **db.Find("fk_rel");
+  EXPECT_LE(fk_rel.overlay_depth(), 2u);
+  RecordProperty("commits_during_collapse", during);
+  RecordProperty("deepest_snapshot_chain", static_cast<int>(deepest));
 }
 
 }  // namespace
