@@ -9,10 +9,10 @@
 // series isolates the OCC pipeline.
 //
 // BM_GroupCommitFsync — N threads commit tiny write transactions through
-// a WAL with sync_commits on; fsyncs batch across concurrent committers
-// (group commit). Reported: commits per second and the measured
-// fsyncs-per-commit ratio (the batching factor; 1.0 means no batching,
-// lower is better).
+// a WAL, which acknowledges each commit after its fsync; fsyncs batch
+// across concurrent committers (group commit). Reported: commits per
+// second and the measured fsyncs-per-commit ratio (the batching factor;
+// 1.0 means no batching, lower is better).
 //
 // Every arm that commits reports readonly_commits. An arm whose
 // transactions only insert fresh ids must write on every commit; if one
@@ -273,7 +273,6 @@ void BM_GroupCommitFsync(benchmark::State& state) {
   txn::TxnManagerOptions options;
   options.wal_path = (dir / "wal.log").string();
   options.checkpoint_path = (dir / "checkpoint.db").string();
-  options.sync_commits = true;
   ManagerFixture f(options);
   SlowestCommit slowest;
 

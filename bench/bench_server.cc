@@ -13,8 +13,9 @@
 // "benchmarks" array) so the checked-in BENCH_server.json baseline sits
 // beside the other BENCH_*.json files. --verify recovers the database
 // from the WAL after shutdown and fails (exit 1) unless EVERY commit the
-// server acknowledged is present — the zero-lost-acked-commits gate the
-// CI server-integration job runs.
+// server acknowledged is present and the recovered state satisfies every
+// constraint, each evaluated in full — the zero-lost-acked-commits and
+// zero-violations gate the CI server-integration job runs.
 
 #include <unistd.h>
 
@@ -32,9 +33,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/workload.h"
+#include "src/baseline/posthoc_checker.h"
 #include "src/common/str_util.h"
 #include "src/core/subsystem.h"
 #include "src/net/client.h"
@@ -45,6 +48,28 @@ namespace txmod::bench {
 namespace {
 
 constexpr int kKeys = 64;
+
+/// The constraints the served database enforces.
+const std::pair<const char*, const char*> kConstraints[] = {
+    {"domain", DomainConstraint()}, {"refint", RefIntConstraint()}};
+
+/// Every constraint evaluated in full on `db` by the post-hoc baseline
+/// (no trigger selection, no differential), which shares no plan with
+/// the compiled checks: the empty string when `db` satisfies them all,
+/// else the violated rule or the error.
+std::string FullCheckViolation(Database db) {
+  core::IntegritySubsystem ics(&db);
+  for (const auto& [name, text] : kConstraints) {
+    const Status st = ics.DefineConstraint(name, text);
+    if (!st.ok()) return st.ToString();
+  }
+  baseline::PostHocOptions options;
+  options.use_triggers = false;
+  baseline::PostHocChecker checker(&ics, options);
+  auto result = checker.Execute(algebra::Transaction{});
+  if (!result.ok()) return result.status().ToString();
+  return result->committed ? "" : result->abort_reason;
+}
 
 struct Options {
   int clients = 8;
@@ -186,8 +211,9 @@ int Run(const Options& options, const std::string& executable) {
   AddUnreferencedKeys(&db, 8);
   const std::size_t initial_fk = (*db.Find("fk_rel"))->size();
   core::IntegritySubsystem ics(&db);
-  TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("domain", DomainConstraint()));
-  TXMOD_BENCH_CHECK_OK(ics.DefineConstraint("refint", RefIntConstraint()));
+  for (const auto& [name, text] : kConstraints) {
+    TXMOD_BENCH_CHECK_OK(ics.DefineConstraint(name, text));
+  }
   auto created = txn::TxnManager::Create(&ics, txn_options);
   TXMOD_BENCH_CHECK_OK(created.status());
   std::unique_ptr<txn::TxnManager> manager = std::move(*created);
@@ -267,6 +293,15 @@ int Run(const Options& options, const std::string& executable) {
               << " lost after recovery (initial fk_rel " << initial_fk
               << ", recovered " << (*fk_rel)->size() << ")\n";
     if (lost > 0) exit_code = 1;
+    // And the recovered state satisfies every constraint.
+    const std::string violation =
+        FullCheckViolation(std::move(recovered).value());
+    if (!violation.empty()) {
+      std::cerr << "VIOLATION after recovery: " << violation << "\n";
+      exit_code = 1;
+    }
+    std::cout << "verify: full check of the recovered state "
+              << (violation.empty() ? "passed" : "failed") << "\n";
   }
   (void)initial_fk;
 

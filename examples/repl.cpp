@@ -37,6 +37,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/relational/persist.h"
+#include "src/relational/relation.h"
 #include "src/txn/txn_manager.h"
 
 namespace {
@@ -295,10 +296,15 @@ class Repl {
               << "validation tuples    " << s.validation_tuples << "\n"
               << "degraded             " << (s.degraded ? "yes" : "no");
     if (s.degraded) std::cout << " (" << s.degraded_cause << ")";
+    // Overlay counters are process-wide, not the manager's.
+    using txmod::CowStats;
     std::cout << "\n"
-              << "cow overlays         " << s.cow_overlays_created << "\n"
-              << "cow overlay merges   " << s.cow_overlay_merges << "\n"
-              << "cow overlay collapses " << s.cow_overlay_collapses << "\n";
+              << "cow overlays         " << CowStats::overlays_created.load()
+              << "\n"
+              << "cow overlay merges   " << CowStats::overlay_merges.load()
+              << "\n"
+              << "cow overlay collapses "
+              << CowStats::overlay_collapses.load() << "\n";
   }
 
   Database db_;

@@ -463,7 +463,9 @@ Response Server::HandleStats() {
   kv["txn.deadlines_exceeded"] = StrCat(txn_stats.deadlines_exceeded);
   kv["txn.wal_appends"] = StrCat(txn_stats.wal_appends);
   kv["txn.wal_fsyncs"] = StrCat(txn_stats.wal_fsyncs);
+  kv["txn.checkpoints"] = StrCat(txn_stats.checkpoints);
   kv["txn.wal_failures"] = StrCat(txn_stats.wal_failures);
+  kv["txn.wal_reopens"] = StrCat(txn_stats.wal_reopens);
   kv["txn.unavailable_rejections"] = StrCat(txn_stats.unavailable_rejections);
   kv["txn.validation_records"] = StrCat(txn_stats.validation_records);
   kv["txn.validation_tuples"] = StrCat(txn_stats.validation_tuples);

@@ -27,6 +27,12 @@ using algebra::StatementKind;
 
 namespace {
 
+/// Tuples per batch a producer pushes through an exchange queue.
+constexpr std::size_t kExchangeBatchTuples = 256;
+/// An exchange queue's capacity in batches (the bound is soft until the
+/// consumer is scheduled; see ExchangeQueue).
+constexpr std::size_t kExchangeCapacity = 64;
+
 /// How the fragments of an intermediate result are aligned across nodes.
 enum class Alignment {
   kNone,         // tuples may be anywhere (and may duplicate across nodes)
@@ -707,9 +713,6 @@ class ParallelExecutor::Impl {
     } else {
       const std::size_t msize =
           options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
-      const std::size_t batch = options_.exchange_batch_tuples > 0
-                                    ? options_.exchange_batch_tuples
-                                    : 1;
       struct Producer {
         std::size_t src = 0;
         const Tuple* const* base = nullptr;
@@ -734,21 +737,21 @@ class ParallelExecutor::Impl {
       queues.reserve(width_);
       for (std::size_t dst = 0; dst < width_; ++dst) {
         queues.push_back(std::make_unique<ExchangeQueue>(
-            options_.exchange_capacity, producers.size()));
+            kExchangeCapacity, producers.size()));
       }
       PhasePlan plan;
       plan.steal_seed = PhaseSeed();
       plan.queues.resize(width_);
       for (Producer& p : producers) {
         Producer* pp = &p;
-        plan.queues[p.src].push_back([pp, &queues, route, batch, this] {
+        plan.queues[p.src].push_back([pp, &queues, route, this] {
           std::vector<std::vector<Tuple>> bufs(width_);
           for (std::size_t k = 0; k < pp->count; ++k) {
             const Tuple& t = *pp->base[k];
             const std::size_t dst = route(t);
             ++pp->sent[dst];
             bufs[dst].push_back(t);
-            if (bufs[dst].size() >= batch) {
+            if (bufs[dst].size() >= kExchangeBatchTuples) {
               queues[dst]->Push(std::move(bufs[dst]));
               bufs[dst] = {};
             }
@@ -859,7 +862,7 @@ class ParallelExecutor::Impl {
       queues.reserve(width_);
       for (std::size_t dst = 0; dst < width_; ++dst) {
         queues.push_back(std::make_unique<ExchangeQueue>(
-            options_.exchange_capacity, producers.size()));
+            kExchangeCapacity, producers.size()));
       }
       PhasePlan plan;
       plan.steal_seed = PhaseSeed();
@@ -1230,9 +1233,7 @@ ParallelExecutor::ParallelExecutor(ParallelDatabase* db,
                                    ParallelOptions options)
     : db_(db), options_(std::move(options)) {
   if (options_.use_threads) {
-    if (options_.pool != nullptr) {
-      pool_ = options_.pool;
-    } else if (options_.num_workers > 0) {
+    if (options_.num_workers > 0) {
       owned_pool_ = std::make_unique<ThreadPool>(options_.num_workers);
       pool_ = owned_pool_.get();
     } else {

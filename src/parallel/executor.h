@@ -33,18 +33,11 @@ struct ParallelOptions {
   /// Worker threads for threaded phases. 0 = the process-wide shared
   /// pool (ThreadPool::DefaultWorkerCount(): the TXMOD_PARALLEL_WORKERS
   /// env override, else hardware_concurrency). n > 0 = a pool of exactly
-  /// n threads owned by this executor. Ignored when `pool` is set.
+  /// n threads owned by this executor.
   std::size_t num_workers = 0;
-  /// External pool override (not owned; must outlive the executor).
-  ThreadPool* pool = nullptr;
   /// Tuples per morsel: the unit of work the pool's queues hold and
   /// workers steal. Smaller = better balance, more scheduling overhead.
   std::size_t morsel_tuples = 1024;
-  /// Tuples per exchange batch pushed through a redistribution queue.
-  std::size_t exchange_batch_tuples = 256;
-  /// Exchange-queue capacity in batches (the bound is soft until the
-  /// consumer is scheduled; see ExchangeQueue).
-  std::size_t exchange_capacity = 64;
   /// Perturbs each phase's steal order; the determinism tests sweep it
   /// to pin that steal interleaving cannot change final states.
   uint64_t steal_seed = 0;
@@ -137,9 +130,6 @@ class ParallelExecutor {
   /// no fragment has changed. The result carries the work statistics:
   /// the simulated POOMA makespan plus measured per-phase wall clock.
   Result<ParallelTxnResult> Execute(const algebra::Transaction& txn);
-
-  /// The pool threaded phases run on; null in simulate mode.
-  ThreadPool* pool() const { return pool_; }
 
  private:
   class Impl;

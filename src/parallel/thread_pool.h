@@ -41,10 +41,10 @@ struct PhasePlan {
 ///
 /// The caller of Run participates in the phase's work loop, so a phase
 /// completes even when every pool thread is busy — which is what makes it
-/// safe for a task running *on* the pool (e.g. a TxnManager integrity
-/// check) to be an indirect cause of another Run: the nested caller
-/// drains its own phase. Concurrent Run callers are serialized; tasks of
-/// one phase still execute concurrently across all workers.
+/// safe for a task running *on* the pool to be an indirect cause of
+/// another Run: the nested caller drains its own phase. Concurrent Run
+/// callers are serialized; tasks of one phase still execute concurrently
+/// across all workers.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t workers);

@@ -27,11 +27,22 @@ Database& Database::operator=(const Database& other) {
 
 Status Database::CreateRelation(RelationSchema schema) {
   const std::string name = schema.name();
-  TXMOD_RETURN_IF_ERROR(schema_.AddRelation(schema));
+  // Copies taken earlier keep the schema they share; this one extends
+  // its own.
+  auto extended = schema_ != nullptr
+                      ? std::make_shared<DatabaseSchema>(*schema_)
+                      : std::make_shared<DatabaseSchema>();
+  TXMOD_RETURN_IF_ERROR(extended->AddRelation(schema));
+  schema_ = std::move(extended);
   auto shared = std::make_shared<const RelationSchema>(std::move(schema));
   relations_.emplace(name, std::make_shared<Relation>(std::move(shared)));
   owned_.insert(name);
   return Status::OK();
+}
+
+const DatabaseSchema& Database::schema() const {
+  static const DatabaseSchema kNoRelations;
+  return schema_ != nullptr ? *schema_ : kNoRelations;
 }
 
 Result<const Relation*> Database::Find(const std::string& name) const {

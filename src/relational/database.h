@@ -17,9 +17,10 @@ namespace txmod {
 /// advance logical time by exactly one on commit (single-step transitions);
 /// an aborted transaction leaves both state and time unchanged.
 ///
-/// Snapshot facility: relations are held behind shared pointers, so
-/// copying a Database — Clone(), the copy constructor, or assignment —
-/// is O(#relations) and *shares* every relation state with the source.
+/// Snapshot facility: the schema and the relations are held behind
+/// shared pointers, so copying a Database — Clone(), the copy
+/// constructor, or assignment — is O(#relations) and *shares* the schema
+/// and every relation state with the source.
 /// Value semantics are preserved by FindMutable: the first mutable
 /// access to a shared relation un-shares it privately first, with an
 /// O(1) overlay over the immutable shared base (mutations then cost
@@ -128,7 +129,11 @@ class Database {
     return relations_.find(name) != relations_.end();
   }
 
-  const DatabaseSchema& schema() const { return schema_; }
+  /// The schema the relations were created with, shared by every copy.
+  /// CreateRelation installs an extended copy: a reference taken before
+  /// it stays valid only while another copy of the database holds the
+  /// older schema.
+  const DatabaseSchema& schema() const;
 
   /// Names in deterministic (sorted) order.
   std::vector<std::string> RelationNames() const;
@@ -177,7 +182,8 @@ class Database {
   bool SameState(const Database& other, bool compare_time = false) const;
 
  private:
-  DatabaseSchema schema_;
+  // Shared by every copy, never mutated; null until the first relation.
+  std::shared_ptr<const DatabaseSchema> schema_;
   // Shared relation states: the copy-on-write substrate.
   std::map<std::string, std::shared_ptr<Relation>> relations_;
   // Names whose state this instance exclusively owns (created or layered

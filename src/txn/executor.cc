@@ -1,10 +1,7 @@
 #include "src/txn/executor.h"
 
-#include <set>
-
 #include "src/algebra/evaluator.h"
 #include "src/common/str_util.h"
-#include "src/parallel/thread_pool.h"
 
 namespace txmod::txn {
 
@@ -14,27 +11,21 @@ using algebra::StatementKind;
 
 namespace {
 
-/// Evaluates a statement's expression against `eval_ctx`: an integrity
-/// check runs on the plan `cache` pinned for it at rule-definition time
-/// (a plan-cache hit); any other statement compiles its own tree now (a
-/// miss).
-Result<Relation> EvalStatementExpr(const Statement& stmt,
-                                   const algebra::PlanCache* cache,
-                                   const algebra::EvalContext& eval_ctx,
-                                   algebra::EvalStats* stats) {
-  if (cache != nullptr) {
+/// Evaluates a statement's expression against `ctx`: an integrity check
+/// runs on the plan the context's cache pinned for it at rule-definition
+/// time (a plan-cache hit); any other statement compiles its own tree now
+/// (a miss).
+Result<Relation> EvalStatementExpr(const Statement& stmt, TxnContext* ctx,
+                                   TxnResult* result) {
+  algebra::EvalStats* stats = &result->stats;
+  if (const algebra::PlanCache* cache = ctx->plan_cache()) {
     if (const algebra::PhysicalPlan* plan = cache->Lookup(stmt.expr.get())) {
       ++stats->plan_cache_hits;
-      return plan->Execute(eval_ctx, stats);
+      return plan->Execute(*ctx, stats);
     }
   }
   ++stats->plan_cache_misses;
-  return EvaluateRelExpr(*stmt.expr, eval_ctx, stats);
-}
-
-Result<Relation> EvalStatementExpr(const Statement& stmt, TxnContext* ctx,
-                                   TxnResult* result) {
-  return EvalStatementExpr(stmt, ctx->plan_cache(), *ctx, &result->stats);
+  return EvaluateRelExpr(*stmt.expr, *ctx, stats);
 }
 
 Status ExecuteAssign(const Statement& stmt, TxnContext* ctx,
@@ -140,97 +131,6 @@ Status ExecuteAlarm(const Statement& stmt, TxnContext* ctx,
   return Status::Aborted(std::move(reason));
 }
 
-// ---------------------------------------------------------------------------
-// Parallel integrity-check runs.
-//
-// Compiled integrity programs are alarm-only (TransC emits one alarm per
-// rule; the transaction modifier appends triggered programs back to
-// back), so a modified transaction ends in a run of consecutive alarm
-// statements — independent, read-only checks over the same intermediate
-// state. When the context carries a check pool, such runs evaluate
-// concurrently, one task per alarm, each through its own proxy context;
-// the results fold back serially in statement order so the abort
-// decision, abort message, statement counters, and optimistic read set
-// are byte-identical to serial execution.
-// ---------------------------------------------------------------------------
-
-/// EvalContext proxy for one concurrent check task. Resolution goes
-/// straight to the parent context, which only looks state up (old(R),
-/// dplus(R) and dminus(R) are the written relations' overlay levels), so
-/// tasks resolve concurrently without a lock. Base reads are recorded per
-/// task and merged later in statement order, keeping the optimistic
-/// footprint identical to serial execution.
-class CheckTaskContext : public algebra::EvalContext {
- public:
-  CheckTaskContext(const TxnContext* parent, std::set<std::string>* reads)
-      : parent_(parent), reads_(reads) {}
-
-  Result<const Relation*> Resolve(algebra::RelRefKind kind,
-                                  const std::string& name) const override {
-    if (kind == algebra::RelRefKind::kBase ||
-        kind == algebra::RelRefKind::kOld) {
-      reads_->insert(name);
-    }
-    return parent_->ResolveUnrecorded(kind, name);
-  }
-
-  Result<const Relation*> ResolveSchemaOnly(
-      algebra::RelRefKind kind, const std::string& name) const override {
-    return parent_->ResolveSchemaOnly(kind, name);
-  }
-
- private:
-  const TxnContext* parent_;
-  std::set<std::string>* reads_;
-};
-
-/// One check task's outcome: the alarm's verdict plus the evaluation
-/// work and reads it performed, folded into the transaction serially.
-struct CheckOutcome {
-  Status status;
-  algebra::EvalStats stats;
-  std::set<std::string> reads;
-};
-
-/// Evaluates one alarm statement against `eval_ctx` (same abort message
-/// as ExecuteAlarm). The PlanCache is only read after rule definition, so
-/// tasks share it without a lock.
-Status EvalAlarmTask(const Statement& stmt, const algebra::PlanCache* cache,
-                     const algebra::EvalContext& eval_ctx,
-                     algebra::EvalStats* stats) {
-  Result<Relation> value = EvalStatementExpr(stmt, cache, eval_ctx, stats);
-  if (!value.ok()) return value.status();
-  if (value->empty()) return Status::OK();  // Definition 5.1: no effect
-  std::string reason = stmt.message.empty()
-                           ? StrCat("alarm raised: ", stmt.expr->ToString(),
-                                    " is non-empty (", value->size(),
-                                    " tuple(s))")
-                           : stmt.message;
-  return Status::Aborted(std::move(reason));
-}
-
-/// Runs alarm statements [begin, end) of `stmts` concurrently on the
-/// context's check pool, one task per alarm on its own work queue (idle
-/// workers steal across queues). Outcomes are written into disjoint
-/// slots; the caller folds them in statement order.
-void RunChecksParallel(const std::vector<Statement>& stmts,
-                       std::size_t begin, std::size_t end, TxnContext* ctx,
-                       std::vector<CheckOutcome>* outcomes) {
-  parallel::PhasePlan plan;
-  plan.queues.resize(end - begin);
-  for (std::size_t k = 0; k < end - begin; ++k) {
-    const Statement* stmt = &stmts[begin + k];
-    CheckOutcome* out = &(*outcomes)[k];
-    const algebra::PlanCache* cache = ctx->plan_cache();
-    const TxnContext* parent = ctx;
-    plan.queues[k].push_back([stmt, out, cache, parent] {
-      CheckTaskContext eval_ctx(parent, &out->reads);
-      out->status = EvalAlarmTask(*stmt, cache, eval_ctx, &out->stats);
-    });
-  }
-  ctx->check_pool()->Run(std::move(plan));
-}
-
 }  // namespace
 
 Status ExecuteStatement(const Statement& stmt, TxnContext* ctx,
@@ -257,53 +157,10 @@ Result<TxnResult> ExecuteProgram(const algebra::Transaction& txn,
                                  TxnContext* ctx) {
   TxnResult result;
   const std::vector<Statement>& stmts = txn.program.statements;
-  for (std::size_t i = 0; i < stmts.size();) {
-    // A run of >= 2 consecutive alarms with a check pool available:
-    // evaluate concurrently, fold serially.
-    std::size_t run_end = i;
-    if (ctx->check_pool() != nullptr) {
-      while (run_end < stmts.size() &&
-             stmts[run_end].kind == StatementKind::kAlarm) {
-        ++run_end;
-      }
-    }
-    if (run_end - i >= 2) {
-      std::vector<CheckOutcome> outcomes(run_end - i);
-      RunChecksParallel(stmts, i, run_end, ctx, &outcomes);
-      Status run_status = Status::OK();
-      std::size_t k = 0;
-      for (; k < outcomes.size(); ++k) {
-        // Merge in statement order, stopping at the first failing check:
-        // its own work counts (the serial engine evaluated it too), later
-        // tasks' work and reads are discarded — serial execution never
-        // reached them.
-        result.stats.Add(outcomes[k].stats);
-        for (const std::string& r : outcomes[k].reads) {
-          ctx->RecordBaseRead(r);
-        }
-        if (!outcomes[k].status.ok()) {
-          run_status = outcomes[k].status;
-          break;
-        }
-        ++result.statements_executed;
-      }
-      if (!run_status.ok()) {
-        ctx->Rollback();
-        if (run_status.code() == StatusCode::kAborted) {
-          result.committed = false;
-          result.abort_reason = run_status.message();
-          result.aborting_statement = static_cast<int>(i + k);
-          return result;
-        }
-        return run_status;
-      }
-      i = run_end;
-      continue;
-    }
+  for (std::size_t i = 0; i < stmts.size(); ++i) {
     const Status st = ExecuteStatement(stmts[i], ctx, &result);
     if (st.ok()) {
       ++result.statements_executed;
-      ++i;
       continue;
     }
     ctx->Rollback();

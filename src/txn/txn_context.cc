@@ -8,12 +8,7 @@ namespace txmod::txn {
 
 using algebra::RelRefKind;
 
-TxnContext::TxnContext(Database* db) : db_(db) {
-  for (const RelationSchema& schema : db->schema().relations()) {
-    unwritten_deltas_.emplace(
-        schema.name(), Relation((*db->Find(schema.name()))->schema_ptr()));
-  }
-}
+TxnContext::TxnContext(Database* db) : db_(db) {}
 
 Result<const Relation*> TxnContext::Resolve(RelRefKind kind,
                                             const std::string& name) const {
@@ -58,7 +53,9 @@ Result<const Relation*> TxnContext::ResolveUnrecorded(
       }
       auto empty = unwritten_deltas_.find(name);
       if (empty == unwritten_deltas_.end()) {
-        return Status::NotFound(StrCat("relation ", name, " does not exist"));
+        TXMOD_ASSIGN_OR_RETURN(const Relation* rel, db_->Find(name));
+        empty = unwritten_deltas_.emplace(name, Relation(rel->schema_ptr()))
+                    .first;
       }
       return &empty->second;
     }

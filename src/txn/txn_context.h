@@ -12,10 +12,6 @@
 #include "src/common/result.h"
 #include "src/relational/database.h"
 
-namespace txmod::parallel {
-class ThreadPool;
-}  // namespace txmod::parallel
-
 namespace txmod::txn {
 
 /// Transaction-local execution state over a Database: the intermediate
@@ -39,6 +35,11 @@ namespace txmod::txn {
 /// context also holds the temporaries created by assignments. The
 /// Database must not be copied while a transaction is in flight (a copy
 /// would share the levels the transaction still writes).
+///
+/// A context is single-threaded: one thread runs a transaction's
+/// statements, its checks included, in program order. dplus/dminus of a
+/// relation the transaction has not written are made the first time they
+/// are resolved, so a context that never resolves one builds none.
 class TxnContext : public algebra::EvalContext {
  public:
   explicit TxnContext(Database* db);
@@ -48,7 +49,7 @@ class TxnContext : public algebra::EvalContext {
   /// kDeltaPlus / kDeltaMinus against the relation's overlay level (its
   /// base and its local inserts/deletes; the current state and empty
   /// relations when the transaction has not written it). Every kind
-  /// resolves in O(1), without copying. Under conflict tracking,
+  /// resolves in O(1), without copying tuples. Under conflict tracking,
   /// resolving kBase or kOld records the relation in BaseReads (the
   /// optimistic read set); ResolveSchemaOnly resolves the same relation
   /// but records nothing — the evaluator uses it where only the result
@@ -65,29 +66,10 @@ class TxnContext : public algebra::EvalContext {
   void set_plan_cache(const algebra::PlanCache* cache) { plan_cache_ = cache; }
   const algebra::PlanCache* plan_cache() const { return plan_cache_; }
 
-  /// Optional worker pool for integrity-check evaluation: when set, the
-  /// statement executor evaluates runs of consecutive alarm statements
-  /// (the shape TransC + the transaction modifier emit — independent,
-  /// read-only rule checks) concurrently on this pool instead of one by
-  /// one. Null = serial checks (the default; TxnManager wires a pool in
-  /// when TxnManagerOptions::parallel_check_workers > 0).
-  void set_check_pool(parallel::ThreadPool* pool) { check_pool_ = pool; }
-  parallel::ThreadPool* check_pool() const { return check_pool_; }
-
-  /// Resolve without touching the conflict read set — the data access of
-  /// a concurrent check task, whose reads are recorded separately (in
-  /// statement order, only up to an aborting alarm) via RecordBaseRead so
-  /// the optimistic footprint stays identical to serial execution. Safe
-  /// to call from many threads while no statement writes: resolution
-  /// only looks up state, it never fills anything.
+  /// Resolve without touching the conflict read set: Resolve's lookup,
+  /// which also serves commit stage A's read of the written deltas.
   Result<const Relation*> ResolveUnrecorded(algebra::RelRefKind kind,
                                             const std::string& name) const;
-
-  /// Records one base-relation read into the optimistic read set, as if
-  /// Resolve(kBase/kOld, name) had run under conflict tracking.
-  void RecordBaseRead(const std::string& name) const {
-    if (track_conflicts_) base_reads_.insert(name);
-  }
 
   /// Stores (replaces) a temporary relation.
   void SetTemp(const std::string& name, Relation value);
@@ -204,14 +186,13 @@ class TxnContext : public algebra::EvalContext {
 
   Database* db_;
   const algebra::PlanCache* plan_cache_ = nullptr;
-  parallel::ThreadPool* check_pool_ = nullptr;
   std::map<std::string, Relation> temps_;
   // One overlay level per written relation.
   std::map<std::string, Database::Level> levels_;
   // dplus(R)/dminus(R) of a relation the transaction has not written: an
-  // empty relation of R's schema, built up front so that resolution
-  // never fills anything.
-  std::map<std::string, Relation> unwritten_deltas_;
+  // empty relation of R's schema, made by the first resolution. Mutable
+  // because resolution is const; a context is single-threaded.
+  mutable std::map<std::string, Relation> unwritten_deltas_;
   // Conflict footprint (see BaseReads/WriteFootprint). base_reads_ is
   // mutable because reads are recorded from const Resolve. unshown_ is
   // touched only by writes the level does not show, and by Rollback.

@@ -23,7 +23,6 @@ TxnSession::TxnSession(TxnManager* manager, Database snapshot,
       ctx_(&snapshot_db_) {
   ctx_.set_plan_cache(&manager_->subsystem_->plan_cache());
   ctx_.EnableConflictTracking();  // commit validation consumes the sets
-  ctx_.set_check_pool(manager_->check_pool_.get());
 }
 
 Result<TxnResult> TxnSession::Execute(const algebra::Transaction& txn) {
@@ -93,10 +92,6 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
       new TxnManager(subsystem, std::move(options)));
   const TxnManagerOptions& opts = manager->options_;
   manager->vfs_ = opts.vfs != nullptr ? opts.vfs : Vfs::Default();
-  if (opts.parallel_check_workers > 0) {
-    manager->check_pool_ = std::make_unique<parallel::ThreadPool>(
-        opts.parallel_check_workers);
-  }
   Vfs* vfs = manager->vfs_;
   if (!opts.wal_path.empty()) {
     if (!opts.checkpoint_path.empty() &&
@@ -576,7 +571,6 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // -- Stage B: validate, reserve, install, publish (commit_mu_) -------
   uint64_t version = 0;
   Installs installs;  // what the durability-failure unwind re-installs
-  bool need_sync = false;
   bool too_deep = false;  // an installed chain passed the depth bound
   std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
                                        // concurrent TryReopenWal swap
@@ -679,7 +673,6 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     result.installed = true;
 
     wal = wal_;
-    need_sync = options_.sync_commits;
   }
   maint_cv_.notify_one();  // the jobs stage B queued
 
@@ -695,11 +688,9 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
       return HandleLogFailure(version, &installs, lsn.status(), &result);
     }
     stats_.wal_appends.fetch_add(1);
-    if (need_sync) {
-      const Status synced = wal->Sync(*lsn);
-      if (!synced.ok()) {
-        return HandleLogFailure(version, &installs, synced, &result);
-      }
+    const Status synced = wal->Sync(*lsn);
+    if (!synced.ok()) {
+      return HandleLogFailure(version, &installs, synced, &result);
     }
   }
   MarkDurable(version);
@@ -1085,9 +1076,6 @@ TxnManagerStats TxnManager::stats() const {
     std::lock_guard<std::mutex> lock(degraded_cause_mu_);
     out.degraded_cause = degraded_cause_;
   }
-  out.cow_overlays_created = CowStats::overlays_created.load();
-  out.cow_overlay_merges = CowStats::overlay_merges.load();
-  out.cow_overlay_collapses = CowStats::overlay_collapses.load();
   return out;
 }
 

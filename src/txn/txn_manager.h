@@ -18,7 +18,6 @@
 
 #include "src/common/vfs.h"
 #include "src/core/subsystem.h"
-#include "src/parallel/thread_pool.h"
 #include "src/relational/wal.h"
 #include "src/txn/executor.h"
 #include "src/txn/txn_context.h"
@@ -33,21 +32,16 @@ struct TxnManagerOptions {
   int max_attempts = 8;
 
   /// Write-ahead log path; empty runs the manager volatile (no
-  /// durability, no recovery).
+  /// durability, no recovery). With a log, a commit reports success only
+  /// after its record is fsync'd; concurrent committers batch into one
+  /// fsync (the group-commit window is "while the current leader's fsync
+  /// runs").
   std::string wal_path;
 
   /// Checkpoint path. With a WAL, Create() seeds an initial checkpoint
   /// here when none exists (the WAL holds only differentials, so
   /// recovery always needs a base state), and Checkpoint() refreshes it.
   std::string checkpoint_path;
-
-  /// Group-commit boundary: when true, a commit reports success only
-  /// after its WAL record is fsync'd — concurrent committers batch into
-  /// one fsync (the group-commit window is "while the current leader's
-  /// fsync runs"). When false, commits are durable only up to the OS
-  /// page cache (crash may lose a suffix; recovery still restores a
-  /// consistent committed prefix).
-  bool sync_commits = true;
 
   /// Cap on the committed-transaction write records retained for
   /// conflict validation. A record can only convict a session whose
@@ -84,20 +78,11 @@ struct TxnManagerOptions {
   /// Conflicts are retried within the budget; terminal errors
   /// (integrity aborts, I/O faults, Unavailable) never retry.
   int64_t run_timeout_micros = 0;
-
-  /// Worker threads for concurrent integrity-check evaluation inside
-  /// sessions: runs of consecutive alarm statements (the shape the
-  /// transaction modifier emits) evaluate in parallel on a pool owned by
-  /// the manager, with outcomes folded back in statement order — the
-  /// abort decision, counters, and optimistic read set stay identical to
-  /// serial execution (pinned by the serial-vs-parallel oracle tests).
-  /// 0 (default) = serial checks.
-  std::size_t parallel_check_workers = 0;
 };
 
 /// A snapshot of the manager's life so far: monotonic counters plus
-/// gauges of the current validation window and degraded-mode state, and
-/// the process-wide CowStats counters.
+/// gauges of the current validation window and degraded-mode state. The
+/// overlay counters are process-wide: read CowStats.
 struct TxnManagerStats {
   uint64_t commits = 0;            // write-ful + read-only commits
   uint64_t readonly_commits = 0;   // commits that installed nothing
@@ -121,11 +106,6 @@ struct TxnManagerStats {
   /// Current state, not counters: read-only degraded mode and why.
   bool degraded = false;
   std::string degraded_cause;
-
-  /// Overlay instrumentation (process-wide CowStats).
-  uint64_t cow_overlays_created = 0;
-  uint64_t cow_overlay_merges = 0;
-  uint64_t cow_overlay_collapses = 0;
 };
 
 /// Per-call overrides of TxnManager::Run's retry/deadline policy — the
@@ -183,11 +163,10 @@ class TxnSession {
   /// First-committer-wins commit: validates this session's reads and
   /// write footprint against every transaction committed since the
   /// snapshot; on success installs the differentials into the committed
-  /// database, appends them to the WAL, and (options.sync_commits)
-  /// returns after the group-commit fsync. The result reports
-  /// `conflict = true` when validation lost — the caller may retry from
-  /// a fresh session (TxnManager::Run does). After Commit the session is
-  /// finished.
+  /// database, appends them to the WAL, and (with a WAL) returns after
+  /// the group-commit fsync. The result reports `conflict = true` when
+  /// validation lost — the caller may retry from a fresh session
+  /// (TxnManager::Run does). After Commit the session is finished.
   Result<TxnResult> Commit();
 
   /// Discards the session without committing.
@@ -642,9 +621,6 @@ class TxnManager {
   core::IntegritySubsystem* subsystem_;
   Database* db_;
   TxnManagerOptions options_;
-  /// Check-evaluation pool handed to every session's context when
-  /// options_.parallel_check_workers > 0 (see TxnManagerOptions).
-  std::unique_ptr<parallel::ThreadPool> check_pool_;
   Vfs* vfs_ = nullptr;  // options_.vfs resolved against Vfs::Default()
   std::function<void(int)> run_probe_;
   std::atomic<uint64_t> run_seq_{0};

@@ -68,6 +68,19 @@ class FaultCampaignTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+/// The constraints the managers in this file enforce.
+const std::vector<txmod::testing::NamedConstraint> kConstraints = {
+    {"domain", bench::DomainConstraint()},
+    {"refint", bench::RefIntConstraint()}};
+
+/// A full check of a recovered state: every constraint evaluated in
+/// full, by code that shares no plan with the compiled checks.
+void ExpectConstraintsHold(const Database& recovered) {
+  EXPECT_EQ(txmod::testing::FullCheckViolation(
+                txmod::testing::Rebuild(recovered), kConstraints),
+            "");
+}
+
 int FaultIterations(int fallback) {
   const char* env = std::getenv("TXMOD_FAULT_ITERATIONS");
   if (env == nullptr) return fallback;
@@ -112,7 +125,6 @@ void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
   options.checkpoint_path =
       (dir / StrCat("ckpt_", run_id, "_", seed, ".db")).string();
   options.vfs = &vfs;
-  options.sync_commits = true;
 
   Database db = bench::MakeKeyFkDatabase(8, 20);
   bench::AddUnreferencedKeys(&db, 4);
@@ -190,6 +202,7 @@ void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
         << "recovery after crash failed: " << recovered.status().ToString();
     return;
   }
+  ExpectConstraintsHold(*recovered);
 
   // Invariant 2: the recovered state is EXACTLY some acked state (the
   // states are cumulative, so matching one means an in-order prefix of
@@ -382,6 +395,7 @@ TEST_F(FaultCampaignTest, WalFsyncFailureDegradesAndTryReopenWalRecovers) {
   TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
                              TxnManager::Recover(options));
   EXPECT_TRUE(recovered.SameState(db, /*compare_time=*/false));
+  ExpectConstraintsHold(recovered);
 }
 
 // The WAL-failure unwind with the validation window. A commit is

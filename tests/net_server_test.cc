@@ -1,9 +1,11 @@
 // The live network service over loopback TCP: full-protocol round
 // trips, session-state misuse, the >= 4 concurrent-client oracle (every
-// acked commit survives server shutdown + WAL recovery), deterministic
+// acked commit survives server shutdown + WAL recovery, and the final
+// and recovered states pass a full constraint check), deterministic
 // admission-control backpressure via the run-probe seam, oversized-frame
-// rejection, degraded-mode surfacing, and the validation-window gauges
-// in `stats`. Registered as a threaded test (TSan covers it in CI).
+// rejection, degraded-mode surfacing and reopen, and the manager
+// counters and validation-window gauges in `stats`. Registered as a
+// threaded test (TSan covers it in CI).
 
 #include <unistd.h>
 
@@ -37,6 +39,11 @@ using txn::TxnManager;
 using txn::TxnManagerOptions;
 
 constexpr int kKeys = 16;
+
+/// The constraints every fixture's manager enforces.
+const std::vector<txmod::testing::NamedConstraint> kConstraints = {
+    {"domain", bench::DomainConstraint()},
+    {"refint", bench::RefIntConstraint()}};
 
 // `amount` is spelled by the caller ("2.0", not 2.0): the algebra lexer
 // types literals syntactically, and StrCat would print 2.0 as "2".
@@ -73,10 +80,9 @@ struct ServerFixture {
     db = bench::MakeKeyFkDatabase(kKeys, 32);
     bench::AddUnreferencedKeys(&db, 8);
     ics = std::make_unique<core::IntegritySubsystem>(&db);
-    TXMOD_ASSERT_OK(
-        ics->DefineConstraint("domain", bench::DomainConstraint()));
-    TXMOD_ASSERT_OK(
-        ics->DefineConstraint("refint", bench::RefIntConstraint()));
+    for (const txmod::testing::NamedConstraint& c : kConstraints) {
+      TXMOD_ASSERT_OK(ics->DefineConstraint(c.name, c.cl_text));
+    }
     TXMOD_ASSERT_OK_AND_ASSIGN(manager,
                                TxnManager::Create(ics.get(), txn_options));
     server = std::make_unique<Server>(manager.get(), server_options);
@@ -129,7 +135,12 @@ TEST(NetServerTest, FullProtocolRoundTrip) {
   ASSERT_TRUE(stats.count("server.commits_acked"));
   EXPECT_EQ(stats.at("server.commits_acked"), "1");
   EXPECT_EQ(stats.at("txn.degraded"), "0");
+  EXPECT_EQ(stats.at("txn.checkpoints"), "0");
   ASSERT_TRUE(stats.count("server.requests"));
+
+  TXMOD_ASSERT_OK(f.manager->Checkpoint());
+  TXMOD_ASSERT_OK_AND_ASSIGN(const auto after, client.Stats());
+  EXPECT_EQ(after.at("txn.checkpoints"), "1");
 }
 
 TEST(NetServerTest, StatsReportTheValidationWindow) {
@@ -245,11 +256,18 @@ TEST(NetServerTest, AckedCommitsSurviveShutdownAndRecovery) {
   for (const auto& ids : acked_ids) total_acked += ids.size();
   ASSERT_GT(total_acked, 0u);
 
-  // Shut everything down, then recover from the WAL alone.
+  // Shut everything down, then recover from the WAL alone. The final
+  // and the recovered state each pass a full check of every constraint.
   f->server.reset();
   f->manager.reset();
+  EXPECT_EQ(txmod::testing::FullCheckViolation(
+                txmod::testing::Rebuild(f->db), kConstraints),
+            "");
   TXMOD_ASSERT_OK_AND_ASSIGN(const Database recovered,
                              TxnManager::Recover(txn_options));
+  EXPECT_EQ(txmod::testing::FullCheckViolation(
+                txmod::testing::Rebuild(recovered), kConstraints),
+            "");
   TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* fk_rel, recovered.Find("fk_rel"));
   std::set<int64_t> recovered_ids;
   for (const Tuple& t : *fk_rel) {
@@ -374,9 +392,18 @@ TEST(NetServerTest, DegradedManagerSurfacesUnavailableToClients) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   TXMOD_ASSERT_OK_AND_ASSIGN(const auto stats, client.Stats());
   EXPECT_EQ(stats.at("txn.degraded"), "1");
+  EXPECT_EQ(stats.at("txn.wal_reopens"), "0");
 
   // Reads still serve.
   TXMOD_ASSERT_OK(client.Show("fk_rel").status());
+
+  // Storage recovers: a reopen restores writes, and the stats verb
+  // counts it.
+  vfs.ClearFaults();
+  TXMOD_ASSERT_OK(f.manager->TryReopenWal());
+  TXMOD_ASSERT_OK_AND_ASSIGN(const auto reopened, client.Stats());
+  EXPECT_EQ(reopened.at("txn.wal_reopens"), "1");
+  EXPECT_EQ(reopened.at("txn.degraded"), "0");
 }
 
 }  // namespace

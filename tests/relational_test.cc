@@ -413,6 +413,34 @@ TEST(DatabaseSnapshotTest, CloneIsASnapshotIsolatedFromWriters) {
              Value::String("heineken"), Value::Double(4.0)})));
 }
 
+TEST(DatabaseSnapshotTest, ClonesShareTheSchemaUntilEitherSideExtendsIt) {
+  EXPECT_TRUE(Database().schema().relations().empty());
+  const RelationSchema city("city", {Attribute{"name", AttrType::kString}});
+  const RelationSchema style("style", {Attribute{"name", AttrType::kString}});
+
+  Database db = MakeBeerDatabase();
+  Database clone = db.Clone();
+  EXPECT_EQ(&clone.schema(), &db.schema());
+
+  // The clone extends its own schema; the source keeps the shared one.
+  const DatabaseSchema* shared = &db.schema();
+  TXMOD_ASSERT_OK(clone.CreateRelation(city));
+  EXPECT_EQ(&db.schema(), shared);
+  EXPECT_FALSE(db.schema().Contains("city"));
+  EXPECT_EQ(db.schema().relations().size(), 2u);
+  EXPECT_TRUE(clone.schema().Contains("city"));
+  EXPECT_TRUE(clone.schema().Contains("beer"));
+
+  // And the other direction.
+  Database later = db.Clone();
+  TXMOD_ASSERT_OK(db.CreateRelation(style));
+  EXPECT_EQ(&later.schema(), shared);
+  EXPECT_FALSE(later.schema().Contains("style"));
+  EXPECT_TRUE(db.schema().Contains("style"));
+  EXPECT_FALSE(db.schema().Contains("city"));
+  EXPECT_FALSE(clone.schema().Contains("style"));
+}
+
 TEST(DatabaseSnapshotTest, CopyOnWriteRedeclaresIndexes) {
   Database db = MakeBeerDatabase();
   testing::AddBeer(&db, "pils", "lager", "heineken", 5.0);

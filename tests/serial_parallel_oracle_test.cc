@@ -267,100 +267,6 @@ TEST_P(OracleTest, RandomizedKeyFkWorkloadAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Transaction-manager integration: sessions with a parallel check pool
-// (runs of consecutive alarms evaluated concurrently) must agree with
-// serial-check sessions transaction by transaction — outcome, abort
-// attribution, statement counters, evaluation work, and final state.
-// A transition constraint makes concurrent check tasks resolve old(R)
-// next to dplus/dminus — all of them the session's overlay levels, read
-// without a lock.
-// ---------------------------------------------------------------------------
-
-TEST(TxnManagerParallelChecksTest, AgreesWithSerialChecks) {
-  Database serial_db = MakeBeerDatabase();
-  AddBrewery(&serial_db, "heineken", "amsterdam", "nl");
-  for (int i = 0; i < 16; ++i) {
-    AddBeer(&serial_db, StrCat("beer", i), "lager", "heineken",
-            4.0 + (i % 5));
-  }
-  Database pooled_db = serial_db.Clone();
-
-  core::IntegritySubsystem serial_ics(&serial_db);
-  core::IntegritySubsystem pooled_ics(&pooled_db);
-  for (core::IntegritySubsystem* ics : {&serial_ics, &pooled_ics}) {
-    TXMOD_ASSERT_OK(ics->DefineConstraint(
-        "domain", "forall x (x in beer implies x.alcohol >= 0)"));
-    TXMOD_ASSERT_OK(ics->DefineConstraint(
-        "refint",
-        "forall x (x in beer implies exists y (y in brewery and "
-        "x.brewery = y.name))"));
-    // Transition constraint: no brewery disappears.
-    TXMOD_ASSERT_OK(ics->DefineConstraint(
-        "keep_breweries",
-        "forall x (x in old(brewery) implies exists y (y in brewery and "
-        "x = y))"));
-  }
-
-  txn::TxnManagerOptions serial_opts;  // parallel_check_workers = 0
-  txn::TxnManagerOptions pooled_opts;
-  pooled_opts.parallel_check_workers = 4;
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto serial_mgr,
-                             txn::TxnManager::Create(&serial_ics,
-                                                     serial_opts));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto pooled_mgr,
-                             txn::TxnManager::Create(&pooled_ics,
-                                                     pooled_opts));
-
-  const std::vector<std::string> workload = {
-      "insert(beer, {(\"fresh\", \"ale\", \"heineken\", 6.0)});",
-      "insert(beer, {(\"bad\", \"ale\", \"nowhere\", 6.0)});",   // refint
-      "insert(beer, {(\"neg\", \"ale\", \"heineken\", -1.0)});",  // domain
-      "delete(brewery, select[name = \"heineken\"](brewery));",   // refint
-      "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});",
-      // Violates both constraints: abort attribution (which alarm fires
-      // first) must match serial statement order, not completion order.
-      "insert(beer, {(\"dual\", \"ale\", \"nowhere\", -3.0)});",
-      // Fires the dminus-driven refint check (which holds: no beer
-      // references plzen) together with the old(brewery) transition
-      // check (which fails).
-      "delete(brewery, select[name = \"plzen\"](brewery));",
-      // The same delete netted out by a re-insert: both checks pass.
-      "delete(brewery, select[name = \"plzen\"](brewery));"
-      "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});",
-  };
-  algebra::AlgebraParser parser(&serial_db.schema());
-  for (std::size_t i = 0; i < workload.size(); ++i) {
-    SCOPED_TRACE(StrCat("workload #", i, ": ", workload[i]));
-    TXMOD_ASSERT_OK_AND_ASSIGN(Transaction txn,
-                               parser.ParseTransaction(workload[i]));
-    auto serial = serial_mgr->Run(txn);
-    auto pooled = pooled_mgr->Run(txn);
-    TXMOD_ASSERT_OK(serial.status());
-    TXMOD_ASSERT_OK(pooled.status());
-    EXPECT_EQ(serial->committed, pooled->committed);
-    EXPECT_EQ(serial->abort_reason, pooled->abort_reason);
-    EXPECT_EQ(serial->aborting_statement, pooled->aborting_statement);
-    EXPECT_EQ(serial->statements_executed, pooled->statements_executed);
-    const algebra::EvalStats a = serial->stats.WithoutCacheCounters();
-    const algebra::EvalStats b = pooled->stats.WithoutCacheCounters();
-    EXPECT_EQ(a.tuples_scanned, b.tuples_scanned);
-    EXPECT_EQ(a.tuples_emitted, b.tuples_emitted);
-    EXPECT_EQ(a.operators, b.operators);
-    EXPECT_EQ(a.index_probes, b.index_probes);
-    EXPECT_TRUE(serial_db.SameState(pooled_db));
-    if (i + 2 == workload.size()) {  // the plzen delete
-      EXPECT_FALSE(pooled->committed);
-      EXPECT_NE(pooled->abort_reason.find("keep_breweries"),
-                std::string::npos)
-          << pooled->abort_reason;
-    }
-    if (i + 1 == workload.size()) {  // the netted-out delete
-      EXPECT_TRUE(pooled->committed);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // update(R, θ, f) is delete-plus-insert (Definition 4.5):
 // R' = (R − σθ(R)) ∪ f(σθ(R)). Shifting every amount of
 // r = {("x",1) … ("x",6)} by one maps selected tuples onto one another, so

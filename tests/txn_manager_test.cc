@@ -23,6 +23,7 @@
 
 #include "gtest/gtest.h"
 #include "bench/workload.h"
+#include "src/algebra/parser.h"
 #include "src/common/str_util.h"
 #include "src/common/vfs.h"
 #include "src/core/subsystem.h"
@@ -37,6 +38,7 @@ using txmod::testing::AddBrewery;
 using txmod::testing::BeerDomainConstraint;
 using txmod::testing::BeerRefIntConstraint;
 using txmod::testing::MakeBeerDatabase;
+using txmod::testing::NamedConstraint;
 
 struct Fixture {
   Database db;
@@ -396,6 +398,93 @@ TEST(TxnManagerTest, RunMatchesSerialExecuteTransactionOutcomes) {
                                serial_ics.ExecuteText(text));
     EXPECT_EQ(concurrent.committed, serial.committed) << text;
     EXPECT_EQ(f.db.SameState(serial_db), true) << text;
+  }
+}
+
+TEST(TxnManagerTest, RunMatchesSubsystemExecuteUnderATransitionConstraint) {
+  // A session runs its checks in statement order, so Run must agree with
+  // the subsystem's own Execute transaction by transaction: outcome,
+  // abort attribution and statement count. The transition constraint's
+  // check reads old(brewery) next to dplus/dminus.
+  const std::vector<NamedConstraint> constraints = {
+      {"domain", "forall x (x in beer implies x.alcohol >= 0)"},
+      {"refint", BeerRefIntConstraint()},
+      // No brewery disappears.
+      {"keep_breweries",
+       "forall x (x in old(brewery) implies exists y (y in brewery and "
+       "x = y))"}};
+  Database db = MakeBeerDatabase();
+  AddBrewery(&db, "heineken", "amsterdam", "nl");
+  for (int i = 0; i < 16; ++i) {
+    AddBeer(&db, StrCat("beer", i), "lager", "heineken", 4.0 + (i % 5));
+  }
+  Database serial_db = db.Clone();
+  core::IntegritySubsystem ics(&db);
+  core::IntegritySubsystem serial_ics(&serial_db);
+  for (const NamedConstraint& c : constraints) {
+    TXMOD_ASSERT_OK(ics.DefineConstraint(c.name, c.cl_text));
+    TXMOD_ASSERT_OK(serial_ics.DefineConstraint(c.name, c.cl_text));
+  }
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
+
+  const std::string dual =
+      "insert(beer, {(\"dual\", \"ale\", \"nowhere\", -3.0)});";
+  const std::string plzen_delete =
+      "delete(brewery, select[name = \"plzen\"](brewery));";
+  const std::string plzen_netted =
+      plzen_delete + "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});";
+  const std::vector<std::string> workload = {
+      "insert(beer, {(\"fresh\", \"ale\", \"heineken\", 6.0)});",
+      "insert(beer, {(\"bad\", \"ale\", \"nowhere\", 6.0)});",   // refint
+      "insert(beer, {(\"neg\", \"ale\", \"heineken\", -1.0)});",  // domain
+      "delete(brewery, select[name = \"heineken\"](brewery));",   // refint
+      "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")});",
+      dual,  // violates domain and refint
+      // Fires the dminus-driven refint check, which holds (no beer
+      // references plzen), and the old(brewery) check, which fails.
+      plzen_delete,
+      plzen_netted,  // the same delete, netted out: both checks pass
+  };
+  algebra::AlgebraParser parser(&serial_db.schema());
+  for (const std::string& text : workload) {
+    SCOPED_TRACE(text);
+    TXMOD_ASSERT_OK_AND_ASSIGN(algebra::Transaction txn,
+                               parser.ParseTransaction(text));
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult run, manager->Run(txn));
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult serial, serial_ics.Execute(txn));
+    EXPECT_EQ(run.committed, serial.committed);
+    EXPECT_EQ(run.abort_reason, serial.abort_reason);
+    EXPECT_EQ(run.aborting_statement, serial.aborting_statement);
+    EXPECT_EQ(run.statements_executed, serial.statements_executed);
+    EXPECT_TRUE(db.SameState(serial_db));
+    if (text == dual) {
+      // The first of the two rules' alarms in statement order aborts.
+      TXMOD_ASSERT_OK_AND_ASSIGN(algebra::Transaction modified,
+                                 ics.Modify(txn));
+      const std::vector<algebra::Statement>& stmts =
+          modified.program.statements;
+      int first = -1;
+      for (std::size_t k = 0; k < stmts.size() && first < 0; ++k) {
+        if (stmts[k].kind == algebra::StatementKind::kAlarm &&
+            (stmts[k].message == "integrity violation: rule domain" ||
+             stmts[k].message == "integrity violation: rule refint")) {
+          first = static_cast<int>(k);
+        }
+      }
+      ASSERT_GE(first, 0);
+      EXPECT_FALSE(run.committed);
+      EXPECT_EQ(run.aborting_statement, first);
+      EXPECT_EQ(run.abort_reason,
+                stmts[static_cast<std::size_t>(first)].message);
+    }
+    if (text == plzen_delete) {
+      EXPECT_FALSE(run.committed);
+      EXPECT_NE(run.abort_reason.find("keep_breweries"), std::string::npos)
+          << run.abort_reason;
+    }
+    if (text == plzen_netted) {
+      EXPECT_TRUE(run.committed);
+    }
   }
 }
 

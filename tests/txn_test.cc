@@ -292,14 +292,44 @@ TEST_F(DifferentialTest, OldViewComputedEarlyStaysCorrect) {
   EXPECT_EQ(old_after->size(), 1u);
 }
 
-TEST_F(DifferentialTest, DeltaRefsOfUntouchedRelationAreEmpty) {
+TEST_F(DifferentialTest, UnwrittenDeltasAreMadeOnFirstResolution) {
+  // dplus/dminus of an unwritten relation: one empty relation of its
+  // schema, made by the first resolution and kept for the next.
   TxnContext ctx(&db_);
+  const Relation* beer = *db_.Find("beer");
   TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* plus,
                              ctx.Resolve(RelRefKind::kDeltaPlus, "beer"));
+  EXPECT_TRUE(plus->empty());
+  EXPECT_EQ(&plus->schema(), &beer->schema());
+  TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* again,
+                             ctx.Resolve(RelRefKind::kDeltaPlus, "beer"));
+  EXPECT_EQ(again, plus);
   TXMOD_ASSERT_OK_AND_ASSIGN(const Relation* minus,
                              ctx.Resolve(RelRefKind::kDeltaMinus, "beer"));
-  EXPECT_TRUE(plus->empty());
   EXPECT_TRUE(minus->empty());
+  EXPECT_EQ(&minus->schema(), &beer->schema());
+  for (RelRefKind kind : {RelRefKind::kDeltaPlus, RelRefKind::kDeltaMinus}) {
+    EXPECT_EQ(ctx.Resolve(kind, "nosuch").status().code(),
+              StatusCode::kNotFound);
+  }
+
+  // Once written, they are the level's own inserts and deletes.
+  const Tuple fresh({Value::String("fresh"), Value::String("ale"),
+                     Value::String("heineken"), Value::Double(6.0)});
+  const Tuple pils({Value::String("pils"), Value::String("lager"),
+                    Value::String("heineken"), Value::Double(5.0)});
+  TXMOD_ASSERT_OK(ctx.InsertTuple("beer", fresh).status());
+  TXMOD_ASSERT_OK(ctx.DeleteTuple("beer", pils).status());
+  const Relation* level = *db_.Find("beer");
+  TXMOD_ASSERT_OK_AND_ASSIGN(plus, ctx.Resolve(RelRefKind::kDeltaPlus, "beer"));
+  TXMOD_ASSERT_OK_AND_ASSIGN(minus,
+                             ctx.Resolve(RelRefKind::kDeltaMinus, "beer"));
+  EXPECT_EQ(plus, &level->local_inserts());
+  EXPECT_EQ(minus, &level->local_deletes());
+  EXPECT_EQ(plus->size(), 1u);
+  EXPECT_TRUE(plus->Contains(fresh));
+  EXPECT_EQ(minus->size(), 1u);
+  EXPECT_TRUE(minus->Contains(pils));
 }
 
 TEST_F(DifferentialTest, RollbackRestoresState) {
