@@ -1,7 +1,5 @@
 #include "src/txn/txn_context.h"
 
-#include <algorithm>
-
 #include "src/common/str_util.h"
 
 namespace txmod::txn {
@@ -144,16 +142,6 @@ std::vector<std::string> TxnContext::TouchedRelations() const {
       out.push_back(name);
     }
   }
-  return out;
-}
-
-std::vector<std::string> TxnContext::FootprintRelations() const {
-  std::vector<std::string> out;
-  out.reserve(levels_.size() + unshown_.size());
-  for (const auto& [name, level] : levels_) out.push_back(name);
-  for (const auto& [name, unshown] : unshown_) out.push_back(name);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -127,27 +127,10 @@ class TxnContext : public algebra::EvalContext {
     std::size_t size() const;
     bool Contains(const Tuple& t) const;
 
-    /// Calls `fn` on each attempted tuple until it returns true, and
-    /// returns whether it did. A tuple held by two parts comes up twice.
-    template <typename Fn>
-    bool Any(Fn&& fn) const {
-      for (const Relation* part : parts_) {
-        for (const Tuple& t : *part) {
-          if (fn(t)) return true;
-        }
-      }
-      return false;
-    }
-
    private:
     friend class TxnContext;
     std::vector<const Relation*> parts_;  // flat sets
   };
-
-  /// The relations with a write footprint, in name order: every relation
-  /// this transaction attempted to write, since it began or since the
-  /// last Commit.
-  std::vector<std::string> FootprintRelations() const;
 
   /// `rel`'s write footprint; empty when the transaction never wrote it.
   Footprint WriteFootprint(const std::string& rel) const;

@@ -171,7 +171,7 @@ void TxnManager::ReleaseSnapshotLocked(TxnSession* session) {
                               ? ~uint64_t{0}
                               : live_snapshots_.begin()->first;
   const std::size_t before = recent_.size();
-  while (!recent_.empty() && recent_.front().version() <= oldest) {
+  while (!recent_.empty() && recent_.front()->version <= oldest) {
     EvictOldestLocked();
   }
   if (recent_.size() != before) StoreWindowGaugesLocked();
@@ -329,62 +329,46 @@ bool TxnManager::HasConflictLocked(const TxnSession& session,
                                    std::string* reason) {
   const uint64_t snap = session.snapshot_version_;
   if (db_->logical_time() == snap) return false;  // nothing committed since
-  if (recent_.empty() || recent_.front().version() > snap + 1) {
+  if (recent_.empty() || recent_.front()->version > snap + 1) {
     // The records needed to validate this snapshot were evicted from the
     // rolling window; fail conservatively (the retry re-executes on a
     // fresh snapshot).
     *reason = "snapshot predates the validation window";
     return true;
   }
-  // Probe the per-relation index instead of scanning the window: cost is
-  // O(|reads| + |footprint|), independent of how many commits landed
-  // since the snapshot. The smallest conflicting version (read-write
-  // before write-write at a tie) is reported, mirroring the scan order
-  // of the old linear validation.
-  uint64_t best_version = 0;
-  const std::string* best_rel = nullptr;
-  bool best_is_read = false;
-  auto consider = [&](uint64_t version, const std::string& rel,
-                      bool is_read) {
-    if (best_rel == nullptr || version < best_version ||
-        (version == best_version &&
-         (rel < *best_rel || (rel == *best_rel && is_read && !best_is_read)))) {
-      best_version = version;
-      best_rel = &rel;
-      best_is_read = is_read;
-    }
-  };
-  for (const std::string& rel : session.ctx_.BaseReads()) {
-    const auto it = write_index_.find(rel);
-    if (it == write_index_.end()) continue;
-    const std::deque<uint64_t>& versions = it->second.versions;
-    const auto pos = std::upper_bound(versions.begin(), versions.end(), snap);
-    if (pos != versions.end()) consider(*pos, rel, /*is_read=*/true);
-  }
-  // The footprint is read where it lies: the session's levels (live,
-  // or dropped by an integrity abort) and its side set of attempts they
-  // do not show.
-  for (const std::string& rel : session.ctx_.FootprintRelations()) {
-    const auto it = write_index_.find(rel);
-    if (it == write_index_.end()) continue;
-    const RelWriteIndex& index = it->second;
-    if (index.versions.empty() || index.versions.back() <= snap) continue;
-    // One overlapping tuple convicts the relation.
-    session.ctx_.WriteFootprint(rel).Any([&](const Tuple& t) {
-      const auto writer = index.writers.find(&t);
-      if (writer == index.writers.end() || writer->second <= snap) {
-        return false;
+  // Only the commits after the snapshot can differ from what the session
+  // saw. Walk them in version order; a record's deltas are in relation
+  // name order (stage A walks TouchedRelations), so the first hit is the
+  // smallest conflicting version, then the smallest relation, with
+  // read-write before write-write at a tie. The footprint is read where
+  // it lies: the session's levels (live, or dropped by an integrity
+  // abort) and its side set of attempts they do not show.
+  const auto first = std::upper_bound(
+      recent_.begin(), recent_.end(), snap,
+      [](uint64_t v, const std::shared_ptr<const WalRecord>& record) {
+        return v < record->version;
+      });
+  const std::set<std::string>& reads = session.ctx_.BaseReads();
+  for (auto it = first; it != recent_.end(); ++it) {
+    for (const WalDelta& delta : (*it)->deltas) {
+      const bool read = reads.count(delta.relation) > 0;
+      if (!read) {
+        const TxnContext::Footprint footprint =
+            session.ctx_.WriteFootprint(delta.relation);
+        const auto attempted = [&](const Tuple& t) {
+          return footprint.Contains(t);
+        };
+        if (std::none_of(delta.plus.begin(), delta.plus.end(), attempted) &&
+            std::none_of(delta.minus.begin(), delta.minus.end(), attempted)) {
+          continue;
+        }
       }
-      // The index's key outlives this loop; `rel` does not.
-      consider(writer->second, it->first, /*is_read=*/false);
+      *reason = StrCat(read ? "read-write" : "write-write", " conflict on ",
+                       delta.relation, " with transaction ", (*it)->version);
       return true;
-    });
+    }
   }
-  if (best_rel == nullptr) return false;
-  *reason = StrCat(best_is_read ? "read-write" : "write-write",
-                   " conflict on ", *best_rel, " with transaction ",
-                   best_version);
-  return true;
+  return false;
 }
 
 namespace {
@@ -399,87 +383,22 @@ std::size_t TupleCount(const WalRecord& record) {
 
 }  // namespace
 
-void TxnManager::IndexWriters(const WalDelta& delta, uint64_t version,
-                              RelWriteIndex* index) {
-  for (const std::vector<Tuple>* tuples : {&delta.plus, &delta.minus}) {
-    for (const Tuple& t : *tuples) {
-      // Re-key onto THIS record's tuple: the entry must always name the
-      // newest writer, and its key must live at least as long as the
-      // value's record (eviction erases only entries it still owns).
-      const auto it = index->writers.find(&t);
-      if (it != index->writers.end()) index->writers.erase(it);
-      index->writers.emplace(&t, version);
-    }
-  }
-}
-
 void TxnManager::PublishCommitLocked(std::shared_ptr<const WalRecord> record) {
-  for (const WalDelta& delta : record->deltas) {
-    RelWriteIndex& index = write_index_[delta.relation];
-    index.versions.push_back(record->version);
-    IndexWriters(delta, record->version, &index);
-  }
   window_tuples_ += TupleCount(*record);
-  recent_.push_back(CommitRecord{std::move(record)});
+  recent_.push_back(std::move(record));
   while (recent_.size() > options_.validation_window) EvictOldestLocked();
   StoreWindowGaugesLocked();
 }
 
 void TxnManager::EvictOldestLocked() {
-  const CommitRecord& record = recent_.front();
-  for (const WalDelta& delta : record.wal->deltas) {
-    const auto found = write_index_.find(delta.relation);
-    if (found == write_index_.end()) continue;
-    RelWriteIndex& index = found->second;
-    if (!index.versions.empty() &&
-        index.versions.front() == record.version()) {
-      index.versions.pop_front();
-    }
-    for (const std::vector<Tuple>* tuples : {&delta.plus, &delta.minus}) {
-      for (const Tuple& t : *tuples) {
-        const auto it = index.writers.find(&t);
-        // A newer record re-keyed entries for tuples it re-wrote; erase
-        // only the ones this record still owns.
-        if (it != index.writers.end() && it->second == record.version()) {
-          index.writers.erase(it);
-        }
-      }
-    }
-    if (index.versions.empty()) write_index_.erase(found);
-  }
-  window_tuples_ -= TupleCount(*record.wal);
+  window_tuples_ -= TupleCount(*recent_.front());
   recent_.pop_front();
 }
 
 void TxnManager::UnpublishNewestLocked(uint64_t version) {
-  if (recent_.empty() || recent_.back().version() != version) return;
-  const std::shared_ptr<const WalRecord> record =
-      std::move(recent_.back().wal);
+  if (recent_.empty() || recent_.back()->version != version) return;
+  window_tuples_ -= TupleCount(*recent_.back());
   recent_.pop_back();
-  window_tuples_ -= TupleCount(*record);
-  for (const WalDelta& delta : record->deltas) {
-    const auto found = write_index_.find(delta.relation);
-    if (found == write_index_.end()) continue;
-    RelWriteIndex& index = found->second;
-    if (!index.versions.empty() && index.versions.back() == version) {
-      index.versions.pop_back();
-    }
-    if (index.versions.empty()) {
-      write_index_.erase(found);
-      continue;
-    }
-    // Publishing the record re-keyed away the older writers of its
-    // tuples; rebuild the relation's writers from the records left, so
-    // their conflicts are not forgotten.
-    index.writers.clear();
-    for (const CommitRecord& older : recent_) {
-      for (const WalDelta& written : older.wal->deltas) {
-        if (written.relation == delta.relation) {
-          IndexWriters(written, older.version(), &index);
-        }
-      }
-    }
-  }
   StoreWindowGaugesLocked();
 }
 

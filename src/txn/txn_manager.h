@@ -12,7 +12,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -241,14 +240,15 @@ class TxnSession {
 ///      WAL record with no lock held (session state is private to its
 ///      thread); that record is the write set's only copy;
 ///   B. validate → reserve → install → publish — under commit_mu_:
-///      hash-indexed conflict validation against the rolling window,
+///      conflict validation against the window records newer than the
+///      session's snapshot (one footprint lookup per tuple they wrote),
 ///      release of the session's snapshot registration, version
 ///      assignment, in-memory install (pointer-swap fast path), a hand-off
 ///      of each installed state to the maintenance thread, and — only
 ///      while another session is live, the only kind a record can
 ///      convict — shared publication of the WAL record into the
-///      validation index. Stage B installs and publishes and does nothing
-///      more: O(|delta|) at most, and no compaction;
+///      validation window, one push. Stage B installs and publishes and
+///      does nothing more: O(|delta|) at most, and no compaction;
 ///   C. log + ack — outside the lock: the record is appended to the
 ///      WAL, a group-commit fsync covers it, and the commit is
 ///      acknowledged only once every version up to its own is durable
@@ -439,42 +439,6 @@ class TxnManager {
  private:
   friend class TxnSession;
 
-  /// A published write-ful commit, kept for validation: its WAL record,
-  /// shared with stage C, which encodes it. The record is the write
-  /// set's only copy; validation asks of it only "did version v touch
-  /// tuple t of R?", which its plus and minus tuples answer together.
-  struct CommitRecord {
-    std::shared_ptr<const WalRecord> wal;
-    uint64_t version() const { return wal->version; }
-  };
-
-  /// Hash/equality over the pointed-to tuple VALUE, so the validation
-  /// index can be probed with any tuple's address while its keys are
-  /// tuples inside the window records' WalDelta vectors (a shared
-  /// record is immutable, so its tuples never move).
-  struct TupleNodeHash {
-    std::size_t operator()(const Tuple* t) const { return TupleHasher{}(*t); }
-  };
-  struct TupleNodeEq {
-    bool operator()(const Tuple* a, const Tuple* b) const { return *a == *b; }
-  };
-
-  /// The per-relation hash index over the validation window that
-  /// replaces the linear recent_ scan: a commit validates in
-  /// O(|reads| + |footprint|) regardless of how many commits the window
-  /// holds, so disjoint-footprint validations stop paying for each
-  /// other's history.
-  struct RelWriteIndex {
-    /// Window versions that wrote this relation, ascending. Read
-    /// validation asks for the first entry > snapshot (binary search).
-    std::deque<uint64_t> versions;
-    /// Newest window writer per tuple. Keys point into the OWNING
-    /// CommitRecord's WalRecord — re-keyed onto the newest record on
-    /// publish so an evicted record never leaves a dangling key.
-    std::unordered_map<const Tuple*, uint64_t, TupleNodeHash, TupleNodeEq>
-        writers;
-  };
-
   /// Monotonic counters, atomics so stats() and the Run retry path
   /// never touch commit_mu_.
   struct Counters {
@@ -503,26 +467,22 @@ class TxnManager {
   /// pipeline described in the class comment.
   Result<TxnResult> CommitSession(TxnSession* session);
 
-  /// True when `session` conflicts with any commit after its snapshot,
-  /// answered from the validation index. Caller holds commit_mu_. Sets
-  /// `reason`.
+  /// True when `session` conflicts with a commit after its snapshot:
+  /// scans the window records newer than the snapshot in version order
+  /// and names the earliest conflicting commit. Caller holds commit_mu_.
+  /// Sets `reason`.
   bool HasConflictLocked(const TxnSession& session, std::string* reason);
 
   /// Validation-window maintenance. All require commit_mu_.
-  /// Appends `record` to the window and the index, evicting the oldest
-  /// records beyond options_.validation_window.
+  /// Appends `record` to the window, evicting the oldest records beyond
+  /// options_.validation_window.
   void PublishCommitLocked(std::shared_ptr<const WalRecord> record);
-  /// Drops recent_.front() from the index and the window.
+  /// Drops recent_.front().
   void EvictOldestLocked();
-  /// The WAL-failure unwind of commit `version`: when it is the newest
-  /// published record, pops it and rebuilds the writer maps of the
-  /// relations it wrote from the records left; a commit that was never
-  /// published (or already dropped) leaves nothing to unwind.
+  /// The WAL-failure unwind of commit `version`: pops its record when it
+  /// is the newest published one; a commit that was never published (or
+  /// already dropped) leaves nothing to unwind.
   void UnpublishNewestLocked(uint64_t version);
-  /// Indexes `delta`'s tuples as written by `version`, re-keying older
-  /// writers' entries onto them.
-  static void IndexWriters(const WalDelta& delta, uint64_t version,
-                           RelWriteIndex* index);
   /// Releases `session`'s snapshot registration and drops the records
   /// no live snapshot predates any more.
   void ReleaseSnapshotLocked(TxnSession* session);
@@ -644,11 +604,13 @@ class TxnManager {
   /// than an append-only queue: many sessions share a version, and after
   /// RewindTime a later Begin can pin a lower one. Guarded by commit_mu_.
   std::map<uint64_t, uint32_t> live_snapshots_;
-  /// The validation window, oldest first: the published records newer
-  /// than the oldest live snapshot, at most options_.validation_window.
-  std::deque<CommitRecord> recent_;
+  /// The validation window: the published WAL records (shared with
+  /// stage C, which encodes them) newer than the oldest live snapshot, at
+  /// most options_.validation_window, in ascending version order. A
+  /// record is the write set's only copy; validation scans the ones newer
+  /// than a session's snapshot. Guarded by commit_mu_.
+  std::deque<std::shared_ptr<const WalRecord>> recent_;
   uint64_t window_tuples_ = 0;  // tuples recent_'s records wrote
-  std::unordered_map<std::string, RelWriteIndex> write_index_;  // commit_mu_
   /// Logical time covered by the latest durable checkpoint; a commit at
   /// or below it must never be unwound (it is durable regardless of its
   /// log record's fate). Guarded by commit_mu_.

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -17,8 +16,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -37,8 +36,10 @@ using txmod::testing::AddBeer;
 using txmod::testing::AddBrewery;
 using txmod::testing::BeerDomainConstraint;
 using txmod::testing::BeerRefIntConstraint;
+using txmod::testing::FullCheckViolation;
 using txmod::testing::MakeBeerDatabase;
 using txmod::testing::NamedConstraint;
+using txmod::testing::Rebuild;
 
 struct Fixture {
   Database db;
@@ -526,6 +527,109 @@ TEST(TxnManagerTest, KeyFkWorkloadThroughManagerKeepsIntegrity) {
 }
 
 // ---------------------------------------------------------------------------
+// Compensating rules. A repairing action's decision has no post-hoc
+// counterpart to compare with, but its result can be checked: every
+// committed state must satisfy every constraint (Caroprese &
+// Truszczyński's repairs).
+// ---------------------------------------------------------------------------
+
+/// The fixture's `domain` constraint, with two repairing rules in place
+/// of an aborting `refint`: a beer naming an unknown brewery adds it, and
+/// deleting a brewery deletes the beers that named it.
+void DefineRepairingRules(core::IntegritySubsystem* ics) {
+  TXMOD_ASSERT_OK(ics->DefineConstraint("domain", BeerDomainConstraint()));
+  TXMOD_ASSERT_OK(ics->DefineRule(
+      "add_missing_breweries",
+      StrCat("WHEN INS(beer) IF NOT ", BeerRefIntConstraint(),
+             " THEN insert(brewery, project[brewery, null, null]("
+             "project[brewery](beer) - project[name](brewery)))")));
+  TXMOD_ASSERT_OK(ics->DefineRule(
+      "cascade_brewery_deletes",
+      StrCat("WHEN DEL(brewery) IF NOT ", BeerRefIntConstraint(),
+             " THEN delete(beer, antijoin[l.brewery = r.name](beer, "
+             "brewery))")));
+}
+
+/// Runs `workload` through TxnManager::Run over the fixture state and
+/// through IntegritySubsystem::Execute on a clone, both under the
+/// repairing rules. After every transaction the outcomes and the states
+/// agree, and the state passes a full check of domain and refint. Adds
+/// the commits to `*commits`.
+void RunRepairingWorkload(const std::vector<std::string>& workload,
+                          int* commits) {
+  const std::vector<NamedConstraint> constraints = {
+      {"domain", BeerDomainConstraint()}, {"refint", BeerRefIntConstraint()}};
+  Database db = MakeFixtureState();
+  Database serial_db = db.Clone();
+  core::IntegritySubsystem ics(&db);
+  core::IntegritySubsystem serial_ics(&serial_db);
+  DefineRepairingRules(&ics);
+  DefineRepairingRules(&serial_ics);
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
+  algebra::AlgebraParser parser(&serial_db.schema());
+  for (const std::string& text : workload) {
+    SCOPED_TRACE(text);
+    TXMOD_ASSERT_OK_AND_ASSIGN(algebra::Transaction txn,
+                               parser.ParseTransaction(text));
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult run, manager->Run(txn));
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult serial, serial_ics.Execute(txn));
+    EXPECT_FALSE(run.conflict);
+    EXPECT_EQ(run.committed, serial.committed);
+    EXPECT_EQ(run.abort_reason, serial.abort_reason);
+    EXPECT_TRUE(db.SameState(serial_db));
+    EXPECT_EQ(FullCheckViolation(Rebuild(db), constraints), "");
+    if (run.committed) ++*commits;
+  }
+}
+
+TEST(TxnManagerTest, CompensatingRulesRepairEveryCommittedState) {
+  int commits = 0;
+  RunRepairingWorkload(
+      {
+          "insert(beer, {(\"punk\", \"ipa\", \"brewdog\", 5.6)});",
+          "insert(beer, {(\"neg\", \"ale\", \"nowhere\", -1.0)});",
+          "delete(brewery, select[name = \"heineken\"](brewery));",
+          // add_missing_breweries runs first and re-inserts
+          // ("guinness", null, null) for the beer that still names it.
+          "insert(beer, {(\"stout\", \"stout\", \"guinness\", 4.2), "
+          "(\"dubbel\", \"ale\", \"westmalle\", 7.0)}); "
+          "delete(brewery, select[name = \"guinness\"](brewery));",
+          "insert(beer, {(\"a\", \"ale\", \"x1\", 3.0), "
+          "(\"b\", \"ale\", \"x2\", 4.0)});",
+      },
+      &commits);
+  EXPECT_EQ(commits, 4);
+
+  // Random transactions of the same shapes.
+  const std::vector<std::string> breweries = {"heineken", "guinness",
+                                              "brewdog", "duvel", "orval"};
+  for (uint32_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    std::mt19937 rng(seed);
+    const auto pick = [&](std::size_t n) { return rng() % n; };
+    std::vector<std::string> workload;
+    for (int i = 0; i < 20; ++i) {
+      std::string inserts = "insert(beer, {";
+      for (std::size_t k = 0, n = 1 + pick(3); k < n; ++k) {
+        inserts += StrCat(k == 0 ? "" : ", ", "(\"beer", pick(8),
+                          "\", \"ale\", \"", breweries[pick(5)], "\", ",
+                          pick(10) == 0 ? "-1.0" : "5.0", ")");
+      }
+      inserts += "});";
+      const std::string deletes =
+          StrCat("delete(brewery, select[name = \"", breweries[pick(5)],
+                 "\"](brewery));");
+      switch (pick(3)) {
+        case 0: workload.push_back(inserts); break;
+        case 1: workload.push_back(deletes); break;
+        default: workload.push_back(StrCat(inserts, " ", deletes));
+      }
+    }
+    RunRepairingWorkload(workload, &commits);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The validation window holds a commit's record only while a session
 // whose snapshot predates it is live, and at most validation_window of
 // them: the validation_records/validation_tuples gauges show it.
@@ -641,6 +745,66 @@ TEST(TxnManagerWindowTest, SessionEndedBeforeStageBReleasesItsSnapshot) {
   TXMOD_ASSERT_OK(f.manager->RunText(InsertBeerText("c4")).status());
   EXPECT_EQ(f.manager->stats().validation_records, 0u);
   EXPECT_EQ(f.manager->stats().validation_tuples, 0u);
+}
+
+TEST(TxnManagerWindowTest, ConflictNamesTheEarliestCommitThatWroteTheTuple) {
+  Fixture f;
+  auto held = f.manager->Begin();
+  TXMOD_ASSERT_OK(held->ExecuteText(InsertBeerText("x")).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult first,
+                             f.manager->RunText(InsertBeerText("x")));
+  ASSERT_TRUE(first.committed);
+  // A later commit writes the same tuple again.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult second,
+      f.manager->RunText(
+          "delete(beer, {(\"x\", \"ale\", \"guinness\", 6.0)});"));
+  ASSERT_TRUE(second.committed);
+  ASSERT_GT(second.commit_version, first.commit_version);
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_EQ(lost.abort_reason,
+            StrCat("write-write conflict on beer with transaction ",
+                   first.commit_version));
+}
+
+TEST(TxnManagerWindowTest, ConflictOrderWithinOneCommit) {
+  {
+    SCOPED_TRACE("a write before a read of a later relation");
+    Fixture f;
+    // The refint check of the insert reads brewery.
+    auto held = f.manager->Begin();
+    TXMOD_ASSERT_OK(held->ExecuteText(InsertBeerText("x")).status());
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult both,
+        f.manager->RunText(StrCat(
+            "insert(brewery, {(\"plzen\", \"pilsen\", \"cz\")}); ",
+            InsertBeerText("x"))));
+    ASSERT_TRUE(both.committed);
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
+    EXPECT_TRUE(lost.conflict);
+    // The commit wrote beer and brewery; beer sorts first.
+    EXPECT_EQ(lost.abort_reason,
+              StrCat("write-write conflict on beer with transaction ",
+                     both.commit_version));
+  }
+  {
+    SCOPED_TRACE("a read before a write of the same relation");
+    Fixture f;
+    auto held = f.manager->Begin();
+    TXMOD_ASSERT_OK(
+        held->ExecuteText(StrCat("tmp := select[alcohol > 100](beer); ",
+                                 InsertBeerText("x")))
+            .status());
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult same,
+                               f.manager->RunText(InsertBeerText("x")));
+    ASSERT_TRUE(same.committed);
+    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
+    EXPECT_TRUE(lost.conflict);
+    EXPECT_EQ(lost.abort_reason,
+              StrCat("read-write conflict on beer with transaction ",
+                     same.commit_version));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,19 +1209,30 @@ TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
   // that land meanwhile must not stack up above it: every new snapshot
   // sees a chain within the compaction depth bound.
   constexpr int kFks = 20000;
+  // The collapse job is held at its start until this many one-row
+  // commits landed, so they overlap it on any schedule. Well under
+  // Relation::kMaxOverlayDepth: the held commits never wait on depth.
+  constexpr int kHeld = 8;
   Database db = bench::MakeKeyFkDatabase(1000, kFks);
   core::IntegritySubsystem ics(&db);
   TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  std::atomic<bool> started{false};  // outlives the manager's probe
+  JobGate gate;  // outlives the manager's probe
   TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
-  manager->set_compaction_probe([&](const std::string&) { started = true; });
+  // A failed assertion must not leave the job held: the manager's
+  // destructor waits for it.
+  struct OpenOnExit {
+    JobGate* gate;
+    ~OpenOnExit() { gate->Open(); }
+  } open_on_exit{&gate};
+  manager->set_compaction_probe(
+      [&](const std::string& relation) { gate.Hold(relation); });
   const uint64_t collapses = CowStats::overlay_collapses.load();
   // Over half the relation: its compaction collapses the whole chain.
   TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult big,
                              manager->Run(bench::MakeFkInsertBatch(
                                  kFks / 2 + 1000, 1000, /*id_base=*/kFks)));
   ASSERT_TRUE(big.committed) << big.abort_reason;
-  while (!started.load()) std::this_thread::yield();
+  gate.AwaitArrival();
 
   int during = 0;
   std::size_t deepest = 0;
@@ -1075,8 +1250,9 @@ TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
     TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r, session->Commit());
     ASSERT_TRUE(r.committed) << r.abort_reason;
     if (CowStats::overlay_collapses.load() == collapses) ++during;
+    if (i + 1 == kHeld) gate.Open();
   }
-  EXPECT_GT(during, 0) << "no commit overlapped the collapse";
+  EXPECT_GE(during, kHeld) << "a held commit saw the collapse";
   manager->WaitForMaintenance();
   EXPECT_GT(CowStats::overlay_collapses.load(), collapses);
   const Relation& fk_rel = **db.Find("fk_rel");
