@@ -15,10 +15,11 @@
 //    side), the gap growing with node count.
 //
 // BM_ParallelThreadedWallVsSim is the measured counterpart: the same
-// refint workload on the real worker pool, sweeping partitions ×
-// workers, with wall-clock (ParallelStats::measured_us) reported next
-// to the simulated makespan for the same plan. Read the wall column
-// against the machine's core count in the JSON's hardware stamp.
+// refint workload with one task per node on a worker pool, sweeping
+// partitions × workers, with wall-clock (ParallelStats::measured_us)
+// reported next to the simulated makespan for the same plan. Read the
+// wall column against the machine's core count in the JSON's hardware
+// stamp.
 
 #include "benchmark/benchmark.h"
 #include "bench/workload.h"
@@ -146,15 +147,15 @@ void BM_ParallelJoinHeavyDelete(benchmark::State& state) {
 }
 
 // The measured counterpart of the simulated series above: the refint
-// insert workload on the real worker pool, swept over partitions
-// (state.range(0)) × pool workers (state.range(1)). Two columns land in
-// the counters — total_wall_ms (sum of measured phase wall-clock,
-// ParallelStats::measured_us) and total_sim_ms (the POOMA-model
-// makespan for the identical plan) — so the report reads as a direct
-// wall-vs-simulated comparison per configuration. Round-robin placement
-// on purpose: the insert check probes every key_rel fragment in place,
-// so morsels on one node read other nodes' fragment indexes (nothing
-// crosses the exchange queues: exchange_batches stays 0).
+// insert workload with one task per node on a worker pool, swept over
+// partitions (state.range(0)) × pool workers (state.range(1)). Two
+// columns land in the counters — total_wall_ms (sum of measured phase
+// wall-clock, ParallelStats::measured_us) and total_sim_ms (the
+// POOMA-model makespan for the identical plan) — so the report reads as
+// a direct wall-vs-simulated comparison per configuration. Round-robin
+// placement on purpose: the insert check probes every key_rel fragment
+// in place, so each node's task reads other nodes' fragment indexes, and
+// no redistribution or broadcast phase runs: exchange_batches stays 0.
 void BM_ParallelThreadedWallVsSim(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));
@@ -230,9 +231,9 @@ BENCHMARK(BM_ParallelRefIntRoundRobin)
     ->DenseRange(1, 8, 1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(2);
-// partitions × pool workers. Workers past the partition count can still
-// help via morsel stealing within a shard's queue; workers past the
-// machine's cores only oversubscribe (read against the hardware stamp).
+// partitions × pool workers. A phase has one task per partition, so
+// workers past the partition count idle; workers past the machine's
+// cores only oversubscribe (read against the hardware stamp).
 BENCHMARK(BM_ParallelThreadedWallVsSim)
     ->ArgsProduct({{2, 4, 8}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond)

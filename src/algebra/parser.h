@@ -60,18 +60,11 @@ class AlgebraParser {
   /// visible to subsequent statements of the same program.
   Result<Program> ParseProgram(const std::string& text);
 
-  /// Parses a single relational expression (no temporaries in scope unless
-  /// pre-registered with RegisterTemp).
+  /// Parses a single relational expression (no temporaries in scope).
   Result<RelExprPtr> ParseExpression(const std::string& text);
 
   /// Parses a program optionally enclosed in begin/end brackets.
   Result<Transaction> ParseTransaction(const std::string& text);
-
-  /// Pre-registers a temporary's schema (e.g. when parsing an expression
-  /// that refers to a temp created elsewhere).
-  void RegisterTemp(const std::string& name, RelationSchema schema) {
-    temp_schemas_[name] = std::move(schema);
-  }
 
  private:
   const DatabaseSchema* db_schema_;

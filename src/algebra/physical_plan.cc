@@ -145,26 +145,6 @@ class EmptyCursor : public TupleCursor {
   }
 };
 
-/// Scans a run of tuple pointers — the morsel input stream of
-/// NodeLocalKernel. The pointers alias tuples owned elsewhere (fragment
-/// relations), which must stay alive and unmodified for the cursor's
-/// lifetime.
-class VectorScanCursor : public TupleCursor {
- public:
-  VectorScanCursor(const Tuple* const* tuples, std::size_t count)
-      : tuples_(tuples), count_(count) {}
-
-  Result<const Tuple*> Next() override {
-    if (i_ == count_) return static_cast<const Tuple*>(nullptr);
-    return tuples_[i_++];
-  }
-
- private:
-  const Tuple* const* tuples_;
-  std::size_t count_;
-  std::size_t i_ = 0;
-};
-
 /// Re-yields one already-pulled tuple ahead of the rest of the stream:
 /// the peek-then-continue pattern. The short-circuit joins peek their
 /// differential-bounded side to decide whether the base side needs
@@ -297,15 +277,10 @@ class ProductCursor : public TupleCursor {
 /// extra non-equality conjuncts) stay correct.
 class HashJoinCursor : public TupleCursor {
  public:
-  /// `shared_table` (morsel execution): a table over the build side
-  /// prepared once per fragment and shared, read-only, by every morsel's
-  /// cursor — this cursor then does no build work, like the
-  /// RelationIndexView fast path.
   HashJoinCursor(RelExprKind kind, const ScalarExpr* pred, Stream left,
                  RelHandle right, RelationIndexView view,
                  std::vector<int> lattrs, std::vector<int> rattrs,
-                 std::size_t out_arity, EvalStats* stats,
-                 const RelationIndex::Map* shared_table = nullptr)
+                 std::size_t out_arity, EvalStats* stats)
       : kind_(kind),
         pred_(pred),
         left_(std::move(left)),
@@ -314,14 +289,11 @@ class HashJoinCursor : public TupleCursor {
         lattrs_(std::move(lattrs)),
         stats_(stats),
         scratch_(std::vector<Value>(out_arity)) {
-    if (shared_table != nullptr) {
-      table_ = shared_table;
-    } else if (!view_.valid()) {
-      own_table_.reserve(right_.get().size());
+    if (!view_.valid()) {
+      table_.reserve(right_.get().size());
       for (const Tuple& rt : right_.get()) {
-        own_table_.emplace(EquiKeyHash(rt, rattrs), &rt);
+        table_.emplace(EquiKeyHash(rt, rattrs), &rt);
       }
-      table_ = &own_table_;
     }
   }
 
@@ -346,7 +318,7 @@ class HashJoinCursor : public TupleCursor {
         CountProbe(stats_, 1);
         cand_ = view_.Probe(h);
       } else {
-        auto [begin, end] = table_->equal_range(h);
+        auto [begin, end] = table_.equal_range(h);
         it_ = begin;
         end_ = end;
       }
@@ -386,8 +358,7 @@ class HashJoinCursor : public TupleCursor {
   RelationIndexView view_;
   std::vector<int> lattrs_;
   EvalStats* stats_;
-  RelationIndex::Map own_table_;
-  const RelationIndex::Map* table_ = nullptr;  // own_table_ or shared
+  RelationIndex::Map table_;  // the transient build, without a view
   Tuple scratch_;
   const Tuple* lt_ = nullptr;
   RelationIndexView::Candidates cand_;
@@ -1502,84 +1473,38 @@ Result<Relation> ExecuteNodeLocal(const PhysicalNode& n,
                                   const Relation& input,
                                   const Relation* right, EvalStats* stats,
                                   const FragmentProbe* probe) {
-  TXMOD_ASSIGN_OR_RETURN(
-      NodeLocalKernel kernel,
-      NodeLocalKernel::Prepare(n, input.schema_ptr(), right, stats, probe));
-  std::vector<const Tuple*> tuples;
-  tuples.reserve(input.size());
-  for (const Tuple& t : input) tuples.push_back(&t);
-  if (n.op == PhysOpKind::kUnion) {
-    for (const Tuple& t : *right) tuples.push_back(&t);
-  }
-  std::vector<Tuple> rows;
-  TXMOD_RETURN_IF_ERROR(
-      kernel.RunMorsel(tuples.data(), tuples.size(), &rows, stats));
-  Relation out(kernel.output_schema());
-  for (Tuple& t : rows) out.Insert(std::move(t));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Morsel-granular kernels (NodeLocalKernel): the per-fragment prepared
-// state plus a per-morsel cursor run over a pointer slice of the streamed
-// side.
-// ---------------------------------------------------------------------------
-
-struct NodeLocalKernel::State {
-  const PhysicalNode* node = nullptr;
-  std::shared_ptr<const RelationSchema> input_schema;
-  std::shared_ptr<const RelationSchema> out_schema;
-  const Relation* right = nullptr;
-  /// Index forms with a probe target: the fragment views they probe.
-  const FragmentProbe* probe = nullptr;
-  /// Equality joins: the build-side table, built once in Prepare and
-  /// probed read-only by every morsel's cursor.
-  RelationIndex::Map table;
-  bool hash_join = false;
-};
-
-NodeLocalKernel::NodeLocalKernel(std::unique_ptr<State> state)
-    : state_(std::move(state)) {}
-NodeLocalKernel::NodeLocalKernel(NodeLocalKernel&&) noexcept = default;
-NodeLocalKernel& NodeLocalKernel::operator=(NodeLocalKernel&&) noexcept =
-    default;
-NodeLocalKernel::~NodeLocalKernel() = default;
-
-const std::shared_ptr<const RelationSchema>& NodeLocalKernel::output_schema()
-    const {
-  return state_->out_schema;
-}
-
-Result<NodeLocalKernel> NodeLocalKernel::Prepare(
-    const PhysicalNode& node,
-    std::shared_ptr<const RelationSchema> input_schema, const Relation* right,
-    EvalStats* stats, const FragmentProbe* probe) {
-  auto st = std::make_unique<State>();
-  st->node = &node;
-  st->input_schema = std::move(input_schema);
-  st->right = right;
-  const RelExpr& e = *node.logical;
-  if (probe != nullptr && node.op == PhysOpKind::kIndexLookupJoin) {
+  const RelExpr& e = *n.logical;
+  const bool want_in = e.kind() == RelExprKind::kIntersect;
+  Stream in;
+  in.schema = input.schema_ptr();
+  in.cursor = std::make_unique<ScanCursor>(RelHandle::Borrowed(&input));
+  Stream s;
+  if (probe != nullptr && n.op == PhysOpKind::kIndexLookupJoin) {
     // The streamed side is the shipped delta; the base side is probed in
     // place, so nothing is built or scanned up front.
-    st->probe = probe;
-    st->out_schema =
-        e.kind() == RelExprKind::kJoin
-            ? MakeSchema(ConcatAttrs(*probe->schema, *st->input_schema))
-            : probe->schema;
-    return NodeLocalKernel(std::move(st));
+    s.schema = e.kind() == RelExprKind::kJoin
+                   ? MakeSchema(ConcatAttrs(*probe->schema, *in.schema))
+                   : probe->schema;
+    s.cursor = std::make_unique<IndexLookupJoinCursor>(
+        e.kind(), &e.predicate(), probe->views[0], std::move(in),
+        n.right_keys, probe->schema->arity(), s.schema->arity(), stats);
+    return Drain(&s);
   }
-  if (probe != nullptr && node.op == PhysOpKind::kIndexSetOp) {
-    if (st->input_schema->arity() != node.setop_attrs.size()) {
+  if (probe != nullptr && n.op == PhysOpKind::kIndexSetOp) {
+    if (in.schema->arity() != n.setop_attrs.size()) {
       return Status::InvalidArgument("set operation over different arities");
     }
-    st->probe = probe;
-    st->out_schema = st->input_schema;
-    return NodeLocalKernel(std::move(st));
+    s.schema = in.schema;
+    s.cursor = std::make_unique<IndexedSetOpCursor>(std::move(in),
+                                                    probe->views, want_in,
+                                                    stats);
+    return Drain(&s);
   }
-  switch (node.op) {
+  switch (n.op) {
     case PhysOpKind::kSelect:
-      st->out_schema = st->input_schema;
+      s.schema = in.schema;
+      s.cursor = std::make_unique<SelectCursor>(std::move(in),
+                                                &e.predicate(), stats);
       break;
     case PhysOpKind::kProject: {
       const std::vector<ProjectionItem>& items = e.projections();
@@ -1587,10 +1512,11 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
       attrs.reserve(items.size());
       for (std::size_t i = 0; i < items.size(); ++i) {
         attrs.push_back(
-            Attribute{ProjectionItemName(items[i], *st->input_schema, i),
-                      InferScalarType(items[i].expr, *st->input_schema)});
+            Attribute{ProjectionItemName(items[i], *in.schema, i),
+                      InferScalarType(items[i].expr, *in.schema)});
       }
-      st->out_schema = MakeSchema(std::move(attrs));
+      s.schema = MakeSchema(std::move(attrs));
+      s.cursor = std::make_unique<ProjectCursor>(std::move(in), &items, stats);
       break;
     }
     case PhysOpKind::kHashJoin:
@@ -1600,116 +1526,49 @@ Result<NodeLocalKernel> NodeLocalKernel::Prepare(
       // — small — right fragment) is the local form of both kHashJoin and
       // kIndexLookupJoin.
       if (right == nullptr) return Status::Internal("join needs a right");
-      st->out_schema =
-          e.kind() == RelExprKind::kJoin
-              ? MakeSchema(ConcatAttrs(*st->input_schema, right->schema()))
-              : st->input_schema;
+      s.schema = e.kind() == RelExprKind::kJoin
+                     ? MakeSchema(ConcatAttrs(*in.schema, right->schema()))
+                     : in.schema;
       CountScan(stats, right->size());
-      if (!node.right_keys.empty()) {
-        st->hash_join = true;
-        st->table.reserve(right->size());
-        for (const Tuple& rt : *right) {
-          st->table.emplace(EquiKeyHash(rt, node.right_keys), &rt);
-        }
+      if (!n.right_keys.empty()) {
+        s.cursor = std::make_unique<HashJoinCursor>(
+            e.kind(), &e.predicate(), std::move(in),
+            RelHandle::Borrowed(right), /*view=*/RelationIndexView(),
+            n.left_keys, n.right_keys, s.schema->arity(), stats);
+      } else {
+        s.cursor = std::make_unique<NestedJoinCursor>(
+            e.kind(), &e.predicate(), std::move(in),
+            RelHandle::Borrowed(right), s.schema->arity(), stats);
       }
       break;
     }
     case PhysOpKind::kUnion: {
       if (right == nullptr) return Status::Internal("union needs a right");
-      if (st->input_schema->arity() != right->arity()) {
+      if (in.schema->arity() != right->arity()) {
         return Status::InvalidArgument(
             "set operation over different arities");
       }
-      st->out_schema = st->input_schema;
+      s.schema = in.schema;
+      Stream r;
+      r.schema = right->schema_ptr();
+      r.cursor = std::make_unique<ScanCursor>(RelHandle::Borrowed(right));
+      s.cursor = std::make_unique<UnionCursor>(std::move(in), std::move(r),
+                                               stats);
       break;
     }
     case PhysOpKind::kHashSetOp:
     case PhysOpKind::kIndexSetOp: {
       if (right == nullptr) return Status::Internal("set op needs a right");
-      if (st->input_schema->arity() != right->arity()) {
+      if (in.schema->arity() != right->arity()) {
         return Status::InvalidArgument(
             "set operation over different arities");
       }
-      st->out_schema = st->input_schema;
+      s.schema = in.schema;
       CountScan(stats, right->size());
-      break;
-    }
-    case PhysOpKind::kScan:
-    case PhysOpKind::kLiteral:
-    case PhysOpKind::kProduct:
-    case PhysOpKind::kAggregate:
-      return Status::Internal(
-          StrCat(PhysOpKindToString(node.op),
-                 " is not a fragment-local operator"));
-  }
-  return NodeLocalKernel(std::move(st));
-}
-
-Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
-                                  std::size_t count, std::vector<Tuple>* out,
-                                  EvalStats* stats) const {
-  const State& st = *state_;
-  const PhysicalNode& n = *st.node;
-  const RelExpr& e = *n.logical;
-  Stream in;
-  in.schema = st.input_schema;
-  in.cursor = std::make_unique<VectorScanCursor>(tuples, count);
-  const bool want_in = e.kind() == RelExprKind::kIntersect;
-  Stream s;
-  s.schema = st.out_schema;
-  switch (n.op) {
-    case PhysOpKind::kSelect:
-      s.cursor = std::make_unique<SelectCursor>(std::move(in),
-                                                &e.predicate(), stats);
-      break;
-    case PhysOpKind::kProject:
-      s.cursor = std::make_unique<ProjectCursor>(std::move(in),
-                                                 &e.projections(), stats);
-      break;
-    case PhysOpKind::kIndexLookupJoin:
-      if (st.probe != nullptr) {
-        s.cursor = std::make_unique<IndexLookupJoinCursor>(
-            e.kind(), &e.predicate(), st.probe->views[0], std::move(in),
-            n.right_keys, st.probe->schema->arity(), st.out_schema->arity(),
-            stats);
-        break;
-      }
-      [[fallthrough]];
-    case PhysOpKind::kHashJoin:
-    case PhysOpKind::kNestedLoopJoin:
-      if (st.hash_join) {
-        s.cursor = std::make_unique<HashJoinCursor>(
-            e.kind(), &e.predicate(), std::move(in),
-            RelHandle::Borrowed(st.right), /*view=*/RelationIndexView(),
-            n.left_keys, n.right_keys, st.out_schema->arity(), stats,
-            &st.table);
-      } else {
-        s.cursor = std::make_unique<NestedJoinCursor>(
-            e.kind(), &e.predicate(), std::move(in),
-            RelHandle::Borrowed(st.right), st.out_schema->arity(), stats);
-      }
-      break;
-    case PhysOpKind::kUnion: {
-      // Left- and right-side morsels pass through identically; the empty
-      // second stream keeps UnionCursor's per-tuple counting intact.
-      Stream none;
-      none.schema = st.out_schema;
-      none.cursor = std::make_unique<EmptyCursor>();
-      s.cursor = std::make_unique<UnionCursor>(std::move(in),
-                                               std::move(none), stats);
-      break;
-    }
-    case PhysOpKind::kIndexSetOp:
-      if (st.probe != nullptr) {
-        s.cursor = std::make_unique<IndexedSetOpCursor>(
-            std::move(in), st.probe->views, want_in, stats);
-        break;
-      }
-      [[fallthrough]];
-    case PhysOpKind::kHashSetOp:
       s.cursor = std::make_unique<FilterSetOpCursor>(
-          std::move(in), RelHandle::Borrowed(st.right), want_in, stats);
+          std::move(in), RelHandle::Borrowed(right), want_in, stats);
       break;
+    }
     case PhysOpKind::kScan:
     case PhysOpKind::kLiteral:
     case PhysOpKind::kProduct:
@@ -1718,12 +1577,7 @@ Status NodeLocalKernel::RunMorsel(const Tuple* const* tuples,
           StrCat(PhysOpKindToString(n.op),
                  " is not a fragment-local operator"));
   }
-  for (;;) {
-    TXMOD_ASSIGN_OR_RETURN(const Tuple* t, s.cursor->Next());
-    if (t == nullptr) break;
-    out->push_back(*t);
-  }
-  return Status::OK();
+  return Drain(&s);
 }
 
 // ---------------------------------------------------------------------------

@@ -132,8 +132,8 @@ class PhysicalPlan {
 ///    counts a tuple as a member when some view holds it; the membership
 ///    side never moves.
 ///
-/// Views are read concurrently by every morsel of a phase (a morsel on one
-/// node may probe other nodes' fragments); nothing may write the fragments
+/// Views are read concurrently by every node's task of a phase (a node
+/// may probe other nodes' fragments); nothing may write the fragments
 /// while the phase runs.
 struct FragmentProbe {
   std::vector<RelationIndexView> views;
@@ -142,69 +142,21 @@ struct FragmentProbe {
 };
 
 /// Executes the single operator `node` over already-materialized inputs —
-/// the fragment-local kernel of the parallel engine: NodeLocalKernel run
-/// as one morsel over all of `input` (and, for a union, `right`).
-/// Children of `node` are NOT executed; the caller supplies their
-/// (per-fragment) results. `input` is the streamed side: the left operand,
-/// or for a kIndexLookupJoin with `probe` its (shipped) right operand.
-/// `right` is the materialized right operand of the hash forms (null for
-/// unary operators and for index forms with `probe`). Without `probe`,
-/// the index forms run as their hash equivalents over `right`.
-/// Thread-safe for concurrent calls on disjoint outputs: inputs and probe
-/// views are only read.
+/// the fragment-local kernel of the parallel engine, built from the same
+/// cursors serial execution runs, so operator semantics cannot diverge
+/// between the two engines. Children of `node` are NOT executed; the
+/// caller supplies their (per-fragment) results. `input` is the streamed
+/// side: the left operand, or for a kIndexLookupJoin with `probe` its
+/// (shipped) right operand. `right` is the materialized right operand of
+/// the hash forms and of a union (null for unary operators and for index
+/// forms with `probe`). Without `probe`, the index forms run as their
+/// hash equivalents over `right`. Thread-safe for concurrent calls on
+/// disjoint outputs: inputs and probe views are only read.
 Result<Relation> ExecuteNodeLocal(const PhysicalNode& node,
                                   const Relation& input,
                                   const Relation* right,
                                   EvalStats* stats = nullptr,
                                   const FragmentProbe* probe = nullptr);
-
-/// Morsel-granular form of ExecuteNodeLocal for the parallel runtime's
-/// work-stealing phases. Prepare does the once-per-fragment work — output
-/// schema resolution, build-side scan counting, and the transient hash
-/// table over `right` for equality joins without a probe target — and the
-/// returned kernel then executes fixed-size runs ("morsels") of
-/// input-tuple pointers through the same cursor implementations serial
-/// execution runs, so operator semantics cannot diverge between morsel and
-/// whole-fragment execution.
-///
-/// RunMorsel is const and thread-safe for concurrent calls: morsels only
-/// read the prepared state, and each call owns its output buffer and
-/// EvalStats (per-worker counters — no shared counter to contend on or
-/// false-share). Union nodes treat left- and right-side tuples
-/// identically, so callers feed both sides' tuples as morsels; every
-/// other operator morselizes its streamed side only (see
-/// ExecuteNodeLocal), with `right` borrowed for the whole phase. `node`,
-/// `right` and `probe` must outlive the kernel; the tuples behind the
-/// pointers must stay alive and unmodified until the phase ends.
-class NodeLocalKernel {
- public:
-  /// `input_schema` is the schema of the fragments whose tuples the
-  /// morsels slice; build-side charges land in `stats` here, exactly
-  /// once per fragment.
-  static Result<NodeLocalKernel> Prepare(
-      const PhysicalNode& node,
-      std::shared_ptr<const RelationSchema> input_schema,
-      const Relation* right, EvalStats* stats,
-      const FragmentProbe* probe = nullptr);
-
-  NodeLocalKernel(NodeLocalKernel&&) noexcept;
-  NodeLocalKernel& operator=(NodeLocalKernel&&) noexcept;
-  ~NodeLocalKernel();
-
-  /// Executes the operator over the `count` tuples at `tuples`, appending
-  /// every output row to `out` (duplicates included; the caller's merge
-  /// into a set-semantics Relation dedups, so morsel boundaries and merge
-  /// order cannot change the final state).
-  Status RunMorsel(const Tuple* const* tuples, std::size_t count,
-                   std::vector<Tuple>* out, EvalStats* stats) const;
-
-  const std::shared_ptr<const RelationSchema>& output_schema() const;
-
- private:
-  struct State;
-  explicit NodeLocalKernel(std::unique_ptr<State> state);
-  std::unique_ptr<State> state_;
-};
 
 /// Materializes a literal node (validates per-tuple arity, infers column
 /// types). Shared by both engines.

@@ -138,14 +138,6 @@ RelExprPtr RelExpr::GroupAggregate(std::vector<int> group_by, AggFunc func,
   return n;
 }
 
-void RelExpr::CollectRefs(
-    std::vector<std::pair<RelRefKind, std::string>>* refs) const {
-  if (kind_ == RelExprKind::kRef) {
-    refs->emplace_back(ref_kind_, rel_name_);
-  }
-  for (const RelExprPtr& in : inputs_) in->CollectRefs(refs);
-}
-
 bool RelExpr::Equals(const RelExpr& other) const {
   if (kind_ != other.kind_) return false;
   switch (kind_) {

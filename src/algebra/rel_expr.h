@@ -120,10 +120,6 @@ class RelExpr {
   const RelExprPtr& right() const { return inputs_[1]; }
   const std::vector<RelExprPtr>& inputs() const { return inputs_; }
 
-  /// Collects every relation referenced, with its reference kind.
-  void CollectRefs(
-      std::vector<std::pair<RelRefKind, std::string>>* refs) const;
-
   /// Structural equality (tests, optimizer).
   bool Equals(const RelExpr& other) const;
 

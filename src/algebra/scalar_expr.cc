@@ -83,15 +83,6 @@ ScalarExpr ScalarExpr::And(std::vector<ScalarExpr> terms) {
 ScalarExpr ScalarExpr::True() { return Const(Value::Int(1)); }
 ScalarExpr ScalarExpr::False() { return Const(Value::Int(0)); }
 
-bool ScalarExpr::IsConstTrue() const {
-  return op_ == ScalarOp::kConst && constant_.is_int() &&
-         constant_.as_int() != 0;
-}
-bool ScalarExpr::IsConstFalse() const {
-  return op_ == ScalarOp::kConst && constant_.is_int() &&
-         constant_.as_int() == 0;
-}
-
 namespace {
 
 Result<Value> EvalArith(ScalarOp op, const Value& a, const Value& b) {
@@ -239,31 +230,6 @@ Result<bool> ScalarExpr::EvalPredicate(const Tuple* left,
   if (v.is_double()) return v.as_double() != 0.0;
   return Status::InvalidArgument(
       StrCat("value ", v.ToString(), " used as a predicate"));
-}
-
-void ScalarExpr::CollectAttrRefs(
-    std::vector<std::pair<int, int>>* refs) const {
-  if (op_ == ScalarOp::kAttrRef) {
-    refs->emplace_back(side_, attr_index_);
-    return;
-  }
-  for (const ScalarExpr& c : children_) c.CollectAttrRefs(refs);
-}
-
-Status ScalarExpr::RemapAttrs(int side, const std::vector<int>& mapping) {
-  if (op_ == ScalarOp::kAttrRef) {
-    if (side_ != side) return Status::OK();
-    if (attr_index_ < 0 || attr_index_ >= static_cast<int>(mapping.size())) {
-      return Status::Internal(
-          StrCat("cannot remap attribute index ", attr_index_));
-    }
-    attr_index_ = mapping[attr_index_];
-    return Status::OK();
-  }
-  for (ScalarExpr& c : children_) {
-    TXMOD_RETURN_IF_ERROR(c.RemapAttrs(side, mapping));
-  }
-  return Status::OK();
 }
 
 bool ScalarExpr::Equals(const ScalarExpr& other) const {

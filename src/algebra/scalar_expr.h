@@ -69,9 +69,6 @@ class ScalarExpr {
   const std::string& attr_name() const { return attr_name_; }
   const std::vector<ScalarExpr>& children() const { return children_; }
 
-  bool IsConstTrue() const;
-  bool IsConstFalse() const;
-
   /// Sets the resolved index of a kAttrRef (name resolution pass).
   void set_attr_index(int index) { attr_index_ = index; }
 
@@ -84,13 +81,6 @@ class ScalarExpr {
 
   /// Evaluates a predicate; comparison/connective semantics above.
   Result<bool> EvalPredicate(const Tuple* left, const Tuple* right) const;
-
-  /// Collects every attribute reference (side, index) in the tree.
-  void CollectAttrRefs(std::vector<std::pair<int, int>>* refs) const;
-
-  /// Remaps attribute indices: each kAttrRef with side `side` gets
-  /// index = mapping[old index]. Out-of-range is an internal error.
-  Status RemapAttrs(int side, const std::vector<int>& mapping);
 
   /// Structural equality (used by tests and the optimizer).
   bool Equals(const ScalarExpr& other) const;

@@ -4,24 +4,6 @@
 
 namespace txmod::algebra {
 
-const char* StatementKindToString(StatementKind kind) {
-  switch (kind) {
-    case StatementKind::kAssign:
-      return "assign";
-    case StatementKind::kInsert:
-      return "insert";
-    case StatementKind::kDelete:
-      return "delete";
-    case StatementKind::kUpdate:
-      return "update";
-    case StatementKind::kAlarm:
-      return "alarm";
-    case StatementKind::kAbort:
-      return "abort";
-  }
-  return "?";
-}
-
 Statement Statement::Assign(std::string temp, RelExprPtr e) {
   Statement s;
   s.kind = StatementKind::kAssign;

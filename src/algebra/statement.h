@@ -22,8 +22,6 @@ enum class StatementKind {
   kAbort,   // unconditional abort
 };
 
-const char* StatementKindToString(StatementKind kind);
-
 /// One attribute assignment of an update statement.
 struct UpdateSet {
   int attr = -1;          // target attribute index in the relation
@@ -47,13 +45,6 @@ struct Statement {
                           std::vector<UpdateSet> sets);
   static Statement Alarm(RelExprPtr e, std::string message = "");
   static Statement Abort(std::string message = "");
-
-  /// True for statements that change base relations (used by trigger
-  /// extraction, Algorithm 5.2).
-  bool IsUpdateStatement() const {
-    return kind == StatementKind::kInsert || kind == StatementKind::kDelete ||
-           kind == StatementKind::kUpdate;
-  }
 
   /// kUpdate: `old_tuple` with every assignment applied (expressions
   /// over `old_tuple`); InvalidArgument for an out-of-range attribute.

@@ -68,24 +68,6 @@ const char* CompareOpToString(CompareOp op) {
   return "?";
 }
 
-CompareOp NegateCompare(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return CompareOp::kNe;
-    case CompareOp::kNe:
-      return CompareOp::kEq;
-    case CompareOp::kLt:
-      return CompareOp::kGe;
-    case CompareOp::kLe:
-      return CompareOp::kGt;
-    case CompareOp::kGt:
-      return CompareOp::kLe;
-    case CompareOp::kGe:
-      return CompareOp::kLt;
-  }
-  return op;
-}
-
 Term Term::Const(Value v) {
   Term t;
   t.kind = Kind::kConst;

@@ -79,7 +79,6 @@ struct Term {
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CompareOpToString(CompareOp op);
-CompareOp NegateCompare(CompareOp op);
 
 /// Well-formed formulas (Definitions 4.3-4.4): atomic formulas
 /// (comparisons, set membership, tuple equality), connectives, and

@@ -119,9 +119,6 @@ class Server {
   Response HandlePolicy(Connection* conn, const std::string& body);
   Response HandleStats();
 
-  bool TryAcquireCommitSlot();
-  void ReleaseCommitSlot();
-
   txn::TxnManager* const manager_;
   const ServerOptions options_;
 

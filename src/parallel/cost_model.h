@@ -9,12 +9,12 @@ namespace txmod::parallel {
 
 /// Deterministic cost model of the simulated POOMA multiprocessor [22].
 ///
-/// Kept as the opt-in *simulate* mode next to the real threaded runtime:
-/// the simulated makespan is a deterministic function of the data alone,
-/// so the determinism suite can diff threaded runs against it, and the
-/// scaling experiments keep a machine-independent series. Every parallel
-/// operator phase records per-node local work and inter-node transfers,
-/// and the simulated makespan is
+/// The simulated makespan is a deterministic function of the data alone,
+/// the same whether the executor runs its per-node tasks on a pool or
+/// inline (simulate mode), so the scaling experiments keep a
+/// machine-independent series. Every parallel operator phase records
+/// per-node local work and inter-node transfers, and the simulated
+/// makespan is
 ///
 ///   Σ_phases ( max_node(local_tuples(node)) · per_tuple_local
 ///              + transferred_tuples/num_nodes · per_tuple_comm
@@ -31,9 +31,9 @@ struct CostModel {
 };
 
 /// One recorded operator phase: the simulated charge next to the wall
-/// clock actually measured on this host. `wall_us` is 0 in simulate mode
-/// (phases run inline; only the model parallelizes them) and measured
-/// around the pool phase in threaded mode.
+/// clock the phase took on this host (0 for the charge-only phases that
+/// stand for work nobody performs: a probe broadcast, an aggregate
+/// merge).
 struct PhaseTiming {
   const char* label = "phase";
   double simulated_us = 0;
@@ -44,25 +44,17 @@ struct PhaseTiming {
 };
 
 /// Work accounting for one parallel execution: the simulated POOMA
-/// makespan (unchanged math, pinned by the cost tests) plus per-phase
-/// measured wall-clock timings and exchange-queue traffic from the
-/// threaded runtime.
+/// makespan (unchanged math, pinned by the cost tests), per-phase
+/// measured wall-clock timings, and exchange batches.
 class ParallelStats {
  public:
   explicit ParallelStats(int num_nodes = 1)
       : num_nodes_(num_nodes) {}
 
   /// Records one operator phase: `local` holds tuples processed per node;
-  /// `transferred` tuples crossed the interconnect in `messages` messages.
-  void AddPhase(const std::vector<uint64_t>& local, uint64_t transferred,
-                uint64_t messages, const CostModel& model) {
-    AddPhaseTimed("phase", local, transferred, messages, model,
-                  /*wall_us=*/0);
-  }
-
-  /// AddPhase plus the phase's label and measured wall-clock duration.
-  /// The simulated charge is computed identically in both modes — it
-  /// depends only on the tuple counts, never on the real timing.
+  /// `transferred` tuples crossed the interconnect in `messages`
+  /// messages; the phase took `wall_us` on this host. The simulated
+  /// charge depends only on the tuple counts, never on the real timing.
   void AddPhaseTimed(const char* label, const std::vector<uint64_t>& local,
                      uint64_t transferred, uint64_t messages,
                      const CostModel& model, double wall_us) {
@@ -82,12 +74,16 @@ class ParallelStats {
         PhaseTiming{label, sim, wall_us, max_local, transferred, messages});
   }
 
-  /// Real exchange-queue batches moved during threaded redistribution
-  /// (the measured counterpart of the simulated `messages`).
+  /// Exchange batches: one per (source, destination) pair of nodes that
+  /// an exchange or broadcast phase moved tuples between. Deterministic,
+  /// and the same in threaded and simulate mode. (Until routing moved
+  /// inline, threaded runs counted the 256-tuple batches pushed through
+  /// exchange queues instead, and simulate mode counted none; perfbench's
+  /// parallel.exchange_batches_per_txn reads this count.)
   void AddExchangeBatches(uint64_t batches) { exchange_batches_ += batches; }
 
   double simulated_us() const { return simulated_us_; }
-  /// Measured wall-clock total across phases; 0 in simulate mode.
+  /// Measured wall-clock total across phases.
   double measured_us() const { return measured_us_; }
   uint64_t tuples_transferred() const { return tuples_transferred_; }
   uint64_t messages() const { return messages_; }

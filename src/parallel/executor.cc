@@ -27,12 +27,6 @@ using algebra::StatementKind;
 
 namespace {
 
-/// Tuples per batch a producer pushes through an exchange queue.
-constexpr std::size_t kExchangeBatchTuples = 256;
-/// An exchange queue's capacity in batches (the bound is soft until the
-/// consumer is scheduled; see ExchangeQueue).
-constexpr std::size_t kExchangeCapacity = 64;
-
 /// How the fragments of an intermediate result are aligned across nodes.
 enum class Alignment {
   kNone,         // tuples may be anywhere (and may duplicate across nodes)
@@ -228,7 +222,7 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed(insert ? "insert" : "delete", local,
                                 transferred, transferred > 0 ? 1 : 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     return Status::OK();
   }
 
@@ -279,7 +273,7 @@ class ParallelExecutor::Impl {
     }
     result_.stats.AddPhaseTimed("update", local, transferred,
                                 transferred > 0 ? 1 : 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     return Status::OK();
   }
 
@@ -374,9 +368,9 @@ class ParallelExecutor::Impl {
   /// compiled from the statement's own tree now (a plan-cache miss in
   /// EvalStats' terms) — this executor decides *where* each operator's
   /// work happens (alignment, redistribution, broadcast — charged to the
-  /// cost model), and the shared fragment-local kernels
-  /// (algebra::ExecuteNodeLocal / algebra::NodeLocalKernel) decide *how*
-  /// a fragment's tuples are joined, filtered, probed and projected.
+  /// cost model), and the shared fragment-local kernel
+  /// (algebra::ExecuteNodeLocal) decides *how* a fragment's tuples are
+  /// joined, filtered, probed and projected.
   /// Redistribution keys and the partition-vs-broadcast choice are read
   /// off the plan nodes' equality-key metadata.
   Result<FragRel> EvalExpr(const RelExpr& e) {
@@ -512,34 +506,38 @@ class ParallelExecutor::Impl {
 
   // --- phase machinery -------------------------------------------------------
 
-  /// Wall-clock charge for a phase: measured in threaded mode, 0 in
-  /// simulate mode (inline phases keep the stats fully deterministic).
-  double Wall(const PhaseTimer& timer) const {
-    return pool_ != nullptr ? timer.us() : 0.0;
+  /// Runs `fn(node)` once per node and returns the results in node order,
+  /// or the error of the first node that failed. The executor's one
+  /// choice between inline and pooled execution: simulate mode runs the
+  /// nodes inline in node order, threaded mode runs one task per node on
+  /// the pool. A task writes only its own node's slot, so the results —
+  /// and anything else `fn` keeps per node — do not depend on which
+  /// thread ran which node.
+  template <typename T, typename Fn>
+  Result<std::vector<T>> PerNode(Fn fn) {
+    std::vector<std::optional<Result<T>>> slots(width_);
+    const std::function<void(std::size_t)> task = [&](std::size_t node) {
+      slots[node].emplace(fn(node));
+    };
+    if (pool_ == nullptr) {
+      for (std::size_t node = 0; node < width_; ++node) task(node);
+    } else {
+      pool_->Run(width_, task);
+    }
+    std::vector<T> out;
+    out.reserve(width_);
+    for (std::optional<Result<T>>& slot : slots) {
+      TXMOD_RETURN_IF_ERROR(slot->status());
+      out.push_back(std::move(*slot).value());
+    }
+    return out;
   }
 
-  /// Per-phase steal seed: distinct per phase so interleavings vary
-  /// across phases, deterministic per (options seed, phase ordinal).
-  uint64_t PhaseSeed() {
-    return options_.steal_seed * 0x9e3779b97f4a7c15ULL + phase_ordinal_++;
-  }
-
-  /// One fragment-local operator phase through the shared kernels.
-  /// `in` is the streamed side on every node; `r` the hash forms' right
-  /// side; `probes` (one per node) the fragment indexes the index forms
-  /// probe where they lie.
-  ///
-  /// Simulate mode runs whole fragments inline (ExecuteNodeLocal).
-  /// Threaded mode morselizes: each shard's input tuples are sliced into
-  /// fixed-size pointer runs queued on the shard's work queue; the pool
-  /// executes them with work stealing, each morsel writing its own output
-  /// buffer and EvalStats (merged afterward in deterministic shard/morsel
-  /// order). Union nodes feed both sides' tuples as morsels; the other
-  /// operators morselize the streamed side with the right fragment
-  /// borrowed (hash-join builds happen once per shard in a preparation
-  /// step). Because fragment results are set-semantics Relations, morsel
-  /// boundaries, worker count, and steal order cannot change the merged
-  /// outcome — final states are identical across modes.
+  /// One fragment-local operator phase: each node runs its fragments
+  /// through the shared kernel (algebra::ExecuteNodeLocal). `in` is the
+  /// streamed side on every node; `r` the hash forms' right side; `probes`
+  /// (one per node) the fragment indexes the index forms probe where they
+  /// lie. Each node counts into its own EvalStats, folded in afterwards.
   Result<FragRel> RunKernelPhase(
       const char* label, const PhysicalNode& n, const FragRel& in,
       const FragRel* r, const std::vector<algebra::FragmentProbe>* probes,
@@ -548,24 +546,18 @@ class ParallelExecutor::Impl {
     for (std::size_t i = 0; i < width_; ++i) {
       scanned[i] = in.frag(i).size() + (r != nullptr ? r->frag(i).size() : 0);
     }
-    std::vector<Relation> frags(width_);
+    std::vector<algebra::EvalStats> node_stats(width_);
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      std::vector<algebra::EvalStats> node_stats(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        TXMOD_ASSIGN_OR_RETURN(
-            frags[i],
-            algebra::ExecuteNodeLocal(
-                n, in.frag(i), r != nullptr ? &r->frag(i) : nullptr,
-                &node_stats[i],
-                probes != nullptr ? &(*probes)[i] : nullptr));
-      }
-      MergeNodeStats(node_stats);
-    } else {
-      TXMOD_RETURN_IF_ERROR(MorselPhase(n, in, r, probes, &frags));
-    }
+    TXMOD_ASSIGN_OR_RETURN(
+        std::vector<Relation> frags,
+        PerNode<Relation>([&](std::size_t i) {
+          return algebra::ExecuteNodeLocal(
+              n, in.frag(i), r != nullptr ? &r->frag(i) : nullptr,
+              &node_stats[i], probes != nullptr ? &(*probes)[i] : nullptr);
+        }));
+    MergeNodeStats(node_stats);
     result_.stats.AddPhaseTimed(label, scanned, 0, 0, options_.cost_model,
-                                Wall(timer));
+                                timer.us());
     FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = align;
     out.attr = attr;
@@ -573,229 +565,41 @@ class ParallelExecutor::Impl {
     return out;
   }
 
-  Status MorselPhase(const PhysicalNode& n, const FragRel& l,
-                     const FragRel* r,
-                     const std::vector<algebra::FragmentProbe>* probes,
-                     std::vector<Relation>* out) {
-    const std::size_t msize =
-        options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
-    const bool union_op = n.op == PhysOpKind::kUnion;
-    struct Shard {
-      std::optional<algebra::NodeLocalKernel> kernel;
-      Status prep_status;
-      algebra::EvalStats prep_stats;
-      std::vector<const Tuple*> input;
-      std::size_t morsels = 0;
-      std::vector<std::vector<Tuple>> morsel_out;
-      std::vector<Status> morsel_status;
-      std::vector<algebra::EvalStats> morsel_stats;
-    };
-    std::vector<Shard> shards(width_);
-    for (std::size_t i = 0; i < width_; ++i) {
-      Shard& sh = shards[i];
-      sh.input.reserve(l.frag(i).size() +
-                       (union_op && r != nullptr ? r->frag(i).size() : 0));
-      for (const Tuple& t : l.frag(i)) sh.input.push_back(&t);
-      if (union_op && r != nullptr) {
-        for (const Tuple& t : r->frag(i)) sh.input.push_back(&t);
-      }
-      sh.morsels = (sh.input.size() + msize - 1) / msize;
-      sh.morsel_out.resize(sh.morsels);
-      sh.morsel_status.assign(sh.morsels, Status::OK());
-      sh.morsel_stats.resize(sh.morsels);
-    }
-    // Preparation: per-shard build sides (hash tables, output schemas),
-    // one task per shard on the pool.
-    {
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        Shard& sh = shards[i];
-        const Relation& left = l.frag(i);
-        const Relation* right = r != nullptr ? &r->frag(i) : nullptr;
-        const algebra::FragmentProbe* probe =
-            probes != nullptr ? &(*probes)[i] : nullptr;
-        plan.queues[i].push_back([&n, &sh, &left, right, probe] {
-          Result<algebra::NodeLocalKernel> k =
-              algebra::NodeLocalKernel::Prepare(n, left.schema_ptr(), right,
-                                                &sh.prep_stats, probe);
-          if (k.ok()) {
-            sh.kernel.emplace(std::move(k).value());
-          } else {
-            sh.prep_status = k.status();
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-    }
-    for (const Shard& sh : shards) {
-      TXMOD_RETURN_IF_ERROR(sh.prep_status);
-    }
-    // Morsels: the work-stealing heart of the phase.
-    {
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        Shard& sh = shards[i];
-        for (std::size_t m = 0; m < sh.morsels; ++m) {
-          const Tuple* const* base = sh.input.data() + m * msize;
-          const std::size_t count =
-              std::min(msize, sh.input.size() - m * msize);
-          plan.queues[i].push_back([&sh, m, base, count] {
-            sh.morsel_status[m] = sh.kernel->RunMorsel(
-                base, count, &sh.morsel_out[m], &sh.morsel_stats[m]);
-          });
-        }
-      }
-      pool_->Run(std::move(plan));
-    }
-    // Deterministic fold: stats and errors in (shard, morsel) order.
-    for (Shard& sh : shards) {
-      result_.eval_stats.Add(sh.prep_stats);
-      for (std::size_t m = 0; m < sh.morsels; ++m) {
-        TXMOD_RETURN_IF_ERROR(sh.morsel_status[m]);
-        result_.eval_stats.Add(sh.morsel_stats[m]);
-      }
-    }
-    // Merge morsel outputs into set-semantics fragments, one task per
-    // shard (disjoint destinations — no synchronization needed).
-    {
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        Shard& sh = shards[i];
-        Relation* dst = &(*out)[i];
-        plan.queues[i].push_back([&sh, dst] {
-          *dst = Relation(sh.kernel->output_schema());
-          for (std::vector<Tuple>& mo : sh.morsel_out) {
-            for (Tuple& t : mo) dst->Insert(std::move(t));
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-    }
-    return Status::OK();
-  }
-
-  /// One redistribution phase: every input tuple moves to the shard
-  /// `route` names. Simulate mode routes inline; threaded mode runs
-  /// morselized producer tasks that batch tuples into per-destination
-  /// ExchangeQueues, with one consumer per destination scheduled as a
-  /// phase follower (see ExchangeQueue for the deadlock-freedom
-  /// contract). Cost-model charges (transfers, messages) are computed
-  /// from the deterministic per-(src,dst) tallies in both modes, so the
-  /// simulated makespan never depends on batching or timing.
+  /// One redistribution phase: every input tuple moves to the node
+  /// `route` names, routed inline on the coordinator. The cost model is
+  /// charged from the per-(source, destination) tallies: the tuples that
+  /// changed node, and one message per pair used (`per_pair_messages`)
+  /// or one for the whole phase. Each pair used is one exchange batch.
   template <typename RouteFn>
   FragRel ExchangePhase(const char* label, const FragRel& in, RouteFn route,
                         Alignment align, int attr, bool maybe_dup,
                         bool per_pair_messages) {
     std::vector<Relation> frags(width_, Relation(in.frag(0).schema_ptr()));
     std::vector<uint64_t> scanned(width_, 0);
-    for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frag(i).size();
     uint64_t transferred = 0;
+    uint64_t pairs = 0;
     std::vector<std::vector<bool>> pair_used(
         width_, std::vector<bool>(width_, false));
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      for (std::size_t src = 0; src < width_; ++src) {
-        for (const Tuple& t : in.frag(src)) {
-          const std::size_t dst = route(t);
-          if (dst != src) {
-            ++transferred;
+    for (std::size_t src = 0; src < width_; ++src) {
+      scanned[src] = in.frag(src).size();
+      for (const Tuple& t : in.frag(src)) {
+        const std::size_t dst = route(t);
+        if (dst != src) {
+          ++transferred;
+          if (!pair_used[src][dst]) {
             pair_used[src][dst] = true;
+            ++pairs;
           }
-          frags[dst].Insert(t);
         }
-      }
-    } else {
-      const std::size_t msize =
-          options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
-      struct Producer {
-        std::size_t src = 0;
-        const Tuple* const* base = nullptr;
-        std::size_t count = 0;
-        std::vector<uint64_t> sent;  // per destination
-      };
-      std::vector<std::vector<const Tuple*>> inputs(width_);
-      std::vector<Producer> producers;
-      for (std::size_t src = 0; src < width_; ++src) {
-        inputs[src].reserve(in.frag(src).size());
-        for (const Tuple& t : in.frag(src)) inputs[src].push_back(&t);
-        for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
-          Producer p;
-          p.src = src;
-          p.base = inputs[src].data() + off;
-          p.count = std::min(msize, inputs[src].size() - off);
-          p.sent.assign(width_, 0);
-          producers.push_back(std::move(p));
-        }
-      }
-      std::vector<std::unique_ptr<ExchangeQueue>> queues;
-      queues.reserve(width_);
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        queues.push_back(std::make_unique<ExchangeQueue>(
-            kExchangeCapacity, producers.size()));
-      }
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (Producer& p : producers) {
-        Producer* pp = &p;
-        plan.queues[p.src].push_back([pp, &queues, route, this] {
-          std::vector<std::vector<Tuple>> bufs(width_);
-          for (std::size_t k = 0; k < pp->count; ++k) {
-            const Tuple& t = *pp->base[k];
-            const std::size_t dst = route(t);
-            ++pp->sent[dst];
-            bufs[dst].push_back(t);
-            if (bufs[dst].size() >= kExchangeBatchTuples) {
-              queues[dst]->Push(std::move(bufs[dst]));
-              bufs[dst] = {};
-            }
-          }
-          for (std::size_t dst = 0; dst < width_; ++dst) {
-            if (!bufs[dst].empty()) queues[dst]->Push(std::move(bufs[dst]));
-            queues[dst]->ProducerDone();
-          }
-        });
-      }
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        Relation* target = &frags[dst];
-        ExchangeQueue* q = queues[dst].get();
-        plan.followers.push_back([target, q] {
-          std::vector<Tuple> b;
-          while (q->Pop(&b)) {
-            for (Tuple& t : b) target->Insert(std::move(t));
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-      uint64_t batches = 0;
-      for (const auto& q : queues) batches += q->batches();
-      result_.stats.AddExchangeBatches(batches);
-      for (const Producer& p : producers) {
-        for (std::size_t dst = 0; dst < width_; ++dst) {
-          if (dst == p.src || p.sent[dst] == 0) continue;
-          transferred += p.sent[dst];
-          pair_used[p.src][dst] = true;
-        }
+        frags[dst].Insert(t);
       }
     }
-    uint64_t messages = 0;
-    if (per_pair_messages) {
-      for (std::size_t s = 0; s < width_; ++s) {
-        for (std::size_t d = 0; d < width_; ++d) {
-          if (pair_used[s][d]) ++messages;
-        }
-      }
-    } else {
-      messages = transferred > 0 ? 1 : 0;
-    }
+    result_.stats.AddExchangeBatches(pairs);
+    const uint64_t messages =
+        per_pair_messages ? pairs : (transferred > 0 ? 1 : 0);
     result_.stats.AddPhaseTimed(label, scanned, transferred, messages,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = align;
     out.attr = attr;
@@ -827,79 +631,23 @@ class ParallelExecutor::Impl {
   }
 
   /// Replicates every right-side tuple to every node (join predicates
-  /// without equality conjuncts). Threaded mode pushes each producer
-  /// batch into every destination's ExchangeQueue.
+  /// without equality conjuncts), inline on the coordinator. Every
+  /// non-empty fragment is one exchange batch to each other node.
   FragRel BroadcastAll(const FragRel& r, std::size_t right_total) {
     std::vector<Relation> frags(width_, Relation(r.frag(0).schema_ptr()));
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < width_; ++i) {
-        for (std::size_t src = 0; src < width_; ++src) {
-          for (const Tuple& t : r.frag(src)) frags[i].Insert(t);
-        }
-      }
-    } else {
-      const std::size_t msize =
-          options_.morsel_tuples > 0 ? options_.morsel_tuples : 1;
-      struct Producer {
-        const Tuple* const* base = nullptr;
-        std::size_t count = 0;
-      };
-      std::vector<std::vector<const Tuple*>> inputs(width_);
-      std::vector<Producer> producers;
-      std::vector<std::size_t> producer_src;
+    for (std::size_t i = 0; i < width_; ++i) {
       for (std::size_t src = 0; src < width_; ++src) {
-        inputs[src].reserve(r.frag(src).size());
-        for (const Tuple& t : r.frag(src)) inputs[src].push_back(&t);
-        for (std::size_t off = 0; off < inputs[src].size(); off += msize) {
-          producers.push_back(
-              Producer{inputs[src].data() + off,
-                       std::min(msize, inputs[src].size() - off)});
-          producer_src.push_back(src);
-        }
+        for (const Tuple& t : r.frag(src)) frags[i].Insert(t);
       }
-      std::vector<std::unique_ptr<ExchangeQueue>> queues;
-      queues.reserve(width_);
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        queues.push_back(std::make_unique<ExchangeQueue>(
-            kExchangeCapacity, producers.size()));
-      }
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t pi = 0; pi < producers.size(); ++pi) {
-        Producer* pp = &producers[pi];
-        plan.queues[producer_src[pi]].push_back([pp, &queues, this] {
-          std::vector<Tuple> buf;
-          buf.reserve(pp->count);
-          for (std::size_t k = 0; k < pp->count; ++k) {
-            buf.push_back(*pp->base[k]);
-          }
-          for (std::size_t dst = 0; dst < width_; ++dst) {
-            if (!buf.empty()) queues[dst]->Push(buf);
-            queues[dst]->ProducerDone();
-          }
-        });
-      }
-      for (std::size_t dst = 0; dst < width_; ++dst) {
-        Relation* target = &frags[dst];
-        ExchangeQueue* q = queues[dst].get();
-        plan.followers.push_back([target, q] {
-          std::vector<Tuple> b;
-          while (q->Pop(&b)) {
-            for (Tuple& t : b) target->Insert(std::move(t));
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-      uint64_t batches = 0;
-      for (const auto& q : queues) batches += q->batches();
-      result_.stats.AddExchangeBatches(batches);
+    }
+    for (std::size_t src = 0; src < width_; ++src) {
+      if (!r.frag(src).empty()) result_.stats.AddExchangeBatches(width_ - 1);
     }
     result_.stats.AddPhaseTimed(
         "broadcast", std::vector<uint64_t>(width_, 0),
         static_cast<uint64_t>(right_total) * (width_ - 1),
-        width_ > 1 ? width_ - 1 : 0, options_.cost_model, Wall(timer));
+        width_ > 1 ? width_ - 1 : 0, options_.cost_model, timer.us());
     return FragRel::Owning(std::move(frags));
   }
 
@@ -1136,52 +884,21 @@ class ParallelExecutor::Impl {
     if (in.maybe_duplicated) in = RedistributeWholeTuple(in);
 
     // Node-local partials through the shared aggregate kernel, merged at
-    // the coordinator: one partial record per node crosses the
-    // interconnect. Fragment granularity in both modes (no morsels):
-    // partials then merge in the same order everywhere, so even
-    // floating-point sums cannot differ between modes or steal orders.
-    std::vector<AggPartial> partials(width_);
+    // the coordinator in node order: one partial record per node crosses
+    // the interconnect, and even floating-point sums cannot differ
+    // between modes.
     std::vector<uint64_t> scanned(width_);
     for (std::size_t i = 0; i < width_; ++i) scanned[i] = in.frag(i).size();
     std::vector<algebra::EvalStats> node_stats(width_);
-    std::vector<Status> statuses(width_, Status::OK());
     const PhaseTimer timer;
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < width_; ++i) {
-        Result<AggPartial> p =
-            algebra::AggregateLocal(n, in.frag(i), &node_stats[i]);
-        if (p.ok()) {
-          partials[i] = std::move(p).value();
-        } else {
-          statuses[i] = p.status();
-        }
-      }
-    } else {
-      PhasePlan plan;
-      plan.steal_seed = PhaseSeed();
-      plan.queues.resize(width_);
-      for (std::size_t i = 0; i < width_; ++i) {
-        const Relation* frag = &in.frag(i);
-        AggPartial* partial = &partials[i];
-        algebra::EvalStats* stats = &node_stats[i];
-        Status* status = &statuses[i];
-        plan.queues[i].push_back([&n, frag, partial, stats, status] {
-          Result<AggPartial> p = algebra::AggregateLocal(n, *frag, stats);
-          if (p.ok()) {
-            *partial = std::move(p).value();
-          } else {
-            *status = p.status();
-          }
-        });
-      }
-      pool_->Run(std::move(plan));
-    }
-    for (const Status& st : statuses) {
-      TXMOD_RETURN_IF_ERROR(st);
-    }
+    TXMOD_ASSIGN_OR_RETURN(
+        std::vector<AggPartial> partials,
+        PerNode<AggPartial>([&](std::size_t i) {
+          return algebra::AggregateLocal(n, in.frag(i), &node_stats[i]);
+        }));
     MergeNodeStats(node_stats);
     result_.stats.AddPhaseTimed("aggregate", scanned, 0, 0,
-                                options_.cost_model, Wall(timer));
+                                options_.cost_model, timer.us());
     result_.stats.AddPhaseTimed("aggregate-merge",
                                 std::vector<uint64_t>(width_, 0),
                                 static_cast<uint64_t>(width_ - 1),
@@ -1204,9 +921,8 @@ class ParallelExecutor::Impl {
   }
 
   /// Folds per-node kernel counters into the transaction's EvalStats.
-  /// Kernels write disjoint per-node records during a threaded phase; the
-  /// merge happens after the pool phase completes, so no counter is ever
-  /// shared across threads.
+  /// Each node's task writes its own record; the fold runs after the
+  /// phase, so no counter is shared across threads.
   void MergeNodeStats(const std::vector<algebra::EvalStats>& node_stats) {
     for (const algebra::EvalStats& s : node_stats) {
       result_.eval_stats.Add(s);
@@ -1215,11 +931,10 @@ class ParallelExecutor::Impl {
 
   ParallelDatabase* db_;
   const ParallelOptions& options_;
-  ThreadPool* pool_;         // null = simulate mode (inline phases)
+  ThreadPool* pool_;         // null = simulate mode (see PerNode)
   const int nodes_;          // node count for the fragmentation API
   const std::size_t width_;  // the same count, as a container extent
   ParallelTxnResult result_;
-  uint64_t phase_ordinal_ = 0;  // feeds PhaseSeed
   std::map<std::string, FragRel> temps_;
   /// The transaction's writes: per written relation, one overlay level
   /// per written fragment — dplus/dminus are a level's own inserts and

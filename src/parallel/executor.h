@@ -21,26 +21,18 @@ bool DefaultUseThreads();
 
 struct ParallelOptions {
   CostModel cost_model;
-  /// Execute operator phases on the persistent worker pool: morselized
-  /// fragment-local kernels with work stealing, and real exchange-queue
-  /// redistribution. The default whenever the host has more than one
-  /// hardware thread. false = *simulate* mode: every phase runs inline
-  /// on the caller and parallelism exists only in the cost model's
-  /// simulated makespan — the deterministic reference the determinism
-  /// suite diffs threaded runs against (final states are identical in
-  /// both modes).
+  /// Run each kernel and aggregate phase as one task per node on a worker
+  /// pool; the default whenever the host has more than one hardware
+  /// thread. false = *simulate* mode: the same tasks run inline on the
+  /// caller in node order, and parallelism exists only in the cost
+  /// model's simulated makespan. Exchange and broadcast phases route
+  /// inline on the caller in both modes, and final states, work counters
+  /// and the simulated makespan are identical in both.
   bool use_threads = DefaultUseThreads();
   /// Worker threads for threaded phases. 0 = the process-wide shared
-  /// pool (ThreadPool::DefaultWorkerCount(): the TXMOD_PARALLEL_WORKERS
-  /// env override, else hardware_concurrency). n > 0 = a pool of exactly
-  /// n threads owned by this executor.
+  /// pool (ThreadPool::Shared(), one thread per hardware thread). n > 0 =
+  /// a pool of exactly n threads owned by this executor.
   std::size_t num_workers = 0;
-  /// Tuples per morsel: the unit of work the pool's queues hold and
-  /// workers steal. Smaller = better balance, more scheduling overhead.
-  std::size_t morsel_tuples = 1024;
-  /// Perturbs each phase's steal order; the determinism tests sweep it
-  /// to pin that steal interleaving cannot change final states.
-  uint64_t steal_seed = 0;
 };
 
 struct ParallelTxnResult {
@@ -61,11 +53,10 @@ struct ParallelTxnResult {
 /// (algebra::PhysicalPlan); this executor owns only the *distribution*
 /// decisions — alignment tracking, redistribution, broadcast, cost-model
 /// charging — while each fragment's tuples run through the shared
-/// fragment-local operator kernels (algebra::ExecuteNodeLocal and its
-/// morsel-granular form algebra::NodeLocalKernel), so operator semantics
-/// cannot diverge between the two engines. Data is read where it lies:
-/// intermediate results borrow base fragments, overlay levels, dplus/
-/// dminus and temporaries instead of copying them.
+/// fragment-local operator kernel (algebra::ExecuteNodeLocal), so
+/// operator semantics cannot diverge between the two engines. Data is
+/// read where it lies: intermediate results borrow base fragments,
+/// overlay levels, dplus/dminus and temporaries instead of copying them.
 ///
 ///  * selections/projections run fragment-local;
 ///  * the index forms probe the indexes every fragment declares
@@ -98,19 +89,14 @@ struct ParallelTxnResult {
 /// into its fragment (Relation::Absorb, O(|delta|), index nodes moved);
 /// abort, or any error, drops the levels.
 ///
-/// In threaded mode (the default on multi-core hosts) each fragment-local
-/// phase is morselized: shard inputs are sliced into fixed-size runs of
-/// tuple pointers queued per shard on a persistent ThreadPool, idle
-/// workers steal morsels from other shards' queues, and per-morsel
-/// outputs merge into set-semantics fragment results (so morsel
-/// boundaries, worker count, and steal order cannot change final
-/// states). Redistribution and broadcast move tuples through bounded
-/// ExchangeQueues — per-destination MPSC batch queues with the consumers
-/// scheduled as phase followers. Simulate mode (use_threads = false)
-/// runs the same kernels inline and keeps only the cost model's
-/// simulated makespan; ParallelStats reports measured wall-clock phase
-/// timings next to the simulated numbers in both modes (wall ≈ 0 when
-/// inline).
+/// Each phase has one code path. A kernel or aggregate phase is one task
+/// per node, each writing its own fragment and counters: on the pool in
+/// threaded mode (use_threads, the default on multi-core hosts), inline
+/// in node order in simulate mode, so node results merge in the same
+/// order in both. Redistribution and broadcast route inline on the
+/// caller, tallying the same per-(source, destination) counts the cost
+/// model charges. ParallelStats reports the measured wall clock of each
+/// phase next to its simulated charge.
 ///
 /// Each statement compiles its own expression tree when it runs
 /// (PhysicalPlan::Compile), one walk that copies no tuple; the

@@ -1,33 +1,13 @@
 #include "src/parallel/thread_pool.h"
 
-#include <cstdlib>
-#include <random>
+#include <algorithm>
 
 namespace txmod::parallel {
 
-/// Shared state of one running phase. Heap-allocated and shared_ptr-held
-/// so a worker that grabs the phase just as it completes still holds a
-/// live object after Run returns. One mutex guards the queues and
-/// counters: morsels are coarse (hundreds to thousands of tuples), so a
-/// pop is negligible against the task it schedules, and a single lock
-/// keeps the stealing policy easy to reason about (and TSan-clean).
-struct ThreadPool::PhaseState {
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::vector<std::deque<std::function<void()>>> queues;
-  std::deque<std::function<void()>> followers;
-  std::size_t queued = 0;     // tasks still sitting in `queues`
-  std::size_t remaining = 0;  // tasks not yet finished (incl. running)
-  uint64_t seed = 0;
-  std::size_t participants = 1;  // pool threads + the Run caller
-};
-
 ThreadPool::ThreadPool(std::size_t workers) {
-  // workers == 0 is a valid caller-only pool: Run's caller is always a
-  // participant, so every task still executes (on the calling thread).
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -40,143 +20,44 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::size_t ThreadPool::DefaultWorkerCount() {
-  if (const char* env = std::getenv("TXMOD_PARALLEL_WORKERS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v <= 1024) {
-      return static_cast<std::size_t>(v);
-    }
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(DefaultWorkerCount());
+  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
   return pool;
 }
 
-void ThreadPool::WorkerLoop(std::size_t id) {
-  uint64_t seen = 0;
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::shared_ptr<PhaseState> st;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || (phase_ != nullptr && epoch_ != seen);
-      });
-      if (stop_) return;
-      seen = epoch_;
-      st = phase_;
-    }
-    Participate(*st, id);
+    work_cv_.wait(lock, [&] { return stop_ || next_ < count_; });
+    if (stop_) return;
+    RunTasks(&lock);
   }
 }
 
-void ThreadPool::Participate(PhaseState& st, std::size_t participant) {
-  // The steal order is a deterministic function of (phase seed,
-  // participant): distinct seeds exercise distinct interleavings, which
-  // the determinism tests sweep.
-  std::mt19937_64 rng(st.seed * 0x9e3779b97f4a7c15ULL + participant + 1);
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(st.mu);
-      const std::size_t nq = st.queues.size();
-      // Owned shards first, front-to-back.
-      for (std::size_t s = participant; s < nq; s += st.participants) {
-        if (!st.queues[s].empty()) {
-          task = std::move(st.queues[s].front());
-          st.queues[s].pop_front();
-          break;
-        }
-      }
-      if (!task && st.queued > 0) {
-        // Steal from the back of a victim chosen by the seeded order.
-        std::vector<std::size_t> victims;
-        victims.reserve(nq);
-        for (std::size_t s = 0; s < nq; ++s) {
-          if (!st.queues[s].empty()) victims.push_back(s);
-        }
-        if (!victims.empty()) {
-          const std::size_t v = victims[rng() % victims.size()];
-          task = std::move(st.queues[v].back());
-          st.queues[v].pop_back();
-        }
-      }
-      if (task) {
-        --st.queued;
-      } else if (st.queued == 0 && !st.followers.empty()) {
-        // Every queue task is at least scheduled; followers may run.
-        task = std::move(st.followers.front());
-        st.followers.pop_front();
-      }
-    }
-    if (!task) return;  // running tasks elsewhere finish on their threads
-    task();
-    {
-      std::lock_guard<std::mutex> lock(st.mu);
-      if (--st.remaining == 0) st.done_cv.notify_all();
-    }
+void ThreadPool::RunTasks(std::unique_lock<std::mutex>* lock) {
+  while (next_ < count_) {
+    const std::size_t i = next_++;
+    ++running_;
+    lock->unlock();
+    (*task_)(i);
+    lock->lock();
+    if (--running_ == 0 && next_ == count_) done_cv_.notify_all();
   }
 }
 
-void ThreadPool::Run(PhasePlan plan) {
+void ThreadPool::Run(std::size_t count,
+                     const std::function<void(std::size_t)>& task) {
+  if (count == 0) return;
   std::lock_guard<std::mutex> run_lock(run_mu_);
-  auto st = std::make_shared<PhaseState>();
-  st->queues = std::move(plan.queues);
-  st->followers = std::move(plan.followers);
-  st->seed = plan.steal_seed;
-  st->participants = threads_.size() + 1;
-  for (const auto& q : st->queues) st->queued += q.size();
-  st->remaining = st->queued + st->followers.size();
-  if (st->remaining == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    phase_ = st;
-    ++epoch_;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  task_ = &task;
+  count_ = count;
+  next_ = 0;
   work_cv_.notify_all();
-  Participate(*st, threads_.size());  // the caller is the last participant
-  {
-    std::unique_lock<std::mutex> lock(st->mu);
-    st->done_cv.wait(lock, [&] { return st->remaining == 0; });
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    phase_.reset();
-  }
-}
-
-void ExchangeQueue::Push(std::vector<Tuple> batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock,
-                 [&] { return q_.size() < capacity_ || !consumer_live_; });
-  q_.push_back(std::move(batch));
-  ++batches_;
-  not_empty_.notify_one();
-}
-
-bool ExchangeQueue::Pop(std::vector<Tuple>* batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  consumer_live_ = true;
-  not_empty_.wait(lock, [&] { return !q_.empty() || producers_ == 0; });
-  if (q_.empty()) return false;
-  *batch = std::move(q_.front());
-  q_.pop_front();
-  not_full_.notify_all();
-  return true;
-}
-
-void ExchangeQueue::ProducerDone() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--producers_ == 0) not_empty_.notify_all();
-}
-
-uint64_t ExchangeQueue::batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batches_;
+  RunTasks(&lock);
+  done_cv_.wait(lock, [&] { return running_ == 0; });
+  task_ = nullptr;
+  count_ = 0;
 }
 
 }  // namespace txmod::parallel

@@ -22,18 +22,6 @@ const char* ValueTypeToString(ValueType type) {
   return "unknown";
 }
 
-Result<double> Value::NumericAsDouble() const {
-  switch (type()) {
-    case ValueType::kInt:
-      return static_cast<double>(as_int());
-    case ValueType::kDouble:
-      return as_double();
-    default:
-      return Status::InvalidArgument(
-          StrCat("numeric value required, got ", ValueTypeToString(type())));
-  }
-}
-
 bool Value::Less(const Value& a, const Value& b) {
   if (a.type() != b.type()) return a.type() < b.type();
   switch (a.type()) {

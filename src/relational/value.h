@@ -56,9 +56,6 @@ class Value {
   double as_double() const { return std::get<double>(rep_); }
   const std::string& as_string() const { return std::get<std::string>(rep_); }
 
-  /// Numeric value widened to double; error if not numeric.
-  Result<double> NumericAsDouble() const;
-
   /// Type-exact identity (set semantics); consistent with Hash().
   bool operator==(const Value& other) const { return rep_ == other.rep_; }
   bool operator!=(const Value& other) const { return !(*this == other); }

@@ -153,13 +153,15 @@ void TxnManager::ReleaseSession(TxnSession* session) {
   if (session->snapshot_registered_) {
     // Ended without reaching stage B (Abort, destruction, a failed
     // Execute).
+    Evicted evicted;  // freed after the lock is released
     std::lock_guard<std::mutex> lock(commit_mu_);
-    ReleaseSnapshotLocked(session);
+    ReleaseSnapshotLocked(session, &evicted);
   }
   active_sessions_.fetch_sub(1);
 }
 
-void TxnManager::ReleaseSnapshotLocked(TxnSession* session) {
+void TxnManager::ReleaseSnapshotLocked(TxnSession* session,
+                                       Evicted* evicted) {
   session->snapshot_registered_ = false;
   const auto it = live_snapshots_.find(session->snapshot_version_);
   if (--it->second == 0) live_snapshots_.erase(it);
@@ -172,7 +174,7 @@ void TxnManager::ReleaseSnapshotLocked(TxnSession* session) {
                               : live_snapshots_.begin()->first;
   const std::size_t before = recent_.size();
   while (!recent_.empty() && recent_.front()->version <= oldest) {
-    EvictOldestLocked();
+    EvictOldestLocked(evicted);
   }
   if (recent_.size() != before) StoreWindowGaugesLocked();
 }
@@ -383,15 +385,19 @@ std::size_t TupleCount(const WalRecord& record) {
 
 }  // namespace
 
-void TxnManager::PublishCommitLocked(std::shared_ptr<const WalRecord> record) {
+void TxnManager::PublishCommitLocked(std::shared_ptr<const WalRecord> record,
+                                     Evicted* evicted) {
   window_tuples_ += TupleCount(*record);
   recent_.push_back(std::move(record));
-  while (recent_.size() > options_.validation_window) EvictOldestLocked();
+  while (recent_.size() > options_.validation_window) {
+    EvictOldestLocked(evicted);
+  }
   StoreWindowGaugesLocked();
 }
 
-void TxnManager::EvictOldestLocked() {
+void TxnManager::EvictOldestLocked(Evicted* evicted) {
   window_tuples_ -= TupleCount(*recent_.front());
+  evicted->push_back(std::move(recent_.front()));
   recent_.pop_front();
 }
 
@@ -489,6 +495,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
   // -- Stage B: validate, reserve, install, publish (commit_mu_) -------
   uint64_t version = 0;
+  Evicted evicted;  // the window records stage B drops; freed off the lock
   Installs installs;  // what the durability-failure unwind re-installs
   bool too_deep = false;  // an installed chain passed the depth bound
   std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
@@ -501,7 +508,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
     const bool conflict = HasConflictLocked(*session, &reason);
     // Validated: whatever the outcome, the window need not keep records
     // for this snapshot any more.
-    ReleaseSnapshotLocked(session);
+    ReleaseSnapshotLocked(session, &evicted);
     if (conflict) {
       stats_.conflicts.fetch_add(1);
       result.committed = false;
@@ -585,7 +592,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
     // Only a session whose snapshot predates this commit can conflict
     // with it, and only the live ones registered before it do.
-    if (!live_snapshots_.empty()) PublishCommitLocked(wal_record);
+    if (!live_snapshots_.empty()) PublishCommitLocked(wal_record, &evicted);
     stats_.commits.fetch_add(1);
     result.committed = true;
     result.commit_version = version;

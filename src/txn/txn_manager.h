@@ -473,19 +473,27 @@ class TxnManager {
   /// Sets `reason`.
   bool HasConflictLocked(const TxnSession& session, std::string* reason);
 
-  /// Validation-window maintenance. All require commit_mu_.
+  /// Window records evicted under commit_mu_, to be freed after it.
+  using Evicted = std::vector<std::shared_ptr<const WalRecord>>;
+
+  /// Validation-window maintenance. All require commit_mu_. The evicting
+  /// calls move what they drop into `evicted`, which the caller declares
+  /// before it takes the lock: the window may hold a record's last
+  /// reference, and freeing a large record takes milliseconds, so it is
+  /// freed on the caller's thread once the lock is released.
   /// Appends `record` to the window, evicting the oldest records beyond
   /// options_.validation_window.
-  void PublishCommitLocked(std::shared_ptr<const WalRecord> record);
-  /// Drops recent_.front().
-  void EvictOldestLocked();
+  void PublishCommitLocked(std::shared_ptr<const WalRecord> record,
+                           Evicted* evicted);
+  /// Moves recent_.front() into `evicted`.
+  void EvictOldestLocked(Evicted* evicted);
   /// The WAL-failure unwind of commit `version`: pops its record when it
   /// is the newest published one; a commit that was never published (or
   /// already dropped) leaves nothing to unwind.
   void UnpublishNewestLocked(uint64_t version);
-  /// Releases `session`'s snapshot registration and drops the records
+  /// Releases `session`'s snapshot registration and evicts the records
   /// no live snapshot predates any more.
-  void ReleaseSnapshotLocked(TxnSession* session);
+  void ReleaseSnapshotLocked(TxnSession* session, Evicted* evicted);
   void StoreWindowGaugesLocked();
 
   /// Contiguous durability horizon: a commit is acknowledged only when

@@ -1,11 +1,13 @@
 // Pins the choices of the physical-plan layer (physical_plan.h): which
 // operator implementation each logical shape compiles to, which indexes a
 // plan requests, and that both the serial pipeline and the fragment-local
-// kernels execute the same plans. Plan choices are load-bearing — the
+// kernel execute the same plans. Plan choices are load-bearing — the
 // integrity subsystem derives its index declarations from them — so they
 // are pinned by Explain() dumps here, not left incidental.
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "bench/workload.h"
@@ -337,6 +339,156 @@ TEST(PhysicalPlanTest, FragmentLocalKernelMatchesSerialJoin) {
         Relation local, ExecuteNodeLocal(plan.root(), left, &right));
     EXPECT_TRUE(local.SameTuples(serial));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The fragment-local kernel over fragments: streaming operators scan their
+// input once, a hash join builds its right side once, and the index forms
+// probe fragment indexes where they lie.
+// ---------------------------------------------------------------------------
+
+/// `rel` dealt round-robin into `n` fragments, each indexed on `attrs`.
+std::vector<Relation> IndexedFragments(const Relation& rel, std::size_t n,
+                                       const std::vector<int>& attrs) {
+  std::vector<Relation> frags;
+  frags.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    frags.emplace_back(rel.schema_ptr()).IndexOn(attrs);
+  }
+  std::size_t i = 0;
+  for (const Tuple& t : rel) frags[i++ % n].Insert(t);
+  return frags;
+}
+
+class NodeLocalTest : public ::testing::Test {
+ protected:
+  NodeLocalTest() : db_(MakeBeerDatabase()) {
+    AddBrewery(&db_, "heineken", "amsterdam", "nl");
+    AddBrewery(&db_, "guinness", "dublin", "ie");
+    for (int i = 0; i < 23; ++i) {
+      AddBeer(&db_, StrCat("beer", i), "lager",
+              i % 2 == 0 ? "heineken" : "guinness", 3.0 + (i % 7));
+    }
+  }
+
+  /// Compiles `text` and returns its plan (kept alive by the fixture), or
+  /// nullptr on a parse/compile failure (already reported to gtest).
+  const PhysicalPlan* Plan(const std::string& text) {
+    auto e = Parse(db_, text);
+    if (!e.ok()) {
+      ADD_FAILURE() << e.status().ToString();
+      return nullptr;
+    }
+    auto plan = PhysicalPlan::Compile(*std::move(e));
+    if (!plan.ok()) {
+      ADD_FAILURE() << plan.status().ToString();
+      return nullptr;
+    }
+    plans_.push_back(std::make_unique<PhysicalPlan>(std::move(plan).value()));
+    return plans_.back().get();
+  }
+
+  const Relation& Rel(const std::string& name) { return **db_.Find(name); }
+
+  Database db_;
+  std::vector<std::unique_ptr<PhysicalPlan>> plans_;
+};
+
+TEST_F(NodeLocalTest, StreamingOperatorsMatchSerialExecution) {
+  for (const char* text :
+       {"select[alcohol > 5](beer)", "project[name, alcohol](beer)"}) {
+    SCOPED_TRACE(text);
+    const PhysicalPlan* plan = Plan(text);
+    ASSERT_NE(plan, nullptr);
+    DbContext ctx(&db_);
+    TXMOD_ASSERT_OK_AND_ASSIGN(Relation serial, plan->Execute(ctx));
+    EvalStats stats;
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        Relation local,
+        ExecuteNodeLocal(plan->root(), Rel("beer"), nullptr, &stats));
+    EXPECT_TRUE(local.SameTuples(serial));
+    EXPECT_EQ(stats.tuples_scanned, Rel("beer").size());
+  }
+}
+
+TEST_F(NodeLocalTest, HashJoinBuildsItsRightSideOnce) {
+  const PhysicalPlan* plan = Plan("join[l.brewery = r.name](beer, brewery)");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->root().op, PhysOpKind::kHashJoin);
+  DbContext ctx(&db_);
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation serial, plan->Execute(ctx));
+  EvalStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation local, ExecuteNodeLocal(plan->root(), Rel("beer"),
+                                       &Rel("brewery"), &stats));
+  EXPECT_TRUE(local.SameTuples(serial));
+  EXPECT_EQ(stats.tuples_scanned, Rel("beer").size() + Rel("brewery").size());
+  EXPECT_EQ(stats.index_probes, 0u);
+}
+
+TEST_F(NodeLocalTest, IndexedSetOpProbesEveryFragmentInPlace) {
+  const PhysicalPlan* plan =
+      Plan("diff(project[brewery](beer), project[name](brewery))");
+  ASSERT_NE(plan, nullptr);
+  const PhysicalNode& n = plan->root();
+  ASSERT_EQ(n.op, PhysOpKind::kIndexSetOp);
+  AddBrewery(&db_, "plzen", "pilsen", "cz");      // unreferenced
+  AddBeer(&db_, "stray", "ale", "nowhere", 5.0);  // dangling
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation left, ExecuteNodeLocal(n.child(0), Rel("beer"), nullptr));
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation members, ExecuteNodeLocal(n.child(1), Rel("brewery"), nullptr));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation expected,
+                             ExecuteNodeLocal(n, left, &members));
+  ASSERT_EQ(expected.size(), 1u);  // nowhere
+
+  const std::vector<Relation> frags =
+      IndexedFragments(Rel("brewery"), 3, n.setop_attrs);
+  FragmentProbe probe;
+  for (const Relation& f : frags) {
+    probe.views.push_back(f.FindIndexView(n.setop_attrs));
+  }
+  probe.schema = Rel("brewery").schema_ptr();
+  EvalStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      Relation probed, ExecuteNodeLocal(n, left, nullptr, &stats, &probe));
+  EXPECT_TRUE(probed.SameTuples(expected));
+  EXPECT_EQ(stats.tuples_scanned, left.size());  // brewery is not scanned
+  EXPECT_GE(stats.index_probes, left.size());
+}
+
+TEST_F(NodeLocalTest, IndexLookupJoinStreamsTheDeltaThroughAFragment) {
+  const PhysicalPlan* plan = Plan(
+      "semijoin[l.brewery = r.0](beer, {(\"heineken\"), (\"nowhere\")})");
+  ASSERT_NE(plan, nullptr);
+  const PhysicalNode& n = plan->root();
+  ASSERT_EQ(n.op, PhysOpKind::kIndexLookupJoin);
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation delta,
+                             MaterializeLiteral(*n.child(1).logical));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Relation expected,
+                             ExecuteNodeLocal(n, Rel("beer"), &delta));
+  ASSERT_FALSE(expected.empty());
+
+  // Each fragment streams the (broadcast) delta through its own index;
+  // together they find every match, and no beer tuple is scanned.
+  const std::vector<Relation> frags =
+      IndexedFragments(Rel("beer"), 3, n.left_keys);
+  Relation found(expected.schema_ptr());
+  for (const Relation& f : frags) {
+    FragmentProbe probe;
+    probe.views.push_back(f.FindIndexView(n.left_keys));
+    probe.schema = f.schema_ptr();
+    EvalStats stats;
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        Relation part, ExecuteNodeLocal(n, delta, nullptr, &stats, &probe));
+    EXPECT_EQ(stats.tuples_scanned, delta.size());
+    EXPECT_EQ(stats.index_probes, delta.size());
+    for (const Tuple& t : part) {
+      EXPECT_TRUE(f.Contains(t));
+      found.Insert(t);
+    }
+  }
+  EXPECT_TRUE(found.SameTuples(expected));
 }
 
 // ---------------------------------------------------------------------------
