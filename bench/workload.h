@@ -1,7 +1,7 @@
 #ifndef TXMOD_BENCH_WORKLOAD_H_
 #define TXMOD_BENCH_WORKLOAD_H_
 
-// Shared workload generator for the benchmark harness (DESIGN.md §4).
+// Shared workload generator for the benchmark harness.
 //
 // The paper's Section 7 test database: a key relation (brewery-like,
 // playing the referenced side) and a foreign-key relation (beer-like,

@@ -105,8 +105,7 @@ class Analyzer {
         if (t.agg == CalcAgg::kMlt) {
           return Status::Unimplemented(
               "MLT belongs to the multi-set algebra extension [8]; this "
-              "library implements the paper's set semantics (DESIGN.md "
-              "section 5.2)");
+              "library implements the paper's set semantics");
         }
         return SchemaOf(t.rel).status();
       case Term::Kind::kConst:
@@ -228,8 +227,7 @@ class Analyzer {
         if (t->agg == CalcAgg::kMlt) {
           return Status::Unimplemented(
               "MLT belongs to the multi-set algebra extension [8]; this "
-              "library implements the paper's set semantics (DESIGN.md "
-              "section 5.2)");
+              "library implements the paper's set semantics");
         }
         TXMOD_ASSIGN_OR_RETURN(const RelationSchema* s, SchemaOf(t->rel));
         TermType tt;

@@ -33,7 +33,7 @@ struct AnalyzedFormula {
 ///    the base relation's schema);
 ///  * MLT (multiset multiplicity, from the multi-set extension [8] of the
 ///    paper) is rejected: this library implements the paper's set
-///    semantics — see DESIGN.md §5.2.
+///    semantics.
 Result<AnalyzedFormula> AnalyzeFormula(const Formula& formula,
                                        const DatabaseSchema& schema);
 

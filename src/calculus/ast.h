@@ -31,8 +31,8 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv };
 
 /// Aggregate function symbols FA ∪ FC (Definition 4.1). kMlt is the
 /// multiset multiplicity function of the paper's multi-set extension [8];
-/// it is recognized by the parser and rejected by the analyzer (set
-/// semantics in this library — see DESIGN.md §5.2).
+/// it is recognized by the parser and rejected by the analyzer (this
+/// library implements set semantics).
 enum class CalcAgg { kSum, kAvg, kMin, kMax, kCnt, kMlt };
 
 const char* ArithOpToString(ArithOp op);

@@ -33,8 +33,7 @@ struct OptimizedCondition {
 
 /// OptC: optimizes `condition` for a rule with trigger set `triggers`.
 ///
-/// Recognized classes and their specializations (soundness arguments in
-/// DESIGN.md §5.4):
+/// Recognized classes and their specializations:
 ///  * single-variable domain constraints ∀x(x∈R ∧ pre(x) ⇒ M(x)) with
 ///    scalar M — check dplus(R) only;
 ///  * referential constraints ∀x(x∈R ∧ pre(x) ⇒ ∃y(y∈S ∧ H(x,y))) —

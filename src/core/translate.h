@@ -30,7 +30,7 @@ struct TranslateOptions {
 /// membership atom, with arbitrary boolean structure, nested
 /// quantification correlated with the immediately enclosing level,
 /// tuple equality, arithmetic, and aggregate/count terms at the outermost
-/// matrix or in closed atoms. See DESIGN.md §5.5.
+/// matrix or in closed atoms.
 Result<algebra::RelExprPtr> ViolationQuery(
     const calculus::AnalyzedFormula& condition, const DatabaseSchema& schema,
     const TranslateOptions& options = {});

@@ -30,22 +30,9 @@ struct CostModel {
   double per_message_us = 1000.0;    // per node-to-node message setup
 };
 
-/// One recorded operator phase: the simulated charge next to the wall
-/// clock the phase took on this host (0 for the charge-only phases that
-/// stand for work nobody performs: a probe broadcast, an aggregate
-/// merge).
-struct PhaseTiming {
-  const char* label = "phase";
-  double simulated_us = 0;
-  double wall_us = 0;
-  uint64_t max_local = 0;     // widest node's local tuple count
-  uint64_t transferred = 0;   // tuples that crossed the interconnect
-  uint64_t messages = 0;      // simulated message setups (cost model)
-};
-
 /// Work accounting for one parallel execution: the simulated POOMA
-/// makespan (unchanged math, pinned by the cost tests), per-phase
-/// measured wall-clock timings, and exchange batches.
+/// makespan (unchanged math, pinned by the cost tests), the measured
+/// wall clock of its phases, and exchange batches.
 class ParallelStats {
  public:
   explicit ParallelStats(int num_nodes = 1)
@@ -53,11 +40,13 @@ class ParallelStats {
 
   /// Records one operator phase: `local` holds tuples processed per node;
   /// `transferred` tuples crossed the interconnect in `messages`
-  /// messages; the phase took `wall_us` on this host. The simulated
-  /// charge depends only on the tuple counts, never on the real timing.
-  void AddPhaseTimed(const char* label, const std::vector<uint64_t>& local,
-                     uint64_t transferred, uint64_t messages,
-                     const CostModel& model, double wall_us) {
+  /// messages; the phase took `wall_us` on this host (0 for the
+  /// charge-only phases that stand for work nobody performs: a probe
+  /// broadcast, an aggregate merge). The simulated charge depends only on
+  /// the tuple counts, never on the real timing.
+  void AddPhaseTimed(const std::vector<uint64_t>& local, uint64_t transferred,
+                     uint64_t messages, const CostModel& model,
+                     double wall_us) {
     uint64_t max_local = 0;
     for (uint64_t l : local) max_local = std::max(max_local, l);
     double sim = static_cast<double>(max_local) * model.per_tuple_local_us;
@@ -69,9 +58,6 @@ class ParallelStats {
     tuples_transferred_ += transferred;
     messages_ += messages;
     ++phases_;
-    for (uint64_t l : local) total_local_tuples_ += l;
-    timings_.push_back(
-        PhaseTiming{label, sim, wall_us, max_local, transferred, messages});
   }
 
   /// Exchange batches: one per (source, destination) pair of nodes that
@@ -88,10 +74,8 @@ class ParallelStats {
   uint64_t tuples_transferred() const { return tuples_transferred_; }
   uint64_t messages() const { return messages_; }
   uint64_t exchange_batches() const { return exchange_batches_; }
-  uint64_t total_local_tuples() const { return total_local_tuples_; }
   int phases() const { return phases_; }
   int num_nodes() const { return num_nodes_; }
-  const std::vector<PhaseTiming>& phase_timings() const { return timings_; }
 
  private:
   int num_nodes_;
@@ -100,9 +84,7 @@ class ParallelStats {
   uint64_t tuples_transferred_ = 0;
   uint64_t messages_ = 0;
   uint64_t exchange_batches_ = 0;
-  uint64_t total_local_tuples_ = 0;
   int phases_ = 0;
-  std::vector<PhaseTiming> timings_;
 };
 
 }  // namespace txmod::parallel

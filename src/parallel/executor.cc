@@ -220,8 +220,7 @@ class ParallelExecutor::Impl {
         level->Erase(t);
       }
     }
-    result_.stats.AddPhaseTimed(insert ? "insert" : "delete", local,
-                                transferred, transferred > 0 ? 1 : 0,
+    result_.stats.AddPhaseTimed(local, transferred, transferred > 0 ? 1 : 0,
                                 options_.cost_model, timer.us());
     return Status::OK();
   }
@@ -271,8 +270,7 @@ class ParallelExecutor::Impl {
     for (auto& [dst, t] : routed) {
       LevelOn(&levels, *target, dst)->Insert(std::move(t));
     }
-    result_.stats.AddPhaseTimed("update", local, transferred,
-                                transferred > 0 ? 1 : 0,
+    result_.stats.AddPhaseTimed(local, transferred, transferred > 0 ? 1 : 0,
                                 options_.cost_model, timer.us());
     return Status::OK();
   }
@@ -539,9 +537,9 @@ class ParallelExecutor::Impl {
   /// (one per node) the fragment indexes the index forms probe where they
   /// lie. Each node counts into its own EvalStats, folded in afterwards.
   Result<FragRel> RunKernelPhase(
-      const char* label, const PhysicalNode& n, const FragRel& in,
-      const FragRel* r, const std::vector<algebra::FragmentProbe>* probes,
-      Alignment align, int attr, bool maybe_dup) {
+      const PhysicalNode& n, const FragRel& in, const FragRel* r,
+      const std::vector<algebra::FragmentProbe>* probes, Alignment align,
+      int attr, bool maybe_dup) {
     std::vector<uint64_t> scanned(width_);
     for (std::size_t i = 0; i < width_; ++i) {
       scanned[i] = in.frag(i).size() + (r != nullptr ? r->frag(i).size() : 0);
@@ -556,7 +554,7 @@ class ParallelExecutor::Impl {
               &node_stats[i], probes != nullptr ? &(*probes)[i] : nullptr);
         }));
     MergeNodeStats(node_stats);
-    result_.stats.AddPhaseTimed(label, scanned, 0, 0, options_.cost_model,
+    result_.stats.AddPhaseTimed(scanned, 0, 0, options_.cost_model,
                                 timer.us());
     FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = align;
@@ -571,9 +569,8 @@ class ParallelExecutor::Impl {
   /// changed node, and one message per pair used (`per_pair_messages`)
   /// or one for the whole phase. Each pair used is one exchange batch.
   template <typename RouteFn>
-  FragRel ExchangePhase(const char* label, const FragRel& in, RouteFn route,
-                        Alignment align, int attr, bool maybe_dup,
-                        bool per_pair_messages) {
+  FragRel ExchangePhase(const FragRel& in, RouteFn route, Alignment align,
+                        int attr, bool maybe_dup, bool per_pair_messages) {
     std::vector<Relation> frags(width_, Relation(in.frag(0).schema_ptr()));
     std::vector<uint64_t> scanned(width_, 0);
     uint64_t transferred = 0;
@@ -598,7 +595,7 @@ class ParallelExecutor::Impl {
     result_.stats.AddExchangeBatches(pairs);
     const uint64_t messages =
         per_pair_messages ? pairs : (transferred > 0 ? 1 : 0);
-    result_.stats.AddPhaseTimed(label, scanned, transferred, messages,
+    result_.stats.AddPhaseTimed(scanned, transferred, messages,
                                 options_.cost_model, timer.us());
     FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = align;
@@ -611,7 +608,7 @@ class ParallelExecutor::Impl {
   FragRel RedistributeOnAttr(const FragRel& in, int attr) {
     const int nodes = nodes_;
     return ExchangePhase(
-        "redistribute-attr", in,
+        in,
         [attr, nodes](const Tuple& t) {
           return U(FragmentOfValue(t.at(U(attr)), nodes));
         },
@@ -623,8 +620,7 @@ class ParallelExecutor::Impl {
   FragRel RedistributeWholeTuple(const FragRel& in) {
     const std::size_t w = width_;
     return ExchangePhase(
-        "redistribute-tuple", in,
-        [w](const Tuple& t) { return t.Hash() % w; },
+        in, [w](const Tuple& t) { return t.Hash() % w; },
         Alignment::kWholeTuple, /*attr=*/-1,
         /*maybe_dup=*/false,  // equal tuples co-locate and dedup
         /*per_pair_messages=*/false);
@@ -645,7 +641,7 @@ class ParallelExecutor::Impl {
       if (!r.frag(src).empty()) result_.stats.AddExchangeBatches(width_ - 1);
     }
     result_.stats.AddPhaseTimed(
-        "broadcast", std::vector<uint64_t>(width_, 0),
+        std::vector<uint64_t>(width_, 0),
         static_cast<uint64_t>(right_total) * (width_ - 1),
         width_ > 1 ? width_ - 1 : 0, options_.cost_model, timer.us());
     return FragRel::Owning(std::move(frags));
@@ -685,8 +681,7 @@ class ParallelExecutor::Impl {
         maybe_dup = false;
       }
     }
-    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, in, nullptr,
-                          nullptr, align, attr, maybe_dup);
+    return RunKernelPhase(n, in, nullptr, nullptr, align, attr, maybe_dup);
   }
 
   bool SetOpAligned(const FragRel& a, const FragRel& b) const {
@@ -736,8 +731,8 @@ class ParallelExecutor::Impl {
       l = RedistributeWholeTuple(l);
       r = RedistributeWholeTuple(r);
     }
-    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, l, &r,
-                          nullptr, l.alignment, l.attr, /*maybe_dup=*/false);
+    return RunKernelPhase(n, l, &r, nullptr, l.alignment, l.attr,
+                          /*maybe_dup=*/false);
   }
 
   /// The views of `frags` on the declared index on `attrs`; false when a
@@ -781,15 +776,15 @@ class ParallelExecutor::Impl {
     }
     if (width_ > 1 && owner_pos < 0) {
       result_.stats.AddPhaseTimed(
-          "probe-broadcast", std::vector<uint64_t>(width_, 0),
+          std::vector<uint64_t>(width_, 0),
           static_cast<uint64_t>(l.TotalSize()) * (width_ - 1), width_ - 1,
           options_.cost_model, 0);
     } else if (width_ > 1 &&
                (l.alignment != Alignment::kAttr || l.attr != owner_pos)) {
       l = RedistributeOnAttr(l, owner_pos);
     }
-    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, l, nullptr,
-                          &probes, l.alignment, l.attr, l.maybe_duplicated);
+    return RunKernelPhase(n, l, nullptr, &probes, l.alignment, l.attr,
+                          l.maybe_duplicated);
   }
 
   Result<FragRel> EvalJoinLike(const PhysicalNode& n) {
@@ -838,8 +833,8 @@ class ParallelExecutor::Impl {
     // Fragment-local join execution through the shared kernel: a hash
     // join (build over the smaller right fragment, probe the left) for
     // equality predicates, nested loops otherwise.
-    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, l, &r,
-                          nullptr, l.alignment, l.attr, l.maybe_duplicated);
+    return RunKernelPhase(n, l, &r, nullptr, l.alignment, l.attr,
+                          l.maybe_duplicated);
   }
 
   /// kIndexLookupJoin where the base side lies: only the delta side `r`
@@ -867,8 +862,8 @@ class ParallelExecutor::Impl {
     // nodes.
     int attr = -1;
     const Alignment align = BaseAlignment(base, &attr);
-    return RunKernelPhase(algebra::PhysOpKindToString(n.op), n, r, nullptr,
-                          &probes, align, attr, /*maybe_dup=*/false);
+    return RunKernelPhase(n, r, nullptr, &probes, align, attr,
+                          /*maybe_dup=*/false);
   }
 
   Result<FragRel> EvalAggregate(const PhysicalNode& n) {
@@ -897,10 +892,9 @@ class ParallelExecutor::Impl {
           return algebra::AggregateLocal(n, in.frag(i), &node_stats[i]);
         }));
     MergeNodeStats(node_stats);
-    result_.stats.AddPhaseTimed("aggregate", scanned, 0, 0,
-                                options_.cost_model, timer.us());
-    result_.stats.AddPhaseTimed("aggregate-merge",
-                                std::vector<uint64_t>(width_, 0),
+    result_.stats.AddPhaseTimed(scanned, 0, 0, options_.cost_model,
+                                timer.us());
+    result_.stats.AddPhaseTimed(std::vector<uint64_t>(width_, 0),
                                 static_cast<uint64_t>(width_ - 1),
                                 width_ > 1
                                     ? static_cast<uint64_t>(width_ - 1)

@@ -104,7 +104,7 @@ struct ParallelTxnResult {
 /// partition vs broadcast) are read off the compiled plan's join-key
 /// metadata.
 ///
-/// Scope note (DESIGN.md §3): this is the enforcement substrate for the
+/// Scope note (README, "The parallel runtime"): this is the enforcement substrate for the
 /// E5 experiment, not a distributed transaction manager — commit is
 /// single-site, there is no 2PC or replication, exactly as the paper's
 /// single-transaction enforcement experiments assume.

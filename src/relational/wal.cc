@@ -344,7 +344,6 @@ WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
       durable_lsn_guarded_(other.durable_lsn_guarded_),
       sync_in_progress_(other.sync_in_progress_),
       fsync_count_(other.fsync_count_.load()),
-      sync_requests_(other.sync_requests_.load()),
       broken_(other.broken_.load()),
       broken_cause_guarded_(std::move(other.broken_cause_guarded_)) {}
 
@@ -395,7 +394,6 @@ Result<uint64_t> WriteAheadLog::Append(const WalRecord& rec) {
 }
 
 Status WriteAheadLog::Sync(uint64_t lsn) {
-  sync_requests_.fetch_add(1);
   std::unique_lock<std::mutex> lock(*sync_mu_);
   while (durable_lsn_guarded_ < lsn) {
     if (broken_.load()) {

@@ -107,7 +107,6 @@ class WriteAheadLog {
   /// Physical fsync calls issued; with group commit this is <= the
   /// number of Sync requests (often far fewer under concurrency).
   uint64_t fsync_count() const { return fsync_count_.load(); }
-  uint64_t sync_requests() const { return sync_requests_.load(); }
 
   /// True once the log is poisoned (see broken_ below); `cause` (when
   /// non-null) receives the original failure message.
@@ -139,7 +138,6 @@ class WriteAheadLog {
   uint64_t durable_lsn_guarded_ = 0;
   bool sync_in_progress_ = false;
   std::atomic<uint64_t> fsync_count_{0};
-  std::atomic<uint64_t> sync_requests_{0};
   // Poisoned after a failed fsync or an un-truncatable torn append:
   // every later Append/Sync fails with Unavailable instead of reporting
   // durability the kernel can no longer provide. The first failure

@@ -116,9 +116,10 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
 
 TxnManager::~TxnManager() {
   if (!maint_thread_.joinable()) return;  // nothing ever committed
+  Evicted displaced;  // what the last swaps displaced
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
-    DrainMaintenanceLocked(/*and_released=*/true);
+    DrainMaintenanceLocked(&displaced);
   }
   {
     std::lock_guard<std::mutex> lock(maint_mu_);
@@ -131,12 +132,13 @@ TxnManager::~TxnManager() {
 std::unique_ptr<TxnSession> TxnManager::Begin() {
   Database snapshot;
   uint64_t version = 0;
+  Evicted displaced;  // the chains a swap replaced; freed after the lock
   bool swapped = false;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     // Compactions finished since the last Begin go in first, so the new
     // snapshot reads the compacted chains.
-    swapped = InstallReadyLocked();
+    swapped = InstallReadyLocked(&displaced);
     // Snapshot under the commit lock: copy-on-write sharing requires that
     // nobody mutates the master while its relation pointers are copied.
     snapshot = db_->Clone();
@@ -144,7 +146,7 @@ std::unique_ptr<TxnSession> TxnManager::Begin() {
     active_sessions_.fetch_add(1);  // released by TxnSession::Finish
     ++live_snapshots_[version];     // released by stage B or Finish
   }
-  if (swapped) maint_cv_.notify_one();  // it releases what the swap displaced
+  if (swapped) maint_cv_.notify_one();  // a swapped relation may have work
   return std::unique_ptr<TxnSession>(
       new TxnSession(this, std::move(snapshot), version));
 }
@@ -188,6 +190,7 @@ Status TxnManager::WithQuiescedSessions(const char* what, Fn&& mutate) {
   // commit_mu_ blocks Begin for the duration, so no session can START
   // while the mutation runs; the atomic count rejects the ones already
   // live.
+  Evicted displaced;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(commit_mu_);
   const uint64_t live = active_sessions_.load();
   if (live > 0) {
@@ -201,16 +204,15 @@ Status TxnManager::WithQuiescedSessions(const char* what, Fn&& mutate) {
   // Re-declaring an index collapses the master in place: every job must
   // be finished and swapped in first. The thread then stays idle — only
   // a commit queues work, and commits wait for commit_mu_.
-  DrainMaintenanceLocked(/*and_released=*/false);
+  DrainMaintenanceLocked(&displaced);
   const Status status = mutate();
   // The mutation may have replaced master states: forget the tops the
   // thread knew, so no later job builds from them.
-  {
-    std::lock_guard<std::mutex> maint_lock(maint_mu_);
-    for (auto& [name, chain] : chains_) RetireLocked(std::move(chain.top));
-    chains_.clear();
+  std::lock_guard<std::mutex> maint_lock(maint_mu_);
+  for (auto& [name, chain] : chains_) {
+    displaced.push_back(std::move(chain.top));
   }
-  maint_cv_.notify_one();
+  chains_.clear();
   return status;
 }
 
@@ -495,7 +497,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
   // -- Stage B: validate, reserve, install, publish (commit_mu_) -------
   uint64_t version = 0;
-  Evicted evicted;  // the window records stage B drops; freed off the lock
+  Evicted evicted;  // what stage B displaces; freed off the lock
   Installs installs;  // what the durability-failure unwind re-installs
   bool too_deep = false;  // an installed chain passed the depth bound
   std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
@@ -586,7 +588,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
       // Compaction is the maintenance thread's: it builds a replacement
       // from the installed chain, whose levels never change, while this
       // commit logs.
-      QueueCompactionLocked(delta.relation);
+      QueueCompactionLocked(delta.relation, &evicted);
     }
     db_->AdvanceTime();
 
@@ -636,16 +638,18 @@ void TxnManager::AwaitCompaction() {
              (!maint_busy_ && NextJobLocked() == nullptr);
     });
   }
+  Evicted displaced;  // freed after the lock is released
   bool swapped = false;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
-    swapped = InstallReadyLocked();
+    swapped = InstallReadyLocked(&displaced);
   }
   if (swapped) maint_cv_.notify_one();
 }
 
 Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
                                     const Status& cause, TxnResult* result) {
+  Evicted displaced;  // the dropped levels; freed after the lock
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     EnterDegradedLocked(cause.message());
@@ -661,11 +665,11 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
     if (db_->logical_time() == version && version > checkpoint_time_) {
       std::lock_guard<std::mutex> maint_lock(maint_mu_);
       for (auto& [name, level] : *installs) {
-        RetireLocked(db_->DropLevel(name, std::move(level)));
+        displaced.push_back(db_->DropLevel(name, std::move(level)));
         // A job built from the dropped level is discarded at its swap;
         // the re-installed state is the thread's newest top again.
         Chain& chain = chains_[name];
-        RetireLocked(std::exchange(chain.top, db_->Share(name)));
+        displaced.push_back(std::exchange(chain.top, db_->Share(name)));
         chain.queued = true;
       }
       UnpublishNewestLocked(version);
@@ -674,7 +678,7 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
       result->installed = false;
     }
   }
-  maint_cv_.notify_one();  // it releases what the unwind displaced
+  maint_cv_.notify_one();  // the jobs the unwind queued
   // Wake committers stacked above this version: their records cannot be
   // acknowledged over a hole, so they fail over to the same degraded
   // outcome instead of waiting forever.
@@ -685,14 +689,11 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
 }
 
 // ---------------------------------------------------------------------------
-// The maintenance thread: compaction off the commit path, and releases.
+// The maintenance thread: compaction off the commit path.
 // ---------------------------------------------------------------------------
 
-void TxnManager::RetireLocked(std::shared_ptr<const void> garbage) {
-  if (garbage != nullptr) retired_.push_back(std::move(garbage));
-}
-
-void TxnManager::QueueCompactionLocked(const std::string& name) {
+void TxnManager::QueueCompactionLocked(const std::string& name,
+                                       Evicted* evicted) {
   // Started by the first write-ful commit: a manager that never commits
   // (say, one that only serves rule definition) keeps its process
   // single-threaded, and with it the allocator's single-thread paths.
@@ -705,54 +706,54 @@ void TxnManager::QueueCompactionLocked(const std::string& name) {
       std::exchange(chain.top, db_->Share(name));
   // The old top is normally the installed level's base, and then this is
   // not its last reference.
-  if (!chain.top->ChainHolds(old.get())) RetireLocked(std::move(old));
+  if (!chain.top->ChainHolds(old.get())) evicted->push_back(std::move(old));
   chain.queued = true;
 }
 
-bool TxnManager::InstallReadyLocked() {
+bool TxnManager::InstallReadyLocked(Evicted* evicted) {
   if (!ready_pending_.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(maint_mu_);
   ready_pending_.store(false, std::memory_order_relaxed);
   for (auto& [name, chain] : chains_) {
-    Ready ready = std::move(chain.ready);
-    chain.ready = Ready{};
+    Ready ready = std::exchange(chain.ready, Ready{});
     if (ready.replacement == nullptr) continue;
     std::shared_ptr<const Relation> displaced =
         db_->SwapCompacted(name, ready.start.get(), ready.replacement);
     if (displaced == nullptr) {
       // Discarded: these may be the last references.
-      RetireLocked(std::move(ready.start));
-      RetireLocked(std::move(ready.replacement));
+      evicted->push_back(std::move(ready.start));
+      evicted->push_back(std::move(ready.replacement));
       continue;
     }
     // The displaced chain holds the start (the swap checked) and, as a
     // rule, the old top; the master holds the replacement.
-    std::shared_ptr<const Relation> old =
-        std::exchange(chain.top, db_->Share(name));
-    if (!displaced->ChainHolds(old.get())) RetireLocked(std::move(old));
-    RetireLocked(std::move(displaced));
+    evicted->push_back(std::exchange(chain.top, db_->Share(name)));
+    evicted->push_back(std::move(displaced));
+    // Levels KeepUp took during the build were re-applied over the
+    // replacement as one fresh level; compact it with the rest.
+    if (ready.requeue && chain.top != ready.replacement) chain.queued = true;
   }
   // Also, a relation with queued work is runnable again.
   return true;
 }
 
-void TxnManager::DrainMaintenanceLocked(bool and_released) {
+void TxnManager::DrainMaintenanceLocked(Evicted* evicted) {
   for (;;) {
-    InstallReadyLocked();
+    InstallReadyLocked(evicted);
     maint_cv_.notify_one();
     std::unique_lock<std::mutex> lock(maint_mu_);
     maint_idle_cv_.wait(lock, [&] {
       return ready_pending_.load(std::memory_order_relaxed) ||
-             (!maint_busy_ && NextJobLocked() == nullptr &&
-              (!and_released || retired_.empty()));
+             (!maint_busy_ && NextJobLocked() == nullptr);
     });
     if (!ready_pending_.load(std::memory_order_relaxed)) return;
   }
 }
 
 void TxnManager::WaitForMaintenance() {
+  Evicted displaced;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(commit_mu_);
-  DrainMaintenanceLocked(/*and_released=*/true);
+  DrainMaintenanceLocked(&displaced);
 }
 
 void TxnManager::set_compaction_probe(
@@ -771,27 +772,20 @@ const std::string* TxnManager::NextJobLocked() const {
 void TxnManager::MaintenanceLoop() {
   std::unique_lock<std::mutex> lock(maint_mu_);
   for (;;) {
-    maint_cv_.wait(lock, [&] {
-      return maint_stop_ || !retired_.empty() || NextJobLocked() != nullptr;
-    });
-    maint_busy_ = true;
-    if (!retired_.empty()) {
-      std::vector<std::shared_ptr<const void>> garbage;
-      garbage.swap(retired_);
-      lock.unlock();
-      garbage.clear();
-      lock.lock();
-    } else if (const std::string* next = NextJobLocked()) {
-      const std::string name = *next;
-      lock.unlock();
-      RunJob(name);
-      lock.lock();
-    } else {
+    maint_cv_.wait(lock,
+                   [&] { return maint_stop_ || NextJobLocked() != nullptr; });
+    const std::string* next = NextJobLocked();
+    if (next == nullptr) {
       // Stopping with nothing left: the tops still held are only
       // references into the master.
       chains_.clear();
       return;
     }
+    const std::string name = *next;
+    maint_busy_ = true;
+    lock.unlock();
+    RunJob(name);
+    lock.lock();
     maint_busy_ = false;
     maint_idle_cv_.notify_all();
   }
@@ -809,25 +803,28 @@ void TxnManager::RunJob(const std::string& name) {
   }
   if (start == nullptr) return;
   if (probe) probe(name);
-  const std::function<void()> yield = [&] { KeepUp(name, start.get()); };
+  // A build that yields always has a replacement, so its swap requeues.
+  bool took_above = false;
+  const std::function<void()> yield = [&] {
+    took_above = KeepUp(name, start.get()) || took_above;
+  };
   std::shared_ptr<const Relation> replacement =
       Relation::Compact(start, nullptr, yield);
-  Publish(name, std::move(start), std::move(replacement));
+  Publish(name, std::move(start), std::move(replacement), took_above);
 }
 
-void TxnManager::KeepUp(const std::string& building, const Relation* floor) {
+bool TxnManager::KeepUp(const std::string& building, const Relation* floor) {
   std::vector<std::pair<std::string, std::shared_ptr<const Relation>>> jobs;
-  std::vector<std::shared_ptr<const void>> garbage;
+  bool took_building = false;
   {
     std::lock_guard<std::mutex> lock(maint_mu_);
     for (auto& [name, chain] : chains_) {
       if (!chain.queued || chain.ready.replacement != nullptr) continue;
       chain.queued = false;
+      took_building = took_building || name == building;
       jobs.emplace_back(name, chain.top);
     }
-    garbage.swap(retired_);
   }
-  // Depth first, then the releases.
   for (auto& [name, top] : jobs) {
     // Merges only, no yield: bounded by the weight that landed since.
     // The long build's relation never merges into its starting level.
@@ -836,24 +833,26 @@ void TxnManager::KeepUp(const std::string& building, const Relation* floor) {
         Relation::Compact(top, keep);
     Publish(name, std::move(top), std::move(replacement));
   }
-  garbage.clear();
+  return took_building;
 }
 
 void TxnManager::Publish(const std::string& name,
                          std::shared_ptr<const Relation> start,
-                         std::shared_ptr<const Relation> replacement) {
+                         std::shared_ptr<const Relation> replacement,
+                         bool requeue) {
   if (replacement == nullptr) return;
-  Ready displaced;
+  Ready superseded;
   {
     std::lock_guard<std::mutex> lock(maint_mu_);
     // An older replacement still waiting is a tail merge above this
     // job's start: the swap re-applies its levels over this one.
-    displaced = std::exchange(chains_[name].ready,
-                              Ready{std::move(start), std::move(replacement)});
+    superseded = std::exchange(
+        chains_[name].ready,
+        Ready{std::move(start), std::move(replacement), requeue});
     ready_pending_.store(true, std::memory_order_release);
     maint_idle_cv_.notify_all();  // a drain installs it
   }
-  // Released here, on the thread, outside the lock.
+  // Built here and never installed: freed here, outside the lock.
 }
 
 Status TxnManager::Checkpoint() {

@@ -248,7 +248,8 @@ class TxnSession {
 ///      while another session is live, the only kind a record can
 ///      convict — shared publication of the WAL record into the
 ///      validation window, one push. Stage B installs and publishes and
-///      does nothing more: O(|delta|) at most, and no compaction;
+///      does nothing more: O(|delta|) at most, and no compaction. What it
+///      displaces is freed after the lock;
 ///   C. log + ack — outside the lock: the record is appended to the
 ///      WAL, a group-commit fsync covers it, and the commit is
 ///      acknowledged only once every version up to its own is durable
@@ -259,8 +260,8 @@ class TxnSession {
 /// their fsync in parallel; the serialized region is the short stage B.
 ///
 /// Maintenance thread (one per manager, started by the first write-ful
-/// commit, drained and joined by the destructor): compaction and the
-/// frees it causes run off the commit path, while committers log.
+/// commit, drained and joined by the destructor): compaction runs off
+/// the commit path, while committers log. The thread only builds.
 ///   * Compaction: for each relation a commit installed, the thread
 ///     builds Relation::Compact's replacement from the installed chain,
 ///     whose levels never change, with no lock held. One job per
@@ -268,7 +269,8 @@ class TxnSession {
 ///     into its next job. While a long build runs, the thread keeps
 ///     merging the small levels that land above the job's starting
 ///     level (never into it), so the depth a new snapshot sees stays
-///     bounded, and keeps releasing what is retired.
+///     bounded; the long build's swap re-applies those merged levels, so
+///     it queues its relation again.
 ///   * Swap: the next Begin swaps finished replacements in under the
 ///     commit_mu_ it takes anyway (Database::SwapCompacted) — only while
 ///     the chain still holds the level the job started from, re-applying
@@ -276,17 +278,17 @@ class TxnSession {
 ///     whose start is gone (a WAL-failure unwind) is discarded. The
 ///     master therefore changes only inside manager calls, and a
 ///     snapshot begun before a swap keeps reading its own chain.
-///   * Release: the thread drops what leaves the master — the chain a
-///     swap replaces (with the levels a commit installed over and a
-///     merge netted away) and the level an unwind drops — so no commit
-///     frees a displaced batch-sized level on its caller's thread. A
-///     finished session still releases its own snapshot, context and
-///     record on its own thread, outside every lock: handed to the
-///     thread, the chunks it frees come back to the committer's next
-///     allocations from another core's cache, which costs the next
-///     transaction more than the frees themselves. The release queue
-///     grows only by what swaps and unwinds displace, so the thread's
-///     own pace bounds it.
+///   * Release: whoever displaces a state frees it. What leaves the
+///     master under commit_mu_ (the chain a swap replaces, a discarded
+///     replacement, the level an unwind drops, the tops a quiesce
+///     forgets, evicted window records) goes into the lock holder's
+///     Evicted vector, freed on its own thread after the lock. A Begin
+///     that swaps therefore pays for the chain it displaced, and no
+///     chunk a committer allocates next was freed on another core. The
+///     thread frees only replacements it built and never installed —
+///     and a job's start level that a WAL-failure unwind dropped, whose
+///     last reference the job may hold. A finished session frees its own
+///     snapshot, context and record, outside every lock.
 ///   * Backpressure: a commit that left a chain deeper than
 ///     Relation::kMaxOverlayDepth (the thread fell behind, say during a
 ///     long build) waits until a shallower one is ready.
@@ -322,9 +324,9 @@ class TxnSession {
 /// held across a Begin, which may swap a compaction in.
 class TxnManager {
  public:
-  /// Finishes every queued compaction and swaps it in, releases what
-  /// the maintenance thread still holds, and joins the thread. Every
-  /// session must have finished.
+  /// Finishes every queued compaction and swaps it in, frees what the
+  /// swaps displaced, and joins the thread. Every session must have
+  /// finished.
   ~TxnManager();
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
@@ -413,8 +415,8 @@ class TxnManager {
   }
 
   /// Returns once the maintenance thread is idle: every queued
-  /// compaction built and swapped in (or discarded), and everything
-  /// retired released. Holds commit_mu_ meanwhile, so no commit queues
+  /// compaction built and swapped in (or discarded), and what the swaps
+  /// displaced freed. Holds commit_mu_ meanwhile, so no commit queues
   /// more. Tests call it before inspecting chain depth, compaction
   /// counters or memory.
   void WaitForMaintenance();
@@ -473,14 +475,15 @@ class TxnManager {
   /// Sets `reason`.
   bool HasConflictLocked(const TxnSession& session, std::string* reason);
 
-  /// Window records evicted under commit_mu_, to be freed after it.
-  using Evicted = std::vector<std::shared_ptr<const WalRecord>>;
+  /// What leaves the master or the window under commit_mu_: evicted
+  /// window records, displaced chains, discarded replacements. The lock
+  /// holder declares it before it takes the lock and frees it on its own
+  /// thread once it released the lock: it may hold last references, and
+  /// freeing a batch-sized record or level takes milliseconds.
+  using Evicted = std::vector<std::shared_ptr<const void>>;
 
   /// Validation-window maintenance. All require commit_mu_. The evicting
-  /// calls move what they drop into `evicted`, which the caller declares
-  /// before it takes the lock: the window may hold a record's last
-  /// reference, and freeing a large record takes milliseconds, so it is
-  /// freed on the caller's thread once the lock is released.
+  /// calls move what they drop into `evicted`.
   /// Appends `record` to the window, evicting the oldest records beyond
   /// options_.validation_window.
   void PublishCommitLocked(std::shared_ptr<const WalRecord> record,
@@ -523,7 +526,8 @@ class TxnManager {
 
   /// The quiesce guard shared by the rule-definition entry points.
   /// Returns FailedPrecondition while sessions are live; otherwise runs
-  /// `mutate` under commit_mu_.
+  /// `mutate` under commit_mu_, and frees what the drain before it and
+  /// the tops it forgets displaced once the lock is released.
   template <typename Fn>
   Status WithQuiescedSessions(const char* what, Fn&& mutate);
 
@@ -538,6 +542,10 @@ class TxnManager {
   struct Ready {
     std::shared_ptr<const Relation> start;        // the top it was built from
     std::shared_ptr<const Relation> replacement;  // null: none waiting
+    /// KeepUp took the relation's queued levels while this was built:
+    /// the swap re-applies them over the replacement, and nothing else
+    /// would queue the relation again.
+    bool requeue = false;
   };
   /// The thread's view of one relation of the master (maint_mu_).
   struct Chain {
@@ -556,35 +564,36 @@ class TxnManager {
   /// and keeps the depth above it bounded while it runs.
   void RunJob(const std::string& name);
   /// The yield of a long build of `building` from `floor`, which keeps
-  /// the rest of the thread's work going: releases what was retired
-  /// since, and merges the levels queued since on every relation — above
-  /// `floor` on `building`, never collapsing anything.
-  void KeepUp(const std::string& building, const Relation* floor);
+  /// the rest of the thread's work going: merges the levels queued since
+  /// on every relation — above `floor` on `building`, never collapsing
+  /// anything. Returns whether it took `building`'s queued levels.
+  bool KeepUp(const std::string& building, const Relation* floor);
   /// Stores a built replacement of `start` for the next Begin to swap in,
-  /// in place of any older one still waiting.
+  /// in place of any older one still waiting, which it frees.
   void Publish(const std::string& name, std::shared_ptr<const Relation> start,
-               std::shared_ptr<const Relation> replacement);
+               std::shared_ptr<const Relation> replacement,
+               bool requeue = false);
   /// Hands `name`'s installed state to the thread as its newest top and
-  /// queues a job for it. Requires commit_mu_; takes maint_mu_. The
-  /// caller wakes the thread (maint_cv_) once it released commit_mu_.
-  void QueueCompactionLocked(const std::string& name);
-  /// Swaps in every replacement waiting for it (Database::SwapCompacted);
-  /// returns whether it did anything the thread must wake for. Requires
+  /// queues a job for it; the top it replaces goes into `evicted` unless
+  /// the new top's chain holds it.
+  /// Requires commit_mu_; takes maint_mu_. The caller wakes the thread
+  /// (maint_cv_) once it released commit_mu_.
+  void QueueCompactionLocked(const std::string& name, Evicted* evicted);
+  /// Swaps in every replacement waiting for it (Database::SwapCompacted),
+  /// moving what the swaps displace or discard into `evicted`; returns
+  /// whether it did anything the thread must wake for. Requires
   /// commit_mu_; takes maint_mu_.
-  bool InstallReadyLocked();
-  /// Waits, swapping replacements in as they finish, until no job is
-  /// queued or running — and, with `and_released`, until nothing retired
-  /// is left to free. Requires commit_mu_, which keeps commits (the only
-  /// source of jobs) out meanwhile.
-  void DrainMaintenanceLocked(bool and_released);
+  bool InstallReadyLocked(Evicted* evicted);
+  /// Waits, swapping replacements in as they finish (what they displace
+  /// goes into `evicted`), until no job is queued or running. Requires
+  /// commit_mu_, which keeps commits (the only source of jobs) out
+  /// meanwhile.
+  void DrainMaintenanceLocked(Evicted* evicted);
   /// Backpressure on depth: a commit that left a chain deeper than
   /// Relation::kMaxOverlayDepth (the thread fell behind, say during a
   /// long build) waits, holding no lock, until the thread publishes a
   /// replacement or goes idle, and swaps it in.
   void AwaitCompaction();
-  /// Queues `garbage` for the thread to drop; the caller wakes it
-  /// (maint_cv_) once it released commit_mu_. Requires maint_mu_.
-  void RetireLocked(std::shared_ptr<const void> garbage);
 
   core::IntegritySubsystem* subsystem_;
   Database* db_;
@@ -638,8 +647,7 @@ class TxnManager {
   std::condition_variable maint_cv_;       // wakes the thread
   std::condition_variable maint_idle_cv_;  // wakes drain and depth waiters
   std::map<std::string, Chain> chains_;
-  std::vector<std::shared_ptr<const void>> retired_;  // for the thread to drop
-  bool maint_busy_ = false;  // the thread is building or releasing
+  bool maint_busy_ = false;  // the thread is running a job
   bool maint_stop_ = false;
   std::function<void(const std::string&)> compaction_probe_;
   /// A replacement waits for its swap (Begin's lock-free check).

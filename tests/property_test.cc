@@ -1,4 +1,4 @@
-// Property-based tests (DESIGN.md §7): randomized transactions against a
+// Property-based tests (README, "Tests"): randomized transactions against a
 // rule catalog covering all constraint classes, checked for the paper's
 // correctness guarantees.
 //

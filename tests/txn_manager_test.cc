@@ -1055,6 +1055,14 @@ class JobGate {
   bool open_ = false;
 };
 
+/// Opens a gate when it goes out of scope. Declared after the manager,
+/// it keeps a failed assertion from leaving a job held while the
+/// manager's destructor waits for it.
+struct OpenOnExit {
+  JobGate* gate;
+  ~OpenOnExit() { gate->Open(); }
+};
+
 /// Every relation's tuples, for comparing a state with an earlier one.
 std::vector<std::vector<Tuple>> Contents(const Database& db) {
   std::vector<std::vector<Tuple>> out;
@@ -1204,6 +1212,36 @@ TEST(TxnManagerMaintenanceTest, DestroyingWithQueuedWorkReleasesEverything) {
   EXPECT_FALSE(HasBeer(f.db, "held"));
 }
 
+TEST(TxnManagerMaintenanceTest, BeginThatSwapsFreesTheDisplacedChain) {
+  // Whoever displaces a state frees it: the chain a compaction's swap
+  // replaces is freed by the Begin that swapped, before it returns, while
+  // the maintenance thread is held and can free nothing.
+  JobGate gate;  // outlives the manager, whose destructor runs jobs
+  Fixture f;
+  OpenOnExit open_on_exit{&gate};
+  ASSERT_TRUE(f.manager->RunText(InsertBeerText("ale0")).ok());
+  f.manager->WaitForMaintenance();
+  f.manager->set_compaction_probe([&](const std::string& relation) {
+    if (relation == "brewery") gate.Hold(relation);
+  });
+  // Jobs run in name order: beer's merge is published before the thread
+  // stops at brewery's job.
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult both,
+      f.manager->RunText("insert(brewery, {(\"brewdog\", \"ellon\", "
+                         "\"uk\")}); insert(beer, {(\"punk\", \"ipa\", "
+                         "\"brewdog\", 5.6)});"));
+  ASSERT_TRUE(both.committed) << both.abort_reason;
+  gate.AwaitArrival();
+
+  const std::weak_ptr<const Relation> displaced = f.db.Share("beer");
+  auto session = f.manager->Begin();
+  EXPECT_TRUE(displaced.expired())
+      << "the chain the swap displaced outlived the Begin that swapped";
+  EXPECT_TRUE(HasBeer(session->snapshot(), "punk"));
+  session->Abort();
+}
+
 TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
   // A collapse of a large relation takes a while; the one-row commits
   // that land meanwhile must not stack up above it: every new snapshot
@@ -1218,12 +1256,7 @@ TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
   TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
   JobGate gate;  // outlives the manager's probe
   TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
-  // A failed assertion must not leave the job held: the manager's
-  // destructor waits for it.
-  struct OpenOnExit {
-    JobGate* gate;
-    ~OpenOnExit() { gate->Open(); }
-  } open_on_exit{&gate};
+  OpenOnExit open_on_exit{&gate};
   manager->set_compaction_probe(
       [&](const std::string& relation) { gate.Hold(relation); });
   const uint64_t collapses = CowStats::overlay_collapses.load();
