@@ -158,10 +158,11 @@ class Database {
   /// Transfers out a relation state this instance exclusively owns (see
   /// the ownership discipline above), removing the entry — this database
   /// no longer resolves `name` afterwards. Returns null when the state
-  /// is shared or unknown. Together with AdoptRelation this is the
-  /// transaction manager's swap-in commit fast path: a session that ran
-  /// against the current committed version hands its overlay level —
-  /// the snapshot state plus its delta — over by pointer, not by copy.
+  /// is shared or unknown. Together with AdoptRelation this is how the
+  /// transaction manager installs every write-ful commit: the session
+  /// hands its overlay level — its delta over the snapshot's state — over
+  /// by pointer, not by copy, and the manager re-bases it onto the
+  /// committed state (Relation::Rebase) before adopting it.
   std::shared_ptr<Relation> TakeOwnedRelation(const std::string& name);
 
   /// Installs `rel` as `name`'s state and takes exclusive ownership. The

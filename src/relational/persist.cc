@@ -403,12 +403,14 @@ bool LineReader::Next(std::string_view* line) {
           static_cast<std::size_t>(static_cast<const char*>(newline) - data);
       *line = std::string_view(data + begin_, at - begin_);
       begin_ = at + 1;
+      terminated_ = true;
       return true;
     }
     if (!in_->good()) {
       if (begin_ == end_) return false;
       *line = std::string_view(data + begin_, end_ - begin_);
       begin_ = end_;
+      terminated_ = false;
       return true;
     }
     // Move the unfinished line to the front, and read more after it.

@@ -79,11 +79,17 @@ class LineReader {
   /// and when it cannot be read.
   bool Next(std::string_view* line);
 
+  /// Whether the line Next last handed out ended in a newline: false only
+  /// for an unterminated last line. The WAL reader needs it, because its
+  /// writer appends every line together with its newline.
+  bool terminated() const { return terminated_; }
+
  private:
   std::istream* in_;
   std::string buf_;
   std::size_t begin_ = 0;  // first byte not yet handed out
   std::size_t end_ = 0;    // end of the bytes read so far
+  bool terminated_ = true;
 };
 
 /// The value codec behind the checkpoint format, shared with the

@@ -92,8 +92,8 @@ Relation Relation::MakeOverlay(std::shared_ptr<const Relation> base) {
     overlay.indexes_.push_back(
         std::make_unique<RelationIndex>(std::move(attrs)));
   }
-  overlay.plus_ = std::make_unique<Relation>(base->schema_ptr());
-  overlay.minus_ = std::make_unique<Relation>(base->schema_ptr());
+  overlay.plus_ = std::make_shared<Relation>(base->schema_ptr());
+  overlay.minus_ = std::make_shared<Relation>(base->schema_ptr());
   overlay.base_ = std::move(base);
   return overlay;
 }

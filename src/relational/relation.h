@@ -185,9 +185,9 @@ class Relation {
       schema_ = other.schema_;
       tuples_ = other.tuples_;
       base_ = other.base_;
-      plus_ = other.plus_ ? std::make_unique<Relation>(*other.plus_) : nullptr;
+      plus_ = other.plus_ ? std::make_shared<Relation>(*other.plus_) : nullptr;
       minus_ =
-          other.minus_ ? std::make_unique<Relation>(*other.minus_) : nullptr;
+          other.minus_ ? std::make_shared<Relation>(*other.minus_) : nullptr;
       indexes_.clear();
     }
     return *this;
@@ -287,6 +287,22 @@ class Relation {
   /// level, the paper's dplus(R) and dminus(R), read without a copy.
   const Relation& local_inserts() const { return *plus_; }
   const Relation& local_deletes() const { return *minus_; }
+
+  /// The same two sets, shared: a holder keeps them alive without the
+  /// level or the chain under it. Nothing writes them once the level is
+  /// shared (the Database ownership discipline), so a committed
+  /// transaction's log record and validation window read the very sets
+  /// its installed level holds (txn::TxnManager).
+  std::shared_ptr<const Relation> shared_inserts() const { return plus_; }
+  std::shared_ptr<const Relation> shared_deletes() const { return minus_; }
+
+  /// Re-points this overlay level at `base` in place of its base, in O(1);
+  /// its inserts and deletes stay as they are. Only on an exclusively
+  /// owned level, and only when the level's invariants hold over `base`
+  /// exactly as over its old base: minus ⊆ visible(base), plus disjoint
+  /// from visible(base), and the same declared indexes. The old base is
+  /// released, not necessarily freed: the caller decides who holds it.
+  void Rebase(std::shared_ptr<const Relation> base) { base_ = std::move(base); }
 
   /// Applies and consumes `level`, an overlay level over this very state:
   /// O(|delta|), inserted tuples are moved, not copied; a flat state
@@ -454,9 +470,11 @@ class Relation {
   TupleSet tuples_;
   // Overlay state (all null == flat): the immutable shared state underneath
   // and this level's local inserts and deletes, as flat index-free states.
+  // The sets may be shared out (shared_inserts/shared_deletes), but only
+  // the level writes them, and only while it is exclusively owned.
   std::shared_ptr<const Relation> base_;
-  std::unique_ptr<Relation> plus_;
-  std::unique_ptr<Relation> minus_;
+  std::shared_ptr<Relation> plus_;
+  std::shared_ptr<Relation> minus_;
   std::vector<std::unique_ptr<RelationIndex>> indexes_;
 };
 

@@ -49,14 +49,24 @@ void AppendCommitLine(uint64_t version, uint64_t checksum, std::string* out) {
   out->append(buf, static_cast<std::size_t>(n));
 }
 
+/// A delta's tuples, in the order the encoder writes them: a WalDelta's
+/// in vector order, a CommitDelta's in its set's iteration order.
+const std::vector<Tuple>& TuplesOf(const std::vector<Tuple>& tuples) {
+  return tuples;
+}
+const Relation& TuplesOf(const std::shared_ptr<const Relation>& set) {
+  return *set;
+}
+
 /// An upper bound on the encoded size of `rec` and its commit line, so
-/// that encoding allocates once.
-std::size_t EncodedSizeBound(const WalRecord& rec) {
+/// that encoding allocates once. Record is WalRecord or CommitRecord.
+template <typename Record>
+std::size_t EncodedSizeBound(const Record& rec) {
   std::size_t n = 96;  // the txn and commit lines
-  for (const WalDelta& delta : rec.deltas) {
+  for (const auto& delta : rec.deltas) {
     n += delta.relation.size() + 5;
-    for (const std::vector<Tuple>* tuples : {&delta.plus, &delta.minus}) {
-      for (const Tuple& t : *tuples) {
+    for (const auto* tuples : {&delta.plus, &delta.minus}) {
+      for (const Tuple& t : TuplesOf(*tuples)) {
         n += 2;  // the "+" or "-" and the newline
         for (const Value& v : t.values()) {
           // A space, then at most "i:" and 20 digits, "d:" and 24 bytes
@@ -69,16 +79,17 @@ std::size_t EncodedSizeBound(const WalRecord& rec) {
   return n;
 }
 
-/// Serializes the record body (everything the checksum covers) into a
-/// buffer with room for the commit line.
-std::string EncodeRecordBody(const WalRecord& rec) {
+/// The one encoder of both record forms: the record body (everything the
+/// checksum covers) followed by its commit line.
+template <typename Record>
+std::string EncodeRecord(const Record& rec) {
   std::string out;
   out.reserve(EncodedSizeBound(rec));
   out += "txn ";
   out += std::to_string(rec.version);
   out += '\n';
-  auto append_tuples = [&out](char sign, const std::vector<Tuple>& tuples) {
-    for (const Tuple& t : tuples) {
+  auto append_tuples = [&out](char sign, const auto& tuples) {
+    for (const Tuple& t : TuplesOf(tuples)) {
       out += sign;
       for (const Value& v : t.values()) {
         out += ' ';
@@ -87,13 +98,14 @@ std::string EncodeRecordBody(const WalRecord& rec) {
       out += '\n';
     }
   };
-  for (const WalDelta& delta : rec.deltas) {
+  for (const auto& delta : rec.deltas) {
     out += "rel ";
     out += delta.relation;
     out += '\n';
     append_tuples('+', delta.plus);
     append_tuples('-', delta.minus);
   }
+  AppendCommitLine(rec.version, Fnv1a(out), &out);
   return out;
 }
 
@@ -149,13 +161,16 @@ class StreamReader {
   StreamReader& operator=(const StreamReader&) = delete;
 
   /// Opens `path` and reads its header. A missing file and one of zero
-  /// bytes are empty streams; a torn header is an empty stream with a
-  /// dropped tail. Any other first line is not a WAL, and an error.
+  /// bytes are empty streams; a torn header — a prefix of the header
+  /// line, or the whole line without its newline, with nothing after
+  /// it — is an empty stream with a dropped tail. Any other first line is
+  /// not a WAL, and an error.
   Status Open(const std::string& path);
 
   /// Reads the next record into `*rec`. False at the end of the stream
   /// and at its first bad record; tail_dropped() then tells which, and
-  /// tail_error() what was wrong.
+  /// tail_error() what was wrong. The writer appends every line together
+  /// with its newline, so a commit line without one is a torn record.
   bool Next(WalRecord* rec);
 
   bool tail_dropped() const { return tail_dropped_; }
@@ -184,10 +199,11 @@ Status StreamReader::Open(const std::string& path) {
     done_ = true;
     return Status::OK();
   }
-  if (line == kWalHeader) return Status::OK();
-  // A crash can tear even the header write. A strict prefix of the
-  // header with nothing after it is such a torn tail — an empty log;
-  // anything else is genuinely not a WAL.
+  if (line == kWalHeader && lines_.terminated()) return Status::OK();
+  // A crash can tear even the header write. A prefix of the header line
+  // (the whole line when its newline is missing) with nothing after it
+  // is such a torn tail — an empty log; anything else is genuinely not a
+  // WAL.
   if (StartsWith(kWalHeader, line) && !lines_.Next(&line)) {
     DropTail("truncated WAL header");
     return Status::OK();
@@ -220,6 +236,10 @@ bool StreamReader::Next(WalRecord* rec) {
       if (!CommitLineMatches(line, rec->version, checksum)) {
         return DropTail(
             StrCat("bad commit line for version ", rec->version));
+      }
+      if (!lines_.terminated()) {
+        return DropTail(StrCat("commit line for version ", rec->version,
+                               " lost its newline"));
       }
       return true;
     }
@@ -369,8 +389,14 @@ bool WriteAheadLog::broken(std::string* cause) const {
 }
 
 Result<uint64_t> WriteAheadLog::Append(const WalRecord& rec) {
-  std::string full = EncodeRecordBody(rec);
-  AppendCommitLine(rec.version, Fnv1a(full), &full);
+  return AppendEncoded(EncodeRecord(rec));
+}
+
+Result<uint64_t> WriteAheadLog::Append(const CommitRecord& rec) {
+  return AppendEncoded(EncodeRecord(rec));
+}
+
+Result<uint64_t> WriteAheadLog::AppendEncoded(const std::string& full) {
   std::lock_guard<std::mutex> lock(append_mu_);
   if (broken_.load()) {
     std::lock_guard<std::mutex> sync_lock(*sync_mu_);

@@ -25,10 +25,30 @@ struct WalDelta {
 /// One write-ahead log record: the differential of a single committed
 /// transaction, stamped with the logical time it installed. Replaying
 /// records in version order over a checkpoint of time t applies exactly
-/// the committed suffix t+1, t+2, ....
+/// the committed suffix t+1, t+2, .... This is the form the reader
+/// returns, recovery applies, and tests and tools build by hand.
 struct WalRecord {
   uint64_t version = 0;
   std::vector<WalDelta> deltas;
+};
+
+/// One committed transaction's net changes to one relation, as its commit
+/// installed them: the inserts and deletes of the transaction's overlay
+/// level (Relation::shared_inserts/shared_deletes), shared with the level
+/// rather than copied out of it. Both are flat sets.
+struct CommitDelta {
+  std::string relation;
+  std::shared_ptr<const Relation> plus;
+  std::shared_ptr<const Relation> minus;
+};
+
+/// The form of a record the transaction manager logs: a WalRecord whose
+/// deltas hold the committed level's sets. The installed level, the
+/// validation window and the log append all read the same two sets per
+/// relation, so no written tuple is copied between execution and the log.
+struct CommitRecord {
+  uint64_t version = 0;
+  std::vector<CommitDelta> deltas;
 };
 
 /// A differential write-ahead log with group commit.
@@ -53,12 +73,18 @@ struct WalRecord {
 /// Open and recovery refuse such a file instead of reading the log
 /// without it.
 ///
-/// A record is valid only when its `commit` line is present, names the
-/// same version, its checksum matches the body ("txn" line through the
-/// last delta line, inclusive), and every tuple line in it decodes. The
-/// log is read up to its first invalid record — a torn append, a
-/// truncated tail, or bit rot — so recovery restores exactly the durable
-/// committed prefix (see RecoverDatabase for the replay order).
+/// A record is valid only when its `commit` line is present, ends in its
+/// newline, names the same version, its checksum matches the body ("txn"
+/// line through the last delta line, inclusive), and every tuple line in
+/// it decodes. The log is read up to its first invalid record — a torn
+/// append, a truncated tail, or bit rot — so recovery restores exactly
+/// the durable committed prefix (see RecoverDatabase for the replay
+/// order). A header line without its newline is a torn empty log.
+///
+/// Record forms: WalRecord holds its tuples (what the reader returns);
+/// CommitRecord shares them with the overlay levels a commit installed
+/// (what the transaction manager appends). One encoder writes both, so
+/// the bytes depend only on the tuples and their order.
 ///
 /// Durability and group commit: Append buffers nothing — the record hits
 /// the OS with one write() — but it is only *durable* after Sync(lsn)
@@ -89,8 +115,11 @@ class WriteAheadLog {
   ~WriteAheadLog();
 
   /// Appends one record (a single write() of the serialized form) and
-  /// returns its log sequence number.
+  /// returns its log sequence number. Both record forms go through one
+  /// encoder: a CommitRecord is written in exactly the bytes of the
+  /// WalRecord that holds its tuples in its sets' iteration order.
   Result<uint64_t> Append(const WalRecord& rec);
+  Result<uint64_t> Append(const CommitRecord& rec);
 
   /// Blocks until every record up to `lsn` is durable (fsync'd),
   /// batching with concurrent callers (group commit).
@@ -115,6 +144,10 @@ class WriteAheadLog {
  private:
   WriteAheadLog(std::string path, Vfs* vfs)
       : path_(std::move(path)), vfs_(vfs) {}
+
+  /// Writes one encoded record (the body and its commit line) and
+  /// returns its log sequence number.
+  Result<uint64_t> AppendEncoded(const std::string& full);
 
   /// Poisons the log, recording the first cause. Must NOT hold sync_mu_.
   void MarkBroken(const std::string& cause);

@@ -183,6 +183,26 @@ bool TxnContext::Footprint::Contains(const Tuple& t) const {
   return false;
 }
 
+bool TxnContext::Footprint::Overlaps(const Relation& plus,
+                                     const Relation& minus) const {
+  std::size_t attempted = 0;
+  for (const Relation* part : parts_) attempted += part->size();
+  if (attempted < plus.size() + minus.size()) {
+    for (const Relation* part : parts_) {
+      for (const Tuple& t : *part) {
+        if (plus.Contains(t) || minus.Contains(t)) return true;
+      }
+    }
+    return false;
+  }
+  for (const Relation* set : {&plus, &minus}) {
+    for (const Tuple& t : *set) {
+      if (Contains(t)) return true;
+    }
+  }
+  return false;
+}
+
 void TxnContext::Rollback() {
   for (auto& [name, level] : levels_) {
     std::shared_ptr<Relation> dropped = db_->DropLevel(name, std::move(level));

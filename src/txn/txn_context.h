@@ -66,11 +66,6 @@ class TxnContext : public algebra::EvalContext {
   void set_plan_cache(const algebra::PlanCache* cache) { plan_cache_ = cache; }
   const algebra::PlanCache* plan_cache() const { return plan_cache_; }
 
-  /// Resolve without touching the conflict read set: Resolve's lookup,
-  /// which also serves commit stage A's read of the written deltas.
-  Result<const Relation*> ResolveUnrecorded(algebra::RelRefKind kind,
-                                            const std::string& name) const;
-
   /// Stores (replaces) a temporary relation.
   void SetTemp(const std::string& name, Relation value);
 
@@ -126,6 +121,12 @@ class TxnContext : public algebra::EvalContext {
     /// Distinct tuples attempted.
     std::size_t size() const;
     bool Contains(const Tuple& t) const;
+    /// Whether a tuple of `plus` or `minus` (flat sets: a commit's net
+    /// differential of the relation) was attempted. Probes from the
+    /// smaller side: the two sets with each footprint tuple when the
+    /// footprint's parts hold fewer tuples than they do, the footprint
+    /// with each of their tuples otherwise.
+    bool Overlaps(const Relation& plus, const Relation& minus) const;
 
    private:
     friend class TxnContext;
@@ -152,6 +153,11 @@ class TxnContext : public algebra::EvalContext {
   void Commit();
 
  private:
+  /// Resolve without touching the conflict read set: Resolve's and
+  /// ResolveSchemaOnly's lookup.
+  Result<const Relation*> ResolveUnrecorded(algebra::RelRefKind kind,
+                                            const std::string& name) const;
+
   /// The overlay level a write of `t` to `rel` goes to, installed on the
   /// first write; null for a no-op write before any level exists (an
   /// insert of a present `t`, a delete of an absent one).

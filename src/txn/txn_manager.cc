@@ -346,26 +346,21 @@ bool TxnManager::HasConflictLocked(const TxnSession& session,
   // smallest conflicting version, then the smallest relation, with
   // read-write before write-write at a tie. The footprint is read where
   // it lies: the session's levels (live, or dropped by an integrity
-  // abort) and its side set of attempts they do not show.
+  // abort) and its side set of attempts they do not show. Each delta is
+  // probed from its smaller side (Footprint::Overlaps), so a small
+  // session pays per commit, not per tuple written since its snapshot.
   const auto first = std::upper_bound(
       recent_.begin(), recent_.end(), snap,
-      [](uint64_t v, const std::shared_ptr<const WalRecord>& record) {
+      [](uint64_t v, const std::shared_ptr<const CommitRecord>& record) {
         return v < record->version;
       });
   const std::set<std::string>& reads = session.ctx_.BaseReads();
   for (auto it = first; it != recent_.end(); ++it) {
-    for (const WalDelta& delta : (*it)->deltas) {
+    for (const CommitDelta& delta : (*it)->deltas) {
       const bool read = reads.count(delta.relation) > 0;
-      if (!read) {
-        const TxnContext::Footprint footprint =
-            session.ctx_.WriteFootprint(delta.relation);
-        const auto attempted = [&](const Tuple& t) {
-          return footprint.Contains(t);
-        };
-        if (std::none_of(delta.plus.begin(), delta.plus.end(), attempted) &&
-            std::none_of(delta.minus.begin(), delta.minus.end(), attempted)) {
-          continue;
-        }
+      if (!read && !session.ctx_.WriteFootprint(delta.relation)
+                         .Overlaps(*delta.plus, *delta.minus)) {
+        continue;
       }
       *reason = StrCat(read ? "read-write" : "write-write", " conflict on ",
                        delta.relation, " with transaction ", (*it)->version);
@@ -377,18 +372,18 @@ bool TxnManager::HasConflictLocked(const TxnSession& session,
 
 namespace {
 
-std::size_t TupleCount(const WalRecord& record) {
+std::size_t TupleCount(const CommitRecord& record) {
   std::size_t n = 0;
-  for (const WalDelta& delta : record.deltas) {
-    n += delta.plus.size() + delta.minus.size();
+  for (const CommitDelta& delta : record.deltas) {
+    n += delta.plus->size() + delta.minus->size();
   }
   return n;
 }
 
 }  // namespace
 
-void TxnManager::PublishCommitLocked(std::shared_ptr<const WalRecord> record,
-                                     Evicted* evicted) {
+void TxnManager::PublishCommitLocked(
+    std::shared_ptr<const CommitRecord> record, Evicted* evicted) {
   window_tuples_ += TupleCount(*record);
   recent_.push_back(std::move(record));
   while (recent_.size() > options_.validation_window) {
@@ -473,33 +468,22 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   const bool aborted = session->state_ == TxnSession::State::kAborted;
 
   // -- Stage A: collect (no lock) --------------------------------------
-  // Net-delta collection reads only session-private state (dplus/dminus
-  // are the session's overlay levels), so it runs before the critical
-  // section. Relations whose changes netted out publish nothing —
-  // serially equivalent and keeps the WAL dense. The WAL record is the
-  // write set's only copy: stage B publishes it, stage C encodes it.
-  const auto wal_record = std::make_shared<WalRecord>();
-  if (!aborted) {
-    const TxnContext& ctx = session->ctx_;
-    for (const std::string& name : ctx.TouchedRelations()) {
-      const Relation* plus =
-          *ctx.ResolveUnrecorded(algebra::RelRefKind::kDeltaPlus, name);
-      const Relation* minus =
-          *ctx.ResolveUnrecorded(algebra::RelRefKind::kDeltaMinus, name);
-      WalDelta& delta = wal_record->deltas.emplace_back();
-      delta.relation = name;
-      delta.plus.reserve(plus->size());
-      for (const Tuple& t : *plus) delta.plus.push_back(t);
-      delta.minus.reserve(minus->size());
-      for (const Tuple& t : *minus) delta.minus.push_back(t);
-    }
-  }
+  // The write set is the session's overlay levels, private to its thread:
+  // only the names of the relations whose net differential is non-empty
+  // are collected here. Relations whose changes netted out publish
+  // nothing — serially equivalent and keeps the WAL dense.
+  const std::vector<std::string> written =
+      aborted ? std::vector<std::string>{} : session->ctx_.TouchedRelations();
 
   // -- Stage B: validate, reserve, install, publish (commit_mu_) -------
   uint64_t version = 0;
   Evicted evicted;  // what stage B displaces; freed off the lock
+  // The session's levels, taken out of its snapshot; a level not
+  // installed (a broken invariant) is freed off the lock too.
+  std::vector<std::shared_ptr<Relation>> levels;
   Installs installs;  // what the durability-failure unwind re-installs
   bool too_deep = false;  // an installed chain passed the depth bound
+  const auto record = std::make_shared<CommitRecord>();
   std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
                                        // concurrent TryReopenWal swap
                                        // never strands this commit's
@@ -526,7 +510,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
       return result;
     }
 
-    if (wal_record->deltas.empty()) {
+    if (written.empty()) {
       // Read-only (or fully netted-out) transaction: nothing to install,
       // no version consumed, no log record — but the reads were
       // validated above, so the outcome is serially consistent.
@@ -551,50 +535,55 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
                  "); TryReopenWal() to restore writes"));
     }
 
-    version = db_->logical_time() + 1;
-    wal_record->version = version;
-
-    // Install into the committed master as an overlay level over the
-    // master's current state, which stays intact for the unwind. Fast
-    // path: when nothing committed since this session's snapshot and the
-    // session's level sits on the master's state (no compaction was
-    // swapped in under it since), the session's level IS that level —
-    // adopt it by pointer swap (the ownership discipline proves sole
-    // ownership: TakeOwnedRelation succeeds only for states the session
-    // created and never shared out). Otherwise a fresh level over the
-    // master's state takes the delta, while outstanding snapshots keep
-    // reading their pinned state.
-    const bool snapshot_is_current =
-        session->snapshot_version_ == db_->logical_time();
+    // The session's level on each written relation is installed as it
+    // is, by pointer: TakeOwnedRelation hands over only a state the
+    // session layered itself and never shared out, so nothing else can
+    // reach it.
     Database& snapshot = session->snapshot_db_;
-    for (const WalDelta& delta : wal_record->deltas) {
-      std::shared_ptr<Relation> adopted;
-      if (snapshot_is_current &&
-          (*snapshot.Find(delta.relation))
-              ->ChainHolds(*db_->Find(delta.relation))) {
-        adopted = snapshot.TakeOwnedRelation(delta.relation);
+    for (const std::string& name : written) {
+      levels.push_back(snapshot.TakeOwnedRelation(name));
+      if (levels.back() == nullptr) {
+        return Status::Internal(
+            StrCat("commit of a session whose level on ", name,
+                   " is not its own"));
       }
-      Database::Level level;
-      if (adopted != nullptr) {
-        level = db_->AdoptRelation(delta.relation, std::move(adopted));
-      } else {
-        TXMOD_ASSIGN_OR_RETURN(level, db_->PushLevel(delta.relation));
-        for (const Tuple& t : delta.minus) level.top->Erase(t);
-        for (const Tuple& t : delta.plus) level.top->Insert(t);
-      }
+    }
+
+    version = db_->logical_time() + 1;
+    record->version = version;
+    for (std::size_t i = 0; i < written.size(); ++i) {
+      const std::string& name = written[i];
+      std::shared_ptr<Relation>& level = levels[i];
+      // Re-based onto the master's current state, which stays intact for
+      // the unwind. Sound whatever committed or was compacted since the
+      // snapshot, because validation has just passed: no commit since
+      // the snapshot wrote a tuple of the session's footprint (and none
+      // the snapshot holds was unwound: HandleLogFailure keeps a commit
+      // a live session began on), and the footprint holds every tuple of
+      // the level's inserts and deletes.
+      // So the level's invariants hold over the master's state exactly as
+      // over the snapshot's: minus ⊆ visible(base), plus is disjoint from
+      // visible(base). The declared indexes match, because rule
+      // definition needs quiesced sessions. The re-base frees nothing
+      // under the lock: the session's context still holds the snapshot's
+      // state.
+      level->Rebase(db_->Share(name));
+      record->deltas.push_back(
+          CommitDelta{name, level->shared_inserts(), level->shared_deletes()});
+      Database::Level installed = db_->AdoptRelation(name, std::move(level));
       too_deep = too_deep ||
-                 level.top->overlay_depth() > Relation::kMaxOverlayDepth;
-      installs.emplace_back(delta.relation, std::move(level));
+                 installed.top->overlay_depth() > Relation::kMaxOverlayDepth;
+      installs.emplace_back(name, std::move(installed));
       // Compaction is the maintenance thread's: it builds a replacement
       // from the installed chain, whose levels never change, while this
       // commit logs.
-      QueueCompactionLocked(delta.relation, &evicted);
+      QueueCompactionLocked(name, &evicted);
     }
     db_->AdvanceTime();
 
     // Only a session whose snapshot predates this commit can conflict
     // with it, and only the live ones registered before it do.
-    if (!live_snapshots_.empty()) PublishCommitLocked(wal_record, &evicted);
+    if (!live_snapshots_.empty()) PublishCommitLocked(record, &evicted);
     stats_.commits.fetch_add(1);
     result.committed = true;
     result.commit_version = version;
@@ -611,7 +600,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // install while commit N's record is still being encoded and fsynced;
   // group commit batches concurrent committers into one fsync.
   if (wal != nullptr) {
-    const Result<uint64_t> lsn = wal->Append(*wal_record);
+    const Result<uint64_t> lsn = wal->Append(*record);
     if (!lsn.ok()) {
       return HandleLogFailure(version, &installs, lsn.status(), &result);
     }
@@ -659,10 +648,14 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
     // O(1) each), so an unacked commit does not linger visible. With
     // concurrent commits stacked on top the unwind is impossible; that
     // commit's outcome is "unknown" (classic in-doubt), and recovery
-    // decides. A commit at or below the durable checkpoint is never
-    // unwound: the checkpoint already made it durable, so the failed log
-    // record is irrelevant to its fate.
-    if (db_->logical_time() == version && version > checkpoint_time_) {
+    // decides. So is a commit a live session began on (its snapshot is
+    // this version): that session's commit re-bases its levels onto the
+    // master's state, which is sound only over a state its snapshot's
+    // history leads to. A commit at or below the durable checkpoint is
+    // never unwound: the checkpoint already made it durable, so the
+    // failed log record is irrelevant to its fate.
+    if (db_->logical_time() == version && version > checkpoint_time_ &&
+        live_snapshots_.count(version) == 0) {
       std::lock_guard<std::mutex> maint_lock(maint_mu_);
       for (auto& [name, level] : *installs) {
         displaced.push_back(db_->DropLevel(name, std::move(level)));

@@ -176,8 +176,8 @@ class TxnSession {
 
   /// The session's private view (the snapshot plus this session's own
   /// uncommitted writes). Test/diagnostic access. Invalid once the
-  /// session is finished — a successful Commit may relinquish written
-  /// relations to the committed master by pointer swap.
+  /// session is finished — a write-ful Commit hands the written
+  /// relations' levels to the committed master by pointer.
   const Database& snapshot() const { return snapshot_db_; }
 
   bool finished() const { return state_ == State::kFinished; }
@@ -236,25 +236,30 @@ class TxnSession {
 ///
 /// Commit pipeline (three stages; only stage B holds the commit lock):
 ///
-///   A. collect — the session's net differentials are copied into the
-///      WAL record with no lock held (session state is private to its
-///      thread); that record is the write set's only copy;
+///   A. collect — with no lock held (session state is private to its
+///      thread), the names of the relations the session's differential
+///      is non-empty on. Nothing is copied: the session's overlay levels
+///      are the write set;
 ///   B. validate → reserve → install → publish — under commit_mu_:
 ///      conflict validation against the window records newer than the
-///      session's snapshot (one footprint lookup per tuple they wrote),
-///      release of the session's snapshot registration, version
-///      assignment, in-memory install (pointer-swap fast path), a hand-off
-///      of each installed state to the maintenance thread, and — only
-///      while another session is live, the only kind a record can
-///      convict — shared publication of the WAL record into the
+///      session's snapshot (from the smaller side of each: the
+///      footprint's tuples or the record's), release of the session's
+///      snapshot registration, version assignment, and the install: each
+///      of the session's levels is taken out of its snapshot, re-based
+///      onto the master's current state and installed by pointer, and its
+///      insert and delete sets go into the commit record by reference.
+///      Then a hand-off of each installed state to the maintenance
+///      thread, and — only while another session is live, the only kind a
+///      record can convict — shared publication of the record into the
 ///      validation window, one push. Stage B installs and publishes and
-///      does nothing more: O(|delta|) at most, and no compaction. What it
-///      displaces is freed after the lock;
-///   C. log + ack — outside the lock: the record is appended to the
-///      WAL, a group-commit fsync covers it, and the commit is
-///      acknowledged only once every version up to its own is durable
-///      (the contiguous durability horizon — appends and fsyncs that
-///      complete out of version order never ack a commit above a hole).
+///      does nothing more: O(#written relations) past validation, and no
+///      compaction. What it displaces is freed after the lock;
+///   C. log + ack — outside the lock: the record is encoded from the
+///      installed levels' sets and appended to the WAL, a group-commit
+///      fsync covers it, and the commit is acknowledged only once every
+///      version up to its own is durable (the contiguous durability
+///      horizon — appends and fsyncs that complete out of version order
+///      never ack a commit above a hole).
 ///
 /// Disjoint-footprint commits therefore validate, encode, and wait for
 /// their fsync in parallel; the serialized region is the short stage B.
@@ -486,7 +491,7 @@ class TxnManager {
   /// calls move what they drop into `evicted`.
   /// Appends `record` to the window, evicting the oldest records beyond
   /// options_.validation_window.
-  void PublishCommitLocked(std::shared_ptr<const WalRecord> record,
+  void PublishCommitLocked(std::shared_ptr<const CommitRecord> record,
                            Evicted* evicted);
   /// Moves recent_.front() into `evicted`.
   void EvictOldestLocked(Evicted* evicted);
@@ -514,9 +519,9 @@ class TxnManager {
   using Installs = std::vector<std::pair<std::string, Database::Level>>;
 
   /// Stage-C failure path: degrades the manager, unwinds the commit (by
-  /// re-installing the displaced states) when it is still the newest one
-  /// and not already covered by a checkpoint, and marks the version
-  /// failed for later waiters.
+  /// re-installing the displaced states) when it is still the newest one,
+  /// no live session began on it and no checkpoint covers it, and marks
+  /// the version failed for later waiters.
   Status HandleLogFailure(uint64_t version, Installs* installs,
                           const Status& cause, TxnResult* result);
 
@@ -621,12 +626,14 @@ class TxnManager {
   /// than an append-only queue: many sessions share a version, and after
   /// RewindTime a later Begin can pin a lower one. Guarded by commit_mu_.
   std::map<uint64_t, uint32_t> live_snapshots_;
-  /// The validation window: the published WAL records (shared with
+  /// The validation window: the published commit records (shared with
   /// stage C, which encodes them) newer than the oldest live snapshot, at
   /// most options_.validation_window, in ascending version order. A
-  /// record is the write set's only copy; validation scans the ones newer
-  /// than a session's snapshot. Guarded by commit_mu_.
-  std::deque<std::shared_ptr<const WalRecord>> recent_;
+  /// record holds its installed levels' insert and delete sets, not the
+  /// levels: a level's base chain would outlive the compaction swaps that
+  /// replace it. Validation scans the records newer than a session's
+  /// snapshot. Guarded by commit_mu_.
+  std::deque<std::shared_ptr<const CommitRecord>> recent_;
   uint64_t window_tuples_ = 0;  // tuples recent_'s records wrote
   /// Logical time covered by the latest durable checkpoint; a commit at
   /// or below it must never be unwound (it is durable regardless of its

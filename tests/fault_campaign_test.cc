@@ -26,8 +26,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -471,6 +474,142 @@ TEST_F(FaultCampaignTest, WalFailureUnwindOfAnUnpublishedCommitPopsNothing) {
       << "the unacknowledged commit must be unwound from memory";
   EXPECT_EQ(manager->stats().validation_records, 0u);
   EXPECT_EQ(manager->stats().validation_tuples, 0u);
+}
+
+/// A Vfs over a FaultInjectingVfs whose appended files hold their next
+/// Sync, once armed, until Release: a test acts between a commit's
+/// install and its fsync's outcome.
+class HeldSyncVfs : public Vfs {
+ public:
+  explicit HeldSyncVfs(FaultInjectingVfs* inner) : inner_(inner) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  /// Returns once a Sync is held.
+  void AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      armed_ = false;
+    }
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<VfsFile>> OpenAppend(
+      const std::string& path) override {
+    TXMOD_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file,
+                           inner_->OpenAppend(path));
+    return std::unique_ptr<VfsFile>(new HeldFile(this, std::move(file)));
+  }
+  Result<std::unique_ptr<VfsFile>> OpenTrunc(
+      const std::string& path) override {
+    return inner_->OpenTrunc(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return inner_->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override {
+    return inner_->Remove(path);
+  }
+  Status SyncParentDirectory(const std::string& path) override {
+    return inner_->SyncParentDirectory(path);
+  }
+  int64_t NowMicros() override { return inner_->NowMicros(); }
+  void SleepMicros(int64_t micros) override { inner_->SleepMicros(micros); }
+
+ private:
+  class HeldFile : public VfsFile {
+   public:
+    HeldFile(HeldSyncVfs* vfs, std::unique_ptr<VfsFile> file)
+        : vfs_(vfs), file_(std::move(file)) {}
+    Result<std::size_t> Write(const char* data, std::size_t n) override {
+      return file_->Write(data, n);
+    }
+    Status Sync() override {
+      vfs_->Hold();
+      return file_->Sync();
+    }
+    Result<uint64_t> Size() override { return file_->Size(); }
+    Status Truncate(uint64_t size) override { return file_->Truncate(size); }
+
+   private:
+    HeldSyncVfs* vfs_;
+    std::unique_ptr<VfsFile> file_;
+  };
+
+  void Hold() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !armed_; });
+  }
+
+  FaultInjectingVfs* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool held_ = false;
+};
+
+// A commit that a live session began on is not unwound when its fsync
+// fails: that session's own commit re-bases its level onto the master's
+// state, which is sound only over a state its snapshot's history leads
+// to. Like a commit with others stacked on it, its outcome is in doubt,
+// and TryReopenWal's checkpoint makes it durable.
+TEST_F(FaultCampaignTest, WalFailureKeepsACommitALiveSessionBeganOn) {
+  FaultInjectingVfs faults;
+  HeldSyncVfs vfs(&faults);
+  TxnManagerOptions options;
+  options.wal_path = (dir_ / "wal.log").string();
+  options.checkpoint_path = (dir_ / "ckpt.db").string();
+  options.vfs = &vfs;
+
+  Database db = bench::MakeKeyFkDatabase(8, 20);
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
+  const std::string row = "{(600001, \"k1\", 2.0)}";
+
+  faults.InjectFault(Spec(VfsOp::kFsync, FaultKind::kEIO, 1, /*sticky=*/true,
+                          "wal"));
+  vfs.Arm();
+  std::future<Result<TxnResult>> failing = std::async(
+      std::launch::async,
+      [&] { return manager->RunText(StrCat("insert(fk_rel, ", row, ");")); });
+  vfs.AwaitHeld();  // installed; its fsync has not failed yet
+  auto reader = manager->Begin();
+  TXMOD_ASSERT_OK(
+      reader->ExecuteText(StrCat("delete(fk_rel, ", row, ");")).status());
+  vfs.Release();
+  const Result<TxnResult> failed = failing.get();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(manager->committed_version(), reader->snapshot_version())
+      << "a commit a live session began on was unwound";
+
+  faults.ClearFaults();
+  TXMOD_ASSERT_OK(manager->TryReopenWal());
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult other,
+      manager->RunText("insert(key_rel, {(\"fresh\", \"payload\")});"));
+  ASSERT_TRUE(other.committed) << other.abort_reason;
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult deleted, reader->Commit());
+  ASSERT_TRUE(deleted.committed) << deleted.abort_reason;
+
+  const Relation& fk_rel = **db.Find("fk_rel");
+  EXPECT_EQ(fk_rel.size(), fk_rel.SortedTuples().size());
+  EXPECT_EQ(fk_rel.size(), 20u);
+  ExpectConstraintsHold(db);
+  manager.reset();
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered, TxnManager::Recover(options));
+  EXPECT_TRUE(recovered.SameState(db, /*compare_time=*/true));
 }
 
 TEST_F(FaultCampaignTest, AppendFaultDegradesWithoutInstalling) {

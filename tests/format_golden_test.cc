@@ -9,7 +9,10 @@
 // The expected bytes below are the format that checkpoint version 1 and
 // WAL version 1 define: the writers must produce them byte for byte, and
 // the readers must read them back to bit-identical values. A change
-// here is a change of the on-disk format.
+// here is a change of the on-disk format. The record form the
+// transaction manager logs (CommitRecord, which shares its overlay
+// levels' sets) must write the bytes of the WalRecord that holds the same
+// tuples in the sets' iteration order.
 
 #include <cstdint>
 #include <cstring>
@@ -212,6 +215,83 @@ TEST_F(FormatGoldenTest, WalRecordIsReadBackBitExact) {
     ExpectIdentical(records[0].deltas[d].plus, expected.deltas[d].plus);
     ExpectIdentical(records[0].deltas[d].minus, expected.deltas[d].minus);
   }
+}
+
+TEST_F(FormatGoldenTest, CommitRecordIsWrittenAsItsWalRecord) {
+  // A commit record over real overlay levels shares their insert and
+  // delete sets; it must log exactly the bytes of the WalRecord holding
+  // the same tuples in the sets' iteration order.
+  const auto t_schema = std::make_shared<const RelationSchema>(
+      "t", std::vector<Attribute>{{"i", AttrType::kInt},
+                                  {"d", AttrType::kDouble},
+                                  {"s", AttrType::kString}});
+  const auto u_schema = std::make_shared<const RelationSchema>(
+      "u", std::vector<Attribute>{{"x", AttrType::kDouble},
+                                  {"y", AttrType::kDouble},
+                                  {"z", AttrType::kDouble}});
+  Relation t_base(t_schema);
+  for (int i = 0; i < 8; ++i) {
+    t_base.Insert(Tuple({Value::Int(i), Value::Double(i / 4.0), kNul}));
+  }
+  Relation u_base(u_schema);
+  u_base.Insert(
+      Tuple({Value::Double(kDenormMin), Value::Double(-kInf), Value::Null()}));
+  Relation t = Relation::MakeOverlay(
+      std::make_shared<const Relation>(std::move(t_base)));
+  Relation u = Relation::MakeOverlay(
+      std::make_shared<const Relation>(std::move(u_base)));
+  for (int i = 0; i < 20; ++i) {
+    t.Insert(Tuple({Value::Int(kMinInt + i), Value::Double(-0.0),
+                    i % 2 == 0 ? kQuoteAndBackslash : kNewlineTabSpace}));
+  }
+  t.Insert(
+      Tuple({Value::Null(), Value::Double(kMaxDouble), Value::String("")}));
+  for (int i = 0; i < 8; i += 3) {
+    t.Erase(Tuple({Value::Int(i), Value::Double(i / 4.0), kNul}));
+  }
+  u.Insert(Tuple({Value::Double(kInf), Value::Double(kNaN), Value::Null()}));
+  u.Erase(
+      Tuple({Value::Double(kDenormMin), Value::Double(-kInf), Value::Null()}));
+  ASSERT_EQ(t.local_inserts().size(), 21u);
+  ASSERT_EQ(t.local_deletes().size(), 3u);
+  ASSERT_EQ(u.local_deletes().size(), 1u);
+
+  CommitRecord shared;
+  shared.version = 42;
+  WalRecord copied;
+  copied.version = 42;
+  const auto add = [&](const std::string& name, const Relation& level) {
+    shared.deltas.push_back(
+        CommitDelta{name, level.shared_inserts(), level.shared_deletes()});
+    EXPECT_EQ(shared.deltas.back().plus.get(), &level.local_inserts());
+    EXPECT_EQ(shared.deltas.back().minus.get(), &level.local_deletes());
+    WalDelta& delta = copied.deltas.emplace_back();
+    delta.relation = name;
+    for (const Tuple& tuple : level.local_inserts()) {
+      delta.plus.push_back(tuple);
+    }
+    for (const Tuple& tuple : level.local_deletes()) {
+      delta.minus.push_back(tuple);
+    }
+  };
+  add("t", t);
+  add("u", u);
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log,
+                               WriteAheadLog::Open(Path("shared")));
+    TXMOD_ASSERT_OK(log.Append(shared).status());
+  }
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log,
+                               WriteAheadLog::Open(Path("copied")));
+    TXMOD_ASSERT_OK(log.Append(copied).status());
+  }
+  const std::string bytes = ReadFile(Path("shared"));
+  EXPECT_EQ(bytes, ReadFile(Path("copied")));
+  EXPECT_NE(bytes.find("\nrel u\n+ d:inf d:nan null\n"
+                       "- d:0x0.0000000000001p-1022 d:-inf null\ncommit 42 "),
+            std::string::npos)
+      << bytes;
 }
 
 TEST_F(FormatGoldenTest, CheckpointIsWrittenByteForByte) {

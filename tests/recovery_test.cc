@@ -272,6 +272,56 @@ TEST_F(RecoveryTest, TornTailIsRepairedOnReopen) {
   EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true));
 }
 
+/// Recovers, restarts a manager on the recovered state over the same log,
+/// commits one more transaction, and requires the next recovery to
+/// restore that state, every commit included and no tail dropped.
+void RestartCommitAndRecover(const TxnManagerOptions& options) {
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options));
+  core::IntegritySubsystem ics(&recovered);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
+                               TxnManager::Create(&ics, options));
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult committed,
+        manager->RunText("insert(fk_rel, {(8001, \"k3\", 2.0)});"));
+    ASSERT_TRUE(committed.committed) << committed.abort_reason;
+  }
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database after,
+                             TxnManager::Recover(options, &stats));
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+  EXPECT_TRUE(after.SameState(recovered, /*compare_time=*/true))
+      << "an acknowledged commit was lost";
+}
+
+TEST_F(RecoveryTest, LogWhoseLastNewlineIsCutKeepsLaterCommits) {
+  // The writer appends every line with its newline, so a commit line
+  // without one is a torn record: recovery drops it, and Create repairs
+  // the log before the next commit lands on that line.
+  LiveRun run = RunWorkload(options_, DefaultWorkload());
+  ASSERT_EQ(run.wal_bytes.back(), '\n');
+  WriteFile(options_.wal_path,
+            run.wal_bytes.substr(0, run.wal_bytes.size() - 1));
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database torn,
+                             TxnManager::Recover(options_, &stats));
+  EXPECT_TRUE(stats.tail_dropped);
+  EXPECT_TRUE(torn.SameState(run.prefix_states[run.prefix_states.size() - 2],
+                             /*compare_time=*/true));
+  RestartCommitAndRecover(options_);
+}
+
+TEST_F(RecoveryTest, HeaderWithoutItsNewlineIsATornEmptyLog) {
+  // A log holding only the header line, its newline lost: the next commit
+  // must not land on the header line.
+  RunWorkload(options_, {});
+  WriteFile(options_.wal_path, "txmod-wal 1");
+  RestartCommitAndRecover(options_);
+}
+
 TEST_F(RecoveryTest, RandomizedCheckpointWalProperty) {
   // Randomized workload with interleaved checkpoints: after every step
   // the recovered state must equal the live committed state.

@@ -82,6 +82,16 @@ std::string InsertBeerText(const std::string& name) {
                 "6.0)});");
 }
 
+/// One statement inserting the beers `prefix`0 .. `prefix`<n - 1>.
+std::string InsertBeersText(const std::string& prefix, int n) {
+  std::vector<std::string> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(
+        StrCat("(\"", prefix, i, "\", \"ale\", \"guinness\", 6.0)"));
+  }
+  return StrCat("insert(beer, {", Join(rows, ", "), "});");
+}
+
 TEST(TxnManagerTest, SingleSessionCommitInstallsAndAdvances) {
   Fixture f;
   const uint64_t before = f.manager->committed_version();
@@ -807,6 +817,50 @@ TEST(TxnManagerWindowTest, ConflictOrderWithinOneCommit) {
   }
 }
 
+// Validation probes from the smaller side of each record: the commit's
+// sets with the footprint's tuples, or the footprint with the commit's.
+// Either way it convicts exactly when they overlap, naming the commit.
+TEST(TxnManagerWindowTest, OneRowSessionProbesALargerRecord) {
+  Fixture f;
+  auto overlapping = f.manager->Begin();
+  TXMOD_ASSERT_OK(overlapping->ExecuteText(InsertBeerText("b7")).status());
+  auto disjoint = f.manager->Begin();
+  TXMOD_ASSERT_OK(disjoint->ExecuteText(InsertBeerText("c7")).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult large,
+                             f.manager->RunText(InsertBeersText("b", 50)));
+  ASSERT_TRUE(large.committed) << large.abort_reason;
+  EXPECT_EQ(f.manager->stats().validation_tuples, 50u);
+
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, overlapping->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_EQ(lost.abort_reason,
+            StrCat("write-write conflict on beer with transaction ",
+                   large.commit_version));
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult won, disjoint->Commit());
+  EXPECT_TRUE(won.committed) << won.abort_reason;
+}
+
+TEST(TxnManagerWindowTest, LargeSessionIsProbedWithASmallerRecord) {
+  Fixture f;
+  auto overlapping = f.manager->Begin();
+  TXMOD_ASSERT_OK(
+      overlapping->ExecuteText(InsertBeersText("b", 50)).status());
+  auto disjoint = f.manager->Begin();
+  TXMOD_ASSERT_OK(disjoint->ExecuteText(InsertBeersText("c", 50)).status());
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult small,
+                             f.manager->RunText(InsertBeerText("b7")));
+  ASSERT_TRUE(small.committed) << small.abort_reason;
+  EXPECT_EQ(f.manager->stats().validation_tuples, 1u);
+
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, overlapping->Commit());
+  EXPECT_TRUE(lost.conflict);
+  EXPECT_EQ(lost.abort_reason,
+            StrCat("write-write conflict on beer with transaction ",
+                   small.commit_version));
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult won, disjoint->Commit());
+  EXPECT_TRUE(won.committed) << won.abort_reason;
+}
+
 // ---------------------------------------------------------------------------
 // The rule-definition quiesce guard: DefineConstraint/DefineRule/DropRule
 // through the manager must refuse while sessions are live (recompiling
@@ -1292,6 +1346,92 @@ TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
   EXPECT_LE(fk_rel.overlay_depth(), 2u);
   RecordProperty("commits_during_collapse", during);
   RecordProperty("deepest_snapshot_chain", static_cast<int>(deepest));
+}
+
+// ---------------------------------------------------------------------------
+// One install path: every write-ful commit installs the session's own
+// overlay level by pointer, re-based onto the master's current state,
+// whatever committed or was compacted since its snapshot.
+// ---------------------------------------------------------------------------
+
+/// Requires `db` to equal the fixture's state after `texts` ran serially,
+/// in order, and to satisfy every constraint under a full check.
+void ExpectSerialAndConsistent(const Database& db,
+                               const std::vector<std::string>& texts) {
+  Database serial = MakeFixtureState();
+  {
+    core::IntegritySubsystem ics(&serial);
+    ASSERT_TRUE(ics.DefineConstraint("domain", BeerDomainConstraint()).ok());
+    ASSERT_TRUE(ics.DefineConstraint("refint", BeerRefIntConstraint()).ok());
+    for (const std::string& text : texts) {
+      TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r, ics.ExecuteText(text));
+      ASSERT_TRUE(r.committed) << text;
+    }
+  }
+  EXPECT_TRUE(db.SameState(serial));
+  const std::vector<NamedConstraint> constraints = {
+      {"domain", BeerDomainConstraint()}, {"refint", BeerRefIntConstraint()}};
+  EXPECT_EQ(FullCheckViolation(Rebuild(db), constraints), "");
+}
+
+TEST(TxnManagerInstallTest, StaleSnapshotInstallsTheSessionsLevel) {
+  Fixture f;
+  auto session = f.manager->Begin();
+  const std::string mine = InsertBeerText("mine");
+  TXMOD_ASSERT_OK(session->ExecuteText(mine).status());
+  const Relation* level = *session->snapshot().Find("beer");
+  // A disjoint commit lands after the session began.
+  const std::string other = InsertBeerText("other");
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult first, f.manager->RunText(other));
+  ASSERT_TRUE(first.committed) << first.abort_reason;
+  ASSERT_GT(f.manager->committed_version(), session->snapshot_version());
+
+  const uint64_t overlays = CowStats::overlays_created.load();
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult second, session->Commit());
+  ASSERT_TRUE(second.committed) << second.abort_reason;
+  EXPECT_EQ(*f.db.Find("beer"), level)
+      << "the master's state is not the level the session wrote through";
+  EXPECT_EQ(CowStats::overlays_created.load(), overlays)
+      << "the commit layered a fresh level";
+  ExpectSerialAndConsistent(f.db, {other, mine});
+}
+
+TEST(TxnManagerInstallTest, SwappedCompactionUnderTheSnapshotKeepsItsLevel) {
+  JobGate gate;  // outlives the manager, whose destructor runs jobs
+  Fixture f;
+  OpenOnExit open_on_exit{&gate};
+  const std::vector<std::string> before = {InsertBeerText("ale1"),
+                                           InsertBeerText("ale2")};
+  TXMOD_ASSERT_OK(f.manager->RunText(before[0]).status());
+  f.manager->WaitForMaintenance();
+  f.manager->set_compaction_probe(
+      [&](const std::string& relation) { gate.Hold(relation); });
+  // ale2's level weighs as much as ale1's: its job merges the two.
+  TXMOD_ASSERT_OK(f.manager->RunText(before[1]).status());
+  gate.AwaitArrival();
+
+  auto session = f.manager->Begin();
+  const std::string mine = InsertBeerText("mine");
+  TXMOD_ASSERT_OK(session->ExecuteText(mine).status());
+  const Relation* level = *session->snapshot().Find("beer");
+  const Relation* under_snapshot = *f.db.Find("beer");
+  const uint64_t merges = CowStats::overlay_merges.load();
+  gate.Open();
+  f.manager->WaitForMaintenance();
+  ASSERT_GT(CowStats::overlay_merges.load(), merges)
+      << "the job built no replacement";
+  ASSERT_NE(*f.db.Find("beer"), under_snapshot)
+      << "no compaction was swapped in";
+  ASSERT_EQ(f.manager->committed_version(), session->snapshot_version());
+
+  const uint64_t overlays = CowStats::overlays_created.load();
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult committed, session->Commit());
+  ASSERT_TRUE(committed.committed) << committed.abort_reason;
+  EXPECT_EQ(*f.db.Find("beer"), level)
+      << "the master's state is not the level the session wrote through";
+  EXPECT_EQ(CowStats::overlays_created.load(), overlays)
+      << "the commit layered a fresh level";
+  ExpectSerialAndConsistent(f.db, {before[0], before[1], mine});
 }
 
 }  // namespace
