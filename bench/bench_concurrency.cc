@@ -21,7 +21,9 @@
 // Every such arm also reports max_commit_us, its slowest commit (a Run,
 // or a session's Begin through Commit) across all of its threads: a
 // commit stalled behind compaction or a long-held lock shows there, not
-// in the throughput.
+// in the throughput. BM_ConcurrentCommit also reports
+// merged_tuples_per_commit, the delta weight the compaction merges took
+// (CowStats::overlay_merged_tuples) per commit.
 
 #include <unistd.h>
 
@@ -157,6 +159,7 @@ void BM_ConcurrentCommit(benchmark::State& state) {
   const int conflict_pct = static_cast<int>(state.range(1));
   ManagerFixture f;
   SlowestCommit slowest;
+  CowStats::Reset();
 
   uint64_t committed_total = 0;
   int64_t iteration = 0;
@@ -182,6 +185,7 @@ void BM_ConcurrentCommit(benchmark::State& state) {
     committed_total += committed.load();
     ++iteration;
   }
+  f.manager->WaitForMaintenance();  // the merges the last commits queued
   const txn::TxnManagerStats stats = f.manager->stats();
   state.SetItemsProcessed(static_cast<int64_t>(committed_total));
   ReportReadOnlyCommits(state,
@@ -189,6 +193,11 @@ void BM_ConcurrentCommit(benchmark::State& state) {
                                "/conflict_pct:", conflict_pct),
                         stats, conflict_pct == 0);
   slowest.Report(state);
+  state.counters["merged_tuples_per_commit"] =
+      stats.commits > 0
+          ? static_cast<double>(CowStats::overlay_merged_tuples.load()) /
+                static_cast<double>(stats.commits)
+          : 0.0;
   state.counters["conflicts"] = static_cast<double>(stats.conflicts);
   state.counters["commits"] = static_cast<double>(stats.commits);
   state.counters["conflict_rate"] =

@@ -9,11 +9,13 @@ namespace txmod {
 std::atomic<uint64_t> CowStats::overlays_created{0};
 std::atomic<uint64_t> CowStats::overlay_merges{0};
 std::atomic<uint64_t> CowStats::overlay_collapses{0};
+std::atomic<uint64_t> CowStats::overlay_merged_tuples{0};
 
 void CowStats::Reset() {
   overlays_created.store(0);
   overlay_merges.store(0);
   overlay_collapses.store(0);
+  overlay_merged_tuples.store(0);
 }
 
 void RelationIndex::Remove(const Tuple* t) {
@@ -245,10 +247,10 @@ std::size_t Relation::overlay_weight() const {
   return weight;
 }
 
-const Relation& Relation::flat_level() const {
+std::size_t Relation::flat_size() const {
   const Relation* r = this;
   while (r->base_ != nullptr) r = r->base_.get();
-  return *r;
+  return r->tuples_.size();
 }
 
 bool Relation::ChainHolds(const Relation* level) const {
@@ -260,56 +262,34 @@ bool Relation::ChainHolds(const Relation* level) const {
 
 void Relation::CollapseOverlay() {
   if (base_ == nullptr) return;
-  *this = Flattened(*this, {});
+  *this = Flattened(*this);
   ++CowStats::overlay_collapses;
 }
 
 namespace {
 
-// Tuples a merge or collapse handles between two calls of its yield
-// (tens of microseconds).
-constexpr std::size_t kYieldEvery = 64;
-
 // A chain's overlay weight collapses it once it reaches half the flat
 // base, and never below this.
 constexpr std::size_t kCollapseMinWeight = 64;
 
-// Above a floor nothing collapses, so depth is bounded here instead: past
-// this many levels over the floor after geometric merging, the top
-// (smallest) levels merge until this many remain.
-constexpr std::size_t kMaxLevelsAboveFloor = 8;
-
-/// Calls `yield` (when set) once every kYieldEvery ticks.
-class YieldTicker {
- public:
-  explicit YieldTicker(const std::function<void()>& yield) : yield_(yield) {}
-  void Tick() {
-    if (yield_ && ++n_ % kYieldEvery == 0) yield_();
-  }
-
- private:
-  const std::function<void()>& yield_;
-  std::size_t n_ = 0;
-};
-
 }  // namespace
 
 Relation Relation::MergeLevels(const std::vector<const Relation*>& levels,
-                               std::shared_ptr<const Relation> onto,
-                               const std::function<void()>& yield) {
+                               std::shared_ptr<const Relation> onto) {
   Relation merged = MakeOverlay(std::move(onto));
+  std::size_t taken = 0;
+  for (const Relation* level : levels) taken += level->delta_weight();
+  CowStats::overlay_merged_tuples += taken;
   const auto holds = [](const Relation* set, const Tuple& t) {
     return !set->tuples_.empty() && set->tuples_.count(t) > 0;
   };
   const auto mentions = [&](const Relation* level, const Tuple& t) {
     return holds(level->plus_.get(), t) || holds(level->minus_.get(), t);
   };
-  YieldTicker ticker(yield);
   for (std::size_t i = 0; i < levels.size(); ++i) {
     for (const bool inserted : {true, false}) {
       const Relation& set = inserted ? *levels[i]->plus_ : *levels[i]->minus_;
       for (const Tuple& t : set.tuples_) {
-        ticker.Tick();
         bool outermost = true;
         for (std::size_t j = 0; j < i && outermost; ++j) {
           outermost = !mentions(levels[j], t);
@@ -336,43 +316,30 @@ Relation Relation::MergeLevels(const std::vector<const Relation*>& levels,
   }
   for (const auto& index : merged.indexes_) {
     index->map_.reserve(merged.plus_->tuples_.size());
-    for (const Tuple& t : merged.plus_->tuples_) {
-      index->Add(&t);
-      ticker.Tick();
-    }
+    for (const Tuple& t : merged.plus_->tuples_) index->Add(&t);
   }
   return merged;
 }
 
-Relation Relation::Flattened(const Relation& chain,
-                             const std::function<void()>& yield) {
+Relation Relation::Flattened(const Relation& chain) {
   Relation flat(chain.schema_);
   flat.tuples_.reserve(chain.size());
-  YieldTicker ticker(yield);
-  for (const Tuple& t : chain) {
-    flat.tuples_.insert(t);
-    ticker.Tick();
-  }
+  for (const Tuple& t : chain) flat.tuples_.insert(t);
   for (std::vector<int>& attrs : chain.DeclaredIndexes()) {
     auto index = std::make_unique<RelationIndex>(std::move(attrs));
     index->map_.reserve(flat.tuples_.size());
-    for (const Tuple& t : flat.tuples_) {
-      index->Add(&t);
-      ticker.Tick();
-    }
+    for (const Tuple& t : flat.tuples_) index->Add(&t);
     flat.indexes_.push_back(std::move(index));
   }
   return flat;
 }
 
 std::shared_ptr<const Relation> Relation::Compact(
-    const std::shared_ptr<const Relation>& chain, const Relation* floor,
-    const std::function<void()>& yield) {
-  if (chain->base_ == nullptr || chain.get() == floor) return nullptr;
-  // The overlay levels a merge may take: all of them, or those above the
-  // floor.
+    const std::shared_ptr<const Relation>& chain) {
+  if (chain->base_ == nullptr) return nullptr;
+  // The overlay levels a merge may take.
   std::vector<const Relation*> levels;
-  for (const Relation* r = chain.get(); r->base_ != nullptr && r != floor;
+  for (const Relation* r = chain.get(); r->base_ != nullptr;
        r = r->base_.get()) {
     levels.push_back(r);
   }
@@ -385,20 +352,17 @@ std::shared_ptr<const Relation> Relation::Compact(
        ++take) {
     weight += levels[take]->delta_weight();
   }
-  if (floor != nullptr && levels.size() - take + 1 > kMaxLevelsAboveFloor) {
-    take = levels.size() - kMaxLevelsAboveFloor + 1;
-  }
   levels.resize(take);
   std::shared_ptr<const Relation> result = chain;
   if (levels.size() > 1) {
     const std::shared_ptr<const Relation>& under = levels.back()->base_;
-    Relation merged = MergeLevels(levels, under, yield);
+    Relation merged = MergeLevels(levels, under);
     result = merged.delta_weight() == 0
                  ? under
                  : std::make_shared<const Relation>(std::move(merged));
     ++CowStats::overlay_merges;
   }
-  if (floor == nullptr && result->base_ != nullptr) {
+  if (result->base_ != nullptr) {
     // Large-delta case: once the accumulated overlay rivals the flat base,
     // a collapse costs O(|R|) against ≥ |R|/2 delta work already paid —
     // amortized constant — and restores flat-state read speed. The depth
@@ -407,7 +371,7 @@ std::shared_ptr<const Relation> Relation::Compact(
         std::max<std::size_t>(kCollapseMinWeight, result->flat_size() / 2);
     if (result->overlay_weight() >= threshold ||
         result->overlay_depth() > kMaxOverlayDepth) {
-      result = std::make_shared<const Relation>(Flattened(*result, yield));
+      result = std::make_shared<const Relation>(Flattened(*result));
       ++CowStats::overlay_collapses;
     }
   }
@@ -422,7 +386,7 @@ std::shared_ptr<const Relation> Relation::Reapply(
     above.push_back(r);
   }
   if (above.empty()) return onto;
-  Relation level = MergeLevels(above, onto, {});
+  Relation level = MergeLevels(above, onto);
   if (level.delta_weight() == 0) return onto;
   return std::make_shared<const Relation>(std::move(level));
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -33,6 +32,10 @@ struct CowStats {
   /// large-delta case).
   static std::atomic<uint64_t> overlay_merges;
   static std::atomic<uint64_t> overlay_collapses;
+  /// The delta weight of every level a merge took (Relation::Compact's
+  /// merges and Relation::Reapply's): the work the amortized O(log) per
+  /// changed tuple bound is about.
+  static std::atomic<uint64_t> overlay_merged_tuples;
 
   static void Reset();
 };
@@ -322,11 +325,8 @@ class Relation {
   /// Cumulative delta weight across every overlay level of the chain.
   std::size_t overlay_weight() const;
 
-  /// The innermost, flat level of the chain (this state when flat).
-  const Relation& flat_level() const;
-
   /// Tuple count of the innermost flat level (== size() when flat).
-  std::size_t flat_size() const { return flat_level().tuples_.size(); }
+  std::size_t flat_size() const;
 
   /// True when `level` is this state or one of the levels under it.
   bool ChainHolds(const Relation* level) const;
@@ -352,16 +352,11 @@ class Relation {
   ///    the flat base (or the depth passes kMaxOverlayDepth), the chain
   ///    collapses into one fresh flat state with its declared indexes —
   ///    O(|R|) against at least |R|/2 delta work already paid.
-  /// `floor`, when set, is a level of `chain` that stays as it is, with
-  /// everything under it: levels merge only above it, nothing collapses,
-  /// and depth is bounded instead: when more than a few levels would
-  /// remain above it, the top (smallest) ones merge until few enough do. `yield`, when set, is called every few dozen tuples of a
-  /// merge or collapse, so the caller can interleave other work with a
-  /// long build. Returns null when the policy keeps `chain` as it is.
+  /// Returns null when the policy keeps `chain` as it is. A call runs to
+  /// the end, a collapse of a large relation included: what lands above
+  /// `chain` meanwhile is the swap's to keep (Reapply).
   static std::shared_ptr<const Relation> Compact(
-      const std::shared_ptr<const Relation>& chain,
-      const Relation* floor = nullptr,
-      const std::function<void()>& yield = {});
+      const std::shared_ptr<const Relation>& chain);
 
   /// The levels of `top`'s chain above `start` (a level of it), re-applied
   /// over `onto` — a state with `start`'s visible contents — as one fresh
@@ -448,13 +443,11 @@ class Relation {
   /// is an insert, visible before them when its innermost mention is a
   /// delete. Only the tuples that survive are copied.
   static Relation MergeLevels(const std::vector<const Relation*>& levels,
-                              std::shared_ptr<const Relation> onto,
-                              const std::function<void()>& yield);
+                              std::shared_ptr<const Relation> onto);
 
   /// A fresh flat state with `chain`'s visible contents and declared
   /// indexes.
-  static Relation Flattened(const Relation& chain,
-                            const std::function<void()>& yield);
+  static Relation Flattened(const Relation& chain);
 
   /// The tuple set this level's declared indexes cover.
   const TupleSet& own_tuples() const {

@@ -719,12 +719,11 @@ bool TxnManager::InstallReadyLocked(Evicted* evicted) {
       continue;
     }
     // The displaced chain holds the start (the swap checked) and, as a
-    // rule, the old top; the master holds the replacement.
+    // rule, the old top; the master holds the replacement. Commits that
+    // landed during the build were re-applied over it as one fresh level,
+    // and they left the relation queued.
     evicted->push_back(std::exchange(chain.top, db_->Share(name)));
     evicted->push_back(std::move(displaced));
-    // Levels KeepUp took during the build were re-applied over the
-    // replacement as one fresh level; compact it with the rest.
-    if (ready.requeue && chain.top != ready.replacement) chain.queued = true;
   }
   // Also, a relation with queued work is runnable again.
   return true;
@@ -796,56 +795,16 @@ void TxnManager::RunJob(const std::string& name) {
   }
   if (start == nullptr) return;
   if (probe) probe(name);
-  // A build that yields always has a replacement, so its swap requeues.
-  bool took_above = false;
-  const std::function<void()> yield = [&] {
-    took_above = KeepUp(name, start.get()) || took_above;
-  };
-  std::shared_ptr<const Relation> replacement =
-      Relation::Compact(start, nullptr, yield);
-  Publish(name, std::move(start), std::move(replacement), took_above);
-}
-
-bool TxnManager::KeepUp(const std::string& building, const Relation* floor) {
-  std::vector<std::pair<std::string, std::shared_ptr<const Relation>>> jobs;
-  bool took_building = false;
-  {
-    std::lock_guard<std::mutex> lock(maint_mu_);
-    for (auto& [name, chain] : chains_) {
-      if (!chain.queued || chain.ready.replacement != nullptr) continue;
-      chain.queued = false;
-      took_building = took_building || name == building;
-      jobs.emplace_back(name, chain.top);
-    }
-  }
-  for (auto& [name, top] : jobs) {
-    // Merges only, no yield: bounded by the weight that landed since.
-    // The long build's relation never merges into its starting level.
-    const Relation* keep = name == building ? floor : &top->flat_level();
-    std::shared_ptr<const Relation> replacement =
-        Relation::Compact(top, keep);
-    Publish(name, std::move(top), std::move(replacement));
-  }
-  return took_building;
-}
-
-void TxnManager::Publish(const std::string& name,
-                         std::shared_ptr<const Relation> start,
-                         std::shared_ptr<const Relation> replacement,
-                         bool requeue) {
+  std::shared_ptr<const Relation> replacement = Relation::Compact(start);
+  // Without a replacement the start dies here, the last reference when a
+  // WAL-failure unwind dropped it.
   if (replacement == nullptr) return;
-  Ready superseded;
-  {
-    std::lock_guard<std::mutex> lock(maint_mu_);
-    // An older replacement still waiting is a tail merge above this
-    // job's start: the swap re-applies its levels over this one.
-    superseded = std::exchange(
-        chains_[name].ready,
-        Ready{std::move(start), std::move(replacement), requeue});
-    ready_pending_.store(true, std::memory_order_release);
-    maint_idle_cv_.notify_all();  // a drain installs it
-  }
-  // Built here and never installed: freed here, outside the lock.
+  std::lock_guard<std::mutex> lock(maint_mu_);
+  // No older replacement waits: NextJobLocked starts no job on a
+  // relation that has one.
+  chains_[name].ready = Ready{std::move(start), std::move(replacement)};
+  ready_pending_.store(true, std::memory_order_release);
+  maint_idle_cv_.notify_all();  // a drain or a depth waiter installs it
 }
 
 Status TxnManager::Checkpoint() {

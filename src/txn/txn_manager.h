@@ -269,13 +269,11 @@ class TxnSession {
 /// the commit path, while committers log. The thread only builds.
 ///   * Compaction: for each relation a commit installed, the thread
 ///     builds Relation::Compact's replacement from the installed chain,
-///     whose levels never change, with no lock held. One job per
-///     relation at a time; commits queued on a relation meanwhile fold
-///     into its next job. While a long build runs, the thread keeps
-///     merging the small levels that land above the job's starting
-///     level (never into it), so the depth a new snapshot sees stays
-///     bounded; the long build's swap re-applies those merged levels, so
-///     it queues its relation again.
+///     whose levels never change, with no lock held. One job at a time,
+///     built to the end with the full policy; the thread does nothing
+///     else meanwhile. Commits that land on a relation during its job
+///     queue its next one, which starts from the swap's result: the
+///     replacement with those commits re-applied over it as one level.
 ///   * Swap: the next Begin swaps finished replacements in under the
 ///     commit_mu_ it takes anyway (Database::SwapCompacted) — only while
 ///     the chain still holds the level the job started from, re-applying
@@ -290,13 +288,14 @@ class TxnSession {
 ///     Evicted vector, freed on its own thread after the lock. A Begin
 ///     that swaps therefore pays for the chain it displaced, and no
 ///     chunk a committer allocates next was freed on another core. The
-///     thread frees only replacements it built and never installed —
-///     and a job's start level that a WAL-failure unwind dropped, whose
-///     last reference the job may hold. A finished session frees its own
+///     thread frees only the start level of a job that built no
+///     replacement, when a WAL-failure unwind dropped that level and the
+///     job held its last reference. A finished session frees its own
 ///     snapshot, context and record, outside every lock.
 ///   * Backpressure: a commit that left a chain deeper than
 ///     Relation::kMaxOverlayDepth (the thread fell behind, say during a
-///     long build) waits until a shallower one is ready.
+///     long collapse) waits until the thread publishes a replacement or
+///     goes idle — during a collapse, for the collapse.
 ///   * Quiesce: rule definition and WaitForMaintenance hold commit_mu_
 ///     (so no commit can queue work) while the thread finishes every job
 ///     and its results are swapped in.
@@ -547,10 +546,6 @@ class TxnManager {
   struct Ready {
     std::shared_ptr<const Relation> start;        // the top it was built from
     std::shared_ptr<const Relation> replacement;  // null: none waiting
-    /// KeepUp took the relation's queued levels while this was built:
-    /// the swap re-applies them over the replacement, and nothing else
-    /// would queue the relation again.
-    bool requeue = false;
   };
   /// The thread's view of one relation of the master (maint_mu_).
   struct Chain {
@@ -565,19 +560,9 @@ class TxnManager {
   /// A relation with a queued job and no replacement waiting for its
   /// swap, or null. Requires maint_mu_.
   const std::string* NextJobLocked() const;
-  /// One compaction job: builds `name`'s replacement with the full policy
-  /// and keeps the depth above it bounded while it runs.
+  /// One compaction job: builds `name`'s replacement from its newest top
+  /// with the full policy, and stores it for the next Begin to swap in.
   void RunJob(const std::string& name);
-  /// The yield of a long build of `building` from `floor`, which keeps
-  /// the rest of the thread's work going: merges the levels queued since
-  /// on every relation — above `floor` on `building`, never collapsing
-  /// anything. Returns whether it took `building`'s queued levels.
-  bool KeepUp(const std::string& building, const Relation* floor);
-  /// Stores a built replacement of `start` for the next Begin to swap in,
-  /// in place of any older one still waiting, which it frees.
-  void Publish(const std::string& name, std::shared_ptr<const Relation> start,
-               std::shared_ptr<const Relation> replacement,
-               bool requeue = false);
   /// Hands `name`'s installed state to the thread as its newest top and
   /// queues a job for it; the top it replaces goes into `evicted` unless
   /// the new top's chain holds it.
@@ -596,7 +581,7 @@ class TxnManager {
   void DrainMaintenanceLocked(Evicted* evicted);
   /// Backpressure on depth: a commit that left a chain deeper than
   /// Relation::kMaxOverlayDepth (the thread fell behind, say during a
-  /// long build) waits, holding no lock, until the thread publishes a
+  /// long collapse) waits, holding no lock, until the thread publishes a
   /// replacement or goes idle, and swaps it in.
   void AwaitCompaction();
 

@@ -810,8 +810,7 @@ TEST(OverlayTest, CommitBetweenBuildAndSwapIsReapplied) {
   TXMOD_ASSERT_OK_AND_ASSIGN(Database::Level doomed, db.PushLevel("beer"));
   doomed.top->Insert(BeerTuple("unwound", "ale", "y", 6.0));
   const std::shared_ptr<const Relation> doomed_top = db.Share("beer");
-  std::shared_ptr<const Relation> stale =
-      Relation::Compact(doomed_top, &doomed_top->flat_level());
+  std::shared_ptr<const Relation> stale = Relation::Compact(doomed_top);
   ASSERT_NE(stale, nullptr);
   db.DropLevel("beer", std::move(doomed));
   EXPECT_EQ(db.SwapCompacted("beer", doomed_top.get(), stale), nullptr);
@@ -903,7 +902,7 @@ TEST(OverlayTest, ChainsMatchAReferenceModel) {
       const std::size_t target = rng() % live.size();
       ModelDb& m = live[target];
       std::string op;
-      switch (rng() % 12) {
+      switch (rng() % 11) {
         case 0:
         case 1:
         case 2:
@@ -921,15 +920,6 @@ TEST(OverlayTest, ChainsMatchAReferenceModel) {
           if (target != 0) live.erase(live.begin() + target);
           break;
         case 7: {
-          op = "merge";  // merges only: the flat level stays
-          const std::shared_ptr<const Relation> top = m.db.Share("r");
-          if (auto merged = Relation::Compact(top, &top->flat_level())) {
-            ASSERT_NE(m.db.SwapCompacted("r", top.get(), std::move(merged)),
-                      nullptr);
-          }
-          break;
-        }
-        case 8: {
           // A commit lands between the build and the swap: the swap
           // re-applies it over the replacement.
           op = "compact across a write";
@@ -943,11 +933,11 @@ TEST(OverlayTest, ChainsMatchAReferenceModel) {
           }
           break;
         }
-        case 9:
+        case 8:
           op = "compact";
           CompactAndSwap(&m.db, "r");
           break;
-        case 10:
+        case 9:
           op = "collapse";
           (*m.db.FindMutable("r"))->CollapseOverlay();
           break;
