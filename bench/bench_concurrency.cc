@@ -8,6 +8,12 @@
 // second (items_per_second), plus conflict/retry counters. No WAL — this
 // series isolates the OCC pipeline.
 //
+// BM_HeldSessionCommit — one session holds a one-row insert while 20
+// commits of 5,000 fresh fk rows land, then commits. Its snapshot pins
+// the records of all 20 commits, so its commit validates against them and
+// evicts them, freeing the last references to their 100,000 inserted
+// tuples. Reported: held_commit_us, the median latency of that commit.
+//
 // BM_GroupCommitFsync — N threads commit tiny write transactions through
 // a WAL, which acknowledges each commit after its fsync; fsyncs batch
 // across concurrent committers (group commit). Reported: commits per
@@ -27,6 +33,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -272,6 +279,77 @@ BENCHMARK(BM_SessionFirstWrite)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
+
+/// The held-session commit (see the header). No WAL; 5,000 keys and
+/// 50,000 fk rows under `domain` and `refint`, built afresh for each
+/// iteration outside the timing.
+void BM_HeldSessionCommit(benchmark::State& state) {
+  constexpr int kHeldKeys = 5000;
+  constexpr int kHeldFks = 50000;
+  constexpr int kBatches = 20;
+  constexpr int kBatchRows = 5000;
+  struct Fixture {
+    Database db;
+    std::unique_ptr<core::IntegritySubsystem> ics;
+    std::unique_ptr<txn::TxnManager> manager;
+  };
+  std::vector<algebra::Transaction> batches;
+  for (int b = 0; b < kBatches; ++b) {
+    batches.push_back(
+        MakeFkInsertBatch(kBatchRows, kHeldKeys, kFreshIdBase + b * kBatchRows));
+  }
+  const algebra::Transaction held_txn =
+      MakeFkInsertBatch(1, kHeldKeys, kFreshIdBase - 1);
+  std::unique_ptr<Fixture> f;
+  std::vector<double> held_us;
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.reset();
+    f = std::make_unique<Fixture>();
+    f->db = MakeKeyFkDatabase(kHeldKeys, kHeldFks);
+    f->ics = std::make_unique<core::IntegritySubsystem>(&f->db);
+    TXMOD_BENCH_CHECK_OK(f->ics->DefineConstraint("domain", DomainConstraint()));
+    TXMOD_BENCH_CHECK_OK(f->ics->DefineConstraint("refint", RefIntConstraint()));
+    auto created = txn::TxnManager::Create(f->ics.get());
+    TXMOD_BENCH_CHECK_OK(created.status());
+    f->manager = std::move(*created);
+    state.ResumeTiming();
+
+    auto held = f->manager->Begin();
+    TXMOD_BENCH_CHECK_OK(held->Execute(held_txn).status());
+    for (const algebra::Transaction& batch : batches) {
+      auto result = f->manager->Run(batch);
+      TXMOD_BENCH_CHECK_OK(result.status());
+      if (!result->committed) {
+        std::cerr << "BENCH FATAL: BM_HeldSessionCommit: a batch aborted\n";
+        std::exit(1);
+      }
+    }
+    const auto start = std::chrono::steady_clock::now();
+    auto result = held->Commit();
+    held_us.push_back(std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    TXMOD_BENCH_CHECK_OK(result.status());
+    if (!result->committed) {
+      std::cerr << "BENCH FATAL: BM_HeldSessionCommit: the held commit "
+                   "aborted\n";
+      std::exit(1);
+    }
+    state.PauseTiming();
+    ReportReadOnlyCommits(state, "BM_HeldSessionCommit", f->manager->stats(),
+                          /*fresh_inserts_only=*/true);
+    state.ResumeTiming();
+  }
+  f.reset();  // after the loop, so not timed
+  std::sort(held_us.begin(), held_us.end());
+  state.counters["held_commit_us"] =
+      held_us.empty() ? 0.0 : held_us[held_us.size() / 2];
+}
+
+BENCHMARK(BM_HeldSessionCommit)
+    ->Iterations(10)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GroupCommitFsync(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

@@ -290,9 +290,11 @@ class HashJoinCursor : public TupleCursor {
         stats_(stats),
         scratch_(std::vector<Value>(out_arity)) {
     if (!view_.valid()) {
-      table_.reserve(right_.get().size());
+      build_.reserve(right_.get().size());
+      table_.Reserve(right_.get().size());
       for (const Tuple& rt : right_.get()) {
-        table_.emplace(EquiKeyHash(rt, rattrs), &rt);
+        build_.push_back(&rt);
+        table_.Add(EquiKeyHash(rt, rattrs));
       }
     }
   }
@@ -318,9 +320,8 @@ class HashJoinCursor : public TupleCursor {
         CountProbe(stats_, 1);
         cand_ = view_.Probe(h);
       } else {
-        auto [begin, end] = table_.equal_range(h);
-        it_ = begin;
-        end_ = end;
+        key_ = h;
+        row_ = table_.First(h);
       }
       if (kind_ == RelExprKind::kJoin) {
         FillScratch(&scratch_, *lt_, 0);
@@ -345,9 +346,9 @@ class HashJoinCursor : public TupleCursor {
  private:
   const Tuple* NextCandidate() {
     if (view_.valid()) return cand_.Next();
-    if (it_ == end_) return nullptr;
-    const Tuple* t = it_->second;
-    ++it_;
+    if (row_ == KeyTable::kEnd) return nullptr;
+    const Tuple* t = build_[row_];
+    row_ = table_.Next(row_, key_);
     return t;
   }
 
@@ -358,12 +359,15 @@ class HashJoinCursor : public TupleCursor {
   RelationIndexView view_;
   std::vector<int> lattrs_;
   EvalStats* stats_;
-  RelationIndex::Map table_;  // the transient build, without a view
+  // The transient build, without a view: the right side's tuples as rows
+  // of a key table.
+  std::vector<const Tuple*> build_;
+  KeyTable table_;
   Tuple scratch_;
   const Tuple* lt_ = nullptr;
   RelationIndexView::Candidates cand_;
-  RelationIndex::Iterator it_;
-  RelationIndex::Iterator end_;
+  std::size_t key_ = 0;
+  uint32_t row_ = KeyTable::kEnd;
 };
 
 /// The index-lookup join: the small (differential-bounded) right side

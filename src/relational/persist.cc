@@ -26,12 +26,6 @@ constexpr int kVersion = 1;
 constexpr std::size_t kNumberBuffer = 64;
 // The values reserved for a tuple line whose arity nobody expects.
 constexpr std::size_t kDefaultArity = 4;
-// A loaded relation is sized for this many times its tuples. A hash set
-// that grows by doubling ends between half full and full; sized for
-// exactly its tuples it would sit full, at the longest bucket chains it
-// allows, and every transaction that probes the relation would pay for
-// them.
-constexpr std::size_t kLoadHeadroom = 2;
 
 /// Copies a number payload into `buf` with the terminator strtoll and
 /// strtod need: a view has none, and the bytes after it may even extend
@@ -644,7 +638,7 @@ Result<Database> LoadDatabase(std::istream& in) {
       current = std::make_shared<Relation>(created->schema_ptr());
       current_name = name;
       if (relations_read < sizes.size()) {
-        current->Reserve(kLoadHeadroom * sizes[relations_read]);
+        current->Reserve(sizes[relations_read]);
       }
       ++relations_read;
     } else if (keyword == "end") {

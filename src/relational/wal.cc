@@ -50,7 +50,8 @@ void AppendCommitLine(uint64_t version, uint64_t checksum, std::string* out) {
 }
 
 /// A delta's tuples, in the order the encoder writes them: a WalDelta's
-/// in vector order, a CommitDelta's in its set's iteration order.
+/// in vector order, a CommitDelta's in its set's row order (the order the
+/// transaction wrote them).
 const std::vector<Tuple>& TuplesOf(const std::vector<Tuple>& tuples) {
   return tuples;
 }

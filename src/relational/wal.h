@@ -84,7 +84,10 @@ struct CommitRecord {
 /// Record forms: WalRecord holds its tuples (what the reader returns);
 /// CommitRecord shares them with the overlay levels a commit installed
 /// (what the transaction manager appends). One encoder writes both, so
-/// the bytes depend only on the tuples and their order.
+/// the bytes depend only on the tuples and their order. A level's sets
+/// iterate in row order, so a commit lists each relation's inserts in
+/// the order the transaction made them, then its deletes in theirs: the
+/// bytes do not depend on any hash table's layout.
 ///
 /// Durability and group commit: Append buffers nothing — the record hits
 /// the OS with one write() — but it is only *durable* after Sync(lsn)
@@ -117,7 +120,8 @@ class WriteAheadLog {
   /// Appends one record (a single write() of the serialized form) and
   /// returns its log sequence number. Both record forms go through one
   /// encoder: a CommitRecord is written in exactly the bytes of the
-  /// WalRecord that holds its tuples in its sets' iteration order.
+  /// WalRecord that holds its tuples in its sets' iteration order, which
+  /// is the order the transaction wrote them.
   Result<uint64_t> Append(const WalRecord& rec);
   Result<uint64_t> Append(const CommitRecord& rec);
 

@@ -294,6 +294,38 @@ TEST_F(FormatGoldenTest, CommitRecordIsWrittenAsItsWalRecord) {
       << bytes;
 }
 
+TEST_F(FormatGoldenTest, CommitRecordListsWritesInTheOrderTheyWereMade) {
+  // A level's sets iterate in the order the level took their tuples, so
+  // a commit's log bytes do not depend on any hash table's layout.
+  const auto schema = std::make_shared<const RelationSchema>(
+      "t", std::vector<Attribute>{{"s", AttrType::kString}});
+  Relation base(schema);
+  for (const char* s : {"x", "y", "z"}) base.Insert(Tuple({Value::String(s)}));
+  Relation level =
+      Relation::MakeOverlay(std::make_shared<const Relation>(std::move(base)));
+  for (const char* s : {"c", "a", "b"}) {
+    ASSERT_TRUE(level.Insert(Tuple({Value::String(s)})));
+  }
+  for (const char* s : {"y", "x"}) {
+    ASSERT_TRUE(level.Erase(Tuple({Value::String(s)})));
+  }
+  CommitRecord rec;
+  rec.version = 7;
+  rec.deltas.push_back(
+      CommitDelta{"t", level.shared_inserts(), level.shared_deletes()});
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log,
+                               WriteAheadLog::Open(Path("ordered")));
+    TXMOD_ASSERT_OK(log.Append(rec).status());
+  }
+  const std::string bytes = ReadFile(Path("ordered"));
+  EXPECT_NE(bytes.find("txmod-wal 1\ntxn 7\nrel t\n"
+                       "+ s:\"c\"\n+ s:\"a\"\n+ s:\"b\"\n"
+                       "- s:\"y\"\n- s:\"x\"\ncommit 7 "),
+            std::string::npos)
+      << bytes;
+}
+
 TEST_F(FormatGoldenTest, CheckpointIsWrittenByteForByte) {
   const Database db = GoldenDatabase();
   std::ostringstream out;

@@ -270,9 +270,9 @@ std::size_t ProbeCount(const Relation& rel, const std::vector<int>& attrs,
   for (std::size_t i = 0; i < attrs.size(); ++i) {
     probe_attrs.push_back(static_cast<int>(i));
   }
-  auto [begin, end] = index->Probe(EquiKeyHash(key, probe_attrs));
+  auto cand = index->Probe(EquiKeyHash(key, probe_attrs));
   std::size_t n = 0;
-  for (auto it = begin; it != end; ++it) ++n;
+  while (cand.Next() != nullptr) ++n;
   return n;
 }
 
@@ -968,6 +968,267 @@ TEST(OverlayTest, ChainsMatchAReferenceModel) {
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Row blocks: what a level's rows, its membership table and its key tables
+// promise through inserts, erases and dead-row compactions.
+// ---------------------------------------------------------------------------
+
+constexpr int kRowKeys = 50;
+constexpr int kRowValues = 200;
+constexpr int64_t kSharedAttr = 7;
+
+Tuple RowTuple(int k, int v) {
+  return Tuple({Value::Int(k), Value::Int(v), Value::Int(kSharedAttr)});
+}
+
+/// The tuples a probe on `attrs` yields for `key`, through the flat index
+/// and through the overlay-aware view; each candidate must be visible and
+/// yielded once.
+std::vector<TupleModel> ProbeBothWays(const Relation& rel,
+                                      const std::vector<int>& attrs,
+                                      const Tuple& key) {
+  std::vector<int> probe_attrs;
+  for (std::size_t i = 0; i < attrs.size(); ++i) {
+    probe_attrs.push_back(static_cast<int>(i));
+  }
+  const std::size_t h = EquiKeyHash(key, probe_attrs);
+  std::vector<TupleModel> out(2);
+  const RelationIndex* index = rel.FindIndex(attrs);
+  EXPECT_NE(index, nullptr);
+  if (index == nullptr) return out;
+  auto cand = index->Probe(h);
+  for (const Tuple* t = cand.Next(); t != nullptr; t = cand.Next()) {
+    EXPECT_TRUE(out[0].insert(*t).second) << "duplicate " << t->ToString();
+  }
+  const RelationIndexView view = rel.FindIndexView(attrs);
+  EXPECT_TRUE(view.valid());
+  auto view_cand = view.Probe(h);
+  for (const Tuple* t = view_cand.Next(); t != nullptr; t = view_cand.Next()) {
+    EXPECT_TRUE(out[1].insert(*t).second) << "duplicate " << t->ToString();
+  }
+  return out;
+}
+
+/// The model of a relation over the RowTuple domain: membership by
+/// domain index, and the members in a vector for picking one at random.
+class RowModel {
+ public:
+  static int IndexOf(const Tuple& t) {
+    return static_cast<int>(t.at(0).as_int()) * kRowValues +
+           static_cast<int>(t.at(1).as_int());
+  }
+
+  bool Contains(int i) const { return where_[i] >= 0; }
+  std::size_t size() const { return members_.size(); }
+  int key_count(int k) const { return key_counts_[k]; }
+  int member(std::size_t n) const { return members_[n]; }
+  /// When member i was last inserted, in insertions so far.
+  uint64_t inserted_at(int i) const { return inserted_at_[i]; }
+
+  bool Insert(int i) {
+    if (Contains(i)) return false;
+    where_[i] = static_cast<int>(members_.size());
+    members_.push_back(i);
+    ++key_counts_[i / kRowValues];
+    inserted_at_[i] = ++insertions_;
+    return true;
+  }
+  bool Erase(int i) {
+    if (!Contains(i)) return false;
+    const int last = members_.back();
+    members_[where_[i]] = last;
+    where_[last] = where_[i];
+    members_.pop_back();
+    where_[i] = -1;
+    --key_counts_[i / kRowValues];
+    return true;
+  }
+
+ private:
+  std::vector<int> where_ = std::vector<int>(kRowKeys * kRowValues, -1);
+  std::vector<int> members_;
+  std::vector<int> key_counts_ = std::vector<int>(kRowKeys, 0);
+  std::vector<uint64_t> inserted_at_ =
+      std::vector<uint64_t>(kRowKeys * kRowValues, 0);
+  uint64_t insertions_ = 0;
+};
+
+/// Counts what `next` yields, each a visible tuple yielded once, and
+/// among them those with key `k` (any key when k < 0).
+template <typename Next>
+void CountCandidates(const RowModel& model, int k, Next next,
+                     std::size_t* with_key) {
+  std::vector<char> seen(kRowKeys * kRowValues, 0);
+  *with_key = 0;
+  for (const Tuple* t = next(); t != nullptr; t = next()) {
+    const int i = RowModel::IndexOf(*t);
+    ASSERT_TRUE(model.Contains(i)) << t->ToString();
+    ASSERT_EQ(seen[i]++, 0) << "duplicate " << t->ToString();
+    if (k < 0 || i / kRowValues == k) ++*with_key;
+  }
+}
+
+void ExpectRowsMatchModel(const Relation& rel, const RowModel& model,
+                          std::mt19937* rng) {
+  ASSERT_EQ(rel.size(), model.size());
+  for (int n = 0; n < 300; ++n) {
+    const int k = static_cast<int>((*rng)() % kRowKeys);
+    const int v = static_cast<int>((*rng)() % kRowValues);
+    ASSERT_EQ(rel.Contains(RowTuple(k, v)), model.Contains(k * kRowValues + v))
+        << k << ", " << v;
+  }
+  // Iteration yields each visible tuple exactly once, in the order the
+  // relation took them, compactions or not.
+  auto it = rel.begin();
+  std::size_t yielded = 0;
+  uint64_t last_inserted_at = 0;
+  CountCandidates(model, -1,
+                  [&]() -> const Tuple* {
+                    if (it == rel.end()) return nullptr;
+                    const Tuple* t = &*it;
+                    ++it;
+                    const uint64_t at =
+                        model.inserted_at(RowModel::IndexOf(*t));
+                    EXPECT_GT(at, last_inserted_at) << t->ToString();
+                    last_inserted_at = at;
+                    return t;
+                  },
+                  &yielded);
+  ASSERT_EQ(yielded, model.size());
+  const RelationIndex* by_key = rel.FindIndex({0});
+  const RelationIndex* shared = rel.FindIndex({2});
+  ASSERT_NE(by_key, nullptr);
+  ASSERT_NE(shared, nullptr);
+  const RelationIndexView by_key_view = rel.FindIndexView({0});
+  ASSERT_TRUE(by_key_view.valid());
+  // The many-valued key: exactly the model's tuples with key k, among
+  // candidates that are all visible, through the index and its view.
+  for (int k = 0; k < kRowKeys; ++k) {
+    const std::size_t h = EquiKeyHash(Tuple({Value::Int(k)}), {0});
+    std::size_t with_key = 0;
+    auto cand = by_key->Probe(h);
+    CountCandidates(model, k, [&] { return cand.Next(); }, &with_key);
+    ASSERT_EQ(with_key, static_cast<std::size_t>(model.key_count(k)));
+    auto view_cand = by_key_view.Probe(h);
+    CountCandidates(model, k, [&] { return view_cand.Next(); }, &with_key);
+    ASSERT_EQ(with_key, static_cast<std::size_t>(model.key_count(k)));
+  }
+  // The attribute every row shares: one key, the whole relation.
+  std::size_t all = 0;
+  auto cand = shared->Probe(EquiKeyHash(Tuple({Value::Int(kSharedAttr)}), {0}));
+  CountCandidates(model, -1, [&] { return cand.Next(); }, &all);
+  ASSERT_EQ(all, model.size());
+}
+
+TEST(RowBlockTest, FlatRelationMatchesAModelThroughCompactions) {
+  auto schema = std::make_shared<const RelationSchema>(
+      "r", std::vector<Attribute>{{"k", AttrType::kInt},
+                                  {"v", AttrType::kInt},
+                                  {"c", AttrType::kInt}});
+  Relation rel(schema);
+  ASSERT_NE(rel.IndexOn({0}), nullptr);
+  ASSERT_NE(rel.IndexOn({2}), nullptr);
+  RowModel model;
+  std::mt19937 rng(20261020);
+  CowStats::Reset();
+  uint64_t erases = 0;
+  uint64_t compactions = 0;  // erases that moved rows
+  for (int step = 1; step <= 20000; ++step) {
+    // Phases of 2,500 steps, alternately growing and shrinking the
+    // relation, so its dead rows outnumber its live ones again and again.
+    const bool growing = (step / 2500) % 2 == 0;
+    const uint64_t compacted_before = CowStats::rows_compacted.load();
+    int i = static_cast<int>(rng() % (kRowKeys * kRowValues));
+    if (rng() % 10 < (growing ? 8u : 2u)) {
+      ASSERT_EQ(rel.Insert(RowTuple(i / kRowValues, i % kRowValues)),
+                model.Insert(i));
+    } else {
+      if (model.size() > 0 && rng() % 4 != 0) {
+        i = model.member(rng() % model.size());
+      }
+      const bool present = model.Erase(i);
+      ASSERT_EQ(rel.Erase(RowTuple(i / kRowValues, i % kRowValues)), present);
+      if (present) ++erases;
+    }
+    if (CowStats::rows_compacted.load() > compacted_before) ++compactions;
+    if (step % 100 == 0) {
+      ExpectRowsMatchModel(rel, model, &rng);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "at step " << step;
+      }
+    }
+  }
+  EXPECT_GT(compactions, 3u);
+  EXPECT_LE(CowStats::rows_compacted.load(), 2 * erases);
+}
+
+TEST(RowBlockTest, TuplePointersOutliveGrowth) {
+  auto schema = std::make_shared<const RelationSchema>(
+      "r", std::vector<Attribute>{{"k", AttrType::kInt},
+                                  {"v", AttrType::kInt},
+                                  {"c", AttrType::kInt}});
+  for (const bool overlay : {false, true}) {
+    SCOPED_TRACE(overlay ? "overlay level" : "flat state");
+    auto base = std::make_shared<Relation>(schema);
+    ASSERT_NE(base->IndexOn({0}), nullptr);
+    Relation level;
+    if (overlay) level = Relation::MakeOverlay(base);
+    Relation* rel = overlay ? &level : base.get();
+    for (int v = 0; v < 10; ++v) rel->Insert(RowTuple(v % 3, v));
+    // The last row the state took sits in a chunk that is still filling.
+    // Iteration yields the state's own rows in order, so it is the tenth;
+    // a probe yields a key's newest row first.
+    const Tuple last = RowTuple(0, 9);
+    const Tuple* iterated = nullptr;
+    int yielded = 0;
+    for (const Tuple& t : *rel) {
+      if (++yielded == 10) iterated = &t;
+    }
+    ASSERT_NE(iterated, nullptr);
+    ASSERT_EQ(*iterated, last);
+    const RelationIndexView view = rel->FindIndexView({0});
+    ASSERT_TRUE(view.valid());
+    auto cand = view.Probe(EquiKeyHash(Tuple({Value::Int(0)}), {0}));
+    const Tuple* probed = cand.Next();
+    ASSERT_NE(probed, nullptr);
+    ASSERT_EQ(*probed, last);
+    for (int v = 0; v < 100000; ++v) {
+      rel->Insert(RowTuple(v % kRowKeys, 1000 + v));
+    }
+    EXPECT_EQ(*iterated, last);
+    EXPECT_EQ(*probed, last);
+  }
+}
+
+TEST(RowBlockTest, IntAndDoubleAreTwoMembersButOneKey) {
+  auto schema = std::make_shared<const RelationSchema>(
+      "r", std::vector<Attribute>{{"x", AttrType::kDouble},
+                                  {"s", AttrType::kString}});
+  Relation rel(schema);
+  ASSERT_NE(rel.IndexOn({0}), nullptr);
+  const Tuple as_int({Value::Int(1), Value::String("a")});
+  const Tuple as_double({Value::Double(1.0), Value::String("a")});
+  EXPECT_TRUE(rel.Insert(as_int));
+  EXPECT_TRUE(rel.Insert(as_double));
+  EXPECT_FALSE(rel.Insert(as_double));
+  EXPECT_EQ(rel.size(), 2u);
+  EXPECT_TRUE(rel.Contains(as_int));
+  EXPECT_TRUE(rel.Contains(as_double));
+  const TupleModel both{as_int, as_double};
+  for (const Value& key : {Value::Int(1), Value::Double(1.0)}) {
+    for (const TupleModel& got : ProbeBothWays(rel, {0}, Tuple({key}))) {
+      EXPECT_EQ(got, both) << key.ToString();
+    }
+  }
+  EXPECT_TRUE(rel.Erase(as_int));
+  EXPECT_FALSE(rel.Contains(as_int));
+  EXPECT_TRUE(rel.Contains(as_double));
+  for (const TupleModel& got : ProbeBothWays(rel, {0}, Tuple({Value::Int(1)}))) {
+    EXPECT_EQ(got, TupleModel{as_double});
   }
 }
 
