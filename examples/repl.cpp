@@ -218,8 +218,8 @@ class Repl {
         Report(loaded.status());
         return true;
       }
-      // The old manager goes first: its maintenance thread holds states
-      // of the database being replaced until it is drained and joined.
+      // The old manager goes first: it points at the database and the
+      // subsystem being replaced.
       manager_.reset();
       db_ = *std::move(loaded);
       ics_ = txmod::core::IntegritySubsystem(&db_);

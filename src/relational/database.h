@@ -49,9 +49,9 @@ namespace txmod {
 /// long as snapshot creation (copying) is not concurrent with mutation
 /// of the source — the transaction manager serializes Begin() against
 /// commit application for exactly this reason. A shared state may also
-/// be read by a thread that holds it and no Database at all: the
-/// transaction manager's maintenance thread compacts the states Share
-/// hands it (Relation::Compact) while the master moves on, and
+/// be read by a thread that holds it and no Database at all: a
+/// transaction manager's committer compacts the state Share hands it
+/// (Relation::Compact) with no lock held while the master moves on, and
 /// SwapCompacted installs the result.
 class Database {
  public:
@@ -102,14 +102,15 @@ class Database {
   /// level into `pre` (Relation::Absorb, O(|delta|)) and re-installs it,
   /// so serial masters stay flat; otherwise the level stays installed.
   /// An owned overlay result is replaced by its compaction
-  /// (Relation::Compact, inline: the serial engine has no maintenance
-  /// thread), which bounds overlay depth.
+  /// (Relation::Compact, inline, as a transaction manager's committer
+  /// compacts), which bounds overlay depth.
   void FoldLevel(const std::string& name, Level level);
 
   /// `name`'s current state, shared out: this database stops owning it
   /// exclusively, so it never mutates it in place again (FindMutable
-  /// layers over it). The transaction manager hands each installed state
-  /// to its maintenance thread this way. Null when `name` is unknown.
+  /// layers over it). A transaction manager's commit re-bases its level
+  /// onto the state it takes this way, and its committer compacts the
+  /// state it takes this way. Null when `name` is unknown.
   std::shared_ptr<const Relation> Share(const std::string& name);
 
   /// The compaction swap. Installs `replacement`, a compaction of the

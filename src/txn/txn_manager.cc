@@ -114,31 +114,11 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
   return manager;
 }
 
-TxnManager::~TxnManager() {
-  if (!maint_thread_.joinable()) return;  // nothing ever committed
-  Evicted displaced;  // what the last swaps displaced
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    DrainMaintenanceLocked(&displaced);
-  }
-  {
-    std::lock_guard<std::mutex> lock(maint_mu_);
-    maint_stop_ = true;
-  }
-  maint_cv_.notify_all();
-  maint_thread_.join();
-}
-
 std::unique_ptr<TxnSession> TxnManager::Begin() {
   Database snapshot;
   uint64_t version = 0;
-  Evicted displaced;  // the chains a swap replaced; freed after the lock
-  bool swapped = false;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
-    // Compactions finished since the last Begin go in first, so the new
-    // snapshot reads the compacted chains.
-    swapped = InstallReadyLocked(&displaced);
     // Snapshot under the commit lock: copy-on-write sharing requires that
     // nobody mutates the master while its relation pointers are copied.
     snapshot = db_->Clone();
@@ -146,7 +126,6 @@ std::unique_ptr<TxnSession> TxnManager::Begin() {
     active_sessions_.fetch_add(1);  // released by TxnSession::Finish
     ++live_snapshots_[version];     // released by stage B or Finish
   }
-  if (swapped) maint_cv_.notify_one();  // a swapped relation may have work
   return std::unique_ptr<TxnSession>(
       new TxnSession(this, std::move(snapshot), version));
 }
@@ -190,30 +169,19 @@ Status TxnManager::WithQuiescedSessions(const char* what, Fn&& mutate) {
   // commit_mu_ blocks Begin for the duration, so no session can START
   // while the mutation runs; the atomic count rejects the ones already
   // live.
-  Evicted displaced;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(commit_mu_);
   const uint64_t live = active_sessions_.load();
   if (live > 0) {
-    // Recompiling rule plans (and re-declaring indexes) while sessions
-    // execute against them is a race by contract; reject with the count
-    // so the caller knows what to drain.
+    // Recompiling rule plans (and re-declaring indexes, which collapses
+    // the master in place) while sessions execute against them is a race
+    // by contract; reject with the count so the caller knows what to
+    // drain. A compaction builds inside a live session's Commit, so none
+    // is building either.
     return Status::FailedPrecondition(
         StrCat(what, " requires quiesced sessions: ", live,
                " live session(s); commit, abort, or destroy them first"));
   }
-  // Re-declaring an index collapses the master in place: every job must
-  // be finished and swapped in first. The thread then stays idle — only
-  // a commit queues work, and commits wait for commit_mu_.
-  DrainMaintenanceLocked(&displaced);
-  const Status status = mutate();
-  // The mutation may have replaced master states: forget the tops the
-  // thread knew, so no later job builds from them.
-  std::lock_guard<std::mutex> maint_lock(maint_mu_);
-  for (auto& [name, chain] : chains_) {
-    displaced.push_back(std::move(chain.top));
-  }
-  chains_.clear();
-  return status;
+  return mutate();
 }
 
 Status TxnManager::DefineConstraint(const std::string& name,
@@ -482,7 +450,6 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // installed (a broken invariant) is freed off the lock too.
   std::vector<std::shared_ptr<Relation>> levels;
   Installs installs;  // what the durability-failure unwind re-installs
-  bool too_deep = false;  // an installed chain passed the depth bound
   const auto record = std::make_shared<CommitRecord>();
   std::shared_ptr<WriteAheadLog> wal;  // handle pinned under the lock; a
                                        // concurrent TryReopenWal swap
@@ -570,14 +537,7 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
       level->Rebase(db_->Share(name));
       record->deltas.push_back(
           CommitDelta{name, level->shared_inserts(), level->shared_deletes()});
-      Database::Level installed = db_->AdoptRelation(name, std::move(level));
-      too_deep = too_deep ||
-                 installed.top->overlay_depth() > Relation::kMaxOverlayDepth;
-      installs.emplace_back(name, std::move(installed));
-      // Compaction is the maintenance thread's: it builds a replacement
-      // from the installed chain, whose levels never change, while this
-      // commit logs.
-      QueueCompactionLocked(name, &evicted);
+      installs.emplace_back(name, db_->AdoptRelation(name, std::move(level)));
     }
     db_->AdvanceTime();
 
@@ -591,7 +551,6 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
 
     wal = wal_;
   }
-  maint_cv_.notify_one();  // the jobs stage B queued
 
   // -- Stage C: log and acknowledge (no lock) --------------------------
   // The commit is visible to new snapshots (ordering is decided), but it
@@ -615,25 +574,43 @@ Result<TxnResult> TxnManager::CommitSession(TxnSession* session) {
   // every earlier version is durable too — otherwise a crash could
   // recover a prefix that is missing a commit below an acked one.
   TXMOD_RETURN_IF_ERROR(WaitDurableThrough(version));
-  if (too_deep) AwaitCompaction();
+  CompactInstalled(written);
   return result;
 }
 
-void TxnManager::AwaitCompaction() {
-  {
-    std::unique_lock<std::mutex> lock(maint_mu_);
-    maint_idle_cv_.wait(lock, [&] {
-      return ready_pending_.load(std::memory_order_relaxed) ||
-             (!maint_busy_ && NextJobLocked() == nullptr);
-    });
+void TxnManager::CompactInstalled(const std::vector<std::string>& written) {
+  for (const std::string& name : written) {
+    std::shared_ptr<const Relation> start;  // the chain the build reads
+    std::function<void(const std::string&)> probe;
+    {
+      std::unique_lock<std::mutex> lock(commit_mu_);
+      // A claimant's swap keeps this commit: it re-applies what landed
+      // above its start. Past the depth bound, wait for that swap.
+      compacted_cv_.wait(lock, [&] {
+        return compacting_.count(name) == 0 ||
+               (*db_->Find(name))->overlay_depth() <=
+                   Relation::kMaxOverlayDepth;
+      });
+      if (!compacting_.insert(name).second) continue;
+      start = db_->Share(name);
+      probe = compaction_probe_;
+    }
+    if (probe) probe(name);
+    const std::shared_ptr<const Relation> replacement =
+        Relation::Compact(start);
+    // What the swap displaces. It, the start and a discarded replacement
+    // (the start is gone: a WAL-failure unwind dropped it) may be the
+    // last references; they are freed here, after the lock.
+    std::shared_ptr<const Relation> displaced;
+    {
+      std::lock_guard<std::mutex> lock(commit_mu_);
+      compacting_.erase(name);
+      if (replacement != nullptr) {
+        displaced = db_->SwapCompacted(name, start.get(), replacement);
+      }
+    }
+    compacted_cv_.notify_all();
   }
-  Evicted displaced;  // freed after the lock is released
-  bool swapped = false;
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    swapped = InstallReadyLocked(&displaced);
-  }
-  if (swapped) maint_cv_.notify_one();
 }
 
 Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
@@ -656,14 +633,10 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
     // failed log record is irrelevant to its fate.
     if (db_->logical_time() == version && version > checkpoint_time_ &&
         live_snapshots_.count(version) == 0) {
-      std::lock_guard<std::mutex> maint_lock(maint_mu_);
+      // A compaction built from the dropped level is discarded at its
+      // swap; one built from below it re-applies the re-installed chain.
       for (auto& [name, level] : *installs) {
         displaced.push_back(db_->DropLevel(name, std::move(level)));
-        // A job built from the dropped level is discarded at its swap;
-        // the re-installed state is the thread's newest top again.
-        Chain& chain = chains_[name];
-        displaced.push_back(std::exchange(chain.top, db_->Share(name)));
-        chain.queued = true;
       }
       UnpublishNewestLocked(version);
       db_->RewindTime();
@@ -671,7 +644,6 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
       result->installed = false;
     }
   }
-  maint_cv_.notify_one();  // the jobs the unwind queued
   // Wake committers stacked above this version: their records cannot be
   // acknowledged over a hole, so they fail over to the same degraded
   // outcome instead of waiting forever.
@@ -681,130 +653,10 @@ Status TxnManager::HandleLogFailure(uint64_t version, Installs* installs,
              "; manager is now in read-only degraded mode"));
 }
 
-// ---------------------------------------------------------------------------
-// The maintenance thread: compaction off the commit path.
-// ---------------------------------------------------------------------------
-
-void TxnManager::QueueCompactionLocked(const std::string& name,
-                                       Evicted* evicted) {
-  // Started by the first write-ful commit: a manager that never commits
-  // (say, one that only serves rule definition) keeps its process
-  // single-threaded, and with it the allocator's single-thread paths.
-  if (!maint_thread_.joinable()) {
-    maint_thread_ = std::thread([this] { MaintenanceLoop(); });
-  }
-  std::lock_guard<std::mutex> lock(maint_mu_);
-  Chain& chain = chains_[name];
-  std::shared_ptr<const Relation> old =
-      std::exchange(chain.top, db_->Share(name));
-  // The old top is normally the installed level's base, and then this is
-  // not its last reference.
-  if (!chain.top->ChainHolds(old.get())) evicted->push_back(std::move(old));
-  chain.queued = true;
-}
-
-bool TxnManager::InstallReadyLocked(Evicted* evicted) {
-  if (!ready_pending_.load(std::memory_order_acquire)) return false;
-  std::lock_guard<std::mutex> lock(maint_mu_);
-  ready_pending_.store(false, std::memory_order_relaxed);
-  for (auto& [name, chain] : chains_) {
-    Ready ready = std::exchange(chain.ready, Ready{});
-    if (ready.replacement == nullptr) continue;
-    std::shared_ptr<const Relation> displaced =
-        db_->SwapCompacted(name, ready.start.get(), ready.replacement);
-    if (displaced == nullptr) {
-      // Discarded: these may be the last references.
-      evicted->push_back(std::move(ready.start));
-      evicted->push_back(std::move(ready.replacement));
-      continue;
-    }
-    // The displaced chain holds the start (the swap checked) and, as a
-    // rule, the old top; the master holds the replacement. Commits that
-    // landed during the build were re-applied over it as one fresh level,
-    // and they left the relation queued.
-    evicted->push_back(std::exchange(chain.top, db_->Share(name)));
-    evicted->push_back(std::move(displaced));
-  }
-  // Also, a relation with queued work is runnable again.
-  return true;
-}
-
-void TxnManager::DrainMaintenanceLocked(Evicted* evicted) {
-  for (;;) {
-    InstallReadyLocked(evicted);
-    maint_cv_.notify_one();
-    std::unique_lock<std::mutex> lock(maint_mu_);
-    maint_idle_cv_.wait(lock, [&] {
-      return ready_pending_.load(std::memory_order_relaxed) ||
-             (!maint_busy_ && NextJobLocked() == nullptr);
-    });
-    if (!ready_pending_.load(std::memory_order_relaxed)) return;
-  }
-}
-
-void TxnManager::WaitForMaintenance() {
-  Evicted displaced;  // freed after the lock is released
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  DrainMaintenanceLocked(&displaced);
-}
-
 void TxnManager::set_compaction_probe(
     std::function<void(const std::string&)> probe) {
-  std::lock_guard<std::mutex> lock(maint_mu_);
+  std::lock_guard<std::mutex> lock(commit_mu_);
   compaction_probe_ = std::move(probe);
-}
-
-const std::string* TxnManager::NextJobLocked() const {
-  for (const auto& [name, chain] : chains_) {
-    if (chain.queued && chain.ready.replacement == nullptr) return &name;
-  }
-  return nullptr;
-}
-
-void TxnManager::MaintenanceLoop() {
-  std::unique_lock<std::mutex> lock(maint_mu_);
-  for (;;) {
-    maint_cv_.wait(lock,
-                   [&] { return maint_stop_ || NextJobLocked() != nullptr; });
-    const std::string* next = NextJobLocked();
-    if (next == nullptr) {
-      // Stopping with nothing left: the tops still held are only
-      // references into the master.
-      chains_.clear();
-      return;
-    }
-    const std::string name = *next;
-    maint_busy_ = true;
-    lock.unlock();
-    RunJob(name);
-    lock.lock();
-    maint_busy_ = false;
-    maint_idle_cv_.notify_all();
-  }
-}
-
-void TxnManager::RunJob(const std::string& name) {
-  std::shared_ptr<const Relation> start;
-  std::function<void(const std::string&)> probe;
-  {
-    std::lock_guard<std::mutex> lock(maint_mu_);
-    Chain& chain = chains_[name];
-    chain.queued = false;
-    start = chain.top;
-    probe = compaction_probe_;
-  }
-  if (start == nullptr) return;
-  if (probe) probe(name);
-  std::shared_ptr<const Relation> replacement = Relation::Compact(start);
-  // Without a replacement the start dies here, the last reference when a
-  // WAL-failure unwind dropped it.
-  if (replacement == nullptr) return;
-  std::lock_guard<std::mutex> lock(maint_mu_);
-  // No older replacement waits: NextJobLocked starts no job on a
-  // relation that has one.
-  chains_[name].ready = Ready{std::move(start), std::move(replacement)};
-  ready_pending_.store(true, std::memory_order_release);
-  maint_idle_cv_.notify_all();  // a drain or a depth waiter installs it
 }
 
 Status TxnManager::Checkpoint() {

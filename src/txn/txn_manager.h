@@ -11,7 +11,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -234,7 +233,8 @@ class TxnSession {
 /// subsystem (commit states satisfy every constraint) carries over
 /// unchanged.
 ///
-/// Commit pipeline (three stages; only stage B holds the commit lock):
+/// Commit pipeline (three stages, then compaction; only stage B holds the
+/// commit lock for more than a claim or a swap):
 ///
 ///   A. collect — with no lock held (session state is private to its
 ///      thread), the names of the relations the session's differential
@@ -248,8 +248,7 @@ class TxnSession {
 ///      of the session's levels is taken out of its snapshot, re-based
 ///      onto the master's current state and installed by pointer, and its
 ///      insert and delete sets go into the commit record by reference.
-///      Then a hand-off of each installed state to the maintenance
-///      thread, and — only while another session is live, the only kind a
+///      Then — only while another session is live, the only kind a
 ///      record can convict — shared publication of the record into the
 ///      validation window, one push. Stage B installs and publishes and
 ///      does nothing more: O(#written relations) past validation, and no
@@ -264,41 +263,27 @@ class TxnSession {
 /// Disjoint-footprint commits therefore validate, encode, and wait for
 /// their fsync in parallel; the serialized region is the short stage B.
 ///
-/// Maintenance thread (one per manager, started by the first write-ful
-/// commit, drained and joined by the destructor): compaction runs off
-/// the commit path, while committers log. The thread only builds.
-///   * Compaction: for each relation a commit installed, the thread
-///     builds Relation::Compact's replacement from the installed chain,
-///     whose levels never change, with no lock held. One job at a time,
-///     built to the end with the full policy; the thread does nothing
-///     else meanwhile. Commits that land on a relation during its job
-///     queue its next one, which starts from the swap's result: the
-///     replacement with those commits re-applied over it as one level.
-///   * Swap: the next Begin swaps finished replacements in under the
-///     commit_mu_ it takes anyway (Database::SwapCompacted) — only while
-///     the chain still holds the level the job started from, re-applying
-///     the levels installed above it as one fresh level; a replacement
-///     whose start is gone (a WAL-failure unwind) is discarded. The
-///     master therefore changes only inside manager calls, and a
-///     snapshot begun before a swap keeps reading its own chain.
-///   * Release: whoever displaces a state frees it. What leaves the
-///     master under commit_mu_ (the chain a swap replaces, a discarded
-///     replacement, the level an unwind drops, the tops a quiesce
-///     forgets, evicted window records) goes into the lock holder's
-///     Evicted vector, freed on its own thread after the lock. A Begin
-///     that swaps therefore pays for the chain it displaced, and no
-///     chunk a committer allocates next was freed on another core. The
-///     thread frees only the start level of a job that built no
-///     replacement, when a WAL-failure unwind dropped that level and the
-///     job held its last reference. A finished session frees its own
-///     snapshot, context and record, outside every lock.
-///   * Backpressure: a commit that left a chain deeper than
-///     Relation::kMaxOverlayDepth (the thread fell behind, say during a
-///     long collapse) waits until the thread publishes a replacement or
-///     goes idle — during a collapse, for the collapse.
-///   * Quiesce: rule definition and WaitForMaintenance hold commit_mu_
-///     (so no commit can queue work) while the thread finishes every job
-///     and its results are swapped in.
+/// Compaction (after stage C, before Commit returns; no thread): the
+/// committer compacts every relation it installed.
+///   * Build: it claims the relation, takes the master's state and builds
+///     Relation::Compact's replacement from that chain, whose levels never
+///     change, with no lock held.
+///   * Swap: under commit_mu_ (Database::SwapCompacted), only while the
+///     chain still holds the state the build started from, re-applying
+///     the levels installed above it meanwhile as one fresh level; a
+///     replacement whose start is gone (a WAL-failure unwind) is
+///     discarded. A snapshot begun before a swap keeps reading its own
+///     chain. The committer then frees what the swap displaced, on its
+///     own thread, after the lock: whoever displaces a state frees it.
+///     The same holds for everything else that leaves the master or the
+///     window under commit_mu_ (the level an unwind drops, evicted window
+///     records), and a finished session frees its own snapshot, context
+///     and record, outside every lock.
+///   * One build per relation: a committer that finds the relation
+///     claimed leaves the work to the claimant, whose swap keeps this
+///     commit. Only while the chain is deeper than
+///     Relation::kMaxOverlayDepth does it wait for that swap, so a long
+///     collapse holds up the commits that would stack past the bound.
 ///
 /// Durability: committed differentials — the same dplus/dminus sets the
 /// paper's transaction modification computes — are appended to the WAL
@@ -316,22 +301,19 @@ class TxnSession {
 /// Rule definition: DefineConstraint/DefineRule/DropRule on this manager
 /// enforce the quiesce contract — they serialize against Begin/commit
 /// and fail with FailedPrecondition while any session is live, instead
-/// of racing the recompile against executing sessions. They also wait
-/// for the maintenance thread to go idle and keep it idle until they
-/// finish: re-declaring an index (Relation::IndexOn) collapses the
-/// master in place. (Calling the subsystem's definition methods directly
-/// bypasses the guard and keeps the old undefined-by-contract behavior;
-/// don't.)
+/// of racing the recompile against executing sessions. A compaction
+/// runs inside a live session's Commit, so the same check keeps every
+/// build away from a definition, which may collapse the master in place
+/// (re-declaring an index, Relation::IndexOn). (Calling the subsystem's
+/// definition methods directly bypasses the guard and keeps the old
+/// undefined-by-contract behavior; don't.)
 ///
 /// The master database may be read directly between manager calls (its
 /// states change only inside them); a state taken from it must not be
-/// held across a Begin, which may swap a compaction in.
+/// held across a commit, which may swap a compaction in. Every session
+/// must have finished before its manager is destroyed.
 class TxnManager {
  public:
-  /// Finishes every queued compaction and swaps it in, frees what the
-  /// swaps displaced, and joins the thread. Every session must have
-  /// finished.
-  ~TxnManager();
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
 
@@ -418,16 +400,9 @@ class TxnManager {
     run_probe_ = std::move(probe);
   }
 
-  /// Returns once the maintenance thread is idle: every queued
-  /// compaction built and swapped in (or discarded), and what the swaps
-  /// displaced freed. Holds commit_mu_ meanwhile, so no commit queues
-  /// more. Tests call it before inspecting chain depth, compaction
-  /// counters or memory.
-  void WaitForMaintenance();
-
-  /// Test seam: called on the maintenance thread with the relation's
-  /// name before each compaction job builds — lets a test hold a job
-  /// queued or building while it commits, fails or defines around it.
+  /// Test seam: called on the committer, with the relation's name, once
+  /// it claimed a compaction and before it builds — lets a test hold a
+  /// build while other sessions commit, fail or define around it.
   void set_compaction_probe(std::function<void(const std::string&)> probe);
 
   uint64_t committed_version() const;
@@ -480,7 +455,7 @@ class TxnManager {
   bool HasConflictLocked(const TxnSession& session, std::string* reason);
 
   /// What leaves the master or the window under commit_mu_: evicted
-  /// window records, displaced chains, discarded replacements. The lock
+  /// window records and the levels an unwind drops. The lock
   /// holder declares it before it takes the lock and frees it on its own
   /// thread once it released the lock: it may hold last references, and
   /// freeing a batch-sized record or level takes milliseconds.
@@ -530,8 +505,7 @@ class TxnManager {
 
   /// The quiesce guard shared by the rule-definition entry points.
   /// Returns FailedPrecondition while sessions are live; otherwise runs
-  /// `mutate` under commit_mu_, and frees what the drain before it and
-  /// the tops it forgets displaced once the lock is released.
+  /// `mutate` under commit_mu_.
   template <typename Fn>
   Status WithQuiescedSessions(const char* what, Fn&& mutate);
 
@@ -540,50 +514,11 @@ class TxnManager {
   /// cause themselves are readable without it).
   void EnterDegradedLocked(const std::string& cause);
 
-  // -- Maintenance thread (see the class comment) ----------------------
-
-  /// A compaction built and waiting for its swap.
-  struct Ready {
-    std::shared_ptr<const Relation> start;        // the top it was built from
-    std::shared_ptr<const Relation> replacement;  // null: none waiting
-  };
-  /// The thread's view of one relation of the master (maint_mu_).
-  struct Chain {
-    /// The master's state as the last install (commit, swap or unwind)
-    /// left it.
-    std::shared_ptr<const Relation> top;
-    bool queued = false;  // `top` changed since a job last took it
-    Ready ready;
-  };
-
-  void MaintenanceLoop();
-  /// A relation with a queued job and no replacement waiting for its
-  /// swap, or null. Requires maint_mu_.
-  const std::string* NextJobLocked() const;
-  /// One compaction job: builds `name`'s replacement from its newest top
-  /// with the full policy, and stores it for the next Begin to swap in.
-  void RunJob(const std::string& name);
-  /// Hands `name`'s installed state to the thread as its newest top and
-  /// queues a job for it; the top it replaces goes into `evicted` unless
-  /// the new top's chain holds it.
-  /// Requires commit_mu_; takes maint_mu_. The caller wakes the thread
-  /// (maint_cv_) once it released commit_mu_.
-  void QueueCompactionLocked(const std::string& name, Evicted* evicted);
-  /// Swaps in every replacement waiting for it (Database::SwapCompacted),
-  /// moving what the swaps displace or discard into `evicted`; returns
-  /// whether it did anything the thread must wake for. Requires
-  /// commit_mu_; takes maint_mu_.
-  bool InstallReadyLocked(Evicted* evicted);
-  /// Waits, swapping replacements in as they finish (what they displace
-  /// goes into `evicted`), until no job is queued or running. Requires
-  /// commit_mu_, which keeps commits (the only source of jobs) out
-  /// meanwhile.
-  void DrainMaintenanceLocked(Evicted* evicted);
-  /// Backpressure on depth: a commit that left a chain deeper than
-  /// Relation::kMaxOverlayDepth (the thread fell behind, say during a
-  /// long collapse) waits, holding no lock, until the thread publishes a
-  /// replacement or goes idle, and swaps it in.
-  void AwaitCompaction();
+  /// Compacts each of `written`, which this committer installed (see
+  /// the class comment): claims it unless another committer has, builds
+  /// with no lock held, swaps under commit_mu_, and frees what the swap
+  /// displaced after the lock.
+  void CompactInstalled(const std::vector<std::string>& written);
 
   core::IntegritySubsystem* subsystem_;
   Database* db_;
@@ -624,6 +559,12 @@ class TxnManager {
   /// or below it must never be unwound (it is durable regardless of its
   /// log record's fate). Guarded by commit_mu_.
   uint64_t checkpoint_time_ = 0;
+  /// The relations a committer is compacting, claimed and released
+  /// under commit_mu_; compacted_cv_ wakes the commits that wait past
+  /// the depth bound for a claimant's swap.
+  std::set<std::string> compacting_;
+  std::condition_variable compacted_cv_;
+  std::function<void(const std::string&)> compaction_probe_;  // commit_mu_
 
   /// Durability-horizon state (ack_mu_; lock order commit_mu_ -> ack_mu_).
   mutable std::mutex ack_mu_;
@@ -632,19 +573,6 @@ class TxnManager {
   std::set<uint64_t> durable_above_;  // durable versions > floor
   uint64_t failed_version_ = kNoFailedVersion;
   static constexpr uint64_t kNoFailedVersion = ~uint64_t{0};
-
-  /// Maintenance-thread state (maint_mu_; lock order commit_mu_ ->
-  /// maint_mu_ — the thread itself never takes commit_mu_).
-  std::mutex maint_mu_;
-  std::condition_variable maint_cv_;       // wakes the thread
-  std::condition_variable maint_idle_cv_;  // wakes drain and depth waiters
-  std::map<std::string, Chain> chains_;
-  bool maint_busy_ = false;  // the thread is running a job
-  bool maint_stop_ = false;
-  std::function<void(const std::string&)> compaction_probe_;
-  /// A replacement waits for its swap (Begin's lock-free check).
-  std::atomic<bool> ready_pending_{false};
-  std::thread maint_thread_;  // started under commit_mu_ (stage B)
 
   Counters stats_;
   std::atomic<uint64_t> active_sessions_{0};

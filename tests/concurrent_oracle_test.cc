@@ -276,9 +276,8 @@ TEST_P(ConcurrentOracleTest, FinalStateMatchesSerialReplayInCommitOrder) {
     ASSERT_EQ(FullCheck(replay_db), "")
         << "after the commit at version " << c.commit_version;
   }
-  // Every compaction the run queued is built and swapped in first, so
-  // the comparison also covers the swapped-in chains.
-  manager->WaitForMaintenance();
+  // Every committer swapped its compaction in before its commit returned,
+  // so the comparison also covers the swapped-in chains.
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
        "order";
@@ -465,9 +464,8 @@ TEST_P(StragglerOracleTest, HeldSessionsKeepTheWindowAndMatchSerialReplay) {
     ASSERT_EQ(FullCheck(replay_db), "")
         << "after the commit at version " << c.commit_version;
   }
-  // Every compaction the run queued is built and swapped in first, so
-  // the comparison also covers the swapped-in chains.
-  manager->WaitForMaintenance();
+  // Every committer swapped its compaction in before its commit returned,
+  // so the comparison also covers the swapped-in chains.
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
          "order";
@@ -664,9 +662,8 @@ TEST(HighContentionMultiRelationTest,
                         .trace
         << ")";
   }
-  // Every compaction the run queued is built and swapped in first, so
-  // the comparison also covers the swapped-in chains.
-  manager->WaitForMaintenance();
+  // Every committer swapped its compaction in before its commit returned,
+  // so the comparison also covers the swapped-in chains.
   EXPECT_TRUE(db.SameState(replay_db))
       << "concurrent final state differs from serial replay in commit "
        "order";

@@ -401,10 +401,9 @@ TEST(OverlayOracleTest, SessionScriptMatchesSnapshotFreeReference) {
       }
     }
     EXPECT_GT(commits, 0u) << "seed " << seed;
-    // Every compaction the script queued is built and swapped in: the
-    // master still equals the reference.
+    // Every committer swapped its compaction in before its commit
+    // returned: the master still equals the reference.
     for (auto& session : sessions) session.reset();
-    manager->WaitForMaintenance();
     ASSERT_TRUE(db.SameState(ref.master()))
         << "a swapped-in compaction changed the master, seed " << seed;
     ASSERT_EQ(
@@ -487,9 +486,8 @@ TEST(OverlayOracleTest, ThreadedWorkloadConvergesToSerialReplay) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0)
       << "a transaction failed to commit despite retries";
-  // Every compaction the run queued is built and swapped in first, so
-  // the comparison also covers the swapped-in chains.
-  manager->WaitForMaintenance();
+  // Every committer swapped its compaction in before its commit returned,
+  // so the comparison below also covers the swapped-in chains.
 
   // The serial replay, thread after thread, on a flat database.
   Database replay = MakeInitialDatabase();

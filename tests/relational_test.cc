@@ -668,9 +668,8 @@ TEST(OverlayTest, FirstWriteDoesNotScanTheBase) {
   EXPECT_EQ((*snapshot.Find("beer"))->size(), 10000u);
 }
 
-/// Compacts `name`'s chain and swaps the result in, as the transaction
-/// manager's maintenance thread and next Begin do (with nothing landing
-/// in between).
+/// Compacts `name`'s chain and swaps the result in, as a transaction
+/// manager's committer does (with nothing landing in between).
 void CompactAndSwap(Database* db, const std::string& name) {
   const std::shared_ptr<const Relation> top = db->Share(name);
   if (std::shared_ptr<const Relation> replacement = Relation::Compact(top)) {
@@ -748,10 +747,10 @@ TEST(OverlayTest, MergeOverAnEmptyLevelLeavesOneLevel) {
 }
 
 TEST(OverlayTest, CommitBetweenBuildAndSwapIsReapplied) {
-  // The maintenance thread builds a replacement from the chain it was
-  // handed while the master moves on; the swap must keep every commit
-  // that landed in between, and a snapshot taken before the swap keeps
-  // reading its own chain.
+  // A committer builds a replacement from the chain it claimed while the
+  // master moves on; the swap must keep every commit that landed in
+  // between, and a snapshot taken before the swap keeps reading its own
+  // chain.
   Database db = MakeBeerDatabase();
   ASSERT_NE((*db.FindMutable("beer"))->IndexOn({2}), nullptr);
   std::set<Tuple, testing::TupleLess> model;

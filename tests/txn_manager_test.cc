@@ -1075,13 +1075,14 @@ TEST(TxnRetryTest, DefaultRetriesAreImmediateAndUncounted) {
 }
 
 // ---------------------------------------------------------------------------
-// The maintenance thread: compaction off the commit path, the swap rule,
-// the depth bound, release, quiesce and shutdown.
+// Compaction on the committer: a commit compacts what it installed before
+// it returns, the swap rule, one build per relation, the depth bound,
+// release and quiesce.
 // ---------------------------------------------------------------------------
 
-/// Holds the maintenance thread at the start of compaction jobs (the
+/// Holds committers at the start of their compaction builds (the
 /// manager's compaction probe) until Open.
-class JobGate {
+class BuildGate {
  public:
   /// The probe: counts the arrival, then waits until the gate opens.
   void Hold(const std::string& relation) {
@@ -1109,11 +1110,11 @@ class JobGate {
   bool open_ = false;
 };
 
-/// Opens a gate when it goes out of scope. Declared after the manager,
-/// it keeps a failed assertion from leaving a job held while the
-/// manager's destructor waits for it.
+/// Opens a gate when it goes out of scope. Declared after the future of
+/// a held committer, it opens the gate before that future waits for the
+/// committer, so a failed assertion cannot leave the test hanging.
 struct OpenOnExit {
-  JobGate* gate;
+  BuildGate* gate;
   ~OpenOnExit() { gate->Open(); }
 };
 
@@ -1133,9 +1134,11 @@ algebra::Transaction ReinsertUnreferencedKeys(int batch) {
   return txn;
 }
 
-TEST(TxnManagerMaintenanceTest, DeleteAndReinsertRoundsNeverCollapse) {
+TEST(TxnManagerCompactionTest, DeleteAndReinsertRoundsNeverCollapse) {
   // Deleting keys and re-inserting them nets out in the merge, so the
-  // chain compacts back to its base instead of growing until a collapse.
+  // chain compacts back to its base instead of growing until a collapse,
+  // and the committer that re-inserts has swapped that in by the time its
+  // Run returns.
   Database db = bench::MakeKeyFkDatabase(5000, 100);
   bench::AddUnreferencedKeys(&db, 500);
   core::IntegritySubsystem ics(&db);
@@ -1150,88 +1153,118 @@ TEST(TxnManagerMaintenanceTest, DeleteAndReinsertRoundsNeverCollapse) {
     TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult ins,
                                manager->Run(ReinsertUnreferencedKeys(500)));
     ASSERT_TRUE(ins.committed) << ins.abort_reason;
+    ASSERT_EQ((*db.Find("key_rel"))->overlay_depth(), 0u)
+        << "round " << round << " did not net out to the base";
   }
-  manager->WaitForMaintenance();
   EXPECT_EQ(CowStats::overlay_collapses.load(), collapses);
-  EXPECT_EQ((*db.Find("key_rel"))->overlay_depth(), 0u)
-      << "every pair netted out to the base";
   EXPECT_EQ((*db.Find("key_rel"))->SortedTuples(), keys);
 }
 
-TEST(TxnManagerMaintenanceTest, WalFailureUnwindsACommitWhoseJobIsPending) {
+TEST(TxnManagerCompactionTest, CommitFreesTheChainItsSwapDisplaced) {
+  // Whoever displaces a state frees it: the chain a commit's compaction
+  // replaces is freed by that committer, before its Run returns.
+  Fixture f;
+  // One one-row level over the flat state: nothing to merge yet.
+  ASSERT_TRUE(f.manager->RunText(InsertBeerText("ale0")).ok());
+  ASSERT_EQ((*f.db.Find("beer"))->overlay_depth(), 1u);
+  const std::weak_ptr<const Relation> displaced = f.db.Share("beer");
+  const uint64_t merges = CowStats::overlay_merges.load();
+  // The next level weighs as much: the commit merges the two.
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r,
+                             f.manager->RunText(InsertBeerText("ale1")));
+  ASSERT_TRUE(r.committed) << r.abort_reason;
+  ASSERT_GT(CowStats::overlay_merges.load(), merges) << "nothing merged";
+  EXPECT_TRUE(displaced.expired())
+      << "the chain the swap displaced outlived the commit that swapped";
+  EXPECT_EQ((*f.db.Find("beer"))->overlay_depth(), 1u);
+  EXPECT_TRUE(HasBeer(f.db, "ale0"));
+  EXPECT_TRUE(HasBeer(f.db, "ale1"));
+}
+
+TEST(TxnManagerCompactionTest, WalFailureUnwindsUnderAHeldBuild) {
+  // A committer builds a compaction from the chain its commit left; while
+  // its build is held, a commit on the same relation fails its fsync and
+  // is unwound. The held swap then lands over the re-installed chain and
+  // must keep the pre-commit state.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
-      StrCat("txmod_maintenance_", ::getpid());
-  for (const bool hold_this_relation : {false, true}) {
-    SCOPED_TRACE(hold_this_relation ? "job building" : "job queued");
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    FaultInjectingVfs vfs;
-    TxnManagerOptions options;
-    options.wal_path = (dir / "wal.log").string();
-    options.checkpoint_path = (dir / "checkpoint.db").string();
-    options.vfs = &vfs;
-    JobGate gate;  // outlives the manager, whose destructor runs jobs
-    Fixture f(options);
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(f.manager->RunText(InsertBeerText(StrCat("ale", i))).ok());
-    }
-    f.manager->WaitForMaintenance();
-
-    // Hold the thread: at the failing commit's own job ("building", when
-    // the thread takes it before the unwind) or at an earlier job on
-    // another relation, which keeps this one queued.
-    f.manager->set_compaction_probe(
-        [&](const std::string& relation) { gate.Hold(relation); });
-    if (!hold_this_relation) {
-      ASSERT_TRUE(
-          f.manager
-              ->RunText("insert(brewery, {(\"brewdog\", \"ellon\", "
-                        "\"uk\")});")
-              .ok());
-      gate.AwaitArrival();
-    }
-    const std::vector<std::vector<Tuple>> pre_commit = Contents(f.db);
-    FaultSpec fault;
-    fault.op = VfsOp::kFsync;
-    fault.kind = FaultKind::kEIO;
-    fault.path_substring = "wal";
-    vfs.InjectFault(fault);
-    Result<TxnResult> failed = f.manager->RunText(InsertBeerText("doomed"));
-    ASSERT_FALSE(failed.ok());
-    EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
-    EXPECT_EQ(Contents(f.db), pre_commit) << "the commit was unwound";
-    if (hold_this_relation) gate.AwaitArrival();
-
-    gate.Open();
-    f.manager->WaitForMaintenance();
-    EXPECT_EQ(Contents(f.db), pre_commit)
-        << "a compaction built from the unwound level was swapped in";
-    EXPECT_FALSE(HasBeer(f.db, "doomed"));
-    f.manager.reset();
+      StrCat("txmod_compaction_", ::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  FaultInjectingVfs vfs;
+  TxnManagerOptions options;
+  options.wal_path = (dir / "wal.log").string();
+  options.checkpoint_path = (dir / "checkpoint.db").string();
+  options.vfs = &vfs;
+  BuildGate gate;
+  Fixture f(options);
+  // Levels of 2 and 1 tuples: the next one-row commit merges all three.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(f.manager->RunText(InsertBeerText(StrCat("ale", i))).ok());
   }
+  f.manager->set_compaction_probe(
+      [&](const std::string& relation) { gate.Hold(relation); });
+  std::future<Result<TxnResult>> held;
+  OpenOnExit open_on_exit{&gate};
+  held = std::async(std::launch::async, [&] {
+    return f.manager->RunText(InsertBeerText("held"));
+  });
+  gate.AwaitArrival();
+
+  const std::vector<std::vector<Tuple>> pre_commit = Contents(f.db);
+  ASSERT_TRUE(HasBeer(f.db, "held"));
+  FaultSpec fault;
+  fault.op = VfsOp::kFsync;
+  fault.kind = FaultKind::kEIO;
+  fault.path_substring = "wal";
+  vfs.InjectFault(fault);
+  Result<TxnResult> failed = f.manager->RunText(InsertBeerText("doomed"));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(Contents(f.db), pre_commit) << "the commit was unwound";
+
+  const uint64_t rebuilt = CowStats::overlay_merges.load() +
+                           CowStats::overlay_collapses.load();
+  gate.Open();
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult committed, held.get());
+  EXPECT_TRUE(committed.committed) << committed.abort_reason;
+  EXPECT_GT(CowStats::overlay_merges.load() +
+                CowStats::overlay_collapses.load(),
+            rebuilt)
+      << "the held build built no replacement";
+  EXPECT_EQ(Contents(f.db), pre_commit)
+      << "the held swap changed the pre-commit state";
+  EXPECT_FALSE(HasBeer(f.db, "doomed"));
+  f.manager.reset();
   std::filesystem::remove_all(dir);
 }
 
-TEST(TxnManagerMaintenanceTest, DefineConstraintWaitsOutAPendingJob) {
-  JobGate gate;  // outlives the manager, whose destructor runs jobs
+TEST(TxnManagerCompactionTest, DefineConstraintFailsWhileABuildIsHeld) {
+  // A compaction builds inside its committer's Commit, so the session is
+  // live and the quiesce rejects the definition.
+  BuildGate gate;
   Fixture f;
   f.manager->set_compaction_probe(
       [&](const std::string& relation) { gate.Hold(relation); });
-  ASSERT_TRUE(f.manager->RunText(InsertBeerText("ale1")).ok());
-  gate.AwaitArrival();  // a job is building and cannot finish
-
-  std::future<Status> define = std::async(std::launch::async, [&] {
-    return f.manager->DefineConstraint(
-        "strong", "forall x (x in beer implies x.alcohol <= 7)");
+  std::future<Result<TxnResult>> held;
+  OpenOnExit open_on_exit{&gate};
+  held = std::async(std::launch::async, [&] {
+    return f.manager->RunText(InsertBeerText("ale1"));
   });
-  EXPECT_EQ(define.wait_for(std::chrono::milliseconds(50)),
-            std::future_status::timeout)
-      << "the definition ran while a compaction job was building";
-  gate.Open();
-  TXMOD_ASSERT_OK(define.get());
+  gate.AwaitArrival();
 
-  // The constraint is live, and the master kept every commit.
+  const Status define = f.manager->DefineConstraint(
+      "strong", "forall x (x in beer implies x.alcohol <= 7)");
+  EXPECT_EQ(define.code(), StatusCode::kFailedPrecondition)
+      << define.ToString();
+  gate.Open();
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult committed, held.get());
+  EXPECT_TRUE(committed.committed) << committed.abort_reason;
+
+  // Quiesced now: the definition goes through, and the master kept the
+  // commit.
+  TXMOD_ASSERT_OK(f.manager->DefineConstraint(
+      "strong", "forall x (x in beer implies x.alcohol <= 7)"));
   TXMOD_ASSERT_OK_AND_ASSIGN(
       TxnResult violating,
       f.manager->RunText(
@@ -1241,120 +1274,75 @@ TEST(TxnManagerMaintenanceTest, DefineConstraintWaitsOutAPendingJob) {
   EXPECT_FALSE(HasBeer(f.db, "rocket"));
 }
 
-TEST(TxnManagerMaintenanceTest, DestroyingWithQueuedWorkReleasesEverything) {
-  // Jobs queued behind a held one, on two relations: the destructor
-  // builds and swaps them in, releases the chains the swaps displace,
-  // and joins (ASan checks nothing leaks or dangles).
-  JobGate gate;
-  Fixture f;
-  f.manager->set_compaction_probe(
-      [&](const std::string& relation) { gate.Hold(relation); });
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(f.manager->RunText(InsertBeerText(StrCat("ale", i))).ok());
-    ASSERT_TRUE(f.manager
-                    ->RunText(StrCat("insert(brewery, {(\"b", i,
-                                     "\", \"x\", \"y\")});"))
-                    .ok());
-  }
-  auto held = f.manager->Begin();
-  ASSERT_TRUE(held->ExecuteText(InsertBeerText("held")).ok());
-  held->Abort();
-  gate.AwaitArrival();
-  gate.Open();
-  f.manager.reset();
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(HasBeer(f.db, StrCat("ale", i)));
-  EXPECT_FALSE(HasBeer(f.db, "held"));
-}
-
-TEST(TxnManagerMaintenanceTest, BeginThatSwapsFreesTheDisplacedChain) {
-  // Whoever displaces a state frees it: the chain a compaction's swap
-  // replaces is freed by the Begin that swapped, before it returns, while
-  // the maintenance thread is held and can free nothing.
-  JobGate gate;  // outlives the manager, whose destructor runs jobs
-  Fixture f;
-  OpenOnExit open_on_exit{&gate};
-  ASSERT_TRUE(f.manager->RunText(InsertBeerText("ale0")).ok());
-  f.manager->WaitForMaintenance();
-  f.manager->set_compaction_probe([&](const std::string& relation) {
-    if (relation == "brewery") gate.Hold(relation);
-  });
-  // Jobs run in name order: beer's merge is published before the thread
-  // stops at brewery's job.
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      TxnResult both,
-      f.manager->RunText("insert(brewery, {(\"brewdog\", \"ellon\", "
-                         "\"uk\")}); insert(beer, {(\"punk\", \"ipa\", "
-                         "\"brewdog\", 5.6)});"));
-  ASSERT_TRUE(both.committed) << both.abort_reason;
-  gate.AwaitArrival();
-
-  const std::weak_ptr<const Relation> displaced = f.db.Share("beer");
-  auto session = f.manager->Begin();
-  EXPECT_TRUE(displaced.expired())
-      << "the chain the swap displaced outlived the Begin that swapped";
-  EXPECT_TRUE(HasBeer(session->snapshot(), "punk"));
-  session->Abort();
-}
-
-TEST(TxnManagerMaintenanceTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
-  // A collapse of a large relation takes a while; the one-row commits
-  // that land meanwhile must not stack up above it: every new snapshot
-  // sees a chain within the compaction depth bound.
+TEST(TxnManagerCompactionTest, OneRowCommitsDuringACollapseKeepDepthBounded) {
+  // A collapse of a large relation takes a while. The one-row commits
+  // that land meanwhile leave their compaction to it, so the chain grows
+  // a level per commit; the commit that leaves it deeper than
+  // Relation::kMaxOverlayDepth waits for the collapse's swap, so no
+  // snapshot sees a chain past the bound.
   constexpr int kFks = 20000;
-  // The collapse job is held at its start until this many one-row
-  // commits landed, so they overlap it on any schedule. Well under
-  // Relation::kMaxOverlayDepth: the held commits never wait on depth.
-  constexpr int kHeld = 8;
   Database db = bench::MakeKeyFkDatabase(1000, kFks);
   core::IntegritySubsystem ics(&db);
   TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  JobGate gate;  // outlives the manager's probe
+  BuildGate gate;
   TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics));
-  OpenOnExit open_on_exit{&gate};
   manager->set_compaction_probe(
       [&](const std::string& relation) { gate.Hold(relation); });
   const uint64_t collapses = CowStats::overlay_collapses.load();
-  // Over half the relation: its compaction collapses the whole chain.
-  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult big,
-                             manager->Run(bench::MakeFkInsertBatch(
-                                 kFks / 2 + 1000, 1000, /*id_base=*/kFks)));
-  ASSERT_TRUE(big.committed) << big.abort_reason;
+  std::unique_ptr<TxnSession> session;  // outlives the commits' futures
+  std::future<Result<TxnResult>> big;
+  std::future<Result<TxnResult>> past_bound;
+  OpenOnExit open_on_exit{&gate};
+  // Over half the relation: its committer collapses the whole chain,
+  // held at the start of its build.
+  big = std::async(std::launch::async, [&] {
+    return manager->Run(
+        bench::MakeFkInsertBatch(kFks / 2 + 1000, 1000, /*id_base=*/kFks));
+  });
   gate.AwaitArrival();
 
-  int during = 0;
-  std::size_t deepest = 0;
-  for (int i = 0;
-       (CowStats::overlay_collapses.load() == collapses && i < 2000) || i < 64;
-       ++i) {
-    auto session = manager->Begin();
+  int next_id = 10 * kFks;
+  const auto one_row = [&] {
+    return bench::MakeFkInsertBatch(1, 1000, /*id_base=*/next_id++);
+  };
+  for (;;) {
+    session = manager->Begin();
     const std::size_t depth =
         (*session->snapshot().Find("fk_rel"))->overlay_depth();
-    deepest = std::max(deepest, depth);
-    ASSERT_LE(depth, Relation::kMaxOverlayDepth) << "commit " << i;
-    TXMOD_ASSERT_OK(session->Execute(bench::MakeFkInsertBatch(
-                                         1, 1000, /*id_base=*/10 * kFks + i))
-                        .status());
+    ASSERT_LE(depth, Relation::kMaxOverlayDepth);
+    TXMOD_ASSERT_OK(session->Execute(one_row()).status());
+    if (depth == Relation::kMaxOverlayDepth) {
+      // This commit leaves the chain past the bound.
+      past_bound = std::async(std::launch::async,
+                              [&] { return session->Commit(); });
+      break;
+    }
     TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r, session->Commit());
     ASSERT_TRUE(r.committed) << r.abort_reason;
-    if (CowStats::overlay_collapses.load() == collapses) ++during;
-    if (i + 1 == kHeld) gate.Open();
   }
-  EXPECT_GE(during, kHeld) << "a held commit saw the collapse";
-  manager->WaitForMaintenance();
+  EXPECT_EQ(past_bound.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "the commit past the depth bound did not wait for the collapse";
+  EXPECT_EQ(CowStats::overlay_collapses.load(), collapses);
+  gate.Open();
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult last, past_bound.get());
+  EXPECT_TRUE(last.committed) << last.abort_reason;
+  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult collapsed, big.get());
+  EXPECT_TRUE(collapsed.committed) << collapsed.abort_reason;
   EXPECT_GT(CowStats::overlay_collapses.load(), collapses);
-  // Drained, the chain is what the policy leaves: inserts only, so
-  // nothing nets out, and compacting it again changes nothing.
-  EXPECT_EQ(Relation::Compact(db.Share("fk_rel")), nullptr);
-  RecordProperty("commits_during_collapse", during);
-  RecordProperty("deepest_snapshot_chain", static_cast<int>(deepest));
+  // The swap re-applied the one-row commits over the collapsed state, as
+  // one level.
+  EXPECT_EQ((*db.Find("fk_rel"))->overlay_depth(), 1u);
+  EXPECT_EQ((*db.Find("fk_rel"))->size(),
+            static_cast<std::size_t>(kFks + kFks / 2 + 1000 + next_id -
+                                     10 * kFks));
 }
 
-TEST(TxnManagerMaintenanceTest, OneRowCommitsMergeAmortizedLogWork) {
+TEST(TxnManagerCompactionTest, OneRowCommitsMergeAmortizedLogWork) {
   // Relation::Compact merges each changed tuple amortized O(log) times.
-  // One-row commits hand the thread a one-tuple level each, and fk_rel
-  // collapses several times on the way; however the thread and the
-  // committer interleave, the tuples every merge took (the swaps'
-  // re-applies included) stay within commits * ceil(log2(commits)).
+  // Each one-row commit compacts its own one-tuple level, and fk_rel
+  // collapses several times on the way; the tuples every merge took stay
+  // within commits * ceil(log2(commits)).
   constexpr int kCommits = 20000;
   constexpr int kFks = 5000;
   Database db = bench::MakeKeyFkDatabase(1000, kFks);
@@ -1369,7 +1357,6 @@ TEST(TxnManagerMaintenanceTest, OneRowCommitsMergeAmortizedLogWork) {
         manager->Run(bench::MakeFkInsertBatch(1, 1000, /*id_base=*/kFks + i)));
     ASSERT_TRUE(r.committed) << r.abort_reason;
   }
-  manager->WaitForMaintenance();
   EXPECT_GE(CowStats::overlay_collapses.load() - collapses, 3u);
   uint64_t log2_commits = 0;
   while ((uint64_t{1} << log2_commits) < kCommits) ++log2_commits;
@@ -1405,6 +1392,26 @@ void ExpectSerialAndConsistent(const Database& db,
   EXPECT_EQ(FullCheckViolation(Rebuild(db), constraints), "");
 }
 
+/// Records the master's `relation` state as its committer's compaction
+/// build starts: the commit's install, before its compaction may replace
+/// it.
+const Relation* InstalledBeforeCompaction(TxnManager* manager,
+                                          const Database& db,
+                                          const std::string& relation,
+                                          TxnSession* session) {
+  const Relation* installed = nullptr;
+  manager->set_compaction_probe([&](const std::string& name) {
+    if (name == relation) installed = *db.Find(relation);
+  });
+  Result<TxnResult> committed = session->Commit();
+  manager->set_compaction_probe(nullptr);
+  EXPECT_TRUE(committed.ok()) << committed.status().ToString();
+  if (committed.ok()) {
+    EXPECT_TRUE(committed->committed) << committed->abort_reason;
+  }
+  return installed;
+}
+
 TEST(TxnManagerInstallTest, StaleSnapshotInstallsTheSessionsLevel) {
   Fixture f;
   auto session = f.manager->Begin();
@@ -1418,9 +1425,9 @@ TEST(TxnManagerInstallTest, StaleSnapshotInstallsTheSessionsLevel) {
   ASSERT_GT(f.manager->committed_version(), session->snapshot_version());
 
   const uint64_t overlays = CowStats::overlays_created.load();
-  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult second, session->Commit());
-  ASSERT_TRUE(second.committed) << second.abort_reason;
-  EXPECT_EQ(*f.db.Find("beer"), level)
+  EXPECT_EQ(
+      InstalledBeforeCompaction(f.manager.get(), f.db, "beer", session.get()),
+      level)
       << "the master's state is not the level the session wrote through";
   EXPECT_EQ(CowStats::overlays_created.load(), overlays)
       << "the commit layered a fresh level";
@@ -1428,18 +1435,11 @@ TEST(TxnManagerInstallTest, StaleSnapshotInstallsTheSessionsLevel) {
 }
 
 TEST(TxnManagerInstallTest, SwappedCompactionUnderTheSnapshotKeepsItsLevel) {
-  JobGate gate;  // outlives the manager, whose destructor runs jobs
   Fixture f;
-  OpenOnExit open_on_exit{&gate};
   const std::vector<std::string> before = {InsertBeerText("ale1"),
                                            InsertBeerText("ale2")};
+  // One one-row level over the flat state: nothing to merge yet.
   TXMOD_ASSERT_OK(f.manager->RunText(before[0]).status());
-  f.manager->WaitForMaintenance();
-  f.manager->set_compaction_probe(
-      [&](const std::string& relation) { gate.Hold(relation); });
-  // ale2's level weighs as much as ale1's: its job merges the two.
-  TXMOD_ASSERT_OK(f.manager->RunText(before[1]).status());
-  gate.AwaitArrival();
 
   auto session = f.manager->Begin();
   const std::string mine = InsertBeerText("mine");
@@ -1447,18 +1447,22 @@ TEST(TxnManagerInstallTest, SwappedCompactionUnderTheSnapshotKeepsItsLevel) {
   const Relation* level = *session->snapshot().Find("beer");
   const Relation* under_snapshot = *f.db.Find("beer");
   const uint64_t merges = CowStats::overlay_merges.load();
-  gate.Open();
-  f.manager->WaitForMaintenance();
+  // ale2's level weighs as much as ale1's: its committer merges the two
+  // and swaps the result in under the session's snapshot.
+  TXMOD_ASSERT_OK(f.manager->RunText(before[1]).status());
   ASSERT_GT(CowStats::overlay_merges.load(), merges)
-      << "the job built no replacement";
-  ASSERT_NE(*f.db.Find("beer"), under_snapshot)
+      << "the commit built no replacement";
+  ASSERT_FALSE((*f.db.Find("beer"))->ChainHolds(under_snapshot))
       << "no compaction was swapped in";
-  ASSERT_EQ(f.manager->committed_version(), session->snapshot_version());
+  // The snapshot keeps reading the chain the swap displaced.
+  EXPECT_TRUE(HasBeer(session->snapshot(), "ale1"));
+  EXPECT_TRUE(HasBeer(session->snapshot(), "mine"));
+  EXPECT_FALSE(HasBeer(session->snapshot(), "ale2"));
 
   const uint64_t overlays = CowStats::overlays_created.load();
-  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult committed, session->Commit());
-  ASSERT_TRUE(committed.committed) << committed.abort_reason;
-  EXPECT_EQ(*f.db.Find("beer"), level)
+  EXPECT_EQ(
+      InstalledBeforeCompaction(f.manager.get(), f.db, "beer", session.get()),
+      level)
       << "the master's state is not the level the session wrote through";
   EXPECT_EQ(CowStats::overlays_created.load(), overlays)
       << "the commit layered a fresh level";
