@@ -22,6 +22,12 @@
 // second and the measured fsyncs-per-commit ratio (the batching factor;
 // 1.0 means no batching, lower is better).
 //
+// BM_WalAppend — stage C of one large commit without its fsync: a
+// CommitRecord of 5,000 fresh fk_rel rows, in perfbench's row shape (an
+// int id, a `k<n>` ref and an amount in quarter units), encoded (text
+// and checksum) and written to a WAL. Reported: the time per append and
+// bytes_per_append.
+//
 // Every arm that commits reports readonly_commits. An arm whose
 // transactions only insert fresh ids must write on every commit; if one
 // of its commits is read-only, an id was reused and the arm timed no-ops
@@ -42,6 +48,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -413,6 +421,66 @@ BENCHMARK(BM_GroupCommitFsync)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// One commit's record appended with no fsync (see the header). The log
+/// is truncated, untimed, every 64 appends, so that it stays small.
+void BM_WalAppend(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      StrCat("txmod_bench_append_", ::getpid(), "_", rows);
+  std::filesystem::create_directories(dir);
+  const std::string wal_path = (dir / "wal.log").string();
+
+  const auto schema = std::make_shared<const RelationSchema>(
+      "fk_rel", std::vector<Attribute>{{"id", AttrType::kInt},
+                                       {"ref", AttrType::kString},
+                                       {"amount", AttrType::kDouble}});
+  auto inserted = std::make_shared<Relation>(schema);
+  std::mt19937_64 rng(5000);
+  for (int i = 0; i < rows; ++i) {
+    inserted->Insert(
+        Tuple({Value::Int(kFreshIdBase + i),
+               Value::String(StrCat("k", rng() % 5000)),
+               Value::Double(static_cast<double>(rng() % 40000) / 4)}));
+  }
+  CommitRecord rec;
+  rec.deltas.push_back(
+      CommitDelta{"fk_rel", inserted, std::make_shared<Relation>(schema)});
+
+  uint64_t appended = 0;
+  uint64_t bytes = 0;  // appended to the log, header excluded
+  {
+    auto wal = WriteAheadLog::Open(wal_path);
+    TXMOD_BENCH_CHECK_OK(wal.status());
+    const uint64_t header = std::filesystem::file_size(wal_path);
+    for (auto _ : state) {
+      rec.version = ++appended;
+      auto lsn = wal->Append(rec);
+      TXMOD_BENCH_CHECK_OK(lsn.status());
+      benchmark::DoNotOptimize(*lsn);
+      if (appended % 64 == 0) {
+        state.PauseTiming();
+        bytes += std::filesystem::file_size(wal_path) - header;
+        TXMOD_BENCH_CHECK_OK(wal->Truncate());
+        state.ResumeTiming();
+      }
+    }
+    bytes += std::filesystem::file_size(wal_path) - header;
+  }
+  state.counters["bytes_per_append"] =
+      appended > 0
+          ? static_cast<double>(bytes) / static_cast<double>(appended)
+          : 0.0;
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+BENCHMARK(BM_WalAppend)
+    ->ArgNames({"rows"})
+    ->Arg(5000)
+    ->Unit(benchmark::kMicrosecond);
 
 /// WAL appends routed through the Vfs seam: the POSIX default versus the
 /// fault injector with no faults armed. The delta is the pure cost of the

@@ -181,7 +181,7 @@ Vfs* Vfs::Default() {
   return posix;
 }
 
-Status WriteFullyTo(VfsFile* file, const std::string& buf, const char* what) {
+Status WriteFullyTo(VfsFile* file, std::string_view buf, const char* what) {
   std::size_t off = 0;
   while (off < buf.size()) {
     TXMOD_ASSIGN_OR_RETURN(std::size_t n,

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -92,7 +93,7 @@ class Vfs {
 
 /// Writes all of `buf`, looping over short writes. The error message
 /// names `what` (e.g. "WAL").
-Status WriteFullyTo(VfsFile* file, const std::string& buf, const char* what);
+Status WriteFullyTo(VfsFile* file, std::string_view buf, const char* what);
 
 // ---------------------------------------------------------------------------
 // Fault injection.

@@ -80,68 +80,93 @@ std::string_view NextEncoding(std::string_view* rest) {
   return token;
 }
 
-}  // namespace
+/// Writes `n` bytes of `text` at `out` and returns their end.
+char* WriteBytes(const char* text, std::size_t n, char* out) {
+  std::memcpy(out, text, n);
+  return out + n;
+}
 
-void AppendValueText(const Value& v, std::string* out) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out->append("null");
-      return;
-    case ValueType::kInt: {
-      char buf[24];
-      const std::to_chars_result r =
-          std::to_chars(buf, buf + sizeof(buf), v.as_int());
-      out->append("i:");
-      out->append(buf, r.ptr);
-      return;
-    }
-    case ValueType::kDouble: {
-      // Hex float representation: lossless round trip. The bytes are
-      // printf's "%a": a sign, "0x" before a finite magnitude, then the
-      // shortest hex digits, which std::to_chars writes without a format
-      // string to parse.
-      const double d = v.as_double();
-      out->append("d:");
-      if (std::signbit(d)) out->push_back('-');
-      if (std::isfinite(d)) out->append("0x");
-      char buf[32];
-      const std::to_chars_result r =
-          std::to_chars(buf, buf + sizeof(buf), std::fabs(d),
-                        std::chars_format::hex);
-      out->append(buf, r.ptr);
-      return;
-    }
-    case ValueType::kString: {
-      const std::string& s = v.as_string();
-      out->append("s:\"");
-      std::size_t run = 0;  // first byte not yet appended
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        const char* escape;
-        switch (s[i]) {
-          case '"':
-            escape = "\\\"";
-            break;
-          case '\\':
-            escape = "\\\\";
-            break;
-          case '\n':
-            escape = "\\n";
-            break;
-          case '\t':
-            escape = "\\t";
-            break;
-          default:
-            continue;
-        }
-        out->append(s, run, i - run);
-        out->append(escape);
-        run = i + 1;
-      }
-      out->append(s, run, std::string::npos);
-      out->push_back('"');
-      return;
+/// Writes `d` in hex, as printf's "%a" does: a sign, then "0x1." and the
+/// fraction's hex digits without their trailing zeros (the point goes
+/// with them) and "p" and the signed decimal exponent for a normal
+/// number, "0x0." for a denormal (its exponent -1022), "0x0p+0" for a
+/// zero, and "inf" and "nan" (no payload). Lossless: the digits are the
+/// fraction's bits. At most 24 bytes.
+char* WriteHexDouble(double d, char* out) {
+  constexpr uint64_t kFraction = (uint64_t{1} << 52) - 1;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(d));
+  const uint64_t fraction = bits & kFraction;
+  const int biased = static_cast<int>((bits >> 52) & 0x7FF);
+  if (bits >> 63 != 0) *out++ = '-';
+  if (biased == 0x7FF) {
+    return WriteBytes(fraction == 0 ? "inf" : "nan", 3, out);
+  }
+  if (biased == 0 && fraction == 0) return WriteBytes("0x0p+0", 6, out);
+  out = WriteBytes(biased == 0 ? "0x0" : "0x1", 3, out);
+  if (fraction != 0) {
+    static constexpr char kHexDigits[] = "0123456789abcdef";
+    *out++ = '.';
+    // The top nibble, until what is left of the fraction is zero.
+    for (uint64_t rest = fraction; rest != 0;
+         rest = (rest << 4) & kFraction) {
+      *out++ = kHexDigits[rest >> 48];
     }
   }
+  const int exponent = biased == 0 ? -1022 : biased - 1023;
+  *out++ = 'p';
+  *out++ = exponent < 0 ? '-' : '+';
+  return std::to_chars(out, out + 4, exponent < 0 ? -exponent : exponent)
+      .ptr;
+}
+
+}  // namespace
+
+char* WriteValueText(const Value& v, char* out) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return WriteBytes("null", 4, out);
+    case ValueType::kInt:
+      out = WriteBytes("i:", 2, out);
+      return std::to_chars(out, out + 20, v.as_int()).ptr;
+    case ValueType::kDouble:
+      // Hex float representation: lossless round trip.
+      return WriteHexDouble(v.as_double(), WriteBytes("d:", 2, out));
+    case ValueType::kString: {
+      out = WriteBytes("s:\"", 3, out);
+      for (const char c : v.as_string()) {
+        char escaped;
+        switch (c) {
+          case '"':
+          case '\\':
+            escaped = c;
+            break;
+          case '\n':
+            escaped = 'n';
+            break;
+          case '\t':
+            escaped = 't';
+            break;
+          default:
+            *out++ = c;
+            continue;
+        }
+        out[0] = '\\';
+        out[1] = escaped;
+        out += 2;
+      }
+      *out++ = '"';
+      return out;
+    }
+  }
+  return out;
+}
+
+void AppendValueText(const Value& v, std::string* out) {
+  const std::size_t at = out->size();
+  out->resize(at + ValueTextSizeBound(v));
+  char* const begin = out->data();
+  out->resize(static_cast<std::size_t>(WriteValueText(v, begin + at) - begin));
 }
 
 std::string EncodeValueText(const Value& v) {

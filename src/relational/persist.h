@@ -81,7 +81,9 @@ class LineReader {
 
   /// Whether the line Next last handed out ended in a newline: false only
   /// for an unterminated last line. The WAL reader needs it, because its
-  /// writer appends every line together with its newline.
+  /// writer appends every line together with its newline. A terminated
+  /// line's newline follows it in the buffer, so the line with its
+  /// newline is one view too.
   bool terminated() const { return terminated_; }
 
  private:
@@ -95,7 +97,7 @@ class LineReader {
 /// The value codec behind the checkpoint format, shared with the
 /// write-ahead log (wal.h) and the server's `show` response. There is one
 /// encoder and one decoder, and the text format is the one checkpoint
-/// version 1 and WAL versions 1 and 2 have always used:
+/// version 1 and every WAL version (1 to 3) have always used:
 ///
 ///   null          the null value
 ///   i:<digits>    int64, decimal, optional sign
@@ -108,8 +110,27 @@ class LineReader {
 /// quoted string belongs to the string. `tests/format_golden_test.cc`
 /// pins the bytes.
 ///
-/// AppendValueText writes into the caller's buffer, so rendering a
-/// tuple line allocates nothing beyond the buffer's own growth.
+/// The encoder is WriteValueText, a pointer writer: it puts one encoding
+/// at `out`, which must have room for ValueTextSizeBound(v) bytes, and
+/// returns the end of what it wrote. The WAL sizes a record's buffer
+/// once from these bounds and writes every line through it.
+char* WriteValueText(const Value& v, char* out);
+
+/// The longest encoding of a value that is not a string: "d:", a sign,
+/// "0x" and 21 bytes of magnitude, as in "d:-0x1.fffffffffffffp+1023"
+/// and the negative denormal "d:-0x0.0000000000001p-1022". INT64_MIN's
+/// "i:-9223372036854775808" takes 22, and "null" 4.
+inline constexpr std::size_t kNumberTextBound = 26;
+
+/// The most bytes WriteValueText writes for `v`: kNumberTextBound, or for
+/// a string its prefix and quotes and two bytes per byte (every byte
+/// escaped).
+inline std::size_t ValueTextSizeBound(const Value& v) {
+  return v.is_string() ? 4 + 2 * v.as_string().size() : kNumberTextBound;
+}
+
+/// WriteValueText's bytes appended to the caller's buffer, for the
+/// checkpoint and `show`, which render a line at a time.
 void AppendValueText(const Value& v, std::string* out);
 /// The same bytes as a fresh string.
 std::string EncodeValueText(const Value& v);

@@ -4,20 +4,22 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string_view>
 
 #include "src/common/str_util.h"
+#include "src/common/xxh64.h"
 #include "src/relational/persist.h"
 
 namespace txmod {
 
 namespace {
 
-constexpr char kWalHeader[] = "txmod-wal 1";
+constexpr char kWalHeader[] = "txmod-wal 3";  // format kWalFormat
+// The header of a format 1 log, which is read with FNV-1a and rewritten.
+constexpr char kWalV1Header[] = "txmod-wal 1";
 // Builds that sharded the log wrote stream k to `<path>.shard<k>`, with
 // k below this bound.
 constexpr int kLegacyShardFiles = 64;
@@ -31,7 +33,8 @@ bool ParseU64(std::string_view text, uint64_t* v) {
 
 constexpr uint64_t kFnvBasis = UINT64_C(14695981039346656037);
 
-/// FNV-1a of `s`, continued from the hash `h` of the bytes before it.
+/// FNV-1a of `s`, continued from the hash `h` of the bytes before it: the
+/// checksum of formats 1 and 2, read but no longer written.
 uint64_t Fnv1a(std::string_view s, uint64_t h = kFnvBasis) {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
@@ -40,13 +43,52 @@ uint64_t Fnv1a(std::string_view s, uint64_t h = kFnvBasis) {
   return h;
 }
 
-/// Appends "commit <version> <checksum as 16 hex digits>\n".
-void AppendCommitLine(uint64_t version, uint64_t checksum, std::string* out) {
-  char buf[64];
-  const int n = std::snprintf(buf, sizeof(buf), "commit %llu %016llx\n",
-                              static_cast<unsigned long long>(version),
-                              static_cast<unsigned long long>(checksum));
-  out->append(buf, static_cast<std::size_t>(n));
+/// A record body's checksum in a log of `format`, fed a piece at a time.
+class BodyChecksum {
+ public:
+  explicit BodyChecksum(int format) : fnv1a_(format < 3) {}
+
+  void Update(std::string_view bytes) {
+    if (fnv1a_) {
+      fnv1a_hash_ = Fnv1a(bytes, fnv1a_hash_);
+    } else {
+      xxh64_.Update(bytes);
+    }
+  }
+  uint64_t Digest() const { return fnv1a_ ? fnv1a_hash_ : xxh64_.Digest(); }
+
+ private:
+  bool fnv1a_;
+  uint64_t fnv1a_hash_ = kFnvBasis;
+  Xxh64 xxh64_;
+};
+
+/// The longest "txn <version>\n" and "commit <version> <hex>\n" lines.
+constexpr std::size_t kTxnLineBound = 4 + 20 + 1;
+constexpr std::size_t kCommitLineBound = 7 + 20 + 1 + 16 + 1;
+
+/// Writes `text` at `out` and returns its end.
+char* WriteText(std::string_view text, char* out) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+/// Writes `v` as 16 lower-case hex digits, zero-padded, at `out`.
+char* WriteHex16(uint64_t v, char* out) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kDigits[v & 0xF];
+  return out + 16;
+}
+
+/// Writes "commit <version> <checksum as 16 hex digits>\n" at `out`,
+/// which has room for kCommitLineBound bytes.
+char* WriteCommitLine(uint64_t version, uint64_t checksum, char* out) {
+  out = WriteText("commit ", out);
+  out = std::to_chars(out, out + 20, version).ptr;
+  *out++ = ' ';
+  out = WriteHex16(checksum, out);
+  *out++ = '\n';
+  return out;
 }
 
 /// A delta's tuples, in the order the encoder writes them: a WalDelta's
@@ -60,20 +102,17 @@ const Relation& TuplesOf(const std::shared_ptr<const Relation>& set) {
 }
 
 /// An upper bound on the encoded size of `rec` and its commit line, so
-/// that encoding allocates once. Record is WalRecord or CommitRecord.
+/// that encoding allocates once and writes through pointers. Record is
+/// WalRecord or CommitRecord.
 template <typename Record>
-std::size_t EncodedSizeBound(const Record& rec) {
-  std::size_t n = 96;  // the txn and commit lines
+std::size_t RecordSizeBound(const Record& rec) {
+  std::size_t n = kTxnLineBound + kCommitLineBound;
   for (const auto& delta : rec.deltas) {
-    n += delta.relation.size() + 5;
+    n += delta.relation.size() + 5;  // "rel ", the name and the newline
     for (const auto* tuples : {&delta.plus, &delta.minus}) {
       for (const Tuple& t : TuplesOf(*tuples)) {
         n += 2;  // the "+" or "-" and the newline
-        for (const Value& v : t.values()) {
-          // A space, then at most "i:" and 20 digits, "d:" and 24 bytes
-          // of %a, or "s:" and quotes around a string escaped throughout.
-          n += 1 + (v.is_string() ? 4 + 2 * v.as_string().size() : 26);
-        }
+        for (const Value& v : t.values()) n += 1 + ValueTextSizeBound(v);
       }
     }
   }
@@ -81,33 +120,38 @@ std::size_t EncodedSizeBound(const Record& rec) {
 }
 
 /// The one encoder of both record forms: the record body (everything the
-/// checksum covers) followed by its commit line.
+/// checksum covers) followed by its commit line, written in one pass into
+/// `*buffer`, which it allocates once, RecordSizeBound bytes, and leaves
+/// uninitialized past what it writes. Returns the bytes written.
 template <typename Record>
-std::string EncodeRecord(const Record& rec) {
-  std::string out;
-  out.reserve(EncodedSizeBound(rec));
-  out += "txn ";
-  out += std::to_string(rec.version);
-  out += '\n';
-  auto append_tuples = [&out](char sign, const auto& tuples) {
+std::string_view EncodeRecord(const Record& rec,
+                              std::unique_ptr<char[]>* buffer) {
+  buffer->reset(new char[RecordSizeBound(rec)]);
+  char* const begin = buffer->get();
+  char* p = WriteText("txn ", begin);
+  p = std::to_chars(p, p + 20, rec.version).ptr;
+  *p++ = '\n';
+  auto write_tuples = [&p](char sign, const auto& tuples) {
     for (const Tuple& t : TuplesOf(tuples)) {
-      out += sign;
+      *p++ = sign;
       for (const Value& v : t.values()) {
-        out += ' ';
-        AppendValueText(v, &out);
+        *p++ = ' ';
+        p = WriteValueText(v, p);
       }
-      out += '\n';
+      *p++ = '\n';
     }
   };
   for (const auto& delta : rec.deltas) {
-    out += "rel ";
-    out += delta.relation;
-    out += '\n';
-    append_tuples('+', delta.plus);
-    append_tuples('-', delta.minus);
+    p = WriteText("rel ", p);
+    p = WriteText(delta.relation, p);
+    *p++ = '\n';
+    write_tuples('+', delta.plus);
+    write_tuples('-', delta.minus);
   }
-  AppendCommitLine(rec.version, Fnv1a(out), &out);
-  return out;
+  const uint64_t checksum = WalRecordChecksum(
+      std::string_view(begin, static_cast<std::size_t>(p - begin)));
+  p = WriteCommitLine(rec.version, checksum, p);
+  return std::string_view(begin, static_cast<std::size_t>(p - begin));
 }
 
 /// Whether `line`, which starts with "commit ", is the commit line of a
@@ -133,10 +177,9 @@ bool CommitLineMatches(std::string_view line, uint64_t version,
   if (r.ec != std::errc() || written != version) return false;
   line.remove_prefix(static_cast<std::size_t>(r.ptr - line.data()));
   skip_space();
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(checksum));
-  const std::string_view expected(hex);
+  char hex[16];
+  WriteHex16(checksum, hex);
+  const std::string_view expected(hex, sizeof(hex));
   return StartsWith(line, expected) &&
          (line.size() == expected.size() ||
           std::isspace(static_cast<unsigned char>(line[expected.size()])));
@@ -151,22 +194,25 @@ bool ParseTxnLine(std::string_view line, WalRecord* rec) {
 /// The one reader of a WAL stream. It yields the stream's records in
 /// file order, each only after its checksum matched and every tuple line
 /// in it decoded, and it ends at the first record that fails either: a
-/// torn append, a truncated tail or bit rot. The checksum is computed
-/// line by line as the record is read, so the reader holds one record
-/// and one LineReader chunk, never the stream. Not movable: its
-/// LineReader points at its file.
+/// torn append, a truncated tail or bit rot. The checksum is the one the
+/// header's format names, computed line by line as the record is read,
+/// so the reader holds one record and one LineReader chunk, never the
+/// stream. Not movable: its LineReader points at its file.
 class StreamReader {
  public:
   StreamReader() = default;
   StreamReader(const StreamReader&) = delete;
   StreamReader& operator=(const StreamReader&) = delete;
 
-  /// Opens `path` and reads its header. A missing file and one of zero
-  /// bytes are empty streams; a torn header — a prefix of the header
-  /// line, or the whole line without its newline, with nothing after
-  /// it — is an empty stream with a dropped tail. Any other first line is
-  /// not a WAL, and an error.
+  /// Opens `path` and reads its header: format 3's, or format 1's. A
+  /// missing file and one of zero bytes are empty streams; a torn
+  /// header — a prefix of either header line, or the whole line without
+  /// its newline, with nothing after it — is an empty stream with a
+  /// dropped tail. Any other first line is not a WAL, and an error.
   Status Open(const std::string& path);
+
+  /// The format the header named (kWalFormat for an empty stream).
+  int format() const { return format_; }
 
   /// Reads the next record into `*rec`. False at the end of the stream
   /// and at its first bad record; tail_dropped() then tells which, and
@@ -187,6 +233,7 @@ class StreamReader {
 
   std::ifstream in_;
   LineReader lines_{&in_};
+  int format_ = kWalFormat;
   bool done_ = false;
   bool tail_dropped_ = false;
   std::string tail_error_;
@@ -200,12 +247,19 @@ Status StreamReader::Open(const std::string& path) {
     done_ = true;
     return Status::OK();
   }
-  if (line == kWalHeader && lines_.terminated()) return Status::OK();
-  // A crash can tear even the header write. A prefix of the header line
+  if (lines_.terminated()) {
+    if (line == kWalHeader) return Status::OK();
+    if (line == kWalV1Header) {
+      format_ = 1;
+      return Status::OK();
+    }
+  }
+  // A crash can tear even the header write. A prefix of a header line
   // (the whole line when its newline is missing) with nothing after it
   // is such a torn tail — an empty log; anything else is genuinely not a
   // WAL.
-  if (StartsWith(kWalHeader, line) && !lines_.Next(&line)) {
+  if ((StartsWith(kWalHeader, line) || StartsWith(kWalV1Header, line)) &&
+      !lines_.Next(&line)) {
     DropTail("truncated WAL header");
     return Status::OK();
   }
@@ -218,9 +272,13 @@ bool StreamReader::Next(WalRecord* rec) {
   // or end of file mid-record drops the tail.
   std::string_view line;
   bool in_record = false;
-  uint64_t checksum = 0;  // of the record's lines so far, newlines included
+  BodyChecksum checksum(format_);  // of the record's lines so far
   WalDelta* delta = nullptr;
   while (lines_.Next(&line)) {
+    // The line as the writer wrote it: a terminated line's newline
+    // follows it in the reader's buffer, so one update covers both.
+    const std::string_view written(
+        line.data(), line.size() + (lines_.terminated() ? 1 : 0));
     if (!in_record) {
       if (line.empty()) continue;
       if (!StartsWith(line, "txn ")) {
@@ -229,12 +287,12 @@ bool StreamReader::Next(WalRecord* rec) {
       if (!ParseTxnLine(line, rec)) {
         return DropTail(StrCat("bad txn line '", line, "'"));
       }
-      checksum = Fnv1a("\n", Fnv1a(line));
+      checksum.Update(written);
       in_record = true;
       continue;
     }
     if (StartsWith(line, "commit ")) {
-      if (!CommitLineMatches(line, rec->version, checksum)) {
+      if (!CommitLineMatches(line, rec->version, checksum.Digest())) {
         return DropTail(
             StrCat("bad commit line for version ", rec->version));
       }
@@ -244,7 +302,7 @@ bool StreamReader::Next(WalRecord* rec) {
       }
       return true;
     }
-    checksum = Fnv1a("\n", Fnv1a(line, checksum));
+    checksum.Update(written);
     if (StartsWith(line, "rel ")) {
       rec->deltas.push_back(WalDelta{std::string(line.substr(4)), {}, {}});
       delta = &rec->deltas.back();
@@ -286,24 +344,28 @@ Status RefuseShardFiles(const std::string& path) {
   return Status::OK();
 }
 
-/// Torn-tail repair: when the log at `path` ends in a torn or corrupt
-/// record, copies its valid prefix into a temp log and renames it into
-/// place. Appending after a tear would make every later record
-/// unreachable to recovery, which stops at the first invalid one. The
-/// first read keeps no record; only a torn log is read again, one record
-/// at a time into the copy.
-Status RepairIfTorn(const std::string& path, Vfs* vfs) {
+/// Rewrites the log at `path` where appending to it would go wrong: when
+/// it ends in a torn or corrupt record, because every record appended
+/// after the tear would be unreachable to recovery, which stops at the
+/// first invalid one; and when it is in format 1, because one file would
+/// then hold records of two formats. Copies the valid records into a
+/// temp log, which is written in format kWalFormat, and renames it into
+/// place. The first read keeps no record; only a log that needs the
+/// rewrite is read again, one record at a time into the copy.
+Status RewriteIfTornOrOld(const std::string& path, Vfs* vfs) {
   {
     StreamReader reader;
     TXMOD_RETURN_IF_ERROR(reader.Open(path));
     WalRecord rec;
     while (reader.Next(&rec)) {
     }
-    if (!reader.tail_dropped()) return Status::OK();
+    if (!reader.tail_dropped() && reader.format() == kWalFormat) {
+      return Status::OK();
+    }
   }
   const std::string tmp = StrCat(path, ".repair");
-  // A crash during a previous repair can leave a stale (possibly itself
-  // torn) .repair file; appending to it would corrupt the repaired
+  // A crash during a previous rewrite can leave a stale (possibly itself
+  // torn) .repair file; appending to it would corrupt the rewritten
   // log or brick startup. Start from nothing.
   TXMOD_RETURN_IF_ERROR(vfs->Remove(tmp));
   {
@@ -327,7 +389,7 @@ Status RepairIfTorn(const std::string& path, Vfs* vfs) {
 Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path, Vfs* vfs) {
   if (vfs == nullptr) vfs = Vfs::Default();
   TXMOD_RETURN_IF_ERROR(RefuseShardFiles(path));
-  TXMOD_RETURN_IF_ERROR(RepairIfTorn(path, vfs));
+  TXMOD_RETURN_IF_ERROR(RewriteIfTornOrOld(path, vfs));
   WriteAheadLog log(path, vfs);
   TXMOD_ASSIGN_OR_RETURN(log.file_, vfs->OpenAppend(path));
   TXMOD_ASSIGN_OR_RETURN(const uint64_t size, log.file_->Size());
@@ -390,14 +452,16 @@ bool WriteAheadLog::broken(std::string* cause) const {
 }
 
 Result<uint64_t> WriteAheadLog::Append(const WalRecord& rec) {
-  return AppendEncoded(EncodeRecord(rec));
+  std::unique_ptr<char[]> buffer;
+  return AppendEncoded(EncodeRecord(rec, &buffer));
 }
 
 Result<uint64_t> WriteAheadLog::Append(const CommitRecord& rec) {
-  return AppendEncoded(EncodeRecord(rec));
+  std::unique_ptr<char[]> buffer;
+  return AppendEncoded(EncodeRecord(rec, &buffer));
 }
 
-Result<uint64_t> WriteAheadLog::AppendEncoded(const std::string& full) {
+Result<uint64_t> WriteAheadLog::AppendEncoded(std::string_view full) {
   std::lock_guard<std::mutex> lock(append_mu_);
   if (broken_.load()) {
     std::lock_guard<std::mutex> sync_lock(*sync_mu_);
@@ -604,6 +668,14 @@ Status ApplyRecord(Record& rec, Database* db, WalReplayStats* stats) {
 }
 
 }  // namespace
+
+uint64_t WalRecordChecksum(std::string_view body, int format) {
+  return format < 3 ? Fnv1a(body) : Xxh64::Of(body);
+}
+
+std::size_t EncodedSizeBound(const WalRecord& rec) {
+  return RecordSizeBound(rec);
+}
 
 Result<std::vector<WalRecord>> ReadShardedWal(const std::string& path,
                                               WalReplayStats* stats,

@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -61,17 +63,26 @@ struct CommitRecord {
 ///
 /// On-disk format (line-oriented, values via persist.h's codec):
 ///
-///   txmod-wal 1
+///   txmod-wal 3
 ///   txn <version>
 ///   rel <name>
 ///   + <v1> <v2> ...                  (one line per inserted tuple)
 ///   - <v1> <v2> ...                  (one line per deleted tuple)
-///   commit <version> <fnv1a-64 hex of the record body>
+///   commit <version> <checksum of the record body, 16 hex digits>
 ///
-/// The log is one stream at its path. Builds that sharded it wrote
-/// `<path>.shard<k>` files with a "txmod-wal 2 shard <k>/<n>" header;
-/// Open and recovery refuse such a file instead of reading the log
-/// without it.
+/// The checksum is XXH64 with seed 0 (src/common/xxh64.h). It reads four
+/// words at a time, needs no CPU feature and keeps the 64-bit field. A
+/// random corruption passes it with a probability of about 2^-64; like
+/// FNV-1a before it, it detects no burst length by construction.
+///
+/// The log is one stream at its path. What older logs get:
+///   - Format 1 ("txmod-wal 1") has the same lines with an FNV-1a 64
+///     checksum. It is read with that checksum, so a log an older build
+///     left recovers, and WriteAheadLog::Open rewrites it in format 3
+///     before appending, so no file mixes formats.
+///   - Format 2 was the sharded log: `<path>.shard<k>` files with a
+///     "txmod-wal 2 shard <k>/<n>" header. Open and recovery refuse such
+///     a file, naming it, instead of reading the log without it.
 ///
 /// A record is valid only when its `commit` line is present, ends in its
 /// newline, names the same version, its checksum matches the body ("txn"
@@ -103,13 +114,15 @@ struct CommitRecord {
 /// recovery replays them in version order.
 class WriteAheadLog {
  public:
-  /// Opens `path` for appending, creating it (with the v1 header line)
-  /// when absent or empty. A log that ends in a torn or corrupt record
-  /// has its valid prefix rewritten first (temp + rename), because a
-  /// record appended after the tear would be unreachable to recovery.
-  /// Refuses a `<path>.shard<k>` file and a file that does not start
-  /// with the header. All writes/fsyncs go through `vfs` (nullptr = the
-  /// real POSIX environment); reads stay on the plain filesystem.
+  /// Opens `path` for appending, creating it (with the format 3 header
+  /// line) when absent or empty. A log that ends in a torn or corrupt
+  /// record has its valid prefix rewritten first (temp + rename),
+  /// because a record appended after the tear would be unreachable to
+  /// recovery; a format 1 log has its valid records rewritten in format
+  /// 3 the same way. Refuses a `<path>.shard<k>` file and a file that
+  /// does not start with a header. All writes/fsyncs go through `vfs`
+  /// (nullptr = the real POSIX environment); reads stay on the plain
+  /// filesystem.
   static Result<WriteAheadLog> Open(const std::string& path,
                                     Vfs* vfs = nullptr);
 
@@ -151,7 +164,7 @@ class WriteAheadLog {
 
   /// Writes one encoded record (the body and its commit line) and
   /// returns its log sequence number.
-  Result<uint64_t> AppendEncoded(const std::string& full);
+  Result<uint64_t> AppendEncoded(std::string_view full);
 
   /// Poisons the log, recording the first cause. Must NOT hold sync_mu_.
   void MarkBroken(const std::string& cause);
@@ -183,6 +196,21 @@ class WriteAheadLog {
   std::atomic<bool> broken_{false};
   std::string broken_cause_guarded_;
 };
+
+/// The format this build writes, named in the log's header line.
+inline constexpr int kWalFormat = 3;
+
+/// The checksum that the commit lines of a log in `format` carry over
+/// each record's body (its "txn" line through its last delta line,
+/// newlines included): XXH64 with seed 0 in format 3, FNV-1a 64 in
+/// formats 1 and 2. Append signs every record with it; tests and tools
+/// that write a record by hand call it too.
+uint64_t WalRecordChecksum(std::string_view body, int format = kWalFormat);
+
+/// The size of the buffer Append allocates for `rec` before it writes
+/// the record's lines through persist.h's WriteValueText: at least the
+/// bytes it writes for `rec`, commit line included.
+std::size_t EncodedSizeBound(const WalRecord& rec);
 
 /// Outcome details of a WAL read/recovery.
 struct WalReplayStats {

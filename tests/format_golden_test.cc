@@ -7,12 +7,15 @@
 // backslash, a newline, a tab, spaces and a NUL byte.
 //
 // The expected bytes below are the format that checkpoint version 1 and
-// WAL version 1 define: the writers must produce them byte for byte, and
+// WAL format 3 define: the writers must produce them byte for byte, and
 // the readers must read them back to bit-identical values. A change
 // here is a change of the on-disk format. The record form the
 // transaction manager logs (CommitRecord, which shares its overlay
 // levels' sets) must write the bytes of the WalRecord that holds the same
-// tuples in the sets' iteration order.
+// tuples in the sets' iteration order. The same record in WAL format 1,
+// as older builds wrote it (its checksum FNV-1a), stays pinned as an
+// input: it must read back bit-exact, and opening it for appending must
+// leave exactly the format 3 bytes.
 
 #include <cstdint>
 #include <cstring>
@@ -26,6 +29,7 @@
 
 #include "gtest/gtest.h"
 #include "src/common/str_util.h"
+#include "src/common/xxh64.h"
 #include "src/relational/persist.h"
 #include "src/relational/wal.h"
 #include "tests/test_util.h"
@@ -47,6 +51,20 @@ const Value kNul = Value::String(std::string("nul\0byte", 8));
 // Adjacent literals, one per line of the file; `sizeof - 1` keeps the
 // NUL byte inside the string value.
 constexpr char kWalBytes[] =
+    "txmod-wal 3\n"
+    "txn 42\n"
+    "rel t\n"
+    "+ i:-9223372036854775808 d:0x0p+0 s:\"quote\\\" backslash\\\\\"\n"
+    "+ i:9223372036854775807 d:-0x0p+0 s:\"newline\\ntab\\tspace \"\n"
+    "- null d:0x0.0000000000001p-1022 s:\"nul\0byte\"\n"
+    "rel u\n"
+    "+ d:0x1.fffffffffffffp+1023 d:inf d:-inf\n"
+    "- d:nan null s:\"\"\n"
+    "commit 42 92f24148bec685f3\n";
+
+// The same record as WAL format 1 wrote it: another header line and an
+// FNV-1a checksum, every value line the same.
+constexpr char kWalV1Bytes[] =
     "txmod-wal 1\n"
     "txn 42\n"
     "rel t\n"
@@ -80,6 +98,13 @@ constexpr char kCheckpointBytes[] =
 
 std::string Bytes(const char* literal, std::size_t size_with_terminator) {
   return std::string(literal, size_with_terminator - 1);
+}
+
+/// The body of the one record in a log's bytes: its "txn" line through
+/// its last delta line, the bytes its checksum covers.
+std::string RecordBody(const std::string& log) {
+  const std::size_t begin = log.find("txn ");
+  return log.substr(begin, log.find("commit ") - begin);
 }
 
 /// Bit-exact identity. Value::operator== holds -0.0 equal to 0.0 and
@@ -199,21 +224,73 @@ TEST_F(FormatGoldenTest, WalRecordIsWrittenByteForByte) {
 }
 
 TEST_F(FormatGoldenTest, WalRecordIsReadBackBitExact) {
+  // Format 3, and format 1 with the checksum its header names.
+  for (const std::string& bytes : {Bytes(kWalBytes, sizeof(kWalBytes)),
+                                   Bytes(kWalV1Bytes, sizeof(kWalV1Bytes))}) {
+    SCOPED_TRACE(bytes.substr(0, bytes.find('\n')));
+    const std::string path = Path("wal");
+    WriteFile(path, bytes);
+    WalReplayStats stats;
+    TXMOD_ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                               ReadShardedWal(path, &stats, 41));
+    EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+    ASSERT_EQ(records.size(), 1u);
+    const WalRecord expected = GoldenRecord();
+    EXPECT_EQ(records[0].version, expected.version);
+    ASSERT_EQ(records[0].deltas.size(), expected.deltas.size());
+    for (std::size_t d = 0; d < expected.deltas.size(); ++d) {
+      SCOPED_TRACE(expected.deltas[d].relation);
+      EXPECT_EQ(records[0].deltas[d].relation, expected.deltas[d].relation);
+      ExpectIdentical(records[0].deltas[d].plus, expected.deltas[d].plus);
+      ExpectIdentical(records[0].deltas[d].minus, expected.deltas[d].minus);
+    }
+  }
+}
+
+TEST_F(FormatGoldenTest, OpeningAFormat1LogRewritesItInFormat3) {
   const std::string path = Path("wal");
-  WriteFile(path, Bytes(kWalBytes, sizeof(kWalBytes)));
-  WalReplayStats stats;
-  TXMOD_ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
-                             ReadShardedWal(path, &stats, 41));
-  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
-  ASSERT_EQ(records.size(), 1u);
-  const WalRecord expected = GoldenRecord();
-  EXPECT_EQ(records[0].version, expected.version);
-  ASSERT_EQ(records[0].deltas.size(), expected.deltas.size());
-  for (std::size_t d = 0; d < expected.deltas.size(); ++d) {
-    SCOPED_TRACE(expected.deltas[d].relation);
-    EXPECT_EQ(records[0].deltas[d].relation, expected.deltas[d].relation);
-    ExpectIdentical(records[0].deltas[d].plus, expected.deltas[d].plus);
-    ExpectIdentical(records[0].deltas[d].minus, expected.deltas[d].minus);
+  WriteFile(path, Bytes(kWalV1Bytes, sizeof(kWalV1Bytes)));
+  { TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log, WriteAheadLog::Open(path)); }
+  EXPECT_EQ(ReadFile(path), Bytes(kWalBytes, sizeof(kWalBytes)));
+  EXPECT_FALSE(std::filesystem::exists(path + ".repair"));
+}
+
+TEST_F(FormatGoldenTest, ChecksumsAreTheFormatsAlgorithms) {
+  // The published XXH64 vectors, seed 0.
+  EXPECT_EQ(Xxh64::Of(""), UINT64_C(0xef46db3751d8e999));
+  EXPECT_EQ(Xxh64::Of("abc"), UINT64_C(0x44bc2cf5ad770999));
+  EXPECT_EQ(Xxh64::Of("Nobody inspects the spammish repetition"),
+            UINT64_C(0xfbcea83c8a378bf1));
+  // Each format's commit line carries its own algorithm over the body.
+  const std::string body = RecordBody(Bytes(kWalBytes, sizeof(kWalBytes)));
+  ASSERT_EQ(body, RecordBody(Bytes(kWalV1Bytes, sizeof(kWalV1Bytes))));
+  EXPECT_EQ(WalRecordChecksum(body), UINT64_C(0x92f24148bec685f3));
+  EXPECT_EQ(WalRecordChecksum(body), Xxh64::Of(body));
+  EXPECT_EQ(WalRecordChecksum(body, 1), UINT64_C(0xf18e17f69be1c71f));
+}
+
+TEST_F(FormatGoldenTest, ChecksumFedInPiecesIsTheChecksumOfTheWhole) {
+  // The golden body spans several 32-byte stripes, and its lines end
+  // mid-stripe: the reader feeds it line by line, newlines included.
+  const std::string body = RecordBody(Bytes(kWalBytes, sizeof(kWalBytes)));
+  const uint64_t whole = Xxh64::Of(body);
+  Xxh64 by_line;
+  for (std::size_t begin = 0; begin < body.size();) {
+    const std::size_t end = body.find('\n', begin) + 1;
+    by_line.Update(std::string_view(body).substr(begin, end - begin));
+    begin = end;
+  }
+  EXPECT_EQ(by_line.Digest(), whole);
+  // Every split into two and into three pieces, empty pieces included.
+  const std::string_view view(body);
+  for (std::size_t i = 0; i <= body.size(); ++i) {
+    for (std::size_t j = i; j <= body.size(); ++j) {
+      Xxh64 pieces;
+      pieces.Update(view.substr(0, i));
+      pieces.Update(view.substr(i, j - i));
+      pieces.Update(view.substr(j));
+      ASSERT_EQ(pieces.Digest(), whole) << "split at " << i << " and " << j;
+    }
   }
 }
 
@@ -319,7 +396,7 @@ TEST_F(FormatGoldenTest, CommitRecordListsWritesInTheOrderTheyWereMade) {
     TXMOD_ASSERT_OK(log.Append(rec).status());
   }
   const std::string bytes = ReadFile(Path("ordered"));
-  EXPECT_NE(bytes.find("txmod-wal 1\ntxn 7\nrel t\n"
+  EXPECT_NE(bytes.find("txmod-wal 3\ntxn 7\nrel t\n"
                        "+ s:\"c\"\n+ s:\"a\"\n+ s:\"b\"\n"
                        "- s:\"y\"\n- s:\"x\"\ncommit 7 "),
             std::string::npos)

@@ -318,8 +318,58 @@ TEST_F(RecoveryTest, HeaderWithoutItsNewlineIsATornEmptyLog) {
   // A log holding only the header line, its newline lost: the next commit
   // must not land on the header line.
   RunWorkload(options_, {});
-  WriteFile(options_.wal_path, "txmod-wal 1");
+  WriteFile(options_.wal_path, "txmod-wal 3");
   RestartCommitAndRecover(options_);
+}
+
+/// `log` (this build's format) as WAL format 1 wrote it: the format 1
+/// header, and each commit line's checksum FNV-1a, every other line the
+/// same.
+std::string AsFormat1Log(const std::string& log) {
+  std::string out = "txmod-wal 1\n";
+  std::string body;  // of the record being read
+  std::size_t begin = log.find('\n') + 1;
+  while (begin < log.size()) {
+    const std::size_t end = log.find('\n', begin) + 1;
+    const std::string line = log.substr(begin, end - begin);
+    begin = end;
+    if (!StartsWith(line, "commit ")) {
+      body += line;
+      continue;
+    }
+    out += body;
+    out += line.substr(0, line.find(' ', 7) + 1);  // "commit <version> "
+    char checksum[17];
+    std::snprintf(checksum, sizeof(checksum), "%016llx",
+                  static_cast<unsigned long long>(WalRecordChecksum(body, 1)));
+    out += StrCat(checksum, "\n");
+    body.clear();
+  }
+  return out;
+}
+
+TEST_F(RecoveryTest, Format1LogRecoversAndIsRewrittenBeforeTheNextCommit) {
+  // A log an older build left: recovery reads it with FNV-1a, and the
+  // manager's reopen rewrites it in format 3 before a commit lands, so
+  // no file holds records of two formats.
+  LiveRun run = RunWorkload(options_, DefaultWorkload());
+  const std::string v1 = AsFormat1Log(run.wal_bytes);
+  ASSERT_NE(v1, run.wal_bytes);
+  ASSERT_EQ(v1.size(), run.wal_bytes.size());
+  WriteFile(options_.wal_path, v1);
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options_, &stats));
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+  EXPECT_EQ(stats.records_read, run.prefix_states.size() - 1);
+  EXPECT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
+
+  // Opening the log for appending leaves exactly this build's bytes.
+  { TXMOD_ASSERT_OK(WriteAheadLog::Open(options_.wal_path).status()); }
+  EXPECT_EQ(ReadFile(options_.wal_path), run.wal_bytes);
+  WriteFile(options_.wal_path, v1);
+  RestartCommitAndRecover(options_);
+  EXPECT_EQ(ReadFile(options_.wal_path).rfind("txmod-wal 3\n", 0), 0u);
 }
 
 TEST_F(RecoveryTest, RandomizedCheckpointWalProperty) {
@@ -393,7 +443,7 @@ TEST_F(RecoveryTest, GroupCommitCountersAreCoherent) {
   EXPECT_GE(wal.durable_lsn(), lsn);
   EXPECT_GE(wal.fsync_count(), 1u);
   TXMOD_ASSERT_OK(wal.Truncate());
-  EXPECT_EQ(ReadFile(options_.wal_path), "txmod-wal 1\n");
+  EXPECT_EQ(ReadFile(options_.wal_path), "txmod-wal 3\n");
 }
 
 /// One record of `version` that inserts (or deletes) fk_rel row `id`.
@@ -443,16 +493,6 @@ TEST_F(RecoveryTest, OneStreamOutOfVersionOrderReplaysInVersionOrder) {
   EXPECT_EQ(records[1].version, 2u);
 }
 
-/// FNV-1a 64, the WAL record checksum, over `s`.
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = UINT64_C(14695981039346656037);
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= UINT64_C(1099511628211);
-  }
-  return h;
-}
-
 TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
   // Version 2's checksum matches its bytes, but one of its tuple lines
   // does not decode. Its first line does: nothing of the record may be
@@ -469,7 +509,7 @@ TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
         "+ i:9702junk s:\"k1\" d:0x1p+0\n";
     char commit[64];
     std::snprintf(commit, sizeof(commit), "commit 2 %016llx\n",
-                  static_cast<unsigned long long>(Fnv1a64(body)));
+                  static_cast<unsigned long long>(WalRecordChecksum(body)));
     {
       std::ofstream out(options_.wal_path, std::ios::binary | std::ios::app);
       out << body << commit;
@@ -497,7 +537,7 @@ void WriteLegacyShardStream(const std::string& path) {
   const std::string body = "txn 1\nrel fk_rel\n+ i:9400 s:\"k1\" d:0x1p+0\n";
   char commit[64];
   std::snprintf(commit, sizeof(commit), "commit 1 %016llx\n",
-                static_cast<unsigned long long>(Fnv1a64(body)));
+                static_cast<unsigned long long>(WalRecordChecksum(body, 2)));
   WriteFile(path, StrCat("txmod-wal 2 shard 1/2\n", body, commit));
 }
 

@@ -9,6 +9,8 @@
 // is also checked input by input against the strtoll/strtod decoder it
 // replaced, kept below as the reference.
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -16,6 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -25,6 +30,7 @@
 #include "src/common/str_util.h"
 #include "src/relational/persist.h"
 #include "src/relational/value.h"
+#include "src/relational/wal.h"
 #include "tests/test_util.h"
 
 namespace txmod {
@@ -540,6 +546,144 @@ TEST(ValueCodecTest, OnePassDecoderAgreesWithTheStrtodReference) {
   }
   EXPECT_GE(diff.inputs(), 3u << 16);
   EXPECT_EQ(diff.disagreements(), 0u) << "first: " << diff.first();
+}
+
+/// Bit-exact identity, but for a NaN's payload, which the format does not
+/// write: a NaN must come back a NaN of the same sign. (Value::operator==
+/// holds -0.0 equal to 0.0 and a NaN unequal to itself.)
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a == b;
+  const double x = a.as_double();
+  const double y = b.as_double();
+  if (std::isnan(x) || std::isnan(y)) {
+    return std::isnan(x) && std::isnan(y) &&
+           std::signbit(x) == std::signbit(y);
+  }
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// WriteValueText writes through a pointer, so it can run past its buffer
+// where an append could not. Each value form at its longest is written
+// into a heap block of exactly ValueTextSizeBound bytes, where the
+// sanitizer build catches a write past the end, and a record holding all
+// of them, at the longest version, must stay within EncodedSizeBound.
+TEST(ValueCodecTest, LongestEncodingsFitTheirBounds) {
+  using Limits = std::numeric_limits<double>;
+  struct Case {
+    Value value;
+    std::string text;
+  };
+  const std::vector<Case> cases = {
+      {Value::Int(std::numeric_limits<int64_t>::min()),
+       "i:-9223372036854775808"},
+      {Value::Double(-Limits::max()), "d:-0x1.fffffffffffffp+1023"},
+      {Value::Double(-Limits::denorm_min()), "d:-0x0.0000000000001p-1022"},
+      {Value::Double(-Limits::quiet_NaN()), "d:-nan"},
+      {Value::String("\"\\\n\t\t\n\\\""), R"(s:"\"\\\n\t\t\n\\\"")"},
+      {Value::String(""), "s:\"\""},
+      {Value::Null(), "null"},
+  };
+  std::vector<Value> values;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    const std::size_t bound = ValueTextSizeBound(c.value);
+    std::vector<char> exact(bound);
+    const char* const begin = exact.data();
+    const char* const end = WriteValueText(c.value, exact.data());
+    ASSERT_LE(end - begin, static_cast<std::ptrdiff_t>(bound));
+    EXPECT_EQ(std::string(begin, end), c.text);
+    EXPECT_EQ(EncodeValueText(c.value), c.text);
+    values.push_back(c.value);
+  }
+  // Where the bound is tight, the longest form fills it.
+  for (const std::size_t i : {1u, 2u, 4u, 5u}) {
+    EXPECT_EQ(cases[i].text.size(), ValueTextSizeBound(cases[i].value))
+        << cases[i].text;
+  }
+
+  WalRecord rec;
+  rec.version = std::numeric_limits<uint64_t>::max();
+  rec.deltas.push_back(WalDelta{"r", {Tuple(values)}, {Tuple(values)}});
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) /
+      StrCat("txmod_codec_bound_", ::getpid());
+  std::filesystem::remove(path);
+  {
+    TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log,
+                               WriteAheadLog::Open(path.string()));
+    TXMOD_ASSERT_OK(log.Append(rec).status());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes(std::istreambuf_iterator<char>(in), {});
+  const std::size_t header = bytes.find('\n') + 1;
+  EXPECT_LE(bytes.size() - header, EncodedSizeBound(rec)) << bytes;
+  // And it reads back, every value bit for bit (as covered by a
+  // checkpoint of the last time, the only one its version can follow).
+  WalReplayStats stats;
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      std::vector<WalRecord> read,
+      ReadShardedWal(path.string(), &stats, rec.version));
+  std::filesystem::remove(path);
+  EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
+  ASSERT_EQ(read.size(), 1u);
+  ASSERT_EQ(read[0].deltas.size(), 1u);
+  for (const std::vector<Tuple>* tuples :
+       {&read[0].deltas[0].plus, &read[0].deltas[0].minus}) {
+    ASSERT_EQ(tuples->size(), 1u);
+    ASSERT_EQ((*tuples)[0].arity(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_TRUE(SameBits((*tuples)[0].at(i), values[i])) << i;
+    }
+  }
+}
+
+/// A random value: null, an int of random bits, a double of random bits
+/// (so every class: zeros, denormals, infinities, NaNs), or a short string
+/// whose bytes are often ones the encoder escapes.
+Value RandomValue(std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Int(static_cast<int64_t>(rng()));
+    case 2:
+      return Value::Double(FromBits(rng()));
+    default: {
+      static constexpr char kEscaped[] = {'"', '\\', '\n', '\t', ' '};
+      std::string s(rng() % 13, '\0');
+      for (char& c : s) {
+        c = rng() % 3 == 0 ? kEscaped[rng() % sizeof(kEscaped)]
+                           : static_cast<char>(rng() % 256);
+      }
+      return Value::String(std::move(s));
+    }
+  }
+}
+
+TEST(ValueCodecTest, RandomValuesRoundTripBitExact) {
+  // 100,000 values on tuple lines of 1 to 8, as the WAL and the
+  // checkpoint write them.
+  std::mt19937_64 rng(0xB175);
+  std::size_t checked = 0;
+  while (checked < 100'000) {
+    const std::size_t arity = 1 + rng() % 8;
+    std::vector<Value> written;
+    std::string line;
+    for (std::size_t i = 0; i < arity; ++i) {
+      written.push_back(RandomValue(rng));
+      if (i > 0) line += ' ';
+      AppendValueText(written.back(), &line);
+    }
+    TXMOD_ASSERT_OK_AND_ASSIGN(const Tuple decoded,
+                               DecodeTupleText(line, arity));
+    ASSERT_EQ(decoded.arity(), arity) << line;
+    for (std::size_t i = 0; i < arity; ++i) {
+      ASSERT_TRUE(SameBits(decoded.at(i), written[i]))
+          << line << " (value " << i << ")";
+    }
+    checked += arity;
+  }
 }
 
 TEST(ValueCodecTest, RandomBytesNeverCrashTheDecoder) {
