@@ -36,7 +36,6 @@ TriggerSet TriggersOfRound(
 
 Result<Transaction> ModifyTransaction(const Transaction& txn,
                                       const CompiledRuleSet& rules,
-                                      const ModifierOptions& options,
                                       ModifyStats* stats) {
   Transaction out = txn;
   // ModP unrolled as a worklist: round 0 is the user program; round i+1 is
@@ -46,10 +45,10 @@ Result<Transaction> ModifyTransaction(const Transaction& txn,
   while (!pending.empty()) {
     std::vector<const IntegrityProgram*> round = SelPS(pending, rules);
     if (round.empty()) break;
-    if (++depth > options.max_depth) {
+    if (++depth > kMaxModificationRounds) {
       return Status::FailedPrecondition(
           StrCat("transaction modification did not terminate within ",
-                 options.max_depth,
+                 kMaxModificationRounds,
                  " rounds; the rule set triggers itself indefinitely "
                  "(Section 6.1: semantically incorrect rule set)"));
     }
@@ -69,7 +68,6 @@ Result<Transaction> ModifyTransaction(const Transaction& txn,
 
 Result<Transaction> ModifyTransactionImmediate(const Transaction& txn,
                                                const CompiledRuleSet& rules,
-                                               const ModifierOptions& options,
                                                ModifyStats* stats) {
   Transaction out;
   out.label = txn.label;
@@ -81,10 +79,10 @@ Result<Transaction> ModifyTransactionImmediate(const Transaction& txn,
     while (!pending.empty()) {
       std::vector<const IntegrityProgram*> round = SelPS(pending, rules);
       if (round.empty()) break;
-      if (++depth > options.max_depth) {
+      if (++depth > kMaxModificationRounds) {
         return Status::FailedPrecondition(
             StrCat("transaction modification did not terminate within ",
-                   options.max_depth, " rounds (immediate placement)"));
+                   kMaxModificationRounds, " rounds (immediate placement)"));
       }
       for (const IntegrityProgram* p : round) {
         out.program = Program::Concat(std::move(out.program), p->program);
@@ -104,7 +102,7 @@ Result<Transaction> ModifyTransactionImmediate(const Transaction& txn,
 Result<Transaction> ModifyTransactionDynamic(
     const Transaction& txn, const std::vector<rules::IntegrityRule>& rules,
     const DatabaseSchema& schema, OptimizationLevel level,
-    const ModifierOptions& options, ModifyStats* stats) {
+    ModifyStats* stats) {
   // The literal Algorithm 5.1: SelRS selects *rules*, and TrOptRS
   // optimizes + translates them on every modification round.
   Transaction out = txn;
@@ -116,10 +114,10 @@ Result<Transaction> ModifyTransactionDynamic(
       if (rule.triggers.Intersects(pending)) selected.push_back(&rule);
     }
     if (selected.empty()) break;
-    if (++depth > options.max_depth) {
+    if (++depth > kMaxModificationRounds) {
       return Status::FailedPrecondition(
           StrCat("transaction modification did not terminate within ",
-                 options.max_depth, " rounds"));
+                 kMaxModificationRounds, " rounds"));
     }
     TriggerSet next;
     for (const rules::IntegrityRule* rule : selected) {

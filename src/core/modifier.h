@@ -8,15 +8,13 @@
 
 namespace txmod::core {
 
-/// Options for the transaction modification fixpoint.
-struct ModifierOptions {
-  /// Recursion cap: a rule set whose triggering graph has been validated
-  /// acyclic terminates long before this; the cap protects against
-  /// semantically incorrect rule sets (Section 6.1: a rule set that
-  /// inherently implies infinite triggering "has to be considered
-  /// semantically incorrect").
-  int max_depth = 64;
-};
+/// Cap on the fixpoint rounds of one modification: a rule set whose
+/// triggering graph has been validated acyclic terminates long before
+/// this; the cap protects against semantically incorrect rule sets
+/// (Section 6.1: a rule set that inherently implies infinite triggering
+/// "has to be considered semantically incorrect"). Past it, the Modify*
+/// functions return FailedPrecondition.
+inline constexpr int kMaxModificationRounds = 64;
 
 /// Statistics of one modification (E6 bench, diagnostics).
 struct ModifyStats {
@@ -43,7 +41,7 @@ struct ModifyStats {
 /// masks (or leaks into) another's.
 Result<algebra::Transaction> ModifyTransaction(
     const algebra::Transaction& txn, const CompiledRuleSet& rules,
-    const ModifierOptions& options = {}, ModifyStats* stats = nullptr);
+    ModifyStats* stats = nullptr);
 
 /// ModT in the literal Algorithm 5.1 form (the dynamic path): integrity
 /// rules are optimized and translated *at modification time* via
@@ -53,7 +51,7 @@ Result<algebra::Transaction> ModifyTransactionDynamic(
     const algebra::Transaction& txn,
     const std::vector<rules::IntegrityRule>& rules,
     const DatabaseSchema& schema, OptimizationLevel level,
-    const ModifierOptions& options = {}, ModifyStats* stats = nullptr);
+    ModifyStats* stats = nullptr);
 
 /// ModT with *immediate* check placement (design-space ablation; the
 /// paper's ModP appends all checks after the whole program).
@@ -70,7 +68,7 @@ Result<algebra::Transaction> ModifyTransactionDynamic(
 /// executing everything (bench_modification's detection-latency series).
 Result<algebra::Transaction> ModifyTransactionImmediate(
     const algebra::Transaction& txn, const CompiledRuleSet& rules,
-    const ModifierOptions& options = {}, ModifyStats* stats = nullptr);
+    ModifyStats* stats = nullptr);
 
 }  // namespace txmod::core
 

@@ -132,11 +132,7 @@ Status IntegritySubsystem::Recompile() {
 
 Result<algebra::Transaction> IntegritySubsystem::Modify(
     const algebra::Transaction& txn, ModifyStats* stats) const {
-  if (options_.placement == CheckPlacement::kImmediate) {
-    return ModifyTransactionImmediate(txn, compiled_, options_.modifier,
-                                      stats);
-  }
-  return ModifyTransaction(txn, compiled_, options_.modifier, stats);
+  return ModifyTransaction(txn, compiled_, stats);
 }
 
 Result<txn::TxnResult> IntegritySubsystem::Execute(

@@ -13,26 +13,14 @@
 
 namespace txmod::core {
 
-/// When the appended integrity programs run relative to the user's
-/// statements (see ModifyTransactionImmediate for the semantics).
-enum class CheckPlacement {
-  /// The paper's ModP: checks run after the whole user program
-  /// (Definition 2.6 gives intermediate states no semantics).
-  kDeferred,
-  /// SQL-IMMEDIATE-style: checks run directly after each triggering
-  /// statement. Stricter — self-repairing transactions abort.
-  kImmediate,
-};
-
 /// Configuration of the integrity control subsystem.
 struct SubsystemOptions {
   OptimizationLevel optimization = OptimizationLevel::kDifferential;
-  CheckPlacement placement = CheckPlacement::kDeferred;
   TranslateOptions translate;
-  ModifierOptions modifier;
   /// Reject rule definitions that make the triggering graph cyclic
   /// (Section 6.1). Cycles cut by NONTRIGGERING actions are fine. With
-  /// this off, the modifier's depth cap is the only protection.
+  /// this off, the modifier's round cap (kMaxModificationRounds) is the
+  /// only protection.
   bool reject_cyclic_rule_sets = true;
 };
 
@@ -98,6 +86,8 @@ class IntegritySubsystem {
   const SubsystemOptions& options() const { return options_; }
 
   /// ModT: the modified transaction (Algorithm 6.2), guaranteed correct.
+  /// Every check runs after the whole user program (the paper's ModP:
+  /// Definition 2.6 gives intermediate states no semantics).
   Result<algebra::Transaction> Modify(const algebra::Transaction& txn,
                                       ModifyStats* stats = nullptr) const;
 

@@ -236,7 +236,6 @@ void Server::WorkerLoop(Worker* worker) {
       for (const int fd : adopted) {
         Connection conn;
         conn.sock = Socket(fd);
-        conn.policy = options_.run_policy;
         worker->conns.emplace(fd, std::move(conn));
       }
     }

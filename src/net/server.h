@@ -34,9 +34,6 @@ struct ServerOptions {
   /// kUnavailable — explicit backpressure, never a queue or a hang.
   /// <= 0 disables the budget.
   int max_inflight_commits = 64;
-  /// Default per-connection run policy; each connection may override its
-  /// own with the `policy` verb.
-  txn::RunPolicy run_policy;
 };
 
 /// Monotonic counters (plus one gauge) since Start().
@@ -95,6 +92,7 @@ class Server {
     Socket sock;
     std::string inbuf;
     std::unique_ptr<txn::TxnSession> session;
+    /// RunPolicy{} until the client's `policy` verb sets its own.
     txn::RunPolicy policy;
   };
 

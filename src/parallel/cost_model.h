@@ -16,19 +16,17 @@ namespace txmod::parallel {
 /// per-node local work and inter-node transfers, and the simulated
 /// makespan is
 ///
-///   Σ_phases ( max_node(local_tuples(node)) · per_tuple_local
-///              + transferred_tuples/num_nodes · per_tuple_comm
-///              + messages · per_message )
+///   Σ_phases ( max_node(local_tuples(node)) · kPerTupleLocalUs
+///              + transferred_tuples/num_nodes · kPerTupleCommUs
+///              + messages · kPerMessageUs )
 ///
 /// The constants are calibrated loosely on late-80s hardware (the POOMA
 /// nodes were 68020-class with a custom interconnect) — their absolute
 /// values are irrelevant to the experiment; the *ratio* of communication
 /// to local work is what shapes the speedup curves.
-struct CostModel {
-  double per_tuple_local_us = 50.0;  // local processing per tuple
-  double per_tuple_comm_us = 150.0;  // transfer cost per tuple
-  double per_message_us = 1000.0;    // per node-to-node message setup
-};
+inline constexpr double kPerTupleLocalUs = 50.0;  // local work per tuple
+inline constexpr double kPerTupleCommUs = 150.0;  // transfer per tuple
+inline constexpr double kPerMessageUs = 1000.0;   // node-to-node message setup
 
 /// Work accounting for one parallel execution: the simulated POOMA
 /// makespan (unchanged math, pinned by the cost tests), the measured
@@ -45,14 +43,13 @@ class ParallelStats {
   /// broadcast, an aggregate merge). The simulated charge depends only on
   /// the tuple counts, never on the real timing.
   void AddPhaseTimed(const std::vector<uint64_t>& local, uint64_t transferred,
-                     uint64_t messages, const CostModel& model,
-                     double wall_us) {
+                     uint64_t messages, double wall_us) {
     uint64_t max_local = 0;
     for (uint64_t l : local) max_local = std::max(max_local, l);
-    double sim = static_cast<double>(max_local) * model.per_tuple_local_us;
+    double sim = static_cast<double>(max_local) * kPerTupleLocalUs;
     sim += static_cast<double>(transferred) /
-           static_cast<double>(num_nodes_) * model.per_tuple_comm_us;
-    sim += static_cast<double>(messages) * model.per_message_us;
+           static_cast<double>(num_nodes_) * kPerTupleCommUs;
+    sim += static_cast<double>(messages) * kPerMessageUs;
     simulated_us_ += sim;
     measured_us_ += wall_us;
     tuples_transferred_ += transferred;

@@ -221,7 +221,7 @@ class ParallelExecutor::Impl {
       }
     }
     result_.stats.AddPhaseTimed(local, transferred, transferred > 0 ? 1 : 0,
-                                options_.cost_model, timer.us());
+                                timer.us());
     return Status::OK();
   }
 
@@ -271,7 +271,7 @@ class ParallelExecutor::Impl {
       LevelOn(&levels, *target, dst)->Insert(std::move(t));
     }
     result_.stats.AddPhaseTimed(local, transferred, transferred > 0 ? 1 : 0,
-                                options_.cost_model, timer.us());
+                                timer.us());
     return Status::OK();
   }
 
@@ -554,8 +554,7 @@ class ParallelExecutor::Impl {
               &node_stats[i], probes != nullptr ? &(*probes)[i] : nullptr);
         }));
     MergeNodeStats(node_stats);
-    result_.stats.AddPhaseTimed(scanned, 0, 0, options_.cost_model,
-                                timer.us());
+    result_.stats.AddPhaseTimed(scanned, 0, 0, timer.us());
     FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = align;
     out.attr = attr;
@@ -595,8 +594,7 @@ class ParallelExecutor::Impl {
     result_.stats.AddExchangeBatches(pairs);
     const uint64_t messages =
         per_pair_messages ? pairs : (transferred > 0 ? 1 : 0);
-    result_.stats.AddPhaseTimed(scanned, transferred, messages,
-                                options_.cost_model, timer.us());
+    result_.stats.AddPhaseTimed(scanned, transferred, messages, timer.us());
     FragRel out = FragRel::Owning(std::move(frags));
     out.alignment = align;
     out.attr = attr;
@@ -643,7 +641,7 @@ class ParallelExecutor::Impl {
     result_.stats.AddPhaseTimed(
         std::vector<uint64_t>(width_, 0),
         static_cast<uint64_t>(right_total) * (width_ - 1),
-        width_ > 1 ? width_ - 1 : 0, options_.cost_model, timer.us());
+        width_ > 1 ? width_ - 1 : 0, timer.us());
     return FragRel::Owning(std::move(frags));
   }
 
@@ -777,8 +775,7 @@ class ParallelExecutor::Impl {
     if (width_ > 1 && owner_pos < 0) {
       result_.stats.AddPhaseTimed(
           std::vector<uint64_t>(width_, 0),
-          static_cast<uint64_t>(l.TotalSize()) * (width_ - 1), width_ - 1,
-          options_.cost_model, 0);
+          static_cast<uint64_t>(l.TotalSize()) * (width_ - 1), width_ - 1, 0);
     } else if (width_ > 1 &&
                (l.alignment != Alignment::kAttr || l.attr != owner_pos)) {
       l = RedistributeOnAttr(l, owner_pos);
@@ -892,14 +889,13 @@ class ParallelExecutor::Impl {
           return algebra::AggregateLocal(n, in.frag(i), &node_stats[i]);
         }));
     MergeNodeStats(node_stats);
-    result_.stats.AddPhaseTimed(scanned, 0, 0, options_.cost_model,
-                                timer.us());
+    result_.stats.AddPhaseTimed(scanned, 0, 0, timer.us());
     result_.stats.AddPhaseTimed(std::vector<uint64_t>(width_, 0),
                                 static_cast<uint64_t>(width_ - 1),
                                 width_ > 1
                                     ? static_cast<uint64_t>(width_ - 1)
                                     : 0,
-                                options_.cost_model, 0);
+                                0);
     AggPartial total;
     for (const AggPartial& p : partials) total.Merge(p);
     TXMOD_ASSIGN_OR_RETURN(Value result,

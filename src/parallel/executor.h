@@ -20,7 +20,6 @@ namespace txmod::parallel {
 bool DefaultUseThreads();
 
 struct ParallelOptions {
-  CostModel cost_model;
   /// Run each kernel and aggregate phase as one task per node on a worker
   /// pool; the default whenever the host has more than one hardware
   /// thread. false = *simulate* mode: the same tasks run inline on the

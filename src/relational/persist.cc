@@ -641,7 +641,8 @@ Result<Database> LoadDatabase(std::istream& in) {
       std::vector<Attribute> attrs;
       for (int i = 0; i < arity; ++i) {
         if (!reader.Next(&line)) {
-          return Status::InvalidArgument("truncated attribute list");
+          return Status::InvalidArgument(
+              StrCat("truncated attribute list of relation ", name));
         }
         ++line_number;
         std::string_view fields = line;
@@ -677,9 +678,13 @@ Result<Database> LoadDatabase(std::istream& in) {
           StrCat("unknown keyword '", keyword, "' at line ", line_number));
     }
   }
-  // A truncated checkpoint may end mid-relation; adopt what was read so
-  // the loaded prefix is still visible (recovery validates separately).
-  if (current != nullptr) db.AdoptRelation(current_name, std::move(current));
+  // A checkpoint cut inside a relation would otherwise load as a
+  // database without that relation's tail and every relation after it.
+  if (current != nullptr) {
+    return Status::InvalidArgument(
+        StrCat("checkpoint ends inside relation ", current_name,
+               ", which has no end line"));
+  }
   db.RestoreTime(logical_time);
   return db;
 }

@@ -51,15 +51,17 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
 /// The stream is read through a LineReader, so loading never holds the
 /// whole file. When the stream can be rewound (a file or a string
 /// stream), a first pass counts each relation's `tuple` lines, and the
-/// relation is sized for twice as many before the first one is inserted:
-/// no rehash while loading, and the load factor that growth by doubling
-/// would have left at its lowest.
+/// relation is sized for exactly that many (Relation::Reserve) before the
+/// first one is inserted: no rehash while loading.
 ///
 /// The loader is strict, because a checkpoint has no checksum. A keyword
 /// line must have exactly its fields, and each number must be whole,
 /// unsigned and in range: `time` a uint64, `relation`'s arity an int.
 /// Anything else is InvalidArgument naming the line. So is a `relation`
-/// line before the previous relation's `end`.
+/// line before the previous relation's `end`, and a stream that ends
+/// inside a relation (InvalidArgument naming it). A stream cut exactly
+/// after an `end` line loads as the relations before the cut: catching
+/// that needs a trailer line, which the format does not have.
 Result<Database> LoadDatabase(std::istream& in);
 Result<Database> LoadDatabaseFromFile(const std::string& path);
 

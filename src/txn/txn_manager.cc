@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/algebra/parser.h"
@@ -202,20 +203,31 @@ Status TxnManager::DropRule(const std::string& name) {
       "DropRule", [&] { return subsystem_->DropRule(name); });
 }
 
-int64_t TxnManager::ComputeBackoffMicros(const TxnManagerOptions& options,
+namespace {
+
+/// a + b for b >= 0, clamped at INT64_MAX: a client's `policy` may set a
+/// budget or a backoff anywhere up to INT64_MAX.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  return a > kMax - b ? kMax : a + b;
+}
+
+}  // namespace
+
+int64_t TxnManager::ComputeBackoffMicros(const RunPolicy& policy,
                                          uint64_t run_seq, int attempt) {
-  if (options.retry_backoff_initial_micros <= 0 || attempt < 2) return 0;
-  const int64_t max = std::max(options.retry_backoff_max_micros,
-                               options.retry_backoff_initial_micros);
-  // Bounded exponential: initial << (attempt - 2), clamped (shift guarded
-  // against overflow by clamping first).
-  int64_t base = options.retry_backoff_initial_micros;
-  for (int i = 2; i < attempt && base < max; ++i) base *= 2;
-  base = std::min(base, max);
+  if (policy.retry_backoff_initial_micros <= 0 || attempt < 2) return 0;
+  const int64_t max = std::max(policy.retry_backoff_max_micros,
+                               policy.retry_backoff_initial_micros);
+  // Bounded exponential: initial doubled (attempt - 2) times, clamped at
+  // max; a doubling past max / 2 lands on max, so it never overflows.
+  int64_t base = policy.retry_backoff_initial_micros;
+  for (int i = 2; i < attempt && base < max; ++i) {
+    base = base > max / 2 ? max : base * 2;
+  }
   // Deterministic jitter in [base/2, base]: splitmix64 over
-  // (seed, run_seq, attempt) — same seed, same schedule, every run.
-  uint64_t x = options.retry_jitter_seed ^
-               (run_seq * UINT64_C(0x9E3779B97F4A7C15)) ^
+  // (run_seq, attempt) — the same schedule for the same run, every time.
+  uint64_t x = (run_seq * UINT64_C(0x9E3779B97F4A7C15)) ^
                static_cast<uint64_t>(attempt);
   x += UINT64_C(0x9E3779B97F4A7C15);
   x = (x ^ (x >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
@@ -226,42 +238,25 @@ int64_t TxnManager::ComputeBackoffMicros(const TxnManagerOptions& options,
                     x % static_cast<uint64_t>(base - half + 1));
 }
 
-Result<TxnResult> TxnManager::Run(const algebra::Transaction& txn) {
-  return Run(txn, RunPolicy{});
-}
-
 Result<TxnResult> TxnManager::Run(const algebra::Transaction& txn,
                                   const RunPolicy& policy) {
-  // Resolve the effective policy: per-call overrides where set, the
-  // manager-wide options otherwise. The jitter seed is never overridden —
-  // one manager, one deterministic schedule.
-  TxnManagerOptions effective = options_;
-  if (policy.max_attempts > 0) effective.max_attempts = policy.max_attempts;
-  if (policy.retry_backoff_initial_micros >= 0) {
-    effective.retry_backoff_initial_micros =
-        policy.retry_backoff_initial_micros;
-  }
-  if (policy.retry_backoff_max_micros >= 0) {
-    effective.retry_backoff_max_micros = policy.retry_backoff_max_micros;
-  }
-  if (policy.run_timeout_micros >= 0) {
-    effective.run_timeout_micros = policy.run_timeout_micros;
-  }
+  const int max_attempts =
+      policy.max_attempts > 0 ? policy.max_attempts : options_.max_attempts;
   const uint64_t run_seq = run_seq_.fetch_add(1);
   const int64_t deadline =
-      effective.run_timeout_micros > 0
-          ? vfs_->NowMicros() + effective.run_timeout_micros
+      policy.run_timeout_micros > 0
+          ? SaturatingAdd(vfs_->NowMicros(), policy.run_timeout_micros)
           : 0;
   TxnResult last;
-  for (int attempt = 1; attempt <= effective.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
       // Conflict loser about to retry: back off (bounded exponential,
       // jittered) without overrunning the caller's time budget. The
       // sleep and the clock both go through the Vfs, so tests drive
       // this deterministically with a virtual clock.
-      const int64_t backoff = ComputeBackoffMicros(effective, run_seq,
-                                                   attempt);
-      if (deadline > 0 && vfs_->NowMicros() + backoff > deadline) {
+      const int64_t backoff = ComputeBackoffMicros(policy, run_seq, attempt);
+      if (deadline > 0 &&
+          SaturatingAdd(vfs_->NowMicros(), backoff) > deadline) {
         stats_.deadlines_exceeded.fetch_add(1);
         return Status::DeadlineExceeded(
             StrCat("transaction gave up after ", attempt - 1,
@@ -283,10 +278,6 @@ Result<TxnResult> TxnManager::Run(const algebra::Transaction& txn,
     last = std::move(result);  // first-committer-wins loser: retry
   }
   return last;
-}
-
-Result<TxnResult> TxnManager::RunText(const std::string& txn_text) {
-  return RunText(txn_text, RunPolicy{});
 }
 
 Result<TxnResult> TxnManager::RunText(const std::string& txn_text,
@@ -354,7 +345,7 @@ void TxnManager::PublishCommitLocked(
     std::shared_ptr<const CommitRecord> record, Evicted* evicted) {
   window_tuples_ += TupleCount(*record);
   recent_.push_back(std::move(record));
-  while (recent_.size() > options_.validation_window) {
+  while (recent_.size() > kValidationWindow) {
     EvictOldestLocked(evicted);
   }
   StoreWindowGaugesLocked();

@@ -22,11 +22,12 @@
 
 namespace txmod::txn {
 
-/// Tuning and durability knobs of the transaction manager.
+/// Configuration of the transaction manager: the attempts a Run makes by
+/// default, and where (and through which Vfs) it persists.
 struct TxnManagerOptions {
   /// Executions TxnManager::Run attempts before reporting a conflict
   /// abort to the caller (first-committer-wins losers re-execute from a
-  /// fresh snapshot).
+  /// fresh snapshot), unless the call's RunPolicy names its own.
   int max_attempts = 8;
 
   /// Write-ahead log path; empty runs the manager volatile (no
@@ -41,41 +42,11 @@ struct TxnManagerOptions {
   /// recovery always needs a base state), and Checkpoint() refreshes it.
   std::string checkpoint_path;
 
-  /// Cap on the committed-transaction write records retained for
-  /// conflict validation. A record can only convict a session whose
-  /// snapshot predates it, so the window holds the records newer than
-  /// the oldest live snapshot — none while no session overlaps a commit
-  /// — and at most this many. A session whose snapshot predates the
-  /// window is conservatively treated as conflicted (it re-executes on a
-  /// fresh snapshot). Must comfortably exceed the number of commits that
-  /// can land during one session's lifetime.
-  std::size_t validation_window = 1024;
-
   /// Storage-and-clock environment every WAL/checkpoint byte and every
   /// backoff clock read goes through. nullptr = the real POSIX
   /// environment; tests substitute a FaultInjectingVfs. Must outlive the
   /// manager.
   Vfs* vfs = nullptr;
-
-  /// Retry backoff for TxnManager::Run conflict losers: the base sleep
-  /// before the second attempt, doubling each further attempt (bounded
-  /// exponential), with deterministic jitter in [base/2, base] drawn
-  /// from retry_jitter_seed. 0 (default) disables backoff — the
-  /// conflict-heavy oracles and benchmarks retry hot on purpose.
-  int64_t retry_backoff_initial_micros = 0;
-  /// Clamp for a single backoff sleep.
-  int64_t retry_backoff_max_micros = 100000;
-  /// Seed of the jitter sequence; two managers with equal seeds produce
-  /// identical backoff schedules (per Run sequence number and attempt).
-  uint64_t retry_jitter_seed = 0;
-
-  /// Per-Run time budget in Vfs-clock microseconds; <= 0 means none.
-  /// When an attempt's backoff would overrun the budget — or the budget
-  /// is already spent before an attempt — Run stops with
-  /// DeadlineExceeded instead of burning the remaining attempts.
-  /// Conflicts are retried within the budget; terminal errors
-  /// (integrity aborts, I/O faults, Unavailable) never retry.
-  int64_t run_timeout_micros = 0;
 };
 
 /// A snapshot of the manager's life so far: monotonic counters plus
@@ -106,17 +77,29 @@ struct TxnManagerStats {
   std::string degraded_cause;
 };
 
-/// Per-call overrides of TxnManager::Run's retry/deadline policy — the
-/// network layer applies one per client connection so two clients of one
-/// manager can run under different deadlines and backoff schedules.
-/// Negative (or, for max_attempts, non-positive) fields inherit the
-/// manager-wide TxnManagerOptions value; timeout_micros = 0 explicitly
-/// disables the deadline even when the manager has one.
+/// How one TxnManager::Run call retries conflict losers. The network
+/// layer keeps one per client connection (the `policy` verb), so two
+/// clients of one manager can run under different deadlines and backoff
+/// schedules.
 struct RunPolicy {
+  /// Executions before a conflict abort is reported; 0 = the manager's
+  /// TxnManagerOptions::max_attempts.
   int max_attempts = 0;
-  int64_t retry_backoff_initial_micros = -1;
-  int64_t retry_backoff_max_micros = -1;
-  int64_t run_timeout_micros = -1;
+  /// The base sleep before the second attempt, doubling each further
+  /// attempt (bounded exponential), with deterministic jitter in
+  /// [base/2, base] per Run sequence number and attempt. 0 disables
+  /// backoff: the conflict-heavy oracles and benchmarks retry hot on
+  /// purpose.
+  int64_t retry_backoff_initial_micros = 0;
+  /// Clamp for a single backoff sleep.
+  int64_t retry_backoff_max_micros = 100000;
+  /// Time budget of the call in Vfs-clock microseconds; 0 means none.
+  /// When an attempt's backoff would overrun the budget — or the budget
+  /// is already spent before an attempt — Run stops with
+  /// DeadlineExceeded instead of burning the remaining attempts.
+  /// Conflicts are retried within the budget; terminal errors
+  /// (integrity aborts, I/O faults, Unavailable) never retry.
+  int64_t run_timeout_micros = 0;
 };
 
 class TxnManager;
@@ -324,28 +307,32 @@ class TxnManager {
   static Result<std::unique_ptr<TxnManager>> Create(
       core::IntegritySubsystem* subsystem, TxnManagerOptions options = {});
 
+  /// Cap on the committed-transaction write records retained for
+  /// conflict validation. A record can only convict a session whose
+  /// snapshot predates it, so the window holds the records newer than
+  /// the oldest live snapshot — none while no session overlaps a commit
+  /// — and at most this many. A session whose snapshot predates the
+  /// window is conservatively treated as conflicted (it re-executes on a
+  /// fresh snapshot). Must comfortably exceed the number of commits that
+  /// can land during one session's lifetime.
+  static constexpr std::size_t kValidationWindow = 1024;
+
   /// Starts a session pinned to the current committed state.
   std::unique_ptr<TxnSession> Begin();
 
   /// Begin + Execute + Commit with automatic retry of conflict losers
-  /// (fresh snapshot per attempt, up to options.max_attempts, with
-  /// bounded-exponential jittered backoff between attempts when
-  /// options.retry_backoff_initial_micros > 0, all under the optional
-  /// options.run_timeout_micros budget). The returned result's
-  /// `attempts` counts executions; `conflict` is true only when every
-  /// attempt lost validation. Only conflicts retry: integrity aborts,
-  /// I/O faults, and Unavailable (degraded mode) are terminal.
-  Result<TxnResult> Run(const algebra::Transaction& txn);
-
-  /// Run under per-call policy overrides (see RunPolicy): the same retry
-  /// loop, but attempts/backoff/deadline come from `policy` where set.
+  /// (fresh snapshot per attempt, under `policy`: its attempts, its
+  /// bounded-exponential jittered backoff between attempts and its
+  /// optional time budget). The returned result's `attempts` counts
+  /// executions; `conflict` is true only when every attempt lost
+  /// validation. Only conflicts retry: integrity aborts, I/O faults, and
+  /// Unavailable (degraded mode) are terminal.
   Result<TxnResult> Run(const algebra::Transaction& txn,
-                        const RunPolicy& policy);
+                        const RunPolicy& policy = {});
 
   /// Parses against the committed schema, then Run.
-  Result<TxnResult> RunText(const std::string& txn_text);
   Result<TxnResult> RunText(const std::string& txn_text,
-                            const RunPolicy& policy);
+                            const RunPolicy& policy = {});
 
   /// Checkpoints the committed state (atomic temp+rename+fsync) and
   /// truncates the WAL. Commits are blocked for the duration. Requires
@@ -390,7 +377,7 @@ class TxnManager {
   /// The deterministic backoff schedule: the jittered sleep Run performs
   /// before `attempt` (>= 2) of its `run_seq`-th invocation. Exposed so
   /// tests assert the exact schedule instead of timing sleeps.
-  static int64_t ComputeBackoffMicros(const TxnManagerOptions& options,
+  static int64_t ComputeBackoffMicros(const RunPolicy& policy,
                                       uint64_t run_seq, int attempt);
 
   /// Test seam: called between Execute and Commit of every Run attempt
@@ -464,7 +451,7 @@ class TxnManager {
   /// Validation-window maintenance. All require commit_mu_. The evicting
   /// calls move what they drop into `evicted`.
   /// Appends `record` to the window, evicting the oldest records beyond
-  /// options_.validation_window.
+  /// kValidationWindow.
   void PublishCommitLocked(std::shared_ptr<const CommitRecord> record,
                            Evicted* evicted);
   /// Moves recent_.front() into `evicted`.
@@ -548,7 +535,7 @@ class TxnManager {
   std::map<uint64_t, uint32_t> live_snapshots_;
   /// The validation window: the published commit records (shared with
   /// stage C, which encodes them) newer than the oldest live snapshot, at
-  /// most options_.validation_window, in ascending version order. A
+  /// most kValidationWindow, in ascending version order. A
   /// record holds its installed levels' insert and delete sets, not the
   /// levels: a level's base chain would outlive the compaction swaps that
   /// replace it. Validation scans the records newer than a session's

@@ -226,11 +226,11 @@ TEST_F(ModifierTest, SelfTriggeringRuleIsRejected) {
 }
 
 TEST_F(ModifierTest, DepthCapCatchesRuntimeNontermination) {
-  // With cycle rejection off, the modifier's depth cap is the safety net.
+  // With cycle rejection off, the modifier's round cap
+  // (kMaxModificationRounds) is the safety net.
   SubsystemOptions options;
   options.optimization = OptimizationLevel::kDifferential;
   options.reject_cyclic_rule_sets = false;
-  options.modifier.max_depth = 8;
   IntegritySubsystem ics(&db_, options);
   TXMOD_ASSERT_OK(ics.DefineRule(
       "self",

@@ -201,6 +201,18 @@ TEST(NetServerTest, SessionStateMisuseIsFailedPrecondition) {
                                     {"backoff_max_micros", "1000"}}));
 }
 
+TEST(NetServerTest, LargestDeadlineStillRuns) {
+  // The policy verb accepts any deadline >= 0. Added to the clock's
+  // reading, INT64_MAX clamps, and the run commits.
+  ServerFixture f;
+  Client client = f.MustConnect();
+  TXMOD_ASSERT_OK(
+      client.SetPolicy({{"deadline_micros", "9223372036854775807"}}));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Outcome outcome,
+                             client.Run(InsertFkText(930001, 1, "2.0")));
+  EXPECT_TRUE(outcome.committed);
+}
+
 // The acceptance oracle: >= 4 concurrent client connections hammer the
 // server with a conflict-bearing mix; after shutdown, WAL recovery must
 // contain EVERY insert the server acknowledged as committed — an acked

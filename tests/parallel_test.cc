@@ -380,6 +380,40 @@ TEST(ParallelWorkTest, UnreferencedKeyDeleteShipsOnlyTheDelta) {
             static_cast<uint64_t>(deleted * (nodes - 1)));
 }
 
+TEST(ParallelCostTest, MakespanOfRefintInsertAndDeleteIsPinned) {
+  // The POOMA costs are constants of the model: the simulated makespan
+  // of a fixed transaction is a fixed number, on every node count.
+  struct Expected {
+    const char* txn;
+    int nodes;
+    double simulated_us;
+    uint64_t transferred;
+    uint64_t messages;
+    int phases;
+  };
+  const char* kInsert =
+      "insert(fk_rel, {(9000000, \"k7\", 1.5), (9000001, \"k3\", 2.5)});";
+  const char* kDelete =
+      "delete(key_rel, {(\"x1\", \"payload\"), (\"x2\", \"payload\")});";
+  const Expected kExpected[] = {
+      {kInsert, 1, 400, 0, 0, 5},   {kInsert, 2, 1550, 2, 1, 6},
+      {kInsert, 4, 3625, 6, 3, 6},  {kInsert, 8, 7662.5, 14, 7, 6},
+      {kDelete, 1, 200, 0, 0, 4},   {kDelete, 2, 1350, 2, 1, 5},
+      {kDelete, 4, 4500, 8, 4, 5},  {kDelete, 8, 8500, 16, 8, 5},
+  };
+  for (const Expected& e : kExpected) {
+    SCOPED_TRACE(StrCat(e.txn, " on ", e.nodes, " nodes"));
+    KeyFkSetup setup(/*keys=*/50, /*fks=*/400, /*unreferenced=*/4);
+    TXMOD_ASSERT_OK_AND_ASSIGN(ParallelTxnResult r,
+                               setup.Run(e.txn, e.nodes));
+    EXPECT_TRUE(r.committed) << r.abort_reason;
+    EXPECT_EQ(r.stats.simulated_us(), e.simulated_us);
+    EXPECT_EQ(r.stats.tuples_transferred(), e.transferred);
+    EXPECT_EQ(r.stats.messages(), e.messages);
+    EXPECT_EQ(r.stats.phases(), e.phases);
+  }
+}
+
 /// Every fragment's tuples and declared indexes, for before/after checks.
 struct FragmentSnapshot {
   std::vector<std::vector<Tuple>> tuples;

@@ -205,6 +205,51 @@ TEST(PersistTest, ArityBeyondTheAttributeLinesIsATruncatedList) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A checkpoint cut inside a relation (at its relation line, an attr line
+// or a tuple line) must not load as a database missing that relation's
+// tail and every relation after it. A cut right after an end line is not
+// caught: the format has no trailer (persist.h).
+TEST(PersistTest, CheckpointCutInsideARelationIsRejected) {
+  Database db = MakeBeerDatabase();
+  AddBrewery(&db, "heineken", "amsterdam", "nl");
+  AddBrewery(&db, "guinness", "dublin", "ie");
+  AddBeer(&db, "pils", "lager", "heineken", 5.0);
+  AddBeer(&db, "stout", "stout", "guinness", 4.2);
+  TXMOD_ASSERT_OK(db.CreateRelation(
+      RelationSchema("empty", {Attribute{"a", AttrType::kInt}})));
+  std::ostringstream out;
+  TXMOD_ASSERT_OK(SaveDatabase(db, out));
+  const std::string text = out.str();
+  {
+    std::istringstream whole(text);
+    TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabase(whole));
+    EXPECT_TRUE(loaded.SameState(db));
+  }
+  std::string relation;  // the relation the cut falls inside, if any
+  int cuts = 0;
+  for (std::size_t begin = 0, end;
+       (end = text.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    std::istringstream fields(text.substr(begin, end - begin));
+    std::string keyword;
+    fields >> keyword;
+    if (keyword == "relation") fields >> relation;
+    if (keyword == "end") relation.clear();
+    if (relation.empty()) continue;
+    const std::string prefix = text.substr(0, end + 1);
+    std::istringstream in(prefix);
+    Result<Database> loaded = LoadDatabase(in);
+    ASSERT_FALSE(loaded.ok()) << "cut after:\n" << prefix;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(relation), std::string::npos)
+        << loaded.status().ToString();
+    ++cuts;
+  }
+  // Three relation lines, four attr lines for beer, three for brewery,
+  // one for empty, and four tuple lines.
+  EXPECT_EQ(cuts, 15);
+}
+
 TEST(PersistTest, LargeLogicalTimeLoadsAtOnce) {
   std::istringstream in("txmod-checkpoint 1\ntime 18446744073709551615\n"
                         "relation r 1\nattr a int\ntuple i:1\nend\n");

@@ -214,26 +214,6 @@ TEST_F(SubsystemTest, SelfKeyConstraintEndToEnd) {
   EXPECT_TRUE(r3.committed);
 }
 
-TEST_F(SubsystemTest, ImmediatePlacementOption) {
-  AddBrewery(&db_, "heineken", "amsterdam", "nl");
-  AddBeer(&db_, "pils", "lager", "heineken", 5.0);
-  SubsystemOptions options;
-  options.placement = CheckPlacement::kImmediate;
-  IntegritySubsystem immediate(&db_, options);
-  TXMOD_ASSERT_OK(immediate.DefineConstraint(
-      "refint",
-      "forall x (x in beer implies exists y (y in brewery and "
-      "x.brewery = y.name))"));
-  // Self-repairing transaction: commits under the default deferred
-  // placement (see modifier_test.cc), aborts under immediate placement.
-  TXMOD_ASSERT_OK_AND_ASSIGN(
-      txn::TxnResult r,
-      immediate.ExecuteText(
-          "delete(brewery, select[name = \"heineken\"](brewery)); "
-          "insert(brewery, {(\"heineken\", \"amsterdam\", \"nl\")});"));
-  EXPECT_FALSE(r.committed);
-}
-
 TEST_F(SubsystemTest, MultipleRulesEnforcedTogether) {
   AddBrewery(&db_, "heineken", "amsterdam", "nl");
   TXMOD_ASSERT_OK(ics_.DefineConstraint(

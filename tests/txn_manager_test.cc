@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -340,19 +341,18 @@ TEST(TxnManagerTest, ReadOnlyCommitConsumesNoVersion) {
 }
 
 TEST(TxnManagerTest, ValidationWindowOverflowConflictsConservatively) {
-  TxnManagerOptions options;
-  options.validation_window = 1;
-  Fixture f(options);
+  Fixture f;
   auto old_session = f.manager->Begin();
   TXMOD_ASSERT_OK(
       old_session
           ->ExecuteText(
               "insert(beer, {(\"slow\", \"ale\", \"guinness\", 6.0)});")
           .status());
-  // Two commits push the record the old session needs out of the window.
-  for (const char* name : {"w1", "w2"}) {
-    TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult r,
-                               f.manager->RunText(InsertBeerText(name)));
+  // One commit past the window's cap pushes the record the old session
+  // needs out of the window.
+  for (std::size_t i = 0; i <= TxnManager::kValidationWindow; ++i) {
+    TXMOD_ASSERT_OK_AND_ASSIGN(
+        TxnResult r, f.manager->RunText(InsertBeerText(StrCat("w", i))));
     ASSERT_TRUE(r.committed);
   }
   TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult result, old_session->Commit());
@@ -641,7 +641,7 @@ TEST(TxnManagerTest, CompensatingRulesRepairEveryCommittedState) {
 
 // ---------------------------------------------------------------------------
 // The validation window holds a commit's record only while a session
-// whose snapshot predates it is live, and at most validation_window of
+// whose snapshot predates it is live, and at most kValidationWindow of
 // them: the validation_records/validation_tuples gauges show it.
 // ---------------------------------------------------------------------------
 
@@ -685,17 +685,15 @@ TEST(TxnManagerWindowTest, HeldSessionKeepsEveryCommitSinceItsSnapshot) {
 }
 
 TEST(TxnManagerWindowTest, HeldSessionWindowStopsAtTheCap) {
-  TxnManagerOptions options;
-  options.validation_window = 3;
-  Fixture f(options);
+  constexpr std::size_t kCap = TxnManager::kValidationWindow;
+  Fixture f;
   auto held = f.manager->Begin();
   TXMOD_ASSERT_OK(held->ExecuteText(InsertBeerText("w0")).status());
-  for (int i = 0; i < 5; ++i) {
+  for (std::size_t i = 0; i < kCap + 2; ++i) {
     TXMOD_ASSERT_OK_AND_ASSIGN(
         TxnResult r, f.manager->RunText(InsertBeerText(StrCat("w", i))));
     ASSERT_TRUE(r.committed);
-    EXPECT_EQ(f.manager->stats().validation_records,
-              std::min<uint64_t>(static_cast<uint64_t>(i + 1), 3));
+    ASSERT_EQ(f.manager->stats().validation_records, std::min(i + 1, kCap));
   }
   TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult lost, held->Commit());
   EXPECT_TRUE(lost.conflict);
@@ -947,68 +945,88 @@ TEST(TxnManagerQuiesceTest, EverySessionEndReleasesTheSlot) {
 // sleeps — the injected Vfs advances time instantly).
 // ---------------------------------------------------------------------------
 
-TEST(TxnRetryTest, BackoffScheduleIsDeterministicAndBounded) {
-  TxnManagerOptions options;
-  options.retry_backoff_initial_micros = 1000;
-  options.retry_backoff_max_micros = 8000;
-  options.retry_jitter_seed = 42;
+/// The backoff the retry tests run under: 1 ms doubling to 8 ms.
+RunPolicy BackoffPolicy() {
+  RunPolicy policy;
+  policy.retry_backoff_initial_micros = 1000;
+  policy.retry_backoff_max_micros = 8000;
+  return policy;
+}
 
-  EXPECT_EQ(TxnManager::ComputeBackoffMicros(options, 0, 1), 0)
+/// Makes every Run attempt up to `conflicting` lose validation: the probe
+/// commits a brewery write under the running attempt, and an insert into
+/// beer reads brewery (referential check) — a read-write conflict.
+void SabotageAttempts(Fixture* f, int conflicting) {
+  TxnManager* manager = f->manager.get();
+  manager->set_run_probe(
+      [manager, conflicting, breweries = 0](int attempt) mutable {
+        if (attempt > conflicting) return;
+        auto saboteur = manager->Begin();
+        TXMOD_ASSERT_OK(
+            saboteur
+                ->ExecuteText(StrCat("insert(brewery, {(\"pb", breweries++,
+                                     "\", \"x\", \"nl\")});"))
+                .status());
+        TXMOD_ASSERT_OK(saboteur->Commit().status());
+      });
+}
+
+TEST(TxnRetryTest, BackoffScheduleIsDeterministicAndBounded) {
+  const RunPolicy policy = BackoffPolicy();
+  EXPECT_EQ(TxnManager::ComputeBackoffMicros(policy, 0, 1), 0)
       << "the first attempt never waits";
   int64_t expected_base = 1000;
   for (int attempt = 2; attempt <= 10; ++attempt) {
     const int64_t sleep =
-        TxnManager::ComputeBackoffMicros(options, 7, attempt);
+        TxnManager::ComputeBackoffMicros(policy, 7, attempt);
     EXPECT_GE(sleep, expected_base / 2) << "attempt " << attempt;
     EXPECT_LE(sleep, expected_base) << "attempt " << attempt;
-    // Same (options, run_seq, attempt) -> the same sleep, every time.
-    EXPECT_EQ(sleep, TxnManager::ComputeBackoffMicros(options, 7, attempt));
+    // Same (policy, run_seq, attempt) -> the same sleep, every time.
+    EXPECT_EQ(sleep, TxnManager::ComputeBackoffMicros(policy, 7, attempt));
     expected_base = std::min<int64_t>(expected_base * 2, 8000);
   }
-  // Different runs get different jitter (decorrelated herds), same seed
-  // reproduces both.
-  EXPECT_NE(TxnManager::ComputeBackoffMicros(options, 1, 4),
-            TxnManager::ComputeBackoffMicros(options, 2, 4));
+  // Different runs get different jitter (decorrelated herds).
+  EXPECT_NE(TxnManager::ComputeBackoffMicros(policy, 1, 4),
+            TxnManager::ComputeBackoffMicros(policy, 2, 4));
 
-  TxnManagerOptions disabled;  // default: backoff off
-  EXPECT_EQ(TxnManager::ComputeBackoffMicros(disabled, 0, 5), 0);
+  EXPECT_EQ(TxnManager::ComputeBackoffMicros(RunPolicy{}, 0, 5), 0)
+      << "backoff is off by default";
+}
+
+TEST(TxnRetryTest, BackoffDoublingStopsAtTheLargestClamp) {
+  // The `policy` verb accepts any backoff up to INT64_MAX; doubling 2^62
+  // must land on the clamp, not past INT64_MAX.
+  RunPolicy policy;
+  policy.retry_backoff_initial_micros = int64_t{1} << 62;
+  policy.retry_backoff_max_micros = std::numeric_limits<int64_t>::max();
+  for (int attempt = 3; attempt <= 5; ++attempt) {
+    const int64_t sleep =
+        TxnManager::ComputeBackoffMicros(policy, 1, attempt);
+    EXPECT_GE(sleep, std::numeric_limits<int64_t>::max() / 2)
+        << "attempt " << attempt;
+  }
 }
 
 TEST(TxnRetryTest, RunBacksOffOnConflictsThroughTheInjectedClock) {
   FaultInjectingVfs vfs;
   TxnManagerOptions options;
   options.vfs = &vfs;
-  options.retry_backoff_initial_micros = 1000;
-  options.retry_backoff_max_micros = 8000;
-  options.retry_jitter_seed = 7;
   Fixture f(options);
+  const RunPolicy policy = BackoffPolicy();
 
-  // Force the first two attempts to lose validation: the probe commits
-  // a brewery write under the running attempt, and the outer insert
-  // reads brewery (referential check) — a read-write conflict.
-  int breweries = 0;
-  f.manager->set_run_probe([&](int attempt) {
-    if (attempt > 2) return;
-    auto saboteur = f.manager->Begin();
-    TXMOD_ASSERT_OK(
-        saboteur
-            ->ExecuteText(StrCat("insert(brewery, {(\"pb", breweries++,
-                                 "\", \"x\", \"nl\")});"))
-            .status());
-    TXMOD_ASSERT_OK(saboteur->Commit().status());
-  });
-
-  TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult result,
-                             f.manager->RunText(InsertBeerText("retried")));
+  // The first two attempts lose validation.
+  SabotageAttempts(&f, 2);
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult result, f.manager->RunText(InsertBeerText("retried"), policy));
   EXPECT_TRUE(result.committed);
   EXPECT_EQ(result.attempts, 3u);
 
-  // The exact backoff schedule, reproduced from the same seed. No wall
-  // clock was involved: the virtual clock advanced instantly.
+  // The exact backoff schedule of the manager's first Run. No wall clock
+  // was involved: the virtual clock advanced instantly.
   const std::vector<int64_t> sleeps = vfs.sleep_log();
   ASSERT_EQ(sleeps.size(), 2u);
-  EXPECT_EQ(sleeps[0], TxnManager::ComputeBackoffMicros(options, 0, 2));
-  EXPECT_EQ(sleeps[1], TxnManager::ComputeBackoffMicros(options, 0, 3));
+  EXPECT_EQ(sleeps[0], TxnManager::ComputeBackoffMicros(policy, 0, 2));
+  EXPECT_EQ(sleeps[1], TxnManager::ComputeBackoffMicros(policy, 0, 3));
 
   const TxnManagerStats stats = f.manager->stats();
   EXPECT_EQ(stats.retries, 2u);
@@ -1021,25 +1039,14 @@ TEST(TxnRetryTest, DeadlineStopsRetriesWithDeadlineExceeded) {
   FaultInjectingVfs vfs;
   TxnManagerOptions options;
   options.vfs = &vfs;
-  options.max_attempts = 100;
-  options.retry_backoff_initial_micros = 1000;
-  options.retry_backoff_max_micros = 8000;
-  // Budget below even one backoff sleep: the first conflict exhausts it.
-  options.run_timeout_micros = 400;
   Fixture f(options);
+  RunPolicy policy = BackoffPolicy();
+  policy.max_attempts = 100;
+  // Budget below even one backoff sleep: the first conflict exhausts it.
+  policy.run_timeout_micros = 400;
 
-  int breweries = 0;
-  f.manager->set_run_probe([&](int) {
-    auto saboteur = f.manager->Begin();
-    TXMOD_ASSERT_OK(
-        saboteur
-            ->ExecuteText(StrCat("insert(brewery, {(\"pb", breweries++,
-                                 "\", \"x\", \"nl\")});"))
-            .status());
-    TXMOD_ASSERT_OK(saboteur->Commit().status());
-  });
-
-  auto result = f.manager->RunText(InsertBeerText("never"));
+  SabotageAttempts(&f, policy.max_attempts);
+  auto result = f.manager->RunText(InsertBeerText("never"), policy);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(vfs.sleep_log().empty())
@@ -1048,23 +1055,54 @@ TEST(TxnRetryTest, DeadlineStopsRetriesWithDeadlineExceeded) {
   EXPECT_FALSE(HasBeer(f.db, "never"));
 }
 
+TEST(TxnRetryTest, DeadlinePastTheClockRangeSaturates) {
+  // A budget of INT64_MAX is "no practical deadline": the deadline it
+  // sets from a clock past 0 clamps at INT64_MAX, and the retries run.
+  FaultInjectingVfs vfs;
+  vfs.AdvanceClock(1);
+  TxnManagerOptions options;
+  options.vfs = &vfs;
+  Fixture f(options);
+  RunPolicy policy = BackoffPolicy();
+  policy.run_timeout_micros = std::numeric_limits<int64_t>::max();
+
+  SabotageAttempts(&f, 1);
+  TXMOD_ASSERT_OK_AND_ASSIGN(
+      TxnResult result, f.manager->RunText(InsertBeerText("late"), policy));
+  EXPECT_TRUE(result.committed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(vfs.sleep_log().size(), 1u);
+}
+
+TEST(TxnRetryTest, BackoffPastTheClockRangeOverrunsTheDeadline) {
+  // Clock + backoff passes INT64_MAX: the sum clamps, overruns the
+  // 10 µs budget, and Run stops without sleeping.
+  FaultInjectingVfs vfs;
+  vfs.AdvanceClock(int64_t{1} << 62);
+  TxnManagerOptions options;
+  options.vfs = &vfs;
+  Fixture f(options);
+  RunPolicy policy;
+  policy.retry_backoff_initial_micros = std::numeric_limits<int64_t>::max();
+  policy.retry_backoff_max_micros = std::numeric_limits<int64_t>::max();
+  policy.run_timeout_micros = 10;
+
+  SabotageAttempts(&f, 1);
+  auto result = f.manager->RunText(InsertBeerText("never"), policy);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(vfs.sleep_log().empty());
+  EXPECT_FALSE(HasBeer(f.db, "never"));
+}
+
 TEST(TxnRetryTest, DefaultRetriesAreImmediateAndUncounted) {
   FaultInjectingVfs vfs;
-  TxnManagerOptions options;  // backoff disabled by default
+  TxnManagerOptions options;
   options.vfs = &vfs;
   Fixture f(options);
 
-  int breweries = 0;
-  f.manager->set_run_probe([&](int attempt) {
-    if (attempt > 1) return;
-    auto saboteur = f.manager->Begin();
-    TXMOD_ASSERT_OK(
-        saboteur
-            ->ExecuteText(StrCat("insert(brewery, {(\"pb", breweries++,
-                                 "\", \"x\", \"nl\")});"))
-            .status());
-    TXMOD_ASSERT_OK(saboteur->Commit().status());
-  });
+  SabotageAttempts(&f, 1);
+  // RunPolicy{}: backoff off.
   TXMOD_ASSERT_OK_AND_ASSIGN(TxnResult result,
                              f.manager->RunText(InsertBeerText("hot")));
   EXPECT_TRUE(result.committed);
