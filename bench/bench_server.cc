@@ -15,7 +15,11 @@
 // from the WAL after shutdown and fails (exit 1) unless EVERY commit the
 // server acknowledged is present and the recovered state satisfies every
 // constraint, each evaluated in full — the zero-lost-acked-commits and
-// zero-violations gate the CI server-integration job runs.
+// zero-violations gate the CI server-integration job runs. It then
+// restarts a manager on the recovered state over the same paths (which
+// checkpoints that state and replaces the served log), commits one more
+// insert, recovers again and requires the same of that state, the new
+// insert included.
 
 #include <unistd.h>
 
@@ -48,6 +52,9 @@ namespace txmod::bench {
 namespace {
 
 constexpr int kKeys = 64;
+/// The fk_rel id --verify inserts after the restart: below every id a
+/// client inserts, above the initial rows'.
+constexpr int64_t kRestartInsertId = 9'000'000;
 
 /// The constraints the served database enforces.
 const std::pair<const char*, const char*> kConstraints[] = {
@@ -69,6 +76,36 @@ std::string FullCheckViolation(Database db) {
   auto result = checker.Execute(algebra::Transaction{});
   if (!result.ok()) return result.status().ToString();
   return result->committed ? "" : result->abort_reason;
+}
+
+/// Whether `recovered` holds every id of `acked_ids` in fk_rel and
+/// passes the full check; reports what it found, labelled `when`.
+bool VerifyRecovered(const Database& recovered,
+                     const std::set<int64_t>& acked_ids,
+                     std::size_t initial_fk, const char* when) {
+  auto fk_rel = recovered.Find("fk_rel");
+  TXMOD_BENCH_CHECK_OK(fk_rel.status());
+  std::set<int64_t> recovered_ids;
+  for (const Tuple& t : **fk_rel) {
+    recovered_ids.insert(t.at(0).as_int());
+  }
+  uint64_t lost = 0;
+  for (const int64_t id : acked_ids) {
+    if (!recovered_ids.count(id)) {
+      ++lost;
+      std::cerr << "LOST acked commit: fk_rel id " << id << "\n";
+    }
+  }
+  std::cout << "verify: " << acked_ids.size() << " acked inserts, " << lost
+            << " lost after " << when << " (initial fk_rel " << initial_fk
+            << ", recovered " << (*fk_rel)->size() << ")\n";
+  const std::string violation = FullCheckViolation(recovered.Clone());
+  if (!violation.empty()) {
+    std::cerr << "VIOLATION after " << when << ": " << violation << "\n";
+  }
+  std::cout << "verify: full check of the state after " << when << " "
+            << (violation.empty() ? "passed" : "failed") << "\n";
+  return lost == 0 && violation.empty();
 }
 
 struct Options {
@@ -273,37 +310,44 @@ int Run(const Options& options, const std::string& executable) {
   int exit_code = errors == 0 ? 0 : 1;
   if (options.verify) {
     // The acceptance gate: recover from the WAL and require every acked
-    // insert to be present — an acknowledged commit is durable.
+    // insert to be present — an acknowledged commit is durable — and
+    // every constraint to hold.
     auto recovered = txn::TxnManager::Recover(txn_options);
     TXMOD_BENCH_CHECK_OK(recovered.status());
-    auto fk_rel = recovered->Find("fk_rel");
-    TXMOD_BENCH_CHECK_OK(fk_rel.status());
-    std::set<int64_t> recovered_ids;
-    for (const Tuple& t : **fk_rel) {
-      recovered_ids.insert(t.at(0).as_int());
-    }
-    uint64_t lost = 0;
-    for (const int64_t id : acked_ids) {
-      if (!recovered_ids.count(id)) {
-        ++lost;
-        std::cerr << "LOST acked commit: fk_rel id " << id << "\n";
-      }
-    }
-    std::cout << "verify: " << acked_ids.size() << " acked inserts, " << lost
-              << " lost after recovery (initial fk_rel " << initial_fk
-              << ", recovered " << (*fk_rel)->size() << ")\n";
-    if (lost > 0) exit_code = 1;
-    // And the recovered state satisfies every constraint.
-    const std::string violation =
-        FullCheckViolation(std::move(recovered).value());
-    if (!violation.empty()) {
-      std::cerr << "VIOLATION after recovery: " << violation << "\n";
+    if (!VerifyRecovered(*recovered, acked_ids, initial_fk, "recovery")) {
       exit_code = 1;
     }
-    std::cout << "verify: full check of the recovered state "
-              << (violation.empty() ? "passed" : "failed") << "\n";
+    // Then a restart over the served log: Create checkpoints the
+    // recovered state and replaces the log, and the commit after it must
+    // survive the next recovery with every earlier one.
+    Database restarted = *std::move(recovered);
+    core::IntegritySubsystem restarted_ics(&restarted);
+    for (const auto& [name, text] : kConstraints) {
+      TXMOD_BENCH_CHECK_OK(restarted_ics.DefineConstraint(name, text));
+    }
+    {
+      auto restarted_manager =
+          txn::TxnManager::Create(&restarted_ics, txn_options);
+      TXMOD_BENCH_CHECK_OK(restarted_manager.status());
+      auto committed = (*restarted_manager)
+                           ->RunText(StrCat("insert(fk_rel, {(",
+                                            kRestartInsertId,
+                                            ", \"k1\", 2.0)});"));
+      TXMOD_BENCH_CHECK_OK(committed.status());
+      if (!committed->committed) {
+        std::cerr << "the insert after the restart did not commit: "
+                  << committed->abort_reason << "\n";
+        exit_code = 1;
+      }
+    }
+    acked_ids.insert(kRestartInsertId);
+    auto recovered_again = txn::TxnManager::Recover(txn_options);
+    TXMOD_BENCH_CHECK_OK(recovered_again.status());
+    if (!VerifyRecovered(*recovered_again, acked_ids, initial_fk,
+                         "the restart and its commit")) {
+      exit_code = 1;
+    }
   }
-  (void)initial_fk;
 
   if (!options.json_path.empty()) {
     WriteJson(options, executable, elapsed, commits_per_sec, p50, p99,

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/common/str_util.h"
@@ -423,9 +424,10 @@ Response Server::HandlePolicy(Connection* conn, const std::string& body) {
       }
       policy.run_timeout_micros = *parsed;
     } else if (key == "max_attempts") {
-      if (*parsed < 1) {
-        return ErrorResponse(
-            Status::InvalidArgument("max_attempts must be >= 1"));
+      constexpr int64_t kMost = std::numeric_limits<int>::max();
+      if (*parsed < 1 || *parsed > kMost) {
+        return ErrorResponse(Status::InvalidArgument(
+            StrCat("max_attempts must be >= 1 and <= ", kMost)));
       }
       policy.max_attempts = static_cast<int>(*parsed);
     } else if (key == "backoff_initial_micros") {

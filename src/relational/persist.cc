@@ -20,7 +20,9 @@ namespace txmod {
 namespace {
 
 constexpr char kMagic[] = "txmod-checkpoint";
-constexpr int kVersion = 1;
+// The version SaveDatabase writes. Version 1 has no trailer line and
+// still loads.
+constexpr int kVersion = 2;
 // The strict decoder parses a number from a stack copy of this many
 // bytes, terminator included, so a payload must be shorter.
 constexpr std::size_t kNumberBuffer = 64;
@@ -474,7 +476,7 @@ Result<std::vector<std::size_t>> CountTupleLines(std::istream& in) {
   while (reader.Next(&line)) {
     if (StartsWith(line, "tuple")) {
       if (!counts.empty()) ++counts.back();
-    } else if (StartsWith(line, "relation")) {
+    } else if (StartsWith(line, "relation ")) {
       counts.push_back(0);
     }
   }
@@ -514,6 +516,7 @@ std::string CheckpointText(const Database& db) {
     }
     out += "end\n";
   }
+  out += StrCat("relations ", db.RelationNames().size(), "\n");
   return out;
 }
 
@@ -579,16 +582,16 @@ Result<Database> LoadDatabase(std::istream& in) {
   if (!reader.Next(&line)) {
     return Status::InvalidArgument("empty checkpoint");
   }
+  int version = 0;
   {
     std::string_view fields = line;
     if (NextWord(&fields) != kMagic) {
       return Status::InvalidArgument("not a txmod checkpoint");
     }
-    const std::string_view version = NextWord(&fields);
-    int v = 0;
-    if (!ParseWhole(version, &v) || v != kVersion) {
+    const std::string_view word = NextWord(&fields);
+    if (!ParseWhole(word, &version) || version < 1 || version > kVersion) {
       return Status::InvalidArgument(
-          StrCat("unsupported checkpoint version '", version, "'"));
+          StrCat("unsupported checkpoint version '", word, "'"));
     }
     if (!NextWord(&fields).empty()) return MalformedLine(1, line);
   }
@@ -602,10 +605,15 @@ Result<Database> LoadDatabase(std::istream& in) {
   std::shared_ptr<Relation> current;
   std::string current_name;
   std::size_t relations_read = 0;
+  bool trailer_read = false;
   int line_number = 1;
   while (reader.Next(&line)) {
     ++line_number;
     if (line.empty()) continue;
+    if (trailer_read) {
+      return Status::InvalidArgument(
+          StrCat("line ", line_number, " follows the relations line"));
+    }
     std::string_view rest = line;
     const std::string_view keyword = NextWord(&rest);
     if (keyword == "tuple") {
@@ -673,6 +681,23 @@ Result<Database> LoadDatabase(std::istream& in) {
         db.AdoptRelation(current_name, std::move(current));
         current = nullptr;
       }
+    } else if (keyword == "relations" && version >= 2) {
+      // The trailer: the last line, counting the relations.
+      std::size_t count = 0;
+      if (!ParseWhole(NextWord(&rest), &count) || !NextWord(&rest).empty()) {
+        return MalformedLine(line_number, line);
+      }
+      if (current != nullptr) {
+        return Status::InvalidArgument(
+            StrCat("relations line ", line_number, " inside relation ",
+                   current_name, ", which has no end line"));
+      }
+      if (count != relations_read) {
+        return Status::InvalidArgument(
+            StrCat("relations line ", line_number, " counts ", count,
+                   " relations, but the checkpoint holds ", relations_read));
+      }
+      trailer_read = true;
     } else {
       return Status::InvalidArgument(
           StrCat("unknown keyword '", keyword, "' at line ", line_number));
@@ -684,6 +709,13 @@ Result<Database> LoadDatabase(std::istream& in) {
     return Status::InvalidArgument(
         StrCat("checkpoint ends inside relation ", current_name,
                ", which has no end line"));
+  }
+  // A cut right after an end line would load without the relations
+  // after it.
+  if (version >= 2 && !trailer_read) {
+    return Status::InvalidArgument(
+        StrCat("checkpoint ends after ", relations_read,
+               " relations without its relations line"));
   }
   db.RestoreTime(logical_time);
   return db;

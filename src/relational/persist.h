@@ -16,15 +16,18 @@ namespace txmod {
 /// memory and persisted via checkpoints; this module provides the same
 /// facility with a line-oriented, human-readable text format:
 ///
-///   txmod-checkpoint 1
+///   txmod-checkpoint 2
 ///   time <logical-time>
 ///   relation <name> <arity>
 ///   attr <name> <int|double|string>      (arity times)
 ///   tuple <v1> <v2> ...                  (one line per tuple)
 ///   end
 ///   ...
+///   relations <count>                    (the trailer, the last line)
 ///
-/// Values use the text codec below. The format is a checkpoint of
+/// Version 1, which older builds wrote, is the same without the trailer;
+/// it still loads. Values use the text codec below. The format is a
+/// checkpoint of
 /// committed state — transaction-local structures (differentials,
 /// temporaries) are never persisted, matching the model: only
 /// pre-/post-transaction states exist outside a transaction.
@@ -59,9 +62,11 @@ Status CheckpointDatabaseToFile(const Database& db, const std::string& path,
 /// unsigned and in range: `time` a uint64, `relation`'s arity an int.
 /// Anything else is InvalidArgument naming the line. So is a `relation`
 /// line before the previous relation's `end`, and a stream that ends
-/// inside a relation (InvalidArgument naming it). A stream cut exactly
-/// after an `end` line loads as the relations before the cut: catching
-/// that needs a trailer line, which the format does not have.
+/// inside a relation (InvalidArgument naming it). In version 2 the
+/// `relations` trailer must be the last line and count exactly the
+/// relations read, so a stream cut anywhere, even right after an `end`
+/// line, is InvalidArgument. A version 1 stream cut right after an `end`
+/// line still loads as the relations before the cut.
 Result<Database> LoadDatabase(std::istream& in);
 Result<Database> LoadDatabaseFromFile(const std::string& path);
 
@@ -99,7 +104,7 @@ class LineReader {
 /// The value codec behind the checkpoint format, shared with the
 /// write-ahead log (wal.h) and the server's `show` response. There is one
 /// encoder and one decoder, and the text format is the one checkpoint
-/// version 1 and every WAL version (1 to 3) have always used:
+/// versions 1 and 2 and every WAL version (1 to 3) have always used:
 ///
 ///   null          the null value
 ///   i:<digits>    int64, decimal, optional sign

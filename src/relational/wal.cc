@@ -17,8 +17,12 @@ namespace txmod {
 
 namespace {
 
-constexpr char kWalHeader[] = "txmod-wal 3";  // format kWalFormat
-// The header of a format 1 log, which is read with FNV-1a and rewritten.
+// The header line of format kWalFormat, newline included: the whole of an
+// empty log.
+constexpr std::string_view kWalHeaderLine = "txmod-wal 3\n";
+constexpr std::string_view kWalHeader =
+    kWalHeaderLine.substr(0, kWalHeaderLine.size() - 1);
+// The header of a format 1 log, which recovery reads with FNV-1a.
 constexpr char kWalV1Header[] = "txmod-wal 1";
 // Builds that sharded the log wrote stream k to `<path>.shard<k>`, with
 // k below this bound.
@@ -211,9 +215,6 @@ class StreamReader {
   /// dropped tail. Any other first line is not a WAL, and an error.
   Status Open(const std::string& path);
 
-  /// The format the header named (kWalFormat for an empty stream).
-  int format() const { return format_; }
-
   /// Reads the next record into `*rec`. False at the end of the stream
   /// and at its first bad record; tail_dropped() then tells which, and
   /// tail_error() what was wrong. The writer appends every line together
@@ -344,58 +345,38 @@ Status RefuseShardFiles(const std::string& path) {
   return Status::OK();
 }
 
-/// Rewrites the log at `path` where appending to it would go wrong: when
-/// it ends in a torn or corrupt record, because every record appended
-/// after the tear would be unreachable to recovery, which stops at the
-/// first invalid one; and when it is in format 1, because one file would
-/// then hold records of two formats. Copies the valid records into a
-/// temp log, which is written in format kWalFormat, and renames it into
-/// place. The first read keeps no record; only a log that needs the
-/// rewrite is read again, one record at a time into the copy.
-Status RewriteIfTornOrOld(const std::string& path, Vfs* vfs) {
-  {
-    StreamReader reader;
-    TXMOD_RETURN_IF_ERROR(reader.Open(path));
-    WalRecord rec;
-    while (reader.Next(&rec)) {
-    }
-    if (!reader.tail_dropped() && reader.format() == kWalFormat) {
-      return Status::OK();
-    }
-  }
-  const std::string tmp = StrCat(path, ".repair");
-  // A crash during a previous rewrite can leave a stale (possibly itself
-  // torn) .repair file; appending to it would corrupt the rewritten
-  // log or brick startup. Start from nothing.
-  TXMOD_RETURN_IF_ERROR(vfs->Remove(tmp));
-  {
-    // The temp log does not exist: this Open creates it, with nothing
-    // to refuse or repair.
-    TXMOD_ASSIGN_OR_RETURN(WriteAheadLog fresh, WriteAheadLog::Open(tmp, vfs));
-    StreamReader reader;
-    TXMOD_RETURN_IF_ERROR(reader.Open(path));
-    WalRecord rec;
-    while (reader.Next(&rec)) {
-      TXMOD_RETURN_IF_ERROR(fresh.Append(rec).status());
-    }
-    TXMOD_RETURN_IF_ERROR(fresh.Sync(fresh.appended_lsn()));
-  }
-  TXMOD_RETURN_IF_ERROR(vfs->Rename(tmp, path));
-  return vfs->SyncParentDirectory(path);
-}
-
 }  // namespace
+
+Result<bool> WalIsEmpty(const std::string& path) {
+  TXMOD_RETURN_IF_ERROR(RefuseShardFiles(path));
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) {
+    // Never empty, and never replaced unread: its records may be durable.
+    if (FileExists(path)) return Status::Internal(StrCat("cannot read ", path));
+    return true;
+  }
+  const std::streamoff size = in.tellg();
+  char bytes[kWalHeaderLine.size()];
+  if (size != static_cast<std::streamoff>(sizeof(bytes))) return size == 0;
+  in.seekg(0).read(bytes, size);
+  return in && std::string_view(bytes, sizeof(bytes)) == kWalHeaderLine;
+}
 
 Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path, Vfs* vfs) {
   if (vfs == nullptr) vfs = Vfs::Default();
-  TXMOD_RETURN_IF_ERROR(RefuseShardFiles(path));
-  TXMOD_RETURN_IF_ERROR(RewriteIfTornOrOld(path, vfs));
+  TXMOD_ASSIGN_OR_RETURN(const bool empty, WalIsEmpty(path));
+  if (!empty) {
+    return Status::InvalidArgument(StrCat(
+        "WAL ", path, " is not empty (absent, zero bytes or just the '",
+        kWalHeader, "' line): a run appends only to a log it started; ",
+        "recovery reads this one, and TxnManager::Create replaces it"));
+  }
   WriteAheadLog log(path, vfs);
   TXMOD_ASSIGN_OR_RETURN(log.file_, vfs->OpenAppend(path));
   TXMOD_ASSIGN_OR_RETURN(const uint64_t size, log.file_->Size());
   if (size == 0) {
-    TXMOD_RETURN_IF_ERROR(WriteFullyTo(log.file_.get(),
-                                       StrCat(kWalHeader, "\n"), "WAL header"));
+    TXMOD_RETURN_IF_ERROR(
+        WriteFullyTo(log.file_.get(), kWalHeaderLine, "WAL header"));
     // Make the header durable NOW: a recovered log whose header is still
     // in the page cache reads as not-a-WAL after a crash. This also
     // makes Open a durability probe — reopening onto storage whose
@@ -406,13 +387,6 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path, Vfs* vfs) {
     // entry is durable; without this, every fsync'd commit could vanish
     // with the whole file (recovery reads a missing WAL as empty).
     TXMOD_RETURN_IF_ERROR(vfs->SyncParentDirectory(path));
-  } else {
-    // Verify this really is a WAL before appending to it.
-    std::ifstream in(path);
-    std::string first;
-    if (!std::getline(in, first) || first != kWalHeader) {
-      return Status::InvalidArgument(StrCat(path, " is not a txmod WAL"));
-    }
   }
   return log;
 }
@@ -538,7 +512,7 @@ Status WriteAheadLog::Truncate() {
     return why;
   };
   const Status header =
-      WriteFullyTo(file_.get(), StrCat(kWalHeader, "\n"), "WAL header");
+      WriteFullyTo(file_.get(), kWalHeaderLine, "WAL header");
   if (!header.ok()) return poison(header);
   const Status synced = file_->Sync();
   if (!synced.ok()) return poison(synced);

@@ -75,11 +75,16 @@ struct CommitRecord {
 /// random corruption passes it with a probability of about 2^-64; like
 /// FNV-1a before it, it detects no burst length by construction.
 ///
-/// The log is one stream at its path. What older logs get:
+/// The log is one stream at its path, and it holds one run: a run
+/// appends only to a log it started. Recovery is the one reader of a
+/// log an earlier run left, and TxnManager::Create then checkpoints the
+/// recovered state and starts an empty log, so nothing recovery cut (a
+/// torn tail, records past a version gap) is ever built on. What older
+/// logs get:
 ///   - Format 1 ("txmod-wal 1") has the same lines with an FNV-1a 64
-///     checksum. It is read with that checksum, so a log an older build
-///     left recovers, and WriteAheadLog::Open rewrites it in format 3
-///     before appending, so no file mixes formats.
+///     checksum. Recovery reads it with that checksum, so a log an older
+///     build left recovers; like any log of an earlier run, it is then
+///     replaced, never appended to.
 ///   - Format 2 was the sharded log: `<path>.shard<k>` files with a
 ///     "txmod-wal 2 shard <k>/<n>" header. Open and recovery refuse such
 ///     a file, naming it, instead of reading the log without it.
@@ -114,15 +119,14 @@ struct CommitRecord {
 /// recovery replays them in version order.
 class WriteAheadLog {
  public:
-  /// Opens `path` for appending, creating it (with the format 3 header
-  /// line) when absent or empty. A log that ends in a torn or corrupt
-  /// record has its valid prefix rewritten first (temp + rename),
-  /// because a record appended after the tear would be unreachable to
-  /// recovery; a format 1 log has its valid records rewritten in format
-  /// 3 the same way. Refuses a `<path>.shard<k>` file and a file that
-  /// does not start with a header. All writes/fsyncs go through `vfs`
-  /// (nullptr = the real POSIX environment); reads stay on the plain
-  /// filesystem.
+  /// Opens an empty log at `path` for appending (see WalIsEmpty): an
+  /// absent or zero-byte file gets the format 3 header line, made
+  /// durable with its directory entry; a file that holds exactly that
+  /// line is appended to. Anything else is InvalidArgument naming the
+  /// path, and no byte of it changes: recovery reads such a log, and
+  /// TxnManager::Create replaces it. Reads at most the header's bytes
+  /// and the file's size. All writes/fsyncs go through `vfs` (nullptr =
+  /// the real POSIX environment); reads stay on the plain filesystem.
   static Result<WriteAheadLog> Open(const std::string& path,
                                     Vfs* vfs = nullptr);
 
@@ -206,6 +210,14 @@ inline constexpr int kWalFormat = 3;
 /// formats 1 and 2. Append signs every record with it; tests and tools
 /// that write a record by hand call it too.
 uint64_t WalRecordChecksum(std::string_view body, int format = kWalFormat);
+
+/// Whether the log at `path` is empty: absent, zero bytes, or exactly
+/// the format 3 header line with its newline. Anything else (records, a
+/// torn tail, a header without its newline, a format 1 log) is a log of
+/// an earlier run. A file that exists but cannot be opened is an error,
+/// never an empty log. Refuses a `<path>.shard<k>` file, as Open and
+/// recovery do. Reads at most the header's bytes and the file's size.
+Result<bool> WalIsEmpty(const std::string& path);
 
 /// The size of the buffer Append allocates for `rec` before it writes
 /// the record's lines through persist.h's WriteValueText: at least the

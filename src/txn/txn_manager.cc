@@ -93,19 +93,20 @@ Result<std::unique_ptr<TxnManager>> TxnManager::Create(
       new TxnManager(subsystem, std::move(options)));
   const TxnManagerOptions& opts = manager->options_;
   manager->vfs_ = opts.vfs != nullptr ? opts.vfs : Vfs::Default();
-  Vfs* vfs = manager->vfs_;
   if (!opts.wal_path.empty()) {
-    if (!opts.checkpoint_path.empty() &&
-        ::access(opts.checkpoint_path.c_str(), F_OK) != 0) {
-      // The WAL holds only differentials; seed the base state the first
-      // recovery will replay onto.
-      TXMOD_RETURN_IF_ERROR(CheckpointDatabaseToFile(
-          *manager->db_, opts.checkpoint_path, vfs));
+    // Refuses a shard file before anything is written.
+    TXMOD_ASSIGN_OR_RETURN(const bool empty_log, WalIsEmpty(opts.wal_path));
+    if (!empty_log || (!opts.checkpoint_path.empty() &&
+                       ::access(opts.checkpoint_path.c_str(), F_OK) != 0)) {
+      // The WAL holds only differentials: the checkpoint is the base
+      // state the next recovery replays onto, and this run's log starts
+      // empty on top of it.
+      TXMOD_RETURN_IF_ERROR(manager->CheckpointAndReplaceLog());
+    } else {
+      TXMOD_ASSIGN_OR_RETURN(WriteAheadLog wal,
+                             WriteAheadLog::Open(opts.wal_path, manager->vfs_));
+      manager->wal_ = std::make_shared<WriteAheadLog>(std::move(wal));
     }
-    // Open repairs a torn tail (rewriting the valid prefix).
-    TXMOD_ASSIGN_OR_RETURN(WriteAheadLog wal,
-                           WriteAheadLog::Open(opts.wal_path, vfs));
-    manager->wal_ = std::make_shared<WriteAheadLog>(std::move(wal));
   }
   // The state the manager starts from is durable (recovered checkpoint +
   // WAL, or the freshly seeded checkpoint): the durability horizon and
@@ -701,11 +702,6 @@ Status TxnManager::TryReopenWal() {
   if (options_.wal_path.empty()) {
     return Status::FailedPrecondition("no WAL configured");
   }
-  if (options_.checkpoint_path.empty()) {
-    return Status::FailedPrecondition(
-        "recovery needs a checkpoint_path: the poisoned log's tail is "
-        "untrustworthy, so a fresh checkpoint must supersede it");
-  }
   std::lock_guard<std::mutex> lock(commit_mu_);
   if (!degraded_.load(std::memory_order_acquire) && wal_ != nullptr &&
       !wal_->broken()) {
@@ -719,16 +715,33 @@ Status TxnManager::TryReopenWal() {
     if (wal_ != nullptr) wal_->broken(&cause);
     EnterDegradedLocked(cause);
   }
-  // The committed in-memory state is the authority now; checkpoint it so
-  // the poisoned log (whose durable suffix is unknowable) is obsolete.
+  // The committed in-memory state is the authority now; checkpointing it
+  // makes the poisoned log (whose durable suffix is unknowable) obsolete.
+  // While any step fails the manager stays degraded (wal_ may be null;
+  // the degraded_ guard keeps every writer away from it). In-flight
+  // stage-C appenders that pinned the old handle keep a live (poisoned)
+  // object; their commits are covered by the checkpoint, so the
+  // no-unwind floor makes their failure harmless.
+  TXMOD_RETURN_IF_ERROR(CheckpointAndReplaceLog());
+  {
+    std::lock_guard<std::mutex> cause_lock(degraded_cause_mu_);
+    degraded_cause_.clear();
+  }
+  degraded_.store(false, std::memory_order_release);
+  stats_.wal_reopens.fetch_add(1);
+  return Status::OK();
+}
+
+Status TxnManager::CheckpointAndReplaceLog() {
+  if (options_.checkpoint_path.empty()) {
+    return Status::FailedPrecondition(StrCat(
+        "the log at wal_path ", options_.wal_path,
+        " is replaced only once a checkpoint supersedes it, and "
+        "checkpoint_path is empty"));
+  }
   TXMOD_RETURN_IF_ERROR(
       CheckpointDatabaseToFile(*db_, options_.checkpoint_path, vfs_));
-  // Only now is it safe to discard the old log. While any of these steps
-  // fail the manager stays degraded (wal_ may be null; the degraded_
-  // guard keeps every writer away from it). In-flight stage-C appenders
-  // that pinned the old handle keep a live (poisoned) object; their
-  // commits are covered by the checkpoint above, so the no-unwind floor
-  // makes their failure harmless.
+  // Only now, with the checkpoint durable, may the old log go.
   {
     std::lock_guard<std::mutex> wal_lock(wal_ptr_mu_);
     wal_.reset();
@@ -742,12 +755,6 @@ Status TxnManager::TryReopenWal() {
   }
   checkpoint_time_ = db_->logical_time();
   ResetDurabilityHorizon(db_->logical_time());
-  {
-    std::lock_guard<std::mutex> cause_lock(degraded_cause_mu_);
-    degraded_cause_.clear();
-  }
-  degraded_.store(false, std::memory_order_release);
-  stats_.wal_reopens.fetch_add(1);
   return Status::OK();
 }
 

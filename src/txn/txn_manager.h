@@ -39,7 +39,8 @@ struct TxnManagerOptions {
 
   /// Checkpoint path. With a WAL, Create() seeds an initial checkpoint
   /// here when none exists (the WAL holds only differentials, so
-  /// recovery always needs a base state), and Checkpoint() refreshes it.
+  /// recovery always needs a base state) or when the log holds an
+  /// earlier run, and Checkpoint() refreshes it.
   std::string checkpoint_path;
 
   /// Storage-and-clock environment every WAL/checkpoint byte and every
@@ -272,7 +273,9 @@ class TxnSession {
 /// paper's transaction modification computes — are appended to the WAL
 /// before the commit is reported; concurrent committers share fsyncs
 /// (group commit). Recover() replays the WAL over the latest checkpoint
-/// and restores exactly the durable committed prefix.
+/// and restores exactly the durable committed prefix; a restart then
+/// runs Create over that state, which checkpoints it and starts an empty
+/// log, so each log holds one run.
 ///
 /// Failure: any WAL fault (failed append, failed fsync) flips the
 /// manager into read-only degraded mode instead of silently poisoning
@@ -301,9 +304,18 @@ class TxnManager {
   TxnManager& operator=(const TxnManager&) = delete;
 
   /// Creates a manager over `subsystem`'s database and rule set. With a
-  /// WAL path, opens (creating) the log; with a checkpoint path and no
-  /// existing checkpoint file, seeds one from the current database so
-  /// recovery always has a base state.
+  /// WAL path, the manager appends only to a log it started. A log that
+  /// is not empty (see WalIsEmpty: records, a torn tail, an older
+  /// format) is one an earlier run left. For such a log, and when no
+  /// checkpoint file exists yet, the database is checkpointed, durably,
+  /// and only then is the log removed and an empty one started. So
+  /// recovery is the one reader of an old log, and nothing it cut is
+  /// ever built on; the database must be exactly the state Recover
+  /// restored from these paths, or it replaces what the log held.
+  /// Without a checkpoint path a log that is not empty is
+  /// FailedPrecondition. An empty log beside a checkpoint is opened as it
+  /// is. Nothing is checkpointed, removed or created while a
+  /// `<wal_path>.shard<k>` file exists (InvalidArgument naming it).
   static Result<std::unique_ptr<TxnManager>> Create(
       core::IntegritySubsystem* subsystem, TxnManagerOptions options = {});
 
@@ -495,6 +507,13 @@ class TxnManager {
   /// `mutate` under commit_mu_.
   template <typename Fn>
   Status WithQuiescedSessions(const char* what, Fn&& mutate);
+
+  /// Makes the master the whole durable state: checkpoints it (durable
+  /// through its rename and directory fsync), then removes the log and
+  /// opens an empty one. A crash in between leaves the old log's records
+  /// covered by the checkpoint or cut again by recovery's own rules. The
+  /// caller holds commit_mu_, or is Create.
+  Status CheckpointAndReplaceLog();
 
   /// Flips into read-only degraded mode (first cause wins). Caller
   /// holds commit_mu_ (transitions are serialized by it; the flag and

@@ -2,7 +2,9 @@
 // randomized storage-fault schedules (EIO, ENOSPC, short and torn
 // writes, fsync failure, the fsyncgate trap, a lying fsync, rename and
 // directory-sync failures), each run ending in a simulated power loss
-// and recovery. Two invariants define correctness:
+// and recovery, then a restart on the recovered state (on repaired
+// storage), a few more transactions, and a second crash and recovery.
+// Two invariants define correctness, after both crashes:
 //
 //   1. Durability of acks: every commit acknowledged as durable
 //      survives crash recovery (all schedules except the lying fsync —
@@ -104,50 +106,16 @@ std::string DescribeSchedule(const std::vector<FaultSpec>& schedule) {
   return out;
 }
 
-/// One full campaign run: build a WAL-backed manager over `vfs`, arm
-/// `schedule`, run a seeded random workload (inserts, deletes, aborting
-/// transactions, read-only queries, checkpoints, reopen attempts),
-/// crash, recover, and check the two invariants. `lying_fsync` relaxes
-/// invariant 1 (ack durability) to invariant 2 only (exact acked
-/// prefix).
-void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
-                 const std::vector<FaultSpec>& schedule, bool lying_fsync,
-                 const std::string& label) {
-  SCOPED_TRACE(StrCat(label, " seed=", seed,
-                      " schedule: ", DescribeSchedule(schedule)));
-  FaultInjectingVfs vfs;
-  // Every campaign is an independent universe: reusing a path would make
-  // Create adopt the previous campaign's crashed WAL/checkpoint as a live
-  // log to resume — stale records from that run could then replay over
-  // this run's checkpoint.
-  static std::atomic<uint64_t> campaign_counter{0};
-  const uint64_t run_id = campaign_counter.fetch_add(1);
-  TxnManagerOptions options;
-  options.wal_path =
-      (dir / StrCat("wal_", run_id, "_", seed, ".log")).string();
-  options.checkpoint_path =
-      (dir / StrCat("ckpt_", run_id, "_", seed, ".db")).string();
-  options.vfs = &vfs;
-
-  Database db = bench::MakeKeyFkDatabase(8, 20);
-  bench::AddUnreferencedKeys(&db, 4);
-  core::IntegritySubsystem ics(&db);
-  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
-  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
-  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
-
-  // The durability oracle: the committed state after every acknowledged
-  // write commit (index 0 = the seed state, acked by Create's initial
-  // checkpoint). An ack is RunText returning committed && installed.
-  std::vector<Database> acked_states;
-  acked_states.push_back(db.Clone());
-
-  for (const FaultSpec& spec : schedule) vfs.InjectFault(spec);
-
-  std::mt19937_64 rng(seed);
-  int next_id = 500'000 + static_cast<int>(seed % 1000) * 100;
-  for (int op = 0; op < 28; ++op) {
-    const uint64_t what = rng() % 12;
+/// Runs `ops` seeded random operations through `manager`, whose master
+/// is `db`: inserts, deletes, aborting transactions, read-only queries,
+/// checkpoints and reopen attempts. Appends the committed state after
+/// every acknowledged write commit (RunText returning committed &&
+/// installed) to `acked_states`, the durability oracle.
+void RunOps(TxnManager* manager, const Database& db, int ops,
+            std::mt19937_64* rng, int* next_id,
+            std::vector<Database>* acked_states) {
+  for (int op = 0; op < ops; ++op) {
+    const uint64_t what = (*rng)() % 12;
     if (what == 0) {
       (void)manager->Checkpoint();  // may fault; recovery decides
     } else if (what == 1) {
@@ -163,56 +131,50 @@ void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
       // Integrity abort (dangling ref): acknowledged as aborted, and
       // must never leave any durable trace.
       auto result = manager->RunText(
-          StrCat("insert(fk_rel, {(", next_id++, ", \"nope\", 1.0)});"));
+          StrCat("insert(fk_rel, {(", (*next_id)++, ", \"nope\", 1.0)});"));
       if (result.ok()) {
         EXPECT_FALSE(result->committed);
       }
     } else if (what == 4) {
       // Multi-relation write: one record with two deltas, so a torn
       // append can cut between them.
-      const int id = next_id++;
+      const int id = (*next_id)++;
       auto result = manager->RunText(
           StrCat("insert(key_rel, {(\"f", id, "\", \"payload\")}); ",
                  "insert(fk_rel, {(", id, ", \"f", id, "\", 2.0)});"));
       if (result.ok() && result->committed && result->installed) {
-        acked_states.push_back(db.Clone());
+        acked_states->push_back(db.Clone());
       }
     } else {
       const std::string text =
           (what % 4 == 0)
-              ? StrCat("delete(key_rel, {(\"x", rng() % 4,
+              ? StrCat("delete(key_rel, {(\"x", (*rng)() % 4,
                        "\", \"payload\")});")
-              : StrCat("insert(fk_rel, {(", next_id++, ", \"k", rng() % 8,
-                       "\", 2.0)});");
+              : StrCat("insert(fk_rel, {(", (*next_id)++, ", \"k",
+                       (*rng)() % 8, "\", 2.0)});");
       auto result = manager->RunText(text);
       if (result.ok() && result->committed && result->installed) {
-        acked_states.push_back(db.Clone());
+        acked_states->push_back(db.Clone());
       }
     }
   }
-  const uint64_t fired = vfs.faults_fired();
-  manager.reset();  // drop the WAL handle before the power cut
+}
 
-  vfs.SimulateCrash();
-  auto recovered = TxnManager::Recover(options);
-  if (!recovered.ok()) {
-    // A lying fsync can durably install a torn or empty checkpoint (the
-    // tmp file's bytes were dropped but reported safe, then the rename
-    // landed). Recovery cannot restore what the hardware never wrote;
-    // the best possible outcome is this loud refusal — never a silently
-    // wrong state. Only lying schedules may take this exit.
-    EXPECT_TRUE(lying_fsync)
-        << "recovery after crash failed: " << recovered.status().ToString();
-    return;
-  }
-  ExpectConstraintsHold(*recovered);
+/// The two invariants over a state recovered after a crash, against the
+/// run's `acked_states` (index 0 = the state the run began on, durable
+/// before its first operation). `lying_fsync` relaxes invariant 1 (ack
+/// durability) to invariant 2 only (exact acked prefix).
+void ExpectAnAckedPrefix(const Database& recovered,
+                         const std::vector<Database>& acked_states,
+                         bool lying_fsync, uint64_t fired) {
+  ExpectConstraintsHold(recovered);
 
   // Invariant 2: the recovered state is EXACTLY some acked state (the
   // states are cumulative, so matching one means an in-order prefix of
   // acknowledged commits — never a torn or reordered state).
   std::size_t matched = acked_states.size();
   for (std::size_t i = acked_states.size(); i-- > 0;) {
-    if (recovered->SameState(acked_states[i], /*compare_time=*/false)) {
+    if (recovered.SameState(acked_states[i], /*compare_time=*/false)) {
       matched = i;
       break;
     }
@@ -229,6 +191,92 @@ void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
         << "a commit acknowledged as durable did not survive the crash ("
         << fired << " faults fired)";
   }
+}
+
+/// One full campaign run: build a WAL-backed manager over `vfs`, arm
+/// `schedule`, run a seeded random workload, crash, recover, and check
+/// the two invariants. Then restart: clear the schedule, start a manager
+/// on the recovered state over the same paths, run a few more seeded
+/// transactions, crash and recover again, and check both invariants
+/// against the second run. `lying_fsync` relaxes invariant 1 (ack
+/// durability) to invariant 2 only (exact acked prefix) in the first
+/// run.
+void RunCampaign(const std::filesystem::path& dir, uint64_t seed,
+                 const std::vector<FaultSpec>& schedule, bool lying_fsync,
+                 const std::string& label) {
+  SCOPED_TRACE(StrCat(label, " seed=", seed,
+                      " schedule: ", DescribeSchedule(schedule)));
+  FaultInjectingVfs vfs;
+  // Every campaign is an independent universe: reusing a path would make
+  // Create take the previous campaign's crashed WAL/checkpoint for this
+  // campaign's restart.
+  static std::atomic<uint64_t> campaign_counter{0};
+  const uint64_t run_id = campaign_counter.fetch_add(1);
+  TxnManagerOptions options;
+  options.wal_path =
+      (dir / StrCat("wal_", run_id, "_", seed, ".log")).string();
+  options.checkpoint_path =
+      (dir / StrCat("ckpt_", run_id, "_", seed, ".db")).string();
+  options.vfs = &vfs;
+
+  Database db = bench::MakeKeyFkDatabase(8, 20);
+  bench::AddUnreferencedKeys(&db, 4);
+  core::IntegritySubsystem ics(&db);
+  TXMOD_ASSERT_OK(ics.DefineConstraint("domain", bench::DomainConstraint()));
+  TXMOD_ASSERT_OK(ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options));
+
+  // Index 0 is the seed state, acked by Create's initial checkpoint.
+  std::vector<Database> acked_states;
+  acked_states.push_back(db.Clone());
+
+  for (const FaultSpec& spec : schedule) vfs.InjectFault(spec);
+
+  std::mt19937_64 rng(seed);
+  int next_id = 500'000 + static_cast<int>(seed % 1000) * 100;
+  RunOps(manager.get(), db, 28, &rng, &next_id, &acked_states);
+  const uint64_t fired = vfs.faults_fired();
+  manager.reset();  // drop the WAL handle before the power cut
+
+  vfs.SimulateCrash();
+  auto recovered = TxnManager::Recover(options);
+  if (!recovered.ok()) {
+    // A lying fsync can durably install a torn or empty checkpoint (the
+    // tmp file's bytes were dropped but reported safe, then the rename
+    // landed). Recovery cannot restore what the hardware never wrote;
+    // the best possible outcome is this loud refusal — never a silently
+    // wrong state. Only lying schedules may take this exit.
+    EXPECT_TRUE(lying_fsync)
+        << "recovery after crash failed: " << recovered.status().ToString();
+    return;
+  }
+  ExpectAnAckedPrefix(*recovered, acked_states, lying_fsync, fired);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // The restart, on repaired storage. Whenever the crash left records in
+  // the log (a torn tail, a version gap), Create checkpoints the recovered
+  // state and replaces the log, so this run builds on exactly what
+  // recovery kept, and its acked commits must all survive the next crash.
+  vfs.ClearFaults();
+  Database restarted = *std::move(recovered);
+  core::IntegritySubsystem restarted_ics(&restarted);
+  TXMOD_ASSERT_OK(
+      restarted_ics.DefineConstraint("domain", bench::DomainConstraint()));
+  TXMOD_ASSERT_OK(
+      restarted_ics.DefineConstraint("refint", bench::RefIntConstraint()));
+  TXMOD_ASSERT_OK_AND_ASSIGN(manager,
+                             TxnManager::Create(&restarted_ics, options));
+  std::vector<Database> restarted_acked;
+  restarted_acked.push_back(restarted.Clone());
+  RunOps(manager.get(), restarted, 8, &rng, &next_id, &restarted_acked);
+  manager.reset();
+
+  vfs.SimulateCrash();
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered_again,
+                             TxnManager::Recover(options));
+  SCOPED_TRACE("after the restart");
+  ExpectAnAckedPrefix(recovered_again, restarted_acked,
+                      /*lying_fsync=*/false, vfs.faults_fired() - fired);
 }
 
 FaultSpec Spec(VfsOp op, FaultKind kind, uint64_t nth, bool sticky = false,

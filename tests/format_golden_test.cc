@@ -6,16 +6,17 @@
 // finite value, both infinities and NaN, and strings holding a quote, a
 // backslash, a newline, a tab, spaces and a NUL byte.
 //
-// The expected bytes below are the format that checkpoint version 1 and
+// The expected bytes below are the format that checkpoint version 2 and
 // WAL format 3 define: the writers must produce them byte for byte, and
 // the readers must read them back to bit-identical values. A change
 // here is a change of the on-disk format. The record form the
 // transaction manager logs (CommitRecord, which shares its overlay
 // levels' sets) must write the bytes of the WalRecord that holds the same
 // tuples in the sets' iteration order. The same record in WAL format 1,
-// as older builds wrote it (its checksum FNV-1a), stays pinned as an
-// input: it must read back bit-exact, and opening it for appending must
-// leave exactly the format 3 bytes.
+// and the same checkpoint in version 1, as older builds wrote them, stay
+// pinned as inputs: each must read back bit-exact. WriteAheadLog::Open
+// refuses both logs, and every other log that is not empty, without
+// changing a byte of it.
 
 #include <cstdint>
 #include <cstring>
@@ -77,6 +78,29 @@ constexpr char kWalV1Bytes[] =
     "commit 42 f18e17f69be1c71f\n";
 
 constexpr char kCheckpointBytes[] =
+    "txmod-checkpoint 2\n"
+    "time 7\n"
+    "relation e 1\n"
+    "attr x int\n"
+    "end\n"
+    "relation t 4\n"
+    "attr k int\n"
+    "attr i int\n"
+    "attr d double\n"
+    "attr s string\n"
+    "tuple i:1 i:-9223372036854775808 d:0x0p+0 s:\"quote\\\" backslash\\\\\"\n"
+    "tuple i:2 i:9223372036854775807 d:-0x0p+0 s:\"newline\\ntab\\tspace \"\n"
+    "tuple i:3 null d:0x0.0000000000001p-1022 s:\"nul\0byte\"\n"
+    "tuple i:4 i:0 d:0x1.fffffffffffffp+1023 s:\"\"\n"
+    "tuple i:5 i:-1 d:inf null\n"
+    "tuple i:6 i:1 d:-inf s:\" \"\n"
+    "tuple i:7 i:2 d:nan s:\"x\"\n"
+    "end\n"
+    "relations 2\n";
+
+// The same checkpoint as version 1 wrote it: another header line and no
+// trailer.
+constexpr char kCheckpointV1Bytes[] =
     "txmod-checkpoint 1\n"
     "time 7\n"
     "relation e 1\n"
@@ -247,12 +271,39 @@ TEST_F(FormatGoldenTest, WalRecordIsReadBackBitExact) {
   }
 }
 
-TEST_F(FormatGoldenTest, OpeningAFormat1LogRewritesItInFormat3) {
+TEST_F(FormatGoldenTest, OpenRefusesEveryLogButAnEmptyOne) {
+  // A run appends only to a log it started: a log that holds a record
+  // (format 3 or format 1) or a header without its newline is an earlier
+  // run's, which recovery reads and TxnManager::Create replaces.
   const std::string path = Path("wal");
-  WriteFile(path, Bytes(kWalV1Bytes, sizeof(kWalV1Bytes)));
-  { TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log, WriteAheadLog::Open(path)); }
-  EXPECT_EQ(ReadFile(path), Bytes(kWalBytes, sizeof(kWalBytes)));
-  EXPECT_FALSE(std::filesystem::exists(path + ".repair"));
+  for (const std::string& bytes : {Bytes(kWalBytes, sizeof(kWalBytes)),
+                                   Bytes(kWalV1Bytes, sizeof(kWalV1Bytes)),
+                                   std::string("txmod-wal 3")}) {
+    SCOPED_TRACE(bytes.substr(0, bytes.find('\n')));
+    WriteFile(path, bytes);
+    const Result<WriteAheadLog> opened = WriteAheadLog::Open(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find(path), std::string::npos)
+        << opened.status().ToString();
+    EXPECT_EQ(ReadFile(path), bytes);
+    EXPECT_FALSE(std::filesystem::exists(path + ".repair"));
+  }
+  // An absent file, an empty one and one holding just the header line
+  // are empty logs: Open appends to each after one header line.
+  const auto expect_appends = [&path] {
+    {
+      TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog log, WriteAheadLog::Open(path));
+      TXMOD_ASSERT_OK(log.Append(GoldenRecord()).status());
+    }
+    EXPECT_EQ(ReadFile(path), Bytes(kWalBytes, sizeof(kWalBytes)));
+  };
+  std::filesystem::remove(path);
+  expect_appends();
+  WriteFile(path, "");
+  expect_appends();
+  WriteFile(path, "txmod-wal 3\n");
+  expect_appends();
 }
 
 TEST_F(FormatGoldenTest, ChecksumsAreTheFormatsAlgorithms) {
@@ -415,16 +466,22 @@ TEST_F(FormatGoldenTest, CheckpointIsWrittenByteForByte) {
 }
 
 TEST_F(FormatGoldenTest, CheckpointIsReadBackBitExact) {
-  const std::string path = Path("checkpoint");
-  WriteFile(path, Bytes(kCheckpointBytes, sizeof(kCheckpointBytes)));
-  TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabaseFromFile(path));
-  EXPECT_EQ(loaded.logical_time(), 7u);
-  EXPECT_EQ(loaded.RelationNames(), (std::vector<std::string>{"e", "t"}));
-  EXPECT_TRUE((*loaded.Find("e"))->empty());
-  const Relation* t = *loaded.Find("t");
-  ASSERT_EQ(t->schema().arity(), 4u);
-  EXPECT_EQ(t->schema().attribute(2).type, AttrType::kDouble);
-  ExpectIdentical(t->SortedTuples(), GoldenTuples());
+  // Version 2, and version 1 without the trailer.
+  for (const std::string& bytes :
+       {Bytes(kCheckpointBytes, sizeof(kCheckpointBytes)),
+        Bytes(kCheckpointV1Bytes, sizeof(kCheckpointV1Bytes))}) {
+    SCOPED_TRACE(bytes.substr(0, bytes.find('\n')));
+    const std::string path = Path("checkpoint");
+    WriteFile(path, bytes);
+    TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabaseFromFile(path));
+    EXPECT_EQ(loaded.logical_time(), 7u);
+    EXPECT_EQ(loaded.RelationNames(), (std::vector<std::string>{"e", "t"}));
+    EXPECT_TRUE((*loaded.Find("e"))->empty());
+    const Relation* t = *loaded.Find("t");
+    ASSERT_EQ(t->schema().arity(), 4u);
+    EXPECT_EQ(t->schema().attribute(2).type, AttrType::kDouble);
+    ExpectIdentical(t->SortedTuples(), GoldenTuples());
+  }
 }
 
 }  // namespace

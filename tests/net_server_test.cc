@@ -213,6 +213,24 @@ TEST(NetServerTest, LargestDeadlineStillRuns) {
   EXPECT_TRUE(outcome.committed);
 }
 
+TEST(NetServerTest, MaxAttemptsAboveIntMaxIsRefused) {
+  // The verb parses an int64, and the policy holds an int: a value that
+  // does not fit is refused, not narrowed (4294967296 would read as 0,
+  // the manager's count, and 2147483648 as a negative one).
+  ServerFixture f;
+  Client client = f.MustConnect();
+  for (const char* value : {"2147483648", "4294967296"}) {
+    const Status refused = client.SetPolicy({{"max_attempts", value}});
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(refused.message().find("max_attempts"), std::string::npos)
+        << refused.ToString();
+  }
+  TXMOD_ASSERT_OK(client.SetPolicy({{"max_attempts", "2147483647"}}));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Outcome outcome,
+                             client.Run(InsertFkText(930002, 1, "2.0")));
+  EXPECT_TRUE(outcome.committed);
+}
+
 // The acceptance oracle: >= 4 concurrent client connections hammer the
 // server with a conflict-bearing mix; after shutdown, WAL recovery must
 // contain EVERY insert the server acknowledged as committed — an acked

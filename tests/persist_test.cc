@@ -205,18 +205,24 @@ TEST(PersistTest, ArityBeyondTheAttributeLinesIsATruncatedList) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
-// A checkpoint cut inside a relation (at its relation line, an attr line
-// or a tuple line) must not load as a database missing that relation's
-// tail and every relation after it. A cut right after an end line is not
-// caught: the format has no trailer (persist.h).
-TEST(PersistTest, CheckpointCutInsideARelationIsRejected) {
+/// Two beers, two breweries and an empty relation.
+Database ThreeRelations() {
   Database db = MakeBeerDatabase();
   AddBrewery(&db, "heineken", "amsterdam", "nl");
   AddBrewery(&db, "guinness", "dublin", "ie");
   AddBeer(&db, "pils", "lager", "heineken", 5.0);
   AddBeer(&db, "stout", "stout", "guinness", 4.2);
-  TXMOD_ASSERT_OK(db.CreateRelation(
-      RelationSchema("empty", {Attribute{"a", AttrType::kInt}})));
+  EXPECT_TRUE(db.CreateRelation(
+                    RelationSchema("empty", {Attribute{"a", AttrType::kInt}}))
+                  .ok());
+  return db;
+}
+
+// A checkpoint cut inside a relation (at its relation line, an attr line
+// or a tuple line) must not load as a database missing that relation's
+// tail and every relation after it, and the error names the relation.
+TEST(PersistTest, CheckpointCutInsideARelationIsRejected) {
+  const Database db = ThreeRelations();
   std::ostringstream out;
   TXMOD_ASSERT_OK(SaveDatabase(db, out));
   const std::string text = out.str();
@@ -248,6 +254,52 @@ TEST(PersistTest, CheckpointCutInsideARelationIsRejected) {
   // Three relation lines, four attr lines for beer, three for brewery,
   // one for empty, and four tuple lines.
   EXPECT_EQ(cuts, 15);
+}
+
+// Version 2 ends in a trailer that counts the relations, so a cut after
+// any line but the last fails to load: right after an end line too,
+// where a version 1 file cut there looks whole.
+TEST(PersistTest, CheckpointCutAfterAnyLineIsRejected) {
+  const Database db = ThreeRelations();
+  std::ostringstream out;
+  TXMOD_ASSERT_OK(SaveDatabase(db, out));
+  const std::string text = out.str();
+  ASSERT_EQ(text.rfind("txmod-checkpoint 2\n", 0), 0u);
+  ASSERT_EQ(text.substr(text.rfind("\nrelations ") + 1), "relations 3\n");
+  {
+    std::istringstream whole(text);
+    TXMOD_ASSERT_OK_AND_ASSIGN(Database loaded, LoadDatabase(whole));
+    EXPECT_TRUE(loaded.SameState(db));
+  }
+  int cuts = 0;
+  int cuts_after_end = 0;
+  for (std::size_t begin = 0, end;
+       (end = text.find('\n', begin)) + 1 < text.size(); begin = end + 1) {
+    const std::string prefix = text.substr(0, end + 1);
+    std::istringstream in(prefix);
+    Result<Database> loaded = LoadDatabase(in);
+    ASSERT_FALSE(loaded.ok()) << "cut after:\n" << prefix;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    ++cuts;
+    if (text.compare(begin, end - begin, "end") == 0) ++cuts_after_end;
+  }
+  // Every line but the trailer: the header, the time, and 18 lines of
+  // relations, three of them end lines.
+  EXPECT_EQ(cuts, 20);
+  EXPECT_EQ(cuts_after_end, 3);
+
+  // The trailer counts exactly the relations read, and it is the last
+  // line.
+  const std::string body = text.substr(0, text.rfind("relations "));
+  for (const std::string& bad :
+       {body + "relations 2\n", body + "relations 4\n",
+        body + "relations\n", body + "relations 3 3\n",
+        text + "relations 3\n", text + "end\n"}) {
+    std::istringstream in(bad);
+    Result<Database> loaded = LoadDatabase(in);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PersistTest, LargeLogicalTimeLoadsAtOnce) {

@@ -1,9 +1,10 @@
 // Crash-recovery battery for the differential WAL (src/relational/wal.h)
 // and the TxnManager durability path: kill-at-any-point truncation sweeps
 // (every byte length of the log), corrupt-tail records, checkpoint +
-// truncate round trips, torn-tail repair on reopen, and a randomized
-// checkpoint/WAL property — recovery must always restore exactly a
-// committed prefix, matching a serial-replay oracle captured live.
+// truncate round trips, restarts over torn and gapped logs, and a
+// randomized checkpoint/WAL property — recovery must always restore
+// exactly a committed prefix, matching a serial-replay oracle captured
+// live.
 
 #include <unistd.h>
 
@@ -249,8 +250,8 @@ TEST_F(RecoveryTest, StaleWalRecordsBelowCheckpointAreSkipped) {
 TEST_F(RecoveryTest, TornTailIsRepairedOnReopen) {
   LiveRun run = RunWorkload(options_, DefaultWorkload());
   // Tear the tail mid-record, then restart a manager over the recovered
-  // state: Create() must repair the log so new commits land after the
-  // valid prefix and remain recoverable.
+  // state: Create() checkpoints it and starts an empty log, so new
+  // commits never land after the tear and remain recoverable.
   WriteFile(options_.wal_path,
             run.wal_bytes.substr(0, run.wal_bytes.size() - 7));
   TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
@@ -299,8 +300,9 @@ void RestartCommitAndRecover(const TxnManagerOptions& options) {
 
 TEST_F(RecoveryTest, LogWhoseLastNewlineIsCutKeepsLaterCommits) {
   // The writer appends every line with its newline, so a commit line
-  // without one is a torn record: recovery drops it, and Create repairs
-  // the log before the next commit lands on that line.
+  // without one is a torn record: recovery drops it, and Create
+  // checkpoints the recovered state and replaces the log before the next
+  // commit could land on that line.
   LiveRun run = RunWorkload(options_, DefaultWorkload());
   ASSERT_EQ(run.wal_bytes.back(), '\n');
   WriteFile(options_.wal_path,
@@ -350,8 +352,8 @@ std::string AsFormat1Log(const std::string& log) {
 
 TEST_F(RecoveryTest, Format1LogRecoversAndIsRewrittenBeforeTheNextCommit) {
   // A log an older build left: recovery reads it with FNV-1a, and the
-  // manager's reopen rewrites it in format 3 before a commit lands, so
-  // no file holds records of two formats.
+  // manager's restart replaces it with an empty format 3 log before a
+  // commit lands, so no file holds records of two formats.
   LiveRun run = RunWorkload(options_, DefaultWorkload());
   const std::string v1 = AsFormat1Log(run.wal_bytes);
   ASSERT_NE(v1, run.wal_bytes);
@@ -363,13 +365,39 @@ TEST_F(RecoveryTest, Format1LogRecoversAndIsRewrittenBeforeTheNextCommit) {
   EXPECT_FALSE(stats.tail_dropped) << stats.tail_error;
   EXPECT_EQ(stats.records_read, run.prefix_states.size() - 1);
   EXPECT_TRUE(recovered.SameState(run.db, /*compare_time=*/true));
-
-  // Opening the log for appending leaves exactly this build's bytes.
-  { TXMOD_ASSERT_OK(WriteAheadLog::Open(options_.wal_path).status()); }
-  EXPECT_EQ(ReadFile(options_.wal_path), run.wal_bytes);
-  WriteFile(options_.wal_path, v1);
   RestartCommitAndRecover(options_);
   EXPECT_EQ(ReadFile(options_.wal_path).rfind("txmod-wal 3\n", 0), 0u);
+}
+
+TEST_F(RecoveryTest, CreateOverALogWithRecordsCheckpointsTheRecoveredState) {
+  // A restart: Create over the state Recover restored makes that state
+  // the checkpoint and starts an empty log, so the next run appends only
+  // to a log it started.
+  RunWorkload(options_, DefaultWorkload());
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database recovered,
+                             TxnManager::Recover(options_));
+  ASSERT_GT(recovered.logical_time(), 0u);
+  const std::string log = ReadFile(options_.wal_path);
+  core::IntegritySubsystem ics(&recovered);
+
+  // Without a checkpoint path the log cannot be replaced: refused, and
+  // the log keeps every byte.
+  TxnManagerOptions no_checkpoint = options_;
+  no_checkpoint.checkpoint_path.clear();
+  const auto refused = TxnManager::Create(&ics, no_checkpoint);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find(options_.wal_path),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(ReadFile(options_.wal_path), log);
+
+  TXMOD_ASSERT_OK_AND_ASSIGN(auto manager, TxnManager::Create(&ics, options_));
+  TXMOD_ASSERT_OK_AND_ASSIGN(Database checkpoint,
+                             LoadDatabaseFromFile(options_.checkpoint_path));
+  EXPECT_EQ(checkpoint.logical_time(), recovered.logical_time());
+  EXPECT_TRUE(checkpoint.SameState(recovered, /*compare_time=*/true));
+  EXPECT_EQ(ReadFile(options_.wal_path), "txmod-wal 3\n");
 }
 
 TEST_F(RecoveryTest, RandomizedCheckpointWalProperty) {
@@ -428,9 +456,7 @@ TEST_F(RecoveryTest, RandomizedCheckpointWalProperty) {
 }
 
 TEST_F(RecoveryTest, GroupCommitCountersAreCoherent) {
-  LiveRun run = RunWorkload(options_, DefaultWorkload());
-  (void)run;
-  // Re-open the log and exercise Append/Sync directly.
+  // A fresh log, exercised through Append/Sync directly.
   TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
                              WriteAheadLog::Open(options_.wal_path));
   EXPECT_EQ(wal.appended_lsn(), 0u);
@@ -499,8 +525,8 @@ TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
   // applied, and neither may version 3 after it.
   Database expected = WriteInitialCheckpoint(options_);
   {
-    // One open log throughout: reopening would repair the bad record
-    // away. Its appends land at the end of the file.
+    // One open log throughout: Open refuses a log that holds records.
+    // Its appends land at the end of the file.
     TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
                                WriteAheadLog::Open(options_.wal_path));
     TXMOD_ASSERT_OK(wal.Append(FkRecord(1, 9700, /*insert=*/true)).status());
@@ -529,6 +555,67 @@ TEST_F(RecoveryTest, RecordWhoseTupleLineDoesNotDecodeIsDroppedWhole) {
   EXPECT_NE(stats.tail_error.find("bad tuple line"), std::string::npos)
       << stats.tail_error;
   EXPECT_EQ(stats.records_read, 1u);
+}
+
+TEST_F(RecoveryTest, RestartAfterAVersionGapBuildsOnWhatRecoveryKept) {
+  // Commit 4's append landed before commit 3's, and the crash lost
+  // commit 3's: neither was acked, and recovery cuts version 4 at the
+  // gap. The next run acks its own versions 3 and 4, and the recovery
+  // after it must apply those, not the old version 4 still in the file.
+  // The second input also holds commit 3's append, torn, after 4.
+  const std::string torn_3 = "txn 3\nrel fk_rel\n+ i:9803 s:\"k1\" d:0x1p+0\n";
+  const Tuple stale({Value::Int(9804), Value::String("k1"),
+                     Value::Double(1.0)});
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "versions 1, 2, 4, torn 3" : "versions 1, 2, 4");
+    std::filesystem::remove(options_.wal_path);
+    WriteInitialCheckpoint(options_);
+    {
+      TXMOD_ASSERT_OK_AND_ASSIGN(WriteAheadLog wal,
+                                 WriteAheadLog::Open(options_.wal_path));
+      for (const uint64_t version : {1u, 2u, 4u}) {
+        TXMOD_ASSERT_OK(
+            wal.Append(FkRecord(version, 9800 + static_cast<int64_t>(version),
+                                /*insert=*/true))
+                .status());
+      }
+    }
+    if (torn) {
+      std::ofstream out(options_.wal_path, std::ios::binary | std::ios::app);
+      out << torn_3;
+    }
+    WalReplayStats stats;
+    TXMOD_ASSERT_OK_AND_ASSIGN(Database db,
+                               TxnManager::Recover(options_, &stats));
+    ASSERT_EQ(db.logical_time(), 2u);
+    EXPECT_TRUE(stats.tail_dropped);
+    {
+      core::IntegritySubsystem ics(&db);
+      TXMOD_ASSERT_OK(
+          ics.DefineConstraint("domain", bench::DomainConstraint()));
+      TXMOD_ASSERT_OK(
+          ics.DefineConstraint("refint", bench::RefIntConstraint()));
+      TXMOD_ASSERT_OK_AND_ASSIGN(auto manager,
+                                 TxnManager::Create(&ics, options_));
+      for (const int id : {9903, 9904}) {
+        TXMOD_ASSERT_OK_AND_ASSIGN(
+            TxnResult committed,
+            manager->RunText(
+                StrCat("insert(fk_rel, {(", id, ", \"k2\", 2.0)});")));
+        ASSERT_TRUE(committed.committed) << committed.abort_reason;
+        EXPECT_EQ(committed.commit_version, static_cast<uint64_t>(id - 9900));
+      }
+    }
+    WalReplayStats after_stats;
+    TXMOD_ASSERT_OK_AND_ASSIGN(Database after,
+                               TxnManager::Recover(options_, &after_stats));
+    EXPECT_FALSE(after_stats.tail_dropped) << after_stats.tail_error;
+    EXPECT_EQ(after.logical_time(), 4u);
+    EXPECT_TRUE(after.SameState(db, /*compare_time=*/true))
+        << "recovery did not restore the acked versions 3 and 4";
+    EXPECT_FALSE((*after.Find("fk_rel"))->Contains(stale))
+        << "the never-acked version 4 was applied";
+  }
 }
 
 /// Stream 1 of a two-way sharded log, as builds that sharded the log
